@@ -121,7 +121,10 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser) -> argpa
         # defaults, so the config has to reach those parsers as well
         for sp in getattr(parser, "_recipfm_subparsers", ()):
             sp.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if not isinstance(args.num_points, int) or args.num_points < 1:
+        raise ConfigError(f"--num-points must be an integer >= 1, got {args.num_points!r}")
+    return args
 
 
 def _build_system(args) -> DiagonalSystem:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import jets
-from .jets import Jet, JetDomainError, Point
+from .jets import Jet, JetDomainError, Point, PointBatch
 
 MAX_DIM = 16
 
@@ -309,20 +309,22 @@ class ScalarField:
 
     Wraps a pure function (point, order) -> Jet.  Jets of order >= 1 are
     memoized per point, which pays off when connection tables revisit the
-    same sample points.  Supports +, -, *, / with fields and numbers.
+    same sample points.  A PointBatch runs through the same function and
+    yields one jet with array coefficients; batches are never memoized.
+    Supports +, -, *, / with fields and numbers.
     """
 
-    def __init__(self, dim: int, fn: Callable[[Point, int], Jet], text: str = "<field>"):
+    def __init__(self, dim: int, fn: Callable[[Point | PointBatch, int], Jet], text: str = "<field>"):
         self.dim = dim
         self._fn = fn
         self.text = text
         self._memo: dict = {}
 
-    def jet(self, p: Point, order: int) -> Jet:
+    def jet(self, p: Point | PointBatch, order: int) -> Jet:
         if p.dim != self.dim:
             raise ValueError(f"field on {self.dim} coordinates evaluated at {p}")
-        if order == 0:
-            return self._fn(p, 0)
+        if order == 0 or isinstance(p, PointBatch):
+            return self._fn(p, order)
         key = (p, order)
         got = self._memo.get(key)
         if got is None:
@@ -330,7 +332,8 @@ class ScalarField:
             self._memo[key] = got
         return got
 
-    def value(self, p: Point) -> float:
+    def value(self, p: Point | PointBatch):
+        """The value at p: a float, or at a batch a float or an array (npoints,)."""
         return self.jet(p, 0).value
 
     def gradient(self, p: Point) -> tuple[float, ...]:

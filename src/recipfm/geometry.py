@@ -11,6 +11,7 @@ through third-order jets at seeded sample points.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -67,7 +68,9 @@ class DiagonalSystem:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residual values over sample points; passes iff max |entry| <= tolerance."""
+    """Residual values over sample points; passes iff every entry is finite and
+    max |entry| <= tolerance.  max_abs is NaN if any entry is NaN, else inf if
+    any entry is infinite, whatever the entry order."""
 
     label: str
     entries: tuple[tuple[Point, tuple, float], ...]
@@ -78,13 +81,21 @@ class ResidualReport:
     @staticmethod
     def build(label: str, entries: Iterable[tuple[Point, tuple, float]], tolerance: float) -> "ResidualReport":
         entries = tuple(entries)
-        max_abs = max((abs(e[2]) for e in entries), default=0.0)
-        return ResidualReport(label, entries, tolerance, max_abs, max_abs <= tolerance)
+        max_abs = max((_magnitude(e[2]) for e in entries), default=0.0)
+        if max_abs == math.inf and any(math.isnan(e[2]) for e in entries):
+            max_abs = math.nan
+        passed = math.isfinite(max_abs) and max_abs <= tolerance
+        return ResidualReport(label, entries, tolerance, max_abs, passed)
 
     def worst(self) -> tuple[Point, tuple, float] | None:
         if not self.entries:
             return None
-        return max(self.entries, key=lambda e: abs(e[2]))
+        return max(self.entries, key=lambda e: _magnitude(e[2]))
+
+
+def _magnitude(r: float) -> float:
+    """|r|, with NaN ranked with infinity so that no entry order can hide it."""
+    return abs(r) if r == r else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,16 @@ field at a base point, for every multi-index ``alpha`` with ``|alpha| <= order``
 With that normalization multiplication is a plain truncated Cauchy product and
 ``partial`` rescales on the way out.  Jets are immutable values and every
 operation here is a pure function.
+
+A coefficient is either a float (a jet at one ``Point``) or a numpy array of
+shape ``(npoints,)`` (the same jet at every point of a ``PointBatch``, after
+Neidinger, SIAM Review 52(3), 2010).  Both kinds go through the same
+functions.  The arithmetic is elementwise float64, so batch coefficients equal
+the scalar ones exactly wherever ``sum`` adds left to right (Python < 3.12;
+later versions compensate float sums only); ``exp``, ``ln`` and real powers
+use numpy's elementwise versions on arrays and agree to rounding.  Domain checks test every element,
+and an operation fails for the whole batch if any element leaves its domain.
+Coefficients are never updated in place, so arrays may be shared between jets.
 """
 
 from __future__ import annotations
@@ -12,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 MAX_ORDER = 3
 HYP2F1_REL_TOL = 1e-16
@@ -60,6 +72,52 @@ class Point:
 
 def point(*coords: float) -> Point:
     return Point(tuple(coords))
+
+
+class PointBatch:
+    """Base points evaluated together: one finite array of shape (npoints,) per
+    coordinate, read-only.  Hashes by identity, so a batch never equals a Point."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence[Sequence[float]]):
+        arrays = tuple(np.array(c, dtype=float) for c in coords)
+        if len(arrays) < 2:
+            raise ValueError(f"a point needs at least 2 coordinates, got {len(arrays)}")
+        shape = arrays[0].shape
+        if len(shape) != 1 or shape[0] < 1 or any(a.shape != shape for a in arrays):
+            raise ValueError(f"batch coordinates need one common shape (npoints,), got {[a.shape for a in arrays]}")
+        for i, a in enumerate(arrays):
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite value in batch coordinate u{i + 1}")
+            a.flags.writeable = False
+        self.coords = arrays
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    @property
+    def npoints(self) -> int:
+        return self.coords[0].shape[0]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.coords[i]
+
+    def point(self, k: int) -> Point:
+        """The k-th point of the batch."""
+        return Point(tuple(float(c[k]) for c in self.coords))
+
+    def __repr__(self) -> str:
+        return f"PointBatch(dim={self.dim}, npoints={self.npoints})"
+
+
+def _first_violation(value, bad):
+    """None where the domain condition ``bad`` holds nowhere, else the (first)
+    offending value; ``value`` is a float or a batch array, ``bad`` its mask."""
+    if isinstance(value, np.ndarray):
+        return float(value[np.argmax(bad)]) if bad.any() else None
+    return value if bad else None
 
 
 @lru_cache(maxsize=None)
@@ -192,18 +250,20 @@ def _check_compatible(a: Jet, b: Jet) -> None:
         )
 
 
-def constant(dim: int, order: int, value: float) -> Jet:
+def constant(dim: int, order: int, value) -> Jet:
+    """The constant jet; ``value`` is a float or a batch array."""
     coeffs = [0.0] * len(multi_indices(dim, order))
-    coeffs[0] = float(value)
+    coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
     return Jet(dim, order, tuple(coeffs))
 
 
-def variable(dim: int, order: int, index: int, value: float) -> Jet:
-    """The coordinate lift u^{index} (0-based) as a jet at the given value."""
+def variable(dim: int, order: int, index: int, value) -> Jet:
+    """The coordinate lift u^{index} (0-based) as a jet at the given value
+    (a float or a batch array)."""
     if not 0 <= index < dim:
         raise JetError(f"coordinate index {index} out of range for dimension {dim}")
     coeffs = [0.0] * len(multi_indices(dim, order))
-    coeffs[0] = float(value)
+    coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
     if order >= 1:
         unit = tuple(1 if i == index else 0 for i in range(dim))
         coeffs[_positions(dim, order)[unit]] = 1.0
@@ -234,16 +294,17 @@ def mul(a: Jet, b: Jet) -> Jet:
 def div(a: Jet, b: Jet) -> Jet:
     """Quotient jet; solves the triangular system value-first."""
     _check_compatible(a, b)
-    if b.coeffs[0] == 0.0:
+    b0 = b.coeffs[0]
+    if _first_violation(b0, b0 == 0.0) is not None:
         raise JetDomainError("division by a jet with zero value")
     rows = _mul_table(a.dim, a.order)
-    inv = 1.0 / b.coeffs[0]
+    inv = 1.0 / b0
     q = [0.0] * len(rows)
     for pos, row in enumerate(rows):
         s = a.coeffs[pos]
         for pa, pb in row:
             if pa != 0:
-                s -= b.coeffs[pa] * q[pb]
+                s = s - b.coeffs[pa] * q[pb]
         q[pos] = s * inv
     return Jet(a.dim, a.order, tuple(q))
 
@@ -300,40 +361,58 @@ def compose_univariate(g: Jet, series: Iterable[float]) -> Jet:
     return out
 
 
+def _no_overflow(fn, v, what: str):
+    """fn(v) for a float or a batch array; an overflowing result leaves the domain."""
+    try:
+        if isinstance(v, np.ndarray):
+            with np.errstate(over="raise"):
+                return fn(v)
+        return fn(v)
+    except (OverflowError, FloatingPointError):
+        raise JetDomainError(f"{what} overflows at value {float(np.max(v))}") from None
+
+
 def jet_exp(a: Jet) -> Jet:
-    e0 = math.exp(a.value)
+    v = a.value
+    e0 = _no_overflow(np.exp if isinstance(v, np.ndarray) else math.exp, v, "exp")
     return compose_univariate(a, [e0 / math.factorial(j) for j in range(a.order + 1)])
 
 
 def jet_ln(a: Jet) -> Jet:
-    if a.value <= 0.0:
-        raise JetDomainError(f"ln of non-positive value {a.value}")
-    series = [math.log(a.value)]
+    v = a.value
+    bad = _first_violation(v, v <= 0.0)
+    if bad is not None:
+        raise JetDomainError(f"ln of non-positive value {bad}")
+    series = [np.log(v) if isinstance(v, np.ndarray) else math.log(v)]
     for j in range(1, a.order + 1):
-        series.append((-1.0) ** (j - 1) / (j * a.value**j))
+        series.append((-1.0) ** (j - 1) / (j * v**j))
     return compose_univariate(a, series)
 
 
 def jet_pow(a: Jet, r: float) -> Jet:
-    """a**r; integer exponents work for any nonzero value, real ones need value > 0."""
+    """a**r; integer exponents work for any nonzero value, real ones need value > 0
+    and a finite power."""
     r = float(r)
     if r == 0.0:
         return constant(a.dim, a.order, 1.0)
     if r.is_integer():
         return _int_pow(a, int(r))
-    if a.value <= 0.0:
-        raise JetDomainError(f"pow with non-integer exponent {r} at non-positive value {a.value}")
-    series = []
-    binom = 1.0
-    for j in range(a.order + 1):
-        series.append(binom * a.value ** (r - j))
-        binom *= (r - j) / (j + 1)
+    v = a.value
+    bad = _first_violation(v, v <= 0.0)
+    if bad is not None:
+        raise JetDomainError(f"pow with non-integer exponent {r} at non-positive value {bad}")
+    binoms = [1.0]
+    for j in range(a.order):
+        binoms.append(binoms[-1] * ((r - j) / (j + 1)))
+    series = _no_overflow(
+        lambda x: [b * x ** (r - j) for j, b in enumerate(binoms)], v, f"pow with exponent {r}"
+    )
     return compose_univariate(a, series)
 
 
 def _int_pow(a: Jet, n: int) -> Jet:
     if n < 0:
-        if a.value == 0.0:
+        if _first_violation(a.value, a.value == 0.0) is not None:
             raise JetDomainError("negative power of a jet with zero value")
         return div(constant(a.dim, a.order, 1.0), _int_pow(a, -n))
     out = constant(a.dim, a.order, 1.0)
@@ -362,20 +441,34 @@ def _bad_c(c: float) -> bool:
     return c <= 0.0 and float(c).is_integer()
 
 
-def hyp2f1_value(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation."""
+def hyp2f1_value(a: float, b: float, c: float, z):
+    """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation.
+
+    ``z`` is a float or a batch array.  On an array every element stops at the
+    term where its own scalar series would stop, so both give the same value.
+    """
     if _bad_c(c):
         raise JetDomainError(f"2F1 parameter c={c} is a non-positive integer")
-    if abs(z) >= 1.0:
-        raise JetDomainError(f"2F1 series requires |z| < 1, got z={z}")
+    bad = _first_violation(z, abs(z) >= 1.0)
+    if bad is not None:
+        raise JetDomainError(f"2F1 series requires |z| < 1, got z={bad}")
+    batch = isinstance(z, np.ndarray)
+    live = np.ones(z.shape, dtype=bool) if batch else True
     total = 1.0
     term = 1.0
     for k in range(HYP2F1_MAX_TERMS):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
-        if abs(term) <= HYP2F1_REL_TOL * max(1.0, abs(total)):
-            return total
-    raise JetDomainError(f"2F1 series did not converge for z={z}")
+        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
+        if batch:
+            total = np.where(live, total + term, total)
+            size = abs(total)
+            live = live & ~(abs(term) <= HYP2F1_REL_TOL * np.where(size > 1.0, size, 1.0))
+            if not live.any():
+                return total
+        else:
+            total += term
+            if abs(term) <= HYP2F1_REL_TOL * max(1.0, abs(total)):
+                return total
+    raise JetDomainError(f"2F1 series did not converge for z={_first_violation(z, live) if batch else z}")
 
 
 def jet_hypergeom_2f1(a: float, b: float, c: float, z: Jet) -> Jet:

@@ -30,7 +30,7 @@ from .geometry import (
     natural_connection,
     sample_points,
 )
-from .jets import Jet, Point
+from .jets import Jet, Point, PointBatch
 
 DENSITY_FLOOR = 1e-6
 GRADING_TOL = 1e-8
@@ -38,7 +38,8 @@ QUAD_NODES = 32
 QUAD_REFINE_TOL = 1e-10
 QUAD_MAX_PANELS = 64
 
-_GL_X, _GL_W = (tuple(float(v) for v in arr) for arr in np.polynomial.legendre.leggauss(QUAD_NODES))
+_GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
+_GL_W = tuple(float(w) for w in _GL_WS)
 
 
 class ReciprocalError(ValueError):
@@ -276,6 +277,12 @@ def current_from_density(
     sum_i v^i d_i A du^i along the axis-parallel path base -> p (one coordinate
     at a time, in axis_order); derivatives of the returned field come straight
     from the one-form, so no differentiation of quadrature output ever happens.
+
+    Each segment evaluates its quadrature nodes as PointBatches, one jet pass
+    per batch: the 1-panel and 2-panel rules together, then one batch per
+    further refinement level.  A batch that fails a path guard or leaves a
+    field's domain is redone node by node, so the error raised is the one at
+    the first failing node in rule order, velocity check before density check.
     """
     n = sys.dim
     order = tuple(axis_order) if axis_order is not None else tuple(range(n))
@@ -306,30 +313,51 @@ def current_from_density(
             guard(q, axis)
             return one_forms[axis].value(q)
 
-        def composite(panels: int) -> float:
-            total = 0.0
+        def integrand_at_nodes(ts: np.ndarray) -> list[float]:
+            batch = PointBatch([ts if i == axis else np.full(ts.shape, c) for i, c in enumerate(fixed)])
+            # values are arrays over the nodes, or floats where a field is constant
+            try:
+                vals = sys.velocity_values(batch)
+                gap = np.inf
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        gap = np.minimum(gap, abs(vals[a] - vals[b]))
+                dens = abs(A.value(batch))
+                f = one_forms[axis].value(batch)
+                admissible = np.all((gap >= VELOCITY_GAP) & (dens >= DENSITY_FLOOR))  # NaN fails too
+            except (ValueError, ArithmeticError):
+                admissible = False
+            if not admissible:  # redo node by node, so the first failing node raises its own error
+                return [integrand(t) for t in ts.tolist()]
+            return np.broadcast_to(f, ts.shape).tolist()
+
+        def nodes(panels: int) -> tuple[np.ndarray, float]:
             width = (hi - lo) / panels
-            for s in range(panels):
-                a = lo + s * width
-                mid = a + 0.5 * width
-                half = 0.5 * width
-                total += half * sum(
-                    w * integrand(mid + half * x) for x, w in zip(_GL_X, _GL_W)
-                )
+            mids = (lo + np.arange(panels) * width) + 0.5 * width
+            half = 0.5 * width
+            return (mids[:, None] + half * _GL_XS[None, :]).ravel(), half
+
+        def composite(half: float, f: list[float]) -> float:
+            total = 0.0
+            for s in range(0, len(f), QUAD_NODES):
+                total += half * sum(w * y for w, y in zip(_GL_W, f[s : s + QUAD_NODES]))
             return total
 
-        prev = composite(1)
+        ts1, half1 = nodes(1)
+        ts2, half2 = nodes(2)
+        f = integrand_at_nodes(np.concatenate([ts1, ts2]))
+        prev, cur = composite(half1, f[:QUAD_NODES]), composite(half2, f[QUAD_NODES:])
         panels = 2
-        while panels <= QUAD_MAX_PANELS:
-            cur = composite(panels)
-            if abs(cur - prev) < refine_tol:
-                return cur
-            prev = cur
+        while not abs(cur - prev) < refine_tol:
             panels *= 2
-        raise PathSingularityError(
-            f"quadrature along u{axis + 1} did not settle below {refine_tol} "
-            f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
-        )
+            if panels > QUAD_MAX_PANELS:
+                raise PathSingularityError(
+                    f"quadrature along u{axis + 1} did not settle below {refine_tol} "
+                    f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
+                )
+            ts, half = nodes(panels)
+            prev, cur = cur, composite(half, integrand_at_nodes(ts))
+        return cur
 
     def value_at(p: Point) -> float:
         got = values.get(p)
@@ -344,8 +372,11 @@ def current_from_density(
         values[p] = total
         return total
 
-    def fn(p: Point, jet_order: int) -> Jet:
-        b0 = value_at(p)
+    def fn(p: Point | PointBatch, jet_order: int) -> Jet:
+        if isinstance(p, PointBatch):
+            b0 = np.array([value_at(p.point(k)) for k in range(p.npoints)])
+        else:
+            b0 = value_at(p)
         if jet_order == 0:
             return jets.constant(n, 0, b0)
         grads = [one_forms[i].jet(p, jet_order - 1) for i in range(n)]

@@ -185,3 +185,36 @@ def test_stdout_report_when_no_output(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["schema"] == "recip-fm/1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1"],
+        ["transform", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--catalog", "dim2-eps1-h0"],
+        ["orbit", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--gen0", "1/(u2-u1)",
+         "--composite", "exp(u1+u2)/(u2-u1)"],
+        ["darboux", "--frame-builtin", "eps2", "--eps", "1", "--density", "1/(u2-u1)"],
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_num_points_below_one_exit_two(argv, count, capsys):
+    code = main(argv + ["--num-points", count])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --num-points must be an integer >= 1, got {count}\n"
+
+
+def test_num_points_from_config_is_validated(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num-points": 0}))
+    code = main(["check", "--config", str(cfg), "--builtin", "eps-system", "--dim", "2", "--eps", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --num-points must be an integer >= 1, got 0\n"
+
+
+def test_exp_overflow_exit_two(capsys):
+    code = main(["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--density", "exp(1000*u1)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: exp overflows at value ") and err.count("\n") == 1

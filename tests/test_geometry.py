@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import fd_partial
@@ -9,6 +11,7 @@ from recipfm.geometry import (
     DegenerateSystemError,
     DiagonalSystem,
     GeometryError,
+    ResidualReport,
     SamplingError,
     banded_points,
     christoffel_primary,
@@ -212,3 +215,15 @@ def test_residual_report_worst():
     assert worst is not None and abs(worst[2]) == rep.max_abs
     vac = sh_residual(epsilon_system(2, 1.0), sample_points(2, 3, seed=10))
     assert vac.worst() is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_residual_report_fails_on_any_non_finite_entry(bad):
+    p = jets.point(0.7, -1.3)
+    for values in ([1e-12, bad], [bad, 1e-12], [1e-12, bad, 1e-12]):
+        entries = [(p, (i,), v) for i, v in enumerate(values)]
+        rep = ResidualReport.build("non-finite", entries, 1e-8)
+        assert not rep.passed, values
+        assert math.isnan(rep.max_abs) if math.isnan(bad) else rep.max_abs == math.inf
+        assert rep.worst()[2] is bad
+        assert not ResidualReport.build("loose", entries, math.inf).passed

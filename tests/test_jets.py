@@ -1,12 +1,14 @@
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
-from conftest import corpus_exprs, corpus_points, fd_partial
+from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial
 from recipfm import jets
-from recipfm.exprlang import compile_field
-from recipfm.jets import Jet, JetDomainError, JetError, Point
+from recipfm.exprlang import EvalError, compile_field, field
+from recipfm.jets import Jet, JetDomainError, JetError, Point, PointBatch
 
 
 def test_point_validation():
@@ -185,3 +187,77 @@ def test_truncate_prefix_property():
         assert t.coefficient(alpha) == j.coefficient(alpha)
     with pytest.raises(JetError):
         jets.truncate(t, 3)
+
+
+# ---------------------------------------------------------------------------
+# batches: array coefficients through the same functions
+
+# Elementwise float64 arithmetic is the scalar arithmetic, and `sum` adds
+# left to right before Python 3.12 (from 3.12 it compensates on floats only).
+EXACT_SUM = sys.version_info < (3, 12)
+
+
+def _batch(points) -> PointBatch:
+    return PointBatch([[p[i] for p in points] for i in range(points[0].dim)])
+
+
+def test_point_batch_validation():
+    b = PointBatch([[1.0, 2.0], [3.0, 4.0]])
+    assert b.dim == 2 and b.npoints == 2 and b.point(1) == jets.point(2.0, 4.0)
+    assert b != b.point(0) and {b: 1}[b] == 1  # identity hashing, so a batch can probe a memo
+    with pytest.raises(ValueError):
+        b[0][0] = 5.0  # read-only, so shared coefficient arrays cannot be corrupted
+    for bad in ([[1.0, 2.0]], [[1.0, 2.0], [3.0]], [[1.0, math.nan], [3.0, 4.0]], [[], []], [[[1.0]], [[2.0]]]):
+        with pytest.raises(ValueError):
+            PointBatch(bad)
+
+
+def test_batch_jets_match_scalar_jets_on_the_corpus():
+    points = corpus_points()
+    batch = _batch(points)
+    for src, expr in zip(ELEMENTARY_CORPUS, corpus_exprs()):
+        f = compile_field(expr)
+        exact = EXACT_SUM and not any(name in src for name in ("exp", "ln", "pow", "hyp2f1"))
+        for order in range(4):
+            got = f.jet(batch, order)
+            assert (got.dim, got.order) == (2, order)
+            for k, p in enumerate(points):
+                want = f.jet(p, order).coeffs
+                have = tuple(float(np.broadcast_to(c, (len(points),))[k]) for c in got.coeffs)
+                if exact:
+                    assert have == want, (src, order, tuple(p))
+                else:
+                    for h, w in zip(have, want):
+                        assert abs(h - w) <= 1e-15 * abs(w), (src, order, tuple(p), h, w)
+        assert len(f._memo) == 3 * len(points)  # the scalar jets of order 1..3; a batch never enters
+
+
+def test_batch_domain_checks_test_every_element():
+    v = jets.variable(1, 2, 0, np.array([2.0, 1.0, -0.5, -3.0]))
+    with pytest.raises(JetDomainError, match="ln of non-positive value -0.5"):
+        jets.jet_ln(v)
+    with pytest.raises(JetDomainError, match="at non-positive value -0.5"):
+        jets.jet_pow(v, 0.5)
+    with pytest.raises(JetDomainError, match="zero value"):
+        jets.div(jets.constant(1, 2, 1.0), jets.sub(v, jets.constant(1, 2, 1.0)))
+    with pytest.raises(JetDomainError, match="zero value"):
+        jets.jet_pow(jets.sub(v, jets.constant(1, 2, 1.0)), -2)
+    with pytest.raises(JetDomainError, match=r"\|z\| < 1, got z=-1.5"):
+        jets.hyp2f1_value(1.0, 1.0, 2.0, np.array([0.5, 0.25, -1.5, 0.1]))
+
+
+def test_hyp2f1_batch_stops_where_each_scalar_series_stops():
+    z = np.array([0.0, 0.2, -0.5, 0.9, 0.99])
+    got = jets.hyp2f1_value(0.5, 1.5, 2.5, z)
+    assert got.tolist() == [jets.hyp2f1_value(0.5, 1.5, 2.5, x) for x in z.tolist()]
+
+
+def test_exp_and_real_pow_overflow_leave_the_domain():
+    for value in (1000.0, np.array([1.0, 1000.0])):
+        with pytest.raises(JetDomainError, match="exp overflows at value 1000.0"):
+            jets.jet_exp(jets.variable(1, 2, 0, value))
+    for value in (1e200, np.array([2.0, 1e200])):
+        with pytest.raises(JetDomainError, match="pow with exponent 2.5 overflows"):
+            jets.jet_pow(jets.variable(1, 2, 0, value), 2.5)
+    with pytest.raises(EvalError, match="exp overflows"):
+        field("exp(1000*u1)", 2).value(jets.point(1.0, 2.0))

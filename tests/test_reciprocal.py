@@ -1,10 +1,15 @@
+import math
+
+import numpy as np
 import pytest
 
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
-from recipfm.exprlang import field
-from recipfm.geometry import banded_points, curvature_natural_residual, natural_connection, sample_points
+from recipfm.exprlang import EvalError, field
+from recipfm.geometry import DiagonalSystem, banded_points, curvature_natural_residual, natural_connection, sample_points
 from recipfm.reciprocal import (
+    DENSITY_FLOOR,
+    QUAD_NODES,
     ConservationDensity,
     InadmissibleGeneratorError,
     PathSingularityError,
@@ -212,6 +217,66 @@ def test_current_path_singularity_is_reported(sys2, recip_density):
         B.value(jets.point(2.0, 1.0))  # the u1 leg crosses the diagonal
     with pytest.raises(ReciprocalError):
         current_from_density(sys2, recip_density, jets.point(-1.0, 1.0), axis_order=(0, 0))
+
+
+def _first_panel_nodes(lo: float, hi: float) -> list[float]:
+    """The 1-panel Gauss-Legendre nodes of a segment, in rule order."""
+    width = hi - lo
+    mid, half = lo + 0.5 * width, 0.5 * width
+    return [mid + half * float(x) for x in np.polynomial.legendre.leggauss(QUAD_NODES)[0]]
+
+
+def test_current_path_across_the_diagonal_message(sys2, recip_density):
+    B = current_from_density(sys2, recip_density, jets.point(-1.25, 1.25))
+    with pytest.raises(PathSingularityError) as exc:
+        B.value(jets.point(2.0, 1.0))
+    assert str(exc.value) == (
+        "quadrature along u1 did not settle below 1e-10 (64 panels); "
+        "the segment likely approaches a singular locus"
+    )
+
+
+def test_current_guards_report_the_first_failing_node(sys2):
+    # density check: exp(-20 u1) drops below the floor part way along the u1 leg
+    B = current_from_density(sys2, field("exp(-20*u1) + 0*u2", 2), jets.point(-1.25, 1.25))
+    t = next(t for t in _first_panel_nodes(-1.25, 1.0) if math.exp(-20 * t) < DENSITY_FLOOR)
+    with pytest.raises(PathSingularityError) as exc:
+        B.value(jets.point(1.0, 1.25))
+    assert str(exc.value) == f"density vanishes on the segment along u1 near {jets.point(t, 1.25)}"
+
+    # both checks fail at every node: the velocity check comes first
+    close = DiagonalSystem((field("u1", 2), field("u1 + 1e-10*u2", 2)))
+    B = current_from_density(close, field("1e-7 + 0*u1", 2), jets.point(0.5, 1.0))
+    t = _first_panel_nodes(0.5, 1.5)[0]
+    with pytest.raises(PathSingularityError) as exc:
+        B.value(jets.point(1.5, 1.0))
+    assert str(exc.value) == f"characteristic velocities coincide on the segment along u1 near {jets.point(t, 1.0)}"
+
+    # a domain error part way along the leg surfaces from the first node outside the domain
+    B = current_from_density(sys2, field("ln(u1 + 1.5) + 0*u2", 2), jets.point(-1.25, 1.25))
+    t = next(t for t in _first_panel_nodes(-1.25, -1.6) if t + 1.5 <= 0.0)
+    with pytest.raises(EvalError) as exc:
+        B.value(jets.point(-1.6, 1.25))
+    assert str(exc.value) == f"ln of non-positive value {t + 1.5} in 'ln(u1 + 1.5)'"
+
+
+def test_current_quadrature_leaves_the_density_memo_empty(sys2):
+    A = field("exp(u1)/(u2-u1)", 2)
+    B = current_from_density(sys2, A, jets.point(-1.25, 1.25))
+    for p in banded_points(DIM2_BANDS, 5, seed=6):
+        B.value(p)
+    B.value(jets.point(-0.2, 0.3))  # a long leg near the diagonal refines to more panels
+    assert len(A._memo) == 0
+
+
+def test_current_of_a_transformed_system(sys2, recip_density):
+    # 1/A is a density of the transformed system, with current -B/A
+    base = jets.point(-1.25, 1.25)
+    result = transform(sys2, ConservationDensity(recip_density), base)
+    inverse = current_from_density(result.system, 1 / recip_density, base)
+    for p in banded_points(DIM2_BANDS, 2, seed=7):
+        want = -result.current.value(p) / recip_density.value(p)
+        assert inverse.value(p) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
