@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -218,3 +219,33 @@ def test_exp_overflow_exit_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: exp overflows at value ") and err.count("\n") == 1
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "check-flatness-dim3": (0, ["check", "--builtin", "eps-system", "--dim", "3", "--eps", "1", "--suite", "flatness"]),
+    "check-grading-e-fails": (1, ["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1",
+                                  "--density", "u1*u2", "--suite", "grading-e"]),
+    "transform-dim2-eps1-h0": (0, ["transform", "--builtin", "eps-system", "--dim", "2", "--eps", "1",
+                                   "--catalog", "dim2-eps1-h0"]),
+    "transform-flatcoord-biflat": (0, ["transform", "--builtin", "eps-system", "--dim", "3", "--eps", "1",
+                                       "--catalog", "dim3-eps1-flatcoord", "--biflat"]),
+    "orbit-dim2": (0, ["orbit", "--builtin", "eps-system", "--dim", "2", "--eps", "1",
+                       "--gen0", "1/(u2-u1)", "--composite", "exp(u1)/(u2-u1)"]),
+    "darboux-eps2": (0, ["darboux", "--frame-builtin", "eps2", "--eps", "1", "--density", "1/(u2-u1)"]),
+    "check-all-flatcoord": (0, ["check", "--builtin", "eps-system", "--dim", "3", "--eps", "1",
+                                "--suite", "all", "--catalog", "dim3-eps1-flatcoord"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden(name, tmp_path):
+    """The README invocations reproduce their recorded reports byte for byte.
+
+    A golden file is rewritten only on purpose, with
+    ``recipfm <argv> --output tests/golden/<name>.json``.
+    """
+    code, argv = GOLDEN_CASES[name]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--output", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
