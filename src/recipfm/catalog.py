@@ -16,7 +16,7 @@ from typing import Callable
 from .exprlang import ScalarField, field
 from .geometry import DiagonalSystem
 from .jets import Point
-from .reciprocal import DENSITY_FLOOR, RotationFrame
+from .reciprocal import RotationFrame, density_window
 
 GENERIC_CONSTANTS = {"c0": 1.0, "c1": 2.0, "c2": -1.0, "c3": 0.5}
 Z_WINDOW = 0.9
@@ -65,12 +65,8 @@ class CatalogEntry:
     def sample_predicates(self) -> tuple[Callable[[Point], bool], ...]:
         """Point filters for this entry: density away from zero, and the
         hypergeometric argument inside its disk when one is involved."""
-        A = self.density_field()
-        preds: list[Callable[[Point], bool]] = []
-        if self.z_window:
-            preds.append(_z_window_predicate())
-        preds.append(lambda p: abs(A.value(p)) >= DENSITY_FLOOR)
-        return tuple(preds)
+        window = density_window(self.density_field())
+        return (_z_window_predicate(), window) if self.z_window else (window,)
 
 
 def _z_window_predicate(limit: float = Z_WINDOW) -> Callable[[Point], bool]:

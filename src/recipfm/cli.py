@@ -4,13 +4,15 @@ apply transformations, and emit machine-readable JSON reports.
 Exit codes: 0 all checks passed, 1 a numerical check failed, 2 configuration or
 evaluation error.  All randomness flows from --seed and sample points are
 recorded in the report, so identical (config, seed) pairs produce byte-identical
-reports.
+reports.  Reports are strict JSON: non-finite numbers are written as the
+strings "NaN", "Infinity" and "-Infinity".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from typing import Sequence
 
@@ -51,9 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Residual suites for diagonal hydrodynamic systems and their reciprocal transformations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._recipfm_subparsers = []  # so --config can reach subcommand defaults
+    parser._recipfm_subparsers = {}  # so --config can reach and check subcommand options
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        parser._recipfm_subparsers[name] = p
         p.add_argument("--config", help="JSON file supplying any of the long options")
         p.add_argument("--builtin", help="built-in system id (eps-system)")
         p.add_argument("--dim", type=int, help="number of components")
@@ -69,26 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grading-tol", type=float, default=rec.GRADING_TOL)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--summary", action="store_true", help="also print a one-line human summary")
+        return p
 
-    p_check = sub.add_parser("check", help="run residual suites on a system (and optional density)")
-    parser._recipfm_subparsers.append(p_check)
-    common(p_check)
+    p_check = command("check", "run residual suites on a system (and optional density)")
     p_check.add_argument("--suite", default="all", help=f"comma-separated subset of {', '.join(_SUITES)}")
 
-    p_tr = sub.add_parser("transform", help="apply the reciprocal transformation of a density")
-    parser._recipfm_subparsers.append(p_tr)
-    common(p_tr)
+    p_tr = command("transform", "apply the reciprocal transformation of a density")
     p_tr.add_argument("--biflat", action="store_true", help="also check the dual connection and admissibility")
 
-    p_orbit = sub.add_parser("orbit", help="compare two-step against one-step composition")
-    parser._recipfm_subparsers.append(p_orbit)
-    common(p_orbit)
+    p_orbit = command("orbit", "compare two-step against one-step composition")
     p_orbit.add_argument("--gen0", help="first generator source")
     p_orbit.add_argument("--composite", help="composite generator source (second generator = composite / gen0)")
 
-    p_dx = sub.add_parser("darboux", help="act on a rotation frame with a density")
-    parser._recipfm_subparsers.append(p_dx)
-    common(p_dx)
+    p_dx = command("darboux", "act on a rotation frame with a density")
     p_dx.add_argument("--frame-builtin", help="built-in frame id (eps2)")
     p_dx.add_argument("--beta", action="append", default=None, metavar="I,J:SRC", help="rotation coefficient field")
     p_dx.add_argument("--lame", action="append", default=None, help="Lame field source (repeat per component)")
@@ -103,38 +100,69 @@ def _parse_params(items: Sequence[str] | None) -> dict[str, float]:
         if not sep or not name:
             raise ConfigError(f"--param expects NAME=VALUE, got {item!r}")
         out[name] = float(value)
+        if not math.isfinite(out[name]):
+            raise ConfigError(f"--param {name} must be a finite number, got {value!r}")
     return out
+
+
+def _params(args) -> dict[str, float]:
+    """Expression parameters: the --param bindings, plus eps from --eps unless bound there."""
+    params = _parse_params(args.param)
+    if args.eps is not None:
+        params.setdefault("eps", args.eps)
+    return params
 
 
 def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     pre, _ = probe.parse_known_args(argv[1:] if argv and not argv[0].startswith("-") else argv)
+    config: dict = {}
     if pre.config:
         with open(pre.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
+            config = json.load(fh)
+        if not isinstance(config, dict):
             raise ConfigError("--config file must hold a JSON object")
-        defaults = {k.replace("-", "_"): v for k, v in data.items()}
+        defaults = {k.replace("-", "_"): v for k, v in config.items()}
         parser.set_defaults(**defaults)
         # subcommand parsing rebuilds the namespace from the subparser's own
         # defaults, so the config has to reach those parsers as well
-        for sp in getattr(parser, "_recipfm_subparsers", ()):
+        for sp in parser._recipfm_subparsers.values():
             sp.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    if not isinstance(args.num_points, int) or args.num_points < 1:
-        raise ConfigError(f"--num-points must be an integer >= 1, got {args.num_points!r}")
+    options = {a.dest for a in parser._recipfm_subparsers[args.command]._actions} - {"help"}
+    for key in config:
+        if key.replace("-", "_") not in options:
+            raise ConfigError(f"--config key {key!r} is not an option of {args.command}")
+    _validate(args)
     return args
 
 
+def _validate(args) -> None:
+    """Range checks on parsed options, so values from --config are checked too."""
+    if not isinstance(args.num_points, int) or args.num_points < 1:
+        raise ConfigError(f"--num-points must be an integer >= 1, got {args.num_points!r}")
+    for dest in ("eps", "frame_d"):
+        value = getattr(args, dest, None)
+        if value is not None and not _finite(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number, got {value!r}")
+    for dest in ("tol_second", "tol_third", "grading_tol"):
+        value = getattr(args, dest)
+        if not (_finite(value) and value >= 0):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number >= 0, got {value!r}")
+    _parse_params(args.param)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _build_system(args) -> DiagonalSystem:
-    params = _parse_params(args.param)
     if args.velocity:
         dim = args.dim if args.dim else len(args.velocity)
         if len(args.velocity) != dim:
             raise ConfigError(f"got {len(args.velocity)} velocity fields for dimension {dim}")
-        if args.eps is not None:
-            params.setdefault("eps", args.eps)
+        params = _params(args)
         return DiagonalSystem(tuple(field(src, dim, params) for src in args.velocity))
     builtin = args.builtin or "eps-system"
     if builtin != "eps-system":
@@ -145,34 +173,32 @@ def _build_system(args) -> DiagonalSystem:
 
 
 def _build_density(args, dim: int):
-    """Returns (field, catalog_entry_or_None, label) or (None, None, None)."""
+    """Returns (field, sample predicates, label), or (None, (), None) without a density."""
     if args.catalog:
         e = cat.entry(args.catalog)
         if e.dim != dim:
             raise ConfigError(f"catalog entry {e.entry_id} lives in dimension {e.dim}, system has {dim}")
-        return e.density_field(), e, e.entry_id
+        return e.density_field(), e.sample_predicates(), e.entry_id
     if args.density:
-        params = _parse_params(args.param)
-        if args.eps is not None:
-            params.setdefault("eps", args.eps)
-        return field(args.density, dim, params), None, args.density
-    return None, None, None
+        A = field(args.density, dim, _params(args))
+        return A, (rec.density_window(A),), args.density
+    return None, (), None
 
 
-def _density_predicates(A: ScalarField | None, entry) -> tuple:
-    if entry is not None:
-        return entry.sample_predicates()
-    if A is not None:
-        return (rec.density_window(A),)
-    return ()
+def _check_payload(rep: ResidualReport) -> dict:
+    return {"max_abs": rep.max_abs, "tolerance": rep.tolerance, "pass": rep.passed}
 
 
-def _check_payload(rep: ResidualReport, tolerance: float | None = None) -> dict:
-    return {
-        "max_abs": rep.max_abs,
-        "tolerance": tolerance if tolerance is not None else rep.tolerance,
-        "pass": rep.passed,
+def _add_biflat(report: dict, system: DiagonalSystem, A: ScalarField, points: Sequence[Point], args) -> None:
+    verdict = rec.biflat_admissibility(
+        system, A, points, tolerance=args.tol_second, grading_tol=args.grading_tol
+    )
+    report["checks"]["biflat-admissible"] = {
+        "max_abs": max(r.max_abs for r in verdict.reports.values()),
+        "tolerance": args.tol_second,
+        "pass": verdict.passed,
     }
+    report["biflat"] = {"h": verdict.h, "k": verdict.k, "admissible": verdict.passed}
 
 
 def _report_skeleton(args, points: Sequence[Point]) -> dict:
@@ -201,9 +227,9 @@ def _report_skeleton(args, points: Sequence[Point]) -> dict:
     }
 
 
-def cmd_check(args) -> tuple[dict, int]:
+def cmd_check(args) -> dict:
     system = _build_system(args)
-    A, entry, label = _build_density(args, system.dim)
+    A, predicates, label = _build_density(args, system.dim)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     for s in suites:
         if s not in _SUITES:
@@ -218,9 +244,7 @@ def cmd_check(args) -> tuple[dict, int]:
     if needs_density & set(suites) and A is None:
         raise ConfigError("the selected suites need --density or --catalog")
 
-    points = geo.sample_points(
-        system.dim, args.num_points, args.seed, predicates=_density_predicates(A, entry)
-    )
+    points = geo.sample_points(system.dim, args.num_points, args.seed, predicates=predicates)
     report = _report_skeleton(args, points)
     if label:
         report["inputs"]["density_label"] = label
@@ -252,29 +276,16 @@ def cmd_check(args) -> tuple[dict, int]:
         checks["grading-E"] = _check_payload(k_rep)
         report["grading_E_estimate"] = k_est
     if "biflat" in suites:
-        verdict = rec.biflat_admissibility(
-            system, A, points, tolerance=args.tol_second, grading_tol=args.grading_tol
-        )
-        checks["biflat-admissible"] = {
-            "max_abs": max(r.max_abs for r in verdict.reports.values()),
-            "tolerance": args.tol_second,
-            "pass": verdict.passed,
-        }
-        report["biflat"] = {"h": verdict.h, "k": verdict.k, "admissible": verdict.passed}
-
-    overall = all(c["pass"] for c in checks.values())
-    report["pass"] = overall
-    return report, 0 if overall else 1
+        _add_biflat(report, system, A, points, args)
+    return report
 
 
-def cmd_transform(args) -> tuple[dict, int]:
+def cmd_transform(args) -> dict:
     system = _build_system(args)
-    A, entry, label = _build_density(args, system.dim)
+    A, predicates, label = _build_density(args, system.dim)
     if A is None:
         raise ConfigError("transform needs --density or --catalog")
-    points = geo.sample_points(
-        system.dim, args.num_points, args.seed, predicates=_density_predicates(A, entry)
-    )
+    points = geo.sample_points(system.dim, args.num_points, args.seed, predicates=predicates)
     report = _report_skeleton(args, points)
     report["inputs"]["density_label"] = label
     checks = report["checks"]
@@ -312,29 +323,16 @@ def cmd_transform(args) -> tuple[dict, int]:
         checks["transformed-parallel-E"] = _check_payload(
             geo.identity_parallel_residual(result.dual, "E", points)
         )
-        verdict = rec.biflat_admissibility(
-            system, A, points, tolerance=args.tol_second, grading_tol=args.grading_tol
-        )
-        checks["biflat-admissible"] = {
-            "max_abs": max(r.max_abs for r in verdict.reports.values()),
-            "tolerance": args.tol_second,
-            "pass": verdict.passed,
-        }
         report["generator"]["k"] = k_est
-        report["biflat"] = {"h": verdict.h, "k": verdict.k, "admissible": verdict.passed}
-
-    overall = all(c["pass"] for c in checks.values())
-    report["pass"] = overall
-    return report, 0 if overall else 1
+        _add_biflat(report, system, A, points, args)
+    return report
 
 
-def cmd_orbit(args) -> tuple[dict, int]:
+def cmd_orbit(args) -> dict:
     system = _build_system(args)
     if not args.gen0 or not args.composite:
         raise ConfigError("orbit needs --gen0 and --composite")
-    params = _parse_params(args.param)
-    if args.eps is not None:
-        params.setdefault("eps", args.eps)
+    params = _params(args)
     gen0_field = field(args.gen0, system.dim, params)
     composite_field = field(args.composite, system.dim, params)
     gen1_field = composite_field / gen0_field
@@ -363,10 +361,7 @@ def cmd_orbit(args) -> tuple[dict, int]:
     g1, _ = rec.grading_residual(gen1_field, "e", points)
     gc, _ = rec.grading_residual(composite_field, "e", points)
     report["gradings"] = {"gen0": g0, "gen1": g1, "composite": gc}
-
-    overall = rep.passed
-    report["pass"] = overall
-    return report, 0 if overall else 1
+    return report
 
 
 def _build_frame(args) -> rec.RotationFrame:
@@ -381,9 +376,7 @@ def _build_frame(args) -> rec.RotationFrame:
     dim = args.dim if args.dim else len(args.lame)
     if len(args.lame) != dim:
         raise ConfigError(f"got {len(args.lame)} Lame fields for dimension {dim}")
-    params = _parse_params(args.param)
-    if args.eps is not None:
-        params.setdefault("eps", args.eps)
+    params = _params(args)
     beta = {}
     for item in args.beta:
         head, sep, src = item.partition(":")
@@ -399,14 +392,11 @@ def _build_frame(args) -> rec.RotationFrame:
     return rec.RotationFrame(dim, beta, lame, args.frame_d)
 
 
-def cmd_darboux(args) -> tuple[dict, int]:
+def cmd_darboux(args) -> dict:
     frame = _build_frame(args)
     if not args.density:
         raise ConfigError("darboux needs --density")
-    params = _parse_params(args.param)
-    if args.eps is not None:
-        params.setdefault("eps", args.eps)
-    A = field(args.density, frame.dim, params)
+    A = field(args.density, frame.dim, _params(args))
     points = geo.sample_points(
         frame.dim, args.num_points, args.seed, predicates=(rec.density_window(A),)
     )
@@ -433,9 +423,7 @@ def cmd_darboux(args) -> tuple[dict, int]:
 
     report["degree_before"] = frame.degree
     report["degree_after"] = new_frame.degree
-    overall = all(c["pass"] for c in checks.values())
-    report["pass"] = overall
-    return report, 0 if overall else 1
+    return report
 
 
 _COMMANDS = {
@@ -446,22 +434,37 @@ _COMMANDS = {
 }
 
 
+def _strict(x):
+    """x with every non-finite float spelled "NaN", "Infinity" or "-Infinity",
+    so the report is strict JSON."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return x
+
+
+def _severity(max_abs: float) -> tuple[bool, float]:
+    """Summary ranking of a check: NaN above everything, then by size."""
+    return (True, 0.0) if max_abs != max_abs else (False, max_abs)
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.summary:
-        worst_label, worst = None, -1.0
-        for name, c in report.get("checks", {}).items():
-            if c["max_abs"] > worst:
-                worst_label, worst = name, c["max_abs"]
-        status = "PASS" if report.get("pass") else "FAIL"
-        line = f"{status} {report['command']}: {len(report.get('checks', {}))} checks"
-        if worst_label is not None:
-            line += f", worst {worst_label} max_abs={worst:.3e}"
-        print(line)
+    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    if args.summary:
+        checks = report["checks"]
+        worst = max(checks, key=lambda name: _severity(checks[name]["max_abs"]), default=None)
+        status = "PASS" if report["pass"] else "FAIL"
+        line = f"{status} {report['command']}: {len(checks)} checks"
+        if worst is not None:
+            line += f", worst {worst} max_abs={checks[worst]['max_abs']:.3e}"
+        print(line)
+    if not args.output:
         _sys.stdout.write(text)
 
 
@@ -469,15 +472,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(list(argv) if argv is not None else _sys.argv[1:], parser)
-        report, code = _COMMANDS[args.command](args)
-    except _CONFIG_ERRORS as exc:
+        report = _COMMANDS[args.command](args)
+        report["pass"] = all(c["pass"] for c in report["checks"].values())
+        _emit(report, args)
+    except (*_CONFIG_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    _emit(report, args)
-    return code
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import jets
-from .jets import Jet, JetDomainError, Point, PointBatch
+from .jets import Jet, JetDomainError, Point, PointBatch, _unit
 
 MAX_DIM = 16
+
+_ARITH = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
 
 _CALLS = ("exp", "ln", "pow", "hyp2f1")
 _CALL_ARITY = {"exp": 1, "ln": 1, "pow": 2, "hyp2f1": 4}
@@ -311,7 +313,8 @@ class ScalarField:
     memoized per point, which pays off when connection tables revisit the
     same sample points.  A PointBatch runs through the same function and
     yields one jet with array coefficients; batches are never memoized.
-    Supports +, -, *, / with fields and numbers.
+    Supports +, -, *, / with fields and numbers; each operator picks its jet
+    function (jets.add, ...) once, when the combined field is built.
     """
 
     def __init__(self, dim: int, fn: Callable[[Point | PointBatch, int], Jet], text: str = "<field>"):
@@ -338,13 +341,7 @@ class ScalarField:
 
     def gradient(self, p: Point) -> tuple[float, ...]:
         j = self.jet(p, 1)
-        unit = [0] * self.dim
-        out = []
-        for i in range(self.dim):
-            unit[i] = 1
-            out.append(jets.partial(j, tuple(unit)))
-            unit[i] = 0
-        return tuple(out)
+        return tuple(jets.partial(j, _unit(self.dim, i)) for i in range(self.dim))
 
     def __repr__(self) -> str:
         return f"ScalarField({self.text})"
@@ -359,31 +356,31 @@ class ScalarField:
     def _binary(self, other, op: str, flipped: bool = False) -> "ScalarField":
         other = self._coerce(other)
         a, b = (other, self) if flipped else (self, other)
-        fn = lambda p, order: jets.jet_arith(a._fn(p, order), b._fn(p, order), op)
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
-        return ScalarField(self.dim, fn, f"({a.text} {sym} {b.text})")
+        arith = _ARITH[op]
+        fn = lambda p, order: arith(a._fn(p, order), b._fn(p, order))
+        return ScalarField(self.dim, fn, f"({a.text} {op} {b.text})")
 
     def __add__(self, other):
-        return self._binary(other, "add")
+        return self._binary(other, "+")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, "sub")
+        return self._binary(other, "-")
 
     def __rsub__(self, other):
-        return self._binary(other, "sub", flipped=True)
+        return self._binary(other, "-", flipped=True)
 
     def __mul__(self, other):
-        return self._binary(other, "mul")
+        return self._binary(other, "*")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, "div")
+        return self._binary(other, "/")
 
     def __rtruediv__(self, other):
-        return self._binary(other, "div", flipped=True)
+        return self._binary(other, "/", flipped=True)
 
     def __neg__(self):
         return ScalarField(self.dim, lambda p, order: -self._fn(p, order), f"-({self.text})")
@@ -392,10 +389,6 @@ class ScalarField:
 def constant_field(dim: int, value: float) -> ScalarField:
     v = float(value)
     return ScalarField(dim, lambda p, order: jets.constant(dim, order, v), repr(v))
-
-
-def coordinate_field(dim: int, index: int) -> ScalarField:
-    return ScalarField(dim, lambda p, order: jets.variable(dim, order, index, p[index]), f"u{index + 1}")
 
 
 def partial_field(f: ScalarField, index: int) -> ScalarField:
@@ -426,8 +419,8 @@ def _build(node, dim: int) -> Callable[[Point, int], Jet]:
             r = int(node.rhs.value)
             return _wrap(node, lambda p, order: jets.jet_pow(lhs(p, order), r))
         rhs = _build(node.rhs, dim)
-        op = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[node.op]
-        return _wrap(node, lambda p, order: jets.jet_arith(lhs(p, order), rhs(p, order), op))
+        arith = _ARITH[node.op]
+        return _wrap(node, lambda p, order: arith(lhs(p, order), rhs(p, order)))
     if isinstance(node, Call):
         if node.fn == "exp":
             arg = _build(node.args[0], dim)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .exprlang import ScalarField
-from .jets import Jet, Point
+from .jets import Jet, Point, _unit
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # residuals built from third derivatives
@@ -190,10 +190,11 @@ def christoffel_primary(sys: DiagonalSystem, i: int, j: int, p: Point, order: in
 class ConnectionTable:
     """Evaluator of the full Christoffel table G^i_{jk} at points.
 
-    Built either from off-diagonal generators G^i_{ij} plus a structural
-    assembly rule ('natural' or 'dual'), or from an explicit component
-    function (kind 'custom').  Tables are immutable; the off-diagonal cache
-    only memoizes pure results.
+    Built from the off-diagonal generators G^i_{ij} plus a structural assembly
+    rule, 'natural' or 'dual'.  Both rules vanish on distinct triples and
+    read G^i_{ik} = G^i_{ki} straight off the generators; they differ only on
+    G^i_{jj} (j != i) and on the diagonal G^i_{ii}.  Tables are immutable;
+    the off-diagonal cache only memoizes pure results.
     """
 
     def __init__(
@@ -202,16 +203,13 @@ class ConnectionTable:
         kind: str,
         off_diagonal: Callable[[int, int, Point, int], Jet] | None = None,
         assembly: str | None = None,
-        components: Callable[[int, int, int, Point, int], Jet] | None = None,
     ):
-        if components is None:
-            if off_diagonal is None or assembly not in ("natural", "dual"):
-                raise GeometryError("need off_diagonal + assembly, or an explicit components function")
+        if off_diagonal is None or assembly not in ("natural", "dual"):
+            raise GeometryError("need off_diagonal and an assembly rule ('natural' or 'dual')")
         self.dim = dim
         self.kind = kind
         self._off = off_diagonal
         self._assembly = assembly
-        self._components = components
         self._cache: dict = {}
 
     def off(self, i: int, j: int, p: Point, order: int) -> Jet:
@@ -219,51 +217,41 @@ class ConnectionTable:
         key = (i, j, p, order)
         got = self._cache.get(key)
         if got is None:
-            if self._off is not None:
-                got = self._off(i, j, p, order)
-            else:
-                got = self._components(i, i, j, p, order)
+            got = self._off(i, j, p, order)
             self._cache[key] = got
         return got
 
     def gamma(self, i: int, j: int, k: int, p: Point, order: int) -> Jet:
         """G^i_{jk} as a jet at p (symmetric in the lower indices)."""
-        if self._components is not None:
-            return self._components(i, j, k, p, order)
-        if i != j and j != k and k != i:
+        if j == k == i:
+            return self._diagonal(i, p, order)
+        if j == i or k == i:  # G^i_{ik} = G^i_{ki}
+            return self.off(i, k if j == i else j, p, order)
+        if j != k:
             return jets.constant(self.dim, order, 0.0)
+        # G^i_{jj}, j != i
+        g = self.off(i, j, p, order)
         if self._assembly == "natural":
-            return self._gamma_natural(i, j, k, p, order)
-        return self._gamma_dual(i, j, k, p, order)
+            return -g
+        u_i = jets.variable(self.dim, order, i, p[i])
+        u_j = jets.variable(self.dim, order, j, p[j])
+        return -jets.mul(jets.div(u_i, u_j), g)
 
-    def _gamma_natural(self, i, j, k, p, order):
-        if i == j == k:
+    def _diagonal(self, i: int, p: Point, order: int) -> Jet:
+        """G^i_{ii}: minus the row sum of the generators (natural), or minus
+        1/u^i and the u^l/u^i-weighted row sum (dual)."""
+        if self._assembly == "natural":
             total = jets.constant(self.dim, order, 0.0)
             for l in range(self.dim):
                 if l != i:
                     total = jets.sub(total, self.off(i, l, p, order))
             return total
-        if j == i:  # G^i_{ik}, k != i
-            return self.off(i, k, p, order)
-        if k == i:  # G^i_{ji}, j != i
-            return self.off(i, j, p, order)
-        # j == k != i
-        return -self.off(i, j, p, order)
-
-    def _gamma_dual(self, i, j, k, p, order):
         u = [jets.variable(self.dim, order, l, p[l]) for l in range(self.dim)]
-        if i == j == k:
-            total = -jets.div(jets.constant(self.dim, order, 1.0), u[i])
-            for l in range(self.dim):
-                if l != i:
-                    total = jets.sub(total, jets.mul(jets.div(u[l], u[i]), self.off(i, l, p, order)))
-            return total
-        if j == i:
-            return self.off(i, k, p, order)
-        if k == i:
-            return self.off(i, j, p, order)
-        # j == k != i
-        return -jets.mul(jets.div(u[i], u[j]), self.off(i, j, p, order))
+        total = -jets.div(jets.constant(self.dim, order, 1.0), u[i])
+        for l in range(self.dim):
+            if l != i:
+                total = jets.sub(total, jets.mul(jets.div(u[l], u[i]), self.off(i, l, p, order)))
+        return total
 
 
 def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
@@ -276,10 +264,6 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
     """The second connection, sharing the off-diagonal symbols of the natural one."""
     off = lambda i, j, p, order: christoffel_primary(sys, i, j, p, order)
     return ConnectionTable(sys.dim, "dual", off_diagonal=off, assembly="dual")
-
-
-def _unit(dim: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if m == index else 0 for m in range(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,10 @@ def _alpha_factorial(alpha: tuple[int, ...]) -> float:
 
 @dataclass(frozen=True)
 class Jet:
-    """Truncated Taylor expansion; coeffs[i] is d^alpha f / alpha! for multi_indices[i]."""
+    """Truncated Taylor expansion; coeffs[i] is d^alpha f / alpha! for multi_indices[i].
+
+    Jets combine through the functions below (add, mul, ...); negation is the
+    one operator."""
 
     dim: int
     order: int
@@ -199,39 +202,8 @@ class Jet:
         """The Taylor coefficient d^alpha f / alpha!."""
         return self.coeffs[_position_of(self, alpha)]
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(multi_indices(self.dim, self.order), self.coeffs))
-
-    def __add__(self, other):
-        return add(self, _promote(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _promote(other, self))
-
-    def __rsub__(self, other):
-        return sub(_promote(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _promote(other, self))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _promote(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_promote(other, self), self)
-
     def __neg__(self):
         return Jet(self.dim, self.order, tuple(-c for c in self.coeffs))
-
-
-def _promote(x, like: Jet) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    return constant(like.dim, like.order, float(x))
 
 
 def _position_of(j: Jet, alpha: Iterable[int]) -> int:
@@ -265,13 +237,13 @@ def variable(dim: int, order: int, index: int, value) -> Jet:
     coeffs = [0.0] * len(multi_indices(dim, order))
     coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
     if order >= 1:
-        unit = tuple(1 if i == index else 0 for i in range(dim))
-        coeffs[_positions(dim, order)[unit]] = 1.0
+        coeffs[_positions(dim, order)[_unit(dim, index)]] = 1.0
     return Jet(dim, order, tuple(coeffs))
 
 
-def lift(p: Point, order: int, index: int) -> Jet:
-    return variable(p.dim, order, index, p[index])
+def _unit(dim: int, index: int) -> tuple[int, ...]:
+    """The multi-index of the first partial d / d u^{index}."""
+    return tuple(1 if m == index else 0 for m in range(dim))
 
 
 def add(a: Jet, b: Jet) -> Jet:
@@ -307,18 +279,6 @@ def div(a: Jet, b: Jet) -> Jet:
                 s = s - b.coeffs[pa] * q[pb]
         q[pos] = s * inv
     return Jet(a.dim, a.order, tuple(q))
-
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul, "div": div}[op]
-    except KeyError:
-        raise JetError(f"unknown arithmetic op {op!r}") from None
-    return fn(a, b)
-
-
-def scale(a: Jet, s: float) -> Jet:
-    return Jet(a.dim, a.order, tuple(c * s for c in a.coeffs))
 
 
 def truncate(a: Jet, order: int) -> Jet:
@@ -423,18 +383,6 @@ def _int_pow(a: Jet, n: int) -> Jet:
         base = mul(base, base) if n > 1 else base
         n >>= 1
     return out
-
-
-def jet_elementary(a: Jet, fn: str, r: float | None = None) -> Jet:
-    if fn == "exp":
-        return jet_exp(a)
-    if fn == "ln":
-        return jet_ln(a)
-    if fn == "pow":
-        if r is None:
-            raise JetError("pow needs an exponent")
-        return jet_pow(a, r)
-    raise JetError(f"unknown elementary function {fn!r}")
 
 
 def _bad_c(c: float) -> bool:

@@ -30,7 +30,7 @@ from .geometry import (
     natural_connection,
     sample_points,
 )
-from .jets import Jet, Point, PointBatch
+from .jets import Jet, Point, PointBatch, _unit
 
 DENSITY_FLOOR = 1e-6
 GRADING_TOL = 1e-8
@@ -56,12 +56,10 @@ class PathSingularityError(ReciprocalError):
 
 @dataclass(frozen=True)
 class ConservationDensity:
-    """A density with optional grading metadata: e(A) = h A and E(A) = k A."""
+    """The generator of a reciprocal transformation: a conservation-law density
+    A of the system it acts on."""
 
     field: ScalarField
-    h: float | None = None
-    k: float | None = None
-    provenance: str = "user"
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,6 @@ class TransformResult:
 def density_window(A: ScalarField, floor: float = DENSITY_FLOOR) -> Callable[[Point], bool]:
     """Sampling predicate keeping |A| away from zero."""
     return lambda p: abs(A.value(p)) >= floor
-
-
-def _unit(dim: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if m == index else 0 for m in range(dim))
 
 
 def _pair_index(dim: int, i: int, j: int) -> tuple[int, ...]:
@@ -568,7 +562,7 @@ def orbit_compose(
     """
     step1 = transform(sys, gen0, base, points=points)
     step2 = transform(step1.system, gen1, base, points=points)
-    product = ConservationDensity(gen0.field * gen1.field, provenance="composite")
+    product = ConservationDensity(gen0.field * gen1.field)
     direct = transform(sys, product, base, points=points)
     entries = []
     for p in points:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -249,3 +250,87 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / "report.json"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+EPS2 = ["--builtin", "eps-system", "--dim", "2", "--eps", "1"]
+
+
+def test_unwritable_output_exit_two(tmp_path, capsys):
+    code = main(["check", *EPS2, "--suite", "sh", "--output", str(tmp_path / "missing" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check", {"dimm": 5}),
+        ("transform", {"suite": "sh"}),  # an option of check only
+        ("check", {"help": True}),
+    ],
+)
+def test_unknown_config_key_exit_two(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg), *EPS2, "--catalog", "dim2-eps1-h0"])
+    key = next(iter(config))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --config key {key!r} is not an option of {command}\n"
+
+
+@pytest.mark.parametrize("key", ["num-points", "num_points"])
+def test_config_key_spellings(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 3}))
+    code, report = run(tmp_path, "check", "--config", str(cfg), *EPS2, "--suite", "sh")
+    assert code == 0 and len(report["points"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--builtin", "eps-system", "--dim", "2", "--eps", "inf"], "--eps must be a finite number, got inf"),
+        (["check", *EPS2, "--tol-second", "nan"], "--tol-second must be a finite number >= 0, got nan"),
+        (["check", *EPS2, "--tol-third=-1e-6"], "--tol-third must be a finite number >= 0, got -1e-06"),
+        (["check", *EPS2, "--grading-tol", "inf"], "--grading-tol must be a finite number >= 0, got inf"),
+        (["check", *EPS2, "--density", "c*u1", "--param", "c=nan"], "--param c must be a finite number, got 'nan'"),
+        (["darboux", "--dim", "2", "--beta", "1,2:u1", "--beta", "2,1:u2", "--lame", "u1", "--lame", "u2",
+          "--frame-d=-inf", "--density", "1/(u2-u1)"], "--frame-d must be a finite number, got -inf"),
+    ],
+)
+def test_non_finite_or_negative_inputs_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_non_finite_config_values_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol-second": NaN}')  # Python's json reads the NaN literal
+    assert main(["check", "--config", str(cfg), *EPS2]) == 2
+    assert capsys.readouterr().err == "error: --tol-second must be a finite number >= 0, got nan\n"
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON token {name}")
+
+
+def test_non_finite_report_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["check", *EPS2, "--density", "(1e200*u1)^2", "--num-points", "3", "--summary", "--output", str(out)]
+    assert main(argv) == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["checks"]["density"]["max_abs"] == "NaN"
+    assert report["checks"]["density"]["pass"] is False
+    assert report["grading_e_estimate"] == "NaN"
+    # the worst check is a NaN one, not the largest finite residual
+    worst = capsys.readouterr().out.split(", worst ")[1].split()[0]
+    assert report["checks"][worst]["max_abs"] == "NaN"
+
+
+def test_strict_encoding_spells_infinities():
+    from recipfm.cli import _strict
+
+    assert _strict({"a": [math.inf, -math.inf, 1.5], "b": (math.nan,)}) == {
+        "a": ["Infinity", "-Infinity", 1.5], "b": ["NaN"]
+    }

@@ -69,17 +69,6 @@ def test_integer_pow_negative_base():
     assert jets.partial(j, (1,)) == pytest.approx(3 * (-1.5) ** 2)
 
 
-def test_elementary_dispatcher():
-    u = jets.variable(1, 2, 0, 0.5)
-    assert jets.jet_elementary(u, "exp").coeffs == jets.jet_exp(u).coeffs
-    assert jets.jet_elementary(u, "ln").coeffs == jets.jet_ln(u).coeffs
-    assert jets.jet_elementary(u, "pow", -2).coeffs == jets.jet_pow(u, -2).coeffs
-    with pytest.raises(JetError):
-        jets.jet_elementary(u, "pow")
-    with pytest.raises(JetError):
-        jets.jet_elementary(u, "sin")
-
-
 def test_elementary_domain_errors():
     with pytest.raises(JetDomainError):
         jets.jet_ln(jets.variable(1, 2, 0, -1.0))
@@ -94,8 +83,6 @@ def test_arith_shape_errors():
         jets.add(jets.constant(1, 2, 1.0), jets.constant(2, 2, 1.0))
     with pytest.raises(JetError):
         jets.add(jets.constant(2, 1, 1.0), jets.constant(2, 2, 1.0))
-    with pytest.raises(JetError):
-        jets.jet_arith(jets.constant(1, 1, 1.0), jets.constant(1, 1, 1.0), "mod")
 
 
 def test_partial_examples():
