@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from recipfm.cli import main
+from recipfm.cli import _strict, main
 
 
 def run(tmp_path, *argv):
@@ -329,8 +329,6 @@ def test_non_finite_report_is_strict_json(tmp_path, capsys):
 
 
 def test_strict_encoding_spells_infinities():
-    from recipfm.cli import _strict
-
     assert _strict({"a": [math.inf, -math.inf, 1.5], "b": (math.nan,)}) == {
         "a": ["Infinity", "-Infinity", 1.5], "b": ["NaN"]
     }
