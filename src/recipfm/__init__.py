@@ -30,6 +30,7 @@ from .reciprocal import (
     TransformResult,
     a_system_residual,
     biflat_admissibility,
+    biflat_verdict,
     covariant_hessian_residual,
     current_from_density,
     darboux_residual,

@@ -62,10 +62,11 @@ class CatalogEntry:
             return None
         return field(self.current_src, self.dim, self.params)
 
-    def sample_predicates(self) -> tuple[Callable[[Point], bool], ...]:
+    def sample_predicates(self, A: ScalarField | None = None) -> tuple[Callable[[Point], bool], ...]:
         """Point filters for this entry: density away from zero, and the
-        hypergeometric argument inside its disk when one is involved."""
-        window = density_window(self.density_field())
+        hypergeometric argument inside its disk when one is involved.  A is
+        this entry's density field if the caller has compiled it already."""
+        window = density_window(A if A is not None else self.density_field())
         return (_z_window_predicate(), window) if self.z_window else (window,)
 
 

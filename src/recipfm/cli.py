@@ -11,6 +11,7 @@ strings "NaN", "Infinity" and "-Infinity".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -19,7 +20,7 @@ from typing import Sequence
 from . import catalog as cat
 from . import geometry as geo
 from . import reciprocal as rec
-from .exprlang import EvalError, ParseError, ScalarField, field
+from .exprlang import EvalError, ParseError, field
 from .geometry import DiagonalSystem, ResidualReport
 from .jets import JetError, Point
 
@@ -178,7 +179,8 @@ def _build_density(args, dim: int):
         e = cat.entry(args.catalog)
         if e.dim != dim:
             raise ConfigError(f"catalog entry {e.entry_id} lives in dimension {e.dim}, system has {dim}")
-        return e.density_field(), e.sample_predicates(), e.entry_id
+        A = e.density_field()
+        return A, e.sample_predicates(A), e.entry_id
     if args.density:
         A = field(args.density, dim, _params(args))
         return A, (rec.density_window(A),), args.density
@@ -189,15 +191,8 @@ def _check_payload(rep: ResidualReport) -> dict:
     return {"max_abs": rep.max_abs, "tolerance": rep.tolerance, "pass": rep.passed}
 
 
-def _add_biflat(report: dict, system: DiagonalSystem, A: ScalarField, points: Sequence[Point], args) -> None:
-    verdict = rec.biflat_admissibility(
-        system, A, points, tolerance=args.tol_second, grading_tol=args.grading_tol
-    )
-    report["checks"]["biflat-admissible"] = {
-        "max_abs": max(r.max_abs for r in verdict.reports.values()),
-        "tolerance": args.tol_second,
-        "pass": verdict.passed,
-    }
+def _add_biflat(report: dict, verdict: rec.BiflatVerdict, tolerance: float) -> None:
+    report["checks"]["biflat-admissible"] = {"max_abs": verdict.max_abs, "tolerance": tolerance, "pass": verdict.passed}
     report["biflat"] = {"h": verdict.h, "k": verdict.k, "admissible": verdict.passed}
 
 
@@ -250,6 +245,9 @@ def cmd_check(args) -> dict:
         report["inputs"]["density_label"] = label
     checks = report["checks"]
 
+    # built at most once, shared by their own suites and the biflat verdict
+    density = functools.cache(lambda: rec.density_residual(system, A, points, args.tol_second))
+    grading = functools.cache(lambda field_name: rec.grading_residual(A, field_name, points, args.grading_tol))
     natural = geo.natural_connection(system)
     if "flatness" in suites:
         checks["curvature-natural"] = _check_payload(
@@ -263,20 +261,20 @@ def cmd_check(args) -> dict:
     if "sh" in suites:
         checks["semi-hamiltonian"] = _check_payload(geo.sh_residual(system, points, args.tol_second))
     if "density" in suites:
-        checks["density"] = _check_payload(rec.density_residual(system, A, points, args.tol_second))
+        checks["density"] = _check_payload(density())
     if "a-system" in suites:
         checks["a-system"] = _check_payload(rec.a_system_residual(system, A, points, args.tol_second))
         checks["theta-system"] = _check_payload(rec.theta_system_residual(system, A, points, args.tol_second))
     if "grading-e" in suites:
-        h_est, h_rep = rec.grading_residual(A, "e", points, args.grading_tol)
+        h_est, h_rep = grading("e")
         checks["grading-e"] = _check_payload(h_rep)
         report["grading_e_estimate"] = h_est
     if "grading-E" in suites:
-        k_est, k_rep = rec.grading_residual(A, "E", points, args.grading_tol)
+        k_est, k_rep = grading("E")
         checks["grading-E"] = _check_payload(k_rep)
         report["grading_E_estimate"] = k_est
     if "biflat" in suites:
-        _add_biflat(report, system, A, points, args)
+        _add_biflat(report, rec.biflat_verdict(density(), grading("e"), grading("E"), args.grading_tol), args.tol_second)
     return report
 
 
@@ -293,10 +291,9 @@ def cmd_transform(args) -> dict:
     gen = rec.ConservationDensity(A)
     result = rec.transform(system, gen, points[0], with_dual=args.biflat, check_generator=False)
 
-    checks["generator-density"] = _check_payload(
-        rec.density_residual(system, A, points, args.tol_second)
-    )
-    h_est, h_rep = rec.grading_residual(A, "e", points, args.grading_tol)
+    dens = rec.density_residual(system, A, points, args.tol_second)
+    checks["generator-density"] = _check_payload(dens)
+    e_grading = h_est, h_rep = rec.grading_residual(A, "e", points, args.grading_tol)
     checks["grading-e"] = _check_payload(h_rep)
     checks["transformed-curvature"] = _check_payload(
         geo.curvature_natural_residual(result.natural, points, args.tol_second)
@@ -307,15 +304,15 @@ def cmd_transform(args) -> dict:
     report["generator"] = {"h": h_est}
 
     probe = points[0]
-    gammas = {}
-    for i in range(system.dim):
-        for j in range(system.dim):
-            if i != j:
-                gammas[f"G^{i + 1}_{i + 1}{j + 1}"] = result.natural.off(i, j, probe, 0).value
+    n = system.dim
+    gammas = {
+        f"G^{i + 1}_{i + 1}{j + 1}": result.natural.off(i, j, probe, 0).value
+        for i in range(n) for j in range(n) if i != j
+    }
     report["transformed_christoffels"] = {"point": list(probe.coords), "values": gammas}
 
     if args.biflat:
-        k_est, k_rep = rec.grading_residual(A, "E", points, args.grading_tol)
+        big_e_grading = k_est, k_rep = rec.grading_residual(A, "E", points, args.grading_tol)
         checks["grading-E"] = _check_payload(k_rep)
         checks["transformed-dual-curvature"] = _check_payload(
             geo.curvature_full_residual(result.dual, points, args.tol_second)
@@ -324,7 +321,7 @@ def cmd_transform(args) -> dict:
             geo.identity_parallel_residual(result.dual, "E", points)
         )
         report["generator"]["k"] = k_est
-        _add_biflat(report, system, A, points, args)
+        _add_biflat(report, rec.biflat_verdict(dens, e_grading, big_e_grading, args.grading_tol), args.tol_second)
     return report
 
 
@@ -380,11 +377,8 @@ def _build_frame(args) -> rec.RotationFrame:
     beta = {}
     for item in args.beta:
         head, sep, src = item.partition(":")
-        if not sep:
-            raise ConfigError(f"--beta expects I,J:SRC, got {item!r}")
         try:
-            i_s, j_s = head.split(",")
-            i, j = int(i_s) - 1, int(j_s) - 1
+            i, j = (int(x) - 1 for x in head.split(",")) if sep else ()  # a ValueError unless "I,J"
         except ValueError:
             raise ConfigError(f"--beta expects I,J:SRC, got {item!r}") from None
         beta[(i, j)] = field(src, dim, params)

@@ -9,6 +9,7 @@ integer literal exponent; real exponents like ``(u2-u1)^(1-3*eps)`` are spelled
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -20,7 +21,6 @@ MAX_DIM = 16
 
 _ARITH = {"+": jets.add, "-": jets.sub, "*": jets.mul, "/": jets.div}
 
-_CALLS = ("exp", "ln", "pow", "hyp2f1")
 _CALL_ARITY = {"exp": 1, "ln": 1, "pow": 2, "hyp2f1": 4}
 
 
@@ -82,20 +82,17 @@ def _fold_neg(x):
     return Neg(x)
 
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": lambda a, b: a ** int(b)}
+
+
 def _fold_bin(op, a, b, position):
     if isinstance(a, Num) and isinstance(b, Num):
-        if op == "+":
-            return Num(a.value + b.value)
-        if op == "-":
-            return Num(a.value - b.value)
-        if op == "*":
-            return Num(a.value * b.value)
-        if op == "/":
-            if b.value == 0.0:
-                raise ParseError("division by zero in constant expression", position)
-            return Num(a.value / b.value)
-        if op == "^":
-            return Num(a.value ** int(b.value))
+        if op == "/" and b.value == 0.0:
+            raise ParseError("division by zero in constant expression", position)
+        try:
+            return Num(_FOLD[op](a.value, b.value))
+        except (OverflowError, ZeroDivisionError):  # only '^' can raise
+            raise ParseError(f"constant {a.value!r}^{int(b.value)} is out of range", position) from None
     return Bin(op, a, b)
 
 
@@ -122,12 +119,7 @@ def _tokens(src: str):
                 break
             at = len(src) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num") is not None:
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            out.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
+        out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     out.append(("end", "", len(src)))
     return out
@@ -135,7 +127,6 @@ def _tokens(src: str):
 
 class _Parser:
     def __init__(self, src: str, dim: int, params: Mapping[str, float]):
-        self.src = src
         self.dim = dim
         self.params = dict(params)
         self.toks = _tokens(src)
@@ -201,21 +192,14 @@ class _Parser:
         if self.at_op("-"):
             self.next()
             return _fold_neg(self.exponent())
-        node = self.atom()
-        if self.at_op("^"):
-            _, _, pos = self.next()
-            rhs = self.exponent()
-            if not (isinstance(rhs, Num) and float(rhs.value).is_integer()):
-                raise ParseError("'^' needs a constant integer exponent", pos)
-            node = _fold_bin("^", node, rhs, pos)
-        return node
+        return self.power()
 
     def atom(self):
         kind, text, pos = self.next()
         if kind == "num":
             return Num(float(text))
         if kind == "ident":
-            if text in _CALLS:
+            if text in _CALL_ARITY:
                 return self.call(text, pos)
             m = _COORD_RE.match(text)
             if m:
@@ -422,12 +406,10 @@ def _build(node, dim: int) -> Callable[[Point, int], Jet]:
         arith = _ARITH[node.op]
         return _wrap(node, lambda p, order: arith(lhs(p, order), rhs(p, order)))
     if isinstance(node, Call):
-        if node.fn == "exp":
+        if node.fn in ("exp", "ln"):
             arg = _build(node.args[0], dim)
-            return _wrap(node, lambda p, order: jets.jet_exp(arg(p, order)))
-        if node.fn == "ln":
-            arg = _build(node.args[0], dim)
-            return _wrap(node, lambda p, order: jets.jet_ln(arg(p, order)))
+            fn = jets.jet_exp if node.fn == "exp" else jets.jet_ln
+            return _wrap(node, lambda p, order: fn(arg(p, order)))
         if node.fn == "pow":
             arg = _build(node.args[0], dim)
             r = float(node.args[1].value)

@@ -29,9 +29,6 @@ MIN_COORD_ABS = 0.25
 VELOCITY_GAP = 1e-9
 MAX_REJECTIONS = 1000
 
-NATURAL_KINDS = ("natural", "transformed-natural")
-DUAL_KINDS = ("dual", "transformed-dual")
-
 
 class GeometryError(ValueError):
     pass
@@ -193,8 +190,9 @@ class ConnectionTable:
     Built from the off-diagonal generators G^i_{ij} plus a structural assembly
     rule, 'natural' or 'dual'.  Both rules vanish on distinct triples and
     read G^i_{ik} = G^i_{ki} straight off the generators; they differ only on
-    G^i_{jj} (j != i) and on the diagonal G^i_{ii}.  Tables are immutable;
-    the off-diagonal cache only memoizes pure results.
+    G^i_{jj} (j != i) and on the diagonal G^i_{ii}.  The kind is only a
+    label for reports; residuals that need one rule check the assembly.
+    Tables are immutable; the off-diagonal cache only memoizes pure results.
     """
 
     def __init__(
@@ -312,8 +310,8 @@ def curvature_natural_residual(
 ) -> ResidualReport:
     """The two families of possibly non-vanishing curvature components of a
     natural-form table: R^i_{iki} and R^i_{qqi}."""
-    if conn.kind not in NATURAL_KINDS:
-        raise GeometryError(f"curvature_natural_residual needs a natural-form table, got kind {conn.kind!r}")
+    if conn._assembly != "natural":
+        raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
     n = conn.dim
     entries = []
     for p in points:
@@ -394,10 +392,9 @@ def identity_parallel_residual(
     residual d_j X^i + G^i_{jl} X^l."""
     if field not in ("e", "E"):
         raise GeometryError(f"field must be 'e' or 'E', got {field!r}")
-    if field == "e" and conn.kind in DUAL_KINDS:
-        raise GeometryError("the unit field pairs with the natural connection")
-    if field == "E" and conn.kind in NATURAL_KINDS:
-        raise GeometryError("the Euler field pairs with the dual connection")
+    name, assembly = {"e": ("unit", "natural"), "E": ("Euler", "dual")}[field]
+    if conn._assembly != assembly:
+        raise GeometryError(f"the {name} field pairs with the {assembly} connection")
     n = conn.dim
     entries = []
     for p in points:

@@ -322,13 +322,13 @@ def compose_univariate(g: Jet, series: Iterable[float]) -> Jet:
 
 
 def _no_overflow(fn, v, what: str):
-    """fn(v) for a float or a batch array; an overflowing result leaves the domain."""
+    """fn(v) for a float or a batch array; an overflow, or a division by an underflowed zero, leaves the domain."""
     try:
         if isinstance(v, np.ndarray):
-            with np.errstate(over="raise"):
+            with np.errstate(over="raise", divide="raise"):
                 return fn(v)
         return fn(v)
-    except (OverflowError, FloatingPointError):
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
         raise JetDomainError(f"{what} overflows at value {float(np.max(v))}") from None
 
 
@@ -344,8 +344,9 @@ def jet_ln(a: Jet) -> Jet:
     if bad is not None:
         raise JetDomainError(f"ln of non-positive value {bad}")
     series = [np.log(v) if isinstance(v, np.ndarray) else math.log(v)]
-    for j in range(1, a.order + 1):
-        series.append((-1.0) ** (j - 1) / (j * v**j))
+    series += _no_overflow(
+        lambda x: [(-1.0) ** (j - 1) / (j * x**j) for j in range(1, a.order + 1)], v, "ln series"
+    )
     return compose_univariate(a, series)
 
 

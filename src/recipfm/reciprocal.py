@@ -12,6 +12,7 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,8 +101,8 @@ def _pair_index(dim: int, i: int, j: int) -> tuple[int, ...]:
     return tuple((1 if m == i else 0) + (1 if m == j else 0) for m in range(dim))
 
 
-def _require_nonzero(A: ScalarField, p: Point) -> float:
-    a0 = A.value(p)
+def _require_nonzero(aj: Jet, p: Point) -> float:
+    a0 = aj.value
     if abs(a0) < DENSITY_FLOOR:
         raise ReciprocalError(f"density magnitude {abs(a0):.2e} below {DENSITY_FLOOR} at {p}")
     return a0
@@ -148,8 +149,8 @@ def grading_residual(
     n = A.dim
     ratios = []
     for p in points:
-        a0 = _require_nonzero(A, p)
         aj = A.jet(p, 1)
+        a0 = _require_nonzero(aj, p)
         s = 0.0
         for l in range(n):
             w = p[l] if field == "E" else 1.0
@@ -169,8 +170,8 @@ def a_system_residual(
     n = sys.dim
     entries = _density_entries(lambda i, j, p, o: christoffel_primary(sys, i, j, p, o), A, points, n)
     for p in points:
-        a0 = _require_nonzero(A, p)
         aj = A.jet(p, 2)
+        a0 = _require_nonzero(aj, p)
         grad = [jets.partial(aj, _unit(n, l)) for l in range(n)]
         e_of_a = sum(grad)
         for q in range(n):
@@ -190,8 +191,8 @@ def theta_system_residual(
     conn = natural_connection(sys)
     entries = []
     for p in points:
-        _require_nonzero(A, p)
         a1 = A.jet(p, 1)
+        _require_nonzero(a1, p)
         a2 = A.jet(p, 2)
         theta_jets = [jets.div(jets.derivative(a2, l), a1) for l in range(n)]
         theta = [t.value for t in theta_jets]
@@ -234,8 +235,8 @@ def covariant_hessian_residual(
     n = conn.dim
     entries = []
     for p in points:
-        a0 = _require_nonzero(A, p)
         aj = A.jet(p, 2)
+        a0 = _require_nonzero(aj, p)
         grad = [jets.partial(aj, _unit(n, l)) for l in range(n)]
         if product == "circ":
             x_of_a = sum(grad)
@@ -519,10 +520,35 @@ def intrinsic_agreement_report(
 
 @dataclass(frozen=True)
 class BiflatVerdict:
+    """h and k are the e- and E-grading estimates; max_abs is the largest
+    max_abs of the three reports (NaN if any is NaN); failed names the unmet
+    conditions by report name, in the order grading-e, grading-E, density."""
+
     passed: bool
     h: float
     k: float
     reports: dict
+    max_abs: float = 0.0
+    failed: tuple[str, ...] = ()
+
+
+def biflat_verdict(
+    density: ResidualReport, e_grading: tuple, big_e_grading: tuple, grading_tol: float = GRADING_TOL
+) -> BiflatVerdict:
+    """The bi-flat admissibility rule: A satisfies the density equations,
+    e(A) = 0 and E(A) = k A.  The gradings are grading_residual's
+    (estimate, report) pairs; e(A) = 0 also needs |estimate| <= grading_tol."""
+    (h_est, e_rep), (k_est, big_e_rep) = e_grading, big_e_grading
+    holds = {
+        "grading-e": e_rep.passed and abs(h_est) <= grading_tol,
+        "grading-E": big_e_rep.passed,
+        "density": density.passed,
+    }
+    failed = tuple(name for name, ok in holds.items() if not ok)
+    reports = {"density": density, "grading-e": e_rep, "grading-E": big_e_rep}
+    maxes = [r.max_abs for r in reports.values()]
+    max_abs = math.nan if any(m != m for m in maxes) else max(maxes)
+    return BiflatVerdict(not failed, h_est, k_est, reports, max_abs, failed)
 
 
 def biflat_admissibility(
@@ -533,14 +559,13 @@ def biflat_admissibility(
     tolerance: float = TOL_SECOND,
     grading_tol: float = GRADING_TOL,
 ) -> BiflatVerdict:
-    """Whether A preserves both connections: density equations, e(A) = 0,
-    and E(A) = k A for a constant k."""
-    dens = density_residual(sys, A, points, tolerance)
-    h_est, e_rep = grading_residual(A, "e", points, grading_tol)
-    k_est, big_e_rep = grading_residual(A, "E", points, grading_tol)
-    passed = dens.passed and e_rep.passed and abs(h_est) <= grading_tol and big_e_rep.passed
-    return BiflatVerdict(
-        passed, h_est, k_est, {"density": dens, "grading-e": e_rep, "grading-E": big_e_rep}
+    """Whether A preserves both connections of the system: biflat_verdict
+    over the density report (tolerance) and both grading reports (grading_tol)."""
+    return biflat_verdict(
+        density_residual(sys, A, points, tolerance),
+        grading_residual(A, "e", points, grading_tol),
+        grading_residual(A, "E", points, grading_tol),
+        grading_tol,
     )
 
 
@@ -637,28 +662,24 @@ def darboux_transform(
     grading_tol: float = GRADING_TOL,
 ) -> RotationFrame:
     """Image frame: beta~_ij = beta_ij - (H_i / H_j) d_j ln A, H~_i = H_i / A,
-    degree d + k.  The generator must satisfy e(A) = 0, E(A) = k A and the
-    density equations for the frame's Christoffel symbols."""
+    degree d + k.  biflat_verdict must admit the generator, with the density
+    equations taken for the frame's symbols (darboux_gamma_off); otherwise an
+    InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
+    the density equations that fails."""
     A = gen.field
-    h_est, e_rep = grading_residual(A, "e", points, grading_tol)
-    if not e_rep.passed or abs(h_est) > grading_tol:
-        raise InadmissibleGeneratorError(
-            f"generator must satisfy e(A) = 0; estimate {h_est:.3e}, deviation {e_rep.max_abs:.3e}"
-        )
-    k_est, big_e_rep = grading_residual(A, "E", points, grading_tol)
-    if not big_e_rep.passed:
-        raise InadmissibleGeneratorError(
-            f"generator must satisfy E(A) = kA with constant k; deviation {big_e_rep.max_abs:.3e}"
-        )
-    dens = ResidualReport.build(
-        "density", _density_entries(darboux_gamma_off(frame), A, points, frame.dim), tolerance
-    )
-    if not dens.passed:
-        raise InadmissibleGeneratorError(
-            f"generator is not a density for the frame: residual {dens.max_abs:.3e}"
-        )
+    e_grading = grading_residual(A, "e", points, grading_tol)
+    big_e_grading = grading_residual(A, "E", points, grading_tol)
+    dens = ResidualReport.build("density", _density_entries(darboux_gamma_off(frame), A, points, frame.dim), tolerance)
+    verdict = biflat_verdict(dens, e_grading, big_e_grading, grading_tol)
+    if not verdict.passed:
+        r = {name: rep.max_abs for name, rep in verdict.reports.items()}
+        raise InadmissibleGeneratorError({
+            "grading-e": f"generator must satisfy e(A) = 0; estimate {verdict.h:.3e}, deviation {r['grading-e']:.3e}",
+            "grading-E": f"generator must satisfy E(A) = kA with constant k; deviation {r['grading-E']:.3e}",
+            "density": f"generator is not a density for the frame: residual {r['density']:.3e}",
+        }[verdict.failed[0]])
     beta_t = {}
     for (i, j), b in frame.beta.items():
         beta_t[(i, j)] = b - (frame.lame[i] / frame.lame[j]) * log_derivative_field(A, j)
     lame_t = tuple(hf / A for hf in frame.lame)
-    return RotationFrame(frame.dim, beta_t, lame_t, frame.degree + k_est)
+    return RotationFrame(frame.dim, beta_t, lame_t, frame.degree + verdict.k)

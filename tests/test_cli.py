@@ -4,7 +4,10 @@ import pathlib
 
 import pytest
 
+from recipfm import exprlang
+from recipfm import reciprocal as rec
 from recipfm.cli import _strict, main
+from recipfm.geometry import ResidualReport
 
 
 def run(tmp_path, *argv):
@@ -332,3 +335,76 @@ def test_strict_encoding_spells_infinities():
     assert _strict({"a": [math.inf, -math.inf, 1.5], "b": (math.nan,)}) == {
         "a": ["Infinity", "-Infinity", 1.5], "b": ["NaN"]
     }
+
+
+@pytest.mark.parametrize(
+    "density, message",
+    [
+        ("ln(1e-200*u1^2)", "ln series overflows"),  # v^2 underflows in the ln series
+        ("ln(1e200*u1^2)", "ln series overflows"),
+        ("10^400", "constant 10.0^400 is out of range"),
+        ("(0*7)^-2", "constant 0.0^-2 is out of range"),
+    ],
+)
+def test_out_of_range_density_exit_two(density, message, capsys):
+    assert main(["check", *EPS2, "--density", density]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the positional arguments of every call to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+FLATCOORD = ["--builtin", "eps-system", "--dim", "3", "--eps", "1", "--catalog", "dim3-eps1-flatcoord"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", *FLATCOORD, "--biflat"],
+        ["check", *FLATCOORD, "--suite", "density,grading-e,grading-E,biflat"],
+    ],
+)
+def test_biflat_builds_each_generator_report_once(argv, tmp_path, monkeypatch):
+    densities = _count_calls(monkeypatch, rec, "density_residual")
+    gradings = _count_calls(monkeypatch, rec, "grading_residual")
+    code, report = run(tmp_path, *argv, "--num-points", "5")
+    assert code == 0 and report["biflat"]["admissible"] is True
+    assert len(densities) == 1
+    assert sorted(args[1] for args in gradings) == ["E", "e"]
+
+
+def test_catalog_density_is_compiled_once(tmp_path, monkeypatch):
+    parses = _count_calls(monkeypatch, exprlang, "parse_field")
+    code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")
+    assert code == 0
+    assert len(parses) == 4  # three velocities and the density
+
+
+def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):
+    real = rec.grading_residual
+
+    def nan_in_big_e(A, field, points, tolerance=rec.GRADING_TOL):
+        estimate, rep = real(A, field, points, tolerance)
+        if field == "E":
+            rep = ResidualReport.build(rep.label, [(points[0], ("E",), math.nan)], tolerance)
+        return estimate, rep
+
+    monkeypatch.setattr(rec, "grading_residual", nan_in_big_e)
+    out = tmp_path / "r.json"
+    argv = ["check", *FLATCOORD, "--suite", "density,grading-e,biflat", "--num-points", "5", "--summary"]
+    assert main(argv + ["--output", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["checks"]["biflat-admissible"] == {"max_abs": "NaN", "pass": False, "tolerance": 1e-8}
+    assert report["checks"]["density"]["pass"] and report["checks"]["grading-e"]["pass"]
+    assert capsys.readouterr().out.startswith("FAIL check: 3 checks, worst biflat-admissible max_abs=nan")

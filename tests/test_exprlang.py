@@ -158,3 +158,10 @@ def test_field_dimension_checks():
         f.value(jets.point(1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         f + field("u1+u2+u3", 3)
+
+
+def test_constant_power_out_of_range_is_a_parse_error():
+    for src, position in (("10^400", 2), ("(0*7)^-2", 5), ("u1 + 2^(3^700)", 9)):
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse_field(src, 2)
+        assert err.value.position == position

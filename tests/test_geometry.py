@@ -177,6 +177,21 @@ def test_identity_parallel_pairing_rejected():
         identity_parallel_residual(dual_connection(sys2), "e", pts)
     with pytest.raises(GeometryError):
         identity_parallel_residual(natural_connection(sys2), "x", pts)
+    with pytest.raises(GeometryError):
+        curvature_natural_residual(dual_connection(sys2), pts)
+
+
+def test_pairing_follows_the_assembly_not_the_kind():
+    sys2 = epsilon_system(2, 1.0)
+    pts = sample_points(2, 2, seed=2)
+    off = lambda i, j, p, order: christoffel_primary(sys2, i, j, p, order)
+    natural = ConnectionTable(2, "some-label", off_diagonal=off, assembly="natural")
+    assert curvature_natural_residual(natural, pts).passed
+    assert identity_parallel_residual(natural, "e", pts).passed
+    dual = ConnectionTable(2, "natural", off_diagonal=off, assembly="dual")
+    assert identity_parallel_residual(dual, "E", pts).passed
+    with pytest.raises(GeometryError):
+        curvature_natural_residual(dual, pts)
 
 
 def test_connection_table_needs_assembly_or_components():

@@ -248,3 +248,13 @@ def test_exp_and_real_pow_overflow_leave_the_domain():
             jets.jet_pow(jets.variable(1, 2, 0, value), 2.5)
     with pytest.raises(EvalError, match="exp overflows"):
         field("exp(1000*u1)", 2).value(jets.point(1.0, 2.0))
+
+
+def test_ln_series_overflow_and_underflow_leave_the_domain():
+    # 1/v^2 leaves the float range: v^2 underflows to zero at 1e-200, overflows at 1e200
+    for value in (1e-200, 1e200, np.array([1.0, 1e-200]), np.array([1.0, 1e200])):
+        with pytest.raises(JetDomainError, match="ln series overflows"):
+            jets.jet_ln(jets.variable(1, 2, 0, value))
+    assert jets.jet_ln(jets.variable(1, 1, 0, 1e-200)).coeffs[1] == pytest.approx(1e200)
+    with pytest.raises(EvalError, match="ln series overflows"):
+        field("ln(1e-200*u1^2)", 2).jet(jets.point(1.0, 2.0), 2)

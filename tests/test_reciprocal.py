@@ -6,7 +6,7 @@ import pytest
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, field
-from recipfm.geometry import DiagonalSystem, banded_points, curvature_natural_residual, natural_connection, sample_points
+from recipfm.geometry import DiagonalSystem, ResidualReport, banded_points, curvature_natural_residual, natural_connection, sample_points
 from recipfm.reciprocal import (
     DENSITY_FLOOR,
     QUAD_NODES,
@@ -17,6 +17,7 @@ from recipfm.reciprocal import (
     RotationFrame,
     a_system_residual,
     biflat_admissibility,
+    biflat_verdict,
     covariant_hessian_residual,
     current_from_density,
     darboux_gamma_off,
@@ -519,3 +520,51 @@ def test_darboux_transform_hypothesis_violations():
     bad = field("(u1-u2)^2", 2)
     with pytest.raises(InadmissibleGeneratorError, match="density"):
         darboux_transform(frame, ConservationDensity(bad), pts)
+
+
+def test_residual_families_read_the_density_value_off_its_jet(sys2):
+    A = field("1/(u2-u1)", 2)
+    pts = _points2(A, seed=5, count=4)
+
+    def no_value(p):
+        raise AssertionError(f"A.value called at {p}")
+
+    A.value = no_value
+    density_residual(sys2, A, pts)
+    a_system_residual(sys2, A, pts)
+    theta_system_residual(sys2, A, pts)
+    covariant_hessian_residual(natural_connection(sys2), "circ", A, pts)
+    biflat_admissibility(sys2, A, pts)
+    # the floor check still guards every family that divides by A
+    zero = field("u1 - u1", 2)
+    for family in (
+        lambda: grading_residual(zero, "E", pts),
+        lambda: a_system_residual(sys2, zero, pts),
+        lambda: theta_system_residual(sys2, zero, pts),
+        lambda: covariant_hessian_residual(natural_connection(sys2), "star", zero, pts),
+    ):
+        with pytest.raises(ReciprocalError, match=f"density magnitude 0.00e\\+00 below {DENSITY_FLOOR}"):
+            family()
+
+
+def test_biflat_verdict_rule():
+    p = jets.point(1.0, 2.0)
+    rep = lambda v: ResidualReport.build("r", [(p, (), v)], 1e-8)
+    v = biflat_verdict(rep(0.0), (0.0, rep(0.0)), (-1.0, rep(math.nan)))
+    assert not v.passed and v.failed == ("grading-E",) and math.isnan(v.max_abs)
+    # e(A) = 0 needs a vanishing estimate, not only a constant grading
+    v = biflat_verdict(rep(1.0), (0.5, rep(0.0)), (2.0, rep(0.0)))
+    assert v.failed == ("grading-e", "density") and v.max_abs == 1.0 and (v.h, v.k) == (0.5, 2.0)
+    v = biflat_verdict(rep(1e-9), (1e-9, rep(0.0)), (2.0, rep(0.0)))
+    assert v.passed and v.failed == () and v.max_abs == 1e-9
+
+
+def test_darboux_transform_reports_the_first_unmet_condition():
+    frame = epsilon_frame_n2(1.0)
+    pts = sample_points(2, 8, seed=27)
+    # e(A) = 0 holds; E(A) = (u1 - u2) A is no constant multiple of A
+    with pytest.raises(InadmissibleGeneratorError, match="E\\(A\\) = kA"):
+        darboux_transform(frame, ConservationDensity(field("exp(u1-u2)", 2)), pts)
+    # all three conditions fail: e(A) = 0 is named
+    with pytest.raises(InadmissibleGeneratorError, match="e\\(A\\) = 0"):
+        darboux_transform(frame, ConservationDensity(field("exp(u1)*u1*u2", 2)), pts)
