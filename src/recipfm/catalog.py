@@ -67,15 +67,12 @@ class CatalogEntry:
         hypergeometric argument inside its disk when one is involved.  A is
         this entry's density field if the caller has compiled it already."""
         window = density_window(A if A is not None else self.density_field())
-        return (_z_window_predicate(), window) if self.z_window else (window,)
+        return (_in_z_window, window) if self.z_window else (window,)
 
 
-def _z_window_predicate(limit: float = Z_WINDOW) -> Callable[[Point], bool]:
-    def ok(p: Point) -> bool:
-        den = p[1] - p[0]
-        return den != 0.0 and abs((p[2] - p[0]) / den) <= limit
-
-    return ok
+def _in_z_window(p: Point) -> bool:
+    den = p[1] - p[0]
+    return den != 0.0 and abs((p[2] - p[0]) / den) <= Z_WINDOW
 
 
 _DIM2_WIDE = ((-1.8, -0.7), (0.7, 1.8))

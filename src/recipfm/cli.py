@@ -403,16 +403,12 @@ def cmd_darboux(args) -> dict:
     new_frame = rec.darboux_transform(frame, gen, points, tolerance=args.tol_second, grading_tol=args.grading_tol)
     checks["frame-after"] = _check_payload(rec.darboux_residual(new_frame, points, args.tol_second))
 
-    old_off = rec.darboux_gamma_off(frame)
-    new_off = rec.darboux_gamma_off(new_frame)
-    dlog = [rec.log_derivative_field(A, j) for j in range(frame.dim)]
-    entries = []
-    for p in points:
-        for i in range(frame.dim):
-            for j in range(frame.dim):
-                if i != j:
-                    expected = old_off(i, j, p, 0).value - dlog[j].jet(p, 0).value
-                    entries.append((p, (i, j), new_off(i, j, p, 0).value - expected))
+    expected = rec.transformed_off_diagonal(rec.frame_connection(frame), A)
+    new_off = rec.frame_connection(new_frame).off
+    entries = [
+        (p, (i, j), new_off(i, j, p, 0).value - expected(i, j, p, 0).value)
+        for p in points for i in range(frame.dim) for j in range(frame.dim) if i != j
+    ]
     checks["christoffel-shift"] = _check_payload(ResidualReport.build("christoffel-shift", entries, 1e-10))
 
     report["degree_before"] = frame.degree

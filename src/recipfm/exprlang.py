@@ -293,12 +293,13 @@ def to_text(node) -> str:
 class ScalarField:
     """A scalar field on n coordinates, evaluable to a jet at a point.
 
-    Wraps a pure function (point, order) -> Jet.  Jets of order >= 1 are
-    memoized per point, which pays off when connection tables revisit the
-    same sample points.  A PointBatch runs through the same function and
-    yields one jet with array coefficients; batches are never memoized.
-    Supports +, -, *, / with fields and numbers; each operator picks its jet
-    function (jets.add, ...) once, when the combined field is built.
+    Wraps a pure function (point, order) -> Jet, called only by ``jet``, which
+    memoizes jets of order >= 1 per point (connection tables revisit the same
+    sample points).  A PointBatch runs through the same function and yields
+    one jet with array coefficients; batches are never memoized.  Supports
+    +, -, *, / with fields and numbers; each operator picks its jet function
+    (jets.add, ...) once, when the combined field is built, and evaluates its
+    operands through their ``jet``, so a shared operand reuses its memo.
     """
 
     def __init__(self, dim: int, fn: Callable[[Point | PointBatch, int], Jet], text: str = "<field>"):
@@ -341,7 +342,7 @@ class ScalarField:
         other = self._coerce(other)
         a, b = (other, self) if flipped else (self, other)
         arith = _ARITH[op]
-        fn = lambda p, order: arith(a._fn(p, order), b._fn(p, order))
+        fn = lambda p, order: arith(a.jet(p, order), b.jet(p, order))
         return ScalarField(self.dim, fn, f"({a.text} {op} {b.text})")
 
     def __add__(self, other):
@@ -367,7 +368,7 @@ class ScalarField:
         return self._binary(other, "/", flipped=True)
 
     def __neg__(self):
-        return ScalarField(self.dim, lambda p, order: -self._fn(p, order), f"-({self.text})")
+        return ScalarField(self.dim, lambda p, order: -self.jet(p, order), f"-({self.text})")
 
 
 def constant_field(dim: int, value: float) -> ScalarField:

@@ -11,6 +11,7 @@ through third-order jets at seeded sample points.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .jets import Jet, Point, _unit
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # residuals built from third derivatives
 MIN_PAIR_GAP = 0.25
-MIN_COORD_ABS = 0.25
 VELOCITY_GAP = 1e-9
 MAX_REJECTIONS = 1000
 
@@ -61,6 +61,12 @@ class DiagonalSystem:
 
     def velocity_values(self, p: Point) -> tuple[float, ...]:
         return tuple(v.value(p) for v in self.velocities)
+
+    @functools.cached_property
+    def _natural(self) -> "ConnectionTable":
+        twin = DiagonalSystem(self.velocities)  # an equal system that holds no table: no reference cycle
+        off = lambda i, j, p, order: christoffel_primary(twin, i, j, p, order)
+        return ConnectionTable(self.dim, "natural", off, "natural")
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,11 @@ def _magnitude(r: float) -> float:
 # Sample points
 
 
-def _draw_coord(rng: random.Random) -> float:
-    # uniform over [-2, -0.5] U [0.5, 2]
-    t = rng.uniform(0.0, 3.0)
-    return -2.0 + t if t < 1.5 else 0.5 + (t - 1.5)
+def _draw_coord(rng: random.Random, half: float) -> float:
+    # uniform over [-half, -0.5] U [0.5, half]
+    w = half - 0.5
+    t = rng.uniform(0.0, 2.0 * w)
+    return -half + t if t < w else 0.5 + (t - w)
 
 
 def sample_points(
@@ -111,32 +118,22 @@ def sample_points(
     seed: int,
     *,
     min_gap: float = MIN_PAIR_GAP,
-    min_abs: float = MIN_COORD_ABS,
     predicates: Sequence[Callable[[Point], bool]] = (),
     max_rejections: int = MAX_REJECTIONS,
 ) -> list[Point]:
     """Seeded admissible sample points, away from u^i = u^j, u^i = 0 and any
-    locus excluded by the predicates (e.g. zeros of a density in play)."""
-    rng = random.Random(seed)
-    out: list[Point] = []
-    for _ in range(count):
-        for _attempt in range(max_rejections):
-            coords = tuple(_draw_coord(rng) for _ in range(dim))
-            if min(abs(c) for c in coords) < min_abs:
-                continue
-            if min_gap > 0 and dim > 1:
-                gap = min(abs(a - b) for i, a in enumerate(coords) for b in coords[i + 1 :])
-                if gap < min_gap:
-                    continue
-            p = Point(coords)
-            if all(pred(p) for pred in predicates):
-                out.append(p)
-                break
-        else:
-            raise SamplingError(
-                f"no admissible point found after {max_rejections} rejections (dim {dim}, seed {seed})"
-            )
-    return out
+    locus excluded by the predicates (e.g. zeros of a density in play).  The box
+    half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap."""
+    half = 2.0 if dim < 8 else dim / 2.0
+
+    def draw(rng: random.Random) -> Point | None:
+        coords = tuple(_draw_coord(rng, half) for _ in range(dim))
+        if min_gap > 0 and dim > 1 and min(abs(a - b) for i, a in enumerate(coords) for b in coords[i + 1 :]) < min_gap:
+            return None
+        return Point(coords)
+
+    why = f"no admissible point found after {max_rejections} rejections (dim {dim}, seed {seed})"
+    return _seeded_points(draw, count, seed, predicates, max_rejections, why)
 
 
 def banded_points(
@@ -152,16 +149,24 @@ def banded_points(
     With disjoint bands the coordinate ordering is fixed over the whole box, so
     axis-parallel integration paths between such points stay admissible.
     """
+    draw = lambda rng: Point(tuple(rng.uniform(lo, hi) for lo, hi in bands))
+    why = f"no admissible point in bands {bands} after {max_rejections} rejections"
+    return _seeded_points(draw, count, seed, predicates, max_rejections, why)
+
+
+def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int, why: str) -> list[Point]:
+    """count points from draw(rng) that pass every predicate; draw returns None
+    to reject a draw, and a SamplingError says why after max_rejections."""
     rng = random.Random(seed)
     out: list[Point] = []
     for _ in range(count):
         for _attempt in range(max_rejections):
-            p = Point(tuple(rng.uniform(lo, hi) for lo, hi in bands))
-            if all(pred(p) for pred in predicates):
+            p = draw(rng)
+            if p is not None and all(pred(p) for pred in predicates):
                 out.append(p)
                 break
         else:
-            raise SamplingError(f"no admissible point in bands {bands} after {max_rejections} rejections")
+            raise SamplingError(why)
     return out
 
 
@@ -192,7 +197,9 @@ class ConnectionTable:
     read G^i_{ik} = G^i_{ki} straight off the generators; they differ only on
     G^i_{jj} (j != i) and on the diagonal G^i_{ii}.  The kind is only a
     label for reports; residuals that need one rule check the assembly.
-    Tables are immutable; the off-diagonal cache only memoizes pure results.
+    Tables are immutable; the off-diagonal cache only memoizes pure results,
+    and ``reassembled`` shares it, so a natural table and its dual partner
+    evaluate each generator once between them.
     """
 
     def __init__(
@@ -209,6 +216,12 @@ class ConnectionTable:
         self._off = off_diagonal
         self._assembly = assembly
         self._cache: dict = {}
+
+    def reassembled(self, kind: str, assembly: str) -> "ConnectionTable":
+        """A table over the same generators and the same cache, assembled by another rule."""
+        twin = ConnectionTable(self.dim, kind, self._off, assembly)
+        twin._cache = self._cache
+        return twin
 
     def off(self, i: int, j: int, p: Point, order: int) -> Jet:
         """The off-diagonal generator G^i_{ij}, i != j."""
@@ -253,15 +266,15 @@ class ConnectionTable:
 
 
 def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
-    """The natural connection of a diagonal system."""
-    off = lambda i, j, p, order: christoffel_primary(sys, i, j, p, order)
-    return ConnectionTable(sys.dim, "natural", off_diagonal=off, assembly="natural")
+    """The natural connection of a diagonal system: one table per system, built
+    on first use, and the only caller of christoffel_primary."""
+    return sys._natural
 
 
 def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
-    """The second connection, sharing the off-diagonal symbols of the natural one."""
-    off = lambda i, j, p, order: christoffel_primary(sys, i, j, p, order)
-    return ConnectionTable(sys.dim, "dual", off_diagonal=off, assembly="dual")
+    """The second connection: the dual assembly over the natural table's
+    generators and cache, so it evaluates no symbol the natural table has."""
+    return natural_connection(sys).reassembled("dual", "dual")
 
 
 # ---------------------------------------------------------------------------

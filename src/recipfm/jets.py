@@ -322,13 +322,18 @@ def compose_univariate(g: Jet, series: Iterable[float]) -> Jet:
 
 
 def _no_overflow(fn, v, what: str):
-    """fn(v) for a float or a batch array; an overflow, or a division by an underflowed zero, leaves the domain."""
+    """fn(v) for a float or a batch array; an overflow, or a division by an
+    underflowed zero, leaves the domain.  For a batch the error names the
+    first element at which fn fails on its own."""
     try:
         if isinstance(v, np.ndarray):
             with np.errstate(over="raise", divide="raise"):
                 return fn(v)
         return fn(v)
     except (OverflowError, ZeroDivisionError, FloatingPointError):
+        if isinstance(v, np.ndarray) and v.size > 1:
+            for k in range(v.size):
+                _no_overflow(fn, v[k : k + 1], what)
         raise JetDomainError(f"{what} overflows at value {float(np.max(v))}") from None
 
 

@@ -12,6 +12,7 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,7 +27,6 @@ from .geometry import (
     DiagonalSystem,
     ResidualReport,
     VELOCITY_GAP,
-    christoffel_primary,
     dual_connection,
     natural_connection,
     sample_points,
@@ -38,6 +38,8 @@ GRADING_TOL = 1e-8
 QUAD_NODES = 32
 QUAD_REFINE_TOL = 1e-10
 QUAD_MAX_PANELS = 64
+CHECK_SEED = 42  # sample points of transform's generator check, unless given
+CHECK_POINTS = 10
 
 _GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
 _GL_W = tuple(float(w) for w in _GL_WS)
@@ -80,6 +82,11 @@ class RotationFrame:
                 if i != j and (i, j) not in self.beta:
                     raise ReciprocalError(f"missing rotation coefficient beta[{i},{j}]")
 
+    @functools.cached_property
+    def _connection(self) -> ConnectionTable:
+        twin = RotationFrame(self.dim, self.beta, self.lame, self.degree)  # holds no table: no reference cycle
+        return ConnectionTable(self.dim, "frame", darboux_gamma_off(twin), "natural")
+
 
 @dataclass
 class TransformResult:
@@ -88,13 +95,12 @@ class TransformResult:
     system: DiagonalSystem
     natural: ConnectionTable
     dual: ConnectionTable | None
-    generator: ConservationDensity
     current: ScalarField
 
 
-def density_window(A: ScalarField, floor: float = DENSITY_FLOOR) -> Callable[[Point], bool]:
-    """Sampling predicate keeping |A| away from zero."""
-    return lambda p: abs(A.value(p)) >= floor
+def density_window(A: ScalarField) -> Callable[[Point], bool]:
+    """Sampling predicate keeping |A| at or above DENSITY_FLOOR."""
+    return lambda p: abs(A.value(p)) >= DENSITY_FLOOR
 
 
 def _pair_index(dim: int, i: int, j: int) -> tuple[int, ...]:
@@ -112,7 +118,8 @@ def _require_nonzero(aj: Jet, p: Point) -> float:
 # Density / grading / compatibility residuals
 
 
-def _density_entries(off: Callable[[int, int, Point, int], Jet], A: ScalarField, points, dim: int):
+def _density_entries(conn: ConnectionTable, A: ScalarField, points):
+    dim, off = conn.dim, conn.off
     entries = []
     for p in points:
         aj = A.jet(p, 2)
@@ -132,8 +139,7 @@ def density_residual(
     sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """d_i d_j A - G^i_{ij} d_i A - G^j_{ji} d_j A over unordered pairs i < j."""
-    off = lambda i, j, p, order: christoffel_primary(sys, i, j, p, order)
-    return ResidualReport.build("density", _density_entries(off, A, points, sys.dim), tolerance)
+    return ResidualReport.build("density", _density_entries(natural_connection(sys), A, points), tolerance)
 
 
 def grading_residual(
@@ -168,7 +174,7 @@ def a_system_residual(
     the pairwise density equations plus
     d_p^2 A = -sum_{l != p} d_l d_p A + d_p A (sum_l d_l A) / A."""
     n = sys.dim
-    entries = _density_entries(lambda i, j, p, o: christoffel_primary(sys, i, j, p, o), A, points, n)
+    entries = _density_entries(natural_connection(sys), A, points)
     for p in points:
         aj = A.jet(p, 2)
         a0 = _require_nonzero(aj, p)
@@ -264,7 +270,6 @@ def current_from_density(
     base: Point,
     *,
     axis_order: Sequence[int] | None = None,
-    refine_tol: float = QUAD_REFINE_TOL,
 ) -> ScalarField:
     """The current B with d_i B = v^i d_i A and B(base) = 0.
 
@@ -275,9 +280,10 @@ def current_from_density(
 
     Each segment evaluates its quadrature nodes as PointBatches, one jet pass
     per batch: the 1-panel and 2-panel rules together, then one batch per
-    further refinement level.  A batch that fails a path guard or leaves a
-    field's domain is redone node by node, so the error raised is the one at
-    the first failing node in rule order, velocity check before density check.
+    further refinement level, until two levels agree to QUAD_REFINE_TOL.  A
+    batch that fails a path guard or leaves a field's domain is redone as
+    one-node batches through the same integrand, so the first failing node in
+    rule order raises its own error, velocity check before density check.
     """
     n = sys.dim
     order = tuple(axis_order) if axis_order is not None else tuple(range(n))
@@ -286,30 +292,12 @@ def current_from_density(
     one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
     values: dict[Point, float] = {}
 
-    def guard(q: Point, axis: int) -> None:
-        vals = sys.velocity_values(q)
-        gap = min(
-            abs(vals[a] - vals[b]) for a in range(n) for b in range(a + 1, n)
-        )
-        if gap < VELOCITY_GAP:
-            raise PathSingularityError(
-                f"characteristic velocities coincide on the segment along u{axis + 1} near {q}"
-            )
-        if abs(A.value(q)) < DENSITY_FLOOR:
-            raise PathSingularityError(
-                f"density vanishes on the segment along u{axis + 1} near {q}"
-            )
-
     def segment(axis: int, fixed: list[float], lo: float, hi: float) -> float:
-        def integrand(t: float) -> float:
-            coords = list(fixed)
-            coords[axis] = t
-            q = Point(tuple(coords))
-            guard(q, axis)
-            return one_forms[axis].value(q)
-
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
             batch = PointBatch([ts if i == axis else np.full(ts.shape, c) for i, c in enumerate(fixed)])
+            # the message is read only from a one-node batch, whose node is point(0)
+            singular = lambda what: PathSingularityError(
+                f"{what} on the segment along u{axis + 1} near {batch.point(0)}")
             # values are arrays over the nodes, or floats where a field is constant
             try:
                 vals = sys.velocity_values(batch)
@@ -317,13 +305,16 @@ def current_from_density(
                 for a in range(n):
                     for b in range(a + 1, n):
                         gap = np.minimum(gap, abs(vals[a] - vals[b]))
-                dens = abs(A.value(batch))
+                if np.any(gap < VELOCITY_GAP):
+                    raise singular("characteristic velocities coincide")
+                if np.any(abs(A.value(batch)) < DENSITY_FLOOR):
+                    raise singular("density vanishes")
                 f = one_forms[axis].value(batch)
-                admissible = np.all((gap >= VELOCITY_GAP) & (dens >= DENSITY_FLOOR))  # NaN fails too
             except (ValueError, ArithmeticError):
-                admissible = False
-            if not admissible:  # redo node by node, so the first failing node raises its own error
-                return [integrand(t) for t in ts.tolist()]
+                if len(ts) == 1:
+                    raise
+                # redo node by node, so the first failing node raises its own error
+                return [y for k in range(len(ts)) for y in integrand_at_nodes(ts[k : k + 1])]
             return np.broadcast_to(f, ts.shape).tolist()
 
         def nodes(panels: int) -> tuple[np.ndarray, float]:
@@ -343,11 +334,11 @@ def current_from_density(
         f = integrand_at_nodes(np.concatenate([ts1, ts2]))
         prev, cur = composite(half1, f[:QUAD_NODES]), composite(half2, f[QUAD_NODES:])
         panels = 2
-        while not abs(cur - prev) < refine_tol:
+        while not abs(cur - prev) < QUAD_REFINE_TOL:
             panels *= 2
             if panels > QUAD_MAX_PANELS:
                 raise PathSingularityError(
-                    f"quadrature along u{axis + 1} did not settle below {refine_tol} "
+                    f"quadrature along u{axis + 1} did not settle below {QUAD_REFINE_TOL} "
                     f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
                 )
             ts, half = nodes(panels)
@@ -414,8 +405,6 @@ def transform(
     with_dual: bool = False,
     *,
     points: Sequence[Point] | None = None,
-    seed: int = 42,
-    check_points: int = 10,
     check_generator: bool = True,
     tolerance: float = TOL_SECOND,
 ) -> TransformResult:
@@ -424,16 +413,17 @@ def transform(
     The returned natural (and optional dual) tables are assembled from the
     shifted off-diagonal symbols; velocities become A v^i - B with B the
     reconstructed current (evaluated lazily).  With check_generator the
-    density equations are verified first and an InadmissibleGeneratorError
-    is raised on failure; passing False lets deliberately broken generators
-    through so the flatness-failure converse can be observed downstream.
+    density equations are verified first (at points, or else at CHECK_POINTS
+    points drawn from CHECK_SEED) and an InadmissibleGeneratorError is raised
+    on failure; passing False lets deliberately broken generators through so
+    the flatness-failure converse can be observed downstream.  The image
+    tables share one symbol cache.
     """
     A = gen.field
     if check_generator:
-        pts = list(points) if points is not None else sample_points(
-            sys.dim, check_points, seed, predicates=(density_window(A),)
-        )
-        rep = density_residual(sys, A, pts, tolerance)
+        if points is None:
+            points = sample_points(sys.dim, CHECK_POINTS, CHECK_SEED, predicates=(density_window(A),))
+        rep = density_residual(sys, A, points, tolerance)
         if not rep.passed:
             worst = rep.worst()
             raise InadmissibleGeneratorError(
@@ -442,15 +432,10 @@ def transform(
             )
     current = current_from_density(sys, A, base)
     velocities = tuple(A * sys.velocities[i] - current for i in range(sys.dim))
-    base_table = natural_connection(sys)
-    off = transformed_off_diagonal(base_table, A)
-    natural = ConnectionTable(sys.dim, "transformed-natural", off_diagonal=off, assembly="natural")
-    dual = (
-        ConnectionTable(sys.dim, "transformed-dual", off_diagonal=off, assembly="dual")
-        if with_dual
-        else None
-    )
-    return TransformResult(DiagonalSystem(velocities), natural, dual, gen, current)
+    off = transformed_off_diagonal(natural_connection(sys), A)
+    natural = ConnectionTable(sys.dim, "transformed-natural", off, "natural")
+    dual = natural.reassembled("transformed-dual", "dual") if with_dual else None
+    return TransformResult(DiagonalSystem(velocities), natural, dual, current)
 
 
 def intrinsic_transformed_gamma(
@@ -494,23 +479,19 @@ def intrinsic_agreement_report(
 ) -> ResidualReport:
     """Componentwise agreement of the structurally assembled transformed tables
     with the structure-tensor route of intrinsic_transformed_gamma."""
-    nat = natural_connection(sys)
-    du = dual_connection(sys) if result.dual is not None else None
+    routes = [("circ", result.natural, natural_connection(sys))]
+    if result.dual is not None:
+        routes.append(("star", result.dual, dual_connection(sys)))
     n = sys.dim
     entries = []
     for p in points:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    structural = result.natural.gamma(i, j, k, p, 0).value
-                    entries.append(
-                        (p, ("circ", i, j, k), structural - intrinsic_transformed_gamma(nat, A, "circ", i, j, k, p))
-                    )
-                    if du is not None:
-                        structural = result.dual.gamma(i, j, k, p, 0).value
-                        entries.append(
-                            (p, ("star", i, j, k), structural - intrinsic_transformed_gamma(du, A, "star", i, j, k, p))
-                        )
+                    for product, image, base in routes:
+                        structural = image.gamma(i, j, k, p, 0).value
+                        g = intrinsic_transformed_gamma(base, A, product, i, j, k, p)
+                        entries.append((p, (product, i, j, k), structural - g))
     return ResidualReport.build("intrinsic-agreement", entries, tolerance)
 
 
@@ -621,6 +602,12 @@ def darboux_gamma_off(frame: RotationFrame) -> Callable[[int, int, Point, int], 
     return off
 
 
+def frame_connection(frame: RotationFrame) -> ConnectionTable:
+    """The table of a frame's symbols (darboux_gamma_off): one table per frame,
+    built on first use.  Only its generators are read; the assembly is nominal."""
+    return frame._connection
+
+
 def darboux_residual(
     frame: RotationFrame, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
@@ -663,13 +650,13 @@ def darboux_transform(
 ) -> RotationFrame:
     """Image frame: beta~_ij = beta_ij - (H_i / H_j) d_j ln A, H~_i = H_i / A,
     degree d + k.  biflat_verdict must admit the generator, with the density
-    equations taken for the frame's symbols (darboux_gamma_off); otherwise an
+    equations taken for the frame's symbols (frame_connection); otherwise an
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
     A = gen.field
     e_grading = grading_residual(A, "e", points, grading_tol)
     big_e_grading = grading_residual(A, "E", points, grading_tol)
-    dens = ResidualReport.build("density", _density_entries(darboux_gamma_off(frame), A, points, frame.dim), tolerance)
+    dens = ResidualReport.build("density", _density_entries(frame_connection(frame), A, points), tolerance)
     verdict = biflat_verdict(dens, e_grading, big_e_grading, grading_tol)
     if not verdict.passed:
         r = {name: rep.max_abs for name, rep in verdict.reports.items()}

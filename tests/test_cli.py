@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from recipfm import exprlang
+from recipfm import geometry as geo
 from recipfm import reciprocal as rec
 from recipfm.cli import _strict, main
 from recipfm.geometry import ResidualReport
@@ -382,6 +383,20 @@ def test_biflat_builds_each_generator_report_once(argv, tmp_path, monkeypatch):
     assert code == 0 and report["biflat"]["admissible"] is True
     assert len(densities) == 1
     assert sorted(args[1] for args in gradings) == ["E", "e"]
+
+
+@pytest.mark.parametrize("argv", [["check", *FLATCOORD, "--suite", "all"], ["transform", *FLATCOORD, "--biflat"]])
+def test_christoffel_symbols_are_evaluated_once_per_command(argv, tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, geo, "christoffel_primary")
+    code, _ = run(tmp_path, *argv, "--num-points", "5")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 6 * 5 * 2  # each (i, j, point, order) of the system once
+
+
+def test_eps_system_flatness_at_dimension_ten(tmp_path):
+    code, report = run(tmp_path, "check", "--builtin", "eps-system", "--dim", "10", "--eps", "1",
+                       "--suite", "flatness", "--num-points", "2")
+    assert code == 0 and len(report["points"]) == 2
 
 
 def test_catalog_density_is_compiled_once(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import fd_partial
-from recipfm import jets
+from recipfm import geometry, jets
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
 from recipfm.geometry import (
@@ -209,6 +209,39 @@ def test_sample_points_constraints_and_determinism():
         assert min(gaps) >= 0.25
     c = sample_points(3, 25, seed=124)
     assert a != c
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_sample_points_for_large_dimensions(n):
+    # the box widens to [-n/2, -0.5] U [0.5, n/2] so n coordinates fit at the pairwise gap
+    for seed in range(3):
+        pts = sample_points(n, 3, seed=seed)
+        for p in pts:
+            assert all(0.5 <= abs(c) <= n / 2 for c in p)
+            assert min(abs(x - y) for i, x in enumerate(p) for y in tuple(p)[i + 1 :]) >= 0.25
+
+
+def test_sample_points_below_eight_keep_their_draws():
+    (p,) = sample_points(5, 1, seed=2012)
+    assert p.coords == (0.873621366919203, 1.5714211137152132, 1.3158859782752086, -0.715157105838534, -1.9030737410796938)
+
+
+def test_natural_connection_is_one_table_per_system(monkeypatch):
+    sys3 = epsilon_system(3, 1.0)
+    assert natural_connection(sys3) is natural_connection(sys3)
+    calls = []
+    real = geometry.christoffel_primary
+    monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[1:]) or real(*args))
+    pts = sample_points(3, 3, seed=5)
+    curvature_natural_residual(natural_connection(sys3), pts)
+    identity_parallel_residual(natural_connection(sys3), "e", pts)
+    assert len(calls) == len(set(calls)) == 6 * 3 * 2  # every (i, j, point, order) once
+    # the dual table reads the same generators from the natural table's cache
+    dual = dual_connection(sys3)
+    curvature_full_residual(dual, pts)
+    identity_parallel_residual(dual, "E", pts)
+    sh_residual(sys3, pts)
+    assert len(calls) == 6 * 3 * 2
 
 
 def test_sample_points_exhaustion():

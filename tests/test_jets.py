@@ -250,6 +250,20 @@ def test_exp_and_real_pow_overflow_leave_the_domain():
         field("exp(1000*u1)", 2).value(jets.point(1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "fn, values, order, bad",
+    [
+        (jets.jet_ln, [1.0, 1e-200], 2, 1e-200),
+        (jets.jet_ln, [1e-200, 1e200], 2, 1e-200),
+        (jets.jet_exp, [1.0, 800.0], 1, 800.0),
+        (jets.jet_exp, [800.0, 1.0, 900.0], 1, 800.0),
+    ],
+)
+def test_batch_overflow_names_the_first_failing_element(fn, values, order, bad):
+    with pytest.raises(JetDomainError, match=f"overflows at value {bad}$"):
+        fn(jets.variable(1, order, 0, np.array(values)))
+
+
 def test_ln_series_overflow_and_underflow_leave_the_domain():
     # 1/v^2 leaves the float range: v^2 underflows to zero at 1e-200, overflows at 1e200
     for value in (1e-200, 1e200, np.array([1.0, 1e-200]), np.array([1.0, 1e200])):

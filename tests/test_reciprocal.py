@@ -25,6 +25,7 @@ from recipfm.reciprocal import (
     darboux_transform,
     density_residual,
     density_window,
+    frame_connection,
     grading_residual,
     intrinsic_agreement_report,
     intrinsic_transformed_gamma,
@@ -453,11 +454,14 @@ def test_frame_residuals_and_christoffels():
     off = darboux_gamma_off(frame)
     from recipfm.geometry import christoffel_primary
 
+    table = frame_connection(frame)
+    assert frame_connection(frame) is table
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
             assert off(i, j, p, 0).value == pytest.approx(
                 christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12
             )
+            assert table.off(i, j, p, 0).value == pytest.approx(christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12)
 
 
 def test_trivial_frame_is_exact():
@@ -568,3 +572,14 @@ def test_darboux_transform_reports_the_first_unmet_condition():
     # all three conditions fail: e(A) = 0 is named
     with pytest.raises(InadmissibleGeneratorError, match="e\\(A\\) = 0"):
         darboux_transform(frame, ConservationDensity(field("exp(u1)*u1*u2", 2)), pts)
+
+
+def test_log_derivative_fields_share_one_density_evaluation():
+    A = field("exp(u1)/(u2-u1) + u3", 3)
+    orders = []
+    compiled = A._fn
+    A._fn = lambda p, order: orders.append(order) or compiled(p, order)
+    p = jets.point(0.5, 1.5, -1.0)
+    for j in range(3):
+        log_derivative_field(A, j).jet(p, 1)
+    assert sorted(orders) == [1, 2]  # d_j A needs order 2, the quotient order 1
