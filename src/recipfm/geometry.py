@@ -192,14 +192,13 @@ def christoffel_primary(sys: DiagonalSystem, i: int, j: int, p: Point, order: in
 class ConnectionTable:
     """Evaluator of the full Christoffel table G^i_{jk} at points.
 
-    Built from the off-diagonal generators G^i_{ij} plus a structural assembly
-    rule, 'natural' or 'dual'.  Both rules vanish on distinct triples and
-    read G^i_{ik} = G^i_{ki} straight off the generators; they differ only on
-    G^i_{jj} (j != i) and on the diagonal G^i_{ii}.  The kind is only a
-    label for reports; residuals that need one rule check the assembly.
-    Tables are immutable; the off-diagonal cache only memoizes pure results,
-    and ``reassembled`` shares it, so a natural table and its dual partner
-    evaluate each generator once between them.
+    Built from the off-diagonal generators G^i_{ij} plus an assembly rule,
+    'natural' or 'dual', for the entries G^i_{jj} (any j); the others vanish
+    or read G^i_{ik} = G^i_{ki} off the generators.  Without a rule (a
+    frame's generators) G^i_{jj} raises, as do residuals that need a rule.
+    The kind is only a label.  The off-diagonal cache memoizes pure results,
+    and ``dual`` shares it, so a natural table and its dual partner evaluate
+    each generator once between them.
     """
 
     def __init__(
@@ -209,17 +208,17 @@ class ConnectionTable:
         off_diagonal: Callable[[int, int, Point, int], Jet] | None = None,
         assembly: str | None = None,
     ):
-        if off_diagonal is None or assembly not in ("natural", "dual"):
-            raise GeometryError("need off_diagonal and an assembly rule ('natural' or 'dual')")
+        if off_diagonal is None or assembly not in ("natural", "dual", None):
+            raise GeometryError("need off_diagonal and an assembly rule ('natural', 'dual' or None)")
         self.dim = dim
         self.kind = kind
         self._off = off_diagonal
         self._assembly = assembly
         self._cache: dict = {}
 
-    def reassembled(self, kind: str, assembly: str) -> "ConnectionTable":
-        """A table over the same generators and the same cache, assembled by another rule."""
-        twin = ConnectionTable(self.dim, kind, self._off, assembly)
+    def dual(self, kind: str) -> "ConnectionTable":
+        """The dual-assembly table over the same generators and the same cache."""
+        twin = ConnectionTable(self.dim, kind, self._off, "dual")
         twin._cache = self._cache
         return twin
 
@@ -234,13 +233,14 @@ class ConnectionTable:
 
     def gamma(self, i: int, j: int, k: int, p: Point, order: int) -> Jet:
         """G^i_{jk} as a jet at p (symmetric in the lower indices)."""
-        if j == k == i:
-            return self._diagonal(i, p, order)
-        if j == i or k == i:  # G^i_{ik} = G^i_{ki}
-            return self.off(i, k if j == i else j, p, order)
         if j != k:
+            if j == i or k == i:  # G^i_{ik} = G^i_{ki}
+                return self.off(i, k if j == i else j, p, order)
             return jets.constant(self.dim, order, 0.0)
-        # G^i_{jj}, j != i
+        if self._assembly is None:  # G^i_{jj} is what an assembly rule decides
+            raise GeometryError(f"the {self.kind!r} table holds generators only; G^i_jj needs an assembly")
+        if j == i:
+            return self._diagonal(i, p, order)
         g = self.off(i, j, p, order)
         if self._assembly == "natural":
             return -g
@@ -274,7 +274,7 @@ def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
 def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
     """The second connection: the dual assembly over the natural table's
     generators and cache, so it evaluates no symbol the natural table has."""
-    return natural_connection(sys).reassembled("dual", "dual")
+    return natural_connection(sys).dual("dual")
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ class RotationFrame:
     @functools.cached_property
     def _connection(self) -> ConnectionTable:
         twin = RotationFrame(self.dim, self.beta, self.lame, self.degree)  # holds no table: no reference cycle
-        return ConnectionTable(self.dim, "frame", darboux_gamma_off(twin), "natural")
+        return ConnectionTable(self.dim, "frame", darboux_gamma_off(twin), None)
 
 
 @dataclass
@@ -305,9 +305,9 @@ def current_from_density(
                 for a in range(n):
                     for b in range(a + 1, n):
                         gap = np.minimum(gap, abs(vals[a] - vals[b]))
-                if np.any(gap < VELOCITY_GAP):
+                if (gap < VELOCITY_GAP).any():
                     raise singular("characteristic velocities coincide")
-                if np.any(abs(A.value(batch)) < DENSITY_FLOOR):
+                if (np.abs(A.value(batch)) < DENSITY_FLOOR).any():
                     raise singular("density vanishes")
                 f = one_forms[axis].value(batch)
             except (ValueError, ArithmeticError):
@@ -434,7 +434,7 @@ def transform(
     velocities = tuple(A * sys.velocities[i] - current for i in range(sys.dim))
     off = transformed_off_diagonal(natural_connection(sys), A)
     natural = ConnectionTable(sys.dim, "transformed-natural", off, "natural")
-    dual = natural.reassembled("transformed-dual", "dual") if with_dual else None
+    dual = natural.dual("transformed-dual") if with_dual else None
     return TransformResult(DiagonalSystem(velocities), natural, dual, current)
 
 
@@ -603,8 +603,8 @@ def darboux_gamma_off(frame: RotationFrame) -> Callable[[int, int, Point, int], 
 
 
 def frame_connection(frame: RotationFrame) -> ConnectionTable:
-    """The table of a frame's symbols (darboux_gamma_off): one table per frame,
-    built on first use.  Only its generators are read; the assembly is nominal."""
+    """The generators-only table of a frame's symbols (darboux_gamma_off): one
+    per frame, built on first use; residuals that need an assembly reject it."""
     return frame._connection
 
 

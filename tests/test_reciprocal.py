@@ -6,7 +6,17 @@ import pytest
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, field
-from recipfm.geometry import DiagonalSystem, ResidualReport, banded_points, curvature_natural_residual, natural_connection, sample_points
+from recipfm.geometry import (
+    DiagonalSystem,
+    GeometryError,
+    ResidualReport,
+    banded_points,
+    curvature_full_residual,
+    curvature_natural_residual,
+    identity_parallel_residual,
+    natural_connection,
+    sample_points,
+)
 from recipfm.reciprocal import (
     DENSITY_FLOOR,
     QUAD_NODES,
@@ -462,6 +472,22 @@ def test_frame_residuals_and_christoffels():
                 christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12
             )
             assert table.off(i, j, p, 0).value == pytest.approx(christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12)
+
+
+def test_frame_table_holds_generators_only():
+    table = frame_connection(epsilon_frame_n2(1.0))
+    pts = sample_points(2, 2, seed=22)
+    assert table.gamma(0, 0, 1, pts[0], 0).value == table.off(0, 1, pts[0], 0).value
+    with pytest.raises(GeometryError):
+        table.gamma(0, 1, 1, pts[0], 0)
+    with pytest.raises(GeometryError):
+        table.gamma(1, 1, 1, pts[0], 0)
+    with pytest.raises(GeometryError):
+        curvature_natural_residual(table, pts)
+    with pytest.raises(GeometryError):
+        identity_parallel_residual(table, "e", pts)
+    with pytest.raises(GeometryError):
+        curvature_full_residual(table, pts)
 
 
 def test_trivial_frame_is_exact():
