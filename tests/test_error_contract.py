@@ -1,11 +1,18 @@
-"""Seeded error-contract fuzz test: a random expression over u1, u2 either
-evaluates to order-2 jets or fails with one of the errors the CLI reports as
-exit code 2 (cli._CONFIG_ERRORS); nothing else may escape."""
+"""Seeded fuzz tests over random expressions in u1, u2.
+
+An expression either evaluates to order-2 jets or fails with one of the errors
+the CLI reports as exit code 2 (cli._CONFIG_ERRORS); nothing else may escape.
+Where an expression evaluates to moderate order-3 jets, every partial agrees
+with the mpmath finite-difference oracle, an independent code path.
+"""
 
 import random
 
+import numpy as np
 import pytest
 
+from conftest import fd_partial
+from recipfm import jets
 from recipfm.cli import _CONFIG_ERRORS
 from recipfm.exprlang import compile_field, parse_field
 from recipfm.jets import point
@@ -60,3 +67,37 @@ def test_random_expressions_raise_only_config_errors():
             pytest.fail(f"{src!r} raised {type(exc).__name__}: {exc}")
     # the generator must exercise evaluation, not only the parser's rejections
     assert evaluated >= COUNT // 4
+
+
+FD_COUNT = 60
+FD_MAX_COEFF = 1e6
+FD_STEP = 1e-6  # the oracle runs in 50 digits, so a small step costs no cancellation
+
+
+def _moderate_order3_jets(rng: random.Random):
+    """Expressions with a coordinate whose order-3 jets at POINTS are finite and
+    have every coefficient within FD_MAX_COEFF, with those jets."""
+    while True:
+        src = _expr(rng, DEPTH)
+        if "u" not in src:
+            continue
+        try:
+            expr = parse_field(src, 2)
+            f = compile_field(expr)
+            found = [f.jet(p, 3) for p in POINTS]
+        except _CONFIG_ERRORS:
+            continue
+        coeffs = np.concatenate([np.ravel(j.coeffs) for j in found])
+        if np.isfinite(coeffs).all() and np.abs(coeffs).max() <= FD_MAX_COEFF:
+            yield src, expr, found
+
+
+def test_random_order3_jets_match_finite_differences():
+    drawn = _moderate_order3_jets(random.Random(SEED))
+    for _ in range(FD_COUNT):
+        src, expr, found = next(drawn)
+        for p, j in zip(POINTS, found):
+            for alpha in jets.multi_indices(2, 3):
+                got = np.asarray(jets.partial(j, alpha)).item()
+                want = fd_partial(expr, tuple(p), alpha, step=FD_STEP)
+                assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want))), (src, tuple(p), alpha)
