@@ -1,7 +1,7 @@
 """Numerical verification engine for reciprocal transformations of diagonal
 hydrodynamic systems and the flat connections they carry."""
 
-from .jets import Jet, JetDomainError, JetError, Point, partial, point
+from .jets import Jet, JetDomainError, JetError, Point, PointSet, partial, point
 from .exprlang import EvalError, FieldExpr, ParseError, ScalarField, compile_field, field, parse_field
 from .geometry import (
     ConnectionTable,

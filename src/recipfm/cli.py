@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys as _sys
@@ -303,13 +304,10 @@ def cmd_transform(args) -> dict:
     )
     report["generator"] = {"h": h_est}
 
-    probe = points[0]
     n = system.dim
-    gammas = {
-        f"G^{i + 1}_{i + 1}{j + 1}": result.natural.off(i, j, probe, 0).value
-        for i in range(n) for j in range(n) if i != j
-    }
-    report["transformed_christoffels"] = {"point": list(probe.coords), "values": gammas}
+    at_probe = result.natural.generators(points, 0)[:, :, 0, 0].tolist()  # at points[0]
+    gammas = {f"G^{i + 1}_{i + 1}{j + 1}": at_probe[i][j] for i in range(n) for j in range(n) if i != j}
+    report["transformed_christoffels"] = {"point": list(points[0].coords), "values": gammas}
 
     if args.biflat:
         big_e_grading = k_est, k_rep = rec.grading_residual(A, "E", points, args.grading_tol)
@@ -346,7 +344,7 @@ def cmd_orbit(args) -> dict:
     report["inputs"]["composite"] = args.composite
     report["base"] = list(base.coords)
 
-    rep = rec.orbit_compose(
+    rep, gradings = rec.orbit_compose(
         system,
         rec.ConservationDensity(gen0_field),
         rec.ConservationDensity(gen1_field),
@@ -354,10 +352,7 @@ def cmd_orbit(args) -> dict:
         base,
     )
     report["checks"]["orbit-compose"] = _check_payload(rep)
-    g0, _ = rec.grading_residual(gen0_field, "e", points)
-    g1, _ = rec.grading_residual(gen1_field, "e", points)
-    gc, _ = rec.grading_residual(composite_field, "e", points)
-    report["gradings"] = {"gen0": g0, "gen1": g1, "composite": gc}
+    report["gradings"] = gradings
     return report
 
 
@@ -404,11 +399,9 @@ def cmd_darboux(args) -> dict:
     checks["frame-after"] = _check_payload(rec.darboux_residual(new_frame, points, args.tol_second))
 
     expected = rec.transformed_off_diagonal(rec.frame_connection(frame), A)
-    new_off = rec.frame_connection(new_frame).off
-    entries = [
-        (p, (i, j), new_off(i, j, p, 0).value - expected(i, j, p, 0).value)
-        for p in points for i in range(frame.dim) for j in range(frame.dim) if i != j
-    ]
+    image = rec.frame_connection(new_frame).generators(points, 0)[:, :, 0]
+    pairs = itertools.permutations(range(frame.dim), 2)
+    entries = geo.entries_by_point(points, {(i, j): image[i, j] - expected(i, j, points, 0).value for i, j in pairs})
     checks["christoffel-shift"] = _check_payload(ResidualReport.build("christoffel-shift", entries, 1e-10))
 
     report["degree_before"] = frame.degree

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import jets
-from .jets import Jet, JetDomainError, Point, PointBatch, _unit
+from .jets import Jet, JetDomainError, Point, PointSet, _unit, point_set
 
 MAX_DIM = 16
 
@@ -291,42 +292,38 @@ def to_text(node) -> str:
 
 
 class ScalarField:
-    """A scalar field on n coordinates, evaluable to a jet at a point.
+    """A scalar field on n coordinates, evaluable to a jet over a point set.
 
-    Wraps a pure function (point, order) -> Jet, called only by ``jet``, which
-    memoizes jets of order >= 1 per point (connection tables revisit the same
-    sample points).  A PointBatch runs through the same function and yields
-    one jet with array coefficients; batches are never memoized.  Supports
-    +, -, *, / with fields and numbers; each operator picks its jet function
-    (jets.add, ...) once, when the combined field is built, and evaluates its
-    operands through their ``jet``, so a shared operand reuses its memo.
+    Wraps a pure function (point set, order) -> Jet, called only by ``jet``,
+    which memoizes every jet by point set and order; the memo is keyed weakly
+    by the set, so its entries go when the set goes, and a quadrature's node
+    sets leave nothing behind.  A lone Point is evaluated as a set of one.
+    Supports +, -, *, / with fields and numbers; each operator picks its jet
+    function (jets.add, ...) once, when the combined field is built, and
+    evaluates its operands through their ``jet``, so a shared operand reuses
+    its memo.
     """
 
-    def __init__(self, dim: int, fn: Callable[[Point | PointBatch, int], Jet], text: str = "<field>"):
+    def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet], text: str = "<field>"):
         self.dim = dim
         self._fn = fn
         self.text = text
-        self._memo: dict = {}
+        self._memo = weakref.WeakKeyDictionary()
 
-    def jet(self, p: Point | PointBatch, order: int) -> Jet:
-        if p.dim != self.dim:
-            raise ValueError(f"field on {self.dim} coordinates evaluated at {p}")
-        if order == 0 or isinstance(p, PointBatch):
-            return self._fn(p, order)
-        key = (p, order)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._fn(p, order)
-            self._memo[key] = got
-        return got
+    @jets.quiet
+    def jet(self, points: Point | PointSet, order: int) -> Jet:
+        points = point_set(points)
+        if points.dim != self.dim:
+            raise ValueError(f"field on {self.dim} coordinates evaluated at points with {points.dim}")
+        return jets.memoized(self._memo, points, order, lambda: self._fn(points, order))
 
-    def value(self, p: Point | PointBatch):
-        """The value at p: a float, or at a batch a float or an array (npoints,)."""
-        return self.jet(p, 0).value
+    def value(self, p: Point) -> float:
+        """The value at a lone point."""
+        return self.jet(p, 0).value.item()
 
     def gradient(self, p: Point) -> tuple[float, ...]:
         j = self.jet(p, 1)
-        return tuple(jets.partial(j, _unit(self.dim, i)) for i in range(self.dim))
+        return tuple(jets.partial(j, _unit(self.dim, i)).item() for i in range(self.dim))
 
     def __repr__(self) -> str:
         return f"ScalarField({self.text})"
@@ -388,13 +385,13 @@ def compile_field(fexpr: FieldExpr) -> ScalarField:
     return ScalarField(fexpr.dim, fn, to_text(fexpr.ast))
 
 
-def _build(node, dim: int) -> Callable[[Point, int], Jet]:
+def _build(node, dim: int) -> Callable[[PointSet, int], Jet]:
     if isinstance(node, Num):
-        v = node.value
-        return lambda p, order: jets.constant(dim, order, v)
+        known: dict[int, Jet] = {}  # jets are immutable, so one per order serves every point set
+        return lambda p, order: known.get(order) or known.setdefault(order, jets.constant(dim, order, node.value))
     if isinstance(node, Coord):
         i = node.index
-        return lambda p, order: jets.variable(dim, order, i, p[i])
+        return lambda p, order: p.lift(i, order)
     if isinstance(node, Neg):
         inner = _build(node.operand, dim)
         return lambda p, order: -inner(p, order)
@@ -444,7 +441,7 @@ _FLOAT_FUNCS = {
     "exp": math.exp,
     "ln": math.log,
     "pow": lambda b, r: b**r,
-    "hyp2f1": jets.hyp2f1_value,
+    "hyp2f1": lambda a, b, c, z: jets.hyp2f1_value(a, b, c, z).item(),
 }
 
 

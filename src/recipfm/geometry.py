@@ -6,14 +6,16 @@ Christoffel symbols G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique
 triples, G^i_{jj} = -G^i_{ji}, zero row sums including the diagonal), and a
 "dual" connection through the u-weighted variants of the same identities.
 Every flatness and compatibility check here is a pointwise residual evaluated
-through third-order jets at seeded sample points.
+through third-order jets over a set of seeded sample points at once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .exprlang import ScalarField
-from .jets import Jet, Point, _unit
+from .jets import Jet, Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # residuals built from third derivatives
@@ -59,13 +61,10 @@ class DiagonalSystem:
     def dim(self) -> int:
         return len(self.velocities)
 
-    def velocity_values(self, p: Point) -> tuple[float, ...]:
-        return tuple(v.value(p) for v in self.velocities)
-
     @functools.cached_property
     def _natural(self) -> "ConnectionTable":
         twin = DiagonalSystem(self.velocities)  # an equal system that holds no table: no reference cycle
-        off = lambda i, j, p, order: christoffel_primary(twin, i, j, p, order)
+        off = lambda i, j, points, order: christoffel_primary(twin, i, j, points, order)
         return ConnectionTable(self.dim, "natural", off, "natural")
 
 
@@ -101,6 +100,16 @@ def _magnitude(r: float) -> float:
     return abs(r) if r == r else math.inf
 
 
+def entries_by_point(points: PointSet, rows: dict[tuple, np.ndarray]) -> list[tuple[Point, tuple, float]]:
+    """Residual entries (point, label, value), point by point and in label order
+    at each point; rows[label] holds its values over the points, or one value
+    for all of them."""
+    table = np.empty((len(rows), len(points)))
+    for dst, row in zip(table, rows.values()):
+        dst[...] = row
+    return [(p, label, v) for p, values in zip(points, table.T.tolist()) for label, v in zip(rows, values)]
+
+
 # ---------------------------------------------------------------------------
 # Sample points
 
@@ -120,10 +129,15 @@ def sample_points(
     min_gap: float = MIN_PAIR_GAP,
     predicates: Sequence[Callable[[Point], bool]] = (),
     max_rejections: int = MAX_REJECTIONS,
-) -> list[Point]:
+) -> PointSet:
     """Seeded admissible sample points, away from u^i = u^j, u^i = 0 and any
     locus excluded by the predicates (e.g. zeros of a density in play).  The box
-    half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap."""
+    half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap.
+
+    The points come as one PointSet, which every residual family evaluates at
+    once.  Field memos and connection-table caches are keyed by the set: what
+    families compute over it is shared while the caller holds the set and
+    freed when the set is dropped."""
     half = 2.0 if dim < 8 else dim / 2.0
 
     def draw(rng: random.Random) -> Point | None:
@@ -143,7 +157,7 @@ def banded_points(
     *,
     predicates: Sequence[Callable[[Point], bool]] = (),
     max_rejections: int = MAX_REJECTIONS,
-) -> list[Point]:
+) -> PointSet:
     """Points with coordinate i drawn from its own band.
 
     With disjoint bands the coordinate ordering is fixed over the whole box, so
@@ -154,9 +168,10 @@ def banded_points(
     return _seeded_points(draw, count, seed, predicates, max_rejections, why)
 
 
-def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int, why: str) -> list[Point]:
-    """count points from draw(rng) that pass every predicate; draw returns None
-    to reject a draw, and a SamplingError says why after max_rejections."""
+def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int, why: str) -> PointSet:
+    """The set of count points from draw(rng) that pass every predicate; draw
+    returns None to reject a draw, and a SamplingError says why after
+    max_rejections."""
     rng = random.Random(seed)
     out: list[Point] = []
     for _ in range(count):
@@ -167,102 +182,118 @@ def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int,
                 break
         else:
             raise SamplingError(why)
-    return out
+    return point_set(out)
 
 
 # ---------------------------------------------------------------------------
 # Christoffel symbols
 
 
-def christoffel_primary(sys: DiagonalSystem, i: int, j: int, p: Point, order: int) -> Jet:
-    """The jet of G^i_{ij} = d_j v^i / (v^j - v^i) at p, i != j."""
+@quiet
+def christoffel_primary(sys: DiagonalSystem, i: int, j: int, points: Point | PointSet, order: int) -> Jet:
+    """The jet of G^i_{ij} = d_j v^i / (v^j - v^i) over the points, i != j."""
     if i == j:
         raise GeometryError("christoffel_primary needs i != j")
-    vi = sys.velocities[i].jet(p, order + 1)
-    vj = sys.velocities[j].jet(p, order)
+    points = point_set(points)
+    vi = sys.velocities[i].jet(points, order + 1)
+    vj = sys.velocities[j].jet(points, order)
     num = jets.derivative(vi, j)
     den = jets.sub(vj, jets.truncate(vi, order))
-    if abs(den.value) < VELOCITY_GAP:
+    close = np.abs(den.value) < VELOCITY_GAP
+    if close.any():
         raise DegenerateSystemError(
-            f"coincident characteristic velocities v^{i + 1} and v^{j + 1} at {p}"
+            f"coincident characteristic velocities v^{i + 1} and v^{j + 1} at {points[int(np.argmax(close))]}"
         )
     return jets.div(num, den)
 
 
 class ConnectionTable:
-    """Evaluator of the full Christoffel table G^i_{jk} at points.
+    """Evaluator of the Christoffel table G^i_{jk} over point sets.
 
     Built from the off-diagonal generators G^i_{ij} plus an assembly rule,
     'natural' or 'dual', for the entries G^i_{jj} (any j); the others vanish
     or read G^i_{ik} = G^i_{ki} off the generators.  Without a rule (a
-    frame's generators) G^i_{jj} raises, as do residuals that need a rule.
-    The kind is only a label.  The off-diagonal cache memoizes pure results,
-    and ``dual`` shares it, so a natural table and its dual partner evaluate
-    each generator once between them.
+    frame's generators) there is no full table, and residuals that need one
+    reject the table.  The kind is only a label.  Generators and assembled
+    tables are cached per point set and order, keyed weakly by the set, so
+    they go when the set goes; ``dual`` shares the cache, so a natural table
+    and its dual partners evaluate each generator once between them.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        kind: str,
-        off_diagonal: Callable[[int, int, Point, int], Jet] | None = None,
-        assembly: str | None = None,
-    ):
+    def __init__(self, dim: int, kind: str, off_diagonal: Callable[[int, int, PointSet, int], Jet] | None = None,
+                 assembly: str | None = None):
         if off_diagonal is None or assembly not in ("natural", "dual", None):
             raise GeometryError("need off_diagonal and an assembly rule ('natural', 'dual' or None)")
         self.dim = dim
         self.kind = kind
         self._off = off_diagonal
         self._assembly = assembly
-        self._cache: dict = {}
+        self._cache = weakref.WeakKeyDictionary()  # point set -> {order: generators, (assembly, order): table}
 
     def dual(self, kind: str) -> "ConnectionTable":
-        """The dual-assembly table over the same generators and the same cache."""
+        """The dual-assembly table over the same generators and cache."""
         twin = ConnectionTable(self.dim, kind, self._off, "dual")
         twin._cache = self._cache
         return twin
 
-    def off(self, i: int, j: int, p: Point, order: int) -> Jet:
+    @quiet
+    def generators(self, points: Point | PointSet, order: int) -> np.ndarray:
+        """Every generator over the points as one array (n, n, ncoeff, npoints):
+        [i, j] holds the coefficients of G^i_{ij}, zero on the diagonal."""
+        points = point_set(points)
+        return jets.memoized(self._cache, points, order, lambda: self._generate(points, order))
+
+    def _generate(self, points: PointSet, order: int) -> np.ndarray:
+        n = self.dim
+        out = np.zeros((n, n, len(jets.multi_indices(n, order)), len(points)))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    out[i, j] = self._off(i, j, points, order).coeffs
+        return out
+
+    def off(self, i: int, j: int, points: Point | PointSet, order: int) -> Jet:
         """The off-diagonal generator G^i_{ij}, i != j."""
-        key = (i, j, p, order)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._off(i, j, p, order)
-            self._cache[key] = got
-        return got
+        return Jet(self.dim, order, self.generators(points, order)[i, j])
 
-    def gamma(self, i: int, j: int, k: int, p: Point, order: int) -> Jet:
-        """G^i_{jk} as a jet at p (symmetric in the lower indices)."""
-        if j != k:
-            if j == i or k == i:  # G^i_{ik} = G^i_{ki}
-                return self.off(i, k if j == i else j, p, order)
-            return jets.constant(self.dim, order, 0.0)
-        if self._assembly is None:  # G^i_{jj} is what an assembly rule decides
+    def christoffels(self, points: Point | PointSet, order: int) -> np.ndarray:
+        """The full table over the points as one array (n, n, n, ncoeff, npoints):
+        [i, j, k] holds the coefficients of G^i_{jk}."""
+        if self._assembly is None:
             raise GeometryError(f"the {self.kind!r} table holds generators only; G^i_jj needs an assembly")
-        if j == i:
-            return self._diagonal(i, p, order)
-        g = self.off(i, j, p, order)
-        if self._assembly == "natural":
-            return -g
-        u_i = jets.variable(self.dim, order, i, p[i])
-        u_j = jets.variable(self.dim, order, j, p[j])
-        return -jets.mul(jets.div(u_i, u_j), g)
+        points = point_set(points)
+        return jets.memoized(self._cache, points, (self._assembly, order), lambda: self._assemble(points, order))
 
-    def _diagonal(self, i: int, p: Point, order: int) -> Jet:
-        """G^i_{ii}: minus the row sum of the generators (natural), or minus
-        1/u^i and the u^l/u^i-weighted row sum (dual)."""
+    @quiet
+    def _assemble(self, points: PointSet, order: int) -> np.ndarray:
+        """G^i_{ik} = G^i_{ki} from the generators, zero on distinct triples, and
+        G^i_{jj} by the assembly rule: natural -G^i_{ij} for j != i and minus
+        the row sum for j = i; dual -(u^i/u^j) G^i_{ij} for j != i, and minus
+        1/u^i and the u^l/u^i-weighted row sum for j = i."""
+        n = self.dim
+        off = self.generators(points, order)
+        table = np.zeros((n,) + off.shape)
+        diag = np.arange(n)
+        table[diag, diag] = off
+        table[diag, :, diag] = off
         if self._assembly == "natural":
-            total = jets.constant(self.dim, order, 0.0)
-            for l in range(self.dim):
-                if l != i:
-                    total = jets.sub(total, self.off(i, l, p, order))
-            return total
-        u = [jets.variable(self.dim, order, l, p[l]) for l in range(self.dim)]
-        total = -jets.div(jets.constant(self.dim, order, 1.0), u[i])
-        for l in range(self.dim):
-            if l != i:
-                total = jets.sub(total, jets.mul(jets.div(u[l], u[i]), self.off(i, l, p, order)))
-        return total
+            total = np.zeros(off.shape[1:])
+            for l in range(n):
+                table[:, l, l] = -off[:, l]
+                total = total - off[:, l]  # off[i, i] is 0, and x - 0.0 is x
+            table[diag, diag, diag] = total
+            return table
+        u = [points.lift(l, order) for l in range(n)]
+        ratio = {(a, b): jets.div(u[a], u[b]) for a in range(n) for b in range(n) if a != b}
+        g = lambda i, j: Jet(n, order, off[i, j])
+        for i in range(n):
+            total = -jets.div(jets.constant(n, order, 1.0), u[i])
+            for j in range(n):
+                if j != i:
+                    table[i, j, j] = (-jets.mul(ratio[i, j], g(i, j))).coeffs
+                    total = jets.sub(total, jets.mul(ratio[j, i], g(i, j)))
+            table[i, i, i] = total.coeffs
+        return table
 
 
 def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
@@ -279,8 +310,12 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
 
 # ---------------------------------------------------------------------------
 # Residuals
+#
+# Each family takes its jets once per point set and works on arrays over the
+# points; an index loop at most runs over components, never over points.
 
 
+@quiet
 def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float = TOL_SECOND) -> ResidualReport:
     """Integrability of the off-diagonal symbols over all distinct index triples.
 
@@ -289,35 +324,21 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
     and the derivative symmetry d_j G^i_{ik} = d_k G^i_{ij}.  Vacuous for n = 2.
     """
     n = sys.dim
-    entries: list[tuple[Point, tuple, float]] = []
+    points = point_set(points)
+    rows = {}
     if n >= 3:
-        conn = natural_connection(sys)
-        for p in points:
-            off1 = {}
-            for a in range(n):
-                for b in range(n):
-                    if a != b:
-                        off1[(a, b)] = conn.off(a, b, p, 1)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if i == j or j == k or k == i:
-                            continue
-                        g_kj = off1[(k, j)]
-                        r1 = (
-                            jets.partial(g_kj, _unit(n, i))
-                            - g_kj.value * off1[(j, i)].value
-                            + off1[(k, i)].value * g_kj.value
-                            - off1[(k, i)].value * off1[(i, j)].value
-                        )
-                        entries.append((p, ("sh", i, j, k), r1))
-                        r2 = jets.partial(off1[(i, k)], _unit(n, j)) - jets.partial(
-                            off1[(i, j)], _unit(n, k)
-                        )
-                        entries.append((p, ("dsym", i, j, k), r2))
-    return ResidualReport.build("semi-hamiltonian", entries, tolerance)
+        g = natural_connection(sys).generators(points, 1)
+        v, d = g[:, :, 0], g[:, :, jets.unit_positions(n)]  # d[a, b, l] = d_l G^a_{ab}
+        triples = list(itertools.permutations(range(n), 3))
+        i, j, k = np.array(triples).T
+        sh = d[k, j, i] - v[k, j] * v[j, i] + v[k, i] * v[k, j] - v[k, i] * v[i, j]
+        dsym = d[i, k, j] - d[i, j, k]
+        for t, triple in enumerate(triples):
+            rows[("sh", *triple)], rows[("dsym", *triple)] = sh[t], dsym[t]
+    return ResidualReport.build("semi-hamiltonian", entries_by_point(points, rows), tolerance)
 
 
+@quiet
 def curvature_natural_residual(
     conn: ConnectionTable, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
@@ -326,75 +347,57 @@ def curvature_natural_residual(
     if conn._assembly != "natural":
         raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
     n = conn.dim
-    entries = []
-    for p in points:
-        for i in range(n):
-            g_ii = conn.gamma(i, i, i, p, 1)
-            for k in range(n):
-                if k == i:
-                    continue
-                g_ik = conn.gamma(i, i, k, p, 1)
-                r = jets.partial(g_ii, _unit(n, k)) - jets.partial(g_ik, _unit(n, i))
-                entries.append((p, ("iki", i, k), r))
-            for q in range(n):
-                if q == i:
-                    continue
-                g_qi = conn.gamma(i, q, i, p, 1)
-                g_qq = conn.gamma(i, q, q, p, 1)
-                val = jets.partial(g_qi, _unit(n, q)) - jets.partial(g_qq, _unit(n, i))
-                giq = g_qi.value
-                val += giq * (giq - conn.gamma(q, i, q, p, 0).value)
-                for m in range(n):
-                    if m != i and m != q:
-                        val -= conn.gamma(i, m, i, p, 0).value * conn.gamma(m, q, q, p, 0).value
-                val -= g_ii.value * g_qq.value
-                val -= giq * conn.gamma(q, q, q, p, 0).value
-                entries.append((p, ("qqi", i, q), val))
-    return ResidualReport.build(f"curvature[{conn.kind}]", entries, tolerance)
+    points = point_set(points)
+    g1 = conn.christoffels(points, 1)
+    v1, d1 = g1[..., 0, :], g1[..., jets.unit_positions(n), :]  # d1[i, j, k, l] = d_l G^i_{jk}
+    v0 = conn.christoffels(points, 0)[..., 0, :]
+    pairs = list(itertools.permutations(range(n), 2))  # (i, q) with q != i, i-major
+    i, q = np.array(pairs).T
+    iki = d1[i, i, i, q] - d1[i, i, q, i]
+    giq = v1[i, q, i]
+    qqi = d1[i, q, i, q] - d1[i, q, q, i] + giq * (giq - v0[q, i, q])
+    for m in range(n):
+        qqi = qqi - np.where(((m != i) & (m != q))[:, None], v0[i, m, i] * v0[m, q, q], 0.0)
+    qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
+    rows = {}
+    for a in range(n):  # at each i: the iki components, then the qqi ones
+        rows.update({("iki", *pair): iki[t] for t, pair in enumerate(pairs) if pair[0] == a})
+        rows.update({("qqi", *pair): qqi[t] for t, pair in enumerate(pairs) if pair[0] == a})
+    return ResidualReport.build(f"curvature[{conn.kind}]", entries_by_point(points, rows), tolerance)
 
 
-def curvature_oracle(conn: ConnectionTable, p: Point) -> np.ndarray:
-    """The full curvature tensor R^i_{jkl} at p from the generic formula
+@quiet
+def curvature_oracle(conn: ConnectionTable, points: Point | PointSet) -> np.ndarray:
+    """The full curvature tensor R^i_{jkl} over the points, an array
+    (n, n, n, n, npoints), from the generic formula
 
         R^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + sum_m (G^i_{km} G^m_{lj} - G^i_{lm} G^m_{kj})
 
     independent of any structural shortcut; flatness <=> all entries vanish.
     """
-    n = conn.dim
-    val = np.zeros((n, n, n))
-    der = np.zeros((n, n, n, n))
-    for i in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                g = conn.gamma(i, a, b, p, 1)
-                val[i, a, b] = val[i, b, a] = g.value
-                for l in range(n):
-                    d = jets.partial(g, _unit(n, l))
-                    der[i, a, b, l] = der[i, b, a, l] = d
-    R = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = der[i, l, j, k] - der[i, k, j, l]
-                    for m in range(n):
-                        s += val[i, k, m] * val[m, l, j] - val[i, l, m] * val[m, k, j]
-                    R[i, j, k, l] = s
-    return R
+    g = conn.christoffels(points, 1)
+    val, der = g[..., 0, :], g[..., jets.unit_positions(conn.dim), :]  # der[i, a, b, l] = d_l G^i_{ab}
+    return (
+        np.einsum("iljkp->ijklp", der)
+        - np.einsum("ikjlp->ijklp", der)
+        + np.einsum("ikmp,mljp->ijklp", val, val)
+        - np.einsum("ilmp,mkjp->ijklp", val, val)
+    )
 
 
 def curvature_full_residual(
     conn: ConnectionTable, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """Max-norm of the full curvature tensor at each point (oracle route)."""
-    entries = []
-    for p in points:
-        R = curvature_oracle(conn, p)
-        idx = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-        entries.append((p, ("R",) + tuple(int(x) for x in idx), float(R[idx])))
+    points = point_set(points)
+    flat = curvature_oracle(conn, points).reshape(conn.dim**4, -1)  # the largest |R^i_jkl| at each point
+    worst = np.argmax(np.abs(flat), axis=0).tolist()
+    entries = [(p, ("R", *map(int, np.unravel_index(k, (conn.dim,) * 4))), flat[k, c].item())
+               for c, (p, k) in enumerate(zip(points, worst))]
     return ResidualReport.build(f"curvature-full[{conn.kind}]", entries, tolerance)
 
 
+@quiet
 def identity_parallel_residual(
     conn: ConnectionTable,
     field: str,
@@ -409,13 +412,11 @@ def identity_parallel_residual(
     if conn._assembly != assembly:
         raise GeometryError(f"the {name} field pairs with the {assembly} connection")
     n = conn.dim
-    entries = []
-    for p in points:
-        for i in range(n):
-            for j in range(n):
-                s = 1.0 if (field == "E" and i == j) else 0.0
-                for l in range(n):
-                    x_l = p[l] if field == "E" else 1.0
-                    s += conn.gamma(i, j, l, p, 0).value * x_l
-                entries.append((p, (i, j), s))
-    return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries, tolerance)
+    points = point_set(points)
+    g = conn.christoffels(points, 0)[..., 0, :]
+    x = points.coords if field == "E" else np.ones((n, 1))
+    s = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
+    for l in range(n):
+        s = s + g[:, :, l] * x[l]
+    rows = {(i, j): s[i, j] for i in range(n) for j in range(n)}
+    return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries_by_point(points, rows), tolerance)

@@ -1,34 +1,44 @@
-"""Truncated multivariate Taylor (jet) arithmetic, up to third order.
+"""Truncated multivariate Taylor (jet) arithmetic, up to third order, over point sets.
 
 A jet stores the scaled partial derivatives ``d^alpha f / alpha!`` of a scalar
-field at a base point, for every multi-index ``alpha`` with ``|alpha| <= order``.
-With that normalization multiplication is a plain truncated Cauchy product and
-``partial`` rescales on the way out.  Jets are immutable values and every
-operation here is a pure function.
+field for every multi-index ``alpha`` with ``|alpha| <= order``, at every point
+of a ``PointSet`` at once (Neidinger, SIAM Review 52(3), 2010; Griewank and
+Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13): ``coeffs`` is one
+float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
+``multi_indices(dim, order)[r]``.  A lone point is a set of one, and a jet with
+one column is the same at every point and broadcasts against any set.  With
+the scaled normalization multiplication is a plain truncated Cauchy product,
+and ``partial`` rescales on the way out.
 
-A coefficient is either a float (a jet at one ``Point``) or a numpy array of
-shape ``(npoints,)`` (the same jet at every point of a ``PointBatch``, after
-Neidinger, SIAM Review 52(3), 2010).  Both kinds go through the same
-functions.  The arithmetic is elementwise float64, so batch coefficients equal
-the scalar ones exactly wherever ``sum`` adds left to right (Python < 3.12;
-later versions compensate float sums only); ``exp``, ``ln`` and real powers
-use numpy's elementwise versions on arrays and agree to rounding.  Domain checks test every element,
-and an operation fails for the whole batch if any element leaves its domain.
-Coefficients are never updated in place, so arrays may be shared between jets.
+Every operation works column by column, adds in a fixed order and evaluates
+``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
+each element, so a column is bit for bit what the same operations give at
+that point alone.  Under ``quiet`` non-finite values propagate without
+warnings, as in Python float arithmetic.  Domain checks test every element:
+an operation fails for the whole set if any element leaves its domain, and
+the error names the first such element.  Jets are immutable values: no
+operation writes into an array it did not create, so arrays may be shared.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 MAX_ORDER = 3
 HYP2F1_REL_TOL = 1e-16
 HYP2F1_MAX_TERMS = 10000
+HYP2F1_BLOCK = 64  # divides HYP2F1_MAX_TERMS
+
+# IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf give inf or
+# NaN without a warning, as Python floats do, and residuals then fail closed.
+# Fields, connection tables and residual families evaluate under it.
+quiet = np.errstate(all="ignore")
 
 
 class JetError(ValueError):
@@ -74,50 +84,69 @@ def point(*coords: float) -> Point:
     return Point(tuple(coords))
 
 
-class PointBatch:
-    """Base points evaluated together: one finite array of shape (npoints,) per
-    coordinate, read-only.  Hashes by identity, so a batch never equals a Point."""
+class PointSet(Sequence):
+    """Points evaluated together: a sequence of Points whose coordinates are
+    also one read-only array ``coords`` of shape (dim, npoints).  A set is one
+    evaluation scope: it keeps its coordinate jets (``lift``), and field memos
+    and connection-table caches are keyed weakly by it, so what is computed
+    over a set lives as long as the set."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_points", "_lifts", "__weakref__")
 
-    def __init__(self, coords: Sequence[Sequence[float]]):
-        arrays = tuple(np.array(c, dtype=float) for c in coords)
-        if len(arrays) < 2:
-            raise ValueError(f"a point needs at least 2 coordinates, got {len(arrays)}")
-        shape = arrays[0].shape
-        if len(shape) != 1 or shape[0] < 1 or any(a.shape != shape for a in arrays):
-            raise ValueError(f"batch coordinates need one common shape (npoints,), got {[a.shape for a in arrays]}")
-        for i, a in enumerate(arrays):
-            if not np.isfinite(a).all():
-                raise ValueError(f"non-finite value in batch coordinate u{i + 1}")
-            a.flags.writeable = False
-        self.coords = arrays
+    def __init__(self, coords, points: tuple[Point, ...] | None = None):
+        """The set with coordinates coords (dim, npoints); its Points, unless
+        given, are built when first read."""
+        coords = np.array(coords, dtype=float, order="C")
+        if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] < 1 or not np.isfinite(coords).all():
+            raise ValueError(f"a point set needs finite coordinates, shape (dim >= 2, npoints >= 1): {coords.shape}")
+        coords.flags.writeable = False
+        self.coords, self._points, self._lifts = coords, points, {}
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return self.coords.shape[0]
+
+    def lift(self, index: int, order: int) -> "Jet":
+        """The coordinate u^{index} (0-based) as a jet over the set, made once per order."""
+        got = self._lifts.get((index, order))
+        if got is None:
+            got = self._lifts[index, order] = variable(self.dim, order, index, self.coords[index])
+        return got
 
     @property
-    def npoints(self) -> int:
-        return self.coords[0].shape[0]
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = tuple(Point(tuple(c)) for c in self.coords.T.tolist())
+        return self._points
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.coords[i]
+    def __len__(self) -> int:
+        return self.coords.shape[1]
 
-    def point(self, k: int) -> Point:
-        """The k-th point of the batch."""
-        return Point(tuple(float(c[k]) for c in self.coords))
+    def __getitem__(self, k):
+        return self.points[k]
 
     def __repr__(self) -> str:
-        return f"PointBatch(dim={self.dim}, npoints={self.npoints})"
+        return f"PointSet(dim={self.dim}, npoints={len(self)})"
 
 
-def _first_violation(value, bad):
-    """None where the domain condition ``bad`` holds nowhere, else the (first)
-    offending value; ``value`` is a float or a batch array, ``bad`` its mask."""
-    if isinstance(value, np.ndarray):
-        return float(value[np.argmax(bad)]) if bad.any() else None
-    return value if bad else None
+def point_set(points) -> PointSet:
+    """A PointSet itself, a lone Point as a set of one, or a sequence of Points as a set."""
+    if isinstance(points, PointSet):
+        return points
+    points = (points,) if isinstance(points, Point) else tuple(points)
+    return PointSet(np.array([p.coords for p in points]).T, points)
+
+
+def memoized(cache, points: PointSet, key, compute):
+    """cache[points][key], computed once; cache is a weakref.WeakKeyDictionary,
+    so the entries of a set go when the set goes."""
+    per = cache.get(points)
+    if per is None:
+        per = cache[points] = {}
+    got = per.get(key)
+    if got is None:
+        got = per[key] = compute()
+    return got
 
 
 @lru_cache(maxsize=None)
@@ -131,10 +160,7 @@ def multi_indices(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
         raise JetError(f"jet dimension must be >= 1, got {dim}")
     if not 0 <= order <= MAX_ORDER:
         raise JetError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    out: list[tuple[int, ...]] = []
-    for total in range(order + 1):
-        out.extend(_compositions(dim, total))
-    return tuple(out)
+    return tuple(alpha for total in range(order + 1) for alpha in _compositions(dim, total))
 
 
 def _compositions(dim: int, total: int) -> list[tuple[int, ...]]:
@@ -152,8 +178,15 @@ def _positions(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def unit_positions(dim: int) -> np.ndarray:
+    """Row of the first partial d / d u^l in any jet of order >= 1, for each l."""
+    return np.array([_positions(dim, 1)[_unit(dim, l)] for l in range(dim)])
+
+
+@lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row r lists the (pa, pb) coefficient pairs whose product lands on index r."""
+    """Row r lists the (pa, pb) coefficient pairs whose product lands on index r,
+    by ascending pa."""
     idx = multi_indices(dim, order)
     pos = _positions(dim, order)
     rows: list[list[tuple[int, int]]] = [[] for _ in idx]
@@ -167,43 +200,71 @@ def _mul_table(dim: int, order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+def _layers(rows) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The (pa, pb) pairs of rows layer by layer: layer l holds each row's l-th
+    pair as index arrays, and the mask of the rows without one (None if every
+    row has one), whose entries point at pair (0, 0)."""
+    layers = []
+    for l in range(max(map(len, rows), default=0)):
+        pa, pb = (np.array(x, dtype=np.intp) for x in zip(*(row[l] if l < len(row) else (0, 0) for row in rows)))
+        pad = np.array([[l >= len(row)] for row in rows])
+        layers.append((pa, pb, pad if pad.any() else None))
+    return layers
+
+
 @lru_cache(maxsize=None)
-def _alpha_factorial(alpha: tuple[int, ...]) -> float:
-    out = 1.0
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+def _mul_plan(dim: int, order: int):
+    """Layers of the Cauchy product's pairs after each row's first, (0, r), for rows 1.. ."""
+    return _layers([row[1:] for row in _mul_table(dim, order)[1:]])
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _div_plan(dim: int, order: int):
+    """Per grade: the slice of its rows and the layers of their pairs with pa != 0."""
+    rows, plan, start = _mul_table(dim, order), [], 0
+    for grade in range(order + 1):
+        stop = start + math.comb(grade + dim - 1, dim - 1)
+        plan.append((slice(start, stop), _layers([[pair for pair in row if pair[0]] for row in rows[start:stop]])))
+        start = stop
+    return plan
+
+
+@lru_cache(maxsize=None)
+def _derivative_plan(dim: int, order: int, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source rows and factors of d / d u^{index} of an order-`order` jet."""
+    pos = _positions(dim, order)
+    lower = multi_indices(dim, order - 1)
+    src = [pos[tuple(b + (1 if i == index else 0) for i, b in enumerate(beta))] for beta in lower]
+    return np.array(src, dtype=np.intp), np.array([[beta[index] + 1.0] for beta in lower])
+
+
 class Jet:
-    """Truncated Taylor expansion; coeffs[i] is d^alpha f / alpha! for multi_indices[i].
+    """Truncated Taylor expansion over a point set; coeffs[r] holds d^alpha f / alpha!
+    at every point (one column: the same at every point) for multi_indices[r].
 
     Jets combine through the functions below (add, mul, ...); negation is the
     one operator."""
 
-    dim: int
-    order: int
-    coeffs: tuple[float, ...]
+    __slots__ = ("dim", "order", "coeffs")
 
-    def __post_init__(self) -> None:
-        expected = len(multi_indices(self.dim, self.order))
-        if len(self.coeffs) != expected:
-            raise JetError(
-                f"jet of dim {self.dim}, order {self.order} needs {expected} "
-                f"coefficients, got {len(self.coeffs)}"
-            )
+    def __init__(self, dim: int, order: int, coeffs):
+        coeffs = np.asarray(coeffs, dtype=float)
+        expected = len(multi_indices(dim, order))
+        if coeffs.ndim != 2 or coeffs.shape[0] != expected:
+            raise JetError(f"jet of dim {dim}, order {order} needs {expected} coefficient rows, got {coeffs.shape}")
+        self.dim, self.order, self.coeffs = dim, order, coeffs
 
     @property
-    def value(self) -> float:
+    def value(self) -> np.ndarray:
+        """The values over the points (one entry if the jet has one column)."""
         return self.coeffs[0]
 
-    def coefficient(self, alpha: tuple[int, ...]) -> float:
-        """The Taylor coefficient d^alpha f / alpha!."""
+    def coefficient(self, alpha: tuple[int, ...]) -> np.ndarray:
+        """The Taylor coefficient d^alpha f / alpha! over the points."""
         return self.coeffs[_position_of(self, alpha)]
 
     def __neg__(self):
-        return Jet(self.dim, self.order, tuple(-c for c in self.coeffs))
+        return Jet(self.dim, self.order, -self.coeffs)
 
 
 def _position_of(j: Jet, alpha: Iterable[int]) -> int:
@@ -217,28 +278,31 @@ def _position_of(j: Jet, alpha: Iterable[int]) -> int:
 
 def _check_compatible(a: Jet, b: Jet) -> None:
     if a.dim != b.dim or a.order != b.order:
-        raise JetError(
-            f"incompatible jets: (dim {a.dim}, order {a.order}) vs (dim {b.dim}, order {b.order})"
-        )
+        raise JetError(f"incompatible jets: (dim {a.dim}, order {a.order}) vs (dim {b.dim}, order {b.order})")
+
+
+def _first_violation(value: np.ndarray, bad: np.ndarray) -> float | None:
+    """None where the domain condition ``bad`` holds nowhere, else the first
+    offending value."""
+    return float(np.ravel(value)[np.argmax(bad)]) if bad.any() else None
 
 
 def constant(dim: int, order: int, value) -> Jet:
-    """The constant jet; ``value`` is a float or a batch array."""
-    coeffs = [0.0] * len(multi_indices(dim, order))
-    coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
-    return Jet(dim, order, tuple(coeffs))
+    """The constant jet; ``value`` is a number (one column) or one value per point."""
+    value = np.asarray(value, dtype=float).reshape(-1)
+    coeffs = np.zeros((len(multi_indices(dim, order)), value.size))
+    coeffs[0] = value
+    return Jet(dim, order, coeffs)
 
 
 def variable(dim: int, order: int, index: int, value) -> Jet:
-    """The coordinate lift u^{index} (0-based) as a jet at the given value
-    (a float or a batch array)."""
+    """The coordinate lift u^{index} (0-based) as a jet at the given values."""
     if not 0 <= index < dim:
         raise JetError(f"coordinate index {index} out of range for dimension {dim}")
-    coeffs = [0.0] * len(multi_indices(dim, order))
-    coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
+    out = constant(dim, order, value)
     if order >= 1:
-        coeffs[_positions(dim, order)[_unit(dim, index)]] = 1.0
-    return Jet(dim, order, tuple(coeffs))
+        out.coeffs[unit_positions(dim)[index]] = 1.0
+    return out
 
 
 def _unit(dim: int, index: int) -> tuple[int, ...]:
@@ -248,37 +312,45 @@ def _unit(dim: int, index: int) -> tuple[int, ...]:
 
 def add(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    return Jet(a.dim, a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return Jet(a.dim, a.order, a.coeffs + b.coeffs)
 
 
 def sub(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    return Jet(a.dim, a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    return Jet(a.dim, a.order, a.coeffs - b.coeffs)
 
 
 def mul(a: Jet, b: Jet) -> Jet:
+    """Cauchy product; each coefficient adds its products left to right from 0,
+    padding contributing -0.0, which adds exactly nothing."""
     _check_compatible(a, b)
-    rows = _mul_table(a.dim, a.order)
-    ac, bc = a.coeffs, b.coeffs
-    return Jet(a.dim, a.order, tuple(sum(ac[pa] * bc[pb] for pa, pb in row) for row in rows))
+    out = 0.0 + a.coeffs[0] * b.coeffs  # every row's first pair, (0, r)
+    for pa, pb, pad in _mul_plan(a.dim, a.order):
+        terms = a.coeffs[pa] * b.coeffs[pb]
+        if pad is not None:
+            np.copyto(terms, -0.0, where=pad)
+        out[1:] += terms
+    return Jet(a.dim, a.order, out)
 
 
 def div(a: Jet, b: Jet) -> Jet:
-    """Quotient jet; solves the triangular system value-first."""
+    """Quotient jet; solves the triangular system grade by grade, each
+    coefficient subtracting its products left to right (padding subtracts 0.0)."""
     _check_compatible(a, b)
     b0 = b.coeffs[0]
-    if _first_violation(b0, b0 == 0.0) is not None:
+    if np.count_nonzero(b0 == 0.0):
         raise JetDomainError("division by a jet with zero value")
-    rows = _mul_table(a.dim, a.order)
     inv = 1.0 / b0
-    q = [0.0] * len(rows)
-    for pos, row in enumerate(rows):
-        s = a.coeffs[pos]
-        for pa, pb in row:
-            if pa != 0:
-                s = s - b.coeffs[pa] * q[pb]
-        q[pos] = s * inv
-    return Jet(a.dim, a.order, tuple(q))
+    q = np.empty((a.coeffs.shape[0], max(a.coeffs.shape[1], b.coeffs.shape[1])))
+    for rows, layers in _div_plan(a.dim, a.order):
+        s = a.coeffs[rows]
+        for pa, pb, pad in layers:
+            terms = b.coeffs[pa] * q[pb]
+            if pad is not None:
+                np.copyto(terms, 0.0, where=pad)
+            s = s - terms
+        q[rows] = s * inv
+    return Jet(a.dim, a.order, q)
 
 
 def truncate(a: Jet, order: int) -> Jet:
@@ -293,53 +365,50 @@ def derivative(a: Jet, index: int) -> Jet:
         raise JetError("cannot differentiate an order-0 jet")
     if not 0 <= index < a.dim:
         raise JetError(f"coordinate index {index} out of range for dimension {a.dim}")
-    pos = _positions(a.dim, a.order)
-    out = []
-    for beta in multi_indices(a.dim, a.order - 1):
-        shifted = tuple(b + (1 if i == index else 0) for i, b in enumerate(beta))
-        out.append(a.coeffs[pos[shifted]] * (beta[index] + 1))
-    return Jet(a.dim, a.order - 1, tuple(out))
+    src, factor = _derivative_plan(a.dim, a.order, index)
+    return Jet(a.dim, a.order - 1, a.coeffs[src] * factor)
 
 
-def partial(a: Jet, alpha: Iterable[int]) -> float:
-    """The plain partial derivative d^alpha f (factorial rescaling applied)."""
+def partial(a: Jet, alpha: Iterable[int]) -> np.ndarray:
+    """The plain partial derivative d^alpha f over the points (factorial rescaling applied)."""
     alpha = tuple(int(x) for x in alpha)
-    return a.coeffs[_position_of(a, alpha)] * _alpha_factorial(alpha)
+    return a.coeffs[_position_of(a, alpha)] * math.prod(map(math.factorial, alpha))
 
 
-def compose_univariate(g: Jet, series: Iterable[float]) -> Jet:
+def compose_univariate(g: Jet, series) -> Jet:
     """(f o g) for f given by Taylor coefficients of f at g.value.
 
-    ``series[j]`` must be f^(j)(g.value)/j!; only the first order+1 entries
-    are used.  Evaluated by Horner's scheme in the zero-value jet g - g0.
+    ``series[j]`` must be f^(j)(g.value)/j! (a number or one value per point);
+    only the first order+1 entries are used.  Evaluated by Horner's scheme in
+    the zero-value jet g - g0.
     """
     series = list(series)[: g.order + 1]
-    w = Jet(g.dim, g.order, (0.0,) + g.coeffs[1:])
+    w = g.coeffs.copy()
+    w[0] = 0.0
+    w = Jet(g.dim, g.order, w)
     out = constant(g.dim, g.order, series[-1])
     for c in reversed(series[:-1]):
         out = add(mul(out, w), constant(g.dim, g.order, c))
     return out
 
 
-def _no_overflow(fn, v, what: str):
-    """fn(v) for a float or a batch array; an overflow, or a division by an
-    underflowed zero, leaves the domain.  For a batch the error names the
-    first element at which fn fails on its own."""
+def _each(fn, v: np.ndarray, what: str) -> np.ndarray:
+    """fn at each element of v, stacked; an element at which fn overflows, or
+    divides by an underflowed zero, leaves the domain and is named."""
+    values = v.tolist()
     try:
-        if isinstance(v, np.ndarray):
-            with np.errstate(over="raise", divide="raise"):
-                return fn(v)
-        return fn(v)
-    except (OverflowError, ZeroDivisionError, FloatingPointError):
-        if isinstance(v, np.ndarray) and v.size > 1:
-            for k in range(v.size):
-                _no_overflow(fn, v[k : k + 1], what)
-        raise JetDomainError(f"{what} overflows at value {float(np.max(v))}") from None
+        return np.array(list(map(fn, values)))
+    except (OverflowError, ZeroDivisionError):
+        for x in values:
+            try:
+                fn(x)
+            except (OverflowError, ZeroDivisionError):
+                raise JetDomainError(f"{what} overflows at value {x}") from None
+        raise
 
 
 def jet_exp(a: Jet) -> Jet:
-    v = a.value
-    e0 = _no_overflow(np.exp if isinstance(v, np.ndarray) else math.exp, v, "exp")
+    e0 = _each(math.exp, a.value, "exp")
     return compose_univariate(a, [e0 / math.factorial(j) for j in range(a.order + 1)])
 
 
@@ -348,11 +417,8 @@ def jet_ln(a: Jet) -> Jet:
     bad = _first_violation(v, v <= 0.0)
     if bad is not None:
         raise JetDomainError(f"ln of non-positive value {bad}")
-    series = [np.log(v) if isinstance(v, np.ndarray) else math.log(v)]
-    series += _no_overflow(
-        lambda x: [(-1.0) ** (j - 1) / (j * x**j) for j in range(1, a.order + 1)], v, "ln series"
-    )
-    return compose_univariate(a, series)
+    terms = lambda x: [math.log(x)] + [(-1.0) ** (j - 1) / (j * x**j) for j in range(1, a.order + 1)]
+    return compose_univariate(a, _each(terms, v, "ln series").T)
 
 
 def jet_pow(a: Jet, r: float) -> Jet:
@@ -370,15 +436,13 @@ def jet_pow(a: Jet, r: float) -> Jet:
     binoms = [1.0]
     for j in range(a.order):
         binoms.append(binoms[-1] * ((r - j) / (j + 1)))
-    series = _no_overflow(
-        lambda x: [b * x ** (r - j) for j, b in enumerate(binoms)], v, f"pow with exponent {r}"
-    )
-    return compose_univariate(a, series)
+    terms = lambda x: [b * x ** (r - j) for j, b in enumerate(binoms)]
+    return compose_univariate(a, _each(terms, v, f"pow with exponent {r}").T)
 
 
 def _int_pow(a: Jet, n: int) -> Jet:
     if n < 0:
-        if _first_violation(a.value, a.value == 0.0) is not None:
+        if (a.value == 0.0).any():
             raise JetDomainError("negative power of a jet with zero value")
         return div(constant(a.dim, a.order, 1.0), _int_pow(a, -n))
     out = constant(a.dim, a.order, 1.0)
@@ -391,38 +455,36 @@ def _int_pow(a: Jet, n: int) -> Jet:
     return out
 
 
-def _bad_c(c: float) -> bool:
-    return c <= 0.0 and float(c).is_integer()
-
-
-def hyp2f1_value(a: float, b: float, c: float, z):
-    """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation.
-
-    ``z`` is a float or a batch array.  On an array every element stops at the
-    term where its own scalar series would stop, so both give the same value.
-    """
-    if _bad_c(c):
+@quiet
+def hyp2f1_value(a: float, b: float, c: float, z) -> np.ndarray:
+    """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation
+    at each element of z.  Terms come HYP2F1_BLOCK at a time, as running
+    products and running sums (``accumulate`` works left to right), and each
+    element stops at its first term below HYP2F1_REL_TOL relative to its
+    partial sum, so it sums exactly what a term-by-term loop would."""
+    if c <= 0.0 and float(c).is_integer():
         raise JetDomainError(f"2F1 parameter c={c} is a non-positive integer")
+    z = np.asarray(z, dtype=float)
     bad = _first_violation(z, abs(z) >= 1.0)
     if bad is not None:
         raise JetDomainError(f"2F1 series requires |z| < 1, got z={bad}")
-    batch = isinstance(z, np.ndarray)
-    live = np.ones(z.shape, dtype=bool) if batch else True
-    total = 1.0
-    term = 1.0
-    for k in range(HYP2F1_MAX_TERMS):
-        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
-        if batch:
-            total = np.where(live, total + term, total)
-            size = abs(total)
-            live = live & ~(abs(term) <= HYP2F1_REL_TOL * np.where(size > 1.0, size, 1.0))
-            if not live.any():
-                return total
-        else:
-            total += term
-            if abs(term) <= HYP2F1_REL_TOL * max(1.0, abs(total)):
-                return total
-    raise JetDomainError(f"2F1 series did not converge for z={_first_violation(z, live) if batch else z}")
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape)
+    live = np.arange(flat.size)
+    term = total = np.ones((1, flat.size))
+    for k0 in range(0, HYP2F1_MAX_TERMS, HYP2F1_BLOCK):
+        k = np.arange(k0, k0 + HYP2F1_BLOCK, dtype=float)[:, None]
+        ratio = (a + k) * (b + k) * flat[live] / ((c + k) * (k + 1.0))
+        terms = np.multiply.accumulate(np.concatenate([term, ratio]))[1:]
+        sums = np.add.accumulate(np.concatenate([total, terms]))[1:]
+        size = abs(sums)
+        done = abs(terms) <= HYP2F1_REL_TOL * np.where(size > 1.0, size, 1.0)
+        stop, hit = done.argmax(axis=0), done.any(axis=0)
+        out[live[hit]] = sums[stop[hit], hit.nonzero()[0]]
+        term, total, live = terms[-1:, ~hit], sums[-1:, ~hit], live[~hit]
+        if not live.size:
+            return out.reshape(z.shape)
+    raise JetDomainError(f"2F1 series did not converge for z={flat[live[0]]}")
 
 
 def jet_hypergeom_2f1(a: float, b: float, c: float, z: Jet) -> Jet:

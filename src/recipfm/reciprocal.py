@@ -13,7 +13,9 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,10 +30,11 @@ from .geometry import (
     ResidualReport,
     VELOCITY_GAP,
     dual_connection,
+    entries_by_point,
     natural_connection,
     sample_points,
 )
-from .jets import Jet, Point, PointBatch, _unit
+from .jets import Jet, Point, PointSet, _unit, point_set
 
 DENSITY_FLOOR = 1e-6
 GRADING_TOL = 1e-8
@@ -107,41 +110,51 @@ def _pair_index(dim: int, i: int, j: int) -> tuple[int, ...]:
     return tuple((1 if m == i else 0) + (1 if m == j else 0) for m in range(dim))
 
 
-def _require_nonzero(aj: Jet, p: Point) -> float:
-    a0 = aj.value
-    if abs(a0) < DENSITY_FLOOR:
-        raise ReciprocalError(f"density magnitude {abs(a0):.2e} below {DENSITY_FLOOR} at {p}")
+def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
+    """A's values over the points, or a ReciprocalError at the first point
+    where |A| is below DENSITY_FLOOR."""
+    a0 = np.broadcast_to(aj.value, (len(points),))
+    low = np.abs(a0) < DENSITY_FLOOR
+    if low.any():
+        k = int(np.argmax(low))
+        raise ReciprocalError(f"density magnitude {abs(a0[k]):.2e} below {DENSITY_FLOOR} at {points[k]}")
     return a0
+
+
+def _gradient(aj: Jet) -> list[np.ndarray]:
+    return [jets.partial(aj, _unit(aj.dim, l)) for l in range(aj.dim)]
 
 
 # ---------------------------------------------------------------------------
 # Density / grading / compatibility residuals
+#
+# Each family takes its jets once per point set and works on arrays over the
+# points (see geometry).
 
 
-def _density_entries(conn: ConnectionTable, A: ScalarField, points):
-    dim, off = conn.dim, conn.off
-    entries = []
-    for p in points:
-        aj = A.jet(p, 2)
-        grad = [jets.partial(aj, _unit(dim, l)) for l in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                r = (
-                    jets.partial(aj, _pair_index(dim, i, j))
-                    - off(i, j, p, 0).value * grad[i]
-                    - off(j, i, p, 0).value * grad[j]
-                )
-                entries.append((p, (i, j), r))
-    return entries
+@jets.quiet
+def _density_entries(conn: ConnectionTable, A: ScalarField, points: PointSet):
+    dim = conn.dim
+    aj = A.jet(points, 2)
+    grad = _gradient(aj)
+    off = conn.generators(points, 0)[:, :, 0]
+    rows = {
+        (i, j): jets.partial(aj, _pair_index(dim, i, j)) - off[i, j] * grad[i] - off[j, i] * grad[j]
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    }
+    return entries_by_point(points, rows)
 
 
 def density_residual(
     sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """d_i d_j A - G^i_{ij} d_i A - G^j_{ji} d_j A over unordered pairs i < j."""
+    points = point_set(points)
     return ResidualReport.build("density", _density_entries(natural_connection(sys), A, points), tolerance)
 
 
+@jets.quiet
 def grading_residual(
     A: ScalarField, field: str, points: Sequence[Point], tolerance: float = GRADING_TOL
 ) -> tuple[float, ResidualReport]:
@@ -152,21 +165,19 @@ def grading_residual(
     """
     if field not in ("e", "E"):
         raise ReciprocalError(f"field must be 'e' or 'E', got {field!r}")
-    n = A.dim
-    ratios = []
-    for p in points:
-        aj = A.jet(p, 1)
-        a0 = _require_nonzero(aj, p)
-        s = 0.0
-        for l in range(n):
-            w = p[l] if field == "E" else 1.0
-            s += w * jets.partial(aj, _unit(n, l))
-        ratios.append(s / a0)
+    points = point_set(points)
+    aj = A.jet(points, 1)
+    a0 = _require_nonzero(aj, points)
+    s = 0.0
+    for l, d in enumerate(_gradient(aj)):
+        s = s + (points.coords[l] if field == "E" else 1.0) * d
+    ratios = (s / a0).tolist()
     estimate = sum(ratios) / len(ratios)
     entries = [(p, (field,), r - estimate) for p, r in zip(points, ratios)]
     return estimate, ResidualReport.build(f"grading-{field}", entries, tolerance)
 
 
+@jets.quiet
 def a_system_residual(
     sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
@@ -174,58 +185,57 @@ def a_system_residual(
     the pairwise density equations plus
     d_p^2 A = -sum_{l != p} d_l d_p A + d_p A (sum_l d_l A) / A."""
     n = sys.dim
+    points = point_set(points)
     entries = _density_entries(natural_connection(sys), A, points)
-    for p in points:
-        aj = A.jet(p, 2)
-        a0 = _require_nonzero(aj, p)
-        grad = [jets.partial(aj, _unit(n, l)) for l in range(n)]
-        e_of_a = sum(grad)
-        for q in range(n):
-            r = jets.partial(aj, _pair_index(n, q, q)) - grad[q] * e_of_a / a0
-            for l in range(n):
-                if l != q:
-                    r += jets.partial(aj, _pair_index(n, l, q))
-            entries.append((p, ("diag", q), r))
+    aj = A.jet(points, 2)
+    a0 = _require_nonzero(aj, points)
+    grad = _gradient(aj)
+    e_of_a = sum(grad)
+    rows = {}
+    for q in range(n):
+        r = jets.partial(aj, _pair_index(n, q, q)) - grad[q] * e_of_a / a0
+        for l in range(n):
+            if l != q:
+                r = r + jets.partial(aj, _pair_index(n, l, q))
+        rows[("diag", q)] = r
+    entries += entries_by_point(points, rows)
     return ResidualReport.build("a-system", entries, tolerance)
 
 
+@jets.quiet
 def theta_system_residual(
     sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """The same system written for theta_p = d_p ln A (first-order closed form)."""
     n = sys.dim
-    conn = natural_connection(sys)
-    entries = []
-    for p in points:
-        a1 = A.jet(p, 1)
-        _require_nonzero(a1, p)
-        a2 = A.jet(p, 2)
-        theta_jets = [jets.div(jets.derivative(a2, l), a1) for l in range(n)]
-        theta = [t.value for t in theta_jets]
-        for q in range(n):
-            for pp in range(n):
-                if pp == q:
-                    continue
-                r = (
+    points = point_set(points)
+    a1 = A.jet(points, 1)
+    _require_nonzero(a1, points)
+    a2 = A.jet(points, 2)
+    theta_jets = [jets.div(jets.derivative(a2, l), a1) for l in range(n)]
+    theta = [t.value for t in theta_jets]
+    off = natural_connection(sys).generators(points, 0)[:, :, 0]
+    rows = {}
+    for q in range(n):
+        for pp in range(n):
+            if pp != q:
+                rows[("offdiag", pp, q)] = (
                     jets.partial(theta_jets[pp], _unit(n, q))
-                    - theta[pp] * conn.off(pp, q, p, 0).value
-                    - theta[q] * conn.off(q, pp, p, 0).value
+                    - theta[pp] * off[pp, q]
+                    - theta[q] * off[q, pp]
                     + theta[pp] * theta[q]
                 )
-                entries.append((p, ("offdiag", pp, q), r))
-        for pp in range(n):
-            r = (
-                jets.partial(theta_jets[pp], _unit(n, pp))
-                + theta[pp] ** 2
-                - theta[pp] * sum(theta)
-            )
-            for l in range(n):
-                if l != pp:
-                    r += jets.partial(theta_jets[pp], _unit(n, l)) + theta[pp] * theta[l]
-            entries.append((p, ("diag", pp), r))
-    return ResidualReport.build("theta-system", entries, tolerance)
+    for pp in range(n):
+        square = np.array([t**2 for t in theta[pp].tolist()])  # the float power, not numpy's
+        r = jets.partial(theta_jets[pp], _unit(n, pp)) + square - theta[pp] * sum(theta)
+        for l in range(n):
+            if l != pp:
+                r = r + (jets.partial(theta_jets[pp], _unit(n, l)) + theta[pp] * theta[l])
+        rows[("diag", pp)] = r
+    return ResidualReport.build("theta-system", entries_by_point(points, rows), tolerance)
 
 
+@jets.quiet
 def covariant_hessian_residual(
     conn: ConnectionTable,
     product: str,
@@ -239,25 +249,24 @@ def covariant_hessian_residual(
     if product not in ("circ", "star"):
         raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
     n = conn.dim
-    entries = []
-    for p in points:
-        aj = A.jet(p, 2)
-        a0 = _require_nonzero(aj, p)
-        grad = [jets.partial(aj, _unit(n, l)) for l in range(n)]
-        if product == "circ":
-            x_of_a = sum(grad)
-        else:
-            x_of_a = sum(p[l] * grad[l] for l in range(n))
-        for q in range(n):
-            for pp in range(n):
-                r = jets.partial(aj, _pair_index(n, q, pp))
-                for l in range(n):
-                    r -= conn.gamma(l, q, pp, p, 0).value * grad[l]
-                if pp == q:
-                    c = 1.0 if product == "circ" else 1.0 / p[pp]
-                    r -= (x_of_a / a0) * c * grad[pp]
-                entries.append((p, (q, pp), r))
-    return ResidualReport.build(f"hessian-{product}", entries, tolerance)
+    points = point_set(points)
+    u = points.coords
+    aj = A.jet(points, 2)
+    a0 = _require_nonzero(aj, points)
+    grad = _gradient(aj)
+    x_of_a = sum(grad) if product == "circ" else sum(u[l] * grad[l] for l in range(n))
+    g = conn.christoffels(points, 0)[..., 0, :]
+    rows = {}
+    for q in range(n):
+        for pp in range(n):
+            r = jets.partial(aj, _pair_index(n, q, pp))
+            for l in range(n):
+                r = r - g[l, q, pp] * grad[l]
+            if pp == q:
+                c = 1.0 if product == "circ" else 1.0 / u[pp]
+                r = r - (x_of_a / a0) * c * grad[pp]
+            rows[(q, pp)] = r
+    return ResidualReport.build(f"hessian-{product}", entries_by_point(points, rows), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -278,44 +287,46 @@ def current_from_density(
     at a time, in axis_order); derivatives of the returned field come straight
     from the one-form, so no differentiation of quadrature output ever happens.
 
-    Each segment evaluates its quadrature nodes as PointBatches, one jet pass
-    per batch: the 1-panel and 2-panel rules together, then one batch per
-    further refinement level, until two levels agree to QUAD_REFINE_TOL.  A
-    batch that fails a path guard or leaves a field's domain is redone as
-    one-node batches through the same integrand, so the first failing node in
-    rule order raises its own error, velocity check before density check.
+    Each segment evaluates its quadrature nodes as point sets, one jet pass per
+    set: the 1-panel and 2-panel rules together, then one set per further
+    refinement level, until two levels agree to QUAD_REFINE_TOL.  A node set
+    that fails a path guard or leaves a field's domain is redone as one-node
+    sets through the same integrand, so the first failing node in rule order
+    raises its own error, velocity check before density check.  Node sets are
+    dropped after use, and with them every memo entry they made.  The
+    quadrature values are kept per point set like the field's own memo, so
+    jets of several orders over one set run the quadrature once.
     """
     n = sys.dim
     order = tuple(axis_order) if axis_order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ReciprocalError(f"axis_order must be a permutation of 0..{n - 1}, got {order}")
     one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
-    values: dict[Point, float] = {}
 
     def segment(axis: int, fixed: list[float], lo: float, hi: float) -> float:
+        def guarded(ts: np.ndarray) -> list[float]:
+            node_set = PointSet([ts if i == axis else np.full(ts.shape, c) for i, c in enumerate(fixed)])
+            # the message is read only from a one-node set
+            singular = lambda what: PathSingularityError(f"{what} on the segment along u{axis + 1} near {node_set[0]}")
+            vals = [v.jet(node_set, 0).value for v in sys.velocities]
+            gap = np.inf
+            for a in range(n):
+                for b in range(a + 1, n):
+                    gap = np.minimum(gap, abs(vals[a] - vals[b]))
+            if (gap < VELOCITY_GAP).any():
+                raise singular("characteristic velocities coincide")
+            if (np.abs(A.jet(node_set, 0).value) < DENSITY_FLOOR).any():
+                raise singular("density vanishes")
+            return np.broadcast_to(one_forms[axis].jet(node_set, 0).value, ts.shape).tolist()
+
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
-            batch = PointBatch([ts if i == axis else np.full(ts.shape, c) for i, c in enumerate(fixed)])
-            # the message is read only from a one-node batch, whose node is point(0)
-            singular = lambda what: PathSingularityError(
-                f"{what} on the segment along u{axis + 1} near {batch.point(0)}")
-            # values are arrays over the nodes, or floats where a field is constant
             try:
-                vals = sys.velocity_values(batch)
-                gap = np.inf
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        gap = np.minimum(gap, abs(vals[a] - vals[b]))
-                if (gap < VELOCITY_GAP).any():
-                    raise singular("characteristic velocities coincide")
-                if (np.abs(A.value(batch)) < DENSITY_FLOOR).any():
-                    raise singular("density vanishes")
-                f = one_forms[axis].value(batch)
+                return guarded(ts)
             except (ValueError, ArithmeticError):
                 if len(ts) == 1:
                     raise
                 # redo node by node, so the first failing node raises its own error
-                return [y for k in range(len(ts)) for y in integrand_at_nodes(ts[k : k + 1])]
-            return np.broadcast_to(f, ts.shape).tolist()
+                return [y for k in range(len(ts)) for y in guarded(ts[k : k + 1])]
 
         def nodes(panels: int) -> tuple[np.ndarray, float]:
             width = (hi - lo) / panels
@@ -346,33 +357,27 @@ def current_from_density(
         return cur
 
     def value_at(p: Point) -> float:
-        got = values.get(p)
-        if got is not None:
-            return got
         coords = list(base.coords)
         total = 0.0
         for axis in order:
             if coords[axis] != p[axis]:
                 total += segment(axis, coords, coords[axis], p[axis])
                 coords[axis] = p[axis]
-        values[p] = total
         return total
 
-    def fn(p: Point | PointBatch, jet_order: int) -> Jet:
-        if isinstance(p, PointBatch):
-            b0 = np.array([value_at(p.point(k)) for k in range(p.npoints)])
-        else:
-            b0 = value_at(p)
+    values = weakref.WeakKeyDictionary()
+
+    def fn(points: PointSet, jet_order: int) -> Jet:
+        coeffs = np.empty((len(jets.multi_indices(n, jet_order)), len(points)))
+        coeffs[0] = jets.memoized(values, points, 0, lambda: [value_at(p) for p in points])
         if jet_order == 0:
-            return jets.constant(n, 0, b0)
-        grads = [one_forms[i].jet(p, jet_order - 1) for i in range(n)]
-        idx = jets.multi_indices(n, jet_order)
-        coeffs = [b0]
-        for alpha in idx[1:]:
+            return Jet(n, 0, coeffs)
+        grads = [one_forms[i].jet(points, jet_order - 1) for i in range(n)]
+        for r, alpha in enumerate(jets.multi_indices(n, jet_order)[1:], start=1):
             i = next(m for m, a in enumerate(alpha) if a > 0)
             beta = tuple(a - (1 if m == i else 0) for m, a in enumerate(alpha))
-            coeffs.append(grads[i].coefficient(beta) / alpha[i])
-        return Jet(n, jet_order, tuple(coeffs))
+            coeffs[r] = grads[i].coefficient(beta) / alpha[i]
+        return Jet(n, jet_order, coeffs)
 
     return ScalarField(n, fn, text=f"current[{A.text}]")
 
@@ -388,12 +393,12 @@ def log_derivative_field(A: ScalarField, j: int) -> ScalarField:
 
 def transformed_off_diagonal(
     base: ConnectionTable, A: ScalarField
-) -> Callable[[int, int, Point, int], Jet]:
+) -> Callable[[int, int, PointSet, int], Jet]:
     """Off-diagonal symbols of the image table: G^i_{ij} - d_j A / A."""
     dlog = [log_derivative_field(A, j) for j in range(base.dim)]
 
-    def off(i: int, j: int, p: Point, order: int) -> Jet:
-        return jets.sub(base.off(i, j, p, order), dlog[j].jet(p, order))
+    def off(i: int, j: int, points: PointSet, order: int) -> Jet:
+        return jets.sub(base.off(i, j, points, order), dlog[j].jet(points, order))
 
     return off
 
@@ -438,10 +443,11 @@ def transform(
     return TransformResult(DiagonalSystem(velocities), natural, dual, current)
 
 
+@jets.quiet
 def intrinsic_transformed_gamma(
-    base: ConnectionTable, A: ScalarField, product: str, i: int, j: int, k: int, p: Point
-) -> float:
-    """Transformed Christoffel value via the structure-tensor formula
+    base: ConnectionTable, A: ScalarField, product: str, i: int, j: int, k: int, points: Point | PointSet
+) -> np.ndarray:
+    """Transformed Christoffel values over the points via the structure-tensor formula
 
         G~^i_{jk} = G^i_{jk} + c^i_{jk} X^l w_l - c^i_{lj} w_k X^l
                     + c^l_{jk} w_l X^i - c^i_{lk} w_j X^l,   w_l = d_l ln A,
@@ -451,25 +457,27 @@ def intrinsic_transformed_gamma(
     the structural assembly used by the tables; for cross-checking only.
     """
     n = base.dim
-    a1 = A.jet(p, 1)
+    points = point_set(points)
+    a1 = A.jet(points, 1)
     a0 = a1.value
-    omega = [jets.partial(a1, _unit(n, l)) / a0 for l in range(n)]
+    omega = [d / a0 for d in _gradient(a1)]
     if product == "circ":
         c = lambda a, b, d: 1.0 if a == b == d else 0.0
         X = [1.0] * n
     elif product == "star":
-        c = lambda a, b, d: (1.0 / p[a]) if a == b == d else 0.0
-        X = list(p.coords)
+        c = lambda a, b, d: (1.0 / points.coords[a]) if a == b == d else 0.0
+        X = list(points.coords)
     else:
         raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
-    g = base.gamma(i, j, k, p, 0).value
-    g += c(i, j, k) * sum(X[l] * omega[l] for l in range(n))
-    g -= sum(c(i, l, j) * X[l] for l in range(n)) * omega[k]
-    g += sum(c(l, j, k) * omega[l] for l in range(n)) * X[i]
-    g -= sum(c(i, l, k) * X[l] for l in range(n)) * omega[j]
+    g = base.christoffels(points, 0)[i, j, k, 0]
+    g = g + c(i, j, k) * sum(X[l] * omega[l] for l in range(n))
+    g = g - sum(c(i, l, j) * X[l] for l in range(n)) * omega[k]
+    g = g + sum(c(l, j, k) * omega[l] for l in range(n)) * X[i]
+    g = g - sum(c(i, l, k) * X[l] for l in range(n)) * omega[j]
     return g
 
 
+@jets.quiet
 def intrinsic_agreement_report(
     sys: DiagonalSystem,
     A: ScalarField,
@@ -483,16 +491,13 @@ def intrinsic_agreement_report(
     if result.dual is not None:
         routes.append(("star", result.dual, dual_connection(sys)))
     n = sys.dim
-    entries = []
-    for p in points:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for product, image, base in routes:
-                        structural = image.gamma(i, j, k, p, 0).value
-                        g = intrinsic_transformed_gamma(base, A, product, i, j, k, p)
-                        entries.append((p, (product, i, j, k), structural - g))
-    return ResidualReport.build("intrinsic-agreement", entries, tolerance)
+    points = point_set(points)
+    rows = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for product, image, base in routes:
+            structural = image.christoffels(points, 0)[i, j, k, 0]
+            rows[(product, i, j, k)] = structural - intrinsic_transformed_gamma(base, A, product, i, j, k, points)
+    return ResidualReport.build("intrinsic-agreement", entries_by_point(points, rows), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +555,7 @@ def biflat_admissibility(
     )
 
 
+@jets.quiet
 def orbit_compose(
     sys: DiagonalSystem,
     gen0: ConservationDensity,
@@ -557,46 +563,42 @@ def orbit_compose(
     points: Sequence[Point],
     base: Point,
     tolerance: float = 1e-10,
-) -> ResidualReport:
+) -> tuple[ResidualReport, dict[str, float]]:
     """Two successive transformations against the single one generated by the product.
 
     The two-step route recovers the intermediate Christoffel symbols from the
     transformed velocities (current included), so it genuinely retraces the
     pipeline; the one-step route uses the product density gen0.A * gen1.A
     directly.  A final entry checks the grading bookkeeping
-    grading(gen1) = grading(product) - grading(gen0).
+    grading(gen1) = grading(product) - grading(gen0).  Returns the report and
+    the three e-grading estimates, by the names gen0, gen1 and composite.
     """
+    points = point_set(points)
     step1 = transform(sys, gen0, base, points=points)
     step2 = transform(step1.system, gen1, base, points=points)
     product = ConservationDensity(gen0.field * gen1.field)
     direct = transform(sys, product, base, points=points)
-    entries = []
-    for p in points:
-        for i in range(sys.dim):
-            for j in range(sys.dim):
-                if i == j:
-                    continue
-                two = step2.natural.off(i, j, p, 0).value
-                one = direct.natural.off(i, j, p, 0).value
-                entries.append((p, (i, j), two - one))
-    g0, _ = grading_residual(gen0.field, "e", points)
-    g1, _ = grading_residual(gen1.field, "e", points)
-    gc, _ = grading_residual(product.field, "e", points)
-    entries.append((points[0], ("grading",), g1 - (gc - g0)))
-    return ResidualReport.build("orbit-compose", entries, tolerance)
+    two = step2.natural.generators(points, 0)[:, :, 0]
+    one = direct.natural.generators(points, 0)[:, :, 0]
+    pairs = itertools.permutations(range(sys.dim), 2)
+    entries = entries_by_point(points, {(i, j): two[i, j] - one[i, j] for i, j in pairs})
+    generators = {"gen0": gen0, "gen1": gen1, "composite": product}
+    gradings = {name: grading_residual(g.field, "e", points)[0] for name, g in generators.items()}
+    entries.append((points[0], ("grading",), gradings["gen1"] - (gradings["composite"] - gradings["gen0"])))
+    return ResidualReport.build("orbit-compose", entries, tolerance), gradings
 
 
 # ---------------------------------------------------------------------------
 # Rotation frames
 
 
-def darboux_gamma_off(frame: RotationFrame) -> Callable[[int, int, Point, int], Jet]:
+def darboux_gamma_off(frame: RotationFrame) -> Callable[[int, int, PointSet, int], Jet]:
     """Off-diagonal Christoffel symbols (H_j / H_i) beta_ij of a frame."""
 
-    def off(i: int, j: int, p: Point, order: int) -> Jet:
-        hi = frame.lame[i].jet(p, order)
-        hj = frame.lame[j].jet(p, order)
-        b = frame.beta[(i, j)].jet(p, order)
+    def off(i: int, j: int, points: PointSet, order: int) -> Jet:
+        hi = frame.lame[i].jet(points, order)
+        hj = frame.lame[j].jet(points, order)
+        b = frame.beta[(i, j)].jet(points, order)
         return jets.mul(jets.div(hj, hi), b)
 
     return off
@@ -608,6 +610,7 @@ def frame_connection(frame: RotationFrame) -> ConnectionTable:
     return frame._connection
 
 
+@jets.quiet
 def darboux_residual(
     frame: RotationFrame, points: Sequence[Point], tolerance: float = TOL_SECOND
 ) -> ResidualReport:
@@ -615,29 +618,26 @@ def darboux_residual(
     d_k beta_ij = beta_ik beta_kj on distinct triples, e(beta) = 0,
     E(beta) = -beta, d_j H_i = beta_ij H_j, e(H) = 0, E(H) = -d H."""
     n = frame.dim
-    entries = []
-    for p in points:
-        beta1 = {key: f.jet(p, 1) for key, f in frame.beta.items()}
-        lame1 = [f.jet(p, 1) for f in frame.lame]
-        for (i, j), bj in beta1.items():
-            for k in range(n):
-                if k != i and k != j:
-                    r = jets.partial(bj, _unit(n, k)) - beta1[(i, k)].value * beta1[(k, j)].value
-                    entries.append((p, ("triple", i, j, k), r))
-            e_b = sum(jets.partial(bj, _unit(n, l)) for l in range(n))
-            entries.append((p, ("beta-e", i, j), e_b))
-            big_e_b = sum(p[l] * jets.partial(bj, _unit(n, l)) for l in range(n))
-            entries.append((p, ("beta-E", i, j), big_e_b + bj.value))
-        for i in range(n):
-            for j in range(n):
-                if j != i:
-                    r = jets.partial(lame1[i], _unit(n, j)) - beta1[(i, j)].value * lame1[j].value
-                    entries.append((p, ("lame", i, j), r))
-            e_h = sum(jets.partial(lame1[i], _unit(n, l)) for l in range(n))
-            entries.append((p, ("lame-e", i), e_h))
-            big_e_h = sum(p[l] * jets.partial(lame1[i], _unit(n, l)) for l in range(n))
-            entries.append((p, ("lame-E", i), big_e_h + frame.degree * lame1[i].value))
-    return ResidualReport.build("darboux", entries, tolerance)
+    points = point_set(points)
+    u = points.coords
+    beta1 = {key: f.jet(points, 1) for key, f in frame.beta.items()}
+    lame1 = [f.jet(points, 1) for f in frame.lame]
+    rows = {}
+    for (i, j), bj in beta1.items():
+        grad = _gradient(bj)
+        for k in range(n):
+            if k != i and k != j:
+                rows[("triple", i, j, k)] = grad[k] - beta1[(i, k)].value * beta1[(k, j)].value
+        rows[("beta-e", i, j)] = sum(grad)
+        rows[("beta-E", i, j)] = sum(u[l] * grad[l] for l in range(n)) + bj.value
+    for i in range(n):
+        grad = _gradient(lame1[i])
+        for j in range(n):
+            if j != i:
+                rows[("lame", i, j)] = grad[j] - beta1[(i, j)].value * lame1[j].value
+        rows[("lame-e", i)] = sum(grad)
+        rows[("lame-E", i)] = sum(u[l] * grad[l] for l in range(n)) + frame.degree * lame1[i].value
+    return ResidualReport.build("darboux", entries_by_point(points, rows), tolerance)
 
 
 def darboux_transform(
@@ -654,6 +654,7 @@ def darboux_transform(
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
     A = gen.field
+    points = point_set(points)
     e_grading = grading_residual(A, "e", points, grading_tol)
     big_e_grading = grading_residual(A, "E", points, grading_tol)
     dens = ResidualReport.build("density", _density_entries(frame_connection(frame), A, points), tolerance)

@@ -390,7 +390,11 @@ def test_christoffel_symbols_are_evaluated_once_per_command(argv, tmp_path, monk
     calls = _count_calls(monkeypatch, geo, "christoffel_primary")
     code, _ = run(tmp_path, *argv, "--num-points", "5")
     assert code == 0
-    assert len(calls) == len(set(calls)) == 6 * 5 * 2  # each (i, j, point, order) of the system once
+    # each (i, j, point set, order) of the system once: orders 0 and 1 over the
+    # sample points, and for transform order 0 over intrinsic-agreement's own
+    # set of the first three points
+    count = 6 * 2 + (6 if argv[0] == "transform" else 0)
+    assert len(calls) == len(set(calls)) == count
 
 
 def test_eps_system_flatness_at_dimension_ten(tmp_path):
@@ -423,3 +427,10 @@ def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):
     assert report["checks"]["biflat-admissible"] == {"max_abs": "NaN", "pass": False, "tolerance": 1e-8}
     assert report["checks"]["density"]["pass"] and report["checks"]["grading-e"]["pass"]
     assert capsys.readouterr().out.startswith("FAIL check: 3 checks, worst biflat-admissible max_abs=nan")
+
+
+def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
+    gradings = _count_calls(monkeypatch, rec, "grading_residual")
+    code, report = run(tmp_path, *GOLDEN_CASES["orbit-dim2"][1])
+    assert code == 0 and set(report["gradings"]) == {"gen0", "gen1", "composite"}
+    assert len(gradings) == 3  # gen0, gen1 and their product, each once

@@ -2,6 +2,8 @@
 
 An expression either evaluates to order-2 jets or fails with one of the errors
 the CLI reports as exit code 2 (cli._CONFIG_ERRORS); nothing else may escape.
+Evaluated over the test points as one set, it fails exactly when some point
+fails on its own, and otherwise gives each point's own jet bit for bit.
 Where an expression evaluates to moderate order-3 jets, every partial agrees
 with the mpmath finite-difference oracle, an independent code path.
 """
@@ -15,7 +17,7 @@ from conftest import fd_partial
 from recipfm import jets
 from recipfm.cli import _CONFIG_ERRORS
 from recipfm.exprlang import compile_field, parse_field
-from recipfm.jets import point
+from recipfm.jets import point, point_set
 
 SEED = 20121
 COUNT = 1500
@@ -51,20 +53,38 @@ def _expr(rng: random.Random, depth: int) -> str:
     return f"hyp2f1({a}, {b}, {c}, {sub()})"
 
 
+def _jet_or_none(f, where):
+    """The order-2 jet of f over where, or None if it fails with a config error."""
+    try:
+        return f.jet(where, 2)
+    except _CONFIG_ERRORS:
+        return None
+
+
 def test_random_expressions_raise_only_config_errors():
     rng = random.Random(SEED)
+    together = point_set(POINTS)
     evaluated = 0
     for _ in range(COUNT):
         src = _expr(rng, DEPTH)
         try:
-            f = compile_field(parse_field(src, 2))
-            for p in POINTS:
-                f.jet(p, 2)
-            evaluated += 1
-        except _CONFIG_ERRORS:
-            pass
+            try:
+                f = compile_field(parse_field(src, 2))
+            except _CONFIG_ERRORS:
+                continue
+            alone = [_jet_or_none(f, p) for p in POINTS]
+            got = _jet_or_none(f, together)
         except Exception as exc:  # anything else would escape the CLI as a traceback
             pytest.fail(f"{src!r} raised {type(exc).__name__}: {exc}")
+        # the set fails exactly when some point fails on its own ...
+        assert (got is None) == (None in alone), src
+        if got is None:
+            continue
+        evaluated += 1
+        # ... and otherwise each column is that point's jet, bit for bit
+        columns = np.broadcast_to(got.coeffs, (got.coeffs.shape[0], len(POINTS)))
+        for k, one in enumerate(alone):
+            assert columns[:, k].tobytes() == one.coeffs[:, 0].tobytes(), (src, POINTS[k])
     # the generator must exercise evaluation, not only the parser's rejections
     assert evaluated >= COUNT // 4
 

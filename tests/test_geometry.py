@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import fd_partial
 from recipfm import geometry, jets
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
+from recipfm.jets import point_set
 from recipfm.geometry import (
     ConnectionTable,
     DegenerateSystemError,
@@ -49,7 +51,7 @@ def test_christoffel_against_finite_differences():
     sys2 = DiagonalSystem(tuple(field(s, 2) for s in v_src))
     exprs = [parse_field(s, 2) for s in v_src]
     for p in sample_points(2, 8, seed=17):
-        vals = sys2.velocity_values(p)
+        vals = [v.value(p) for v in sys2.velocities]
         if abs(vals[0] - vals[1]) < 0.05:
             continue
         for i, j in ((0, 1), (1, 0)):
@@ -61,30 +63,22 @@ def test_christoffel_against_finite_differences():
 
 def test_natural_assembly_identities():
     sys2 = epsilon_system(2, 1.0)
-    nat = natural_connection(sys2)
+    g = natural_connection(sys2).christoffels(P21, 0)[..., 0, 0]  # g[i, j, k] = G^i_jk at (2, 1)
     # G^1_12 = 1, hence G^1_22 = -1 and G^1_11 = -1 at (2,1)
-    assert nat.gamma(0, 1, 1, P21, 0).value == pytest.approx(-1.0)
-    assert nat.gamma(0, 0, 0, P21, 0).value == pytest.approx(-1.0)
+    assert g[0, 1, 1] == pytest.approx(-1.0)
+    assert g[0, 0, 0] == pytest.approx(-1.0)
     # row sums over the last index vanish, including the diagonal
     sys3 = epsilon_system(3, -1.0)
-    nat3 = natural_connection(sys3)
-    for p in sample_points(3, 5, seed=1):
-        for i in range(3):
-            total = sum(nat3.gamma(i, i, k, p, 0).value for k in range(3))
-            assert total == pytest.approx(0.0, abs=1e-13)
-        # distinct triples vanish structurally
-        assert nat3.gamma(0, 1, 2, p, 0).value == 0.0
+    g3 = natural_connection(sys3).christoffels(sample_points(3, 5, seed=1), 0)[..., 0, :]
+    for i in range(3):
+        assert g3[i, i].sum(axis=0) == pytest.approx(0.0, abs=1e-13)
+    # distinct triples vanish structurally
+    assert (g3[0, 1, 2] == 0.0).all()
 
 
 def test_gamma_lower_symmetry():
-    nat = natural_connection(epsilon_system(3, 0.5))
-    p = sample_points(3, 1, seed=3)[0]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                a = nat.gamma(i, j, k, p, 0).value
-                b = nat.gamma(i, k, j, p, 0).value
-                assert a == pytest.approx(b, abs=1e-14)
+    g = natural_connection(epsilon_system(3, 0.5)).christoffels(sample_points(3, 1, seed=3), 0)
+    assert g == pytest.approx(g.transpose(0, 2, 1, 3, 4), abs=1e-14)
 
 
 def test_sh_epsilon_system_passes():
@@ -147,7 +141,7 @@ def test_curvature_natural_rejects_dual_tables():
 
 def test_dual_connection_components():
     dual = dual_connection(epsilon_system(2, 1.0))
-    assert dual.gamma(0, 1, 1, P21, 0).value == pytest.approx(-2.0)
+    assert dual.christoffels(P21, 0)[0, 1, 1, 0, 0] == pytest.approx(-2.0)
     # off-diagonal symbols agree with the natural ones
     nat = natural_connection(epsilon_system(2, 1.0))
     for p in sample_points(2, 5, seed=9):
@@ -202,13 +196,13 @@ def test_connection_table_needs_assembly_or_components():
 def test_sample_points_constraints_and_determinism():
     a = sample_points(3, 25, seed=123)
     b = sample_points(3, 25, seed=123)
-    assert a == b
+    assert list(a) == list(b)
     for p in a:
         assert all(0.5 <= abs(c) <= 2.0 for c in p)
         gaps = [abs(x - y) for i, x in enumerate(p) for y in tuple(p)[i + 1 :]]
         assert min(gaps) >= 0.25
     c = sample_points(3, 25, seed=124)
-    assert a != c
+    assert list(a) != list(c)
 
 
 @pytest.mark.parametrize("n", range(8, 17))
@@ -235,13 +229,13 @@ def test_natural_connection_is_one_table_per_system(monkeypatch):
     pts = sample_points(3, 3, seed=5)
     curvature_natural_residual(natural_connection(sys3), pts)
     identity_parallel_residual(natural_connection(sys3), "e", pts)
-    assert len(calls) == len(set(calls)) == 6 * 3 * 2  # every (i, j, point, order) once
+    assert len(calls) == len(set(calls)) == 6 * 2  # every (i, j, point set, order) once
     # the dual table reads the same generators from the natural table's cache
     dual = dual_connection(sys3)
     curvature_full_residual(dual, pts)
     identity_parallel_residual(dual, "E", pts)
     sh_residual(sys3, pts)
-    assert len(calls) == 6 * 3 * 2
+    assert len(calls) == 6 * 2
 
 
 def test_sample_points_exhaustion():
@@ -275,3 +269,23 @@ def test_residual_report_fails_on_any_non_finite_entry(bad):
         assert math.isnan(rep.max_abs) if math.isnan(bad) else rep.max_abs == math.inf
         assert rep.worst()[2] is bad
         assert not ResidualReport.build("loose", entries, math.inf).passed
+
+
+def test_caches_die_with_their_point_sets():
+    # one long-lived system evaluated over many short-lived point sets keeps
+    # nothing; the collector stays off, so no entry may wait for a cycle
+    sys3 = epsilon_system(3, 1.0)
+    natural = natural_connection(sys3)
+    gc.disable()
+    try:
+        for p in sample_points(3, 2000, seed=31):
+            curvature_natural_residual(natural, point_set(p))
+        assert [len(v._memo) for v in sys3.velocities] == [0, 0, 0]
+        assert len(natural._cache) == 0
+    finally:
+        gc.enable()
+    # while a set is held, every family shares what was computed over it
+    pts = sample_points(3, 4, seed=32)
+    curvature_natural_residual(natural, pts)
+    sh_residual(sys3, pts)
+    assert list(natural._cache) == [pts] and set(natural._cache[pts]) == {0, 1, ("natural", 0), ("natural", 1)}

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ import pytest
 from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial
 from recipfm import jets
 from recipfm.exprlang import EvalError, compile_field, field
-from recipfm.jets import Jet, JetDomainError, JetError, Point, PointBatch
+from recipfm.jets import Jet, JetDomainError, JetError, Point, PointSet
 
 
 def test_point_validation():
@@ -22,17 +21,17 @@ def test_point_validation():
 
 def test_coordinate_lift():
     j = jets.variable(1, 2, 0, 2.0)
-    assert j.coeffs == (2.0, 1.0, 0.0)
+    assert j.coeffs.tolist() == [[2.0], [1.0], [0.0]]
 
 
 def test_square_of_coordinate():
     u = jets.variable(1, 2, 0, 3.0)
-    assert jets.mul(u, u).coeffs == (9.0, 6.0, 1.0)
+    assert jets.mul(u, u).coeffs.tolist() == [[9.0], [6.0], [1.0]]
 
 
 def test_division_against_reciprocal_series():
     inv = jets.div(jets.constant(1, 2, 1.0), jets.variable(1, 2, 0, 2.0))
-    assert inv.coeffs == pytest.approx((0.5, -0.25, 0.125), abs=1e-15)
+    assert inv.coeffs[:, 0] == pytest.approx((0.5, -0.25, 0.125), abs=1e-15)
 
 
 def test_division_matches_finite_differences():
@@ -46,12 +45,12 @@ def test_division_matches_finite_differences():
 
 def test_exp_series():
     e = jets.jet_exp(jets.variable(1, 2, 0, 0.0))
-    assert e.coeffs == pytest.approx((1.0, 1.0, 0.5))
+    assert e.coeffs[:, 0] == pytest.approx((1.0, 1.0, 0.5))
 
 
 def test_ln_series():
     l = jets.jet_ln(jets.variable(1, 3, 0, 1.0))
-    assert l.coeffs == pytest.approx((0.0, 1.0, -0.5, 1.0 / 3.0))
+    assert l.coeffs[:, 0] == pytest.approx((0.0, 1.0, -0.5, 1.0 / 3.0))
 
 
 def test_pow_matches_finite_differences():
@@ -133,7 +132,7 @@ def test_derivative_shift():
 
 def _random_jet(rng: random.Random, dim: int, order: int) -> Jet:
     n = len(jets.multi_indices(dim, order))
-    return Jet(dim, order, tuple(rng.uniform(-2.0, 2.0) for _ in range(n)))
+    return Jet(dim, order, [[rng.uniform(-2.0, 2.0)] for _ in range(n)])
 
 
 def test_arithmetic_properties():
@@ -145,12 +144,12 @@ def test_arithmetic_properties():
         assoc = jets.sub(jets.mul(jets.mul(a, b), c), jets.mul(a, jets.mul(b, c)))
         comm = jets.sub(jets.mul(a, b), jets.mul(b, a))
         dist = jets.sub(jets.mul(a, jets.add(b, c)), jets.add(jets.mul(a, b), jets.mul(a, c)))
-        scale = max(max(abs(x) for x in j.coeffs) for j in (a, b, c)) ** 2 + 1.0
+        scale = max(np.abs(j.coeffs).max() for j in (a, b, c)) ** 2 + 1.0
         for residual in (assoc, comm, dist):
-            assert max(abs(x) for x in residual.coeffs) <= 1e-13 * scale
+            assert np.abs(residual.coeffs).max() <= 1e-13 * scale
         if abs(b.value) > 0.1:
             roundtrip = jets.sub(jets.div(jets.mul(a, b), b), a)
-            assert max(abs(x) for x in roundtrip.coeffs) <= 1e-12 * scale
+            assert np.abs(roundtrip.coeffs).max() <= 1e-12 * scale
 
 
 def test_elementary_corpus_matches_finite_differences():
@@ -177,46 +176,37 @@ def test_truncate_prefix_property():
 
 
 # ---------------------------------------------------------------------------
-# batches: array coefficients through the same functions
-
-# Elementwise float64 arithmetic is the scalar arithmetic, and `sum` adds
-# left to right before Python 3.12 (from 3.12 it compensates on floats only).
-EXACT_SUM = sys.version_info < (3, 12)
+# point sets: one jet over all points, column k exactly the jet at point k
 
 
-def _batch(points) -> PointBatch:
-    return PointBatch([[p[i] for p in points] for i in range(points[0].dim)])
-
-
-def test_point_batch_validation():
-    b = PointBatch([[1.0, 2.0], [3.0, 4.0]])
-    assert b.dim == 2 and b.npoints == 2 and b.point(1) == jets.point(2.0, 4.0)
-    assert b != b.point(0) and {b: 1}[b] == 1  # identity hashing, so a batch can probe a memo
+def test_point_set_validation():
+    p, q = jets.point(1.0, 3.0), jets.point(2.0, 4.0)
+    b = jets.point_set([p, q])
+    assert b.dim == 2 and len(b) == 2 and b[1] is q and list(b) == [p, q] and b[:1] == (p,)
+    assert b.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]] and jets.point_set(b) is b
+    built = PointSet([[1.0, 2.0], [3.0, 4.0]])  # from coordinates: its Points are made when read
+    assert list(built) == [p, q] and built != b  # a set is a scope: equal points, another set
     with pytest.raises(ValueError):
-        b[0][0] = 5.0  # read-only, so shared coefficient arrays cannot be corrupted
-    for bad in ([[1.0, 2.0]], [[1.0, 2.0], [3.0]], [[1.0, math.nan], [3.0, 4.0]], [[], []], [[[1.0]], [[2.0]]]):
+        b.coords[0, 0] = 5.0  # read-only, so shared coordinate arrays cannot be corrupted
+    for bad in ([], [p, jets.point(1.0, 2.0, 3.0)]):
         with pytest.raises(ValueError):
-            PointBatch(bad)
+            jets.point_set(bad)
+    for bad in ([[1.0, 2.0]], [[1.0, math.nan], [3.0, 4.0]], [[], []], [[[1.0]], [[2.0]]]):
+        with pytest.raises(ValueError):
+            PointSet(bad)
 
 
 def test_batch_jets_match_scalar_jets_on_the_corpus():
     points = corpus_points()
-    batch = _batch(points)
     for src, expr in zip(ELEMENTARY_CORPUS, corpus_exprs()):
         f = compile_field(expr)
-        exact = EXACT_SUM and not any(name in src for name in ("exp", "ln", "pow", "hyp2f1"))
         for order in range(4):
-            got = f.jet(batch, order)
-            assert (got.dim, got.order) == (2, order)
+            got = f.jet(points, order)
+            assert (got.dim, got.order, got.coeffs.shape[1]) == (2, order, len(points))
             for k, p in enumerate(points):
-                want = f.jet(p, order).coeffs
-                have = tuple(float(np.broadcast_to(c, (len(points),))[k]) for c in got.coeffs)
-                if exact:
-                    assert have == want, (src, order, tuple(p))
-                else:
-                    for h, w in zip(have, want):
-                        assert abs(h - w) <= 1e-15 * abs(w), (src, order, tuple(p), h, w)
-        assert len(f._memo) == 3 * len(points)  # the scalar jets of order 1..3; a batch never enters
+                want = f.jet(p, order).coeffs[:, 0]
+                assert got.coeffs[:, k].tobytes() == want.tobytes(), (src, order, tuple(p))
+        assert len(f._memo) == 1  # the held set; each one-point set went with its last reference
 
 
 def test_batch_domain_checks_test_every_element():
@@ -233,10 +223,19 @@ def test_batch_domain_checks_test_every_element():
         jets.hyp2f1_value(1.0, 1.0, 2.0, np.array([0.5, 0.25, -1.5, 0.1]))
 
 
+def _hyp2f1_term_by_term(a, b, c, z):
+    total = term = 1.0
+    for k in range(jets.HYP2F1_MAX_TERMS):
+        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
+        total += term
+        if abs(term) <= jets.HYP2F1_REL_TOL * max(1.0, abs(total)):
+            return total
+
+
 def test_hyp2f1_batch_stops_where_each_scalar_series_stops():
     z = np.array([0.0, 0.2, -0.5, 0.9, 0.99])
     got = jets.hyp2f1_value(0.5, 1.5, 2.5, z)
-    assert got.tolist() == [jets.hyp2f1_value(0.5, 1.5, 2.5, x) for x in z.tolist()]
+    assert got.tolist() == [_hyp2f1_term_by_term(0.5, 1.5, 2.5, x) for x in z.tolist()]
 
 
 def test_exp_and_real_pow_overflow_leave_the_domain():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from recipfm import jets
+from recipfm.jets import point_set
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, field
 from recipfm.geometry import (
@@ -417,7 +418,7 @@ def test_biflat_survival_for_flat_coordinate_generators():
 
 def test_orbit_identity_second_generator(sys2, recip_density):
     pts = banded_points(DIM2_BANDS, 6, seed=19)
-    rep = orbit_compose(
+    rep, _ = orbit_compose(
         sys2,
         ConservationDensity(recip_density),
         ConservationDensity(field("1 + 0*u1", 2)),
@@ -429,7 +430,7 @@ def test_orbit_identity_second_generator(sys2, recip_density):
 
 def test_orbit_log_additivity(sys2, recip_density):
     pts = banded_points(DIM2_BANDS, 8, seed=20)
-    rep = orbit_compose(
+    rep, gradings = orbit_compose(
         sys2,
         ConservationDensity(recip_density),
         ConservationDensity(field("exp(u1)", 2)),
@@ -437,6 +438,7 @@ def test_orbit_log_additivity(sys2, recip_density):
         jets.point(-1.25, 1.25),
     )
     assert rep.passed and rep.max_abs <= 1e-10
+    assert gradings["gen1"] == pytest.approx(1.0, abs=1e-10) and abs(gradings["gen0"]) <= 1e-10
 
 
 def test_orbit_grading_bookkeeping(sys2):
@@ -447,7 +449,7 @@ def test_orbit_grading_bookkeeping(sys2):
     pts = banded_points(DIM2_BANDS, 8, seed=21)
     g1, _ = grading_residual(gen1.field, "e", pts)
     assert g1 == pytest.approx(2.0, abs=1e-10)
-    rep = orbit_compose(sys2, gen0, gen1, pts, jets.point(-1.25, 1.25))
+    rep, _ = orbit_compose(sys2, gen0, gen1, pts, jets.point(-1.25, 1.25))
     assert rep.passed, rep.max_abs
 
 
@@ -477,11 +479,9 @@ def test_frame_residuals_and_christoffels():
 def test_frame_table_holds_generators_only():
     table = frame_connection(epsilon_frame_n2(1.0))
     pts = sample_points(2, 2, seed=22)
-    assert table.gamma(0, 0, 1, pts[0], 0).value == table.off(0, 1, pts[0], 0).value
+    assert table.generators(pts, 0)[0, 1].tolist() == table.off(0, 1, pts, 0).coeffs.tolist()
     with pytest.raises(GeometryError):
-        table.gamma(0, 1, 1, pts[0], 0)
-    with pytest.raises(GeometryError):
-        table.gamma(1, 1, 1, pts[0], 0)
+        table.christoffels(pts, 0)  # G^i_jj needs an assembly
     with pytest.raises(GeometryError):
         curvature_natural_residual(table, pts)
     with pytest.raises(GeometryError):
@@ -605,7 +605,7 @@ def test_log_derivative_fields_share_one_density_evaluation():
     orders = []
     compiled = A._fn
     A._fn = lambda p, order: orders.append(order) or compiled(p, order)
-    p = jets.point(0.5, 1.5, -1.0)
+    p = point_set(jets.point(0.5, 1.5, -1.0))
     for j in range(3):
         log_derivative_field(A, j).jet(p, 1)
     assert sorted(orders) == [1, 2]  # d_j A needs order 2, the quotient order 1
