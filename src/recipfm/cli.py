@@ -300,7 +300,7 @@ def cmd_transform(args) -> dict:
         geo.curvature_natural_residual(result.natural, points, args.tol_second)
     )
     checks["intrinsic-agreement"] = _check_payload(
-        rec.intrinsic_agreement_report(system, A, result, points[:3])
+        rec.intrinsic_agreement_report(system, A, result, points, first=3)
     )
     report["generator"] = {"h": h_est}
 

@@ -160,8 +160,9 @@ def banded_points(
 ) -> PointSet:
     """Points with coordinate i drawn from its own band.
 
-    With disjoint bands the coordinate ordering is fixed over the whole box, so
-    axis-parallel integration paths between such points stay admissible.
+    With disjoint bands that avoid 0 the box lies in one Weyl chamber and one
+    orthant, so the straight integration segment between two such points stays
+    admissible.
     """
     draw = lambda rng: Point(tuple(rng.uniform(lo, hi) for lo, hi in bands))
     why = f"no admissible point in bands {bands} after {max_rejections} rejections"

@@ -273,41 +273,41 @@ def covariant_hessian_residual(
 # Current reconstruction
 
 
-def current_from_density(
-    sys: DiagonalSystem,
-    A: ScalarField,
-    base: Point,
-    *,
-    axis_order: Sequence[int] | None = None,
-) -> ScalarField:
+def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> ScalarField:
     """The current B with d_i B = v^i d_i A and B(base) = 0.
 
     Values come from composite Gauss-Legendre quadrature of the exact one-form
-    sum_i v^i d_i A du^i along the axis-parallel path base -> p (one coordinate
-    at a time, in axis_order); derivatives of the returned field come straight
+    sum_i v^i d_i A du^i along the straight segment u(t) = base + t (p - base),
+    t in [0, 1].  The form is closed, and a Weyl chamber intersected with an
+    orthant is convex, so the segment between two of its points never meets
+    u^i = u^j or u^i = 0.  Derivatives of the returned field come straight
     from the one-form, so no differentiation of quadrature output ever happens.
 
-    Each segment evaluates its quadrature nodes as point sets, one jet pass per
-    set: the 1-panel and 2-panel rules together, then one set per further
-    refinement level, until two levels agree to QUAD_REFINE_TOL.  A node set
-    that fails a path guard or leaves a field's domain is redone as one-node
-    sets through the same integrand, so the first failing node in rule order
-    raises its own error, velocity check before density check.  Node sets are
-    dropped after use, and with them every memo entry they made.  The
-    quadrature values are kept per point set like the field's own memo, so
-    jets of several orders over one set run the quadrature once.
+    Each value evaluates its nodes as point sets, one order-1 jet of A per
+    set (its value feeds the density guard): the 1-panel and 2-panel rules
+    together, then one set per further refinement level, until two levels
+    agree to QUAD_REFINE_TOL.  A node set that fails a path guard or leaves a
+    field's domain is redone as one-node sets through the same integrand, so
+    the first failing node in rule order raises its own error, velocity check
+    before density check.  Node sets are dropped after use, and with them
+    every memo entry they made.  The quadrature values are kept per point set
+    like the field's own memo, so jets of several orders over one set run the
+    quadrature once.
     """
     n = sys.dim
-    order = tuple(axis_order) if axis_order is not None else tuple(range(n))
-    if sorted(order) != list(range(n)):
-        raise ReciprocalError(f"axis_order must be a permutation of 0..{n - 1}, got {order}")
     one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
+    start = np.array(base.coords)
 
-    def segment(axis: int, fixed: list[float], lo: float, hi: float) -> float:
+    def value_at(p: Point) -> float:
+        step = np.array(p.coords) - start
+        axes = [i for i in range(n) if step[i] != 0.0]
+        if not axes:
+            return 0.0
+
         def guarded(ts: np.ndarray) -> list[float]:
-            node_set = PointSet([ts if i == axis else np.full(ts.shape, c) for i, c in enumerate(fixed)])
+            node_set = PointSet(start[:, None] + step[:, None] * ts)
             # the message is read only from a one-node set
-            singular = lambda what: PathSingularityError(f"{what} on the segment along u{axis + 1} near {node_set[0]}")
+            singular = lambda what: PathSingularityError(f"{what} on the segment from {base} to {p} near {node_set[0]}")
             vals = [v.jet(node_set, 0).value for v in sys.velocities]
             gap = np.inf
             for a in range(n):
@@ -315,9 +315,11 @@ def current_from_density(
                     gap = np.minimum(gap, abs(vals[a] - vals[b]))
             if (gap < VELOCITY_GAP).any():
                 raise singular("characteristic velocities coincide")
-            if (np.abs(A.jet(node_set, 0).value) < DENSITY_FLOOR).any():
+            aj = A.jet(node_set, 1)
+            if (np.abs(aj.value) < DENSITY_FLOOR).any():
                 raise singular("density vanishes")
-            return np.broadcast_to(one_forms[axis].jet(node_set, 0).value, ts.shape).tolist()
+            f = sum(step[i] * (vals[i] * jets.partial(aj, _unit(n, i))) for i in axes)
+            return np.broadcast_to(f, ts.shape).tolist()
 
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
             try:
@@ -329,8 +331,8 @@ def current_from_density(
                 return [y for k in range(len(ts)) for y in guarded(ts[k : k + 1])]
 
         def nodes(panels: int) -> tuple[np.ndarray, float]:
-            width = (hi - lo) / panels
-            mids = (lo + np.arange(panels) * width) + 0.5 * width
+            width = 1.0 / panels
+            mids = np.arange(panels) * width + 0.5 * width
             half = 0.5 * width
             return (mids[:, None] + half * _GL_XS[None, :]).ravel(), half
 
@@ -349,21 +351,12 @@ def current_from_density(
             panels *= 2
             if panels > QUAD_MAX_PANELS:
                 raise PathSingularityError(
-                    f"quadrature along u{axis + 1} did not settle below {QUAD_REFINE_TOL} "
+                    f"quadrature on the segment from {base} to {p} did not settle below {QUAD_REFINE_TOL} "
                     f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
                 )
             ts, half = nodes(panels)
             prev, cur = cur, composite(half, integrand_at_nodes(ts))
         return cur
-
-    def value_at(p: Point) -> float:
-        coords = list(base.coords)
-        total = 0.0
-        for axis in order:
-            if coords[axis] != p[axis]:
-                total += segment(axis, coords, coords[axis], p[axis])
-                coords[axis] = p[axis]
-        return total
 
     values = weakref.WeakKeyDictionary()
 
@@ -445,9 +438,10 @@ def transform(
 
 @jets.quiet
 def intrinsic_transformed_gamma(
-    base: ConnectionTable, A: ScalarField, product: str, i: int, j: int, k: int, points: Point | PointSet
+    base: ConnectionTable, A: ScalarField, product: str, points: Point | PointSet
 ) -> np.ndarray:
-    """Transformed Christoffel values over the points via the structure-tensor formula
+    """The transformed table over the points, one array (n, n, n, npoints)
+    whose [i, j, k] holds G~^i_{jk}, via the structure-tensor formula
 
         G~^i_{jk} = G^i_{jk} + c^i_{jk} X^l w_l - c^i_{lj} w_k X^l
                     + c^l_{jk} w_l X^i - c^i_{lk} w_j X^l,   w_l = d_l ln A,
@@ -456,25 +450,22 @@ def intrinsic_transformed_gamma(
     delta, X = e) or 'star' (c*^i_{jk} = delta / u^i, X = E).  Independent of
     the structural assembly used by the tables; for cross-checking only.
     """
+    if product not in ("circ", "star"):
+        raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
     n = base.dim
     points = point_set(points)
     a1 = A.jet(points, 1)
-    a0 = a1.value
-    omega = [d / a0 for d in _gradient(a1)]
-    if product == "circ":
-        c = lambda a, b, d: 1.0 if a == b == d else 0.0
-        X = [1.0] * n
-    elif product == "star":
-        c = lambda a, b, d: (1.0 / points.coords[a]) if a == b == d else 0.0
-        X = list(points.coords)
-    else:
-        raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
-    g = base.christoffels(points, 0)[i, j, k, 0]
-    g = g + c(i, j, k) * sum(X[l] * omega[l] for l in range(n))
-    g = g - sum(c(i, l, j) * X[l] for l in range(n)) * omega[k]
-    g = g + sum(c(l, j, k) * omega[l] for l in range(n)) * X[i]
-    g = g - sum(c(i, l, k) * X[l] for l in range(n)) * omega[j]
-    return g
+    w = np.array(_gradient(a1)) / a1.value
+    X = points.coords if product == "star" else np.ones(points.coords.shape)
+    c = np.zeros((n, n, n, len(points)))
+    c[np.arange(n), np.arange(n), np.arange(n)] = 1.0 / X
+    xw = sum(X[l] * w[l] for l in range(n))  # X^l w_l
+    cx = sum(c[:, l] * X[l] for l in range(n))  # [a, b] = c^a_{lb} X^l
+    cw = sum(c[l] * w[l] for l in range(n))  # [j, k] = c^l_{jk} w_l
+    g = base.christoffels(points, 0)[..., 0, :] + c * xw
+    g = g - cx[:, :, None] * w[None, None, :]
+    g = g + cw[None] * X[:, None, None]
+    return g - cx[:, None, :] * w[None, :, None]
 
 
 @jets.quiet
@@ -484,20 +475,26 @@ def intrinsic_agreement_report(
     result: TransformResult,
     points: Sequence[Point],
     tolerance: float = 1e-12,
+    *,
+    first: int | None = None,
 ) -> ResidualReport:
     """Componentwise agreement of the structurally assembled transformed tables
-    with the structure-tensor route of intrinsic_transformed_gamma."""
+    with the structure-tensor route of intrinsic_transformed_gamma.  Both are
+    evaluated over the whole set, so tables already cached for it are reused;
+    with first, the report keeps the entries of the first points only."""
     routes = [("circ", result.natural, natural_connection(sys))]
     if result.dual is not None:
         routes.append(("star", result.dual, dual_connection(sys)))
     n = sys.dim
     points = point_set(points)
-    rows = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        for product, image, base in routes:
-            structural = image.christoffels(points, 0)[i, j, k, 0]
-            rows[(product, i, j, k)] = structural - intrinsic_transformed_gamma(base, A, product, i, j, k, points)
-    return ResidualReport.build("intrinsic-agreement", entries_by_point(points, rows), tolerance)
+    kept = points if first is None else point_set(points[:first])
+    diffs = {
+        product: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, product, points)
+        for product, image, base in routes
+    }
+    ijk = itertools.product(range(n), repeat=3)
+    rows = {(product, i, j, k): diff[i, j, k, : len(kept)] for i, j, k in ijk for product, diff in diffs.items()}
+    return ResidualReport.build("intrinsic-agreement", entries_by_point(kept, rows), tolerance)
 
 
 # ---------------------------------------------------------------------------

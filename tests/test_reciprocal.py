@@ -5,7 +5,7 @@ import pytest
 
 from recipfm import jets
 from recipfm.jets import point_set
-from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
+from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, field
 from recipfm.geometry import (
     DiagonalSystem,
@@ -204,13 +204,62 @@ def test_current_of_constant_density(sys2):
         assert B.value(p) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_current_path_order_independence(sys2):
+def test_current_path_independence(sys2):
+    # the one-form is exact: base -> p equals base -> q -> p inside one chamber
     A = field("exp(u1)/(u2-u1)", 2)
     base = jets.point(-1.25, 1.25)
-    B01 = current_from_density(sys2, A, base, axis_order=(0, 1))
-    B10 = current_from_density(sys2, A, base, axis_order=(1, 0))
-    for p in banded_points(DIM2_BANDS, 10, seed=5):
-        assert B01.value(p) == pytest.approx(B10.value(p), abs=1e-8)
+    B = current_from_density(sys2, A, base)
+    pts = banded_points(DIM2_BANDS, 10, seed=5)
+    for q, p in zip(pts[::2], pts[1::2]):
+        assert B.value(p) == pytest.approx(B.value(q) + current_from_density(sys2, A, q).value(p), abs=1e-12)
+    with pytest.raises(PathSingularityError):
+        B.value(jets.point(1.2, 0.9))  # the other side of u1 = u2
+
+
+def _closed_form_currents(seed: int):
+    """(entry id, density, quadrature current, closed form minus its base value,
+    banded points) for every catalog entry with a closed-form current."""
+    for e in catalog_entries():
+        if e.current_src is not None:
+            A = e.density_field()
+            base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
+            B = current_from_density(epsilon_system(e.dim, e.eps), A, base)
+            closed = e.current_field() - e.current_field().value(base)
+            yield e.entry_id, A, B, closed, banded_points(e.current_bands, 20, seed, predicates=e.sample_predicates(A))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_current_matches_every_closed_form(seed):
+    for entry_id, _, B, closed, pts in _closed_form_currents(seed):
+        for p in pts:
+            want = closed.value(p)
+            assert abs(B.value(p) - want) <= 1e-12 * max(1.0, abs(want)), (entry_id, p)
+
+
+def test_current_value_is_one_node_set_and_one_density_jet(monkeypatch):
+    sizes = []
+    init = jets.PointSet.__init__
+
+    def counted_init(self, coords, points=None):
+        init(self, coords, points)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(jets.PointSet, "__init__", counted_init)
+    for entry_id, A, B, _, pts in _closed_form_currents(42):
+        density_jets = []
+
+        def counted_fn(points, order, fn=A._fn):
+            density_jets.append((len(points), order))
+            return fn(points, order)
+
+        monkeypatch.setattr(A, "_fn", counted_fn)
+        for p in pts:
+            sizes.clear()
+            density_jets.clear()
+            B.value(p)
+            # the value's own one-point set, then the 1- and 2-panel rules in one set
+            assert sizes == [1, 3 * QUAD_NODES], (entry_id, p)
+            assert density_jets == [(3 * QUAD_NODES, 1)], (entry_id, p)
 
 
 def test_current_jets_come_from_the_one_form(sys2, recip_density):
@@ -226,17 +275,15 @@ def test_current_jets_come_from_the_one_form(sys2, recip_density):
 
 def test_current_path_singularity_is_reported(sys2, recip_density):
     B = current_from_density(sys2, recip_density, jets.point(-1.25, 1.25))
-    with pytest.raises(PathSingularityError, match="u1"):
-        B.value(jets.point(2.0, 1.0))  # the u1 leg crosses the diagonal
-    with pytest.raises(ReciprocalError):
-        current_from_density(sys2, recip_density, jets.point(-1.0, 1.0), axis_order=(0, 0))
+    with pytest.raises(PathSingularityError, match=r"segment from Point\(-1.25, 1.25\) to Point\(2.0, 1.0\)"):
+        B.value(jets.point(2.0, 1.0))  # the segment crosses the diagonal
 
 
-def _first_panel_nodes(lo: float, hi: float) -> list[float]:
-    """The 1-panel Gauss-Legendre nodes of a segment, in rule order."""
-    width = hi - lo
-    mid, half = lo + 0.5 * width, 0.5 * width
-    return [mid + half * float(x) for x in np.polynomial.legendre.leggauss(QUAD_NODES)[0]]
+def _first_panel_nodes(base: jets.Point, p: jets.Point) -> list[jets.Point]:
+    """The 1-panel Gauss-Legendre nodes of the segment base + t (p - base),
+    t in [0, 1], in rule order."""
+    ts = [0.5 + 0.5 * float(x) for x in np.polynomial.legendre.leggauss(QUAD_NODES)[0]]
+    return [jets.Point(tuple(b + (q - b) * t for b, q in zip(base, p))) for t in ts]
 
 
 def test_current_path_across_the_diagonal_message(sys2, recip_density):
@@ -244,33 +291,36 @@ def test_current_path_across_the_diagonal_message(sys2, recip_density):
     with pytest.raises(PathSingularityError) as exc:
         B.value(jets.point(2.0, 1.0))
     assert str(exc.value) == (
-        "quadrature along u1 did not settle below 1e-10 (64 panels); "
-        "the segment likely approaches a singular locus"
+        "quadrature on the segment from Point(-1.25, 1.25) to Point(2.0, 1.0) did not settle "
+        "below 1e-10 (64 panels); the segment likely approaches a singular locus"
     )
 
 
 def test_current_guards_report_the_first_failing_node(sys2):
-    # density check: exp(-20 u1) drops below the floor part way along the u1 leg
-    B = current_from_density(sys2, field("exp(-20*u1) + 0*u2", 2), jets.point(-1.25, 1.25))
-    t = next(t for t in _first_panel_nodes(-1.25, 1.0) if math.exp(-20 * t) < DENSITY_FLOOR)
+    # density check: exp(-20 u1) drops below the floor part way along the segment
+    base, p = jets.point(-1.25, 1.25), jets.point(1.0, 1.5)
+    B = current_from_density(sys2, field("exp(-20*u1) + 0*u2", 2), base)
+    node = next(q for q in _first_panel_nodes(base, p) if math.exp(-20 * q[0]) < DENSITY_FLOOR)
     with pytest.raises(PathSingularityError) as exc:
-        B.value(jets.point(1.0, 1.25))
-    assert str(exc.value) == f"density vanishes on the segment along u1 near {jets.point(t, 1.25)}"
+        B.value(p)
+    assert str(exc.value) == f"density vanishes on the segment from {base} to {p} near {node}"
 
     # both checks fail at every node: the velocity check comes first
     close = DiagonalSystem((field("u1", 2), field("u1 + 1e-10*u2", 2)))
-    B = current_from_density(close, field("1e-7 + 0*u1", 2), jets.point(0.5, 1.0))
-    t = _first_panel_nodes(0.5, 1.5)[0]
+    base, p = jets.point(0.5, 1.0), jets.point(1.5, 1.25)
+    B = current_from_density(close, field("1e-7 + 0*u1", 2), base)
+    node = _first_panel_nodes(base, p)[0]
     with pytest.raises(PathSingularityError) as exc:
-        B.value(jets.point(1.5, 1.0))
-    assert str(exc.value) == f"characteristic velocities coincide on the segment along u1 near {jets.point(t, 1.0)}"
+        B.value(p)
+    assert str(exc.value) == f"characteristic velocities coincide on the segment from {base} to {p} near {node}"
 
-    # a domain error part way along the leg surfaces from the first node outside the domain
-    B = current_from_density(sys2, field("ln(u1 + 1.5) + 0*u2", 2), jets.point(-1.25, 1.25))
-    t = next(t for t in _first_panel_nodes(-1.25, -1.6) if t + 1.5 <= 0.0)
+    # a domain error part way along the segment surfaces from the first node outside the domain
+    base, p = jets.point(-1.25, 1.25), jets.point(-1.6, 1.0)
+    B = current_from_density(sys2, field("ln(u1 + 1.5) + 0*u2", 2), base)
+    node = next(q for q in _first_panel_nodes(base, p) if q[0] + 1.5 <= 0.0)
     with pytest.raises(EvalError) as exc:
-        B.value(jets.point(-1.6, 1.25))
-    assert str(exc.value) == f"ln of non-positive value {t + 1.5} in 'ln(u1 + 1.5)'"
+        B.value(p)
+    assert str(exc.value) == f"ln of non-positive value {node[0] + 1.5} in 'ln(u1 + 1.5)'"
 
 
 def test_current_quadrature_leaves_the_density_memo_empty(sys2):
@@ -379,8 +429,12 @@ def test_intrinsic_assembly_agreement(sys2, recip_density):
     res = transform(sys2, gen, jets.point(-1.25, 1.25), with_dual=True, points=pts)
     rep = intrinsic_agreement_report(sys2, recip_density, res, pts)
     assert rep.passed and rep.max_abs <= 1e-12
+    # over the whole set, keeping the first points' entries: the report of those points alone
+    assert intrinsic_agreement_report(sys2, recip_density, res, pts, first=3) == intrinsic_agreement_report(
+        sys2, recip_density, res, pts[:3]
+    )
     with pytest.raises(ReciprocalError):
-        intrinsic_transformed_gamma(natural_connection(sys2), recip_density, "bad", 0, 0, 0, pts[0])
+        intrinsic_transformed_gamma(natural_connection(sys2), recip_density, "bad", pts[0])
 
 
 # ---------------------------------------------------------------------------
