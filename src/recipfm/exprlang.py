@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import jets
-from .jets import Jet, JetDomainError, Point, PointSet, _unit, point_set
+from .jets import Jet, JetDomainError, Point, PointSet, point_set
 
 MAX_DIM = 16
 
@@ -320,10 +320,6 @@ class ScalarField:
     def value(self, p: Point) -> float:
         """The value at a lone point."""
         return self.jet(p, 0).value.item()
-
-    def gradient(self, p: Point) -> tuple[float, ...]:
-        j = self.jet(p, 1)
-        return tuple(jets.partial(j, _unit(self.dim, i)).item() for i in range(self.dim))
 
     def __repr__(self) -> str:
         return f"ScalarField({self.text})"

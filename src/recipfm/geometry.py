@@ -5,6 +5,8 @@ Christoffel symbols G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique
 "natural" connection through three structural identities (zero on distinct
 triples, G^i_{jj} = -G^i_{ji}, zero row sums including the diagonal), and a
 "dual" connection through the u-weighted variants of the same identities.
+A table takes all n(n-1) symbols at once, as the columns of one jet quotient,
+and assembles the dual entries with one stacked quotient and one product.
 Every flatness and compatibility check here is a pointwise residual evaluated
 through third-order jets over a set of seeded sample points at once.
 """
@@ -64,8 +66,7 @@ class DiagonalSystem:
     @functools.cached_property
     def _natural(self) -> "ConnectionTable":
         twin = DiagonalSystem(self.velocities)  # an equal system that holds no table: no reference cycle
-        off = lambda i, j, points, order: christoffel_primary(twin, i, j, points, order)
-        return ConnectionTable(self.dim, "natural", off, "natural")
+        return ConnectionTable(self.dim, "natural", lambda p, order: christoffel_primary(twin, p, order), "natural")
 
 
 @dataclass(frozen=True)
@@ -190,50 +191,64 @@ def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int,
 # Christoffel symbols
 
 
+@functools.lru_cache(maxsize=None)
+def off_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the off-diagonal pairs i != j, i-major; shared, so read-only."""
+    pairs = np.array(list(itertools.permutations(range(n), 2))).T
+    pairs.flags.writeable = False
+    return tuple(pairs)
+
+
+def pair_table(n: int, values: np.ndarray) -> np.ndarray:
+    """The array (n, n, ...) with values[k] at the k-th off-diagonal pair, zero on the diagonal."""
+    out = np.zeros((n, n) + values.shape[1:])
+    out[off_pairs(n)] = values
+    return out
+
+
 @quiet
-def christoffel_primary(sys: DiagonalSystem, i: int, j: int, points: Point | PointSet, order: int) -> Jet:
-    """The jet of G^i_{ij} = d_j v^i / (v^j - v^i) over the points, i != j."""
-    if i == j:
-        raise GeometryError("christoffel_primary needs i != j")
-    points = point_set(points)
-    vi = sys.velocities[i].jet(points, order + 1)
-    vj = sys.velocities[j].jet(points, order)
-    num = jets.derivative(vi, j)
-    den = jets.sub(vj, jets.truncate(vi, order))
-    close = np.abs(den.value) < VELOCITY_GAP
+def christoffel_primary(sys: DiagonalSystem, points: Point | PointSet, order: int) -> np.ndarray:
+    """Every G^i_{ij} = d_j v^i / (v^j - v^i) over the points as one array (n, n,
+    ncoeff, npoints), zero on the diagonal: the columns of one jet division."""
+    n, points = sys.dim, point_set(points)
+    i, j = off_pairs(n)
+    hi, lo = (jets.stack([v.jet(points, o) for v in sys.velocities], len(points)) for o in (order + 1, order))
+    grads = np.stack([jets.stacked(lambda a, l=l: jets.derivative(a, l), n, order + 1, hi) for l in range(n)])
+    den = lo[j] - hi[i, : lo.shape[1]]
+    close = np.abs(den[:, 0]) < VELOCITY_GAP
     if close.any():
-        raise DegenerateSystemError(
-            f"coincident characteristic velocities v^{i + 1} and v^{j + 1} at {points[int(np.argmax(close))]}"
-        )
-    return jets.div(num, den)
+        k = int(np.argmax(close.any(axis=1)))  # the first pair, then its first point
+        where = points[int(np.argmax(close[k]))]
+        raise DegenerateSystemError(f"coincident characteristic velocities v^{i[k] + 1} and v^{j[k] + 1} at {where}")
+    return pair_table(n, jets.stacked(jets.div, n, order, grads[j, i], den))
 
 
 class ConnectionTable:
     """Evaluator of the Christoffel table G^i_{jk} over point sets.
 
-    Built from the off-diagonal generators G^i_{ij} plus an assembly rule,
-    'natural' or 'dual', for the entries G^i_{jj} (any j); the others vanish
-    or read G^i_{ik} = G^i_{ki} off the generators.  Without a rule (a
-    frame's generators) there is no full table, and residuals that need one
-    reject the table.  The kind is only a label.  Generators and assembled
-    tables are cached per point set and order, keyed weakly by the set, so
-    they go when the set goes; ``dual`` shares the cache, so a natural table
-    and its dual partners evaluate each generator once between them.
+    Built from generate(points, order), which returns the ``generators`` array
+    G^i_{ij} whole, and an assembly rule, 'natural' or 'dual', for the entries
+    G^i_{jj} (any j); the others vanish or read G^i_{ik} = G^i_{ki} off the
+    generators.  Without a rule (a frame's generators) there is no full table,
+    and residuals that need one reject it.  The kind is only a label.  Both
+    arrays are cached per point set and order, keyed weakly by the set; ``dual``
+    shares the cache, so a natural table and its dual partners build each
+    generator array once between them.
     """
 
-    def __init__(self, dim: int, kind: str, off_diagonal: Callable[[int, int, PointSet, int], Jet] | None = None,
+    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray] | None = None,
                  assembly: str | None = None):
-        if off_diagonal is None or assembly not in ("natural", "dual", None):
-            raise GeometryError("need off_diagonal and an assembly rule ('natural', 'dual' or None)")
+        if generate is None or assembly not in ("natural", "dual", None):
+            raise GeometryError("need a generator producer and an assembly rule ('natural', 'dual' or None)")
         self.dim = dim
         self.kind = kind
-        self._off = off_diagonal
+        self._generate = generate
         self._assembly = assembly
         self._cache = weakref.WeakKeyDictionary()  # point set -> {order: generators, (assembly, order): table}
 
     def dual(self, kind: str) -> "ConnectionTable":
         """The dual-assembly table over the same generators and cache."""
-        twin = ConnectionTable(self.dim, kind, self._off, "dual")
+        twin = ConnectionTable(self.dim, kind, self._generate, "dual")
         twin._cache = self._cache
         return twin
 
@@ -243,15 +258,6 @@ class ConnectionTable:
         [i, j] holds the coefficients of G^i_{ij}, zero on the diagonal."""
         points = point_set(points)
         return jets.memoized(self._cache, points, order, lambda: self._generate(points, order))
-
-    def _generate(self, points: PointSet, order: int) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n, len(jets.multi_indices(n, order)), len(points)))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out[i, j] = self._off(i, j, points, order).coeffs
-        return out
 
     def off(self, i: int, j: int, points: Point | PointSet, order: int) -> Jet:
         """The off-diagonal generator G^i_{ij}, i != j."""
@@ -277,23 +283,21 @@ class ConnectionTable:
         diag = np.arange(n)
         table[diag, diag] = off
         table[diag, :, diag] = off
+        i, j = off_pairs(n)
         if self._assembly == "natural":
-            total = np.zeros(off.shape[1:])
-            for l in range(n):
-                table[:, l, l] = -off[:, l]
-                total = total - off[:, l]  # off[i, i] is 0, and x - 0.0 is x
-            table[diag, diag, diag] = total
-            return table
-        u = [points.lift(l, order) for l in range(n)]
-        ratio = {(a, b): jets.div(u[a], u[b]) for a in range(n) for b in range(n) if a != b}
-        g = lambda i, j: Jet(n, order, off[i, j])
-        for i in range(n):
-            total = -jets.div(jets.constant(n, order, 1.0), u[i])
-            for j in range(n):
-                if j != i:
-                    table[i, j, j] = (-jets.mul(ratio[i, j], g(i, j))).coeffs
-                    total = jets.sub(total, jets.mul(ratio[j, i], g(i, j)))
-            table[i, i, i] = total.coeffs
+            jj, weighted, total = off[i, j], off, np.zeros(off.shape[1:])
+        else:  # the ratios u^i/u^j and 1/u^l in one quotient, both products in one product
+            m = len(i)
+            u = jets.stack([points.lift(l, order) for l in range(n)], len(points))
+            one = jets.stack([jets.constant(n, order, 1.0)] * n, len(points))
+            q = jets.stacked(jets.div, n, order, np.concatenate([u[i], one]), np.concatenate([u[j], u]))
+            ratio, g = pair_table(n, q[:m]), off[i, j]
+            prod = jets.stacked(jets.mul, n, order, np.concatenate([ratio[i, j], ratio[j, i]]), np.concatenate([g, g]))
+            jj, weighted, total = prod[:m], pair_table(n, prod[m:]), -q[m:]
+        table[i, j, j] = -jj
+        for l in range(n):
+            total = total - weighted[:, l]  # weighted[i, i] is 0, and x - 0.0 is x
+        table[diag, diag, diag] = total
         return table
 
 

@@ -73,15 +73,8 @@ class Point:
     def __getitem__(self, i: int) -> float:
         return self.coords[i]
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def __repr__(self) -> str:
         return f"Point{self.coords}"
-
-
-def point(*coords: float) -> Point:
-    return Point(tuple(coords))
 
 
 class PointSet(Sequence):
@@ -353,12 +346,6 @@ def div(a: Jet, b: Jet) -> Jet:
     return Jet(a.dim, a.order, q)
 
 
-def truncate(a: Jet, order: int) -> Jet:
-    if order > a.order:
-        raise JetError(f"cannot extend a jet of order {a.order} to order {order}")
-    return Jet(a.dim, order, a.coeffs[: len(multi_indices(a.dim, order))])
-
-
 def derivative(a: Jet, index: int) -> Jet:
     """The jet of d f / d u^{index}, one order lower."""
     if a.order < 1:
@@ -367,6 +354,20 @@ def derivative(a: Jet, index: int) -> Jet:
         raise JetError(f"coordinate index {index} out of range for dimension {a.dim}")
     src, factor = _derivative_plan(a.dim, a.order, index)
     return Jet(a.dim, a.order - 1, a.coeffs[src] * factor)
+
+
+def stack(js: Sequence[Jet], npoints: int) -> np.ndarray:
+    """The jets' coefficients as one array (len(js), ncoeff, npoints); one column spreads."""
+    return np.array([j.coeffs if j.coeffs.shape[1] == npoints else np.repeat(j.coeffs, npoints, axis=1) for j in js])
+
+
+def stacked(op, dim: int, order: int, *operands: np.ndarray) -> np.ndarray:
+    """op on m jets at once, each operand an array (m, ncoeff, npoints) of their
+    coefficients: one call on the m * npoints columns.  Columns are independent,
+    so slice k of the result (m, ncoeff', npoints) is bit for bit op on the k-th jets."""
+    m, _, npoints = operands[0].shape
+    out = op(*(Jet(dim, order, x.transpose(1, 0, 2).reshape(-1, m * npoints)) for x in operands)).coeffs
+    return out.reshape(-1, m, npoints).transpose(1, 0, 2)
 
 
 def partial(a: Jet, alpha: Iterable[int]) -> np.ndarray:

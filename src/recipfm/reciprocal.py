@@ -32,6 +32,8 @@ from .geometry import (
     dual_connection,
     entries_by_point,
     natural_connection,
+    off_pairs,
+    pair_table,
     sample_points,
 )
 from .jets import Jet, Point, PointSet, _unit, point_set
@@ -384,16 +386,18 @@ def log_derivative_field(A: ScalarField, j: int) -> ScalarField:
     return partial_field(A, j) / A
 
 
-def transformed_off_diagonal(
-    base: ConnectionTable, A: ScalarField
-) -> Callable[[int, int, PointSet, int], Jet]:
-    """Off-diagonal symbols of the image table: G^i_{ij} - d_j A / A."""
-    dlog = [log_derivative_field(A, j) for j in range(base.dim)]
+def transformed_off_diagonal(base: ConnectionTable, A: ScalarField) -> Callable[[Point | PointSet, int], np.ndarray]:
+    """Generator producer of the image table: G^i_{ij} - d_j A / A for every
+    pair at once, zero on the diagonal."""
+    n = base.dim
+    dlog = [log_derivative_field(A, j) for j in range(n)]
 
-    def off(i: int, j: int, points: PointSet, order: int) -> Jet:
-        return jets.sub(base.off(i, j, points, order), dlog[j].jet(points, order))
+    def generate(points: Point | PointSet, order: int) -> np.ndarray:
+        points = point_set(points)
+        g = base.generators(points, order)
+        return g - pair_table(n, jets.stack([f.jet(points, order) for f in dlog], len(points))[off_pairs(n)[1]])
 
-    return off
+    return generate
 
 
 def transform(
@@ -589,16 +593,19 @@ def orbit_compose(
 # Rotation frames
 
 
-def darboux_gamma_off(frame: RotationFrame) -> Callable[[int, int, PointSet, int], Jet]:
-    """Off-diagonal Christoffel symbols (H_j / H_i) beta_ij of a frame."""
+def darboux_gamma_off(frame: RotationFrame) -> Callable[[Point | PointSet, int], np.ndarray]:
+    """Generator producer of a frame: (H_j / H_i) beta_ij for every pair at once,
+    one stacked quotient and one stacked product, zero on the diagonal."""
+    n = frame.dim
+    i, j = off_pairs(n)
 
-    def off(i: int, j: int, points: PointSet, order: int) -> Jet:
-        hi = frame.lame[i].jet(points, order)
-        hj = frame.lame[j].jet(points, order)
-        b = frame.beta[(i, j)].jet(points, order)
-        return jets.mul(jets.div(hj, hi), b)
+    def generate(points: Point | PointSet, order: int) -> np.ndarray:
+        points = point_set(points)
+        h = jets.stack([f.jet(points, order) for f in frame.lame], len(points))
+        b = jets.stack([frame.beta[pair].jet(points, order) for pair in zip(i.tolist(), j.tolist())], len(points))
+        return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
 
-    return off
+    return generate
 
 
 def frame_connection(frame: RotationFrame) -> ConnectionTable:

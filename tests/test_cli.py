@@ -59,6 +59,21 @@ def test_check_unknown_suite_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", ["flag-empty", "flag-blank-items", "config-empty"])
+def test_check_empty_suite_list_exit_two(source, tmp_path, capsys):
+    argv = ["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--output", str(tmp_path / "r.json")]
+    if source == "config-empty":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": ""}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--suite", "" if source == "flag-empty" else " , "]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --suite names no suite") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_check_catalog_density_full_suite(tmp_path):
     code, report = run(
         tmp_path, "check", "--builtin", "eps-system", "--dim", "2", "--eps", "1",
@@ -390,10 +405,12 @@ def test_christoffel_symbols_are_evaluated_once_per_command(argv, tmp_path, monk
     calls = _count_calls(monkeypatch, geo, "christoffel_primary")
     code, _ = run(tmp_path, *argv, "--num-points", "5")
     assert code == 0
-    # each (i, j, point set, order) of the system once: orders 0 and 1 over the
-    # sample points; intrinsic-agreement reads the same set's cached table, where
-    # a set of its own first three points cost 6 more calls
-    assert len(calls) == len(set(calls)) == 6 * 2
+    # one generator array per (point set, order) of the system: orders 0 and 1
+    # over the sample points, once each.  A dual table with a cache of its own
+    # would build both orders again, and an intrinsic-agreement over a set of
+    # its own would build them for that set
+    assert sorted(order for _, _, order in calls) == [0, 1]
+    assert len({points for _, points, _ in calls}) == 1
 
 
 def test_eps_system_flatness_at_dimension_ten(tmp_path):

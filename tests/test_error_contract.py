@@ -17,12 +17,12 @@ from conftest import fd_partial
 from recipfm import jets
 from recipfm.cli import _CONFIG_ERRORS
 from recipfm.exprlang import compile_field, parse_field
-from recipfm.jets import point, point_set
+from recipfm.jets import Point, point_set
 
 SEED = 20121
 COUNT = 1500
 DEPTH = 3
-POINTS = (point(0.7, -1.3), point(1.5, 0.4), point(-0.9, 1.1))
+POINTS = (Point((0.7, -1.3)), Point((1.5, 0.4)), Point((-0.9, 1.1)))
 
 
 def _number(rng: random.Random) -> str:

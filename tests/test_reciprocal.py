@@ -185,7 +185,7 @@ def test_hessian_verdict_equivalence(sys2):
 
 
 def test_current_against_closed_form(sys2, recip_density):
-    base = jets.point(-1.25, 1.25)
+    base = jets.Point((-1.25, 1.25))
     B = current_from_density(sys2, recip_density, base)
     closed = field("u2/(u1-u2)", 2)
     for p in banded_points(DIM2_BANDS, 10, seed=3):
@@ -194,12 +194,12 @@ def test_current_against_closed_form(sys2, recip_density):
 
 def test_current_difference_example(sys2, recip_density):
     # in the chamber u1 > u2 the paths to (2,1) and (3,1) are admissible
-    B = current_from_density(sys2, recip_density, jets.point(2.5, 0.6))
-    assert B.value(jets.point(2.0, 1.0)) - B.value(jets.point(3.0, 1.0)) == pytest.approx(0.5, abs=1e-9)
+    B = current_from_density(sys2, recip_density, jets.Point((2.5, 0.6)))
+    assert B.value(jets.Point((2.0, 1.0))) - B.value(jets.Point((3.0, 1.0))) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_current_of_constant_density(sys2):
-    B = current_from_density(sys2, field("7 + 0*u1", 2), jets.point(-1.25, 1.25))
+    B = current_from_density(sys2, field("7 + 0*u1", 2), jets.Point((-1.25, 1.25)))
     for p in banded_points(DIM2_BANDS, 5, seed=4):
         assert B.value(p) == pytest.approx(0.0, abs=1e-12)
 
@@ -207,13 +207,13 @@ def test_current_of_constant_density(sys2):
 def test_current_path_independence(sys2):
     # the one-form is exact: base -> p equals base -> q -> p inside one chamber
     A = field("exp(u1)/(u2-u1)", 2)
-    base = jets.point(-1.25, 1.25)
+    base = jets.Point((-1.25, 1.25))
     B = current_from_density(sys2, A, base)
     pts = banded_points(DIM2_BANDS, 10, seed=5)
     for q, p in zip(pts[::2], pts[1::2]):
         assert B.value(p) == pytest.approx(B.value(q) + current_from_density(sys2, A, q).value(p), abs=1e-12)
     with pytest.raises(PathSingularityError):
-        B.value(jets.point(1.2, 0.9))  # the other side of u1 = u2
+        B.value(jets.Point((1.2, 0.9)))  # the other side of u1 = u2
 
 
 def _closed_form_currents(seed: int):
@@ -263,20 +263,20 @@ def test_current_value_is_one_node_set_and_one_density_jet(monkeypatch):
 
 
 def test_current_jets_come_from_the_one_form(sys2, recip_density):
-    base = jets.point(-1.25, 1.25)
+    base = jets.Point((-1.25, 1.25))
     B = current_from_density(sys2, recip_density, base)
-    p = jets.point(-1.0, 1.0)
-    j = B.jet(p, 1)
+    p = jets.Point((-1.0, 1.0))
+    j, a = B.jet(p, 1), recip_density.jet(p, 1)
     for i in (0, 1):
         vi = sys2.velocities[i].value(p)
-        dA = recip_density.gradient(p)[i]
+        dA = jets.partial(a, tuple(1 if m == i else 0 for m in range(2)))
         assert jets.partial(j, tuple(1 if m == i else 0 for m in range(2))) == pytest.approx(vi * dA, abs=1e-12)
 
 
 def test_current_path_singularity_is_reported(sys2, recip_density):
-    B = current_from_density(sys2, recip_density, jets.point(-1.25, 1.25))
+    B = current_from_density(sys2, recip_density, jets.Point((-1.25, 1.25)))
     with pytest.raises(PathSingularityError, match=r"segment from Point\(-1.25, 1.25\) to Point\(2.0, 1.0\)"):
-        B.value(jets.point(2.0, 1.0))  # the segment crosses the diagonal
+        B.value(jets.Point((2.0, 1.0)))  # the segment crosses the diagonal
 
 
 def _first_panel_nodes(base: jets.Point, p: jets.Point) -> list[jets.Point]:
@@ -287,9 +287,9 @@ def _first_panel_nodes(base: jets.Point, p: jets.Point) -> list[jets.Point]:
 
 
 def test_current_path_across_the_diagonal_message(sys2, recip_density):
-    B = current_from_density(sys2, recip_density, jets.point(-1.25, 1.25))
+    B = current_from_density(sys2, recip_density, jets.Point((-1.25, 1.25)))
     with pytest.raises(PathSingularityError) as exc:
-        B.value(jets.point(2.0, 1.0))
+        B.value(jets.Point((2.0, 1.0)))
     assert str(exc.value) == (
         "quadrature on the segment from Point(-1.25, 1.25) to Point(2.0, 1.0) did not settle "
         "below 1e-10 (64 panels); the segment likely approaches a singular locus"
@@ -298,7 +298,7 @@ def test_current_path_across_the_diagonal_message(sys2, recip_density):
 
 def test_current_guards_report_the_first_failing_node(sys2):
     # density check: exp(-20 u1) drops below the floor part way along the segment
-    base, p = jets.point(-1.25, 1.25), jets.point(1.0, 1.5)
+    base, p = jets.Point((-1.25, 1.25)), jets.Point((1.0, 1.5))
     B = current_from_density(sys2, field("exp(-20*u1) + 0*u2", 2), base)
     node = next(q for q in _first_panel_nodes(base, p) if math.exp(-20 * q[0]) < DENSITY_FLOOR)
     with pytest.raises(PathSingularityError) as exc:
@@ -307,7 +307,7 @@ def test_current_guards_report_the_first_failing_node(sys2):
 
     # both checks fail at every node: the velocity check comes first
     close = DiagonalSystem((field("u1", 2), field("u1 + 1e-10*u2", 2)))
-    base, p = jets.point(0.5, 1.0), jets.point(1.5, 1.25)
+    base, p = jets.Point((0.5, 1.0)), jets.Point((1.5, 1.25))
     B = current_from_density(close, field("1e-7 + 0*u1", 2), base)
     node = _first_panel_nodes(base, p)[0]
     with pytest.raises(PathSingularityError) as exc:
@@ -315,7 +315,7 @@ def test_current_guards_report_the_first_failing_node(sys2):
     assert str(exc.value) == f"characteristic velocities coincide on the segment from {base} to {p} near {node}"
 
     # a domain error part way along the segment surfaces from the first node outside the domain
-    base, p = jets.point(-1.25, 1.25), jets.point(-1.6, 1.0)
+    base, p = jets.Point((-1.25, 1.25)), jets.Point((-1.6, 1.0))
     B = current_from_density(sys2, field("ln(u1 + 1.5) + 0*u2", 2), base)
     node = next(q for q in _first_panel_nodes(base, p) if q[0] + 1.5 <= 0.0)
     with pytest.raises(EvalError) as exc:
@@ -325,16 +325,16 @@ def test_current_guards_report_the_first_failing_node(sys2):
 
 def test_current_quadrature_leaves_the_density_memo_empty(sys2):
     A = field("exp(u1)/(u2-u1)", 2)
-    B = current_from_density(sys2, A, jets.point(-1.25, 1.25))
+    B = current_from_density(sys2, A, jets.Point((-1.25, 1.25)))
     for p in banded_points(DIM2_BANDS, 5, seed=6):
         B.value(p)
-    B.value(jets.point(-0.2, 0.3))  # a long leg near the diagonal refines to more panels
+    B.value(jets.Point((-0.2, 0.3)))  # a long leg near the diagonal refines to more panels
     assert len(A._memo) == 0
 
 
 def test_current_of_a_transformed_system(sys2, recip_density):
     # 1/A is a density of the transformed system, with current -B/A
-    base = jets.point(-1.25, 1.25)
+    base = jets.Point((-1.25, 1.25))
     result = transform(sys2, ConservationDensity(recip_density), base)
     inverse = current_from_density(result.system, 1 / recip_density, base)
     for p in banded_points(DIM2_BANDS, 2, seed=7):
@@ -349,7 +349,7 @@ def test_current_of_a_transformed_system(sys2, recip_density):
 def test_transform_identity_generator(sys2):
     gen = ConservationDensity(field("1 + 0*u1", 2))
     pts = _points2()
-    res = transform(sys2, gen, jets.point(-1.25, 1.25), points=pts)
+    res = transform(sys2, gen, jets.Point((-1.25, 1.25)), points=pts)
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
             assert res.natural.off(i, j, p, 0).value == pytest.approx(
@@ -365,15 +365,15 @@ def test_transform_identity_generator(sys2):
 def test_transform_main_two_component_example(sys2, recip_density):
     gen = ConservationDensity(recip_density)
     pts = banded_points(DIM2_BANDS, 8, seed=6)
-    res = transform(sys2, gen, jets.point(-1.25, 1.25), with_dual=True, points=pts)
+    res = transform(sys2, gen, jets.Point((-1.25, 1.25)), with_dual=True, points=pts)
     # the image off-diagonal symbols vanish identically for this generator
     for p in pts:
         assert res.natural.off(0, 1, p, 0).value == pytest.approx(0.0, abs=1e-13)
     # velocities at (2,1) with the closed-form current normalization
     closed_B = field("u2/(u1-u2)", 2)
-    res2 = transform(sys2, gen, jets.point(2.5, 0.6), points=pts, check_generator=False)
-    p = jets.point(2.0, 1.0)
-    shift = closed_B.value(jets.point(2.5, 0.6))
+    res2 = transform(sys2, gen, jets.Point((2.5, 0.6)), points=pts, check_generator=False)
+    p = jets.Point((2.0, 1.0))
+    shift = closed_B.value(jets.Point((2.5, 0.6)))
     assert res2.system.velocities[0].value(p) - shift == pytest.approx(0.0, abs=1e-9)
     assert res2.system.velocities[1].value(p) - shift == pytest.approx(1.0, abs=1e-9)
 
@@ -383,14 +383,14 @@ def test_transform_christoffel_shift_lemma(sys2):
     A = field("exp(u1)/(u2-u1)", 2)
     gen = ConservationDensity(A)
     pts = banded_points(DIM2_BANDS, 6, seed=8)
-    res = transform(sys2, gen, jets.point(-1.25, 1.25), points=pts)
+    res = transform(sys2, gen, jets.Point((-1.25, 1.25)), points=pts)
     from recipfm.geometry import christoffel_primary
 
     for p in pts:
+        recomputed = christoffel_primary(res.system, p, 0)
         for i, j in ((0, 1), (1, 0)):
             law = res.natural.off(i, j, p, 0).value
-            recomputed = christoffel_primary(res.system, i, j, p, 0).value
-            assert recomputed == pytest.approx(law, abs=1e-12)
+            assert recomputed[i, j, 0] == pytest.approx(law, abs=1e-12)
 
 
 def test_transformed_system_stays_semi_hamiltonian():
@@ -401,7 +401,7 @@ def test_transformed_system_stays_semi_hamiltonian():
     A = e.density_field()
     bands = ((-2.0, -1.4), (-1.0, -0.5), (0.5, 1.2))
     pts = banded_points(bands, 6, seed=10, predicates=e.sample_predicates())
-    res = transform(sys3, ConservationDensity(A), jets.point(-1.7, -0.75, 0.85), points=pts)
+    res = transform(sys3, ConservationDensity(A), jets.Point((-1.7, -0.75, 0.85)), points=pts)
     rep = sh_residual(res.system, pts)
     assert rep.passed, rep.max_abs
 
@@ -409,7 +409,7 @@ def test_transformed_system_stays_semi_hamiltonian():
 def test_transform_rejects_non_density(sys2):
     bad = ConservationDensity(field("u1*u2", 2))
     with pytest.raises(InadmissibleGeneratorError):
-        transform(sys2, bad, jets.point(-1.25, 1.25), points=_points2(seed=12))
+        transform(sys2, bad, jets.Point((-1.25, 1.25)), points=_points2(seed=12))
 
 
 def test_transform_flatness_failure_converse(sys2):
@@ -418,7 +418,7 @@ def test_transform_flatness_failure_converse(sys2):
         pts = _points2(A, seed=14)
         _, rep = grading_residual(A, "e", pts)
         assert not rep.passed
-        res = transform(sys2, ConservationDensity(A), jets.point(-1.25, 1.25), check_generator=False)
+        res = transform(sys2, ConservationDensity(A), jets.Point((-1.25, 1.25)), check_generator=False)
         curv = curvature_natural_residual(res.natural, pts)
         assert curv.max_abs > 1e-3
 
@@ -426,7 +426,7 @@ def test_transform_flatness_failure_converse(sys2):
 def test_intrinsic_assembly_agreement(sys2, recip_density):
     gen = ConservationDensity(recip_density)
     pts = _points2(recip_density, seed=15, count=5)
-    res = transform(sys2, gen, jets.point(-1.25, 1.25), with_dual=True, points=pts)
+    res = transform(sys2, gen, jets.Point((-1.25, 1.25)), with_dual=True, points=pts)
     rep = intrinsic_agreement_report(sys2, recip_density, res, pts)
     assert rep.passed and rep.max_abs <= 1e-12
     # over the whole set, keeping the first points' entries: the report of those points alone
@@ -477,7 +477,7 @@ def test_orbit_identity_second_generator(sys2, recip_density):
         ConservationDensity(recip_density),
         ConservationDensity(field("1 + 0*u1", 2)),
         pts,
-        jets.point(-1.25, 1.25),
+        jets.Point((-1.25, 1.25)),
     )
     assert rep.passed
 
@@ -489,7 +489,7 @@ def test_orbit_log_additivity(sys2, recip_density):
         ConservationDensity(recip_density),
         ConservationDensity(field("exp(u1)", 2)),
         pts,
-        jets.point(-1.25, 1.25),
+        jets.Point((-1.25, 1.25)),
     )
     assert rep.passed and rep.max_abs <= 1e-10
     assert gradings["gen1"] == pytest.approx(1.0, abs=1e-10) and abs(gradings["gen0"]) <= 1e-10
@@ -503,7 +503,7 @@ def test_orbit_grading_bookkeeping(sys2):
     pts = banded_points(DIM2_BANDS, 8, seed=21)
     g1, _ = grading_residual(gen1.field, "e", pts)
     assert g1 == pytest.approx(2.0, abs=1e-10)
-    rep, _ = orbit_compose(sys2, gen0, gen1, pts, jets.point(-1.25, 1.25))
+    rep, _ = orbit_compose(sys2, gen0, gen1, pts, jets.Point((-1.25, 1.25)))
     assert rep.passed, rep.max_abs
 
 
@@ -523,11 +523,10 @@ def test_frame_residuals_and_christoffels():
     table = frame_connection(frame)
     assert frame_connection(frame) is table
     for p in pts:
+        want = christoffel_primary(sys2, p, 0)
         for i, j in ((0, 1), (1, 0)):
-            assert off(i, j, p, 0).value == pytest.approx(
-                christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12
-            )
-            assert table.off(i, j, p, 0).value == pytest.approx(christoffel_primary(sys2, i, j, p, 0).value, abs=1e-12)
+            assert off(p, 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
+            assert table.off(i, j, p, 0).value == pytest.approx(want[i, j, 0], abs=1e-12)
 
 
 def test_frame_table_holds_generators_only():
@@ -582,8 +581,8 @@ def test_darboux_transform_drops_degree():
     new_off = darboux_gamma_off(image)
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
-            expected = old_off(i, j, p, 0).value - log_derivative_field(A, j).value(p)
-            assert new_off(i, j, p, 0).value == pytest.approx(expected, abs=1e-10)
+            expected = old_off(p, 0)[i, j, 0] - log_derivative_field(A, j).value(p)
+            assert new_off(p, 0)[i, j, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_darboux_transform_identity_generator():
@@ -632,7 +631,7 @@ def test_residual_families_read_the_density_value_off_its_jet(sys2):
 
 
 def test_biflat_verdict_rule():
-    p = jets.point(1.0, 2.0)
+    p = jets.Point((1.0, 2.0))
     rep = lambda v: ResidualReport.build("r", [(p, (), v)], 1e-8)
     v = biflat_verdict(rep(0.0), (0.0, rep(0.0)), (-1.0, rep(math.nan)))
     assert not v.passed and v.failed == ("grading-E",) and math.isnan(v.max_abs)
@@ -659,7 +658,7 @@ def test_log_derivative_fields_share_one_density_evaluation():
     orders = []
     compiled = A._fn
     A._fn = lambda p, order: orders.append(order) or compiled(p, order)
-    p = point_set(jets.point(0.5, 1.5, -1.0))
+    p = point_set(jets.Point((0.5, 1.5, -1.0)))
     for j in range(3):
         log_derivative_field(A, j).jet(p, 1)
     assert sorted(orders) == [1, 2]  # d_j A needs order 2, the quotient order 1

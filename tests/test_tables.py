@@ -1,0 +1,129 @@
+"""Stacked connection tables against per-pair references.
+
+The tables build every generator G^i_{ij} with one jet quotient over all pairs
+and the dual entries with one stacked quotient and one stacked product.  Jet
+operations work column by column, so each entry must be bit for bit what a
+jet call on that pair alone gives: the references below are such per-pair
+loops."""
+
+import numpy as np
+import pytest
+
+from recipfm import jets
+from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
+from recipfm.exprlang import field
+from recipfm.geometry import (
+    DegenerateSystemError,
+    DiagonalSystem,
+    VELOCITY_GAP,
+    christoffel_primary,
+    dual_connection,
+    natural_connection,
+    sample_points,
+)
+from recipfm.jets import Point, point_set
+from recipfm.reciprocal import ConservationDensity, frame_connection, log_derivative_field, transform
+
+ORDERS = (0, 1, 2)
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def pair_generators(n: int, points, order: int, pair) -> np.ndarray:
+    """(n, n, ncoeff, npoints) from pair(i, j) -> Jet, one call per i != j."""
+    out = np.zeros((n, n, len(jets.multi_indices(n, order)), len(points)))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                out[i, j] = pair(i, j).coeffs
+    return out
+
+
+def system_generators(sys: DiagonalSystem, points, order: int) -> np.ndarray:
+    def pair(i, j):
+        vi = sys.velocities[i].jet(points, order + 1)
+        vj = sys.velocities[j].jet(points, order)
+        return jets.div(jets.derivative(vi, j), jets.sub(vj, jets.Jet(sys.dim, order, vi.coeffs[: len(vj.coeffs)])))
+
+    return pair_generators(sys.dim, points, order, pair)
+
+
+def dual_table(off: np.ndarray, points, order: int) -> np.ndarray:
+    """The dual assembly as a loop over pairs, one jet call per entry."""
+    n = off.shape[0]
+    table = np.zeros((n,) + off.shape)
+    diag = np.arange(n)
+    table[diag, diag] = off
+    table[diag, :, diag] = off
+    u = [points.lift(l, order) for l in range(n)]
+    ratio = {(a, b): jets.div(u[a], u[b]) for a in range(n) for b in range(n) if a != b}
+    g = lambda i, j: jets.Jet(n, order, off[i, j])
+    for i in range(n):
+        total = -jets.div(jets.constant(n, order, 1.0), u[i])
+        for j in range(n):
+            if j != i:
+                table[i, j, j] = (-jets.mul(ratio[i, j], g(i, j))).coeffs
+                total = jets.sub(total, jets.mul(ratio[j, i], g(i, j)))
+        table[i, i, i] = total.coeffs
+    return table
+
+
+NONLINEAR = ("u1 + 0.3*u2*u3", "u2 - 0.2*u1^2 + exp(0.1*u3)", "u3 + u1/(3 + u2^2)")
+SYSTEMS = [pytest.param(epsilon_system(n, eps), n, id=f"eps{eps:g}-n{n}") for n in range(2, 7) for eps in (1.0, -1.0)]
+SYSTEMS.append(pytest.param(DiagonalSystem(tuple(field(s, 3) for s in NONLINEAR)), 3, id="velocity-nonlinear"))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("sys, n", SYSTEMS)
+def test_system_tables_match_per_pair_loops(sys, n, order):
+    points = sample_points(n, 4, seed=n)
+    want = system_generators(sys, points, order)
+    assert_bitwise(christoffel_primary(sys, points, order), want)
+    assert_bitwise(natural_connection(sys).generators(points, order), want)
+    assert_bitwise(dual_connection(sys).christoffels(points, order), dual_table(want, points, order))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_frame_generators_match_per_pair_loop(order):
+    frame = epsilon_frame_n2(1.0)
+    points = sample_points(2, 5, seed=43)
+
+    def pair(i, j):
+        hi, hj = (frame.lame[k].jet(points, order) for k in (i, j))
+        return jets.mul(jets.div(hj, hi), frame.beta[(i, j)].jet(points, order))
+
+    assert_bitwise(frame_connection(frame).generators(points, order), pair_generators(2, points, order, pair))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_transformed_tables_match_per_pair_loops(order):
+    e = entry("dim3-eps1-h1:c0")
+    sys, A = epsilon_system(3, e.eps), e.density_field()
+    points = sample_points(3, 4, seed=5, predicates=e.sample_predicates())
+    result = transform(sys, ConservationDensity(A), points[0], with_dual=True, points=points)
+    base = system_generators(sys, points, order)
+    shift = lambda i, j: jets.sub(jets.Jet(3, order, base[i, j]), log_derivative_field(A, j).jet(points, order))
+    want = pair_generators(3, points, order, shift)
+    assert_bitwise(result.natural.generators(points, order), want)
+    assert_bitwise(result.dual.christoffels(points, order), dual_table(want, points, order))
+
+
+def test_degeneracy_names_the_first_pair_then_its_first_point():
+    # v^2 = v^3 at the first point, v^1 = v^3 only at the last: pair (1, 3)
+    # comes first in i-major order, so its point is named, not the earlier one
+    sys = DiagonalSystem(tuple(field(f"u{k}", 3) for k in (1, 2, 3)))
+    points = point_set([Point((1.0, 3.0, 3.0)), Point((0.5, 1.0, 2.0)), Point((2.0, 5.0, 2.0))])
+    first = None
+    for i in range(3):  # the per-pair loop's order
+        for j in range(3):
+            den = np.abs(sys.velocities[j].jet(points, 0).value - sys.velocities[i].jet(points, 0).value)
+            if i != j and first is None and (den < VELOCITY_GAP).any():
+                first = (i, j, points[int(np.argmax(den < VELOCITY_GAP))])
+    assert first == (0, 2, Point((2.0, 5.0, 2.0)))
+    for build in (lambda: christoffel_primary(sys, points, 0), lambda: natural_connection(sys).generators(points, 1)):
+        with pytest.raises(DegenerateSystemError) as err:
+            build()
+        assert str(err.value) == f"coincident characteristic velocities v^1 and v^3 at {first[2]}"
