@@ -244,11 +244,7 @@ def hypergeom_flat_coordinates(eps: float) -> tuple[ScalarField | None, ScalarFi
     """The pair of homogeneous flat coordinates of the three-component system,
     as hypergeometric scalar fields; an entry is None where its parameters are
     excluded (first needs 2*eps, second needs 2-2*eps, valid)."""
-    first, second = _flat_sources(eps)
-    out = []
-    for src in (first, second):
-        out.append(field(src[0], 3, src[1]) if src is not None else None)
-    return out[0], out[1]
+    return tuple(None if src is None else field(src[0], 3, src[1]) for src in _flat_sources(eps))
 
 
 def _build_entries() -> tuple[CatalogEntry, ...]:
@@ -343,7 +339,7 @@ def entry(entry_id: str) -> CatalogEntry:
     for e in catalog_entries():
         if e.entry_id == entry_id:
             return e
-    raise KeyError(f"no catalog entry {entry_id!r}")
+    raise ValueError(f"no catalog entry {entry_id!r}")
 
 
 def epsilon_frame_n2(eps: float) -> RotationFrame:

@@ -28,7 +28,7 @@ from .jets import Point
 SCHEMA = "recip-fm/1"
 
 # every recipfm error (parse, evaluation, jet, geometry, reciprocal, config) is a ValueError
-_CONFIG_ERRORS = (ValueError, KeyError)
+_CONFIG_ERRORS = (ValueError,)
 
 _DEFAULT_BANDS = {
     2: ((-1.8, -0.7), (0.7, 1.8)),
@@ -118,6 +118,8 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser) -> argpa
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("--config file must hold a JSON object")
+        if argv[0] in parser._recipfm_subparsers:  # else parse_args reports the command
+            _check_config(config, argv[0], parser._recipfm_subparsers[argv[0]])
         defaults = {k.replace("-", "_"): v for k, v in config.items()}
         parser.set_defaults(**defaults)
         # subcommand parsing rebuilds the namespace from the subparser's own
@@ -125,31 +127,42 @@ def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser) -> argpa
         for sp in parser._recipfm_subparsers.values():
             sp.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    options = {a.dest for a in parser._recipfm_subparsers[args.command]._actions} - {"help"}
-    for key in config:
-        if key.replace("-", "_") not in options:
-            raise ConfigError(f"--config key {key!r} is not an option of {args.command}")
     _validate(args)
     return args
 
 
+def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> None:
+    """Every key names an option of the command and has its JSON type: a switch a bool, a repeatable
+    option a list of strings, an integer or number option a number or its flag's text, others a string."""
+    actions = {a.dest: a for a in command._actions if a.dest != "help"}
+    for key, value in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"--config key {key!r} is not an option of {name}")
+        if action.nargs == 0:
+            ok, what = type(value) is bool, "true or false"
+        elif isinstance(action, argparse._AppendAction):
+            ok, what = type(value) is list and all(type(v) is str for v in value), "a list of strings"
+        else:  # type(True) is bool, so a bool is never a number here
+            types = {int: (int, str), float: (int, float, str)}.get(action.type, (str,))
+            ok, what = type(value) in types, {int: "an integer", float: "a number"}.get(action.type, "a string")
+        if not ok:
+            raise ConfigError(f"--config key {key!r} takes {what}, got {json.dumps(value)}")
+
+
 def _validate(args) -> None:
     """Range checks on parsed options, so values from --config are checked too."""
-    if not isinstance(args.num_points, int) or args.num_points < 1:
+    if args.num_points < 1:
         raise ConfigError(f"--num-points must be an integer >= 1, got {args.num_points!r}")
     for dest in ("eps", "frame_d"):
         value = getattr(args, dest, None)
-        if value is not None and not _finite(value):
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number, got {value!r}")
     for dest in ("tol_second", "tol_third", "grading_tol"):
         value = getattr(args, dest)
-        if not (_finite(value) and value >= 0):
+        if not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number >= 0, got {value!r}")
     _parse_params(args.param)
-
-
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _build_system(args) -> DiagonalSystem:
@@ -360,9 +373,7 @@ def _build_frame(args) -> rec.RotationFrame:
         return cat.epsilon_frame_n2(args.eps)
     if not args.beta or not args.lame or args.frame_d is None:
         raise ConfigError("darboux needs --frame-builtin, or --beta/--lame/--frame-d")
-    dim = args.dim if args.dim else len(args.lame)
-    if len(args.lame) != dim:
-        raise ConfigError(f"got {len(args.lame)} Lame fields for dimension {dim}")
+    dim = args.dim if args.dim else len(args.lame)  # RotationFrame checks the counts
     params = _params(args)
     beta = {}
     for item in args.beta:
@@ -371,6 +382,8 @@ def _build_frame(args) -> rec.RotationFrame:
             i, j = (int(x) - 1 for x in head.split(",")) if sep else ()  # a ValueError unless "I,J"
         except ValueError:
             raise ConfigError(f"--beta expects I,J:SRC, got {item!r}") from None
+        if (i, j) in beta:
+            raise ConfigError(f"--beta {i + 1},{j + 1} is given twice")
         beta[(i, j)] = field(src, dim, params)
     lame = tuple(field(src, dim, params) for src in args.lame)
     return rec.RotationFrame(dim, beta, lame, args.frame_d)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jets
 from .exprlang import ScalarField
-from .jets import Jet, Point, PointSet, point_set, quiet
+from .jets import Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # residuals built from third derivatives
@@ -259,10 +259,6 @@ class ConnectionTable:
         points = point_set(points)
         return jets.memoized(self._cache, points, order, lambda: self._generate(points, order))
 
-    def off(self, i: int, j: int, points: Point | PointSet, order: int) -> Jet:
-        """The off-diagonal generator G^i_{ij}, i != j."""
-        return Jet(self.dim, order, self.generators(points, order)[i, j])
-
     def christoffels(self, points: Point | PointSet, order: int) -> np.ndarray:
         """The full table over the points as one array (n, n, n, ncoeff, npoints):
         [i, j, k] holds the coefficients of G^i_{jk}."""
@@ -333,7 +329,7 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
     rows = {}
     if n >= 3:
         g = natural_connection(sys).generators(points, 1)
-        v, d = g[:, :, 0], g[:, :, jets.unit_positions(n)]  # d[a, b, l] = d_l G^a_{ab}
+        v, d = g[:, :, 0], jets.gradient(g, n)  # d[a, b, l] = d_l G^a_{ab}
         triples = list(itertools.permutations(range(n), 3))
         i, j, k = np.array(triples).T
         sh = d[k, j, i] - v[k, j] * v[j, i] + v[k, i] * v[k, j] - v[k, i] * v[i, j]
@@ -354,7 +350,7 @@ def curvature_natural_residual(
     n = conn.dim
     points = point_set(points)
     g1 = conn.christoffels(points, 1)
-    v1, d1 = g1[..., 0, :], g1[..., jets.unit_positions(n), :]  # d1[i, j, k, l] = d_l G^i_{jk}
+    v1, d1 = g1[..., 0, :], jets.gradient(g1, n)  # d1[i, j, k, l] = d_l G^i_{jk}
     v0 = conn.christoffels(points, 0)[..., 0, :]
     pairs = list(itertools.permutations(range(n), 2))  # (i, q) with q != i, i-major
     i, q = np.array(pairs).T
@@ -381,7 +377,7 @@ def curvature_oracle(conn: ConnectionTable, points: Point | PointSet) -> np.ndar
     independent of any structural shortcut; flatness <=> all entries vanish.
     """
     g = conn.christoffels(points, 1)
-    val, der = g[..., 0, :], g[..., jets.unit_positions(conn.dim), :]  # der[i, a, b, l] = d_l G^i_{ab}
+    val, der = g[..., 0, :], jets.gradient(g, conn.dim)  # der[i, a, b, l] = d_l G^i_{ab}
     return (
         np.einsum("iljkp->ijklp", der)
         - np.einsum("ikjlp->ijklp", der)

@@ -8,7 +8,9 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 ``multi_indices(dim, order)[r]``.  A lone point is a set of one, and a jet with
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
-and ``partial`` rescales on the way out.
+and the readers rescale on the way out: ``partial`` for one multi-index,
+``gradient`` and ``hessian`` for every first or second partial at once, so no
+other module needs to know where a derivative's row lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -171,9 +173,12 @@ def _positions(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def unit_positions(dim: int) -> np.ndarray:
-    """Row of the first partial d / d u^l in any jet of order >= 1, for each l."""
-    return np.array([_positions(dim, 1)[_unit(dim, l)] for l in range(dim)])
+def _reader_plan(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the first partials d_l (dim,) and second partials d_k d_l (dim, dim)
+    in a jet of high enough order, and the second's alpha! (2 on the diagonal)."""
+    pos, unit = _positions(dim, 2), np.eye(dim, dtype=int)
+    second = [[pos[tuple(a + b)] for b in unit] for a in unit]
+    return np.array([pos[tuple(a)] for a in unit]), np.array(second), np.where(unit == 1, 2.0, 1.0)[:, :, None]
 
 
 @lru_cache(maxsize=None)
@@ -294,13 +299,8 @@ def variable(dim: int, order: int, index: int, value) -> Jet:
         raise JetError(f"coordinate index {index} out of range for dimension {dim}")
     out = constant(dim, order, value)
     if order >= 1:
-        out.coeffs[unit_positions(dim)[index]] = 1.0
+        out.coeffs[_reader_plan(dim)[0][index]] = 1.0
     return out
-
-
-def _unit(dim: int, index: int) -> tuple[int, ...]:
-    """The multi-index of the first partial d / d u^{index}."""
-    return tuple(1 if m == index else 0 for m in range(dim))
 
 
 def add(a: Jet, b: Jet) -> Jet:
@@ -374,6 +374,23 @@ def partial(a: Jet, alpha: Iterable[int]) -> np.ndarray:
     """The plain partial derivative d^alpha f over the points (factorial rescaling applied)."""
     alpha = tuple(int(x) for x in alpha)
     return a.coeffs[_position_of(a, alpha)] * math.prod(map(math.factorial, alpha))
+
+
+def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Every first partial d_l f as one array (..., dim, npoints), of a jet of
+    order >= 1 or of stacked coefficients (..., ncoeff, npoints) of such
+    dim-variable jets.  Entry [..., l, :] is partial(f, e_l) bit for bit: alpha! is 1."""
+    coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
+    return coeffs[..., _reader_plan(dim)[0], :]
+
+
+def hessian(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Every second partial d_k d_l f as one array (..., dim, dim, npoints), of a
+    jet of order >= 2 or of stacked coefficients as for gradient.  Entry
+    [..., k, l, :] is partial(f, e_k + e_l) bit for bit: its row times alpha!."""
+    coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
+    _, rows, factorial = _reader_plan(dim)
+    return coeffs[..., rows, :] * factorial
 
 
 def compose_univariate(g: Jet, series) -> Jet:

@@ -36,7 +36,7 @@ from .geometry import (
     pair_table,
     sample_points,
 )
-from .jets import Jet, Point, PointSet, _unit, point_set
+from .jets import Jet, Point, PointSet, point_set
 
 DENSITY_FLOOR = 1e-6
 GRADING_TOL = 1e-8
@@ -72,7 +72,8 @@ class ConservationDensity:
 
 @dataclass(frozen=True)
 class RotationFrame:
-    """Off-diagonal rotation coefficients beta_ij, Lame fields H_i, homogeneity degree d."""
+    """Off-diagonal rotation coefficients beta_ij, keyed by exactly the pairs
+    i != j (0-based; errors count from 1, as --beta does), Lame fields H_i, homogeneity degree d."""
 
     dim: int
     beta: dict
@@ -82,10 +83,13 @@ class RotationFrame:
     def __post_init__(self) -> None:
         if len(self.lame) != self.dim:
             raise ReciprocalError(f"need {self.dim} Lame fields, got {len(self.lame)}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j and (i, j) not in self.beta:
-                    raise ReciprocalError(f"missing rotation coefficient beta[{i},{j}]")
+        pairs = set(itertools.permutations(range(self.dim), 2))
+        for key in self.beta:
+            if key not in pairs:
+                raise ReciprocalError(f"beta[{key[0] + 1},{key[1] + 1}] is not a pair I != J in 1..{self.dim}")
+        missing = sorted(pairs - self.beta.keys())
+        if missing:
+            raise ReciprocalError(f"missing rotation coefficient beta[{missing[0][0] + 1},{missing[0][1] + 1}]")
 
     @functools.cached_property
     def _connection(self) -> ConnectionTable:
@@ -108,10 +112,6 @@ def density_window(A: ScalarField) -> Callable[[Point], bool]:
     return lambda p: abs(A.value(p)) >= DENSITY_FLOOR
 
 
-def _pair_index(dim: int, i: int, j: int) -> tuple[int, ...]:
-    return tuple((1 if m == i else 0) + (1 if m == j else 0) for m in range(dim))
-
-
 def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
     """A's values over the points, or a ReciprocalError at the first point
     where |A| is below DENSITY_FLOOR."""
@@ -123,29 +123,23 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
     return a0
 
 
-def _gradient(aj: Jet) -> list[np.ndarray]:
-    return [jets.partial(aj, _unit(aj.dim, l)) for l in range(aj.dim)]
-
-
 # ---------------------------------------------------------------------------
 # Density / grading / compatibility residuals
 #
 # Each family takes its jets once per point set and works on arrays over the
-# points (see geometry).
+# points (see geometry), reading derivatives with jets.gradient and jets.hessian.
+# A sum over l != q adds -0.0 at l = q (x + -0.0 is x), so every entry keeps the
+# terms and order of a per-component loop.
 
 
 @jets.quiet
 def _density_entries(conn: ConnectionTable, A: ScalarField, points: PointSet):
-    dim = conn.dim
     aj = A.jet(points, 2)
-    grad = _gradient(aj)
+    grad, hess = jets.gradient(aj), jets.hessian(aj)
     off = conn.generators(points, 0)[:, :, 0]
-    rows = {
-        (i, j): jets.partial(aj, _pair_index(dim, i, j)) - off[i, j] * grad[i] - off[j, i] * grad[j]
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    }
-    return entries_by_point(points, rows)
+    i, j = np.triu_indices(conn.dim, 1)
+    rows = hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
+    return entries_by_point(points, dict(zip(zip(i.tolist(), j.tolist()), rows)))
 
 
 def density_residual(
@@ -170,9 +164,7 @@ def grading_residual(
     points = point_set(points)
     aj = A.jet(points, 1)
     a0 = _require_nonzero(aj, points)
-    s = 0.0
-    for l, d in enumerate(_gradient(aj)):
-        s = s + (points.coords[l] if field == "E" else 1.0) * d
+    s = sum((points.coords if field == "E" else 1.0) * jets.gradient(aj))  # e(A) or E(A)
     ratios = (s / a0).tolist()
     estimate = sum(ratios) / len(ratios)
     entries = [(p, (field,), r - estimate) for p, r in zip(points, ratios)]
@@ -191,16 +183,12 @@ def a_system_residual(
     entries = _density_entries(natural_connection(sys), A, points)
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
-    grad = _gradient(aj)
-    e_of_a = sum(grad)
-    rows = {}
-    for q in range(n):
-        r = jets.partial(aj, _pair_index(n, q, q)) - grad[q] * e_of_a / a0
-        for l in range(n):
-            if l != q:
-                r = r + jets.partial(aj, _pair_index(n, l, q))
-        rows[("diag", q)] = r
-    entries += entries_by_point(points, rows)
+    grad, hess = jets.gradient(aj), jets.hessian(aj)
+    q = np.arange(n)
+    rows = hess[q, q] - grad * sum(grad) / a0
+    for l in range(n):
+        rows = rows + np.where((l != q)[:, None], hess[l], -0.0)  # d_l d_q A
+    entries += entries_by_point(points, {("diag", k): r for k, r in enumerate(rows)})
     return ResidualReport.build("a-system", entries, tolerance)
 
 
@@ -214,26 +202,19 @@ def theta_system_residual(
     a1 = A.jet(points, 1)
     _require_nonzero(a1, points)
     a2 = A.jet(points, 2)
-    theta_jets = [jets.div(jets.derivative(a2, l), a1) for l in range(n)]
-    theta = [t.value for t in theta_jets]
+    num = jets.stack([jets.derivative(a2, l) for l in range(n)], len(points))
+    theta_jets = jets.stacked(jets.div, n, 1, num, jets.stack([a1] * n, len(points)))
+    theta, dtheta = theta_jets[:, 0], jets.gradient(theta_jets, n)  # dtheta[p, l] = d_l theta_p
     off = natural_connection(sys).generators(points, 0)[:, :, 0]
-    rows = {}
-    for q in range(n):
-        for pp in range(n):
-            if pp != q:
-                rows[("offdiag", pp, q)] = (
-                    jets.partial(theta_jets[pp], _unit(n, q))
-                    - theta[pp] * off[pp, q]
-                    - theta[q] * off[q, pp]
-                    + theta[pp] * theta[q]
-                )
-    for pp in range(n):
-        square = np.array([t**2 for t in theta[pp].tolist()])  # the float power, not numpy's
-        r = jets.partial(theta_jets[pp], _unit(n, pp)) + square - theta[pp] * sum(theta)
-        for l in range(n):
-            if l != pp:
-                r = r + (jets.partial(theta_jets[pp], _unit(n, l)) + theta[pp] * theta[l])
-        rows[("diag", pp)] = r
+    q, p = off_pairs(n)  # q-major
+    offdiag = dtheta[p, q] - theta[p] * off[p, q] - theta[q] * off[q, p] + theta[p] * theta[q]
+    rows = {("offdiag", *pair): r for pair, r in zip(zip(p.tolist(), q.tolist()), offdiag)}
+    square = np.reshape([t**2 for t in theta.ravel().tolist()], theta.shape)  # the float power, not numpy's
+    d = np.arange(n)
+    diag = dtheta[d, d] + square - theta * sum(theta)
+    for l in range(n):
+        diag = diag + np.where((l != d)[:, None], dtheta[:, l] + theta * theta[l], -0.0)
+    rows.update({("diag", k): r for k, r in enumerate(diag)})
     return ResidualReport.build("theta-system", entries_by_point(points, rows), tolerance)
 
 
@@ -255,19 +236,14 @@ def covariant_hessian_residual(
     u = points.coords
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
-    grad = _gradient(aj)
-    x_of_a = sum(grad) if product == "circ" else sum(u[l] * grad[l] for l in range(n))
+    grad, r = jets.gradient(aj), jets.hessian(aj)
+    x_of_a = sum(grad) if product == "circ" else sum(u * grad)
     g = conn.christoffels(points, 0)[..., 0, :]
-    rows = {}
-    for q in range(n):
-        for pp in range(n):
-            r = jets.partial(aj, _pair_index(n, q, pp))
-            for l in range(n):
-                r = r - g[l, q, pp] * grad[l]
-            if pp == q:
-                c = 1.0 if product == "circ" else 1.0 / u[pp]
-                r = r - (x_of_a / a0) * c * grad[pp]
-            rows[(q, pp)] = r
+    for l in range(n):
+        r = r - g[l] * grad[l]
+    d = np.arange(n)
+    r[d, d] = r[d, d] - (x_of_a / a0) * (1.0 if product == "circ" else 1.0 / u) * grad
+    rows = dict(zip(itertools.product(range(n), repeat=2), r.reshape(n * n, -1)))
     return ResidualReport.build(f"hessian-{product}", entries_by_point(points, rows), tolerance)
 
 
@@ -320,7 +296,8 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             aj = A.jet(node_set, 1)
             if (np.abs(aj.value) < DENSITY_FLOOR).any():
                 raise singular("density vanishes")
-            f = sum(step[i] * (vals[i] * jets.partial(aj, _unit(n, i))) for i in axes)
+            grad = jets.gradient(aj)
+            f = sum(step[i] * (vals[i] * grad[i]) for i in axes)
             return np.broadcast_to(f, ts.shape).tolist()
 
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
@@ -459,7 +436,7 @@ def intrinsic_transformed_gamma(
     n = base.dim
     points = point_set(points)
     a1 = A.jet(points, 1)
-    w = np.array(_gradient(a1)) / a1.value
+    w = jets.gradient(a1) / a1.value
     X = points.coords if product == "star" else np.ones(points.coords.shape)
     c = np.zeros((n, n, n, len(points)))
     c[np.arange(n), np.arange(n), np.arange(n)] = 1.0 / X
@@ -628,19 +605,19 @@ def darboux_residual(
     lame1 = [f.jet(points, 1) for f in frame.lame]
     rows = {}
     for (i, j), bj in beta1.items():
-        grad = _gradient(bj)
+        grad = jets.gradient(bj)
         for k in range(n):
             if k != i and k != j:
                 rows[("triple", i, j, k)] = grad[k] - beta1[(i, k)].value * beta1[(k, j)].value
         rows[("beta-e", i, j)] = sum(grad)
-        rows[("beta-E", i, j)] = sum(u[l] * grad[l] for l in range(n)) + bj.value
+        rows[("beta-E", i, j)] = sum(u * grad) + bj.value
     for i in range(n):
-        grad = _gradient(lame1[i])
+        grad = jets.gradient(lame1[i])
         for j in range(n):
             if j != i:
                 rows[("lame", i, j)] = grad[j] - beta1[(i, j)].value * lame1[j].value
         rows[("lame-e", i)] = sum(grad)
-        rows[("lame-E", i)] = sum(u[l] * grad[l] for l in range(n)) + frame.degree * lame1[i].value
+        rows[("lame-E", i)] = sum(u * grad) + frame.degree * lame1[i].value
     return ResidualReport.build("darboux", entries_by_point(points, rows), tolerance)
 
 

@@ -323,6 +323,67 @@ def test_non_finite_or_negative_inputs_exit_two(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("check", {"suite": 3}, "'suite' takes a string, got 3"),
+        ("check", {"dim": 2.5}, "'dim' takes an integer, got 2.5"),
+        ("check", {"seed": [1]}, "'seed' takes an integer, got [1]"),
+        ("check", {"density": 5}, "'density' takes a string, got 5"),
+        ("check", {"seed": None}, "'seed' takes an integer, got null"),
+        ("check", {"output": 1}, "'output' takes a string, got 1"),
+        ("transform", {"biflat": "no"}, "'biflat' takes true or false, got \"no\""),
+        ("check", {"num-points": True}, "'num-points' takes an integer, got true"),
+        ("check", {"eps": True}, "'eps' takes a number, got true"),
+        ("check", {"param": "eps=1"}, "'param' takes a list of strings, got \"eps=1\""),
+        ("check", {"velocity": ["u1", 2]}, "'velocity' takes a list of strings, got [\"u1\", 2]"),
+    ],
+)
+def test_config_value_types_exit_two(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), *EPS2, "--catalog", "dim2-eps1-h0"]) == 2
+    assert capsys.readouterr().err == f"error: --config key {message}\n"
+
+
+def test_config_strings_are_read_as_flag_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": "2", "eps": "1", "seed": "7", "num-points": "3", "suite": "sh"}))
+    code, report = run(tmp_path, "check", "--config", str(cfg), "--builtin", "eps-system")
+    assert code == 0 and report["seed"] == 7 and report["inputs"]["dim"] == 2 and report["inputs"]["eps"] == 1.0
+    assert len(report["points"]) == 3
+    cfg.write_text(json.dumps({"biflat": True}))
+    _, report = run(tmp_path, "transform", "--config", str(cfg), *EPS2, "--catalog", "dim2-eps1-h0")
+    assert "biflat-admissible" in report["checks"]
+
+
+FRAME = ["darboux", "--dim", "2", "--lame", "pow(u1-u2,-1)", "--lame", "pow(u1-u2,-1)", "--frame-d", "1",
+         "--density", "1/(u2-u1)"]
+BETAS = ["--beta", "1,2:1/(u1-u2)", "--beta", "2,1:1/(u2-u1)"]
+
+
+@pytest.mark.parametrize(
+    "betas, message",
+    [
+        (BETAS + ["--beta", "1,1:u1"], "beta[1,1] is not a pair I != J in 1..2"),
+        (BETAS + ["--beta", "3,4:u1"], "beta[3,4] is not a pair I != J in 1..2"),
+        (BETAS + ["--beta", "0,1:u1"], "beta[0,1] is not a pair I != J in 1..2"),
+        (BETAS + ["--beta", "1,2:2/(u1-u2)"], "--beta 1,2 is given twice"),
+        (BETAS[:2], "missing rotation coefficient beta[2,1]"),
+        (BETAS + ["--lame", "u1"], "need 2 Lame fields, got 3"),
+    ],
+)
+def test_rotation_frame_inputs_exit_two(tmp_path, capsys, betas, message):
+    assert run(tmp_path, *FRAME, *BETAS)[0] == 0
+    assert main(FRAME + betas) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_catalog_entry_exit_two(capsys):
+    assert main(["check", *EPS2, "--catalog", "nope"]) == 2
+    assert capsys.readouterr().err == "error: no catalog entry 'nope'\n"
+
+
 def test_non_finite_config_values_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"tol-second": NaN}')  # Python's json reads the NaN literal

@@ -73,7 +73,7 @@ def test_compile_simple_sum():
     f = field("u1+u2", 2)
     p = jets.Point((2.0, 1.0))
     assert f.value(p) == pytest.approx(3.0)
-    assert f.jet(p, 1).coeffs[jets.unit_positions(2), 0] == pytest.approx((1.0, 1.0))
+    assert jets.gradient(f.jet(p, 1))[:, 0] == pytest.approx((1.0, 1.0))
 
 
 def test_compile_exponential_quotient():
@@ -149,7 +149,7 @@ def test_field_algebra_and_partial_field():
     assert combo.value(p) == pytest.approx(expected)
     df = partial_field(f, 0)
     assert df.value(p) == pytest.approx(0.5)
-    assert df.jet(p, 1).coeffs[jets.unit_positions(2), 0] == pytest.approx((0.0, 1.0))
+    assert jets.gradient(df.jet(p, 1))[:, 0] == pytest.approx((0.0, 1.0))
 
 
 def test_field_dimension_checks():

@@ -176,6 +176,28 @@ def test_truncate_prefix_property():
         assert t.coefficient(alpha) == j.coefficient(alpha)
 
 
+@pytest.mark.parametrize("npoints", [1, 4])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_gradient_and_hessian_readers_are_partial_bit_for_bit(dim, order, npoints):
+    rng = np.random.default_rng(100 * dim + 10 * order + npoints)
+    coeffs = rng.uniform(-3.0, 3.0, (3, len(jets.multi_indices(dim, order)), npoints))
+    coeffs[0, -1, 0], coeffs[1, 1, 0], coeffs[2, 2, -1] = math.nan, -0.0, math.inf  # special values keep their bits
+    unit = np.eye(dim, dtype=int)
+    for m, c in enumerate(coeffs):
+        j = Jet(dim, order, c)
+        grad = jets.gradient(j)
+        assert grad.shape == (dim, npoints)
+        assert grad.tobytes() == np.array([jets.partial(j, e) for e in unit]).tobytes()
+        assert grad.tobytes() == jets.gradient(coeffs, dim)[m].tobytes()  # the stacked form reads the same rows
+        if order >= 2:
+            hess = jets.hessian(j)
+            assert hess.shape == (dim, dim, npoints)
+            want = np.array([[jets.partial(j, a + b) for b in unit] for a in unit])
+            assert hess.tobytes() == want.tobytes()
+            assert hess.tobytes() == jets.hessian(coeffs, dim)[m].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # point sets: one jet over all points, column k exactly the jet at point k
 

@@ -352,8 +352,8 @@ def test_transform_identity_generator(sys2):
     res = transform(sys2, gen, jets.Point((-1.25, 1.25)), points=pts)
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
-            assert res.natural.off(i, j, p, 0).value == pytest.approx(
-                natural_connection(sys2).off(i, j, p, 0).value, abs=1e-14
+            assert res.natural.generators(p, 0)[i, j] == pytest.approx(
+                natural_connection(sys2).generators(p, 0)[i, j], abs=1e-14
             )
         # velocities shift by at most the (zero) current constant
         for i in (0, 1):
@@ -368,7 +368,7 @@ def test_transform_main_two_component_example(sys2, recip_density):
     res = transform(sys2, gen, jets.Point((-1.25, 1.25)), with_dual=True, points=pts)
     # the image off-diagonal symbols vanish identically for this generator
     for p in pts:
-        assert res.natural.off(0, 1, p, 0).value == pytest.approx(0.0, abs=1e-13)
+        assert res.natural.generators(p, 0)[0, 1] == pytest.approx(0.0, abs=1e-13)
     # velocities at (2,1) with the closed-form current normalization
     closed_B = field("u2/(u1-u2)", 2)
     res2 = transform(sys2, gen, jets.Point((2.5, 0.6)), points=pts, check_generator=False)
@@ -389,7 +389,7 @@ def test_transform_christoffel_shift_lemma(sys2):
     for p in pts:
         recomputed = christoffel_primary(res.system, p, 0)
         for i, j in ((0, 1), (1, 0)):
-            law = res.natural.off(i, j, p, 0).value
+            law = res.natural.generators(p, 0)[i, j, 0]
             assert recomputed[i, j, 0] == pytest.approx(law, abs=1e-12)
 
 
@@ -526,13 +526,13 @@ def test_frame_residuals_and_christoffels():
         want = christoffel_primary(sys2, p, 0)
         for i, j in ((0, 1), (1, 0)):
             assert off(p, 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
-            assert table.off(i, j, p, 0).value == pytest.approx(want[i, j, 0], abs=1e-12)
+            assert table.generators(p, 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
 
 
 def test_frame_table_holds_generators_only():
     table = frame_connection(epsilon_frame_n2(1.0))
     pts = sample_points(2, 2, seed=22)
-    assert table.generators(pts, 0)[0, 1].tolist() == table.off(0, 1, pts, 0).coeffs.tolist()
+    assert table.generators(pts, 0).shape == (2, 2, 1, 2)
     with pytest.raises(GeometryError):
         table.christoffels(pts, 0)  # G^i_jj needs an assembly
     with pytest.raises(GeometryError):
