@@ -31,10 +31,8 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
     """The running-example system with velocities v^i = u^i - eps * sum_k u^k."""
     if n < 2:
         raise ValueError(f"the system needs at least 2 components, got n={n}")
-    total = "+".join(f"u{k}" for k in range(1, n + 1))
-    return DiagonalSystem(
-        tuple(field(f"u{i} - eps*({total})", n, {"eps": eps}) for i in range(1, n + 1))
-    )
+    shift = field("eps*(" + "+".join(f"u{k}" for k in range(1, n + 1)) + ")", n, {"eps": eps})  # shared by every v^i
+    return DiagonalSystem(tuple(field(f"u{i}", n) - shift for i in range(1, n + 1)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys as _sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import catalog as cat
 from . import geometry as geo
@@ -42,8 +42,17 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error as a ConfigError, for main's one-line report (exit_on_error=False would not)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process; parsing never changes it."""
+    parser = _Parser(
         prog="recipfm",
         description="Residual suites for diagonal hydrodynamic systems and their reciprocal transformations",
     )
@@ -108,46 +117,34 @@ def _params(args) -> dict[str, float]:
     return params
 
 
-def _apply_config(argv: Sequence[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    pre, _ = probe.parse_known_args(argv[1:] if argv and not argv[0].startswith("-") else argv)
-    config: dict = {}
-    if pre.config:
-        with open(pre.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ConfigError("--config file must hold a JSON object")
-        if argv[0] in parser._recipfm_subparsers:  # else parse_args reports the command
-            _check_config(config, argv[0], parser._recipfm_subparsers[argv[0]])
-        defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        parser.set_defaults(**defaults)
-        # subcommand parsing rebuilds the namespace from the subparser's own
-        # defaults, so the config has to reach those parsers as well
-        for sp in parser._recipfm_subparsers.values():
-            sp.set_defaults(**defaults)
-    args = parser.parse_args(argv)
-    _validate(args)
-    return args
-
-
-def _check_config(config: dict, name: str, command: argparse.ArgumentParser) -> None:
-    """Every key names an option of the command and has its JSON type: a switch a bool, a repeatable
-    option a list of strings, an integer or number option a number or its flag's text, others a string."""
-    actions = {a.dest: a for a in command._actions if a.dest != "help"}
+def _config_flags(args) -> Iterator[str]:
+    """The --config object as flag text, to go before the command line's flags so that those win.  Each key names
+    an option of the command and has its JSON type: a switch a bool (true gives the bare flag), a repeatable option
+    a list of strings (dropped if on the command line), an integer or number option a number or its flag's text,
+    others a string."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError("--config file must hold a JSON object")
+    command = build_parser()._recipfm_subparsers[args.command]
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}  # a file names no other file
     for key, value in config.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise ConfigError(f"--config key {key!r} is not an option of {name}")
+            raise ConfigError(f"--config key {key!r} is not an option of {args.command}")
+        flag = action.option_strings[0]
         if action.nargs == 0:
-            ok, what = type(value) is bool, "true or false"
+            ok, what, items = type(value) is bool, "true or false", [flag] * (value is True)
         elif isinstance(action, argparse._AppendAction):
             ok, what = type(value) is list and all(type(v) is str for v in value), "a list of strings"
+            items = [f"{flag}={v}" for v in value] if ok and getattr(args, action.dest) is None else []
         else:  # type(True) is bool, so a bool is never a number here
             types = {int: (int, str), float: (int, float, str)}.get(action.type, (str,))
             ok, what = type(value) in types, {int: "an integer", float: "a number"}.get(action.type, "a string")
+            items = [f"{flag}={value}"]
         if not ok:
             raise ConfigError(f"--config key {key!r} takes {what}, got {json.dumps(value)}")
+        yield from items
 
 
 def _validate(args) -> None:
@@ -457,9 +454,12 @@ def _emit(report: dict, args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = list(argv) if argv is not None else _sys.argv[1:]
     try:
-        args = _apply_config(list(argv) if argv is not None else _sys.argv[1:], parser)
+        args = build_parser().parse_args(argv)
+        if args.config:  # its object is read as flags placed before the command line's own
+            args = build_parser().parse_args([args.command, *_config_flags(args), *argv[1:]])
+        _validate(args)
         report = _COMMANDS[args.command](args)
         report["pass"] = all(c["pass"] for c in report["checks"].values())
         _emit(report, args)

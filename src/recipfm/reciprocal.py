@@ -304,8 +304,6 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             try:
                 return guarded(ts)
             except (ValueError, ArithmeticError):
-                if len(ts) == 1:
-                    raise
                 # redo node by node, so the first failing node raises its own error
                 return [y for k in range(len(ts)) for y in guarded(ts[k : k + 1])]
 

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from recipfm import exprlang
 from recipfm import geometry as geo
 from recipfm import reciprocal as rec
-from recipfm.cli import _strict, main
+from recipfm.cli import _strict, build_parser, main
 from recipfm.geometry import ResidualReport
 
 
@@ -258,17 +261,30 @@ GOLDEN_CASES = {
 }
 
 
+def _as_config(argv):
+    """The options of a golden argv as a --config object with JSON-typed values."""
+    config, rest = {}, argv[1:]
+    while rest:
+        key = rest.pop(0).removeprefix("--")
+        config[key] = True if key == "biflat" else json.loads(rest.pop(0)) if key in ("dim", "eps") else rest.pop(0)
+    return config
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_report_matches_golden(name, tmp_path):
-    """The README invocations reproduce their recorded reports byte for byte.
+    """The README invocations reproduce their recorded reports byte for byte,
+    with their options given as flags or through a --config file.
 
     A golden file is rewritten only on purpose, with
     ``recipfm <argv> --output tests/golden/<name>.json``.
     """
     code, argv = GOLDEN_CASES[name]
-    out = tmp_path / "report.json"
-    assert main(argv + ["--output", str(out)]) == code
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(_as_config(argv)))
+    for source in (argv, [argv[0], "--config", str(cfg)]):
+        out.unlink(missing_ok=True)
+        assert main(source + ["--output", str(out)]) == code
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 EPS2 = ["--builtin", "eps-system", "--dim", "2", "--eps", "1"]
@@ -287,6 +303,7 @@ def test_unwritable_output_exit_two(tmp_path, capsys):
         ("check", {"dimm": 5}),
         ("transform", {"suite": "sh"}),  # an option of check only
         ("check", {"help": True}),
+        ("check", {"config": "other.json"}),
     ],
 )
 def test_unknown_config_key_exit_two(tmp_path, capsys, command, config):
@@ -484,7 +501,7 @@ def test_catalog_density_is_compiled_once(tmp_path, monkeypatch):
     parses = _count_calls(monkeypatch, exprlang, "parse_field")
     code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")
     assert code == 0
-    assert len(parses) == 4  # three velocities and the density
+    assert len(parses) == 5  # three coordinates, the shared shift eps*(u1+u2+u3) and the density
 
 
 def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):
@@ -511,3 +528,105 @@ def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
     code, report = run(tmp_path, *GOLDEN_CASES["orbit-dim2"][1])
     assert code == 0 and set(report["gradings"]) == {"gen0", "gen1", "composite"}
     assert len(gradings) == 3  # gen0, gen1 and their product, each once
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", *EPS2, "--param", "c"], "--param expects NAME=VALUE, got 'c'"),
+        (["check", *EPS2, "--config", "LIST"], "--config file must hold a JSON object"),
+        (["check", "--dim", "3", "--velocity", "u1", "--velocity", "u2"], "got 2 velocity fields for dimension 3"),
+        (["check", "--builtin", "nope"], "unknown builtin system 'nope'"),
+        (["check", "--builtin", "eps-system", "--dim", "2"], "--builtin eps-system needs --dim and --eps"),
+        (["check", *EPS2, "--suite", "density"], "the selected suites need --density or --catalog"),
+        (["transform", *EPS2], "transform needs --density or --catalog"),
+        (["orbit", *EPS2, "--composite", "u1"], "orbit needs --gen0 and --composite"),
+        (["orbit", "--builtin", "eps-system", "--dim", "4", "--eps", "1", "--gen0", "u1", "--composite", "u2"],
+         "orbit has built-in sample bands only for dimensions [2, 3]"),
+        (["darboux", "--frame-builtin", "nope", "--density", "1/(u2-u1)"], "unknown builtin frame 'nope'"),
+        (["darboux", "--frame-builtin", "eps2", "--density", "1/(u2-u1)"], "--frame-builtin eps2 needs --eps"),
+        (["darboux", "--density", "1/(u2-u1)"], "darboux needs --frame-builtin, or --beta/--lame/--frame-d"),
+        (["darboux", "--dim", "2", "--beta", "12:u1", "--lame", "u1", "--lame", "u2", "--frame-d", "1",
+          "--density", "1/(u2-u1)"], "--beta expects I,J:SRC, got '12:u1'"),
+        (["darboux", "--frame-builtin", "eps2", "--eps", "1"], "darboux needs --density"),
+        (["check", *EPS2, "--density", "u1 $ u2"], "unexpected character '$' at offset 3"),
+        (["check", *EPS2, "--density", "exp(u1"], "expected ')' at offset 6"),
+        (["check", *EPS2, "--density", "u1 u2"], "unexpected trailing input 'u2' at offset 3"),
+        (["check", *EPS2, "--density", "exp(u1, u2)"], "exp takes 1 argument(s), got 2 at offset 0"),
+        (["check", "--velocity", "u1"], "dimension must be in 2..16, got 1"),
+    ],
+)
+def test_input_errors_exit_two_with_one_line(argv, message, tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    out = tmp_path / "r.json"
+    argv = [str(listed) if a == "LIST" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["check", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+        (["check", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nope"], "invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+        (["check", "--num-points"], "argument --num-points: expected one argument"),
+        (["check", "--config", "DIM_X"], "argument --dim: invalid int value: 'x'"),
+    ],
+)
+def test_argparse_errors_exit_two_with_one_line(argv, fragment, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": "x"}))
+    assert main([str(cfg) if a == "DIM_X" else a for a in argv]) == 2  # returned, not a SystemExit
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0 and "--config" in capsys.readouterr().out
+
+
+def test_flags_win_over_config_for_repeatable_options(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"velocity": ["u1", "u2"], "param": ["c=2"], "seed": 7}))
+    argv = ["check", "--config", str(cfg), "--velocity", "u2", "--velocity", "u1+u2", "--suite", "sh"]
+    code, report = run(tmp_path, *argv, "--num-points", "2")
+    assert code == 0 and report["inputs"]["velocities"] == ["u2", "u1+u2"]
+    assert report["inputs"]["params"] == {"c": 2.0} and report["seed"] == 7  # not on the command line
+    # the one parser of the process keeps its own defaults
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["check"])
+    assert args.velocity is None and args.param is None and args.seed == 42
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"eps": 1%s}' % ("0" * 400), "--eps must be a finite number, got inf"),
+        ('{"eps": 1, "tol-second": 1%s}' % ("0" * 400), "--tol-second must be a finite number >= 0, got inf"),
+    ],
+    ids=["eps", "tol-second"],
+)
+def test_huge_config_integers_exit_two(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["check", "--config", str(cfg), "--builtin", "eps-system", "--dim", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_module_entry_point():
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def recipfm(*argv):
+        return subprocess.run([sys.executable, "-m", "recipfm.cli", *argv], env=env, capture_output=True, text=True)
+
+    ok = recipfm("check", *EPS2, "--suite", "flatness", "--num-points", "2")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["pass"] is True
+    bad = recipfm("check", "--dim", "x")
+    assert bad.returncode == 2 and bad.stdout == "" and bad.stderr == "error: argument --dim: invalid int value: 'x'\n"

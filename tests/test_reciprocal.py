@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -558,6 +559,31 @@ def test_perturbed_frame_fails():
     bad = RotationFrame(2, scaled, frame.lame, frame.degree)
     rep = darboux_residual(bad, sample_points(2, 8, seed=24))
     assert not rep.passed and rep.max_abs > 1e-3
+
+
+def _triple_rows(beta_src):
+    """The triple rows d_k beta_ij - beta_ik beta_kj of a 3-component frame with beta_ij from beta_src
+    (formatted with i and j), by point and label, from darboux_residual and from jets.partial."""
+    beta = {(i, j): field(beta_src.format(i=i + 1, j=j + 1), 3) for i, j in itertools.permutations(range(3), 2)}
+    one = field("1 + 0*u1", 3)
+    pts = point_set(sample_points(3, 6, seed=31))
+    got = {(p, label): v for p, label, v in darboux_residual(RotationFrame(3, beta, (one,) * 3, 0.0), pts).entries
+           if label[0] == "triple"}
+    want = {}
+    for i, j, k in itertools.permutations(range(3)):
+        bij, bik, bkj = (beta[key].jet(pts, 1) for key in ((i, j), (i, k), (k, j)))
+        row = jets.partial(bij, [int(m == k) for m in range(3)]) - bik.value * bkj.value
+        want.update({(p, ("triple", i, j, k)): v for p, v in zip(pts, row.tolist())})
+    return got, want
+
+
+def test_darboux_triple_rows():
+    got, want = _triple_rows("-1/(u1+u2+u3)")  # d_k(-1/s) = 1/s^2 = (-1/s)(-1/s) for every pair
+    assert got == want and len(got) == 6 * 6
+    assert max(map(abs, got.values())) == 0.0
+    got, want = _triple_rows("1/(u{i}-u{j})")  # d_k beta_ij = 0, but beta_ik beta_kj is not
+    assert got == want and len(got) == 6 * 6
+    assert max(map(abs, got.values())) > 0.1
 
 
 def test_frame_validation():
