@@ -1,7 +1,7 @@
 """Numerical verification engine for reciprocal transformations of diagonal
 hydrodynamic systems and the flat connections they carry."""
 
-from .jets import Jet, JetDomainError, JetError, Point, PointSet, partial
+from .jets import Jet, JetDomainError, JetError, Point, PointSet
 from .exprlang import EvalError, FieldExpr, ParseError, ScalarField, compile_field, field, parse_field
 from .geometry import (
     ConnectionTable,
@@ -29,7 +29,6 @@ from .reciprocal import (
     RotationFrame,
     TransformResult,
     a_system_residual,
-    biflat_admissibility,
     biflat_verdict,
     covariant_hessian_residual,
     current_from_density,

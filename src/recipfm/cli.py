@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from . import catalog as cat
 from . import geometry as geo
 from . import reciprocal as rec
-from .exprlang import field
+from .exprlang import check_bindings, field
 from .geometry import DiagonalSystem, ResidualReport
 from .jets import Point
 
@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing never changes it."""
+    """The one parser of the process, whose commands take only the options they read; parsing never changes it."""
     parser = _Parser(
         prog="recipfm",
         description="Residual suites for diagonal hydrodynamic systems and their reciprocal transformations",
@@ -59,22 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser._recipfm_subparsers = {}  # so --config can reach and check subcommand options
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
+    def command(name: str, help: str, *, system=True, density=True, tolerances=True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         parser._recipfm_subparsers[name] = p
         p.add_argument("--config", help="JSON file supplying any of the long options")
-        p.add_argument("--builtin", help="built-in system id (eps-system)")
+        if system:  # a built-in system or explicit velocities, not both
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--builtin", help="built-in system id (eps-system)")
+            source.add_argument("--velocity", action="append", default=None, help="velocity field source (repeat per component)")
         p.add_argument("--dim", type=int, help="number of components")
-        p.add_argument("--eps", type=float, help="parameter of the built-in system")
-        p.add_argument("--velocity", action="append", default=None, help="velocity field source (repeat per component)")
-        p.add_argument("--density", help="density field source")
-        p.add_argument("--catalog", help="catalog entry id for the density")
+        p.add_argument("--eps", type=float, help="parameter of the built-in system or frame")
+        if density:  # an expression or a catalog entry, not both
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--density", help="density field source")
+            source.add_argument("--catalog", help="catalog entry id for the density")
         p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE", help="expression parameter binding")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--num-points", type=int, default=20)
-        p.add_argument("--tol-second", type=float, default=geo.TOL_SECOND, help="tolerance for second-derivative residuals")
-        p.add_argument("--tol-third", type=float, default=geo.TOL_THIRD, help="tolerance for third-derivative residuals")
-        p.add_argument("--grading-tol", type=float, default=rec.GRADING_TOL)
+        if tolerances:
+            p.add_argument("--tol-second", type=float, default=geo.TOL_SECOND, help="tolerance for second-derivative residuals")
+            p.add_argument("--grading-tol", type=float, default=rec.GRADING_TOL)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--summary", action="store_true", help="also print a one-line human summary")
         return p
@@ -85,11 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = command("transform", "apply the reciprocal transformation of a density")
     p_tr.add_argument("--biflat", action="store_true", help="also check the dual connection and admissibility")
 
-    p_orbit = command("orbit", "compare two-step against one-step composition")
+    p_orbit = command("orbit", "compare two-step against one-step composition", density=False, tolerances=False)
     p_orbit.add_argument("--gen0", help="first generator source")
     p_orbit.add_argument("--composite", help="composite generator source (second generator = composite / gen0)")
 
-    p_dx = command("darboux", "act on a rotation frame with a density")
+    p_dx = command("darboux", "act on a rotation frame with a density", system=False, density=False)
+    p_dx.add_argument("--density", help="density field source")
     p_dx.add_argument("--frame-builtin", help="built-in frame id (eps2)")
     p_dx.add_argument("--beta", action="append", default=None, metavar="I,J:SRC", help="rotation coefficient field")
     p_dx.add_argument("--lame", action="append", default=None, help="Lame field source (repeat per component)")
@@ -106,6 +111,7 @@ def _parse_params(items: Sequence[str] | None) -> dict[str, float]:
         out[name] = float(value)
         if not math.isfinite(out[name]):
             raise ConfigError(f"--param {name} must be a finite number, got {value!r}")
+    check_bindings(out)
     return out
 
 
@@ -155,9 +161,9 @@ def _validate(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number, got {value!r}")
-    for dest in ("tol_second", "tol_third", "grading_tol"):
-        value = getattr(args, dest)
-        if not (math.isfinite(value) and value >= 0):
+    for dest in ("tol_second", "grading_tol"):
+        value = getattr(args, dest, None)  # orbit takes no tolerance
+        if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"--{dest.replace('_', '-')} must be a finite number >= 0, got {value!r}")
     _parse_params(args.param)
 
@@ -201,19 +207,20 @@ def _add_biflat(report: dict, verdict: rec.BiflatVerdict, tolerance: float) -> N
 
 
 def _report_skeleton(args, points: Sequence[Point]) -> dict:
+    given = vars(args)  # a command without an option records its default
     inputs = {
-        "builtin": args.builtin,
+        "builtin": given.get("builtin"),
         "dim": args.dim,
         "eps": args.eps,
-        "velocities": args.velocity,
-        "density": args.density,
-        "catalog": args.catalog,
+        "velocities": given.get("velocity"),
+        "density": given.get("density"),
+        "catalog": given.get("catalog"),
         "params": _parse_params(args.param),
         "num_points": args.num_points,
         "tolerances": {
-            "second": args.tol_second,
-            "third": args.tol_third,
-            "grading": args.grading_tol,
+            "second": given.get("tol_second", geo.TOL_SECOND),
+            "third": geo.TOL_THIRD,
+            "grading": given.get("grading_tol", rec.GRADING_TOL),
         },
     }
     return {
@@ -363,6 +370,8 @@ def cmd_orbit(args) -> dict:
 
 def _build_frame(args) -> rec.RotationFrame:
     if args.frame_builtin:
+        if args.beta or args.lame or args.frame_d is not None:
+            raise ConfigError("--frame-builtin is not allowed with --beta, --lame or --frame-d")
         if args.frame_builtin != "eps2":
             raise ConfigError(f"unknown builtin frame {args.frame_builtin!r}")
         if args.eps is None:
@@ -463,8 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = _COMMANDS[args.command](args)
         report["pass"] = all(c["pass"] for c in report["checks"].values())
         _emit(report, args)
-    except (*_CONFIG_ERRORS, OSError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    except (*_CONFIG_ERRORS, OSError, RecursionError) as exc:  # RecursionError: input nested past Python's limit
+        why = "input nests too deeply to read or evaluate" if isinstance(exc, RecursionError) else exc
+        print(f"error: {why}", file=_sys.stderr)
         return 2
     return 0 if report["pass"] else 1
 

@@ -126,8 +126,16 @@ def _tokens(src: str):
     return out
 
 
+def check_bindings(params: Mapping[str, float]) -> None:
+    """Reject a parameter name the parser cannot read: a non-identifier, a coordinate or a function name."""
+    for name in params:
+        if not (name.isascii() and name.isidentifier()) or _COORD_RE.match(name) or name in _CALL_ARITY:
+            raise ValueError(f"parameter name {name!r} is not an identifier, or names a coordinate or function")
+
+
 class _Parser:
     def __init__(self, src: str, dim: int, params: Mapping[str, float]):
+        check_bindings(params)
         self.dim = dim
         self.params = dict(params)
         self.toks = _tokens(src)
@@ -241,8 +249,11 @@ def parse_field(src: str, dim: int, params: Mapping[str, float] | None = None) -
         raise ParseError("empty expression", 0)
     if not 2 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in 2..{MAX_DIM}, got {dim}")
-    ast = _Parser(src, dim, params or {}).parse()
-    return FieldExpr(ast, dim)
+    parser = _Parser(src, dim, params or {})
+    try:
+        return FieldExpr(parser.parse(), dim)
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .exprlang import ScalarField
 from .jets import Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
-TOL_THIRD = 1e-6  # residuals built from third derivatives
+TOL_THIRD = 1e-6  # recorded in reports as inputs.tolerances.third; no check reads it
 MIN_PAIR_GAP = 0.25
 VELOCITY_GAP = 1e-9
 MAX_REJECTIONS = 1000
@@ -122,15 +122,7 @@ def _draw_coord(rng: random.Random, half: float) -> float:
     return -half + t if t < w else 0.5 + (t - w)
 
 
-def sample_points(
-    dim: int,
-    count: int,
-    seed: int,
-    *,
-    min_gap: float = MIN_PAIR_GAP,
-    predicates: Sequence[Callable[[Point], bool]] = (),
-    max_rejections: int = MAX_REJECTIONS,
-) -> PointSet:
+def sample_points(dim: int, count: int, seed: int, *, predicates: Sequence[Callable[[Point], bool]] = ()) -> PointSet:
     """Seeded admissible sample points, away from u^i = u^j, u^i = 0 and any
     locus excluded by the predicates (e.g. zeros of a density in play).  The box
     half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap.
@@ -143,21 +135,16 @@ def sample_points(
 
     def draw(rng: random.Random) -> Point | None:
         coords = tuple(_draw_coord(rng, half) for _ in range(dim))
-        if min_gap > 0 and dim > 1 and min(abs(a - b) for i, a in enumerate(coords) for b in coords[i + 1 :]) < min_gap:
+        if dim > 1 and min(abs(a - b) for i, a in enumerate(coords) for b in coords[i + 1 :]) < MIN_PAIR_GAP:
             return None
         return Point(coords)
 
-    why = f"no admissible point found after {max_rejections} rejections (dim {dim}, seed {seed})"
-    return _seeded_points(draw, count, seed, predicates, max_rejections, why)
+    why = f"no admissible point found after {MAX_REJECTIONS} rejections (dim {dim}, seed {seed})"
+    return _seeded_points(draw, count, seed, predicates, why)
 
 
 def banded_points(
-    bands: Sequence[tuple[float, float]],
-    count: int,
-    seed: int,
-    *,
-    predicates: Sequence[Callable[[Point], bool]] = (),
-    max_rejections: int = MAX_REJECTIONS,
+    bands: Sequence[tuple[float, float]], count: int, seed: int, *, predicates: Sequence[Callable[[Point], bool]] = ()
 ) -> PointSet:
     """Points with coordinate i drawn from its own band.
 
@@ -166,18 +153,18 @@ def banded_points(
     admissible.
     """
     draw = lambda rng: Point(tuple(rng.uniform(lo, hi) for lo, hi in bands))
-    why = f"no admissible point in bands {bands} after {max_rejections} rejections"
-    return _seeded_points(draw, count, seed, predicates, max_rejections, why)
+    why = f"no admissible point in bands {bands} after {MAX_REJECTIONS} rejections"
+    return _seeded_points(draw, count, seed, predicates, why)
 
 
-def _seeded_points(draw, count: int, seed: int, predicates, max_rejections: int, why: str) -> PointSet:
+def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSet:
     """The set of count points from draw(rng) that pass every predicate; draw
     returns None to reject a draw, and a SamplingError says why after
-    max_rejections."""
+    MAX_REJECTIONS."""
     rng = random.Random(seed)
     out: list[Point] = []
     for _ in range(count):
-        for _attempt in range(max_rejections):
+        for _attempt in range(MAX_REJECTIONS):
             p = draw(rng)
             if p is not None and all(pred(p) for pred in predicates):
                 out.append(p)
@@ -236,10 +223,9 @@ class ConnectionTable:
     generator array once between them.
     """
 
-    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray] | None = None,
-                 assembly: str | None = None):
-        if generate is None or assembly not in ("natural", "dual", None):
-            raise GeometryError("need a generator producer and an assembly rule ('natural', 'dual' or None)")
+    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray], assembly: str | None):
+        if assembly not in ("natural", "dual", None):
+            raise GeometryError(f"unknown assembly rule {assembly!r}; use 'natural', 'dual' or None")
         self.dim = dim
         self.kind = kind
         self._generate = generate

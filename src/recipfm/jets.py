@@ -8,9 +8,8 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 ``multi_indices(dim, order)[r]``.  A lone point is a set of one, and a jet with
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
-and the readers rescale on the way out: ``partial`` for one multi-index,
-``gradient`` and ``hessian`` for every first or second partial at once, so no
-other module needs to know where a derivative's row lies.
+and the readers ``gradient`` and ``hessian`` rescale every first or second
+partial on the way out, so no other module knows where a derivative lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -370,16 +369,10 @@ def stacked(op, dim: int, order: int, *operands: np.ndarray) -> np.ndarray:
     return out.reshape(-1, m, npoints).transpose(1, 0, 2)
 
 
-def partial(a: Jet, alpha: Iterable[int]) -> np.ndarray:
-    """The plain partial derivative d^alpha f over the points (factorial rescaling applied)."""
-    alpha = tuple(int(x) for x in alpha)
-    return a.coeffs[_position_of(a, alpha)] * math.prod(map(math.factorial, alpha))
-
-
 def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     """Every first partial d_l f as one array (..., dim, npoints), of a jet of
     order >= 1 or of stacked coefficients (..., ncoeff, npoints) of such
-    dim-variable jets.  Entry [..., l, :] is partial(f, e_l) bit for bit: alpha! is 1."""
+    dim-variable jets.  Entry [..., l, :] is d_l f: its row, since alpha! is 1."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
     return coeffs[..., _reader_plan(dim)[0], :]
 
@@ -387,7 +380,7 @@ def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
 def hessian(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     """Every second partial d_k d_l f as one array (..., dim, dim, npoints), of a
     jet of order >= 2 or of stacked coefficients as for gradient.  Entry
-    [..., k, l, :] is partial(f, e_k + e_l) bit for bit: its row times alpha!."""
+    [..., k, l, :] is d_k d_l f: its row times alpha!."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
     _, rows, factorial = _reader_plan(dim)
     return coeffs[..., rows, :] * factorial

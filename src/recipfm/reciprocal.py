@@ -383,7 +383,6 @@ def transform(
     *,
     points: Sequence[Point] | None = None,
     check_generator: bool = True,
-    tolerance: float = TOL_SECOND,
 ) -> TransformResult:
     """Apply the transformation generated by gen to the system and its connections.
 
@@ -400,12 +399,12 @@ def transform(
     if check_generator:
         if points is None:
             points = sample_points(sys.dim, CHECK_POINTS, CHECK_SEED, predicates=(density_window(A),))
-        rep = density_residual(sys, A, points, tolerance)
+        rep = density_residual(sys, A, points, TOL_SECOND)
         if not rep.passed:
             worst = rep.worst()
             raise InadmissibleGeneratorError(
                 f"generator is not a conservation-law density: residual {rep.max_abs:.3e} "
-                f"> {tolerance:.1e} at {worst[0]}"
+                f"> {TOL_SECOND:.1e} at {worst[0]}"
             )
     current = current_from_density(sys, A, base)
     velocities = tuple(A * sys.velocities[i] - current for i in range(sys.dim))
@@ -511,24 +510,6 @@ def biflat_verdict(
     maxes = [r.max_abs for r in reports.values()]
     max_abs = math.nan if any(m != m for m in maxes) else max(maxes)
     return BiflatVerdict(not failed, h_est, k_est, reports, max_abs, failed)
-
-
-def biflat_admissibility(
-    sys: DiagonalSystem,
-    A: ScalarField,
-    points: Sequence[Point],
-    *,
-    tolerance: float = TOL_SECOND,
-    grading_tol: float = GRADING_TOL,
-) -> BiflatVerdict:
-    """Whether A preserves both connections of the system: biflat_verdict
-    over the density report (tolerance) and both grading reports (grading_tol)."""
-    return biflat_verdict(
-        density_residual(sys, A, points, tolerance),
-        grading_residual(A, "e", points, grading_tol),
-        grading_residual(A, "E", points, grading_tol),
-        grading_tol,
-    )
 
 
 @jets.quiet

@@ -3,10 +3,22 @@ elementary-field corpus it is run against."""
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 from recipfm.exprlang import FieldExpr, evaluate_value, parse_field
 from recipfm.geometry import sample_points
+from recipfm.jets import Jet
+
+
+def partial(a: Jet, alpha) -> np.ndarray:
+    """The plain partial derivative d^alpha f over the points: one coefficient
+    times alpha!.  The tests' reference reader, independent of the row plans
+    behind jets.gradient and jets.hessian."""
+    alpha = tuple(int(x) for x in alpha)
+    return a.coefficient(alpha) * math.prod(map(math.factorial, alpha))
 
 
 def _mp_pow(base, exponent):
@@ -61,7 +73,7 @@ ELEMENTARY_CORPUS = (
 
 
 def corpus_points(count: int = 20, seed: int = 2024):
-    return sample_points(2, count, seed, min_gap=1.2)
+    return sample_points(2, count, seed, predicates=(lambda p: abs(p[0] - p[1]) >= 1.2,))
 
 
 def corpus_exprs():

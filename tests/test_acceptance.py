@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from conftest import corpus_exprs, corpus_points, fd_partial
+from conftest import corpus_exprs, corpus_points, fd_partial, partial
 from recipfm import jets
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system, hypergeom_flat_coordinates
 from recipfm.cli import main as cli_main
@@ -25,11 +25,12 @@ from recipfm.geometry import (
 from recipfm.reciprocal import (
     ConservationDensity,
     a_system_residual,
-    biflat_admissibility,
+    biflat_verdict,
     current_from_density,
     darboux_gamma_off,
     darboux_residual,
     darboux_transform,
+    density_residual,
     density_window,
     grading_residual,
     log_derivative_field,
@@ -169,7 +170,9 @@ def test_c08_biflat_admissibility_verdicts():
     rejected = accepted = 0
     for e in catalog_entries():
         sys = epsilon_system(e.dim, e.eps)
-        verdict = biflat_admissibility(sys, e.density_field(), _entry_points(e))
+        A, pts = e.density_field(), _entry_points(e)
+        gradings = (grading_residual(A, "e", pts), grading_residual(A, "E", pts))
+        verdict = biflat_verdict(density_residual(sys, A, pts), *gradings)
         if e.h != 0.0:
             ok = ok and not verdict.passed
             rejected += 1
@@ -272,7 +275,7 @@ def test_c11_oracle_equivalence_and_jet_partials():
     for expr in corpus_exprs():
         j = compile_field(expr).jet(points, 3)
         for alpha in jets.multi_indices(2, 3):
-            for p, got in zip(points, jets.partial(j, alpha).tolist()):
+            for p, got in zip(points, partial(j, alpha).tolist()):
                 fd_worst = max(fd_worst, abs(got - fd_partial(expr, tuple(p), alpha)))
     fd_ok = fd_worst <= 1e-5
     ok = oracle_ok and fd_ok

@@ -328,7 +328,7 @@ def test_config_key_spellings(tmp_path, key):
     [
         (["check", "--builtin", "eps-system", "--dim", "2", "--eps", "inf"], "--eps must be a finite number, got inf"),
         (["check", *EPS2, "--tol-second", "nan"], "--tol-second must be a finite number >= 0, got nan"),
-        (["check", *EPS2, "--tol-third=-1e-6"], "--tol-third must be a finite number >= 0, got -1e-06"),
+        (["check", *EPS2, "--tol-third=-1e-6"], "unrecognized arguments: --tol-third=-1e-6"),
         (["check", *EPS2, "--grading-tol", "inf"], "--grading-tol must be a finite number >= 0, got inf"),
         (["check", *EPS2, "--density", "c*u1", "--param", "c=nan"], "--param c must be a finite number, got 'nan'"),
         (["darboux", "--dim", "2", "--beta", "1,2:u1", "--beta", "2,1:u2", "--lame", "u1", "--lame", "u2",
@@ -630,3 +630,109 @@ def test_module_entry_point():
     assert ok.returncode == 0 and json.loads(ok.stdout)["pass"] is True
     bad = recipfm("check", "--dim", "x")
     assert bad.returncode == 2 and bad.stdout == "" and bad.stderr == "error: argument --dim: invalid int value: 'x'\n"
+
+
+COMMON_OPTIONS = ["--config", "--dim", "--eps", "--num-points", "--output", "--param", "--seed", "--summary"]
+ACCEPTED_OPTIONS = {
+    "check": COMMON_OPTIONS + ["--builtin", "--catalog", "--density", "--grading-tol", "--suite", "--tol-second",
+                               "--velocity"],
+    "transform": COMMON_OPTIONS + ["--biflat", "--builtin", "--catalog", "--density", "--grading-tol",
+                                   "--tol-second", "--velocity"],
+    "orbit": COMMON_OPTIONS + ["--builtin", "--composite", "--gen0", "--velocity"],
+    "darboux": COMMON_OPTIONS + ["--beta", "--density", "--frame-builtin", "--frame-d", "--grading-tol", "--lame",
+                                 "--tol-second"],
+}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    """Adding an option to a command is a deliberate change to this table."""
+    accepted = {
+        name: sorted(flag for action in p._actions if action.dest != "help" for flag in action.option_strings)
+        for name, p in build_parser()._recipfm_subparsers.items()
+    }
+    assert accepted == {name: sorted(flags) for name, flags in ACCEPTED_OPTIONS.items()}
+    assert sum(map(len, accepted.values())) == 57
+
+
+BASE_ARGV = {
+    "check": ["check", *EPS2, "--suite", "sh", "--num-points", "2"],
+    "transform": ["transform", *EPS2, "--catalog", "dim2-eps1-h0", "--num-points", "2"],
+    "orbit": GOLDEN_CASES["orbit-dim2"][1] + ["--num-points", "2"],
+    "darboux": GOLDEN_CASES["darboux-eps2"][1] + ["--num-points", "2"],
+}
+REMOVED_OPTIONS = [(command, "tol-third", "1e-6") for command in BASE_ARGV] + [
+    ("orbit", "density", "u1"),
+    ("orbit", "catalog", "dim2-eps1-h0"),
+    ("orbit", "tol-second", "1e-30"),
+    ("orbit", "grading-tol", "1"),
+    ("darboux", "builtin", "nope"),
+    ("darboux", "velocity", "u1"),
+    ("darboux", "catalog", "dim2-eps1-h0"),
+]
+FRAME_CONFLICT = "--frame-builtin is not allowed with --beta, --lame or --frame-d"
+CONFLICTS = [
+    ("check", {"density": "u1*u2", "catalog": "dim2-eps1-h0"}, "argument --catalog: not allowed with argument --density"),
+    ("transform", {"builtin": "eps-system", "velocity": ["u1"]},
+     "argument --velocity: not allowed with argument --builtin"),
+    ("darboux", {"beta": ["1,2:u1"]}, FRAME_CONFLICT),
+    ("darboux", {"lame": ["u1"]}, FRAME_CONFLICT),
+    ("darboux", {"frame-d": "1"}, FRAME_CONFLICT),
+]
+REJECTED = [  # (command, options, error as flags, error as --config keys)
+    (c, {key: [v] if key == "velocity" else v}, f"unrecognized arguments: --{key}={v}",
+     f"--config key {key!r} is not an option of {c}")
+    for c, key, v in REMOVED_OPTIONS
+] + [(c, options, message, message) for c, options, message in CONFLICTS]
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize(
+    "command, options, flag_error, config_error",
+    REJECTED,
+    ids=[f"{c}-{'-'.join(options)}" for c, options, _, _ in REJECTED],
+)
+def test_removed_options_and_conflicts_exit_two(source, command, options, flag_error, config_error, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(options))
+    flags = [f"--{key}={v}" for key, value in options.items() for v in (value if isinstance(value, list) else [value])]
+    extra = flags if source == "flags" else ["--config", str(cfg)]
+    assert main(BASE_ARGV[command] + extra + ["--output", str(out)]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: {flag_error if source == 'flags' else config_error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["u1", "u17", "exp", "hyp2f1", "1x", "a b"])
+def test_unreadable_param_names_exit_two(name, capsys):
+    assert main(["check", *EPS2, "--suite", "sh", "--num-points", "2", "--param", f"{name}=2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: parameter name {name!r} is ") and err.count("\n") == 1
+    with pytest.raises(ValueError, match=f"parameter name {name!r} is "):  # one rule for the CLI and the library
+        exprlang.field("u1", 2, {name: 2.0})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--density", "(" * 200 + "u1*u2" + ")" * 200], "expression nests too deeply at offset "),
+        (["--density", "+".join(["u1*u2"] * 500)], "input nests too deeply to read or evaluate"),
+        (["--density", "+".join(["u1*u2"] * 1200)], "input nests too deeply to read or evaluate"),
+        (["--config", "DEEP"], "input nests too deeply to read or evaluate"),
+    ],
+    ids=["parentheses", "evaluation", "compilation", "config"],
+)
+def test_nesting_past_the_recursion_limit_exits_two(argv, message, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [str(deep) if a == "DEEP" else a for a in argv]
+    assert main(["check", *EPS2, "--suite", "grading-e", "--num-points", "3", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_nesting_within_the_recursion_limit_keeps_its_result(tmp_path):
+    argv = ["check", *EPS2, "--suite", "grading-e", "--num-points", "3", "--density"]
+    _, bare = run(tmp_path, *argv, "u1*u2")
+    code, nested = run(tmp_path, *argv, "(" * 150 + "u1*u2" + ")" * 150)
+    assert code == 1 and (nested["points"], nested["checks"]) == (bare["points"], bare["checks"])
+    code, summed = run(tmp_path, *argv, "+".join(["u1*u2"] * 400))
+    assert code == 1 and summed["checks"]["grading-e"]["max_abs"] == 1.4538998543319521  # pinned value

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fd_partial
+from conftest import fd_partial, partial
 from recipfm import jets
 from recipfm.cli import _CONFIG_ERRORS
 from recipfm.exprlang import compile_field, parse_field
@@ -118,6 +118,6 @@ def test_random_order3_jets_match_finite_differences():
         src, expr, found = next(drawn)
         for p, j in zip(POINTS, found):
             for alpha in jets.multi_indices(2, 3):
-                got = np.asarray(jets.partial(j, alpha)).item()
+                got = np.asarray(partial(j, alpha)).item()
                 want = fd_partial(expr, tuple(p), alpha, step=FD_STEP)
                 assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want))), (src, tuple(p), alpha)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import partial
 from recipfm import jets
 from recipfm.exprlang import (
     Bin,
@@ -80,7 +81,7 @@ def test_compile_exponential_quotient():
     f = field("exp(h*u1)/(u2-u1)", 2, {"h": 2.0})
     p = jets.Point((0.0, 1.0))
     assert f.value(p) == pytest.approx(1.0)
-    assert jets.partial(f.jet(p, 1), (1, 0)) == pytest.approx(3.0)
+    assert partial(f.jet(p, 1), (1, 0)) == pytest.approx(3.0)
 
 
 def test_domain_error_is_tagged():
@@ -165,3 +166,16 @@ def test_constant_power_out_of_range_is_a_parse_error():
         with pytest.raises(ParseError, match="out of range") as err:
             parse_field(src, 2)
         assert err.value.position == position
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="expression nests too deeply at offset"):
+        parse_field("(" * 200 + "u1" + ")" * 200, 2)
+    assert parse_field("(" * 150 + "u1" + ")" * 150, 2).ast == Coord(0)
+
+
+def test_parameter_names_the_parser_can_read():
+    assert field("a_1 + _b + u0", 2, {"a_1": 1.0, "_b": 2.0, "u0": 3.0}).value(jets.Point((0.5, 1.5))) == 6.0
+    for name in ("u2", "u17", "pow", "2c", "c-1", "é"):
+        with pytest.raises(ValueError, match=f"parameter name {name!r} is not an identifier, or names a coordinate"):
+            parse_field("u1", 2, {name: 1.0})

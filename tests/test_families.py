@@ -3,7 +3,7 @@
 The families read every derivative at once with jets.gradient and
 jets.hessian and build each family of entries as one array expression.  Each
 entry must be bit for bit what a loop over its components gives, reading
-each derivative with jets.partial and adding the same terms in the same
+each derivative with conftest's partial and adding the same terms in the same
 order: the references below are such loops."""
 
 import json
@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import conftest
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_system
 from recipfm.cli import main
@@ -28,8 +29,8 @@ from recipfm.reciprocal import (
 
 
 def partial(aj, *ls):
-    """jets.partial for the derivative d_{l1} d_{l2} ... (repeats allowed)."""
-    return jets.partial(aj, sum(np.eye(aj.dim, dtype=int)[list(ls)]))
+    """conftest.partial for the derivative d_{l1} d_{l2} ... (repeats allowed)."""
+    return conftest.partial(aj, sum(np.eye(aj.dim, dtype=int)[list(ls)]))
 
 
 def grad_list(aj):

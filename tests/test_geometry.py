@@ -189,8 +189,8 @@ def test_pairing_follows_the_assembly_not_the_kind():
 
 
 def test_connection_table_needs_assembly_or_components():
-    with pytest.raises(GeometryError):
-        ConnectionTable(2, "custom")
+    with pytest.raises(GeometryError, match="unknown assembly rule 'custom'"):
+        ConnectionTable(2, "natural", lambda points, order: None, "custom")
 
 
 def test_sample_points_constraints_and_determinism():
@@ -240,7 +240,7 @@ def test_natural_connection_is_one_table_per_system(monkeypatch):
 
 def test_sample_points_exhaustion():
     with pytest.raises(SamplingError):
-        sample_points(2, 1, seed=0, predicates=(lambda p: False,), max_rejections=50)
+        sample_points(2, 1, seed=0, predicates=(lambda p: False,))
 
 
 def test_banded_points_stay_in_bands():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial
+from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial, partial
 from recipfm import jets
 from recipfm.exprlang import EvalError, compile_field, field
 from recipfm.jets import Jet, JetDomainError, JetError, Point, PointSet
@@ -40,7 +40,7 @@ def test_division_matches_finite_differences():
     expr = parse_field("1/u1", 2)
     inv = compile_field(expr).jet(jets.Point((2.0, 1.0)), 2)
     for alpha in ((0, 0), (1, 0), (2, 0)):
-        assert jets.partial(inv, alpha) == pytest.approx(fd_partial(expr, (2.0, 1.0), alpha), abs=1e-6)
+        assert partial(inv, alpha) == pytest.approx(fd_partial(expr, (2.0, 1.0), alpha), abs=1e-6)
 
 
 def test_exp_series():
@@ -59,13 +59,13 @@ def test_pow_matches_finite_differences():
     expr = parse_field("pow(u2-u1, -2)", 2)
     j = compile_field(expr).jet(jets.Point((0.0, 1.0)), 2)
     for alpha in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0)):
-        assert jets.partial(j, alpha) == pytest.approx(fd_partial(expr, (0.0, 1.0), alpha), abs=1e-6)
+        assert partial(j, alpha) == pytest.approx(fd_partial(expr, (0.0, 1.0), alpha), abs=1e-6)
 
 
 def test_integer_pow_negative_base():
     j = jets.jet_pow(jets.variable(1, 2, 0, -1.5), 3)
     assert j.value == pytest.approx((-1.5) ** 3)
-    assert jets.partial(j, (1,)) == pytest.approx(3 * (-1.5) ** 2)
+    assert partial(j, (1,)) == pytest.approx(3 * (-1.5) ** 2)
 
 
 def test_elementary_domain_errors():
@@ -86,16 +86,16 @@ def test_arith_shape_errors():
 
 def test_partial_examples():
     u1u2 = jets.mul(jets.variable(2, 2, 0, 1.0), jets.variable(2, 2, 1, 1.0))
-    assert jets.partial(u1u2, (1, 1)) == pytest.approx(1.0)
+    assert partial(u1u2, (1, 1)) == pytest.approx(1.0)
     e = jets.jet_exp(jets.variable(1, 2, 0, 0.0))
-    assert jets.partial(e, (2,)) == pytest.approx(1.0)
+    assert partial(e, (2,)) == pytest.approx(1.0)
     f = jets.div(
         jets.constant(2, 2, 1.0),
         jets.sub(jets.variable(2, 2, 1, 1.0), jets.variable(2, 2, 0, 2.0)),
     )
-    assert jets.partial(f, (0, 1)) == pytest.approx(-1.0)
+    assert partial(f, (0, 1)) == pytest.approx(-1.0)
     with pytest.raises(JetError):
-        jets.partial(f, (3, 0))
+        partial(f, (3, 0))
 
 
 def test_hyp2f1_values():
@@ -126,8 +126,8 @@ def test_derivative_shift():
     d = jets.derivative(f, 0)
     assert d.order == 2
     assert d.value == pytest.approx(2 * 2.0 * 3.0)
-    assert jets.partial(d, (1, 0)) == pytest.approx(2 * 3.0)
-    assert jets.partial(d, (0, 1)) == pytest.approx(2 * 2.0)
+    assert partial(d, (1, 0)) == pytest.approx(2 * 3.0)
+    assert partial(d, (0, 1)) == pytest.approx(2 * 2.0)
 
 
 def _random_jet(rng: random.Random, dim: int, order: int) -> Jet:
@@ -159,7 +159,7 @@ def test_elementary_corpus_matches_finite_differences():
         for p in points:
             j = f.jet(p, 3)
             for alpha in jets.multi_indices(2, 3):
-                got = jets.partial(j, alpha)
+                got = partial(j, alpha)
                 want = fd_partial(expr, tuple(p), alpha)
                 assert got == pytest.approx(want, abs=1e-5), (expr, tuple(p), alpha)
 
@@ -188,12 +188,12 @@ def test_gradient_and_hessian_readers_are_partial_bit_for_bit(dim, order, npoint
         j = Jet(dim, order, c)
         grad = jets.gradient(j)
         assert grad.shape == (dim, npoints)
-        assert grad.tobytes() == np.array([jets.partial(j, e) for e in unit]).tobytes()
+        assert grad.tobytes() == np.array([partial(j, e) for e in unit]).tobytes()
         assert grad.tobytes() == jets.gradient(coeffs, dim)[m].tobytes()  # the stacked form reads the same rows
         if order >= 2:
             hess = jets.hessian(j)
             assert hess.shape == (dim, dim, npoints)
-            want = np.array([[jets.partial(j, a + b) for b in unit] for a in unit])
+            want = np.array([[partial(j, a + b) for b in unit] for a in unit])
             assert hess.tobytes() == want.tobytes()
             assert hess.tobytes() == jets.hessian(coeffs, dim)[m].tobytes()
 

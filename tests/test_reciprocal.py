@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import partial
 from recipfm import jets
 from recipfm.jets import point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
@@ -28,7 +29,6 @@ from recipfm.reciprocal import (
     ReciprocalError,
     RotationFrame,
     a_system_residual,
-    biflat_admissibility,
     biflat_verdict,
     covariant_hessian_residual,
     current_from_density,
@@ -63,6 +63,12 @@ def recip_density():
 def _points2(A=None, seed=11, count=12):
     preds = (density_window(A),) if A is not None else ()
     return sample_points(2, count, seed, predicates=preds)
+
+
+def _biflat(sys, A, points):
+    """The bi-flat verdict the CLI composes: the density report and both gradings."""
+    return biflat_verdict(density_residual(sys, A, points), grading_residual(A, "e", points),
+                          grading_residual(A, "E", points))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +276,8 @@ def test_current_jets_come_from_the_one_form(sys2, recip_density):
     j, a = B.jet(p, 1), recip_density.jet(p, 1)
     for i in (0, 1):
         vi = sys2.velocities[i].value(p)
-        dA = jets.partial(a, tuple(1 if m == i else 0 for m in range(2)))
-        assert jets.partial(j, tuple(1 if m == i else 0 for m in range(2))) == pytest.approx(vi * dA, abs=1e-12)
+        dA = partial(a, tuple(1 if m == i else 0 for m in range(2)))
+        assert partial(j, tuple(1 if m == i else 0 for m in range(2))) == pytest.approx(vi * dA, abs=1e-12)
 
 
 def test_current_path_singularity_is_reported(sys2, recip_density):
@@ -444,13 +450,13 @@ def test_intrinsic_assembly_agreement(sys2, recip_density):
 
 def test_biflat_verdicts(sys2):
     good = field("1/(u2-u1)", 2)
-    v = biflat_admissibility(sys2, good, _points2(good, seed=16))
+    v = _biflat(sys2, good, _points2(good, seed=16))
     assert v.passed and abs(v.h) <= 1e-10 and v.k == pytest.approx(-1.0, abs=1e-10)
     graded = field("exp(u1)/(u2-u1)", 2)
-    v2 = biflat_admissibility(sys2, graded, _points2(graded, seed=17))
+    v2 = _biflat(sys2, graded, _points2(graded, seed=17))
     assert not v2.passed and v2.h == pytest.approx(1.0, abs=1e-10)
     lin = field("u1+u2+u3", 3)
-    v3 = biflat_admissibility(
+    v3 = _biflat(
         epsilon_system(3, 1.0), lin, sample_points(3, 10, seed=18, predicates=(density_window(lin),))
     )
     assert not v3.passed
@@ -563,7 +569,7 @@ def test_perturbed_frame_fails():
 
 def _triple_rows(beta_src):
     """The triple rows d_k beta_ij - beta_ik beta_kj of a 3-component frame with beta_ij from beta_src
-    (formatted with i and j), by point and label, from darboux_residual and from jets.partial."""
+    (formatted with i and j), by point and label, from darboux_residual and from conftest's partial."""
     beta = {(i, j): field(beta_src.format(i=i + 1, j=j + 1), 3) for i, j in itertools.permutations(range(3), 2)}
     one = field("1 + 0*u1", 3)
     pts = point_set(sample_points(3, 6, seed=31))
@@ -572,7 +578,7 @@ def _triple_rows(beta_src):
     want = {}
     for i, j, k in itertools.permutations(range(3)):
         bij, bik, bkj = (beta[key].jet(pts, 1) for key in ((i, j), (i, k), (k, j)))
-        row = jets.partial(bij, [int(m == k) for m in range(3)]) - bik.value * bkj.value
+        row = partial(bij, [int(m == k) for m in range(3)]) - bik.value * bkj.value
         want.update({(p, ("triple", i, j, k)): v for p, v in zip(pts, row.tolist())})
     return got, want
 
@@ -643,7 +649,7 @@ def test_residual_families_read_the_density_value_off_its_jet(sys2):
     a_system_residual(sys2, A, pts)
     theta_system_residual(sys2, A, pts)
     covariant_hessian_residual(natural_connection(sys2), "circ", A, pts)
-    biflat_admissibility(sys2, A, pts)
+    _biflat(sys2, A, pts)
     # the floor check still guards every family that divides by A
     zero = field("u1 - u1", 2)
     for family in (
