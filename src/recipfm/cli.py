@@ -55,12 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="recipfm",
         description="Residual suites for diagonal hydrodynamic systems and their reciprocal transformations",
+        allow_abbrev=False,  # an option is spelled in full, as a --config key must be
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser._recipfm_subparsers = {}  # so --config can reach and check subcommand options
 
     def command(name: str, help: str, *, system=True, density=True, tolerances=True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         parser._recipfm_subparsers[name] = p
         p.add_argument("--config", help="JSON file supplying any of the long options")
         if system:  # a built-in system or explicit velocities, not both
@@ -376,6 +377,8 @@ def _build_frame(args) -> rec.RotationFrame:
             raise ConfigError(f"unknown builtin frame {args.frame_builtin!r}")
         if args.eps is None:
             raise ConfigError("--frame-builtin eps2 needs --eps")
+        if args.dim not in (None, 2):
+            raise ConfigError(f"--frame-builtin eps2 is a frame on 2 coordinates, got --dim {args.dim}")
         return cat.epsilon_frame_n2(args.eps)
     if not args.beta or not args.lame or args.frame_d is None:
         raise ConfigError("darboux needs --frame-builtin, or --beta/--lame/--frame-d")

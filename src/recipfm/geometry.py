@@ -218,9 +218,12 @@ class ConnectionTable:
     G^i_{jj} (any j); the others vanish or read G^i_{ik} = G^i_{ki} off the
     generators.  Without a rule (a frame's generators) there is no full table,
     and residuals that need one reject it.  The kind is only a label.  Both
-    arrays are cached per point set and order, keyed weakly by the set; ``dual``
-    shares the cache, so a natural table and its dual partners build each
-    generator array once between them.
+    arrays are cached read-only per point set and order, keyed weakly by the
+    set; ``dual`` shares the cache, so a natural table and its dual partners
+    build each generator array once between them.  A lower order is read off a
+    higher one already cached for the set, as its leading coefficient rows
+    (bit for bit what evaluating it would give), unless that one holds a
+    non-finite entry; so curvature, which asks order 1 first, builds no order 0.
     """
 
     def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray], assembly: str | None):

@@ -19,6 +19,15 @@ warnings, as in Python float arithmetic.  Domain checks test every element:
 an operation fails for the whole set if any element leaves its domain, and
 the error names the first such element.  Jets are immutable values: no
 operation writes into an array it did not create, so arrays may be shared.
+
+Truncation commutes with every operation here: the coefficients of grade g of
+a result read only coefficients of grade <= g of its operands, in the same
+order at every order, and grade-major storage makes ``multi_indices(dim, m)``
+a prefix of ``multi_indices(dim, k)`` for m <= k.  So the order-m jet of a
+field is bit for bit the first ``ncoeff(dim, m)`` rows of its order-k jet.
+``memoized``, the one memo of fields and connection tables, reads a missing
+lower order off a higher one already stored for the same point set, unless
+that one holds a non-finite coefficient; it stores every entry read-only.
 """
 
 from __future__ import annotations
@@ -132,15 +141,39 @@ def point_set(points) -> PointSet:
 
 
 def memoized(cache, points: PointSet, key, compute):
-    """cache[points][key], computed once; cache is a weakref.WeakKeyDictionary,
-    so the entries of a set go when the set goes."""
+    """cache[points][key], stored read-only; cache is a weakref.WeakKeyDictionary,
+    so the entries of a set go when the set goes.
+
+    The key is an order, or a (tag, order) pair, of a Jet or of an array
+    (..., ncoeff, npoints) of jet coefficients over the set.  A missing order
+    is read off the lowest present higher order of the same tag when that entry
+    is all finite, as its leading coefficient rows; otherwise compute() makes
+    it.  So only orders asked for are ever computed."""
     per = cache.get(points)
     if per is None:
         per = cache[points] = {}
     got = per.get(key)
     if got is None:
-        got = per[key] = compute()
+        got = _prefix(per, key, points.dim) if per else None  # a set's first entry has nothing to read off
+        if got is None:
+            got = compute()
+        (got.coeffs if isinstance(got, Jet) else got).setflags(write=False)
+        per[key] = got
     return got
+
+
+def _prefix(per: dict, key, dim: int):
+    """The entry for key read off the lowest higher order in per, if that one is all finite, else None."""
+    tag, order = key if isinstance(key, tuple) else (None, key)
+    for k in range(order + 1, MAX_ORDER + 1):
+        higher = per.get(k if tag is None else (tag, k))
+        if higher is not None:
+            coeffs = higher.coeffs if isinstance(higher, Jet) else higher
+            if not np.isfinite(coeffs).all():
+                return None
+            rows = coeffs[..., : len(multi_indices(dim, order)), :]
+            return Jet(dim, order, rows) if isinstance(higher, Jet) else rows
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -339,7 +339,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
 
     def fn(points: PointSet, jet_order: int) -> Jet:
         coeffs = np.empty((len(jets.multi_indices(n, jet_order)), len(points)))
-        coeffs[0] = jets.memoized(values, points, 0, lambda: [value_at(p) for p in points])
+        coeffs[0] = jets.memoized(values, points, 0, lambda: np.array([value_at(p) for p in points]))
         if jet_order == 0:
             return Jet(n, 0, coeffs)
         grads = [one_forms[i].jet(points, jet_order - 1) for i in range(n)]

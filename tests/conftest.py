@@ -4,10 +4,12 @@ elementary-field corpus it is run against."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
+from recipfm import jets
 from recipfm.exprlang import FieldExpr, evaluate_value, parse_field
 from recipfm.geometry import sample_points
 from recipfm.jets import Jet
@@ -19,6 +21,17 @@ def partial(a: Jet, alpha) -> np.ndarray:
     behind jets.gradient and jets.hessian."""
     alpha = tuple(int(x) for x in alpha)
     return a.coefficient(alpha) * math.prod(map(math.factorial, alpha))
+
+
+def every_order_from_scratch():
+    """A context in which a memo miss always computes, never reading a lower
+    order off a higher one: the reference evaluation for that reuse."""
+    return mock.patch.object(jets, "_prefix", lambda per, key, dim: None)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shape and bit patterns, so signed zeros and NaN payloads count."""
+    return got.shape == want.shape and bool((got.view(np.int64) == want.view(np.int64)).all())
 
 
 def _mp_pow(base, exponent):

@@ -483,11 +483,12 @@ def test_christoffel_symbols_are_evaluated_once_per_command(argv, tmp_path, monk
     calls = _count_calls(monkeypatch, geo, "christoffel_primary")
     code, _ = run(tmp_path, *argv, "--num-points", "5")
     assert code == 0
-    # one generator array per (point set, order) of the system: orders 0 and 1
-    # over the sample points, once each.  A dual table with a cache of its own
-    # would build both orders again, and an intrinsic-agreement over a set of
-    # its own would build them for that set
-    assert sorted(order for _, _, order in calls) == [0, 1]
+    # at most one generator array per (point set, order) of the system, over
+    # the sample points.  check asks order 1 first and reads order 0 off it;
+    # transform asks order 0 first.  A dual table with a cache of its own would
+    # build the orders again, and an intrinsic-agreement over a set of its own
+    # would build them for that set
+    assert sorted(order for _, _, order in calls) == ([1] if argv[0] == "check" else [0, 1])
     assert len({points for _, points, _ in calls}) == 1
 
 
@@ -677,6 +678,8 @@ CONFLICTS = [
     ("darboux", {"beta": ["1,2:u1"]}, FRAME_CONFLICT),
     ("darboux", {"lame": ["u1"]}, FRAME_CONFLICT),
     ("darboux", {"frame-d": "1"}, FRAME_CONFLICT),
+    # not a conflict, but rejected alike from either source: eps2 lives on two coordinates
+    ("darboux", {"dim": "3"}, "--frame-builtin eps2 is a frame on 2 coordinates, got --dim 3"),
 ]
 REJECTED = [  # (command, options, error as flags, error as --config keys)
     (c, {key: [v] if key == "velocity" else v}, f"unrecognized arguments: --{key}={v}",
@@ -699,6 +702,22 @@ def test_removed_options_and_conflicts_exit_two(source, command, options, flag_e
     assert main(BASE_ARGV[command] + extra + ["--output", str(out)]) == 2
     assert tuple(capsys.readouterr()) == ("", f"error: {flag_error if source == 'flags' else config_error}\n")
     assert not out.exists()
+
+
+def test_builtin_frame_takes_dim_two(tmp_path):
+    code, report = run(tmp_path, *GOLDEN_CASES["darboux-eps2"][1], "--dim", "2", "--num-points", "2")
+    assert code == 0 and report["inputs"]["dim"] == 2
+
+
+@pytest.mark.parametrize("key, value", [("tol", "1e-30"), ("num", "3"), ("sui", "sh")])
+def test_abbreviated_options_exit_two_from_either_source(key, value, tmp_path, capsys):
+    """An option is spelled in full on the command line, as a --config key must be."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(BASE_ARGV["check"] + [f"--{key}", value]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: unrecognized arguments: --{key} {value}\n")
+    assert main(BASE_ARGV["check"] + ["--config", str(cfg)]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: --config key {key!r} is not an option of check\n")
 
 
 @pytest.mark.parametrize("name", ["u1", "u17", "exp", "hyp2f1", "1x", "a b"])

@@ -1,9 +1,12 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import partial
+from conftest import ELEMENTARY_CORPUS, corpus_points, every_order_from_scratch, partial, same_bits
 from recipfm import jets
+from recipfm.catalog import catalog_entries, epsilon_system
 from recipfm.exprlang import (
     Bin,
     Call,
@@ -18,6 +21,8 @@ from recipfm.exprlang import (
     partial_field,
     to_text,
 )
+from recipfm.geometry import sample_points
+from recipfm.jets import Point, PointSet, point_set
 
 
 def test_parse_parameter_binding_keeps_structure():
@@ -179,3 +184,89 @@ def test_parameter_names_the_parser_can_read():
     for name in ("u2", "u17", "pow", "2c", "c-1", "é"):
         with pytest.raises(ValueError, match=f"parameter name {name!r} is not an identifier, or names a coordinate"):
             parse_field("u1", 2, {name: 1.0})
+
+
+# ---------------------------------------------------------------------------
+# Lower orders read off higher ones
+
+
+def assert_lower_orders_read_off_higher(f, coords) -> int:
+    """For every m < k <= 3, f's order-m jet over a set that holds its order-k
+    jet is bit for bit order m evaluated from scratch over a fresh set at the
+    same coordinates, and it is a view of the order-k jet exactly when that one
+    is all finite.  Returns the number of non-finite order-k jets met."""
+    nonfinite = 0
+    for k in range(1, jets.MAX_ORDER + 1):
+        for m in range(k):
+            held, fresh = PointSet(coords), PointSet(coords)
+            high = f.jet(held, k)
+            got = f.jet(held, m)
+            with every_order_from_scratch():
+                want = f.jet(fresh, m)
+            assert same_bits(got.coeffs, want.coeffs), (f, m, k)
+            finite = bool(np.isfinite(high.coeffs).all())
+            assert np.shares_memory(got.coeffs, high.coeffs) == finite, (f, m, k)
+            nonfinite += not finite
+    return nonfinite
+
+
+@pytest.mark.parametrize("e", catalog_entries(), ids=lambda e: e.entry_id)
+def test_catalog_fields_read_lower_orders_off_higher_bit_for_bit(e):
+    A = e.density_field()
+    for seed in (0, 1):
+        coords = sample_points(e.dim, 5, seed, predicates=e.sample_predicates(A)).coords
+        for f in (A, e.current_field()):
+            if f is not None:
+                assert_lower_orders_read_off_higher(f, coords)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_velocities_read_lower_orders_off_higher_bit_for_bit(n):
+    coords = sample_points(n, 4, seed=n).coords
+    for eps in (1.0, -1.0, 0.5):
+        for v in epsilon_system(n, eps).velocities:
+            assert_lower_orders_read_off_higher(v, coords)
+
+
+def test_corpus_fields_read_lower_orders_off_higher_bit_for_bit():
+    coords = corpus_points().coords
+    for src in ELEMENTARY_CORPUS:
+        assert_lower_orders_read_off_higher(field(src, 2), coords)
+
+
+def test_overflowing_fields_are_evaluated_not_sliced():
+    # at u1 = 1, exp(700*u1) is finite to order 1 and its second coefficient is
+    # inf; 1e308*u1*u1 overflows from order 1 on; the 2F1 product stays finite
+    coords = np.array([[1.0, 0.5], [0.5, -1.0]])
+    met = sum(assert_lower_orders_read_off_higher(field(src, 2), coords)
+              for src in ("exp(700*u1)", "1e308*u1*u1 + u2", "1e308*hyp2f1(0.5, 1.5, 2.5, u1 - 0.5)"))
+    assert met > 0
+
+
+def test_a_non_finite_higher_order_is_evaluated_again():
+    A = field("exp(700*u1)", 2)
+    orders = []
+    compiled = A._fn
+    A._fn = lambda p, order: orders.append(order) or compiled(p, order)
+    p = point_set(Point((1.0, 0.5)))
+    high = A.jet(p, 2)
+    assert math.isfinite(high.value[0]) and not np.isfinite(high.coeffs).all()
+    low = A.jet(p, 1)  # order 2 holds an inf: order 1 is evaluated
+    assert orders == [2, 1] and not np.shares_memory(low.coeffs, high.coeffs)
+    A.jet(p, 0)  # order 1 is all finite, and the lowest higher order held: read off it
+    assert orders == [2, 1]
+    # a finite field evaluates only the order asked first
+    B, seen = field("exp(u1)", 2), []
+    compiled_b = B._fn
+    B._fn = lambda p, order: seen.append(order) or compiled_b(p, order)
+    for order in (3, 1, 2, 0):
+        B.jet(p, order)
+    assert seen == [3]
+
+
+def test_memoized_jets_are_read_only():
+    A = field("exp(u1)*u2", 2)
+    p = point_set(Point((0.5, 1.5)))
+    for order in (1, 0):
+        with pytest.raises(ValueError, match="read-only"):
+            A.jet(p, order).coeffs[0, 0] = 1.0

@@ -229,13 +229,47 @@ def test_natural_connection_is_one_table_per_system(monkeypatch):
     pts = sample_points(3, 3, seed=5)
     curvature_natural_residual(natural_connection(sys3), pts)
     identity_parallel_residual(natural_connection(sys3), "e", pts)
-    assert calls == [(pts, 0), (pts, 1)] or calls == [(pts, 1), (pts, 0)]  # one array per (point set, order)
+    # one array per (point set, order): curvature asks order 1 first, and
+    # order 0 is read off it
+    assert calls == [(pts, 1)]
     # the dual table reads the same generators from the natural table's cache
     dual = dual_connection(sys3)
     curvature_full_residual(dual, pts)
     identity_parallel_residual(dual, "E", pts)
     sh_residual(sys3, pts)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
+    """The five flatness families over one set of an n = 4 eps-system build the
+    generators once, at order 1, from one order-2 jet of each velocity: every
+    lower order is read off the higher one already computed."""
+    sys4 = epsilon_system(4, 1.0)
+    calls, orders = [], [[] for _ in sys4.velocities]
+    real = geometry.christoffel_primary
+    monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[2]) or real(*args))
+    for v, seen in zip(sys4.velocities, orders):
+        monkeypatch.setattr(v, "_fn", lambda p, order, fn=v._fn, seen=seen: seen.append(order) or fn(p, order))
+    pts = sample_points(4, 4, seed=12)
+    natural, dual = natural_connection(sys4), dual_connection(sys4)
+    reports = (
+        curvature_natural_residual(natural, pts),
+        curvature_full_residual(dual, pts),
+        identity_parallel_residual(natural, "e", pts),
+        identity_parallel_residual(dual, "E", pts),
+        sh_residual(sys4, pts),
+    )
+    assert all(rep.passed for rep in reports)
+    assert calls == [1]
+    assert orders == [[2]] * 4
+
+
+def test_memoized_tables_are_read_only():
+    natural = natural_connection(epsilon_system(3, 1.0))
+    pts = sample_points(3, 2, seed=13)
+    for table in (natural.christoffels(pts, 1), natural.christoffels(pts, 0), natural.generators(pts, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[..., 0, 0] = 1.0
 
 
 def test_sample_points_exhaustion():
@@ -288,4 +322,5 @@ def test_caches_die_with_their_point_sets():
     pts = sample_points(3, 4, seed=32)
     curvature_natural_residual(natural, pts)
     sh_residual(sys3, pts)
-    assert list(natural._cache) == [pts] and set(natural._cache[pts]) == {0, 1, ("natural", 0), ("natural", 1)}
+    # the order-0 table is read off the order-1 one, so no order-0 generators are made
+    assert list(natural._cache) == [pts] and set(natural._cache[pts]) == {1, ("natural", 0), ("natural", 1)}

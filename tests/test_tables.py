@@ -9,6 +9,7 @@ loops."""
 import numpy as np
 import pytest
 
+from conftest import every_order_from_scratch, same_bits
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import field
@@ -21,7 +22,7 @@ from recipfm.geometry import (
     natural_connection,
     sample_points,
 )
-from recipfm.jets import Point, point_set
+from recipfm.jets import Point, PointSet, point_set
 from recipfm.reciprocal import ConservationDensity, frame_connection, log_derivative_field, transform
 
 ORDERS = (0, 1, 2)
@@ -127,3 +128,34 @@ def test_degeneracy_names_the_first_pair_then_its_first_point():
         with pytest.raises(DegenerateSystemError) as err:
             build()
         assert str(err.value) == f"coincident characteristic velocities v^1 and v^3 at {first[2]}"
+
+
+def _table_pairs(sys: DiagonalSystem, A=None):
+    """The (natural, dual) tables of sys, or of its image under the density A."""
+    if A is None:
+        return natural_connection(sys), dual_connection(sys)
+    result = transform(sys, ConservationDensity(A), Point((-1.5, 0.7, 1.9)), with_dual=True, check_generator=False)
+    return result.natural, result.dual
+
+
+TRANSFORMED = entry("dim3-eps1-h1:c0")
+TABLE_CASES = [pytest.param(p.values[0], None, (), id=p.id) for p in SYSTEMS] + [
+    pytest.param(epsilon_system(3, 1.0), TRANSFORMED.density_field(), TRANSFORMED.sample_predicates(), id="transformed")
+]
+
+
+@pytest.mark.parametrize("sys, A, predicates", TABLE_CASES)
+def test_order_zero_tables_read_off_order_one_bit_for_bit(sys, A, predicates):
+    """Generators and both assemblies at order 0 over a set that holds order 1
+    are views of order 1, and bit for bit what a fresh set gives when order 0
+    alone is asked and evaluated from scratch."""
+    coords = sample_points(sys.dim, 4, seed=11, predicates=predicates).coords
+    held, fresh = PointSet(coords), PointSet(coords)
+    natural, dual = _table_pairs(sys, A)
+    high = [natural.christoffels(held, 1), dual.christoffels(held, 1), natural.generators(held, 1)]
+    got = [natural.christoffels(held, 0), dual.christoffels(held, 0), natural.generators(held, 0)]
+    with every_order_from_scratch():
+        ref_natural, ref_dual = _table_pairs(sys, A)
+        want = [ref_natural.christoffels(fresh, 0), ref_dual.christoffels(fresh, 0), ref_natural.generators(fresh, 0)]
+    for g, w, h in zip(got, want, high):
+        assert same_bits(g, w) and np.shares_memory(g, h)
