@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys as _sys
@@ -417,8 +416,8 @@ def cmd_darboux(args) -> dict:
 
     expected = rec.transformed_off_diagonal(rec.frame_connection(frame), A)(points, 0)[:, :, 0]
     image = rec.frame_connection(new_frame).generators(points, 0)[:, :, 0]
-    pairs = itertools.permutations(range(frame.dim), 2)
-    entries = geo.entries_by_point(points, {(i, j): image[i, j] - expected[i, j] for i, j in pairs})
+    i, j = geo.off_pairs(frame.dim)
+    entries = geo.entries_by_point(points, geo.pair_labels(frame.dim), image[i, j] - expected[i, j])
     checks["christoffel-shift"] = _check_payload(ResidualReport.build("christoffel-shift", entries, 1e-10))
 
     report["degree_before"] = frame.degree

@@ -321,7 +321,6 @@ class ScalarField:
         self.text = text
         self._memo = weakref.WeakKeyDictionary()
 
-    @jets.quiet
     def jet(self, points: Point | PointSet, order: int) -> Jet:
         points = point_set(points)
         if points.dim != self.dim:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import weakref
 from dataclasses import dataclass
@@ -72,8 +73,9 @@ class DiagonalSystem:
 @dataclass(frozen=True)
 class ResidualReport:
     """Residual values over sample points; passes iff every entry is finite and
-    max |entry| <= tolerance.  max_abs is NaN if any entry is NaN, else inf if
-    any entry is infinite, whatever the entry order."""
+    max |entry| <= tolerance.  build reads the entries' values into one array
+    and reduces it: max_abs is NaN if any entry is NaN, else inf if any entry
+    is infinite, whatever the entry order."""
 
     label: str
     entries: tuple[tuple[Point, tuple, float], ...]
@@ -84,31 +86,28 @@ class ResidualReport:
     @staticmethod
     def build(label: str, entries: Iterable[tuple[Point, tuple, float]], tolerance: float) -> "ResidualReport":
         entries = tuple(entries)
-        max_abs = max((_magnitude(e[2]) for e in entries), default=0.0)
-        if max_abs == math.inf and any(math.isnan(e[2]) for e in entries):
-            max_abs = math.nan
+        values = np.fromiter(map(operator.itemgetter(2), entries), float, len(entries))
+        max_abs = float(abs(values).max()) if entries else 0.0  # max gives NaN if any entry is NaN
         passed = math.isfinite(max_abs) and max_abs <= tolerance
         return ResidualReport(label, entries, tolerance, max_abs, passed)
 
     def worst(self) -> tuple[Point, tuple, float] | None:
+        """The first entry of largest magnitude, NaN ranking as infinite, or None if there are none."""
         if not self.entries:
             return None
-        return max(self.entries, key=lambda e: _magnitude(e[2]))
+        magnitude = np.abs([e[2] for e in self.entries])
+        magnitude[np.isnan(magnitude)] = math.inf
+        return self.entries[int(np.argmax(magnitude))]
 
 
-def _magnitude(r: float) -> float:
-    """|r|, with NaN ranked with infinity so that no entry order can hide it."""
-    return abs(r) if r == r else math.inf
-
-
-def entries_by_point(points: PointSet, rows: dict[tuple, np.ndarray]) -> list[tuple[Point, tuple, float]]:
+def entries_by_point(points: PointSet, labels: tuple, values: np.ndarray) -> tuple[tuple[Point, tuple, float], ...]:
     """Residual entries (point, label, value), point by point and in label order
-    at each point; rows[label] holds its values over the points, or one value
-    for all of them."""
-    table = np.empty((len(rows), len(points)))
-    for dst, row in zip(table, rows.values()):
-        dst[...] = row
-    return [(p, label, v) for p, values in zip(points, table.T.tolist()) for label, v in zip(rows, values)]
+    at each point; values is one array (nlabels, npoints) whose row k holds
+    labels[k] over the points, or one column shared by all of them."""
+    if values.shape[1] != len(points):
+        values = np.repeat(values, len(points), axis=1)
+    at = itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in points)
+    return tuple(zip(at, labels * len(points), values.T.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +180,38 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
 @functools.lru_cache(maxsize=None)
 def off_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of the off-diagonal pairs i != j, i-major; shared, so read-only."""
-    pairs = np.array(list(itertools.permutations(range(n), 2))).T
+    pairs = np.array(pair_labels(n)).T
     pairs.flags.writeable = False
     return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_labels(n: int) -> tuple[tuple[int, int], ...]:
+    """The off-diagonal pairs (i, j) as labels, in off_pairs order."""
+    return tuple(itertools.permutations(range(n), 2))
+
+
+@functools.lru_cache(maxsize=None)
+def square_labels(n: int) -> tuple[tuple[int, int], ...]:
+    """Every index pair (i, j), i-major: the labels of an (n, n) family reshaped to (n * n, ...)."""
+    return tuple(itertools.product(range(n), repeat=2))
+
+
+@functools.lru_cache(maxsize=None)
+def _sh_plan(n: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """sh_residual's labels, ("sh", i, j, k) then ("dsym", i, j, k) for each
+    distinct triple in permutation order, and the triples' index arrays."""
+    triples = tuple(itertools.permutations(range(n), 3))
+    labels = tuple(label for t in triples for label in (("sh", *t), ("dsym", *t)))
+    index = np.array(triples, dtype=int).reshape(-1, 3)
+    index.flags.writeable = False
+    return labels, tuple(index.T)
+
+
+@functools.lru_cache(maxsize=None)
+def _curvature_labels(n: int) -> tuple:
+    """curvature_natural_residual's labels: at each i, ("iki", i, q) for every q != i, then ("qqi", i, q)."""
+    return tuple((name, i, q) for i in range(n) for name in ("iki", "qqi") for q in range(n) if q != i)
 
 
 def pair_table(n: int, values: np.ndarray) -> np.ndarray:
@@ -241,7 +269,6 @@ class ConnectionTable:
         twin._cache = self._cache
         return twin
 
-    @quiet
     def generators(self, points: Point | PointSet, order: int) -> np.ndarray:
         """Every generator over the points as one array (n, n, ncoeff, npoints):
         [i, j] holds the coefficients of G^i_{ij}, zero on the diagonal."""
@@ -256,7 +283,6 @@ class ConnectionTable:
         points = point_set(points)
         return jets.memoized(self._cache, points, (self._assembly, order), lambda: self._assemble(points, order))
 
-    @quiet
     def _assemble(self, points: PointSet, order: int) -> np.ndarray:
         """G^i_{ik} = G^i_{ki} from the generators, zero on distinct triples, and
         G^i_{jj} by the assembly rule: natural -G^i_{ij} for j != i and minus
@@ -302,7 +328,9 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
 # Residuals
 #
 # Each family takes its jets once per point set and works on arrays over the
-# points; an index loop at most runs over components, never over points.
+# points; an index loop at most runs over components, never over points.  Its
+# values reach the report as one array (nlabels, npoints) beside a label tuple
+# built once per n, through entries_by_point and ResidualReport.build.
 
 
 @quiet
@@ -315,17 +343,15 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
     """
     n = sys.dim
     points = point_set(points)
-    rows = {}
+    labels, (i, j, k) = _sh_plan(n)
+    values = np.empty((0, len(points)))
     if n >= 3:
         g = natural_connection(sys).generators(points, 1)
         v, d = g[:, :, 0], jets.gradient(g, n)  # d[a, b, l] = d_l G^a_{ab}
-        triples = list(itertools.permutations(range(n), 3))
-        i, j, k = np.array(triples).T
         sh = d[k, j, i] - v[k, j] * v[j, i] + v[k, i] * v[k, j] - v[k, i] * v[i, j]
         dsym = d[i, k, j] - d[i, j, k]
-        for t, triple in enumerate(triples):
-            rows[("sh", *triple)], rows[("dsym", *triple)] = sh[t], dsym[t]
-    return ResidualReport.build("semi-hamiltonian", entries_by_point(points, rows), tolerance)
+        values = np.stack([sh, dsym], axis=1).reshape(len(labels), -1)  # sh, then dsym, per triple
+    return ResidualReport.build("semi-hamiltonian", entries_by_point(points, labels, values), tolerance)
 
 
 @quiet
@@ -341,19 +367,17 @@ def curvature_natural_residual(
     g1 = conn.christoffels(points, 1)
     v1, d1 = g1[..., 0, :], jets.gradient(g1, n)  # d1[i, j, k, l] = d_l G^i_{jk}
     v0 = conn.christoffels(points, 0)[..., 0, :]
-    pairs = list(itertools.permutations(range(n), 2))  # (i, q) with q != i, i-major
-    i, q = np.array(pairs).T
+    i, q = off_pairs(n)  # (i, q) with q != i, i-major
     iki = d1[i, i, i, q] - d1[i, i, q, i]
     giq = v1[i, q, i]
     qqi = d1[i, q, i, q] - d1[i, q, q, i] + giq * (giq - v0[q, i, q])
-    for m in range(n):
-        qqi = qqi - np.where(((m != i) & (m != q))[:, None], v0[i, m, i] * v0[m, q, q], 0.0)
+    m, i1, q1 = np.arange(n), i[:, None], q[:, None]
+    for term in np.where(((m != i1) & (m != q1))[..., None], v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1):
+        qqi = qqi - term  # G^i_{mi} G^m_{qq} over m != i, q, in m order
     qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
-    rows = {}
-    for a in range(n):  # at each i: the iki components, then the qqi ones
-        rows.update({("iki", *pair): iki[t] for t, pair in enumerate(pairs) if pair[0] == a})
-        rows.update({("qqi", *pair): qqi[t] for t, pair in enumerate(pairs) if pair[0] == a})
-    return ResidualReport.build(f"curvature[{conn.kind}]", entries_by_point(points, rows), tolerance)
+    values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
+    entries = entries_by_point(points, _curvature_labels(n), values.reshape(2 * len(i), -1))
+    return ResidualReport.build(f"curvature[{conn.kind}]", entries, tolerance)
 
 
 @quiet
@@ -408,5 +432,5 @@ def identity_parallel_residual(
     s = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
     for l in range(n):
         s = s + g[:, :, l] * x[l]
-    rows = {(i, j): s[i, j] for i in range(n) for j in range(n)}
-    return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries_by_point(points, rows), tolerance)
+    entries = entries_by_point(points, square_labels(n), s.reshape(n * n, -1))
+    return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries, tolerance)

@@ -148,7 +148,8 @@ def memoized(cache, points: PointSet, key, compute):
     (..., ncoeff, npoints) of jet coefficients over the set.  A missing order
     is read off the lowest present higher order of the same tag when that entry
     is all finite, as its leading coefficient rows; otherwise compute() makes
-    it.  So only orders asked for are ever computed."""
+    it, under quiet.  So only orders asked for are ever computed, and a hit,
+    which does no arithmetic, enters no errstate."""
     per = cache.get(points)
     if per is None:
         per = cache[points] = {}
@@ -156,10 +157,16 @@ def memoized(cache, points: PointSet, key, compute):
     if got is None:
         got = _prefix(per, key, points.dim) if per else None  # a set's first entry has nothing to read off
         if got is None:
-            got = compute()
+            got = _quietly(compute)
         (got.coeffs if isinstance(got, Jet) else got).setflags(write=False)
         per[key] = got
     return got
+
+
+@quiet
+def _quietly(compute):
+    """compute() under quiet; the decorator form nests, where ``with quiet`` may be entered once."""
+    return compute()
 
 
 def _prefix(per: dict, key, dim: int):

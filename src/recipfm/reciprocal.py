@@ -33,8 +33,10 @@ from .geometry import (
     entries_by_point,
     natural_connection,
     off_pairs,
+    pair_labels,
     pair_table,
     sample_points,
+    square_labels,
 )
 from .jets import Jet, Point, PointSet, point_set
 
@@ -139,7 +141,7 @@ def _density_entries(conn: ConnectionTable, A: ScalarField, points: PointSet):
     off = conn.generators(points, 0)[:, :, 0]
     i, j = np.triu_indices(conn.dim, 1)
     rows = hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
-    return entries_by_point(points, dict(zip(zip(i.tolist(), j.tolist()), rows)))
+    return entries_by_point(points, tuple(zip(i.tolist(), j.tolist())), rows)
 
 
 def density_residual(
@@ -188,7 +190,7 @@ def a_system_residual(
     rows = hess[q, q] - grad * sum(grad) / a0
     for l in range(n):
         rows = rows + np.where((l != q)[:, None], hess[l], -0.0)  # d_l d_q A
-    entries += entries_by_point(points, {("diag", k): r for k, r in enumerate(rows)})
+    entries += entries_by_point(points, tuple(("diag", k) for k in range(n)), rows)
     return ResidualReport.build("a-system", entries, tolerance)
 
 
@@ -208,14 +210,14 @@ def theta_system_residual(
     off = natural_connection(sys).generators(points, 0)[:, :, 0]
     q, p = off_pairs(n)  # q-major
     offdiag = dtheta[p, q] - theta[p] * off[p, q] - theta[q] * off[q, p] + theta[p] * theta[q]
-    rows = {("offdiag", *pair): r for pair, r in zip(zip(p.tolist(), q.tolist()), offdiag)}
     square = np.reshape([t**2 for t in theta.ravel().tolist()], theta.shape)  # the float power, not numpy's
     d = np.arange(n)
     diag = dtheta[d, d] + square - theta * sum(theta)
     for l in range(n):
         diag = diag + np.where((l != d)[:, None], dtheta[:, l] + theta * theta[l], -0.0)
-    rows.update({("diag", k): r for k, r in enumerate(diag)})
-    return ResidualReport.build("theta-system", entries_by_point(points, rows), tolerance)
+    labels = tuple(("offdiag", b, a) for a, b in pair_labels(n)) + tuple(("diag", k) for k in range(n))
+    entries = entries_by_point(points, labels, np.concatenate([offdiag, diag]))
+    return ResidualReport.build("theta-system", entries, tolerance)
 
 
 @jets.quiet
@@ -243,8 +245,8 @@ def covariant_hessian_residual(
         r = r - g[l] * grad[l]
     d = np.arange(n)
     r[d, d] = r[d, d] - (x_of_a / a0) * (1.0 if product == "circ" else 1.0 / u) * grad
-    rows = dict(zip(itertools.product(range(n), repeat=2), r.reshape(n * n, -1)))
-    return ResidualReport.build(f"hessian-{product}", entries_by_point(points, rows), tolerance)
+    entries = entries_by_point(points, square_labels(n), r.reshape(n * n, -1))
+    return ResidualReport.build(f"hessian-{product}", entries, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +472,9 @@ def intrinsic_agreement_report(
         product: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, product, points)
         for product, image, base in routes
     }
-    ijk = itertools.product(range(n), repeat=3)
-    rows = {(product, i, j, k): diff[i, j, k, : len(kept)] for i, j, k in ijk for product, diff in diffs.items()}
-    return ResidualReport.build("intrinsic-agreement", entries_by_point(kept, rows), tolerance)
+    labels = tuple((product, *ijk) for ijk in itertools.product(range(n), repeat=3) for product in diffs)
+    values = np.stack(list(diffs.values()), axis=3).reshape(len(labels), -1)[:, : len(kept)]
+    return ResidualReport.build("intrinsic-agreement", entries_by_point(kept, labels, values), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +539,11 @@ def orbit_compose(
     direct = transform(sys, product, base, points=points)
     two = step2.natural.generators(points, 0)[:, :, 0]
     one = direct.natural.generators(points, 0)[:, :, 0]
-    pairs = itertools.permutations(range(sys.dim), 2)
-    entries = entries_by_point(points, {(i, j): two[i, j] - one[i, j] for i, j in pairs})
+    i, j = off_pairs(sys.dim)
+    entries = entries_by_point(points, pair_labels(sys.dim), two[i, j] - one[i, j])
     generators = {"gen0": gen0, "gen1": gen1, "composite": product}
     gradings = {name: grading_residual(g.field, "e", points)[0] for name, g in generators.items()}
-    entries.append((points[0], ("grading",), gradings["gen1"] - (gradings["composite"] - gradings["gen0"])))
+    entries += ((points[0], ("grading",), gradings["gen1"] - (gradings["composite"] - gradings["gen0"])),)
     return ResidualReport.build("orbit-compose", entries, tolerance), gradings
 
 
@@ -577,27 +579,28 @@ def darboux_residual(
     """All six equation families of the homogeneity-augmented rotation system:
     d_k beta_ij = beta_ik beta_kj on distinct triples, e(beta) = 0,
     E(beta) = -beta, d_j H_i = beta_ij H_j, e(H) = 0, E(H) = -d H."""
-    n = frame.dim
+    n, keys = frame.dim, tuple(frame.beta)  # at each key in the frame's order: triple, beta-e, beta-E rows
     points = point_set(points)
-    u = points.coords
-    beta1 = {key: f.jet(points, 1) for key, f in frame.beta.items()}
-    lame1 = [f.jet(points, 1) for f in frame.lame]
-    rows = {}
-    for (i, j), bj in beta1.items():
-        grad = jets.gradient(bj)
-        for k in range(n):
-            if k != i and k != j:
-                rows[("triple", i, j, k)] = grad[k] - beta1[(i, k)].value * beta1[(k, j)].value
-        rows[("beta-e", i, j)] = sum(grad)
-        rows[("beta-E", i, j)] = sum(u * grad) + bj.value
+    u, npts = points.coords[:, None], len(points)
+    beta = jets.stack([frame.beta[key].jet(points, 1) for key in keys], npts)
+    lame = jets.stack([f.jet(points, 1) for f in frame.lame], npts)
+    db, dh = (jets.gradient(f, n).swapaxes(0, 1) for f in (beta, lame))  # [l, a] = d_l of the a-th field
+    b, h = np.zeros((n, n, npts)), lame[:, 0]
+    b[tuple(np.array(keys).T)] = beta[:, 0]
+    triples = [(t, i, j, k) for t, (i, j) in enumerate(keys) for k in range(n) if k not in (i, j)]
+    t, i, j, k = np.array(triples, dtype=int).reshape(-1, 4).T
+    triple = (db[k, t] - b[i, k] * b[k, j]).reshape(len(keys), n - 2, npts)
+    beta_rows = np.concatenate([triple, sum(db)[:, None], (sum(u * db) + beta[:, 0])[:, None]], axis=1)
+    p, q = off_pairs(n)
+    lame_rows = (dh[q, p] - b[p, q] * h[q]).reshape(n, n - 1, npts)
+    lame_rows = np.concatenate([lame_rows, sum(dh)[:, None], (sum(u * dh) + frame.degree * h)[:, None]], axis=1)
+    values = np.concatenate([beta_rows.reshape(-1, npts), lame_rows.reshape(-1, npts)])
+    labels = []
+    for i, j in keys:
+        labels += [("triple", i, j, k) for k in range(n) if k not in (i, j)] + [("beta-e", i, j), ("beta-E", i, j)]
     for i in range(n):
-        grad = jets.gradient(lame1[i])
-        for j in range(n):
-            if j != i:
-                rows[("lame", i, j)] = grad[j] - beta1[(i, j)].value * lame1[j].value
-        rows[("lame-e", i)] = sum(grad)
-        rows[("lame-E", i)] = sum(u * grad) + frame.degree * lame1[i].value
-    return ResidualReport.build("darboux", entries_by_point(points, rows), tolerance)
+        labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
+    return ResidualReport.build("darboux", entries_by_point(points, tuple(labels), values), tolerance)
 
 
 def darboux_transform(

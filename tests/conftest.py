@@ -23,6 +23,17 @@ def partial(a: Jet, alpha) -> np.ndarray:
     return a.coefficient(alpha) * math.prod(map(math.factorial, alpha))
 
 
+def entries_by_point(points, rows: dict) -> list:
+    """Residual entries (point, label, value), point by point and in label order
+    at each point, from a dict label -> its values over the points (or one value
+    for all of them).  The tests' reference builder, independent of the
+    one-array geometry.entries_by_point the families use."""
+    table = np.empty((len(rows), len(points)))
+    for dst, row in zip(table, rows.values()):
+        dst[...] = row
+    return [(p, label, v) for p, values in zip(points, table.T.tolist()) for label, v in zip(rows, values)]
+
+
 def every_order_from_scratch():
     """A context in which a memo miss always computes, never reading a lower
     order off a higher one: the reference evaluation for that reuse."""

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import entries_by_point
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_system
 from recipfm.cli import main
 from recipfm.exprlang import field
-from recipfm.geometry import dual_connection, entries_by_point, natural_connection, sample_points
+from recipfm.geometry import dual_connection, natural_connection, sample_points
 from recipfm.reciprocal import (
     a_system_residual,
     covariant_hessian_residual,
