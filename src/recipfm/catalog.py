@@ -10,6 +10,7 @@ then recomposed through the exp(h*u2) factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -245,7 +246,9 @@ def hypergeom_flat_coordinates(eps: float) -> tuple[ScalarField | None, ScalarFi
     return tuple(None if src is None else field(src[0], 3, src[1]) for src in _flat_sources(eps))
 
 
-def _build_entries() -> tuple[CatalogEntry, ...]:
+@functools.cache
+def catalog_entries() -> tuple[CatalogEntry, ...]:
+    """All built-in density instances (unit-vector and generic constants), built once."""
     entries: list[CatalogEntry] = []
     for fam in _families():
         base_params = {"h": fam["h"]} if fam["h"] != 0.0 else {}
@@ -320,17 +323,6 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
         )
     )
     return tuple(entries)
-
-
-_ENTRIES: tuple[CatalogEntry, ...] | None = None
-
-
-def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """All built-in density instances (unit-vector and generic constants)."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build_entries()
-    return _ENTRIES
 
 
 def entry(entry_id: str) -> CatalogEntry:

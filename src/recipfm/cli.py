@@ -197,12 +197,8 @@ def _build_density(args, dim: int):
     return None, (), None
 
 
-def _check_payload(rep: ResidualReport) -> dict:
-    return {"max_abs": rep.max_abs, "tolerance": rep.tolerance, "pass": rep.passed}
-
-
-def _add_biflat(report: dict, verdict: rec.BiflatVerdict, tolerance: float) -> None:
-    report["checks"]["biflat-admissible"] = {"max_abs": verdict.max_abs, "tolerance": tolerance, "pass": verdict.passed}
+def _add_biflat(report: dict, verdict: rec.BiflatVerdict) -> None:
+    report["checks"]["biflat-admissible"] = verdict
     report["biflat"] = {"h": verdict.h, "k": verdict.k, "admissible": verdict.passed}
 
 
@@ -229,7 +225,7 @@ def _report_skeleton(args, points: Sequence[Point]) -> dict:
         "inputs": inputs,
         "seed": args.seed,
         "points": [list(p.coords) for p in points],
-        "checks": {},
+        "checks": {},  # each command puts its ResidualReports and BiflatVerdict here; main writes their payloads
     }
 
 
@@ -243,9 +239,9 @@ def cmd_check(args) -> dict:
         if s not in _SUITES:
             raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(_SUITES)}")
     if "all" in suites:
-        # grading-E and biflat stay opt-in: they are conditions on homogeneous
-        # generators, not on arbitrary densities
-        suites = ["flatness", "dual", "sh"]
+        # grading-E and biflat stay opt-in, named beside all: they are
+        # conditions on homogeneous generators, not on arbitrary densities
+        suites += ["flatness", "dual", "sh"]
         if A is not None:
             suites += ["density", "a-system", "grading-e"]
     needs_density = {"density", "a-system", "grading-e", "grading-E", "biflat"}
@@ -263,31 +259,24 @@ def cmd_check(args) -> dict:
     grading = functools.cache(lambda field_name: rec.grading_residual(A, field_name, points, args.grading_tol))
     natural = geo.natural_connection(system)
     if "flatness" in suites:
-        checks["curvature-natural"] = _check_payload(
-            geo.curvature_natural_residual(natural, points, args.tol_second)
-        )
-        checks["parallel-e"] = _check_payload(geo.identity_parallel_residual(natural, "e", points))
+        checks["curvature-natural"] = geo.curvature_natural_residual(natural, points, args.tol_second)
+        checks["parallel-e"] = geo.identity_parallel_residual(natural, "e", points)
     if "dual" in suites:
         dual = geo.dual_connection(system)
-        checks["curvature-dual"] = _check_payload(geo.curvature_full_residual(dual, points, args.tol_second))
-        checks["parallel-E"] = _check_payload(geo.identity_parallel_residual(dual, "E", points))
+        checks["curvature-dual"] = geo.curvature_full_residual(dual, points, args.tol_second)
+        checks["parallel-E"] = geo.identity_parallel_residual(dual, "E", points)
     if "sh" in suites:
-        checks["semi-hamiltonian"] = _check_payload(geo.sh_residual(system, points, args.tol_second))
+        checks["semi-hamiltonian"] = geo.sh_residual(system, points, args.tol_second)
     if "density" in suites:
-        checks["density"] = _check_payload(density())
+        checks["density"] = density()
     if "a-system" in suites:
-        checks["a-system"] = _check_payload(rec.a_system_residual(system, A, points, args.tol_second))
-        checks["theta-system"] = _check_payload(rec.theta_system_residual(system, A, points, args.tol_second))
-    if "grading-e" in suites:
-        h_est, h_rep = grading("e")
-        checks["grading-e"] = _check_payload(h_rep)
-        report["grading_e_estimate"] = h_est
-    if "grading-E" in suites:
-        k_est, k_rep = grading("E")
-        checks["grading-E"] = _check_payload(k_rep)
-        report["grading_E_estimate"] = k_est
+        checks["a-system"] = rec.a_system_residual(system, A, points, args.tol_second)
+        checks["theta-system"] = rec.theta_system_residual(system, A, points, args.tol_second)
+    for field_name in ("e", "E"):
+        if f"grading-{field_name}" in suites:
+            report[f"grading_{field_name}_estimate"], checks[f"grading-{field_name}"] = grading(field_name)
     if "biflat" in suites:
-        _add_biflat(report, rec.biflat_verdict(density(), grading("e"), grading("E"), args.grading_tol), args.tol_second)
+        _add_biflat(report, rec.biflat_verdict(density(), grading("e"), grading("E"), args.grading_tol))
     return report
 
 
@@ -305,15 +294,11 @@ def cmd_transform(args) -> dict:
     result = rec.transform(system, gen, points[0], with_dual=args.biflat, check_generator=False)
 
     dens = rec.density_residual(system, A, points, args.tol_second)
-    checks["generator-density"] = _check_payload(dens)
+    checks["generator-density"] = dens
     e_grading = h_est, h_rep = rec.grading_residual(A, "e", points, args.grading_tol)
-    checks["grading-e"] = _check_payload(h_rep)
-    checks["transformed-curvature"] = _check_payload(
-        geo.curvature_natural_residual(result.natural, points, args.tol_second)
-    )
-    checks["intrinsic-agreement"] = _check_payload(
-        rec.intrinsic_agreement_report(system, A, result, points, first=3)
-    )
+    checks["grading-e"] = h_rep
+    checks["transformed-curvature"] = geo.curvature_natural_residual(result.natural, points, args.tol_second)
+    checks["intrinsic-agreement"] = rec.intrinsic_agreement_report(system, A, result, points, first=3)
     report["generator"] = {"h": h_est}
 
     n = system.dim
@@ -323,15 +308,11 @@ def cmd_transform(args) -> dict:
 
     if args.biflat:
         big_e_grading = k_est, k_rep = rec.grading_residual(A, "E", points, args.grading_tol)
-        checks["grading-E"] = _check_payload(k_rep)
-        checks["transformed-dual-curvature"] = _check_payload(
-            geo.curvature_full_residual(result.dual, points, args.tol_second)
-        )
-        checks["transformed-parallel-E"] = _check_payload(
-            geo.identity_parallel_residual(result.dual, "E", points)
-        )
+        checks["grading-E"] = k_rep
+        checks["transformed-dual-curvature"] = geo.curvature_full_residual(result.dual, points, args.tol_second)
+        checks["transformed-parallel-E"] = geo.identity_parallel_residual(result.dual, "E", points)
         report["generator"]["k"] = k_est
-        _add_biflat(report, rec.biflat_verdict(dens, e_grading, big_e_grading, args.grading_tol), args.tol_second)
+        _add_biflat(report, rec.biflat_verdict(dens, e_grading, big_e_grading, args.grading_tol))
     return report
 
 
@@ -356,15 +337,13 @@ def cmd_orbit(args) -> dict:
     report["inputs"]["composite"] = args.composite
     report["base"] = list(base.coords)
 
-    rep, gradings = rec.orbit_compose(
+    report["checks"]["orbit-compose"], report["gradings"] = rec.orbit_compose(
         system,
         rec.ConservationDensity(gen0_field),
         rec.ConservationDensity(gen1_field),
         points,
         base,
     )
-    report["checks"]["orbit-compose"] = _check_payload(rep)
-    report["gradings"] = gradings
     return report
 
 
@@ -408,17 +387,16 @@ def cmd_darboux(args) -> dict:
     report = _report_skeleton(args, points)
     checks = report["checks"]
 
-    before = rec.darboux_residual(frame, points, args.tol_second)
-    checks["frame-before"] = _check_payload(before)
+    checks["frame-before"] = rec.darboux_residual(frame, points, args.tol_second)
     gen = rec.ConservationDensity(A)
     new_frame = rec.darboux_transform(frame, gen, points, tolerance=args.tol_second, grading_tol=args.grading_tol)
-    checks["frame-after"] = _check_payload(rec.darboux_residual(new_frame, points, args.tol_second))
+    checks["frame-after"] = rec.darboux_residual(new_frame, points, args.tol_second)
 
     expected = rec.transformed_off_diagonal(rec.frame_connection(frame), A)(points, 0)[:, :, 0]
     image = rec.frame_connection(new_frame).generators(points, 0)[:, :, 0]
     i, j = geo.off_pairs(frame.dim)
     entries = geo.entries_by_point(points, geo.pair_labels(frame.dim), image[i, j] - expected[i, j])
-    checks["christoffel-shift"] = _check_payload(ResidualReport.build("christoffel-shift", entries, 1e-10))
+    checks["christoffel-shift"] = ResidualReport.build("christoffel-shift", entries, 1e-10)
 
     report["degree_before"] = frame.degree
     report["degree_after"] = new_frame.degree
@@ -472,7 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = build_parser().parse_args([args.command, *_config_flags(args), *argv[1:]])
         _validate(args)
         report = _COMMANDS[args.command](args)
-        report["pass"] = all(c["pass"] for c in report["checks"].values())
+        checks = report["checks"]  # the one place a check becomes its payload
+        report["checks"] = {name: {"max_abs": c.max_abs, "tolerance": c.tolerance, "pass": c.passed}
+                            for name, c in checks.items()}
+        report["pass"] = all(c.passed for c in checks.values())
         _emit(report, args)
     except (*_CONFIG_ERRORS, OSError, RecursionError) as exc:  # RecursionError: input nested past Python's limit
         why = "input nests too deeply to read or evaluate" if isinstance(exc, RecursionError) else exc

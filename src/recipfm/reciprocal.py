@@ -484,15 +484,17 @@ def intrinsic_agreement_report(
 @dataclass(frozen=True)
 class BiflatVerdict:
     """h and k are the e- and E-grading estimates; max_abs is the largest
-    max_abs of the three reports (NaN if any is NaN); failed names the unmet
-    conditions by report name, in the order grading-e, grading-E, density."""
+    max_abs of the three reports (NaN if any is NaN) and tolerance is the
+    density report's; failed names the unmet conditions by report name, in the
+    order grading-e, grading-E, density."""
 
     passed: bool
     h: float
     k: float
     reports: dict
-    max_abs: float = 0.0
-    failed: tuple[str, ...] = ()
+    max_abs: float
+    tolerance: float
+    failed: tuple[str, ...]
 
 
 def biflat_verdict(
@@ -511,7 +513,7 @@ def biflat_verdict(
     reports = {"density": density, "grading-e": e_rep, "grading-E": big_e_rep}
     maxes = [r.max_abs for r in reports.values()]
     max_abs = math.nan if any(m != m for m in maxes) else max(maxes)
-    return BiflatVerdict(not failed, h_est, k_est, reports, max_abs, failed)
+    return BiflatVerdict(not failed, h_est, k_est, reports, max_abs, density.tolerance, failed)
 
 
 @jets.quiet

@@ -524,6 +524,34 @@ def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("FAIL check: 3 checks, worst biflat-admissible max_abs=nan")
 
 
+TOLS = ["--tol-second", "3e-8", "--grading-tol", "2e-8"]
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        (["check", *FLATCOORD, "--suite", "all,grading-E,biflat", *TOLS],
+         {"curvature-natural": 3e-8, "parallel-e": 1e-10, "curvature-dual": 3e-8, "parallel-E": 1e-10,
+          "semi-hamiltonian": 3e-8, "density": 3e-8, "a-system": 3e-8, "theta-system": 3e-8,
+          "grading-e": 2e-8, "grading-E": 2e-8, "biflat-admissible": 3e-8}),
+        (["transform", *FLATCOORD, "--biflat", *TOLS],
+         {"generator-density": 3e-8, "grading-e": 2e-8, "transformed-curvature": 3e-8, "intrinsic-agreement": 1e-12,
+          "grading-E": 2e-8, "transformed-dual-curvature": 3e-8, "transformed-parallel-E": 1e-10,
+          "biflat-admissible": 3e-8}),
+        (GOLDEN_CASES["orbit-dim2"][1], {"orbit-compose": 1e-10}),  # orbit takes no tolerance option
+        ([*GOLDEN_CASES["darboux-eps2"][1], *TOLS],
+         {"frame-before": 3e-8, "frame-after": 3e-8, "christoffel-shift": 1e-10}),
+    ],
+    ids=["check", "transform", "orbit", "darboux"],
+)
+def test_each_check_records_its_own_tolerance(argv, tolerances, tmp_path):
+    """Every payload carries the bound its own check was graded against, and
+    all keeps the opt-in suites named beside it."""
+    code, report = run(tmp_path, *argv, "--num-points", "5")
+    assert code == 0
+    assert {name: c["tolerance"] for name, c in report["checks"].items()} == tolerances
+
+
 def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
     gradings = _count_calls(monkeypatch, rec, "grading_residual")
     code, report = run(tmp_path, *GOLDEN_CASES["orbit-dim2"][1])
@@ -620,12 +648,23 @@ def test_huge_config_integers_exit_two(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_module_entry_point():
+def _python(*argv):
+    """A fresh interpreter that imports recipfm from this checkout's src."""
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
+
+@pytest.mark.parametrize("module", ["jets", "exprlang", "geometry", "reciprocal", "catalog", "cli"])
+def test_each_module_imports_on_its_own(module):
+    """The package root imports no module, so none may rely on another being imported first."""
+    done = _python("-c", f"import recipfm.{module}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point():
     def recipfm(*argv):
-        return subprocess.run([sys.executable, "-m", "recipfm.cli", *argv], env=env, capture_output=True, text=True)
+        return _python("-m", "recipfm.cli", *argv)
 
     ok = recipfm("check", *EPS2, "--suite", "flatness", "--num-points", "2")
     assert ok.returncode == 0 and json.loads(ok.stdout)["pass"] is True
