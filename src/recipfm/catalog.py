@@ -1,18 +1,19 @@
 """Built-in systems and the closed-form density/current library.
 
-Every family is stored as expression-language source with named constants, and
-instantiated once per unit vector of the constants appearing in the density
-(so each basis function is exercised on its own) plus one generic combination
-(c0, c1, c2, c3) = (1, 2, -1, 0.5).  Three-component families are written in
-the difference variables x21 = u2 - u1 and x32 = u3 - u2 exactly as derived,
-then recomposed through the exp(h*u2) factor.
+Every family is expression-language source with named constants, turned into
+entries by the one family builder ``_family``: one entry per unit vector of the
+constants appearing in the density (so each basis function is exercised on its
+own) plus one generic combination (c0, c1, c2, c3) = (1, 2, -1, 0.5).  The two
+homogeneous flat coordinates are single entries of their own.  Three-component
+families are written in the difference variables x21 = u2 - u1 and
+x32 = u3 - u2 exactly as derived, then recomposed through the exp(h*u2) factor.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exprlang import ScalarField, field
 from .geometry import DiagonalSystem
@@ -42,7 +43,6 @@ class CatalogEntry:
 
     entry_id: str
     family: str
-    description: str
     dim: int
     eps: float
     h: float
@@ -79,136 +79,29 @@ _DIM2_NARROW = ((-0.95, -0.7), (0.7, 0.95))
 _DIM3_Z = ((-2.0, -1.3), (0.5, 2.0), (-0.9, -0.4))
 
 
-def _families() -> list[dict]:
-    fams: list[dict] = []
-    for h, tag in ((1.0, "h1"), (-0.5, "hm05")):
-        fams.append(
-            dict(
-                family=f"dim2-eps1-{tag}",
-                description="two-component exponential densities, eps=1, nonzero unit grading",
-                dim=2,
-                eps=1.0,
-                h=h,
-                density="c1*exp(h*u1)/(u2-u1) + c2*exp(h*u2)/(u2-u1)",
-                current="c1*exp(h*u1)*u2/(u1-u2) + c2*exp(h*u2)*u1/(u1-u2) + c3",
-                a_constants=("c1", "c2"),
-                basis_k={},
-                bands=_DIM2_WIDE,
-            )
-        )
-        fams.append(
-            dict(
-                family=f"dim2-eps-1-{tag}",
-                description="two-component polynomial-exponential densities, eps=-1, nonzero unit grading",
-                dim=2,
-                eps=-1.0,
-                h=h,
-                density="c1*exp(h*u1)*(h*u2-h*u1+2) + c2*exp(h*u2)*(h*u2-h*u1-2)",
-                current=(
-                    "c1*exp(h*u1)*(6*u1-(2*u1+u2)*(u1-u2)*h-6/h)"
-                    " + c2*exp(h*u2)*(-6*u2-(2*u2+u1)*(u1-u2)*h+6/h) + c3"
-                ),
-                a_constants=("c1", "c2"),
-                basis_k={},
-                bands=_DIM2_NARROW,
-            )
-        )
-    fams.append(
-        dict(
-            family="dim2-eps1-h0",
-            description="two-component densities, eps=1, unit-invariant",
-            dim=2,
-            eps=1.0,
-            h=0.0,
-            density="c1 + c2/(u2-u1)",
-            current="c2*u2/(u1-u2) + c3",
-            a_constants=("c1", "c2"),
-            basis_k={"c1": 0.0, "c2": -1.0},
-            bands=_DIM2_WIDE,
-        )
-    )
-    fams.append(
-        dict(
-            family="dim2-eps-1-h0",
-            description="two-component cubic densities, eps=-1, unit-invariant",
-            dim=2,
-            eps=-1.0,
-            h=0.0,
-            density="c1 + c2*(u2-u1)^3",
-            current="c2*(3/2)*(u1+u2)*(u2-u1)^3 + c3",
-            a_constants=("c1", "c2"),
-            basis_k={"c1": 0.0, "c2": 3.0},
-            bands=_DIM2_WIDE,
-        )
-    )
-    for h, tag in ((1.0, "h1"), (-0.5, "hm05")):
-        F = (
-            f"c0/({_X32}*{_X21})"
-            f" + c1*exp(h*{_X32})/({_X32}*{_XS})"
-            f" + c2*exp(-h*{_X21})/({_X21}*{_XS})"
-        )
-        fams.append(
-            dict(
-                family=f"dim3-eps1-{tag}",
-                description="three-component family, eps=1, nonzero unit grading",
-                dim=3,
-                eps=1.0,
-                h=h,
-                density=f"({F})*exp(h*u2)",
-                current=None,
-                a_constants=("c0", "c1", "c2"),
-                basis_k={},
-                bands=None,
-            )
-        )
-        F = (
-            f"c0*(h*{_X32}/3 + 1 - h^2*{_X21}*{_X32}/6 - h*{_X21}/3)"
-            f" + c1*exp(-h*{_X21})*(6 + 4*h*{_X21} + h^2*{_X21}^2 + 2*h*{_X32} + h^2*{_X32}*{_X21})"
-            f" + c2*exp(h*{_X32})*(6 + h^2*{_X32}^2 + h^2*{_X32}*{_X21} - 2*h*{_X21} - 4*h*{_X32})/h"
-        )
-        fams.append(
-            dict(
-                family=f"dim3-eps-1-{tag}",
-                description="three-component family, eps=-1, nonzero unit grading (needs h != 0)",
-                dim=3,
-                eps=-1.0,
-                h=h,
-                density=f"({F})*exp(h*u2)",
-                current=None,
-                a_constants=("c0", "c1", "c2"),
-                basis_k={},
-                bands=None,
-            )
-        )
-    fams.append(
-        dict(
-            family="dim3-eps1-h0",
-            description="three-component family, eps=1, unit-invariant",
-            dim=3,
-            eps=1.0,
-            h=0.0,
-            density=f"c1*(1/({_X32}*({_X21}+{_X32})) + 1/({_X21}*({_X32}+{_X21}))) + c2",
-            current=None,
-            a_constants=("c1", "c2"),
-            basis_k={"c1": -2.0, "c2": 0.0},
-            bands=None,
-        )
-    )
-    fams.append(
-        dict(
-            family="dim3-eps-1-h0",
-            description="three-component quartic family, eps=-1, unit-invariant",
-            dim=3,
-            eps=-1.0,
-            h=0.0,
-            density=f"c1 + c2*({_X32}*{_X21}^3 + {_X21}^4/2) + c3*({_X32}^4/12 + {_X21}*{_X32}^3/6)",
-            current=None,
-            a_constants=("c1", "c2", "c3"),
-            basis_k={"c1": 0.0, "c2": 4.0, "c3": 4.0},
-            bands=None,
-        )
-    )
-    return fams
+def _family(
+    family: str,
+    dim: int,
+    eps: float,
+    h: float,
+    density: str,
+    ks: dict[str, float | None],
+    current: str | None = None,
+    bands: tuple[tuple[float, float], ...] | None = None,
+) -> Iterator[CatalogEntry]:
+    """The entries of one family: one per constant of ks, with that constant 1
+    and the others 0, then the generic combination under the family id.  ks
+    maps each constant of the density to its entry's Euler grading k (None
+    where unknown); the generic entry has k only where all of them agree.  A
+    current's additive constant c3 is 0 in the unit entries."""
+    base = {"h": h} if h != 0.0 else {}
+    names = (*ks, "c3") if current is not None and "c3" in current else tuple(ks)
+    common = dict(family=family, dim=dim, eps=eps, h=h, density_src=density, current_src=current, current_bands=bands)
+    for c, k in ks.items():
+        yield CatalogEntry(f"{family}:{c}", k=k, params={**base, **{o: float(o == c) for o in names}}, **common)
+    shared = set(ks.values())
+    generic = {**base, **{o: GENERIC_CONSTANTS[o] for o in names}}
+    yield CatalogEntry(family, k=shared.pop() if len(shared) == 1 else None, params=generic, **common)
 
 
 def _flat_sources(eps: float) -> tuple[tuple[str, dict] | None, tuple[str, dict] | None]:
@@ -250,76 +143,80 @@ def hypergeom_flat_coordinates(eps: float) -> tuple[ScalarField | None, ScalarFi
 def catalog_entries() -> tuple[CatalogEntry, ...]:
     """All built-in density instances (unit-vector and generic constants), built once."""
     entries: list[CatalogEntry] = []
-    for fam in _families():
-        base_params = {"h": fam["h"]} if fam["h"] != 0.0 else {}
-        names = fam["a_constants"]
-        has_c3 = fam["current"] is not None and "c3" in fam["current"]
-        instances = []
-        for c in names:
-            params = dict(base_params)
-            for other in names:
-                params[other] = 1.0 if other == c else 0.0
-            if has_c3:
-                params["c3"] = 0.0
-            instances.append((f"{fam['family']}:{c}", params, fam["basis_k"].get(c)))
-        generic = dict(base_params)
-        for other in names:
-            generic[other] = GENERIC_CONSTANTS[other]
-        if has_c3:
-            generic["c3"] = GENERIC_CONSTANTS["c3"]
-        mixed_k = fam["basis_k"].get(names[0]) if len(set(fam["basis_k"].values())) == 1 and len(
-            fam["basis_k"]
-        ) == len(names) else None
-        instances.append((fam["family"], generic, mixed_k))
-        for entry_id, params, k in instances:
-            entries.append(
-                CatalogEntry(
-                    entry_id=entry_id,
-                    family=fam["family"],
-                    description=fam["description"],
-                    dim=fam["dim"],
-                    eps=fam["eps"],
-                    h=fam["h"],
-                    k=k,
-                    density_src=fam["density"],
-                    current_src=fam["current"],
-                    params=params,
-                    current_bands=fam["bands"],
-                )
-            )
-    # homogeneous flat coordinates (hypergeometric route)
-    src1, _ = _flat_sources(1.0)
+    for h, tag in ((1.0, "h1"), (-0.5, "hm05")):
+        # exponential densities
+        entries += _family(
+            f"dim2-eps1-{tag}", 2, 1.0, h,
+            "c1*exp(h*u1)/(u2-u1) + c2*exp(h*u2)/(u2-u1)",
+            dict.fromkeys(("c1", "c2")),
+            current="c1*exp(h*u1)*u2/(u1-u2) + c2*exp(h*u2)*u1/(u1-u2) + c3",
+            bands=_DIM2_WIDE,
+        )
+        # polynomial-exponential densities
+        entries += _family(
+            f"dim2-eps-1-{tag}", 2, -1.0, h,
+            "c1*exp(h*u1)*(h*u2-h*u1+2) + c2*exp(h*u2)*(h*u2-h*u1-2)",
+            dict.fromkeys(("c1", "c2")),
+            current=(
+                "c1*exp(h*u1)*(6*u1-(2*u1+u2)*(u1-u2)*h-6/h)"
+                " + c2*exp(h*u2)*(-6*u2-(2*u2+u1)*(u1-u2)*h+6/h) + c3"
+            ),
+            bands=_DIM2_NARROW,
+        )
+    entries += _family(
+        "dim2-eps1-h0", 2, 1.0, 0.0,
+        "c1 + c2/(u2-u1)",
+        {"c1": 0.0, "c2": -1.0},
+        current="c2*u2/(u1-u2) + c3",
+        bands=_DIM2_WIDE,
+    )
+    # cubic densities
+    entries += _family(
+        "dim2-eps-1-h0", 2, -1.0, 0.0,
+        "c1 + c2*(u2-u1)^3",
+        {"c1": 0.0, "c2": 3.0},
+        current="c2*(3/2)*(u1+u2)*(u2-u1)^3 + c3",
+        bands=_DIM2_WIDE,
+    )
+    for h, tag in ((1.0, "h1"), (-0.5, "hm05")):
+        F = (
+            f"c0/({_X32}*{_X21})"
+            f" + c1*exp(h*{_X32})/({_X32}*{_XS})"
+            f" + c2*exp(-h*{_X21})/({_X21}*{_XS})"
+        )
+        entries += _family(f"dim3-eps1-{tag}", 3, 1.0, h, f"({F})*exp(h*u2)", dict.fromkeys(("c0", "c1", "c2")))
+        # the c2 term divides by h, so the family needs h != 0
+        F = (
+            f"c0*(h*{_X32}/3 + 1 - h^2*{_X21}*{_X32}/6 - h*{_X21}/3)"
+            f" + c1*exp(-h*{_X21})*(6 + 4*h*{_X21} + h^2*{_X21}^2 + 2*h*{_X32} + h^2*{_X32}*{_X21})"
+            f" + c2*exp(h*{_X32})*(6 + h^2*{_X32}^2 + h^2*{_X32}*{_X21} - 2*h*{_X21} - 4*h*{_X32})/h"
+        )
+        entries += _family(f"dim3-eps-1-{tag}", 3, -1.0, h, f"({F})*exp(h*u2)", dict.fromkeys(("c0", "c1", "c2")))
+    entries += _family(
+        "dim3-eps1-h0", 3, 1.0, 0.0,
+        f"c1*(1/({_X32}*({_X21}+{_X32})) + 1/({_X21}*({_X32}+{_X21}))) + c2",
+        {"c1": -2.0, "c2": 0.0},
+    )
+    # quartic family
+    entries += _family(
+        "dim3-eps-1-h0", 3, -1.0, 0.0,
+        f"c1 + c2*({_X32}*{_X21}^3 + {_X21}^4/2) + c3*({_X32}^4/12 + {_X21}*{_X32}^3/6)",
+        {"c1": 0.0, "c2": 4.0, "c3": 4.0},
+    )
+    # the homogeneous flat coordinates (hypergeometric route): the first at eps=1, the second at eps=-1
+    (src1, params1), _ = _flat_sources(1.0)
     entries.append(
         CatalogEntry(
-            entry_id="dim3-eps1-flatcoord",
-            family="dim3-eps1-flatcoord",
-            description="first homogeneous flat coordinate of the eps=1 three-component system",
-            dim=3,
-            eps=1.0,
-            h=0.0,
-            k=-2.0,
-            density_src=src1[0],
-            current_src="(u1+u3)/((u3-u2)*(u2-u1)) + c3",
-            params={**src1[1], "c3": 0.0},
-            current_bands=_DIM3_Z,
-            z_window=True,
+            entry_id="dim3-eps1-flatcoord", family="dim3-eps1-flatcoord", dim=3, eps=1.0, h=0.0, k=-2.0,
+            density_src=src1, current_src="(u1+u3)/((u3-u2)*(u2-u1)) + c3", params={**params1, "c3": 0.0},
+            current_bands=_DIM3_Z, z_window=True,
         )
     )
-    _, src2 = _flat_sources(-1.0)
+    _, (src2, params2) = _flat_sources(-1.0)
     entries.append(
         CatalogEntry(
-            entry_id="dim3-eps-1-flatcoord",
-            family="dim3-eps-1-flatcoord",
-            description="second homogeneous flat coordinate of the eps=-1 three-component system",
-            dim=3,
-            eps=-1.0,
-            h=0.0,
-            k=4.0,
-            density_src=src2[0],
-            current_src=None,
-            params=src2[1],
-            current_bands=None,
-            z_window=True,
+            entry_id="dim3-eps-1-flatcoord", family="dim3-eps-1-flatcoord", dim=3, eps=-1.0, h=0.0, k=4.0,
+            density_src=src2, current_src=None, params=params2, current_bands=None, z_window=True,
         )
     )
     return tuple(entries)

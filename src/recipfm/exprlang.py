@@ -315,10 +315,9 @@ class ScalarField:
     its memo.
     """
 
-    def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet], text: str = "<field>"):
+    def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet]):
         self.dim = dim
         self._fn = fn
-        self.text = text
         self._memo = weakref.WeakKeyDictionary()
 
     def jet(self, points: Point | PointSet, order: int) -> Jet:
@@ -330,9 +329,6 @@ class ScalarField:
     def value(self, p: Point) -> float:
         """The value at a lone point."""
         return self.jet(p, 0).value.item()
-
-    def __repr__(self) -> str:
-        return f"ScalarField({self.text})"
 
     def _coerce(self, other) -> "ScalarField":
         if isinstance(other, ScalarField):
@@ -346,7 +342,7 @@ class ScalarField:
         a, b = (other, self) if flipped else (self, other)
         arith = _ARITH[op]
         fn = lambda p, order: arith(a.jet(p, order), b.jet(p, order))
-        return ScalarField(self.dim, fn, f"({a.text} {op} {b.text})")
+        return ScalarField(self.dim, fn)
 
     def __add__(self, other):
         return self._binary(other, "+")
@@ -371,24 +367,23 @@ class ScalarField:
         return self._binary(other, "/", flipped=True)
 
     def __neg__(self):
-        return ScalarField(self.dim, lambda p, order: -self.jet(p, order), f"-({self.text})")
+        return ScalarField(self.dim, lambda p, order: -self.jet(p, order))
 
 
 def constant_field(dim: int, value: float) -> ScalarField:
     v = float(value)
-    return ScalarField(dim, lambda p, order: jets.constant(dim, order, v), repr(v))
+    return ScalarField(dim, lambda p, order: jets.constant(dim, order, v))
 
 
 def partial_field(f: ScalarField, index: int) -> ScalarField:
     """The field d f / d u^{index}; its order-m jet costs an order-(m+1) jet of f."""
     fn = lambda p, order: jets.derivative(f.jet(p, order + 1), index)
-    return ScalarField(f.dim, fn, f"d{index + 1}({f.text})")
+    return ScalarField(f.dim, fn)
 
 
 def compile_field(fexpr: FieldExpr) -> ScalarField:
     """Compile a parsed expression into a jet evaluator."""
-    fn = _build(fexpr.ast, fexpr.dim)
-    return ScalarField(fexpr.dim, fn, to_text(fexpr.ast))
+    return ScalarField(fexpr.dim, _build(fexpr.ast, fexpr.dim))
 
 
 def _build(node, dim: int) -> Callable[[PointSet, int], Jet]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,7 +34,6 @@ from .geometry import (
     off_pairs,
     pair_labels,
     pair_table,
-    sample_points,
     square_labels,
 )
 from .jets import Jet, Point, PointSet, point_set
@@ -45,8 +43,6 @@ GRADING_TOL = 1e-8
 QUAD_NODES = 32
 QUAD_REFINE_TOL = 1e-10
 QUAD_MAX_PANELS = 64
-CHECK_SEED = 42  # sample points of transform's generator check, unless given
-CHECK_POINTS = 10
 
 _GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
 _GL_W = tuple(float(w) for w in _GL_WS)
@@ -270,9 +266,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     field's domain is redone as one-node sets through the same integrand, so
     the first failing node in rule order raises its own error, velocity check
     before density check.  Node sets are dropped after use, and with them
-    every memo entry they made.  The quadrature values are kept per point set
-    like the field's own memo, so jets of several orders over one set run the
-    quadrature once.
+    every memo entry they made.  The returned field's own memo reads a lower
+    order off a higher one it holds for the same set, so asking order 1 and
+    then order 0 over one set runs the quadrature once.
     """
     n = sys.dim
     one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
@@ -337,11 +333,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             prev, cur = cur, composite(half, integrand_at_nodes(ts))
         return cur
 
-    values = weakref.WeakKeyDictionary()
-
     def fn(points: PointSet, jet_order: int) -> Jet:
         coeffs = np.empty((len(jets.multi_indices(n, jet_order)), len(points)))
-        coeffs[0] = jets.memoized(values, points, 0, lambda: np.array([value_at(p) for p in points]))
+        coeffs[0] = [value_at(p) for p in points]
         if jet_order == 0:
             return Jet(n, 0, coeffs)
         grads = [one_forms[i].jet(points, jet_order - 1) for i in range(n)]
@@ -351,7 +345,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             coeffs[r] = grads[i].coefficient(beta) / alpha[i]
         return Jet(n, jet_order, coeffs)
 
-    return ScalarField(n, fn, text=f"current[{A.text}]")
+    return ScalarField(n, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +385,17 @@ def transform(
     The returned natural (and optional dual) tables are assembled from the
     shifted off-diagonal symbols; velocities become A v^i - B with B the
     reconstructed current (evaluated lazily).  With check_generator the
-    density equations are verified first (at points, or else at CHECK_POINTS
-    points drawn from CHECK_SEED) and an InadmissibleGeneratorError is raised
-    on failure; passing False lets deliberately broken generators through so
-    the flatness-failure converse can be observed downstream.  The image
-    tables share one symbol cache.
+    density equations are verified first at points, which must then be given,
+    and an InadmissibleGeneratorError is raised on failure; passing False lets
+    deliberately broken generators through so the flatness-failure converse
+    can be observed downstream.  The image tables share one symbol cache.
     """
     A = gen.field
     if check_generator:
         if points is None:
-            points = sample_points(sys.dim, CHECK_POINTS, CHECK_SEED, predicates=(density_window(A),))
+            raise ReciprocalError(
+                "transform checks its generator only at given points: pass points, or check_generator=False"
+            )
         rep = density_residual(sys, A, points, TOL_SECOND)
         if not rep.passed:
             worst = rep.worst()

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from recipfm import jets
@@ -54,6 +58,28 @@ def test_catalog_has_all_families_and_lookup_works():
     # ids are unique
     ids = [e.entry_id for e in entries]
     assert len(ids) == len(set(ids))
+
+
+def _ids(family, constants):
+    return [f"{family}:{c}" for c in constants] + [family]
+
+
+def test_catalog_ids_come_in_order():
+    want = []
+    for tag in ("h1", "hm05"):
+        want += _ids(f"dim2-eps1-{tag}", ("c1", "c2")) + _ids(f"dim2-eps-1-{tag}", ("c1", "c2"))
+    want += _ids("dim2-eps1-h0", ("c1", "c2")) + _ids("dim2-eps-1-h0", ("c1", "c2"))
+    for tag in ("h1", "hm05"):
+        want += _ids(f"dim3-eps1-{tag}", ("c0", "c1", "c2")) + _ids(f"dim3-eps-1-{tag}", ("c0", "c1", "c2"))
+    want += _ids("dim3-eps1-h0", ("c1", "c2")) + _ids("dim3-eps-1-h0", ("c1", "c2", "c3"))
+    want += ["dim3-eps1-flatcoord", "dim3-eps-1-flatcoord"]
+    assert [e.entry_id for e in catalog_entries()] == want and len(want) == 43
+
+
+def test_catalog_entries_are_pinned_by_digest():
+    # every field, with its JSON spelling, so a 1 written for 1.0 shows
+    text = json.dumps([dataclasses.asdict(e) for e in catalog_entries()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "4c99575fdafe76484772b77fc8adfb85c160b76598b8490b7e39dc8538683043"
 
 
 @pytest.mark.parametrize("e", catalog_entries(), ids=lambda e: e.entry_id)

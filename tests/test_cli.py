@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -648,9 +649,12 @@ def test_huge_config_integers_exit_two(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+SRC = pathlib.Path(__file__).parents[1] / "src" / "recipfm"
+
+
 def _python(*argv):
     """A fresh interpreter that imports recipfm from this checkout's src."""
-    src = str(pathlib.Path(__file__).parents[1] / "src")
+    src = str(SRC.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
@@ -660,6 +664,20 @@ def test_each_module_imports_on_its_own(module):
     """The package root imports no module, so none may rely on another being imported first."""
     done = _python("-c", f"import recipfm.{module}")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    """No module imports a name it never reads, so a deletion cannot leave a stale import behind."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= read, sorted(imported - read)
 
 
 def test_module_entry_point():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import partial
+from conftest import partial, same_bits
 from recipfm import jets
 from recipfm.jets import point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
@@ -269,6 +269,28 @@ def test_current_value_is_one_node_set_and_one_density_jet(monkeypatch):
             assert density_jets == [(3 * QUAD_NODES, 1)], (entry_id, p)
 
 
+def test_current_order_zero_is_read_off_its_order_one_jet(monkeypatch):
+    sizes = []
+    init = jets.PointSet.__init__
+
+    def counted_init(self, coords, points=None):
+        init(self, coords, points)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(jets.PointSet, "__init__", counted_init)
+    for entry_id, _, B, _, pts in _closed_form_currents(42):
+        first = point_set(pts[:3])
+        sizes.clear()
+        j1 = B.jet(first, 1)
+        built = list(sizes)
+        j0 = B.jet(first, 0)
+        # the order-1 jet ran one quadrature node set per point; order 0 ran none
+        assert built.count(3 * QUAD_NODES) == len(first) and sizes == built, entry_id
+        assert same_bits(j0.coeffs, j1.coeffs[:1]), entry_id
+        again = point_set(pts[:3])
+        assert same_bits(B.jet(again, 0).coeffs, j0.coeffs), entry_id
+
+
 def test_current_jets_come_from_the_one_form(sys2, recip_density):
     base = jets.Point((-1.25, 1.25))
     B = current_from_density(sys2, recip_density, base)
@@ -342,7 +364,7 @@ def test_current_quadrature_leaves_the_density_memo_empty(sys2):
 def test_current_of_a_transformed_system(sys2, recip_density):
     # 1/A is a density of the transformed system, with current -B/A
     base = jets.Point((-1.25, 1.25))
-    result = transform(sys2, ConservationDensity(recip_density), base)
+    result = transform(sys2, ConservationDensity(recip_density), base, points=_points2(recip_density, 42, 10))
     inverse = current_from_density(result.system, 1 / recip_density, base)
     for p in banded_points(DIM2_BANDS, 2, seed=7):
         want = -result.current.value(p) / recip_density.value(p)
@@ -417,6 +439,11 @@ def test_transform_rejects_non_density(sys2):
     bad = ConservationDensity(field("u1*u2", 2))
     with pytest.raises(InadmissibleGeneratorError):
         transform(sys2, bad, jets.Point((-1.25, 1.25)), points=_points2(seed=12))
+
+
+def test_transform_checks_its_generator_only_at_given_points(sys2, recip_density):
+    with pytest.raises(ReciprocalError, match="pass points, or check_generator=False$"):
+        transform(sys2, ConservationDensity(recip_density), jets.Point((-1.25, 1.25)))
 
 
 def test_transform_flatness_failure_converse(sys2):
