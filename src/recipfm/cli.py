@@ -26,9 +26,6 @@ from .jets import Point
 
 SCHEMA = "recip-fm/1"
 
-# every recipfm error (parse, evaluation, jet, geometry, reciprocal, config) is a ValueError
-_CONFIG_ERRORS = (ValueError,)
-
 _DEFAULT_BANDS = {
     2: ((-1.8, -0.7), (0.7, 1.8)),
     3: ((-2.0, -1.4), (-1.0, -0.5), (0.5, 1.2)),
@@ -108,7 +105,10 @@ def _parse_params(items: Sequence[str] | None) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ConfigError(f"--param expects NAME=VALUE, got {item!r}")
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            out[name] = math.nan  # not a number: reported as a non-finite one is
         if not math.isfinite(out[name]):
             raise ConfigError(f"--param {name} must be a finite number, got {value!r}")
     check_bindings(out)
@@ -455,8 +455,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                             for name, c in checks.items()}
         report["pass"] = all(c.passed for c in checks.values())
         _emit(report, args)
-    except (*_CONFIG_ERRORS, OSError, RecursionError) as exc:  # RecursionError: input nested past Python's limit
-        why = "input nests too deeply to read or evaluate" if isinstance(exc, RecursionError) else exc
+    except (ValueError, OSError, RecursionError) as exc:  # every recipfm error is a ValueError
+        # keep only the text: a local holding exc would cycle through its traceback back to this frame
+        why = "input nests too deeply to read or evaluate" if isinstance(exc, RecursionError) else str(exc)
         print(f"error: {why}", file=_sys.stderr)
         return 2
     return 0 if report["pass"] else 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -306,25 +305,24 @@ class ScalarField:
     """A scalar field on n coordinates, evaluable to a jet over a point set.
 
     Wraps a pure function (point set, order) -> Jet, called only by ``jet``,
-    which memoizes every jet by point set and order; the memo is keyed weakly
-    by the set, so its entries go when the set goes, and a quadrature's node
+    which memoizes every jet in the point set, by field and order; the field
+    keeps nothing, so its jets go when the set goes, and a quadrature's node
     sets leave nothing behind.  A lone Point is evaluated as a set of one.
     Supports +, -, *, / with fields and numbers; each operator picks its jet
     function (jets.add, ...) once, when the combined field is built, and
     evaluates its operands through their ``jet``, so a shared operand reuses
-    its memo.
+    its jets.
     """
 
     def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet]):
         self.dim = dim
         self._fn = fn
-        self._memo = weakref.WeakKeyDictionary()
 
     def jet(self, points: Point | PointSet, order: int) -> Jet:
         points = point_set(points)
         if points.dim != self.dim:
             raise ValueError(f"field on {self.dim} coordinates evaluated at points with {points.dim}")
-        return jets.memoized(self._memo, points, order, lambda: self._fn(points, order))
+        return jets.memoized(points, self, order, lambda: self._fn(points, order))
 
     def value(self, p: Point) -> float:
         """The value at a lone point."""

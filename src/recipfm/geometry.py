@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -64,10 +63,8 @@ class DiagonalSystem:
     def dim(self) -> int:
         return len(self.velocities)
 
-    @functools.cached_property
-    def _natural(self) -> "ConnectionTable":
-        twin = DiagonalSystem(self.velocities)  # an equal system that holds no table: no reference cycle
-        return ConnectionTable(self.dim, "natural", lambda p, order: christoffel_primary(twin, p, order), "natural")
+    def _christoffel_primary(self, points: PointSet, order: int) -> np.ndarray:  # its bound methods are one memo owner
+        return christoffel_primary(self, points, order)
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,9 @@ def sample_points(dim: int, count: int, seed: int, *, predicates: Sequence[Calla
     half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap.
 
     The points come as one PointSet, which every residual family evaluates at
-    once.  Field memos and connection-table caches are keyed by the set: what
-    families compute over it is shared while the caller holds the set and
-    freed when the set is dropped."""
+    once.  The set owns every memo over it: what families compute over it,
+    field jets and table arrays alike, is shared while the caller holds the
+    set and freed when the set is dropped."""
     half = 2.0 if dim < 8 else dim / 2.0
 
     def draw(rng: random.Random) -> Point | None:
@@ -245,11 +242,11 @@ class ConnectionTable:
     G^i_{ij} whole, and an assembly rule, 'natural' or 'dual', for the entries
     G^i_{jj} (any j); the others vanish or read G^i_{ik} = G^i_{ki} off the
     generators.  Without a rule (a frame's generators) there is no full table,
-    and residuals that need one reject it.  The kind is only a label.  Both
-    arrays are cached read-only per point set and order, keyed weakly by the
-    set; ``dual`` shares the cache, so a natural table and its dual partners
-    build each generator array once between them.  A lower order is read off a
-    higher one already cached for the set, as its leading coefficient rows
+    and residuals that need one reject it.  The kind is only a label.  The
+    table keeps nothing: both arrays are memoized in the point set per order,
+    owned by generate, so all tables over one generator (a table and its
+    ``dual``) build each generator array once between them.  A lower order is
+    read off a higher one held for the set, as its leading coefficient rows
     (bit for bit what evaluating it would give), unless that one holds a
     non-finite entry; so curvature, which asks order 1 first, builds no order 0.
     """
@@ -261,19 +258,16 @@ class ConnectionTable:
         self.kind = kind
         self._generate = generate
         self._assembly = assembly
-        self._cache = weakref.WeakKeyDictionary()  # point set -> {order: generators, (assembly, order): table}
 
     def dual(self, kind: str) -> "ConnectionTable":
-        """The dual-assembly table over the same generators and cache."""
-        twin = ConnectionTable(self.dim, kind, self._generate, "dual")
-        twin._cache = self._cache
-        return twin
+        """The dual-assembly table over the same generator, so over the same memo."""
+        return ConnectionTable(self.dim, kind, self._generate, "dual")
 
     def generators(self, points: Point | PointSet, order: int) -> np.ndarray:
         """Every generator over the points as one array (n, n, ncoeff, npoints):
         [i, j] holds the coefficients of G^i_{ij}, zero on the diagonal."""
         points = point_set(points)
-        return jets.memoized(self._cache, points, order, lambda: self._generate(points, order))
+        return jets.memoized(points, self._generate, order, lambda: self._generate(points, order))
 
     def christoffels(self, points: Point | PointSet, order: int) -> np.ndarray:
         """The full table over the points as one array (n, n, n, ncoeff, npoints):
@@ -281,7 +275,7 @@ class ConnectionTable:
         if self._assembly is None:
             raise GeometryError(f"the {self.kind!r} table holds generators only; G^i_jj needs an assembly")
         points = point_set(points)
-        return jets.memoized(self._cache, points, (self._assembly, order), lambda: self._assemble(points, order))
+        return jets.memoized(points, self._generate, (self._assembly, order), lambda: self._assemble(points, order))
 
     def _assemble(self, points: PointSet, order: int) -> np.ndarray:
         """G^i_{ik} = G^i_{ki} from the generators, zero on distinct triples, and
@@ -313,14 +307,14 @@ class ConnectionTable:
 
 
 def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
-    """The natural connection of a diagonal system: one table per system, built
-    on first use, and the only caller of christoffel_primary."""
-    return sys._natural
+    """The natural connection of a diagonal system, a new table per call over the
+    system's one generator, the only caller of christoffel_primary."""
+    return ConnectionTable(sys.dim, "natural", sys._christoffel_primary, "natural")
 
 
 def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
     """The second connection: the dual assembly over the natural table's
-    generators and cache, so it evaluates no symbol the natural table has."""
+    generator, so it evaluates no symbol the natural table has."""
     return natural_connection(sys).dual("dual")
 
 

@@ -25,14 +25,15 @@ a result read only coefficients of grade <= g of its operands, in the same
 order at every order, and grade-major storage makes ``multi_indices(dim, m)``
 a prefix of ``multi_indices(dim, k)`` for m <= k.  So the order-m jet of a
 field is bit for bit the first ``ncoeff(dim, m)`` rows of its order-k jet.
-``memoized``, the one memo of fields and connection tables, reads a missing
-lower order off a higher one already stored for the same point set, unless
-that one holds a non-finite coefficient; it stores every entry read-only.
+``memoized``, the one memo of field jets, table arrays and coordinate lifts,
+stores every entry read-only in its point set, and reads a missing lower order
+off a higher one of the same owner there, unless that one is non-finite.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,11 +91,11 @@ class Point:
 class PointSet(Sequence):
     """Points evaluated together: a sequence of Points whose coordinates are
     also one read-only array ``coords`` of shape (dim, npoints).  A set is one
-    evaluation scope: it keeps its coordinate jets (``lift``), and field memos
-    and connection-table caches are keyed weakly by it, so what is computed
-    over a set lives as long as the set."""
+    evaluation scope and owns every memo over it: what each evaluator (a field,
+    a table's generator, the coordinate lifts) computes over the set is kept by
+    ``memoized`` in the set, until the set goes."""
 
-    __slots__ = ("coords", "_points", "_lifts", "__weakref__")
+    __slots__ = ("coords", "_points", "_memo", "__weakref__")
 
     def __init__(self, coords, points: tuple[Point, ...] | None = None):
         """The set with coordinates coords (dim, npoints); its Points, unless
@@ -103,7 +104,7 @@ class PointSet(Sequence):
         if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] < 1 or not np.isfinite(coords).all():
             raise ValueError(f"a point set needs finite coordinates, shape (dim >= 2, npoints >= 1): {coords.shape}")
         coords.flags.writeable = False
-        self.coords, self._points, self._lifts = coords, points, {}
+        self.coords, self._points, self._memo = coords, points, defaultdict(dict)  # owner -> {key: entry}
 
     @property
     def dim(self) -> int:
@@ -111,10 +112,7 @@ class PointSet(Sequence):
 
     def lift(self, index: int, order: int) -> "Jet":
         """The coordinate u^{index} (0-based) as a jet over the set, made once per order."""
-        got = self._lifts.get((index, order))
-        if got is None:
-            got = self._lifts[index, order] = variable(self.dim, order, index, self.coords[index])
-        return got
+        return memoized(self, variable, (index, order), lambda: variable(self.dim, order, index, self.coords[index]))
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -140,22 +138,20 @@ def point_set(points) -> PointSet:
     return PointSet(np.array([p.coords for p in points]).T, points)
 
 
-def memoized(cache, points: PointSet, key, compute):
-    """cache[points][key], stored read-only; cache is a weakref.WeakKeyDictionary,
-    so the entries of a set go when the set goes.
+def memoized(points: PointSet, owner, key, compute):
+    """points._memo[owner][key], stored read-only: the set keeps it until the set goes.
 
-    The key is an order, or a (tag, order) pair, of a Jet or of an array
-    (..., ncoeff, npoints) of jet coefficients over the set.  A missing order
-    is read off the lowest present higher order of the same tag when that entry
-    is all finite, as its leading coefficient rows; otherwise compute() makes
-    it, under quiet.  So only orders asked for are ever computed, and a hit,
-    which does no arithmetic, enters no errstate."""
-    per = cache.get(points)
-    if per is None:
-        per = cache[points] = {}
+    The owner is the evaluator the entry belongs to, and the key an order, or
+    a (tag, order) pair, of a Jet or of an array (..., ncoeff, npoints) of jet
+    coefficients over the set.  A missing order is read off the lowest present
+    higher order of the same owner and tag when that entry is all finite, as
+    its leading coefficient rows; otherwise compute() makes it, under quiet.
+    So only orders asked for are ever computed, and a hit, which does no
+    arithmetic, enters no errstate."""
+    per = points._memo[owner]
     got = per.get(key)
     if got is None:
-        got = _prefix(per, key, points.dim) if per else None  # a set's first entry has nothing to read off
+        got = _prefix(per, key, points.dim) if per else None  # an owner's first entry has nothing to read off
         if got is None:
             got = _quietly(compute)
         (got.coeffs if isinstance(got, Jet) else got).setflags(write=False)

@@ -12,7 +12,6 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,10 +88,8 @@ class RotationFrame:
         if missing:
             raise ReciprocalError(f"missing rotation coefficient beta[{missing[0][0] + 1},{missing[0][1] + 1}]")
 
-    @functools.cached_property
-    def _connection(self) -> ConnectionTable:
-        twin = RotationFrame(self.dim, self.beta, self.lame, self.degree)  # holds no table: no reference cycle
-        return ConnectionTable(self.dim, "frame", darboux_gamma_off(twin), None)
+    def _gamma_off(self, points: PointSet, order: int) -> np.ndarray:  # its bound methods are one memo owner
+        return darboux_gamma_off(self)(points, order)
 
 
 @dataclass
@@ -266,9 +263,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     field's domain is redone as one-node sets through the same integrand, so
     the first failing node in rule order raises its own error, velocity check
     before density check.  Node sets are dropped after use, and with them
-    every memo entry they made.  The returned field's own memo reads a lower
-    order off a higher one it holds for the same set, so asking order 1 and
-    then order 0 over one set runs the quadrature once.
+    every memo entry they hold.  Over one set, the returned field's order 0 is
+    read off an order 1 already held there, so asking order 1 and then order 0
+    runs the quadrature once.
     """
     n = sys.dim
     one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
@@ -388,7 +385,7 @@ def transform(
     density equations are verified first at points, which must then be given,
     and an InadmissibleGeneratorError is raised on failure; passing False lets
     deliberately broken generators through so the flatness-failure converse
-    can be observed downstream.  The image tables share one symbol cache.
+    can be observed downstream.  The image tables share one generator.
     """
     A = gen.field
     if check_generator:
@@ -564,9 +561,9 @@ def darboux_gamma_off(frame: RotationFrame) -> Callable[[Point | PointSet, int],
 
 
 def frame_connection(frame: RotationFrame) -> ConnectionTable:
-    """The generators-only table of a frame's symbols (darboux_gamma_off): one
-    per frame, built on first use; residuals that need an assembly reject it."""
-    return frame._connection
+    """The generators-only table of a frame's symbols (darboux_gamma_off), a new
+    table per call over the frame's one generator; residuals that need an assembly reject it."""
+    return ConnectionTable(frame.dim, "frame", frame._gamma_off, None)
 
 
 @jets.quiet

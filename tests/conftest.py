@@ -3,6 +3,7 @@ elementary-field corpus it is run against."""
 
 from __future__ import annotations
 
+import gc
 import math
 from unittest import mock
 
@@ -38,6 +39,26 @@ def every_order_from_scratch():
     """A context in which a memo miss always computes, never reading a lower
     order off a higher one: the reference evaluation for that reuse."""
     return mock.patch.object(jets, "_prefix", lambda per, key, dim: None)
+
+
+def cyclic_recipfm_objects(run) -> list[str]:
+    """Call run() with the collector off, then collect: the type names of the
+    recipfm objects that only the collector could free, i.e. that run() left
+    in a reference cycle.  The collector's state and debug flags are restored."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    start = len(gc.garbage)
+    try:
+        run()
+        gc.collect()
+        return [type(o).__qualname__ for o in gc.garbage[start:] if type(o).__module__.startswith("recipfm")]
+    finally:
+        del gc.garbage[start:]
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import cyclic_recipfm_objects
 from recipfm import exprlang
 from recipfm import geometry as geo
 from recipfm import reciprocal as rec
@@ -334,11 +335,25 @@ def test_config_key_spellings(tmp_path, key):
         (["check", *EPS2, "--density", "c*u1", "--param", "c=nan"], "--param c must be a finite number, got 'nan'"),
         (["darboux", "--dim", "2", "--beta", "1,2:u1", "--beta", "2,1:u2", "--lame", "u1", "--lame", "u2",
           "--frame-d=-inf", "--density", "1/(u2-u1)"], "--frame-d must be a finite number, got -inf"),
+        (["check", *EPS2, "--density", "c*u1", "--param", "c=abc"], "--param c must be a finite number, got 'abc'"),
     ],
 )
 def test_non_finite_or_negative_inputs_exit_two(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_failed_call_leaves_no_reference_cycle(capsys):
+    """An exit-2 call frees its evaluation (points, jets, fields, systems) as it
+    returns, without waiting for the cycle collector."""
+    def fail():
+        for argv in (["check", "--velocity", "u1", "--velocity", "u1", "--suite", "flatness"],
+                     ["check", *EPS2, "--density", "0*u1"],
+                     ["check", *EPS2, "--density", "ln(u1)"]):
+            assert main(argv) == 2
+
+    assert cyclic_recipfm_objects(fail) == []
+    assert capsys.readouterr().err.count("error: ") == 3
 
 
 @pytest.mark.parametrize(
@@ -678,6 +693,26 @@ def test_every_imported_name_is_used(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= read, sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_private_module_name_is_read(path):
+    """No module defines a top-level _name (function, class or assignment) that
+    it never reads outside that definition, so no private helper outlives its use."""
+    body = ast.parse(path.read_text()).body
+    reads = [{n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} for stmt in body]
+    unread = []
+    for k, stmt in enumerate(body):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            continue
+        read = set().union(*reads[:k], *reads[k + 1 :])
+        unread += sorted(name for name in names if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert unread == []
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import pytest
 
@@ -221,8 +222,9 @@ def test_sample_points_below_eight_keep_their_draws():
 
 
 def test_natural_connection_is_one_table_per_system(monkeypatch):
+    """Each call builds a table, but every table of one system shares the
+    memo a point set holds for the system's generator."""
     sys3 = epsilon_system(3, 1.0)
-    assert natural_connection(sys3) is natural_connection(sys3)
     calls = []
     real = geometry.christoffel_primary
     monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[1:]) or real(*args))
@@ -232,7 +234,7 @@ def test_natural_connection_is_one_table_per_system(monkeypatch):
     # one array per (point set, order): curvature asks order 1 first, and
     # order 0 is read off it
     assert calls == [(pts, 1)]
-    # the dual table reads the same generators from the natural table's cache
+    # the dual table reads the same generators from the set's memo
     dual = dual_connection(sys3)
     curvature_full_residual(dual, pts)
     identity_parallel_residual(dual, "E", pts)
@@ -312,10 +314,13 @@ def test_caches_die_with_their_point_sets():
     natural = natural_connection(sys3)
     gc.disable()
     try:
+        alive = []
         for p in sample_points(3, 2000, seed=31):
-            curvature_natural_residual(natural, point_set(p))
-        assert [len(v._memo) for v in sys3.velocities] == [0, 0, 0]
-        assert len(natural._cache) == 0
+            pts = point_set(p)
+            curvature_natural_residual(natural, pts)
+            alive += [weakref.ref(pts), weakref.ref(natural.christoffels(pts, 1))]
+        del pts
+        assert not any(ref() is not None for ref in alive)
     finally:
         gc.enable()
     # while a set is held, every family shares what was computed over it
@@ -323,4 +328,4 @@ def test_caches_die_with_their_point_sets():
     curvature_natural_residual(natural, pts)
     sh_residual(sys3, pts)
     # the order-0 table is read off the order-1 one, so no order-0 generators are made
-    assert list(natural._cache) == [pts] and set(natural._cache[pts]) == {1, ("natural", 0), ("natural", 1)}
+    assert set(pts._memo[sys3._christoffel_primary]) == {1, ("natural", 0), ("natural", 1)}

@@ -229,7 +229,7 @@ def test_batch_jets_match_scalar_jets_on_the_corpus():
             for k, p in enumerate(points):
                 want = f.jet(p, order).coeffs[:, 0]
                 assert got.coeffs[:, k].tobytes() == want.tobytes(), (src, order, tuple(p))
-        assert len(f._memo) == 1  # the held set; each one-point set went with its last reference
+        assert list(points._memo[f]) == [0, 1, 2, 3]  # the held set keeps each order; a one-point set, its own
 
 
 def test_batch_domain_checks_test_every_element():

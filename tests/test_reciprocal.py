@@ -1,12 +1,14 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import partial, same_bits
+from conftest import cyclic_recipfm_objects, partial, same_bits
 from recipfm import jets
-from recipfm.jets import point_set
+from recipfm.jets import PointSet, point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, field
 from recipfm.geometry import (
@@ -16,6 +18,7 @@ from recipfm.geometry import (
     banded_points,
     curvature_full_residual,
     curvature_natural_residual,
+    dual_connection,
     identity_parallel_residual,
     natural_connection,
     sample_points,
@@ -355,10 +358,16 @@ def test_current_guards_report_the_first_failing_node(sys2):
 def test_current_quadrature_leaves_the_density_memo_empty(sys2):
     A = field("exp(u1)/(u2-u1)", 2)
     B = current_from_density(sys2, A, jets.Point((-1.25, 1.25)))
-    for p in banded_points(DIM2_BANDS, 5, seed=6):
-        B.value(p)
-    B.value(jets.Point((-0.2, 0.3)))  # a long leg near the diagonal refines to more panels
-    assert len(A._memo) == 0
+    pts = point_set([*banded_points(DIM2_BANDS, 5, seed=6), jets.Point((-0.2, 0.3))])
+    gc.disable()  # no node set may wait for a cycle
+    try:
+        held = sum(isinstance(o, PointSet) for o in gc.get_objects())
+        B.jet(pts, 0)  # the last point's long leg near the diagonal refines to more panels
+        assert sum(isinstance(o, PointSet) for o in gc.get_objects()) == held
+    finally:
+        gc.enable()
+    # the density was evaluated over node sets only, which went with their memos
+    assert list(pts._memo) == [B] and list(pts._memo[B]) == [0]
 
 
 def test_current_of_a_transformed_system(sys2, recip_density):
@@ -555,12 +564,40 @@ def test_frame_residuals_and_christoffels():
     from recipfm.geometry import christoffel_primary
 
     table = frame_connection(frame)
-    assert frame_connection(frame) is table
+    # every table of one frame shares the memo a set holds for the frame's generator
+    assert frame_connection(frame).generators(pts, 1) is table.generators(pts, 1)
+    assert set(pts._memo[frame._gamma_off]) == {1}
     for p in pts:
         want = christoffel_primary(sys2, p, 0)
         for i, j in ((0, 1), (1, 0)):
             assert off(p, 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
             assert table.generators(p, 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
+
+
+def test_no_reference_cycle_among_systems_tables_frames_fields_and_sets():
+    """Systems, frames, their tables (image tables too), fields and point sets
+    refer to one another in one direction only, so all of them go, with every
+    memo entry, as the last reference goes, without the cycle collector."""
+    alive = []
+
+    def evaluate():
+        sys3, A = epsilon_system(3, 1.0), entry("dim3-eps1-h0").density_field()
+        pts = sample_points(3, 4, seed=41, predicates=(density_window(A),))
+        image = transform(sys3, ConservationDensity(A), jets.Point((-1.7, -0.75, 0.85)), with_dual=True,
+                          check_generator=False)
+        for natural, dual in ((natural_connection(sys3), dual_connection(sys3)), (image.natural, image.dual)):
+            curvature_natural_residual(natural, pts)
+            curvature_full_residual(dual, pts)
+            identity_parallel_residual(natural, "e", pts)
+            identity_parallel_residual(dual, "E", pts)
+        assert density_residual(sys3, A, pts).passed
+        frame, pts2 = epsilon_frame_n2(1.0), sample_points(2, 4, seed=41)
+        assert frame_connection(frame).generators(pts2, 1).shape == (2, 2, 3, 4)
+        assert darboux_residual(frame, pts2).passed
+        alive.extend(weakref.ref(x) for x in (pts, pts2, sys3, image.system, frame, A))
+
+    assert cyclic_recipfm_objects(evaluate) == []
+    assert [ref() for ref in alive] == [None] * 6
 
 
 def test_frame_table_holds_generators_only():
