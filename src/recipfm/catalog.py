@@ -15,9 +15,11 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .exprlang import ScalarField, field
 from .geometry import DiagonalSystem
-from .jets import Point
+from .jets import PointSet
 from .reciprocal import RotationFrame, density_window
 
 GENERIC_CONSTANTS = {"c0": 1.0, "c1": 2.0, "c2": -1.0, "c3": 0.5}
@@ -61,17 +63,21 @@ class CatalogEntry:
             return None
         return field(self.current_src, self.dim, self.params)
 
-    def sample_predicates(self, A: ScalarField | None = None) -> tuple[Callable[[Point], bool], ...]:
-        """Point filters for this entry: density away from zero, and the
-        hypergeometric argument inside its disk when one is involved.  A is
-        this entry's density field if the caller has compiled it already."""
+    def sample_predicates(self, A: ScalarField | None = None) -> tuple[Callable[[PointSet], np.ndarray], ...]:
+        """Point-set filters for this entry, each giving one bool per point: the
+        hypergeometric argument inside its disk when one is involved (first, so
+        the density is never evaluated outside it), and the density away from
+        zero.  A is this entry's density field if the caller has compiled it."""
         window = density_window(A if A is not None else self.density_field())
         return (_in_z_window, window) if self.z_window else (window,)
 
 
-def _in_z_window(p: Point) -> bool:
-    den = p[1] - p[0]
-    return den != 0.0 and abs((p[2] - p[0]) / den) <= Z_WINDOW
+def _in_z_window(points: PointSet) -> np.ndarray:
+    """Keeps the points with u1 != u2 and |(u3 - u1) / (u2 - u1)| <= Z_WINDOW."""
+    u1, u2, u3 = points.coords[:3]
+    den = u2 - u1
+    apart = den != 0.0
+    return apart & (np.abs((u3 - u1) / np.where(apart, den, 1.0)) <= Z_WINDOW)
 
 
 _DIM2_WIDE = ((-1.8, -0.7), (0.7, 1.8))

@@ -118,10 +118,15 @@ def _draw_coord(rng: random.Random, half: float) -> float:
     return -half + t if t < w else 0.5 + (t - w)
 
 
-def sample_points(dim: int, count: int, seed: int, *, predicates: Sequence[Callable[[Point], bool]] = ()) -> PointSet:
+def sample_points(
+    dim: int, count: int, seed: int, *, predicates: Sequence[Callable[[PointSet], np.ndarray]] = ()
+) -> PointSet:
     """Seeded admissible sample points, away from u^i = u^j, u^i = 0 and any
     locus excluded by the predicates (e.g. zeros of a density in play).  The box
     half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap.
+
+    A predicate takes a PointSet and returns one bool per point, or one bool
+    for them all; see _seeded_points for how candidates are judged.
 
     The points come as one PointSet, which every residual family evaluates at
     once.  The set owns every memo over it: what families compute over it,
@@ -140,9 +145,14 @@ def sample_points(dim: int, count: int, seed: int, *, predicates: Sequence[Calla
 
 
 def banded_points(
-    bands: Sequence[tuple[float, float]], count: int, seed: int, *, predicates: Sequence[Callable[[Point], bool]] = ()
+    bands: Sequence[tuple[float, float]],
+    count: int,
+    seed: int,
+    *,
+    predicates: Sequence[Callable[[PointSet], np.ndarray]] = (),
 ) -> PointSet:
-    """Points with coordinate i drawn from its own band.
+    """Points with coordinate i drawn from its own band, judged by the
+    predicates as in sample_points.
 
     With disjoint bands that avoid 0 the box lies in one Weyl chamber and one
     orthant, so the straight integration segment between two such points stays
@@ -156,18 +166,49 @@ def banded_points(
 def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSet:
     """The set of count points from draw(rng) that pass every predicate; draw
     returns None to reject a draw, and a SamplingError says why after
-    MAX_REJECTIONS."""
+    MAX_REJECTIONS rejections in a row.
+
+    Candidates come in blocks, in draw order.  A block ends once it holds as
+    many candidates as points are missing, or where the rejection budget
+    would run out, so it holds no draw that judging one candidate at a time
+    would not judge: the points, their order, the rejections and any error
+    are those of the one-at-a-time loop."""
     rng = random.Random(seed)
     out: list[Point] = []
-    for _ in range(count):
-        for _attempt in range(MAX_REJECTIONS):
-            p = draw(rng)
-            if p is not None and all(pred(p) for pred in predicates):
+    rejected = 0
+    while len(out) < count:
+        block, missing = [], count - len(out)
+        while missing and len(block) < MAX_REJECTIONS - rejected:
+            block.append(draw(rng))
+            missing -= block[-1] is not None
+        verdicts = iter(_judge([p for p in block if p is not None], predicates))
+        for p in block:
+            if p is not None and next(verdicts):
                 out.append(p)
-                break
-        else:
+                rejected = 0
+            else:
+                rejected += 1
+        if rejected == MAX_REJECTIONS:
             raise SamplingError(why)
     return point_set(out)
+
+
+def _judge(candidates: list[Point], predicates) -> list[bool]:
+    """Whether each candidate passes every predicate.  Each predicate judges,
+    as one PointSet, the candidates that the ones before it kept, so a later
+    predicate never sees a point an earlier one rejected (the z window keeps
+    hyp2f1 inside its disk).  Judging that raises is done again one candidate
+    at a time, in draw order, so the same error comes from the same candidate."""
+    keep = np.ones(len(candidates), dtype=bool)
+    try:
+        for pred in predicates:
+            live = keep.nonzero()[0]
+            if not live.size:
+                break
+            keep[live] = pred(point_set([candidates[k] for k in live]))
+    except (ValueError, ArithmeticError):
+        return [all(np.all(pred(point_set(p))) for pred in predicates) for p in candidates]
+    return keep.tolist()
 
 
 # ---------------------------------------------------------------------------

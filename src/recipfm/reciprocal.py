@@ -102,9 +102,11 @@ class TransformResult:
     current: ScalarField
 
 
-def density_window(A: ScalarField) -> Callable[[Point], bool]:
-    """Sampling predicate keeping |A| at or above DENSITY_FLOOR."""
-    return lambda p: abs(A.value(p)) >= DENSITY_FLOOR
+def density_window(A: ScalarField) -> Callable[[PointSet], np.ndarray]:
+    """Sampling predicate keeping the points of a set where |A| is at or above
+    DENSITY_FLOOR: one bool per point, or one for all of them where A's jet
+    has one column (a constant)."""
+    return lambda points: np.abs(A.jet(points, 0).value) >= DENSITY_FLOOR
 
 
 def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:

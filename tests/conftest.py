@@ -118,7 +118,7 @@ ELEMENTARY_CORPUS = (
 
 
 def corpus_points(count: int = 20, seed: int = 2024):
-    return sample_points(2, count, seed, predicates=(lambda p: abs(p[0] - p[1]) >= 1.2,))
+    return sample_points(2, count, seed, predicates=(lambda ps: np.abs(ps.coords[0] - ps.coords[1]) >= 1.2,))
 
 
 def corpus_exprs():
