@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -39,9 +39,21 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
     return DiagonalSystem(tuple(field(f"u{i}", n) - shift for i in range(1, n + 1)))
 
 
+class _ReadOnlyParams(dict):
+    """A dict that refuses every change, so that an entry's fields, built once, stay its own."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a catalog entry's params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A concrete density (constants bound), with grading metadata and optional current."""
+    """A concrete density (constants bound), with grading metadata and optional current.
+
+    The density and the current are compiled once per entry, on first use, and
+    shared by every caller after; params are read-only, so they cannot go stale."""
 
     entry_id: str
     family: str
@@ -51,17 +63,26 @@ class CatalogEntry:
     k: float | None
     density_src: str
     current_src: str | None
-    params: dict
+    params: Mapping[str, float]
     current_bands: tuple[tuple[float, float], ...] | None
     z_window: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", _ReadOnlyParams(self.params))
+
     def density_field(self) -> ScalarField:
-        return field(self.density_src, self.dim, self.params)
+        return self._density
 
     def current_field(self) -> ScalarField | None:
-        if self.current_src is None:
-            return None
-        return field(self.current_src, self.dim, self.params)
+        return self._current
+
+    @functools.cached_property
+    def _density(self) -> ScalarField:
+        return field(self.density_src, self.dim, self.params)
+
+    @functools.cached_property
+    def _current(self) -> ScalarField | None:
+        return None if self.current_src is None else field(self.current_src, self.dim, self.params)
 
     def sample_predicates(self, A: ScalarField | None = None) -> tuple[Callable[[PointSet], np.ndarray], ...]:
         """Point-set filters for this entry, each giving one bool per point: the

@@ -4,6 +4,11 @@ Coordinates are named ``u1`` .. ``u16``; named parameters are bound to reals at
 parse time, so no symbolic parameter survives to evaluation.  ``^`` takes an
 integer literal exponent; real exponents like ``(u2-u1)^(1-3*eps)`` are spelled
 ``pow(u2-u1, q)`` with ``q`` a parameter or constant expression.
+
+A parsed expression compiles to a straight-line program, the AD "tape" of
+Griewank and Walther (*Evaluating Derivatives*, 2nd ed., 2008, ch. 6): one
+instruction per distinct subexpression, run by one loop, so a repeated
+subtree costs one jet per evaluation and evaluation does not recurse.
 """
 
 from __future__ import annotations
@@ -304,10 +309,11 @@ def to_text(node) -> str:
 class ScalarField:
     """A scalar field on n coordinates, evaluable to a jet over a point set.
 
-    Wraps a pure function (point set, order) -> Jet, called only by ``jet``,
-    which memoizes every jet in the point set, by field and order; the field
-    keeps nothing, so its jets go when the set goes, and a quadrature's node
-    sets leave nothing behind.  A lone Point is evaluated as a set of one.
+    Wraps a pure function (point set, order) -> Jet, a compiled program or a
+    combination of fields, called only by ``jet``, which memoizes every jet in
+    the point set, by field and order; the field keeps nothing that depends
+    on points, so its jets go when the set goes, and a quadrature's node sets
+    leave nothing behind.  A lone Point is evaluated as a set of one.
     Supports +, -, *, / with fields and numbers; each operator picks its jet
     function (jets.add, ...) once, when the combined field is built, and
     evaluates its operands through their ``jet``, so a shared operand reuses
@@ -380,52 +386,72 @@ def partial_field(f: ScalarField, index: int) -> ScalarField:
 
 
 def compile_field(fexpr: FieldExpr) -> ScalarField:
-    """Compile a parsed expression into a jet evaluator."""
-    return ScalarField(fexpr.dim, _build(fexpr.ast, fexpr.dim))
+    """Compile a parsed expression into a straight-line program: one
+    instruction per distinct subexpression (its operator and its operands'
+    slots; a constant's bit pattern), in the order a recursive walk of the tree
+    first meets them, operands first.  One loop fills the slots, so the first
+    operation to leave its domain is the tree's, and its EvalError names an
+    equal subtree.  Jet functions are looked up as each instruction runs
+    (``_ARITH[op]``, ``jets.<fn>``), so one swapped in later is called."""
+    dim, code, nodes, known = fexpr.dim, [], [], {}  # nodes: slot -> its first subtree; known: order -> constants
+    root = _emit(fexpr.ast, code, nodes, {})
 
-
-def _build(node, dim: int) -> Callable[[PointSet, int], Jet]:
-    if isinstance(node, Num):
-        known: dict[int, Jet] = {}  # jets are immutable, so one per order serves every point set
-        return lambda p, order: known.get(order) or known.setdefault(order, jets.constant(dim, order, node.value))
-    if isinstance(node, Coord):
-        i = node.index
-        return lambda p, order: p.lift(i, order)
-    if isinstance(node, Neg):
-        inner = _build(node.operand, dim)
-        return lambda p, order: -inner(p, order)
-    if isinstance(node, Bin):
-        lhs = _build(node.lhs, dim)
-        if node.op == "^":
-            r = int(node.rhs.value)
-            return _wrap(node, lambda p, order: jets.jet_pow(lhs(p, order), r))
-        rhs = _build(node.rhs, dim)
-        arith = _ARITH[node.op]
-        return _wrap(node, lambda p, order: arith(lhs(p, order), rhs(p, order)))
-    if isinstance(node, Call):
-        if node.fn in ("exp", "ln"):
-            arg = _build(node.args[0], dim)
-            fn = jets.jet_exp if node.fn == "exp" else jets.jet_ln
-            return _wrap(node, lambda p, order: fn(arg(p, order)))
-        if node.fn == "pow":
-            arg = _build(node.args[0], dim)
-            r = float(node.args[1].value)
-            return _wrap(node, lambda p, order: jets.jet_pow(arg(p, order), r))
-        if node.fn == "hyp2f1":
-            a, b, c = (float(x.value) for x in node.args[:3])
-            arg = _build(node.args[3], dim)
-            return _wrap(node, lambda p, order: jets.jet_hypergeom_2f1(a, b, c, arg(p, order)))
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _wrap(node, fn):
-    def wrapped(p, order):
+    def run(points: PointSet, order: int) -> Jet:
+        slots = known.get(order)
+        if slots is None:  # jets are immutable, so one constant jet per order serves every point set
+            slots = known[order] = [jets.constant(dim, order, n.value) if isinstance(n, Num) else None for n in nodes]
+        slots = slots.copy()
         try:
-            return fn(p, order)
+            for k, op, i, j in code:
+                if op in _ARITH:
+                    slots[k] = _ARITH[op](slots[i], slots[j])
+                elif op == "u":
+                    slots[k] = points.lift(i, order)
+                elif op == "neg":
+                    slots[k] = -slots[i]
+                elif op == "jet_hypergeom_2f1":
+                    slots[k] = jets.jet_hypergeom_2f1(*j, slots[i])
+                else:  # jet_exp, jet_ln, jet_pow
+                    slots[k] = getattr(jets, op)(slots[i], *j)
         except JetDomainError as exc:
-            raise EvalError(f"{exc} in {to_text(node)!r}") from exc
+            raise EvalError(f"{exc} in {to_text(nodes[k])!r}") from exc
+        return slots[root]
 
-    return wrapped
+    return ScalarField(dim, run)
+
+
+_CALLS = {"exp": "jet_exp", "ln": "jet_ln", "pow": "jet_pow", "hyp2f1": "jet_hypergeom_2f1"}
+
+
+def _emit(node, code: list, nodes: list, slots: dict) -> int:
+    """The slot of node's value: its operands' instructions (slot, op, operand
+    slot, second operand slot or constant arguments), left to right, then its
+    own, each appended to code unless its key is in slots already."""
+    j = None  # the second operand's slot, or the constant arguments
+    if isinstance(node, Num):
+        op, i = "num", node.value.hex()
+    elif isinstance(node, Coord):
+        op, i = "u", node.index
+    elif isinstance(node, Neg):
+        op, i = "neg", _emit(node.operand, code, nodes, slots)
+    elif isinstance(node, Bin) and node.op == "^":
+        op, i, j = "jet_pow", _emit(node.lhs, code, nodes, slots), (float(node.rhs.value),)
+    elif isinstance(node, Bin):
+        op, i, j = node.op, _emit(node.lhs, code, nodes, slots), _emit(node.rhs, code, nodes, slots)
+    elif isinstance(node, Call):
+        hyp = node.fn == "hyp2f1"  # 2F1 takes a, b, c before its operand; pow its exponent after
+        operand, constants = (node.args[3], node.args[:3]) if hyp else (node.args[0], node.args[1:])
+        op, i, j = _CALLS[node.fn], _emit(operand, code, nodes, slots), tuple(float(c.value) for c in constants)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    key = (op, i, *map(float.hex, j)) if isinstance(j, tuple) else (op, i, j)
+    k = slots.get(key)
+    if k is None:
+        k = slots[key] = len(nodes)
+        nodes.append(node)
+        if op != "num":
+            code.append((k, op, i, j))
+    return k
 
 
 def field(src: str, dim: int, params: Mapping[str, float] | None = None) -> ScalarField:

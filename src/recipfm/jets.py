@@ -14,11 +14,16 @@ partial on the way out, so no other module knows where a derivative lies.
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
 each element, so a column is bit for bit what the same operations give at
-that point alone.  Under ``quiet`` non-finite values propagate without
-warnings, as in Python float arithmetic.  Domain checks test every element:
-an operation fails for the whole set if any element leaves its domain, and
-the error names the first such element.  Jets are immutable values: no
-operation writes into an array it did not create, so arrays may be shared.
+that point alone.  ``mul`` and ``div`` gather their products once per call
+into a (layers, rows, points) grid and reduce it over the layers, with rows
+and points inner, so each coefficient still sums its products left to right,
+by ascending first index, as one product at a time would; only the sign and
+payload of a NaN may depend on how the products are grouped.  Under ``quiet``
+non-finite values propagate without warnings, as in Python float arithmetic.
+Domain checks test every element: an operation fails for the whole set if
+any element leaves its domain, and the error names the first such element.
+Jets are immutable values: no operation writes into an array once its jet is
+returned, so arrays may be shared.
 
 Truncation commutes with every operation here: the coefficients of grade g of
 a result read only coefficients of grade <= g of its operands, in the same
@@ -233,33 +238,31 @@ def _mul_table(dim: int, order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def _layers(rows) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """The (pa, pb) pairs of rows layer by layer: layer l holds each row's l-th
-    pair as index arrays, and the mask of the rows without one (None if every
-    row has one), whose entries point at pair (0, 0)."""
-    layers = []
-    for l in range(max(map(len, rows), default=0)):
-        pa, pb = (np.array(x, dtype=np.intp) for x in zip(*(row[l] if l < len(row) else (0, 0) for row in rows)))
-        pad = np.array([[l >= len(row)] for row in rows])
-        layers.append((pa, pb, pad if pad.any() else None))
-    return layers
+def _grid(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (pa, pb) pairs of rows as index grids (layers, rows), layer l holding
+    each row's l-th pair, and the mask (layers, rows, 1) of the rows without
+    one, whose entries point at pair (0, 0)."""
+    depth = max(map(len, rows))
+    pairs = np.array([row + ((0, 0),) * (depth - len(row)) for row in rows], dtype=np.intp)
+    pad = np.array([[l >= len(row) for row in rows] for l in range(depth)])
+    return pairs[:, :, 0].T.copy(), pairs[:, :, 1].T.copy(), pad[:, :, None]
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(dim: int, order: int):
-    """Layers of the Cauchy product's pairs after each row's first, (0, r), for rows 1.. ."""
-    return _layers([row[1:] for row in _mul_table(dim, order)[1:]])
+def _mul_grid(dim: int, order: int):
+    """The grid of the Cauchy product's pairs of every row."""
+    return _grid(_mul_table(dim, order))
 
 
 @lru_cache(maxsize=None)
-def _div_plan(dim: int, order: int):
-    """Per grade: the slice of its rows and the layers of their pairs with pa != 0."""
-    rows, plan, start = _mul_table(dim, order), [], 0
-    for grade in range(order + 1):
+def _div_grids(dim: int, order: int):
+    """Per grade >= 2: the slice of its rows and the grid of their pairs with pa != 0."""
+    rows, grids, start = _mul_table(dim, order), [], dim + 1
+    for grade in range(2, order + 1):
         stop = start + math.comb(grade + dim - 1, dim - 1)
-        plan.append((slice(start, stop), _layers([[pair for pair in row if pair[0]] for row in rows[start:stop]])))
+        grids.append((slice(start, stop), *_grid([tuple(p for p in row if p[0]) for row in rows[start:stop]])))
         start = stop
-    return plan
+    return grids
 
 
 @lru_cache(maxsize=None)
@@ -349,35 +352,45 @@ def sub(a: Jet, b: Jet) -> Jet:
 
 
 def mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product; each coefficient adds its products left to right from 0,
-    padding contributing -0.0, which adds exactly nothing."""
+    """Cauchy product; each coefficient adds its products left to right from
+    0.0, by ascending pa.  Orders 0 and 1 slice; higher orders gather each
+    operand once over the padded grid of every row's pairs, whose padding
+    contributes -0.0, which adds exactly nothing."""
     _check_compatible(a, b)
-    out = 0.0 + a.coeffs[0] * b.coeffs  # every row's first pair, (0, r)
-    for pa, pb, pad in _mul_plan(a.dim, a.order):
-        terms = a.coeffs[pa] * b.coeffs[pb]
-        if pad is not None:
-            np.copyto(terms, -0.0, where=pad)
-        out[1:] += terms
-    return Jet(a.dim, a.order, out)
+    x, y = a.coeffs, b.coeffs
+    if a.order < 2:
+        out = 0.0 + x[0] * y  # every row's first pair, (0, r)
+        if a.order:
+            out[1:] += x[1:] * y[0]  # a grade-1 row's second, (r, 0)
+        return Jet(a.dim, a.order, out)
+    pa, pb, pad = _mul_grid(a.dim, a.order)
+    terms = x[pa] * y[pb]
+    np.copyto(terms, -0.0, where=pad)
+    return Jet(a.dim, a.order, np.add.reduce(terms, axis=0, initial=0.0))  # layer by layer: rows stay inner
 
 
 def div(a: Jet, b: Jet) -> Jet:
     """Quotient jet; solves the triangular system grade by grade, each
-    coefficient subtracting its products left to right (padding subtracts 0.0)."""
+    coefficient subtracting its products left to right, by ascending pa.
+    Grades 0 and 1 slice; each higher grade gathers once over the padded grid
+    of its rows' pairs, whose padding subtracts 0.0."""
     _check_compatible(a, b)
-    b0 = b.coeffs[0]
+    x, y = a.coeffs, b.coeffs
+    b0 = y[0]
     if np.count_nonzero(b0 == 0.0):
         raise JetDomainError("division by a jet with zero value")
     inv = 1.0 / b0
-    q = np.empty((a.coeffs.shape[0], max(a.coeffs.shape[1], b.coeffs.shape[1])))
-    for rows, layers in _div_plan(a.dim, a.order):
-        s = a.coeffs[rows]
-        for pa, pb, pad in layers:
-            terms = b.coeffs[pa] * q[pb]
-            if pad is not None:
-                np.copyto(terms, 0.0, where=pad)
-            s = s - terms
-        q[rows] = s * inv
+    q = np.empty((len(x), max(x.shape[1], y.shape[1])))
+    q[0] = x[0] * inv
+    if a.order:
+        k = a.dim + 1
+        q[1:k] = (x[1:k] - y[1:k] * q[0]) * inv
+        for rows, pa, pb, pad in _div_grids(a.dim, a.order):
+            terms = np.empty((len(pa) + 1, *q[rows].shape))
+            terms[0] = x[rows]
+            np.multiply(y[pa], q[pb], out=terms[1:])
+            np.copyto(terms[1:], 0.0, where=pad)
+            q[rows] = np.subtract.reduce(terms, axis=0) * inv
     return Jet(a.dim, a.order, q)
 
 
@@ -435,7 +448,8 @@ def compose_univariate(g: Jet, series) -> Jet:
     w = Jet(g.dim, g.order, w)
     out = constant(g.dim, g.order, series[-1])
     for c in reversed(series[:-1]):
-        out = add(mul(out, w), constant(g.dim, g.order, c))
+        out = mul(out, w)
+        out.coeffs[0] += c  # the constant's other rows would add 0.0 to a product, never -0.0: nothing
     return out
 
 

@@ -82,6 +82,26 @@ def test_catalog_entries_are_pinned_by_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == "4c99575fdafe76484772b77fc8adfb85c160b76598b8490b7e39dc8538683043"
 
 
+def test_entry_fields_are_built_once_over_read_only_params():
+    e = entry("dim2-eps1-h1")
+    assert e.density_field() is e.density_field() and e.current_field() is e.current_field()
+    assert entry("dim3-eps-1-flatcoord").current_field() is None
+    params = dict(e.params)
+    for mutate in (
+        lambda q: q.__setitem__("c1", 5.0),
+        lambda q: q.__delitem__("c1"),
+        lambda q: q.update(c1=5.0),
+        lambda q: q.setdefault("c9", 5.0),
+        lambda q: q.pop("c1"),
+        lambda q: q.popitem(),
+        lambda q: q.clear(),
+        lambda q: q.__ior__({"c1": 5.0}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(e.params)
+    assert e.params == params and e.params == dict(e.params) and json.dumps(e.params) == json.dumps(params)
+
+
 @pytest.mark.parametrize("e", catalog_entries(), ids=lambda e: e.entry_id)
 def test_every_entry_is_an_admissible_density(e):
     sys = epsilon_system(e.dim, e.eps)

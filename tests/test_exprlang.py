@@ -4,16 +4,25 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ELEMENTARY_CORPUS, corpus_points, every_order_from_scratch, partial, same_bits
-from recipfm import jets
-from recipfm.catalog import catalog_entries, epsilon_system
+from conftest import (
+    ELEMENTARY_CORPUS,
+    corpus_points,
+    cyclic_recipfm_objects,
+    every_order_from_scratch,
+    partial,
+    same_bits,
+)
+from recipfm import exprlang, jets
+from recipfm.catalog import catalog_entries, entry, epsilon_system
 from recipfm.exprlang import (
     Bin,
     Call,
     Coord,
     EvalError,
+    Neg,
     Num,
     ParseError,
+    ScalarField,
     compile_field,
     evaluate_value,
     field,
@@ -22,7 +31,7 @@ from recipfm.exprlang import (
     to_text,
 )
 from recipfm.geometry import sample_points
-from recipfm.jets import Point, PointSet, point_set
+from recipfm.jets import JetDomainError, Point, PointSet, point_set
 
 
 def test_parse_parameter_binding_keeps_structure():
@@ -270,3 +279,128 @@ def test_memoized_jets_are_read_only():
     for order in (1, 0):
         with pytest.raises(ValueError, match="read-only"):
             A.jet(p, order).coeffs[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Straight-line programs against the closure tree they replace
+
+
+def _build(node, dim: int):
+    """One closure per node, evaluating its operands' closures on every call."""
+    if isinstance(node, Num):
+        known = {}
+        return lambda p, order: known.get(order) or known.setdefault(order, jets.constant(dim, order, node.value))
+    if isinstance(node, Coord):
+        i = node.index
+        return lambda p, order: p.lift(i, order)
+    if isinstance(node, Neg):
+        inner = _build(node.operand, dim)
+        return lambda p, order: -inner(p, order)
+    if isinstance(node, Bin):
+        lhs = _build(node.lhs, dim)
+        if node.op == "^":
+            r = int(node.rhs.value)
+            return _wrap(node, lambda p, order: jets.jet_pow(lhs(p, order), r))
+        rhs = _build(node.rhs, dim)
+        arith = exprlang._ARITH[node.op]
+        return _wrap(node, lambda p, order: arith(lhs(p, order), rhs(p, order)))
+    if node.fn in ("exp", "ln"):
+        arg = _build(node.args[0], dim)
+        fn = jets.jet_exp if node.fn == "exp" else jets.jet_ln
+        return _wrap(node, lambda p, order: fn(arg(p, order)))
+    if node.fn == "pow":
+        arg = _build(node.args[0], dim)
+        r = float(node.args[1].value)
+        return _wrap(node, lambda p, order: jets.jet_pow(arg(p, order), r))
+    a, b, c = (float(x.value) for x in node.args[:3])
+    arg = _build(node.args[3], dim)
+    return _wrap(node, lambda p, order: jets.jet_hypergeom_2f1(a, b, c, arg(p, order)))
+
+
+def _wrap(node, fn):
+    def wrapped(p, order):
+        try:
+            return fn(p, order)
+        except JetDomainError as exc:
+            raise EvalError(f"{exc} in {to_text(node)!r}") from exc
+
+    return wrapped
+
+
+def tree_field(src: str, dim: int, params=None) -> ScalarField:
+    """The field as a tree of closures, one per node: the program's oracle."""
+    fexpr = parse_field(src, dim, params)
+    return ScalarField(dim, _build(fexpr.ast, dim))
+
+
+@pytest.mark.parametrize("e", catalog_entries(), ids=lambda e: e.entry_id)
+def test_programs_match_the_closure_tree_bit_for_bit(e):
+    coords = sample_points(e.dim, 7, 3, predicates=e.sample_predicates()).coords
+    for f, src in ((e.density_field(), e.density_src), (e.current_field(), e.current_src)):
+        if f is not None:
+            tree = tree_field(src, e.dim, e.params)
+            for order in range(jets.MAX_ORDER + 1):
+                assert same_bits(f.jet(PointSet(coords), order).coeffs, tree.jet(PointSet(coords), order).coeffs)
+
+
+@pytest.mark.parametrize(
+    "src, coords",
+    [
+        ("ln(u1)", [[0.5, -1.0], [1.0, 1.0]]),
+        ("exp(800*u1)", [[0.5, 1.0], [0.0, 0.0]]),
+        ("pow(u1, 0.5)", [[2.0, -0.25], [1.0, 1.0]]),
+        ("1/(u2-u1)", [[0.5, 1.5], [1.0, 1.5]]),
+        ("hyp2f1(0.5, 1.5, 2.5, u1)", [[0.5, -1.0], [0.0, 0.0]]),
+        ("u1*u2 + ln(u2-u1)*exp(u1) - ln(u2-u1)", [[0.5, 1.5], [1.0, 1.5]]),
+        ("(u2-u1)^-2 + pow(u2-u1, -2.0) + 1/(u2-u1)", [[0.5, 1.5], [1.0, 1.5]]),
+    ],
+)
+def test_programs_fail_where_the_closure_tree_fails(src, coords):
+    for order in range(jets.MAX_ORDER + 1):
+        with pytest.raises(EvalError) as want:
+            tree_field(src, 2).jet(PointSet(coords), order)
+        with pytest.raises(EvalError) as got:
+            field(src, 2).jet(PointSet(coords), order)
+        assert str(got.value) == str(want.value)
+
+
+def _counting(monkeypatch, op: str) -> list:
+    """Swap _ARITH[op] for a wrapper recording each call's order."""
+    calls, real = [], exprlang._ARITH[op]
+    monkeypatch.setitem(exprlang._ARITH, op, lambda a, b: calls.append(a.order) or real(a, b))
+    return calls
+
+
+def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
+    f = field("u1*u2 + u1*u2", 2)
+    calls = _counting(monkeypatch, "*")  # after f's compilation, before the tree's, which binds its functions
+    tree, p = tree_field("u1*u2 + u1*u2", 2), Point((0.5, 1.5))
+    for order in range(jets.MAX_ORDER + 1):
+        assert same_bits(f.jet(p, order).coeffs, tree.jet(p, order).coeffs)
+    assert calls == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]  # the program's one multiply, then the tree's two
+
+
+def test_jet_functions_swapped_after_compilation_are_called(monkeypatch):
+    e = entry("dim3-eps-1-h1")
+    A, g = e.density_field(), field("u1*u2*(u1+3)*exp(u2)", 2)
+    exps, real_exp = [], jets.jet_exp
+    monkeypatch.setattr(jets, "jet_exp", lambda a: exps.append(a.order) or real_exp(a))
+    calls, p = _counting(monkeypatch, "*"), sample_points(3, 1, 5)
+    tree = tree_field(e.density_src, e.dim, e.params)
+    got = A.jet(p, 2)
+    program = len(calls)
+    assert same_bits(got.coeffs, tree.jet(PointSet(p.coords), 2).coeffs)
+    assert (program, len(calls) - program) == (18, 23) and exps == [2] * 6  # three exps in each
+    calls.clear()
+    g.jet(Point((0.5, 1.5)), 1)
+    assert calls == [1, 1, 1] and exps[-1] == 1
+
+
+def test_a_program_leaves_no_reference_cycle():
+    def compile_and_evaluate():
+        f = field("u1*u2 + exp(u1*u2)/(u2-u1) - pow(u2-u1, 0.5)", 2)
+        f.jet(Point((0.5, 1.5)), 2)
+        with pytest.raises(EvalError):
+            f.jet(Point((1.5, 0.5)), 1)
+
+    assert cyclic_recipfm_objects(compile_and_evaluate) == []

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial, partial
+from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, fd_partial, partial, same_bits
 from recipfm import jets
 from recipfm.exprlang import EvalError, compile_field, field
 from recipfm.jets import Jet, JetDomainError, JetError, Point, PointSet
@@ -294,3 +294,110 @@ def test_ln_series_overflow_and_underflow_leave_the_domain():
     assert jets.jet_ln(jets.variable(1, 1, 0, 1e-200)).coeffs[1] == pytest.approx(1e200)
     with pytest.raises(EvalError, match="ln series overflows"):
         field("ln(1e-200*u1^2)", 2).jet(jets.Point((1.0, 2.0)), 2)
+
+
+# ---------------------------------------------------------------------------
+# the gathered kernels against the layer-by-layer ones they replace
+
+
+def _layers(rows):
+    """The (pa, pb) pairs of rows layer by layer: layer l holds each row's l-th
+    pair as index arrays, and the mask of the rows without one (None if every
+    row has one), whose entries point at pair (0, 0)."""
+    layers = []
+    for l in range(max(map(len, rows), default=0)):
+        pa, pb = (np.array(x, dtype=np.intp) for x in zip(*(row[l] if l < len(row) else (0, 0) for row in rows)))
+        pad = np.array([[l >= len(row)] for row in rows])
+        layers.append((pa, pb, pad if pad.any() else None))
+    return layers
+
+
+def layered_mul(a: Jet, b: Jet) -> np.ndarray:
+    """The Cauchy product one layer of pairs at a time, each row's first pair (0, r) first."""
+    out = 0.0 + a.coeffs[0] * b.coeffs
+    for pa, pb, pad in _layers([row[1:] for row in jets._mul_table(a.dim, a.order)[1:]]):
+        terms = a.coeffs[pa] * b.coeffs[pb]
+        if pad is not None:
+            np.copyto(terms, -0.0, where=pad)
+        out[1:] += terms
+    return out
+
+
+def layered_div(a: Jet, b: Jet) -> np.ndarray:
+    """The quotient grade by grade, one layer of pairs with pa != 0 at a time."""
+    b0 = b.coeffs[0]
+    if np.count_nonzero(b0 == 0.0):
+        raise JetDomainError("division by a jet with zero value")
+    inv, rows, start = 1.0 / b0, jets._mul_table(a.dim, a.order), 0
+    q = np.empty((a.coeffs.shape[0], max(a.coeffs.shape[1], b.coeffs.shape[1])))
+    for grade in range(a.order + 1):
+        stop = start + math.comb(grade + a.dim - 1, a.dim - 1)
+        s = a.coeffs[start:stop]
+        for pa, pb, pad in _layers([[pair for pair in row if pair[0]] for row in rows[start:stop]]):
+            terms = b.coeffs[pa] * q[pb]
+            if pad is not None:
+                np.copyto(terms, 0.0, where=pad)
+            s = s - terms
+        q[start:stop] = s * inv
+        start = stop
+    return q
+
+
+def layered_compose(g: Jet, series) -> np.ndarray:
+    """Horner's scheme with a constant jet added at every step."""
+    series = list(series)[: g.order + 1]
+    w = g.coeffs.copy()
+    w[0] = 0.0
+    w = Jet(g.dim, g.order, w)
+    out = jets.constant(g.dim, g.order, series[-1])
+    for c in reversed(series[:-1]):
+        out = jets.add(jets.mul(out, w), jets.constant(g.dim, g.order, c))
+    return out.coeffs
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308, -1e308])
+
+
+def _operand(rng, ncoeff: int, ncols: int, special: bool) -> np.ndarray:
+    x = rng.standard_normal((ncoeff, ncols)) * 10.0 ** rng.integers(-3, 4, (ncoeff, ncols))
+    if special:
+        hit = rng.random(x.shape) < 0.3
+        x[hit] = rng.choice(SPECIAL_VALUES, hit.sum())
+    return x
+
+
+def same_non_nan_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shape and NaN positions, and equal bit patterns everywhere else."""
+    nan = np.isnan(want)
+    return got.shape == want.shape and (np.isnan(got) == nan).all() and same_bits(got[~nan], want[~nan])
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_gathered_kernels_match_the_layered_ones(dim, order):
+    rng = np.random.default_rng(10 * dim + order)
+    ncoeff, met = len(jets.multi_indices(dim, order)), 0
+    with np.errstate(all="ignore"):
+        for npoints in (1, 5, 20, 96):
+            for cols in ((npoints, npoints), (1, npoints), (npoints, 1)):
+                for special in (False, True, True):
+                    x, y = (Jet(dim, order, _operand(rng, ncoeff, c, special)) for c in cols)
+                    assert same_non_nan_bits(jets.mul(x, y).coeffs, layered_mul(x, y))
+                    y.coeffs[0] = np.where(y.coeffs[0] == 0.0, 0.75, y.coeffs[0])  # a zero divisor is below
+                    assert same_non_nan_bits(jets.div(x, y).coeffs, layered_div(x, y))
+                    series = _operand(rng, order + 1, cols[0], special)
+                    assert same_non_nan_bits(jets.compose_univariate(y, series).coeffs, layered_compose(y, series))
+                    met += special and bool(np.isnan(layered_div(x, y)).any())
+    assert met  # the special values reach NaN, so the NaN positions are compared too
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_divisor_raises_as_before(zero):
+    for order in range(jets.MAX_ORDER + 1):
+        divisor = jets.constant(3, order, np.array([1.5, zero, 2.0]))
+        for dividend in (jets.variable(3, order, 1, 2.0), jets.variable(3, order, 1, np.array([1.0, 2.0, 3.0]))):
+            with pytest.raises(JetDomainError) as want:
+                layered_div(dividend, divisor)
+            with pytest.raises(JetDomainError) as got:
+                jets.div(dividend, divisor)
+            assert str(got.value) == str(want.value) == "division by a jet with zero value"

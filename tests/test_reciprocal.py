@@ -581,7 +581,8 @@ def test_no_reference_cycle_among_systems_tables_frames_fields_and_sets():
     alive = []
 
     def evaluate():
-        sys3, A = epsilon_system(3, 1.0), entry("dim3-eps1-h0").density_field()
+        e = entry("dim3-eps1-h0")  # its own density lives as long as the catalog: compile one to drop
+        sys3, A = epsilon_system(3, 1.0), field(e.density_src, e.dim, e.params)
         pts = sample_points(3, 4, seed=41, predicates=(density_window(A),))
         image = transform(sys3, ConservationDensity(A), jets.Point((-1.7, -0.75, 0.85)), with_dual=True,
                           check_generator=False)
