@@ -851,6 +851,10 @@ def test_nesting_within_the_recursion_limit_keeps_its_result(tmp_path):
     assert code == 1 and (nested["points"], nested["checks"]) == (bare["points"], bare["checks"])
     code, summed = run(tmp_path, *argv, "+".join(["u1*u2"] * 400))
     assert code == 1 and summed["checks"]["grading-e"]["max_abs"] == 1.4538998543319521  # pinned value
+
+
+def test_a_long_sum_evaluates_without_recursion(tmp_path):
     # compiled by a recursive walk but evaluated by a loop: 500 terms evaluate, 1200 exit 2 (above)
+    argv = ["check", *EPS2, "--suite", "grading-e", "--num-points", "3", "--density"]
     code, summed = run(tmp_path, *argv, "+".join(["u1*u2"] * 500))
     assert code == 1 and summed["checks"]["grading-e"]["max_abs"] == 1.4538998543319486  # pinned value
