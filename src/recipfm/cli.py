@@ -292,6 +292,11 @@ def cmd_transform(args) -> dict:
 
     gen = rec.ConservationDensity(A)
     result = rec.transform(system, gen, points[0], with_dual=args.biflat, check_generator=False)
+    try:  # the order-1 tables first, so that their order-0 readers below read them off
+        for table in filter(None, (result.natural, result.dual)):
+            table.christoffels(points, 1)
+    except (ValueError, ArithmeticError):
+        pass  # the checks evaluate in their own order and meet their first failure themselves
 
     dens = rec.density_residual(system, A, points, args.tol_second)
     checks["generator-density"] = dens

@@ -5,8 +5,11 @@ Christoffel symbols G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique
 "natural" connection through three structural identities (zero on distinct
 triples, G^i_{jj} = -G^i_{ji}, zero row sums including the diagonal), and a
 "dual" connection through the u-weighted variants of the same identities.
-A table takes all n(n-1) symbols at once, as the columns of one jet quotient,
-and assembles the dual entries with one stacked quotient and one product.
+A table takes all n(n-1) symbols at once, as the columns of one jet quotient
+over one read of the velocities' partials, and assembles the dual entries with
+one stacked quotient and one product over the set's lifts.  A sum over a
+component index reduces its terms, stacked in index order on axis 0, one after
+another: bit for bit a loop over the index.
 Every flatness and compatibility check here is a pointwise residual evaluated
 through third-order jets over a set of seeded sample points at once.
 """
@@ -262,18 +265,22 @@ def pair_table(n: int, values: np.ndarray) -> np.ndarray:
 @quiet
 def christoffel_primary(sys: DiagonalSystem, points: Point | PointSet, order: int) -> np.ndarray:
     """Every G^i_{ij} = d_j v^i / (v^j - v^i) over the points as one array (n, n,
-    ncoeff, npoints), zero on the diagonal: the columns of one jet division."""
+    ncoeff, npoints), zero on the diagonal: the columns of one jet division, whose
+    numerators are jets.partials of the velocities stacked at order + 1; the
+    stack's leading rows are the order-`order` jets if it is all finite, as in the memo."""
     n, points = sys.dim, point_set(points)
     i, j = off_pairs(n)
-    hi, lo = (jets.stack([v.jet(points, o) for v in sys.velocities], len(points)) for o in (order + 1, order))
-    grads = np.stack([jets.stacked(lambda a, l=l: jets.derivative(a, l), n, order + 1, hi) for l in range(n)])
+    hi = jets.stack([v.jet(points, order + 1) for v in sys.velocities], len(points))
+    lo = hi[:, : len(jets.multi_indices(n, order))]
+    if not np.isfinite(hi).all():
+        lo = jets.stack([v.jet(points, order) for v in sys.velocities], len(points))
     den = lo[j] - hi[i, : lo.shape[1]]
     close = np.abs(den[:, 0]) < VELOCITY_GAP
     if close.any():
         k = int(np.argmax(close.any(axis=1)))  # the first pair, then its first point
         where = points[int(np.argmax(close[k]))]
         raise DegenerateSystemError(f"coincident characteristic velocities v^{i[k] + 1} and v^{j[k] + 1} at {where}")
-    return pair_table(n, jets.stacked(jets.div, n, order, grads[j, i], den))
+    return pair_table(n, jets.stacked(jets.div, n, order, jets.partials(hi, n)[i, j], den))
 
 
 class ConnectionTable:
@@ -322,7 +329,7 @@ class ConnectionTable:
         """G^i_{ik} = G^i_{ki} from the generators, zero on distinct triples, and
         G^i_{jj} by the assembly rule: natural -G^i_{ij} for j != i and minus
         the row sum for j = i; dual -(u^i/u^j) G^i_{ij} for j != i, and minus
-        1/u^i and the u^l/u^i-weighted row sum for j = i."""
+        1/u^i and the u^l/u^i-weighted row sum for j = i, an ordered reduction."""
         n = self.dim
         off = self.generators(points, order)
         table = np.zeros((n,) + off.shape)
@@ -333,17 +340,16 @@ class ConnectionTable:
         if self._assembly == "natural":
             jj, weighted, total = off[i, j], off, np.zeros(off.shape[1:])
         else:  # the ratios u^i/u^j and 1/u^l in one quotient, both products in one product
-            m = len(i)
-            u = jets.stack([points.lift(l, order) for l in range(n)], len(points))
-            one = jets.stack([jets.constant(n, order, 1.0)] * n, len(points))
-            q = jets.stacked(jets.div, n, order, np.concatenate([u[i], one]), np.concatenate([u[j], u]))
+            m, u = len(i), points.lifts(order)
+            num = np.zeros((m + n,) + u.shape[1:])
+            num[:m], num[m:, 0] = u[i], 1.0  # u^i, then the constant one
+            q = jets.stacked(jets.div, n, order, num, np.concatenate([u[j], u]))
             ratio, g = pair_table(n, q[:m]), off[i, j]
             prod = jets.stacked(jets.mul, n, order, np.concatenate([ratio[i, j], ratio[j, i]]), np.concatenate([g, g]))
             jj, weighted, total = prod[:m], pair_table(n, prod[m:]), -q[m:]
         table[i, j, j] = -jj
-        for l in range(n):
-            total = total - weighted[:, l]  # weighted[i, i] is 0, and x - 0.0 is x
-        table[diag, diag, diag] = total
+        terms = np.concatenate([total[None], weighted.swapaxes(0, 1)])  # weighted[i, i] is 0, and x - 0.0 is x
+        table[diag, diag, diag] = np.subtract.reduce(terms, axis=0)
         return table
 
 
@@ -365,7 +371,8 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
 # Each family takes its jets once per point set and works on arrays over the
 # points; an index loop at most runs over components, never over points.  Its
 # values reach the report as one array (nlabels, npoints) beside a label tuple
-# built once per n, through entries_by_point and ResidualReport.build.
+# built once per n, through entries_by_point and ResidualReport.build.  Sums
+# over components are ordered reductions (module docstring), signed zeros and NaN included.
 
 
 @quiet
@@ -407,8 +414,8 @@ def curvature_natural_residual(
     giq = v1[i, q, i]
     qqi = d1[i, q, i, q] - d1[i, q, q, i] + giq * (giq - v0[q, i, q])
     m, i1, q1 = np.arange(n), i[:, None], q[:, None]
-    for term in np.where(((m != i1) & (m != q1))[..., None], v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1):
-        qqi = qqi - term  # G^i_{mi} G^m_{qq} over m != i, q, in m order
+    terms = np.where(((m != i1) & (m != q1))[..., None], v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1)
+    qqi = np.subtract.reduce(np.concatenate([qqi[None], terms]), axis=0)  # G^i_{mi} G^m_{qq} over m != i, q
     qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
     values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
     entries = entries_by_point(points, _curvature_labels(n), values.reshape(2 * len(i), -1))
@@ -423,15 +430,12 @@ def curvature_oracle(conn: ConnectionTable, points: Point | PointSet) -> np.ndar
         R^i_{jkl} = d_k G^i_{lj} - d_l G^i_{kj} + sum_m (G^i_{km} G^m_{lj} - G^i_{lm} G^m_{kj})
 
     independent of any structural shortcut; flatness <=> all entries vanish.
+    The last sum is the first with k and l swapped: one einsum, same m order.
     """
     g = conn.christoffels(points, 1)
     val, der = g[..., 0, :], jets.gradient(g, conn.dim)  # der[i, a, b, l] = d_l G^i_{ab}
-    return (
-        np.einsum("iljkp->ijklp", der)
-        - np.einsum("ikjlp->ijklp", der)
-        + np.einsum("ikmp,mljp->ijklp", val, val)
-        - np.einsum("ilmp,mkjp->ijklp", val, val)
-    )
+    s = np.einsum("ikmp,mljp->ijklp", val, val)  # s[i, j, l, k] = sum_m G^i_{lm} G^m_{kj}
+    return np.einsum("iljkp->ijklp", der) - np.einsum("ikjlp->ijklp", der) + s - s.swapaxes(2, 3)
 
 
 def curvature_full_residual(
@@ -464,8 +468,9 @@ def identity_parallel_residual(
     points = point_set(points)
     g = conn.christoffels(points, 0)[..., 0, :]
     x = points.coords if field == "E" else np.ones((n, 1))
-    s = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
-    for l in range(n):
-        s = s + g[:, :, l] * x[l]
+    terms = np.empty((n + 1, n, n, len(points)))  # the start, then G^i_{jl} X^l in l order
+    terms[0] = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
+    np.multiply(g.transpose(2, 0, 1, 3), x[:, None, None], out=terms[1:])
+    s = np.add.reduce(terms, axis=0)
     entries = entries_by_point(points, square_labels(n), s.reshape(n * n, -1))
     return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries, tolerance)

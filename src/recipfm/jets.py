@@ -9,7 +9,8 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
 and the readers ``gradient`` and ``hessian`` rescale every first or second
-partial on the way out, so no other module knows where a derivative lies.
+partial on the way out, and ``partials`` gathers every first partial as a jet
+one order lower, so no other module knows where a derivative lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -95,7 +96,8 @@ class Point:
 
 class PointSet(Sequence):
     """Points evaluated together: a sequence of Points whose coordinates are
-    also one read-only array ``coords`` of shape (dim, npoints).  A set is one
+    also one read-only array ``coords`` of shape (dim, npoints), and whose
+    coordinate lifts are one array per order, ``lifts``.  A set is one
     evaluation scope and owns every memo over it: what each evaluator (a field,
     a table's generator, the coordinate lifts) computes over the set is kept by
     ``memoized`` in the set, until the set goes."""
@@ -115,9 +117,24 @@ class PointSet(Sequence):
     def dim(self) -> int:
         return self.coords.shape[0]
 
+    def lifts(self, order: int) -> np.ndarray:
+        """Every coordinate lift as one array (dim, ncoeff, npoints), [l] bit for bit
+        variable(dim, order, l, coords[l]); memoized, so a lower order is a prefix."""
+
+        def build():
+            out = np.zeros((self.dim, len(multi_indices(self.dim, order)), len(self)))
+            out[:, 0] = self.coords
+            if order:
+                out[np.arange(self.dim), _reader_plan(self.dim)[0]] = 1.0  # the grade-1 rows
+            return out
+
+        return memoized(self, variable, order, build)
+
     def lift(self, index: int, order: int) -> "Jet":
-        """The coordinate u^{index} (0-based) as a jet over the set, made once per order."""
-        return memoized(self, variable, (index, order), lambda: variable(self.dim, order, index, self.coords[index]))
+        """The coordinate u^{index} (0-based) as a jet over the set: row index of lifts(order)."""
+        if not 0 <= index < self.dim:
+            raise JetError(f"coordinate index {index} out of range for dimension {self.dim}")
+        return Jet(self.dim, order, self.lifts(order)[index])
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -274,6 +291,16 @@ def _derivative_plan(dim: int, order: int, index: int) -> tuple[np.ndarray, np.n
     return np.array(src, dtype=np.intp), np.array([[beta[index] + 1.0] for beta in lower])
 
 
+@lru_cache(maxsize=None)
+def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every coordinate's _derivative_plan, stacked, for the jets with ncoeff rows."""
+    sizes = [len(multi_indices(dim, k)) for k in range(MAX_ORDER + 1)]
+    if ncoeff not in sizes[1:]:
+        raise JetError(f"no jet of dim {dim} and order >= 1 has {ncoeff} coefficient rows")
+    plans = [_derivative_plan(dim, sizes.index(ncoeff), l) for l in range(dim)]
+    return np.stack([src for src, _ in plans]), np.stack([factor for _, factor in plans])
+
+
 class Jet:
     """Truncated Taylor expansion over a point set; coeffs[r] holds d^alpha f / alpha!
     at every point (one column: the same at every point) for multi_indices[r].
@@ -416,6 +443,15 @@ def stacked(op, dim: int, order: int, *operands: np.ndarray) -> np.ndarray:
     m, _, npoints = operands[0].shape
     out = op(*(Jet(dim, order, x.transpose(1, 0, 2).reshape(-1, m * npoints)) for x in operands)).coeffs
     return out.reshape(-1, m, npoints).transpose(1, 0, 2)
+
+
+def partials(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Every first partial d_l f as jets one order lower, one array (..., dim,
+    ncoeff', npoints), of a jet or stacked coefficients as for gradient, in one
+    gather: entry [..., l, :, :] is bit for bit derivative(a, l)."""
+    coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
+    src, factor = _partials_plan(dim, coeffs.shape[-2])
+    return coeffs[..., src, :] * factor
 
 
 def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -198,9 +198,7 @@ def theta_system_residual(
     points = point_set(points)
     a1 = A.jet(points, 1)
     _require_nonzero(a1, points)
-    a2 = A.jet(points, 2)
-    num = jets.stack([jets.derivative(a2, l) for l in range(n)], len(points))
-    theta_jets = jets.stacked(jets.div, n, 1, num, jets.stack([a1] * n, len(points)))
+    theta_jets = _log_partials(A.jet(points, 2), a1, len(points))
     theta, dtheta = theta_jets[:, 0], jets.gradient(theta_jets, n)  # dtheta[p, l] = d_l theta_p
     off = natural_connection(sys).generators(points, 0)[:, :, 0]
     q, p = off_pairs(n)  # q-major
@@ -356,16 +354,24 @@ def log_derivative_field(A: ScalarField, j: int) -> ScalarField:
     return partial_field(A, j) / A
 
 
+def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
+    """Every d_l A / A over the points, bit for bit log_derivative_field(A, l)'s
+    jet, from A's jets a and higher (one order up) in one stacked quotient."""
+    shape = (a.dim, len(a.coeffs), npoints)
+    num, den = (np.broadcast_to(x, shape) for x in (jets.partials(higher), a.coeffs))
+    return jets.stacked(jets.div, a.dim, a.order, num, den)
+
+
 def transformed_off_diagonal(base: ConnectionTable, A: ScalarField) -> Callable[[Point | PointSet, int], np.ndarray]:
     """Generator producer of the image table: G^i_{ij} - d_j A / A for every
     pair at once, zero on the diagonal."""
     n = base.dim
-    dlog = [log_derivative_field(A, j) for j in range(n)]
 
     def generate(points: Point | PointSet, order: int) -> np.ndarray:
         points = point_set(points)
         g = base.generators(points, order)
-        return g - pair_table(n, jets.stack([f.jet(points, order) for f in dlog], len(points))[off_pairs(n)[1]])
+        dlog = _log_partials(A.jet(points, order + 1), A.jet(points, order), len(points))
+        return g - pair_table(n, dlog[off_pairs(n)[1]])
 
     return generate
 

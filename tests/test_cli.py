@@ -500,12 +500,23 @@ def test_christoffel_symbols_are_evaluated_once_per_command(argv, tmp_path, monk
     code, _ = run(tmp_path, *argv, "--num-points", "5")
     assert code == 0
     # at most one generator array per (point set, order) of the system, over
-    # the sample points.  check asks order 1 first and reads order 0 off it;
-    # transform asks order 0 first.  A dual table with a cache of its own would
-    # build the orders again, and an intrinsic-agreement over a set of its own
-    # would build them for that set
-    assert sorted(order for _, _, order in calls) == ([1] if argv[0] == "check" else [0, 1])
+    # the sample points.  Both commands ask order 1 first and read order 0 off
+    # it; transform builds its image tables before its checks.  A dual table
+    # with a cache of its own would build the orders again, and an
+    # intrinsic-agreement over a set of its own would build them for that set
+    assert sorted(order for _, _, order in calls) == [1]
     assert len({points for _, points, _ in calls}) == 1
+
+
+@pytest.mark.parametrize("density, culprit", [("1 + u2*u2", "u1 * u1"), ("ln(1e-200*u2*u2)", "u2 * u2")])
+def test_transform_fails_where_its_checks_first_fail(density, culprit, tmp_path, capsys):
+    # the ln series of 1e-200 u^2 underflows at order 2 only: the first velocity
+    # fails when the image tables are built, which transform tries before its
+    # checks, and the density in the first check, which must then win
+    velocities = ["--velocity", "ln(1e-200*u1*u1)", "--velocity", "u2"]
+    code, _ = run(tmp_path, "transform", *velocities, "--density", density, "--biflat", "--num-points", "3")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ln series overflows") and f"in 'ln(1e-200 * {culprit})'" in err
 
 
 def test_eps_system_flatness_at_dimension_ten(tmp_path):

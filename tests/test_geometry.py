@@ -266,6 +266,46 @@ def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
     assert orders == [[2]] * 4
 
 
+def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
+    """One n = 6 flatness verdict, the five families over one set, reads every
+    partial of the velocities at once and every coordinate lift off one array:
+    the tables make no per-coordinate derivative, constant or lift."""
+    counts = dict.fromkeys(("stacked", "derivative", "constant"), 0)
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(jets, name, counting(name, getattr(jets, name)))
+    builds, real_memoized = [], jets.memoized
+
+    def memoized(points, owner, key, compute):
+        if owner is jets.variable:  # the owner of the coordinate lifts
+            return real_memoized(points, owner, key, lambda: builds.append(key) or compute())
+        return real_memoized(points, owner, key, compute)
+
+    monkeypatch.setattr(jets, "memoized", memoized)
+    sys6 = epsilon_system(6, 1.0)
+    pts = sample_points(6, 4, seed=5)
+    natural, dual = natural_connection(sys6), dual_connection(sys6)
+    reports = (
+        curvature_natural_residual(natural, pts),
+        curvature_full_residual(dual, pts),
+        identity_parallel_residual(natural, "e", pts),
+        identity_parallel_residual(dual, "E", pts),
+        sh_residual(sys6, pts),
+    )
+    assert all(rep.passed for rep in reports)
+    # the symbols' and the dual assembly's quotients and the dual's product;
+    # the one constant is the shift's eps in the velocities' program
+    assert counts == {"stacked": 3, "derivative": 0, "constant": 1}
+    assert builds == [2]  # the velocities' lifts; the dual assembly reads order 1 off them
+
+
 def test_memoized_tables_are_read_only():
     natural = natural_connection(epsilon_system(3, 1.0))
     pts = sample_points(3, 2, seed=13)

@@ -198,6 +198,51 @@ def test_gradient_and_hessian_readers_are_partial_bit_for_bit(dim, order, npoint
             assert hess.tobytes() == jets.hessian(coeffs, dim)[m].tobytes()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_partials_reader_is_derivative_bit_for_bit(dim, order):
+    rng = np.random.default_rng(10 * dim + order)
+    ncoeff = len(jets.multi_indices(dim, order))
+    for npoints in (1, 5):
+        coeffs = rng.uniform(-3.0, 3.0, (3, ncoeff, npoints))
+        coeffs[0, -1, 0], coeffs[1, 0, -1], coeffs[2, -1, -1] = -0.0, math.inf, -math.inf
+        coeffs[1, -1, 0], coeffs[2, 0, 0] = 0.0, -0.0  # signed zeros keep their sign through the factor
+        stacked = jets.partials(coeffs, dim)
+        assert stacked.shape == (3, dim, len(jets.multi_indices(dim, order - 1)), npoints)
+        for m, c in enumerate(coeffs):
+            j = Jet(dim, order, c)
+            want = np.array([jets.derivative(j, l).coeffs for l in range(dim)])
+            assert same_bits(jets.partials(j), want)
+            assert same_bits(stacked[m], want)
+    with pytest.raises(JetError):
+        jets.partials(jets.constant(dim, 0, 1.0))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_lifts_are_the_coordinate_variables(dim):
+    rng = np.random.default_rng(dim)
+    pts = PointSet(rng.uniform(-2.0, 2.0, (dim, 4)))
+    for order in range(jets.MAX_ORDER + 1):
+        lifts = pts.lifts(order)
+        assert lifts.shape == (dim, len(jets.multi_indices(dim, order)), 4) and not lifts.flags.writeable
+        for l in range(dim):
+            want = jets.variable(dim, order, l, pts.coords[l]).coeffs
+            assert same_bits(lifts[l], want)
+            assert pts.lift(l, order).order == order and same_bits(pts.lift(l, order).coeffs, want)
+
+
+def test_lifts_are_one_array_per_set_and_order():
+    pts = PointSet([[1.0, -2.0], [0.5, 3.0], [-1.5, 2.5]])
+    top = pts.lifts(2)
+    assert pts.lifts(2) is top
+    assert np.shares_memory(pts.lifts(1), top)  # read off order 2, which is all finite
+    assert pts.lifts(1) is pts.lifts(1)
+    assert np.shares_memory(pts.lift(2, 1).coeffs, top) and same_bits(pts.lift(2, 1).coeffs, top[2, :4])
+    for index in (-1, 3):
+        with pytest.raises(JetError, match="out of range"):
+            pts.lift(index, 1)
+
+
 # ---------------------------------------------------------------------------
 # point sets: one jet over all points, column k exactly the jet at point k
 

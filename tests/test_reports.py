@@ -323,3 +323,44 @@ def test_signed_zero_tables_keep_their_bits(n):
 
     natural = ConnectionTable(n, "signed-zeros", generate, "natural")
     assert_flatness_families(natural, natural.dual("signed-zeros-dual"), sample_points(n, 12, seed=4))
+
+
+@jets.quiet
+def oracle_reference(conn, points) -> np.ndarray:
+    """R^i_{jkl} by the generic formula, each term an einsum of its own: the
+    reference for curvature_oracle, which forms the two sums over m as one."""
+    g = conn.christoffels(points, 1)
+    val, der = g[..., 0, :], jets.gradient(g, conn.dim)
+    return (
+        np.einsum("iljkp->ijklp", der)
+        - np.einsum("ikjlp->ijklp", der)
+        + np.einsum("ikmp,mljp->ijklp", val, val)
+        - np.einsum("ilmp,mkjp->ijklp", val, val)
+    )
+
+
+def random_table(n: int, seed: int, values) -> ConnectionTable:
+    """A natural table whose generators are drawn from values, zero on the diagonal."""
+    rng = np.random.default_rng(seed)
+
+    def generate(points, order):
+        drawn = rng.choice(values, size=(n, n, len(jets.multi_indices(n, order)), len(points)))
+        return np.where(np.eye(n, dtype=bool)[:, :, None, None], 0.0, drawn)
+
+    return ConnectionTable(n, "random", generate, "natural")
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_curvature_oracle_matches_the_generic_formula_term_by_term(n):
+    sys, A = epsilon_system(n, 0.5), field("1 + u1*u1", n)
+    points = sample_points(n, 3, seed=40 + n)
+    image = transform(sys, ConservationDensity(A), points[0], with_dual=True, check_generator=False)
+    signed_zeros = random_table(n, n, [0.0, -0.0])
+    non_finite = random_table(n, 10 + n, [1.5, -0.25, 3.0, math.nan, math.inf, -math.inf])
+    tables = [natural_connection(sys), dual_connection(sys), image.natural, image.dual,
+              signed_zeros, signed_zeros.dual("signed-zeros-dual"), non_finite, non_finite.dual("non-finite-dual")]
+    for conn in tables:
+        got, want = curvature_oracle(conn, points), oracle_reference(conn, points)
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all() and conftest.same_bits(got[~nan], want[~nan])
+    assert np.isnan(oracle_reference(non_finite, points)).any()
