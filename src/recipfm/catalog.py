@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .exprlang import ScalarField, field
+from .exprlang import ScalarField, constant_field, field
 from .geometry import DiagonalSystem
 from .jets import PointSet
 from .reciprocal import RotationFrame, density_window
@@ -32,11 +32,19 @@ _XS = "((u3-u2)+(u2-u1))"  # = u3 - u1
 
 
 def epsilon_system(n: int, eps: float) -> DiagonalSystem:
-    """The running-example system with velocities v^i = u^i - eps * sum_k u^k."""
+    """The running-example system with velocities v^i = u^i - eps * sum_k u^k: bit for bit u<i> - eps*(u1+...+un)."""
     if n < 2:
         raise ValueError(f"the system needs at least 2 components, got n={n}")
-    shift = field("eps*(" + "+".join(f"u{k}" for k in range(1, n + 1)) + ")", n, {"eps": eps})  # shared by every v^i
-    return DiagonalSystem(tuple(field(f"u{i}", n) - shift for i in range(1, n + 1)))
+    us, total = _coordinates(n)
+    shift = constant_field(n, eps) * total  # shared by every v^i
+    return DiagonalSystem(tuple(u - shift for u in us))
+
+
+@functools.cache
+def _coordinates(n: int) -> tuple[tuple[ScalarField, ...], ScalarField]:
+    """The fields u1..un and u1+...+un, compiled once per n (n <= exprlang.MAX_DIM, so the cache stays small)."""
+    names = [f"u{i}" for i in range(1, n + 1)]
+    return tuple(field(u, n) for u in names), field("+".join(names), n)
 
 
 class _ReadOnlyParams(dict):

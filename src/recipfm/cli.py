@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys as _sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterator, Sequence
 
 from . import catalog as cat
@@ -416,16 +417,38 @@ _COMMANDS = {
 }
 
 
-def _strict(x):
-    """x with every non-finite float spelled "NaN", "Infinity" or "-Infinity",
-    so the report is strict JSON."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-    if isinstance(x, dict):
-        return {k: _strict(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_strict(v) for v in x]
-    return x
+_SPELLED = {None: "null", True: "true", False: "false", math.inf: '"Infinity"', -math.inf: '"-Infinity"'}
+
+
+def _write(x, out: list, indent: str) -> list:
+    """Append to out, and return it, the text of json.dumps(x, sort_keys=True, indent=2) with every non-finite
+    float spelled "NaN", "Infinity" or "-Infinity", in one pass; indent is a newline and the spaces of x's level.
+    Types are tried in json's order; one json cannot write, or a key that is not a str, raises TypeError."""
+    if isinstance(x, str):
+        out.append(_encode_str(x))
+    elif x is None or x is True or x is False:
+        out.append(_SPELLED[x])
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(float.__repr__(x) if math.isfinite(x) else _SPELLED.get(x, '"NaN"'))
+    elif isinstance(x, dict):
+        inner, sep = indent + "  ", "{"
+        for key, value in sorted(x.items()):
+            out += (sep, inner, _encode_str(key), ": ")
+            _write(value, out, inner)
+            sep = ","
+        out += (indent, "}") if x else ("{}",)
+    elif isinstance(x, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for value in x:
+            out += (sep, inner)
+            _write(value, out, inner)
+            sep = ","
+        out += (indent, "]") if x else ("[]",)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return out
 
 
 def _severity(max_abs: float) -> tuple[bool, float]:
@@ -434,7 +457,7 @@ def _severity(max_abs: float) -> tuple[bool, float]:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = "".join(_write(report, [], "\n")) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

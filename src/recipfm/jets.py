@@ -134,7 +134,7 @@ class PointSet(Sequence):
         """The coordinate u^{index} (0-based) as a jet over the set: row index of lifts(order)."""
         if not 0 <= index < self.dim:
             raise JetError(f"coordinate index {index} out of range for dimension {self.dim}")
-        return Jet(self.dim, order, self.lifts(order)[index])
+        return _built(self.dim, order, self.lifts(order)[index])
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -327,7 +327,14 @@ class Jet:
         return self.coeffs[_position_of(self, alpha)]
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.coeffs)
+        return _built(self.dim, self.order, -self.coeffs)
+
+
+def _built(dim: int, order: int, coeffs: np.ndarray) -> Jet:
+    """Jet(dim, order, coeffs) unchecked: only for a float64 (ncoeff, npoints) array a kernel has just built."""
+    out = object.__new__(Jet)
+    out.dim, out.order, out.coeffs = dim, order, coeffs
+    return out
 
 
 def _position_of(j: Jet, alpha: Iterable[int]) -> int:
@@ -355,7 +362,7 @@ def constant(dim: int, order: int, value) -> Jet:
     value = np.asarray(value, dtype=float).reshape(-1)
     coeffs = np.zeros((len(multi_indices(dim, order)), value.size))
     coeffs[0] = value
-    return Jet(dim, order, coeffs)
+    return _built(dim, order, coeffs)
 
 
 def variable(dim: int, order: int, index: int, value) -> Jet:
@@ -370,12 +377,12 @@ def variable(dim: int, order: int, index: int, value) -> Jet:
 
 def add(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    return Jet(a.dim, a.order, a.coeffs + b.coeffs)
+    return _built(a.dim, a.order, a.coeffs + b.coeffs)
 
 
 def sub(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    return Jet(a.dim, a.order, a.coeffs - b.coeffs)
+    return _built(a.dim, a.order, a.coeffs - b.coeffs)
 
 
 def mul(a: Jet, b: Jet) -> Jet:
@@ -389,11 +396,11 @@ def mul(a: Jet, b: Jet) -> Jet:
         out = 0.0 + x[0] * y  # every row's first pair, (0, r)
         if a.order:
             out[1:] += x[1:] * y[0]  # a grade-1 row's second, (r, 0)
-        return Jet(a.dim, a.order, out)
+        return _built(a.dim, a.order, out)
     pa, pb, pad = _mul_grid(a.dim, a.order)
     terms = x[pa] * y[pb]
     np.copyto(terms, -0.0, where=pad)
-    return Jet(a.dim, a.order, np.add.reduce(terms, axis=0, initial=0.0))  # layer by layer: rows stay inner
+    return _built(a.dim, a.order, np.add.reduce(terms, axis=0, initial=0.0))  # layer by layer: rows stay inner
 
 
 def div(a: Jet, b: Jet) -> Jet:
@@ -418,7 +425,7 @@ def div(a: Jet, b: Jet) -> Jet:
             np.multiply(y[pa], q[pb], out=terms[1:])
             np.copyto(terms[1:], 0.0, where=pad)
             q[rows] = np.subtract.reduce(terms, axis=0) * inv
-    return Jet(a.dim, a.order, q)
+    return _built(a.dim, a.order, q)
 
 
 def derivative(a: Jet, index: int) -> Jet:
@@ -481,7 +488,7 @@ def compose_univariate(g: Jet, series) -> Jet:
     series = list(series)[: g.order + 1]
     w = g.coeffs.copy()
     w[0] = 0.0
-    w = Jet(g.dim, g.order, w)
+    w = _built(g.dim, g.order, w)
     out = constant(g.dim, g.order, series[-1])
     for c in reversed(series[:-1]):
         out = mul(out, w)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -311,7 +312,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
         def composite(half: float, f: list[float]) -> float:
             total = 0.0
             for s in range(0, len(f), QUAD_NODES):
-                total += half * sum(w * y for w, y in zip(_GL_W, f[s : s + QUAD_NODES]))
+                total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]))
             return total
 
         ts1, half1 = nodes(1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import same_bits
 from recipfm import jets
 from recipfm.catalog import (
     CatalogEntry,
@@ -29,6 +30,22 @@ def test_epsilon_system_velocities():
     assert values(sys3, jets.Point((0.0, 1.0, 3.0))) == pytest.approx((-4.0, -3.0, -1.0))
     with pytest.raises(ValueError):
         epsilon_system(1, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_epsilon_system_is_its_parsed_source_bit_for_bit(n):
+    """The velocities, built from per-n coordinate fields and a constant eps,
+    are the fields of u<i> - eps*(u1+...+un) compiled from source, at every order."""
+    coords = sample_points(n, 3, seed=n).coords
+    total = "+".join(f"u{k}" for k in range(1, n + 1))
+    for eps in (1.0, -1.0, 0.5, 0.0, -0.0, 1e-300, -3.7e5):
+        shift = field(f"eps*({total})", n, {"eps": eps})
+        parsed = [field(f"u{i}", n) - shift for i in range(1, n + 1)]
+        built = epsilon_system(n, eps).velocities
+        for order in range(4):  # a fresh set per order, so no order is read off another
+            pts = jets.PointSet(coords)
+            for got, want in zip(built, parsed, strict=True):
+                assert same_bits(got.jet(pts, order).coeffs, want.jet(pts, order).coeffs)
 
 
 def test_catalog_has_all_families_and_lookup_works():

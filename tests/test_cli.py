@@ -3,16 +3,18 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import cyclic_recipfm_objects
 from recipfm import catalog, exprlang
 from recipfm import geometry as geo
 from recipfm import reciprocal as rec
-from recipfm.cli import _strict, build_parser, main
+from recipfm.cli import _write, build_parser, main
 from recipfm.geometry import ResidualReport
 
 
@@ -441,10 +443,79 @@ def test_non_finite_report_is_strict_json(tmp_path, capsys):
     assert report["checks"][worst]["max_abs"] == "NaN"
 
 
+def _written(x) -> str:
+    return "".join(_write(x, [], "\n"))
+
+
 def test_strict_encoding_spells_infinities():
-    assert _strict({"a": [math.inf, -math.inf, 1.5], "b": (math.nan,)}) == {
-        "a": ["Infinity", "-Infinity", 1.5], "b": ["NaN"]
-    }
+    text = _written({"a": [math.inf, -math.inf, 1.5], "b": (math.nan,)})
+    assert json.loads(text, parse_constant=_reject_constant) == {"a": ["Infinity", "-Infinity", 1.5], "b": ["NaN"]}
+
+
+def _strict(x):
+    """x with every non-finite float spelled "NaN", "Infinity" or "-Infinity": with json.dumps, the writer's oracle."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return x
+
+
+_TEXTS = ("", "flat", "G^1_12", "∇* e", "naïve ü", "\x00\x1f\t\n\"\\/", "\x7f\u2028", "\ud83d", "😀")
+_LEAVES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+    1e15, 1e-5, 9.999999999999999e-06, 1e-4, 1.7976931348623157e308, np.float64(math.nan), np.float64(-math.inf),
+    np.float64(-0.0), np.float64(1e16), np.float64(1e-5), np.float64(5e-324), True, False, None, 0, -7, 2**64,
+    -(10**40), *_TEXTS,
+)
+
+
+def _random_report(rng: random.Random, depth: int = 0):
+    """A nested report of dicts, lists and tuples (empty ones too) over _LEAVES and random floats."""
+    if depth == 4 or rng.random() < 0.3:
+        roll = rng.randrange(3)
+        if roll == 0:
+            return rng.choice(_LEAVES)
+        x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-325, 308)  # subnormals and zeros among them
+        return x if roll == 1 else np.float64(x)
+    size, kind = rng.randrange(4), rng.randrange(3)
+    if kind == 0:
+        return {rng.choice(_TEXTS) + str(rng.randrange(10)): _random_report(rng, depth + 1) for _ in range(size)}
+    items = [_random_report(rng, depth + 1) for _ in range(size)]
+    return items if kind == 1 else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_report_writer_is_strict_json_dumps_byte_for_byte(seed):
+    report = _random_report(random.Random(seed))
+    assert _written(report) == json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False)
+
+
+def test_report_writer_is_json_dumps_on_every_leaf():
+    for leaf in _LEAVES:
+        for value in (leaf, [leaf], {"k": leaf}, ([leaf, {"k": (leaf,)}],)):
+            assert _written(value) == json.dumps(_strict(value), sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1, 2}, object()], ids=repr)
+def test_report_writer_refuses_what_json_cannot_write(value):
+    for report in (value, {"checks": [value]}):
+        with pytest.raises(TypeError):
+            json.dumps(report)
+        with pytest.raises(TypeError):
+            _written(report)
+
+
+def test_report_writer_refuses_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError):
+        _written({"checks": {1: "one"}})
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_reports_are_strict_json(path):
+    assert json.loads(path.read_text(), parse_constant=_reject_constant)["schema"] == "recip-fm/1"
 
 
 @pytest.mark.parametrize(
@@ -525,16 +596,29 @@ def test_eps_system_flatness_at_dimension_ten(tmp_path):
     assert code == 0 and len(report["points"]) == 2
 
 
+@pytest.mark.parametrize("dim, message", [
+    ("1", "the system needs at least 2 components, got n=1"),
+    ("0", "the system needs at least 2 components, got n=0"),
+    ("-3", "the system needs at least 2 components, got n=-3"),
+    ("17", "dimension must be in 2..16, got 17"),
+])
+def test_builtin_system_outside_its_dimensions_exits_two(dim, message, capsys):
+    assert main(["check", "--builtin", "eps-system", f"--dim={dim}", "--eps", "1", "--suite", "sh"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_catalog_density_is_compiled_once(tmp_path, monkeypatch):
     parses = _count_calls(monkeypatch, exprlang, "parse_field")
-    for _ in range(2):
-        code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")
-        assert code == 0
+    code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")
+    assert code == 0
     src = catalog.entry("dim3-eps1-flatcoord").density_src
     density = [args for args in parses if args[0] == src]
-    # per call: three coordinates and the shared shift eps*(u1+u2+u3); the
-    # density once per process, so not at all if an earlier test compiled it
-    assert len(density) <= 1 and len(parses) - len(density) == 8
+    # once per process, so not at all if an earlier test compiled them: the
+    # density, and the built-in system's u1, u2, u3 and u1+u2+u3 for n = 3
+    assert len(density) <= 1 and len(parses) - len(density) in (0, 4)
+    parses.clear()
+    code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")
+    assert code == 0 and parses == []
 
 
 def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):

@@ -446,3 +446,36 @@ def test_a_zero_divisor_raises_as_before(zero):
             with pytest.raises(JetDomainError) as got:
                 jets.div(dividend, divisor)
             assert str(got.value) == str(want.value) == "division by a jet with zero value"
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("order", range(4))
+def test_kernel_jets_pass_the_public_validation(dim, order):
+    """The kernels build their jets without Jet.__init__'s checks; each one must pass them."""
+    rng = np.random.default_rng(10 * dim + order)
+    ncoeff = len(jets.multi_indices(dim, order))
+    operand = lambda npoints: Jet(dim, order, rng.choice(_SPECIALS, size=(ncoeff, npoints)))
+    built = []  # (jet, its expected number of columns)
+    with np.errstate(all="ignore"):
+        for na, nb in ((1, 1), (1, 5), (5, 1), (5, 5)):
+            a, b = operand(na), operand(nb)
+            divisor = Jet(dim, order, b.coeffs.copy())
+            divisor.coeffs[0] = rng.choice([1.0, -0.5, np.inf, -np.inf, np.nan], size=nb)  # no zero value
+            n = max(na, nb)
+            built += [(jets.add(a, b), n), (jets.sub(a, b), n), (jets.mul(a, b), n), (jets.div(a, divisor), n)]
+            # at order 0 the composite is the constant series[0]: one column
+            built += [(-a, na), (jets.compose_univariate(b, [1.0, -0.0, np.inf, np.nan]), nb if order else 1)]
+        built += [(jets.constant(dim, order, v), np.size(v)) for v in (0.0, -0.0, np.inf, np.nan, _SPECIALS)]
+        if dim >= 2:
+            points = PointSet(rng.uniform(-2.0, 2.0, size=(dim, 5)))
+            built += [(points.lift(i, order), 5) for i in range(dim)]
+    for j, npoints in built:
+        checked = Jet(j.dim, j.order, j.coeffs)  # raises JetError on a wrong row count or rank
+        assert checked.coeffs is j.coeffs  # already float64: np.asarray made no copy
+        assert (j.dim, j.order, j.coeffs.shape) == (dim, order, (ncoeff, npoints))
+    for shape in ((ncoeff + 1, 3), (ncoeff,), (1, ncoeff, 3)):
+        with pytest.raises(JetError):
+            Jet(dim, order, np.zeros(shape))
