@@ -17,9 +17,10 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .exprlang import ScalarField, constant_field, field
+from . import jets
+from .exprlang import MAX_DIM, ScalarField, field
 from .geometry import DiagonalSystem
-from .jets import PointSet
+from .jets import Jet, PointSet
 from .reciprocal import RotationFrame, density_window
 
 GENERIC_CONSTANTS = {"c0": 1.0, "c1": 2.0, "c2": -1.0, "c3": 0.5}
@@ -32,19 +33,19 @@ _XS = "((u3-u2)+(u2-u1))"  # = u3 - u1
 
 
 def epsilon_system(n: int, eps: float) -> DiagonalSystem:
-    """The running-example system with velocities v^i = u^i - eps * sum_k u^k: bit for bit u<i> - eps*(u1+...+un)."""
+    """The running-example system v^i = u^i - eps * sum_k u^k.  Its velocity jets are one array over
+    the set's coordinate lifts: the jet operations of the source u<i> - eps*(u1+...+un), bit for bit."""
     if n < 2:
         raise ValueError(f"the system needs at least 2 components, got n={n}")
-    us, total = _coordinates(n)
-    shift = constant_field(n, eps) * total  # shared by every v^i
-    return DiagonalSystem(tuple(u - shift for u in us))
+    if n > MAX_DIM:
+        raise ValueError(f"dimension must be in 2..{MAX_DIM}, got {n}")
+    eps = float(eps)
 
+    def closed_form(points: PointSet, order: int) -> np.ndarray:
+        u = points.lifts(order)  # accumulate adds u1 + ... + un in index order, as the source's + does
+        return u - jets.mul(jets.constant(n, order, eps), Jet(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
 
-@functools.cache
-def _coordinates(n: int) -> tuple[tuple[ScalarField, ...], ScalarField]:
-    """The fields u1..un and u1+...+un, compiled once per n (n <= exprlang.MAX_DIM, so the cache stays small)."""
-    names = [f"u{i}" for i in range(1, n + 1)]
-    return tuple(field(u, n) for u in names), field("+".join(names), n)
+    return DiagonalSystem.from_stack(n, closed_form)
 
 
 class _ReadOnlyParams(dict):
@@ -165,13 +166,6 @@ def _flat_sources(eps: float) -> tuple[tuple[str, dict] | None, tuple[str, dict]
         }
         second = (f"pow(u2-u1, pw)*pow({z}, qw)*hyp2f1(av, bv, cv, {z})", params)
     return first, second
-
-
-def hypergeom_flat_coordinates(eps: float) -> tuple[ScalarField | None, ScalarField | None]:
-    """The pair of homogeneous flat coordinates of the three-component system,
-    as hypergeometric scalar fields; an entry is None where its parameters are
-    excluded (first needs 2*eps, second needs 2-2*eps, valid)."""
-    return tuple(None if src is None else field(src[0], 3, src[1]) for src in _flat_sources(eps))
 
 
 @functools.cache

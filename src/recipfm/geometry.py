@@ -1,15 +1,15 @@
 """Connections of diagonal systems and their curvature / compatibility residuals.
 
-A diagonal system carries characteristic velocity fields v^i.  Its off-diagonal
-Christoffel symbols G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique
-"natural" connection through three structural identities (zero on distinct
-triples, G^i_{jj} = -G^i_{ji}, zero row sums including the diagonal), and a
-"dual" connection through the u-weighted variants of the same identities.
-A table takes all n(n-1) symbols at once, as the columns of one jet quotient
-over one read of the velocities' partials, and assembles the dual entries with
-one stacked quotient and one product over the set's lifts.  A sum over a
-component index reduces its terms, stacked in index order on axis 0, one after
-another: bit for bit a loop over the index.
+A diagonal system carries characteristic velocity fields v^i, whose jets it
+reads over a point set as one array.  Its off-diagonal Christoffel symbols
+G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique "natural" connection
+through three structural identities (zero on distinct triples, G^i_{jj} =
+-G^i_{ji}, zero row sums including the diagonal), and a "dual" connection
+through their u-weighted variants.  A table takes all n(n-1) symbols at once,
+as the columns of one jet quotient over that array's partials, and assembles
+the dual entries with one stacked quotient and one product over the set's
+lifts.  A sum over a component index reduces its terms, stacked in index
+order on axis 0, one after another: bit for bit a loop over the index.
 Every flatness and compatibility check here is a pointwise residual evaluated
 through third-order jets over a set of seeded sample points at once.
 """
@@ -21,14 +21,14 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import jets
 from .exprlang import ScalarField
-from .jets import Point, PointSet, point_set, quiet
+from .jets import Jet, Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # recorded in reports as inputs.tolerances.third; no check reads it
@@ -51,20 +51,42 @@ class SamplingError(GeometryError):
 
 @dataclass(frozen=True)
 class DiagonalSystem:
-    """A diagonal quasilinear system given by its characteristic velocity fields."""
+    """A diagonal quasilinear system given by its characteristic velocity fields.
+
+    stack(points, order) gives every velocity's jet as one array (n, ncoeff,
+    npoints), memoized in the set by velocity_jets: the fields' jets stacked,
+    unless from_stack built the system from a closed form for the whole array."""
 
     velocities: tuple[ScalarField, ...]
+    stack: Callable[[PointSet, int], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.velocities) < 2:
             raise GeometryError("a diagonal system needs at least 2 components")
-        dims = {v.dim for v in self.velocities}
-        if dims != {len(self.velocities)}:
+        if {v.dim for v in self.velocities} != {len(self.velocities)}:
             raise GeometryError(f"velocity fields must all live on {len(self.velocities)} coordinates")
+        if self.stack is None:  # over the fields, not the system
+            fields = self.velocities
+            object.__setattr__(self, "stack", lambda p, order: jets.stack([v.jet(p, order) for v in fields], len(p)))
+
+    @classmethod
+    def from_stack(cls, dim: int, stack: Callable[[PointSet, int], np.ndarray]) -> "DiagonalSystem":
+        """The system whose velocities[i] reads row i of velocity_jets; stack must not refer to the system."""
+        read = lambda p, order: jets.memoized(p, stack, order, lambda: stack(p, order))  # velocity_jets's entry
+        rows = (ScalarField(dim, lambda p, order, i=i: Jet(dim, order, read(p, order)[i])) for i in range(dim))
+        return cls(tuple(rows), stack)
 
     @property
     def dim(self) -> int:
         return len(self.velocities)
+
+    def velocity_jets(self, points: Point | PointSet, order: int) -> np.ndarray:
+        """Every velocity's jet over the points as one read-only array (n, ncoeff, npoints), one
+        column spread: the set's memo entry for stack, lower orders read off a finite higher one."""
+        points = point_set(points)
+        if points.dim != self.dim:
+            raise ValueError(f"field on {self.dim} coordinates evaluated at points with {points.dim}")
+        return jets.memoized(points, self.stack, order, lambda: self.stack(points, order))
 
     def _christoffel_primary(self, points: PointSet, order: int) -> np.ndarray:  # its bound methods are one memo owner
         return christoffel_primary(self, points, order)
@@ -266,14 +288,11 @@ def pair_table(n: int, values: np.ndarray) -> np.ndarray:
 def christoffel_primary(sys: DiagonalSystem, points: Point | PointSet, order: int) -> np.ndarray:
     """Every G^i_{ij} = d_j v^i / (v^j - v^i) over the points as one array (n, n,
     ncoeff, npoints), zero on the diagonal: the columns of one jet division, whose
-    numerators are jets.partials of the velocities stacked at order + 1; the
-    stack's leading rows are the order-`order` jets if it is all finite, as in the memo."""
+    numerators are jets.partials of velocity_jets at order + 1 and whose
+    denominators read velocity_jets at order, read off the former if it is all finite."""
     n, points = sys.dim, point_set(points)
     i, j = off_pairs(n)
-    hi = jets.stack([v.jet(points, order + 1) for v in sys.velocities], len(points))
-    lo = hi[:, : len(jets.multi_indices(n, order))]
-    if not np.isfinite(hi).all():
-        lo = jets.stack([v.jet(points, order) for v in sys.velocities], len(points))
+    hi, lo = sys.velocity_jets(points, order + 1), sys.velocity_jets(points, order)
     den = lo[j] - hi[i, : lo.shape[1]]
     close = np.abs(den[:, 0]) < VELOCITY_GAP
     if close.any():
@@ -444,9 +463,9 @@ def curvature_full_residual(
     """Max-norm of the full curvature tensor at each point (oracle route)."""
     points = point_set(points)
     flat = curvature_oracle(conn, points).reshape(conn.dim**4, -1)  # the largest |R^i_jkl| at each point
-    worst = np.argmax(np.abs(flat), axis=0).tolist()
-    entries = [(p, ("R", *map(int, np.unravel_index(k, (conn.dim,) * 4))), flat[k, c].item())
-               for c, (p, k) in enumerate(zip(points, worst))]
+    worst = np.argmax(np.abs(flat), axis=0)
+    labels = zip(itertools.repeat("R"), *(k.tolist() for k in np.unravel_index(worst, (conn.dim,) * 4)))
+    entries = zip(points, labels, flat[worst, np.arange(len(points))].tolist())
     return ResidualReport.build(f"curvature-full[{conn.kind}]", entries, tolerance)
 
 

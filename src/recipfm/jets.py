@@ -31,7 +31,7 @@ a result read only coefficients of grade <= g of its operands, in the same
 order at every order, and grade-major storage makes ``multi_indices(dim, m)``
 a prefix of ``multi_indices(dim, k)`` for m <= k.  So the order-m jet of a
 field is bit for bit the first ``ncoeff(dim, m)`` rows of its order-k jet.
-``memoized``, the one memo of field jets, table arrays and coordinate lifts,
+``memoized``, the one memo of field jets, velocity and table arrays and lifts,
 stores every entry read-only in its point set, and reads a missing lower order
 off a higher one of the same owner there, unless that one is non-finite.
 """
@@ -99,8 +99,8 @@ class PointSet(Sequence):
     also one read-only array ``coords`` of shape (dim, npoints), and whose
     coordinate lifts are one array per order, ``lifts``.  A set is one
     evaluation scope and owns every memo over it: what each evaluator (a field,
-    a table's generator, the coordinate lifts) computes over the set is kept by
-    ``memoized`` in the set, until the set goes."""
+    a system's velocity stack, a table's generator, the coordinate lifts)
+    computes over the set is kept by ``memoized`` in the set, until it goes."""
 
     __slots__ = ("coords", "_points", "_memo", "__weakref__")
 

@@ -255,21 +255,21 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     t in [0, 1].  The form is closed, and a Weyl chamber intersected with an
     orthant is convex, so the segment between two of its points never meets
     u^i = u^j or u^i = 0.  Derivatives of the returned field come straight
-    from the one-form, so no differentiation of quadrature output ever happens.
+    from the one-form v^i d_i A, built only when a derivative row is asked, so
+    no differentiation of quadrature output ever happens.
 
-    Each value evaluates its nodes as point sets, one order-1 jet of A per
-    set (its value feeds the density guard): the 1-panel and 2-panel rules
-    together, then one set per further refinement level, until two levels
-    agree to QUAD_REFINE_TOL.  A node set that fails a path guard or leaves a
-    field's domain is redone as one-node sets through the same integrand, so
-    the first failing node in rule order raises its own error, velocity check
-    before density check.  Node sets are dropped after use, and with them
-    every memo entry they hold.  Over one set, the returned field's order 0 is
-    read off an order 1 already held there, so asking order 1 and then order 0
-    runs the quadrature once.
+    Each value evaluates its nodes as point sets, one velocity_jets array and
+    one order-1 jet of A per set (feeding the path guards): the 1-panel and
+    2-panel rules together, then one set per further refinement level, until
+    two levels agree to QUAD_REFINE_TOL.  A node set that fails a path guard
+    or leaves a field's domain is redone as one-node sets through the same
+    integrand, so the first failing node in rule order raises its own error,
+    velocity check before density check.  Node sets are dropped after use, and
+    with them every memo entry they hold.  Over one set, the returned field's
+    order 0 is read off an order 1 already held there, so asking order 1 and
+    then order 0 runs the quadrature once.
     """
     n = sys.dim
-    one_forms = [sys.velocities[i] * partial_field(A, i) for i in range(n)]
     start = np.array(base.coords)
 
     def value_at(p: Point) -> float:
@@ -282,12 +282,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             node_set = PointSet(start[:, None] + step[:, None] * ts)
             # the message is read only from a one-node set
             singular = lambda what: PathSingularityError(f"{what} on the segment from {base} to {p} near {node_set[0]}")
-            vals = [v.jet(node_set, 0).value for v in sys.velocities]
-            gap = np.inf
-            for a in range(n):
-                for b in range(a + 1, n):
-                    gap = np.minimum(gap, abs(vals[a] - vals[b]))
-            if (gap < VELOCITY_GAP).any():
+            vals = sys.velocity_jets(node_set, 0)[:, 0]
+            a, b = off_pairs(n)  # the least gap at each node, NaN if any gap is NaN
+            if (np.minimum.reduce(abs(vals[a] - vals[b])) < VELOCITY_GAP).any():
                 raise singular("characteristic velocities coincide")
             aj = A.jet(node_set, 1)
             if (np.abs(aj.value) < DENSITY_FLOOR).any():
@@ -336,7 +333,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
         coeffs[0] = [value_at(p) for p in points]
         if jet_order == 0:
             return Jet(n, 0, coeffs)
-        grads = [one_forms[i].jet(points, jet_order - 1) for i in range(n)]
+        grads = [(sys.velocities[i] * partial_field(A, i)).jet(points, jet_order - 1) for i in range(n)]
         for r, alpha in enumerate(jets.multi_indices(n, jet_order)[1:], start=1):
             i = next(m for m, a in enumerate(alpha) if a > 0)
             beta = tuple(a - (1 if m == i else 0) for m, a in enumerate(alpha))

@@ -11,7 +11,8 @@ import mpmath as mp
 import numpy as np
 
 from recipfm import jets
-from recipfm.exprlang import FieldExpr, evaluate_value, parse_field
+from recipfm.catalog import _flat_sources
+from recipfm.exprlang import FieldExpr, evaluate_value, field, parse_field
 from recipfm.geometry import sample_points
 from recipfm.jets import Jet
 
@@ -33,6 +34,12 @@ def entries_by_point(points, rows: dict) -> list:
     for dst, row in zip(table, rows.values()):
         dst[...] = row
     return [(p, label, v) for p, values in zip(points, table.T.tolist()) for label, v in zip(rows, values)]
+
+
+def flat_coordinates(eps: float):
+    """The two homogeneous flat coordinates of the three-component eps-system
+    as fields, compiled from the catalog's sources; None where excluded."""
+    return tuple(None if src is None else field(src[0], 3, src[1]) for src in _flat_sources(eps))
 
 
 def every_order_from_scratch():

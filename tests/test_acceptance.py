@@ -7,9 +7,9 @@ import json
 
 import numpy as np
 
-from conftest import corpus_exprs, corpus_points, fd_partial, partial
+from conftest import corpus_exprs, corpus_points, fd_partial, flat_coordinates, partial
 from recipfm import jets
-from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system, hypergeom_flat_coordinates
+from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
 from recipfm.cli import main as cli_main
 from recipfm.exprlang import compile_field, field
 from recipfm.geometry import (
@@ -153,7 +153,7 @@ def test_c06_a_system_and_theta_form_agree():
 
 
 def test_c07_hypergeometric_reduction():
-    A1, _ = hypergeom_flat_coordinates(1.0)
+    A1, _ = flat_coordinates(1.0)
     elementary = field("1/((u2-u1)*(u2-u3))", 3)
     e = entry("dim3-eps1-flatcoord")
     pts = _entry_points(e)

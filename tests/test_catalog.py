@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import same_bits
+from conftest import flat_coordinates, same_bits
 from recipfm import jets
 from recipfm.catalog import (
     CatalogEntry,
@@ -12,7 +12,6 @@ from recipfm.catalog import (
     entry,
     epsilon_frame_n2,
     epsilon_system,
-    hypergeom_flat_coordinates,
 )
 from recipfm.exprlang import field
 from recipfm.geometry import banded_points, sample_points
@@ -153,18 +152,18 @@ def test_paper_current_solves_the_current_equations(e):
 
 
 def test_flat_coordinate_pair_parameter_exclusions():
-    A1, A2 = hypergeom_flat_coordinates(1.0)
+    A1, A2 = flat_coordinates(1.0)
     assert A1 is not None and A2 is None
-    B1, B2 = hypergeom_flat_coordinates(-1.0)
+    B1, B2 = flat_coordinates(-1.0)
     assert B1 is None and B2 is not None
-    C1, C2 = hypergeom_flat_coordinates(0.7)
+    C1, C2 = flat_coordinates(0.7)
     assert C1 is not None and C2 is not None
     with pytest.raises(ValueError):
-        hypergeom_flat_coordinates(1.0 / 3.0)
+        flat_coordinates(1.0 / 3.0)
 
 
 def test_flat_coordinate_elementary_reduction():
-    A1, _ = hypergeom_flat_coordinates(1.0)
+    A1, _ = flat_coordinates(1.0)
     elementary = field("1/((u2-u1)*(u2-u3))", 3)
     e = entry("dim3-eps1-flatcoord")
     pts = sample_points(3, 20, seed=33, predicates=e.sample_predicates())
@@ -177,7 +176,7 @@ def test_flat_coordinate_elementary_reduction():
 def test_flat_coordinate_gradings_generic_eps():
     bands = ((-2.0, -1.3), (0.5, 2.0), (-0.9, -0.4))
     for eps in (1.0, -1.0, 0.7):
-        A1, A2 = hypergeom_flat_coordinates(eps)
+        A1, A2 = flat_coordinates(eps)
         pts = banded_points(bands, 12, seed=35)
         for A in (A1, A2):
             if A is None:
@@ -193,7 +192,7 @@ def test_flat_coordinates_are_densities_for_their_systems():
     pts = banded_points(bands, 12, seed=36)
     for eps in (1.0, -1.0, 0.7):
         sys3 = epsilon_system(3, eps)
-        for A in hypergeom_flat_coordinates(eps):
+        for A in flat_coordinates(eps):
             if A is not None:
                 assert density_residual(sys3, A, pts).max_abs <= 1e-8
 

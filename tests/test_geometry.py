@@ -2,9 +2,10 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 
-from conftest import fd_partial
+from conftest import fd_partial, same_bits
 from recipfm import geometry, jets
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
@@ -242,34 +243,54 @@ def test_natural_connection_is_one_table_per_system(monkeypatch):
     assert len(calls) == 1
 
 
-def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
-    """The five flatness families over one set of an n = 4 eps-system build the
-    generators once, at order 1, from one order-2 jet of each velocity: every
-    lower order is read off the higher one already computed."""
-    sys4 = epsilon_system(4, 1.0)
-    calls, orders = [], [[] for _ in sys4.velocities]
-    real = geometry.christoffel_primary
-    monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[2]) or real(*args))
-    for v, seen in zip(sys4.velocities, orders):
-        monkeypatch.setattr(v, "_fn", lambda p, order, fn=v._fn, seen=seen: seen.append(order) or fn(p, order))
-    pts = sample_points(4, 4, seed=12)
-    natural, dual = natural_connection(sys4), dual_connection(sys4)
-    reports = (
+def count_stack_builds(monkeypatch, system) -> list:
+    """The orders at which the system's velocity stack is built (memo misses
+    that compute), in call order, from now until the test ends."""
+    builds, real = [], jets.memoized
+
+    def memoized(points, owner, key, compute):
+        if owner is system.stack:
+            return real(points, owner, key, lambda: builds.append(key) or compute())
+        return real(points, owner, key, compute)
+
+    monkeypatch.setattr(jets, "memoized", memoized)
+    return builds
+
+
+def flatness_reports(system, pts):
+    natural, dual = natural_connection(system), dual_connection(system)
+    return (
         curvature_natural_residual(natural, pts),
         curvature_full_residual(dual, pts),
         identity_parallel_residual(natural, "e", pts),
         identity_parallel_residual(dual, "E", pts),
-        sh_residual(sys4, pts),
+        sh_residual(system, pts),
     )
-    assert all(rep.passed for rep in reports)
+
+
+def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
+    """The five flatness families over one set of an n = 4 eps-system build the
+    generators once, at order 1, from one velocity stack built once, at order 2:
+    every lower order is read off the higher one already computed, and no
+    velocity field is evaluated on its own."""
+    sys4 = epsilon_system(4, 1.0)
+    calls, fields = [], []
+    real = geometry.christoffel_primary
+    monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[2]) or real(*args))
+    builds = count_stack_builds(monkeypatch, sys4)
+    for v in sys4.velocities:
+        monkeypatch.setattr(v, "_fn", lambda p, order, fn=v._fn: fields.append(order) or fn(p, order))
+    assert all(rep.passed for rep in flatness_reports(sys4, sample_points(4, 4, seed=12)))
     assert calls == [1]
-    assert orders == [[2]] * 4
+    assert builds == [2]
+    assert fields == []
 
 
 def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
     """One n = 6 flatness verdict, the five families over one set, reads every
-    partial of the velocities at once and every coordinate lift off one array:
-    the tables make no per-coordinate derivative, constant or lift."""
+    partial of the velocities at once off one stack built once, and every
+    coordinate lift off one array: the tables make no per-coordinate
+    derivative, constant or lift."""
     counts = dict.fromkeys(("stacked", "derivative", "constant"), 0)
 
     def counting(name, real):
@@ -281,29 +302,100 @@ def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(jets, name, counting(name, getattr(jets, name)))
-    builds, real_memoized = [], jets.memoized
+    lifts = []
+    real_lift = jets.PointSet.lift
+    monkeypatch.setattr(jets.PointSet, "lift", lambda points, *args: lifts.append(args) or real_lift(points, *args))
+    sys6 = epsilon_system(6, 1.0)
+    builds = count_stack_builds(monkeypatch, sys6)
+    lift_builds, real_memoized = [], jets.memoized
 
     def memoized(points, owner, key, compute):
         if owner is jets.variable:  # the owner of the coordinate lifts
-            return real_memoized(points, owner, key, lambda: builds.append(key) or compute())
+            return real_memoized(points, owner, key, lambda: lift_builds.append(key) or compute())
         return real_memoized(points, owner, key, compute)
 
     monkeypatch.setattr(jets, "memoized", memoized)
-    sys6 = epsilon_system(6, 1.0)
-    pts = sample_points(6, 4, seed=5)
-    natural, dual = natural_connection(sys6), dual_connection(sys6)
-    reports = (
-        curvature_natural_residual(natural, pts),
-        curvature_full_residual(dual, pts),
-        identity_parallel_residual(natural, "e", pts),
-        identity_parallel_residual(dual, "E", pts),
-        sh_residual(sys6, pts),
-    )
-    assert all(rep.passed for rep in reports)
+    assert all(rep.passed for rep in flatness_reports(sys6, sample_points(6, 4, seed=5)))
     # the symbols' and the dual assembly's quotients and the dual's product;
-    # the one constant is the shift's eps in the velocities' program
+    # the one constant is the shift's eps in the velocities' closed form
     assert counts == {"stacked": 3, "derivative": 0, "constant": 1}
-    assert builds == [2]  # the velocities' lifts; the dual assembly reads order 1 off them
+    assert builds == [2] and lifts == []
+    assert lift_builds == [2]  # the velocities' lifts; the dual assembly reads order 1 off them
+
+
+EPS_VALUES = (1.0, -1.0, 0.5, 0.0, -0.0, 1e-300, -3.7e5, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_eps_system_velocity_jets_are_its_fields_and_its_parsed_source_bit_for_bit(n):
+    """The eps-system's one array is, at every order and NaN positions included,
+    the stack of its fields' jets and of u<i> - eps*(u1+...+un) compiled from
+    source, each over a fresh set so that nothing is read off another."""
+    total = "+".join(f"u{k}" for k in range(1, n + 1))
+    for coords in (sample_points(n, 3, seed=n).coords, sample_points(n, 1, seed=n).coords):
+        for eps in EPS_VALUES:
+            system = epsilon_system(n, eps)
+            parsed = [field(f"u{i} - eps*({total})", n, {"eps": eps}) for i in range(1, n + 1)]
+            for order in range(4):
+                got = system.velocity_jets(jets.PointSet(coords), order)
+                for fields in (system.velocities, parsed):
+                    pts = jets.PointSet(coords)
+                    want = jets.stack([v.jet(pts, order) for v in fields], len(pts))
+                    assert same_bits(got, want), (eps, order)
+
+
+def _systems_by_fields():
+    """A system given by sources, as --velocity builds it, with a constant
+    velocity (one column), and its image under a transformation."""
+    from recipfm.reciprocal import ConservationDensity, transform
+
+    given = DiagonalSystem((field("u1*u2 - 3", 3), field("exp(u2/4)", 3), field("2.5", 3)))
+    A = field("1 + u1/7", 3)
+    image = transform(given, ConservationDensity(A), jets.Point((0.6, 0.9, 1.4)), check_generator=False).system
+    coords = banded_points(((0.5, 0.7), (0.8, 1.0), (1.3, 1.5)), 3, seed=3).coords
+    return (given, coords), (image, coords)
+
+
+def test_field_systems_velocity_jets_are_their_fields_bit_for_bit():
+    for system, coords in _systems_by_fields():
+        for order in range(4):
+            got = system.velocity_jets(jets.PointSet(coords), order)
+            pts = jets.PointSet(coords)
+            assert same_bits(got, jets.stack([v.jet(pts, order) for v in system.velocities], len(pts))), order
+            assert got.shape == (3, len(jets.multi_indices(3, order)), 3) and not got.flags.writeable
+
+
+def test_velocity_stack_is_built_once_per_set_and_order(monkeypatch):
+    """A lower order is read off a finite higher one held for the set, as its
+    leading rows; off a non-finite one it is built on its own."""
+    cases = [(epsilon_system(3, 0.5), sample_points(3, 4, seed=8).coords)]
+    cases += [(system, coords) for system, coords in _systems_by_fields()]
+    for system, coords in cases:
+        builds = count_stack_builds(monkeypatch, system)
+        pts = jets.PointSet(coords)
+        top = system.velocity_jets(pts, 2)
+        for order in (1, 0, 2, 1):
+            assert same_bits(system.velocity_jets(pts, order), top[:, : len(jets.multi_indices(3, order))])
+        assert builds == [2]
+        monkeypatch.undo()
+    inf = epsilon_system(3, math.inf)  # inf * 0 in every derivative row: NaN at order >= 1
+    builds = count_stack_builds(monkeypatch, inf)
+    pts = jets.PointSet(sample_points(3, 2, seed=8).coords)
+    assert np.isnan(inf.velocity_jets(pts, 2)).any()
+    inf.velocity_jets(pts, 1)
+    inf.velocity_jets(pts, 0)
+    assert builds == [2, 1, 0]
+
+
+def test_eps_system_velocities_read_rows_of_its_stack():
+    system = epsilon_system(4, -1.0)
+    pts = sample_points(4, 3, seed=9)
+    stack = system.velocity_jets(pts, 2)
+    for i, v in enumerate(system.velocities):
+        row = v.jet(pts, 2).coeffs
+        assert np.shares_memory(row, stack) and same_bits(row, stack[i])
+    with pytest.raises(ValueError, match="field on 4 coordinates evaluated at points with 3"):
+        system.velocity_jets(sample_points(3, 2, seed=9), 0)
 
 
 def test_memoized_tables_are_read_only():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import weakref
@@ -6,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import cyclic_recipfm_objects, partial, same_bits
+from conftest import cyclic_recipfm_objects, flat_coordinates, partial, same_bits
 from recipfm import jets
 from recipfm.jets import PointSet, point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
@@ -164,10 +165,9 @@ def test_covariant_hessian_circ(sys2, recip_density):
 
 
 def test_covariant_hessian_star_flat_coordinate():
-    from recipfm.catalog import hypergeom_flat_coordinates
     from recipfm.geometry import dual_connection
 
-    A1, _ = hypergeom_flat_coordinates(1.0)
+    A1, _ = flat_coordinates(1.0)
     sys3 = epsilon_system(3, 1.0)
     e = entry("dim3-eps1-flatcoord")
     pts = sample_points(3, 10, seed=13, predicates=e.sample_predicates())
@@ -236,6 +236,17 @@ def _closed_form_currents(seed: int):
             B = current_from_density(epsilon_system(e.dim, e.eps), A, base)
             closed = e.current_field() - e.current_field().value(base)
             yield e.entry_id, A, B, closed, banded_points(e.current_bands, 20, seed, predicates=e.sample_predicates(A))
+
+
+def test_current_order_one_jets_are_pinned_bit_for_bit():
+    """Order-1 jets of every closed-form current, at its first three points for
+    three seeds, as float.hex: the value row from quadrature and the derivative
+    rows from the one-form, each bit as the one-forms built with the current gave."""
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for _, _, B, _, pts in _closed_form_currents(seed):
+            digest.update(",".join(map(float.hex, B.jet(point_set(pts[:3]), 1).coeffs.ravel().tolist())).encode())
+    assert digest.hexdigest() == "e5b9a1a0efe8e7692c9bc73102a0339b26b5286e8b0277da71006bde1f427bdd"
 
 
 @pytest.mark.parametrize("seed", [42, 7])
