@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from conftest import cyclic_recipfm_objects
 from recipfm import catalog, exprlang
 from recipfm import geometry as geo
 from recipfm import reciprocal as rec
-from recipfm.cli import _write, build_parser, main
+from recipfm.cli import CHECKS, _write, build_parser, main
 from recipfm.geometry import ResidualReport
 
 
@@ -64,6 +67,10 @@ def test_check_bad_dsl_exit_two(tmp_path, capsys):
 def test_check_unknown_suite_exit_two(capsys):
     code = main(["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--suite", "bogus"])
     assert code == 2
+    # the first unknown suite in the order given is the one named
+    code = main(["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--suite", "bogus,zz"])
+    choices = "flatness, dual, sh, density, a-system, grading-e, grading-E, biflat, all"
+    assert code == 2 and capsys.readouterr().err == f"error: unknown suite 'bogus'; choose from {choices}\n" * 2
 
 
 @pytest.mark.parametrize("source", ["flag-empty", "flag-blank-items", "config-empty"])
@@ -206,6 +213,14 @@ def test_summary_flag_prints_line(tmp_path, capsys):
                  "--suite", "sh", "--summary", "--output", str(out)])
     assert code == 0
     assert capsys.readouterr().out.startswith("PASS check")
+
+
+def test_summary_beside_a_stdout_report_goes_to_stderr(capsys):
+    """stdout stays one JSON document when the report is written there."""
+    code = main(["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--suite", "sh", "--summary"])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["checks"]["semi-hamiltonian"]["pass"] is True
+    assert err == "PASS check: 1 checks, worst semi-hamiltonian max_abs=0.000e+00\n"
 
 
 def test_stdout_report_when_no_output(capsys):
@@ -666,31 +681,103 @@ def test_biflat_max_abs_keeps_a_nan(tmp_path, monkeypatch, capsys):
 
 
 TOLS = ["--tol-second", "3e-8", "--grading-tol", "2e-8"]
+TOLERANCE_CASES = [
+    (["check", *FLATCOORD, "--suite", "all,grading-E,biflat", *TOLS],
+     {"curvature-natural": 3e-8, "parallel-e": 1e-10, "curvature-dual": 3e-8, "parallel-E": 1e-10,
+      "semi-hamiltonian": 3e-8, "density": 3e-8, "a-system": 3e-8, "theta-system": 3e-8,
+      "grading-e": 2e-8, "grading-E": 2e-8, "biflat-admissible": 3e-8}),
+    (["transform", *FLATCOORD, "--biflat", *TOLS],
+     {"generator-density": 3e-8, "grading-e": 2e-8, "transformed-curvature": 3e-8, "intrinsic-agreement": 1e-12,
+      "grading-E": 2e-8, "transformed-dual-curvature": 3e-8, "transformed-parallel-E": 1e-10,
+      "biflat-admissible": 3e-8}),
+    (GOLDEN_CASES["orbit-dim2"][1], {"orbit-compose": 1e-10}),  # orbit takes no tolerance option
+    ([*GOLDEN_CASES["darboux-eps2"][1], *TOLS],
+     {"frame-before": 3e-8, "frame-after": 3e-8, "christoffel-shift": 1e-10}),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, tolerances",
-    [
-        (["check", *FLATCOORD, "--suite", "all,grading-E,biflat", *TOLS],
-         {"curvature-natural": 3e-8, "parallel-e": 1e-10, "curvature-dual": 3e-8, "parallel-E": 1e-10,
-          "semi-hamiltonian": 3e-8, "density": 3e-8, "a-system": 3e-8, "theta-system": 3e-8,
-          "grading-e": 2e-8, "grading-E": 2e-8, "biflat-admissible": 3e-8}),
-        (["transform", *FLATCOORD, "--biflat", *TOLS],
-         {"generator-density": 3e-8, "grading-e": 2e-8, "transformed-curvature": 3e-8, "intrinsic-agreement": 1e-12,
-          "grading-E": 2e-8, "transformed-dual-curvature": 3e-8, "transformed-parallel-E": 1e-10,
-          "biflat-admissible": 3e-8}),
-        (GOLDEN_CASES["orbit-dim2"][1], {"orbit-compose": 1e-10}),  # orbit takes no tolerance option
-        ([*GOLDEN_CASES["darboux-eps2"][1], *TOLS],
-         {"frame-before": 3e-8, "frame-after": 3e-8, "christoffel-shift": 1e-10}),
-    ],
-    ids=["check", "transform", "orbit", "darboux"],
-)
+@pytest.mark.parametrize("argv, tolerances", TOLERANCE_CASES, ids=["check", "transform", "orbit", "darboux"])
 def test_each_check_records_its_own_tolerance(argv, tolerances, tmp_path):
     """Every payload carries the bound its own check was graded against, and
     all keeps the opt-in suites named beside it."""
     code, report = run(tmp_path, *argv, "--num-points", "5")
     assert code == 0
     assert {name: c["tolerance"] for name, c in report["checks"].items()} == tolerances
+
+
+def test_every_recorded_check_is_one_registry_row():
+    """Each check a golden report or the tolerance table records has exactly one
+    row for its command, and --suite offers the registry's suites, all last."""
+    recorded = {(argv[0], name) for argv, tolerances in TOLERANCE_CASES for name in tolerances}
+    for path in GOLDEN.glob("*.json"):
+        report = json.loads(path.read_text())
+        recorded |= {(report["command"], name) for name in report["checks"]}
+    rows = Counter((c.command, c.name) for c in CHECKS)
+    assert {key: rows[key] for key in recorded} == dict.fromkeys(recorded, 1)
+    assert set(rows.values()) == {1}
+    suites = [*dict.fromkeys(c.gate for c in CHECKS if c.command == "check"), "all"]
+    assert suites == ["flatness", "dual", "sh", "density", "a-system", "grading-e", "grading-E", "biflat", "all"]
+    suite = next(a for a in build_parser()._recipfm_subparsers["check"]._actions if a.dest == "suite")
+    assert suite.help == f"comma-separated subset of {', '.join(suites)}"
+
+
+def test_all_without_a_density_runs_only_the_suites_that_need_none(tmp_path):
+    code, report = run(tmp_path, "check", *EPS2, "--suite", "all", "--num-points", "2")
+    assert code == 0
+    assert set(report["checks"]) == {"curvature-natural", "parallel-e", "curvature-dual", "parallel-E",
+                                     "semi-hamiltonian"}
+
+
+@pytest.mark.parametrize("suite", ["density", "a-system", "grading-e", "grading-E", "biflat"])
+def test_each_density_suite_named_alone_needs_a_density(suite, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", *EPS2, "--suite", suite, "--output", str(out)]) == 2
+    assert tuple(capsys.readouterr()) == ("", "error: the selected suites need --density or --catalog\n")
+    assert not out.exists()
+
+
+def test_summary_names_the_first_tied_check_in_registry_order(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["check", *EPS2, "--suite", "flatness", "--num-points", "1", "--summary", "--output", str(out)]
+    assert main(argv) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["curvature-natural"]["max_abs"] == checks["parallel-e"]["max_abs"] == 0.0
+    assert capsys.readouterr().out == "PASS check: 2 checks, worst curvature-natural max_abs=0.000e+00\n"
+
+
+def _readme_check_table() -> list[tuple]:
+    """The rows of README's table of checks: (command, gate, check names, run by all)."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | suite or gate | checks | `check --suite all` runs it |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        command, gate, names, in_all = (cell.strip() for cell in line.strip("|").split("|"))
+        names = tuple(name.strip("` ") for name in names.split(","))
+        rows.append((command.strip("`"), None if gate == "always" else gate.strip("`"), names, in_all))
+    return rows
+
+
+def test_readme_check_table_is_the_registry():
+    in_all = {(False, False): "always", (True, False): "with a density", (True, True): "no: name it beside `all`"}
+    rows = {}
+    for c in CHECKS:
+        mode = in_all[c.density, c.opt_in] if c.command == "check" else ""
+        rows.setdefault((c.command, c.gate, mode), []).append(c.name)
+    assert _readme_check_table() == [(command, gate, tuple(names), mode) for (command, gate, mode), names in rows.items()]
+
+
+def test_benchmark_check_names_are_the_ones_the_cli_runs(tmp_path, monkeypatch):
+    """benchmarks/workloads.py requires these checks of catalog-cli; it is read, never written."""
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache file beside it
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    code, report = run(tmp_path, "check", *EPS2, "--suite", "all", "--catalog", "dim2-eps1-h0", "--num-points", "2")
+    assert code == 0 and tuple(report["checks"]) == tuple(sorted(workloads.CHECK_ALL_CHECKS))
+    code, report = run(tmp_path, "transform", *EPS2, "--catalog", "dim2-eps1-h0", "--num-points", "2")
+    assert code == 0 and set(workloads.TRANSFORM_NATURAL_CHECKS) <= set(report["checks"])
 
 
 def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
