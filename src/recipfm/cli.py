@@ -240,8 +240,8 @@ def _christoffel_shift(s: SimpleNamespace) -> ResidualReport:
     expected = rec.transformed_off_diagonal(rec.frame_connection(s.frame), s.A)(s.points, 0)[:, :, 0]
     image = rec.frame_connection(s.image()).generators(s.points, 0)[:, :, 0]
     i, j = geo.off_pairs(s.frame.dim)
-    entries = geo.entries_by_point(s.points, geo.pair_labels(s.frame.dim), image[i, j] - expected[i, j])
-    return ResidualReport.build("christoffel-shift", entries, 1e-10)
+    block = s.points, geo.pair_labels(s.frame.dim), image[i, j] - expected[i, j]
+    return ResidualReport.of("christoffel-shift", 1e-10, block)
 
 
 class Check(NamedTuple):

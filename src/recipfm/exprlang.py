@@ -314,10 +314,10 @@ class ScalarField:
     the point set, by field and order; the field keeps nothing that depends
     on points, so its jets go when the set goes, and a quadrature's node sets
     leave nothing behind.  A lone Point is evaluated as a set of one.
-    Supports +, -, *, / with fields and numbers; each operator picks its jet
-    function (jets.add, ...) once, when the combined field is built, and
-    evaluates its operands through their ``jet``, so a shared operand reuses
-    its jets.
+    Supports +, -, *, / with fields and numbers, except ``number - field``
+    and ``-field``, which nothing needs; each operator picks its jet function
+    (jets.add, ...) once, when the combined field is built, and evaluates its
+    operands through their ``jet``, so a shared operand reuses its jets.
     """
 
     def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet]):
@@ -356,9 +356,6 @@ class ScalarField:
     def __sub__(self, other):
         return self._binary(other, "-")
 
-    def __rsub__(self, other):
-        return self._binary(other, "-", flipped=True)
-
     def __mul__(self, other):
         return self._binary(other, "*")
 
@@ -369,9 +366,6 @@ class ScalarField:
 
     def __rtruediv__(self, other):
         return self._binary(other, "/", flipped=True)
-
-    def __neg__(self):
-        return ScalarField(self.dim, lambda p, order: -self.jet(p, order))
 
 
 def constant_field(dim: int, value: float) -> ScalarField:

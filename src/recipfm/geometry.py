@@ -113,6 +113,21 @@ class ResidualReport:
         passed = math.isfinite(max_abs) and max_abs <= tolerance
         return ResidualReport(label, entries, tolerance, max_abs, passed)
 
+    @classmethod
+    def of(cls, label: str, tolerance: float, *blocks: tuple[PointSet, tuple, np.ndarray]) -> "ResidualReport":
+        """The report of blocks (points, labels, values), in block order: values is
+        one array (nlabels, npoints) whose row k holds labels[k] over the points, or
+        one column shared by all of them, and its entries (point, label, value) go
+        point by point, in label order at each point.  One block's tuple reaches build as it is."""
+        entries = None
+        for points, labels, values in blocks:
+            if values.shape[1] != len(points):
+                values = np.repeat(values, len(points), axis=1)
+            at = itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in points)
+            block = tuple(zip(at, labels * len(points), values.T.ravel().tolist()))
+            entries = block if entries is None else entries + block
+        return cls.build(label, entries, tolerance)  # through the class, where a wrapper may stand
+
     def worst(self) -> tuple[Point, tuple, float] | None:
         """The first entry of largest magnitude, NaN ranking as infinite, or None if there are none."""
         if not self.entries:
@@ -120,16 +135,6 @@ class ResidualReport:
         magnitude = np.abs([e[2] for e in self.entries])
         magnitude[np.isnan(magnitude)] = math.inf
         return self.entries[int(np.argmax(magnitude))]
-
-
-def entries_by_point(points: PointSet, labels: tuple, values: np.ndarray) -> tuple[tuple[Point, tuple, float], ...]:
-    """Residual entries (point, label, value), point by point and in label order
-    at each point; values is one array (nlabels, npoints) whose row k holds
-    labels[k] over the points, or one column shared by all of them."""
-    if values.shape[1] != len(points):
-        values = np.repeat(values, len(points), axis=1)
-    at = itertools.chain.from_iterable(itertools.repeat(p, len(labels)) for p in points)
-    return tuple(zip(at, labels * len(points), values.T.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +394,8 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
 #
 # Each family takes its jets once per point set and works on arrays over the
 # points; an index loop at most runs over components, never over points.  Its
-# values reach the report as one array (nlabels, npoints) beside a label tuple
-# built once per n, through entries_by_point and ResidualReport.build.  Sums
+# values go to the one constructor ResidualReport.of as blocks: one array
+# (nlabels, npoints) beside its points and a label tuple built once per n.  Sums
 # over components are ordered reductions (module docstring), signed zeros and NaN included.
 
 
@@ -412,7 +417,7 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
         sh = d[k, j, i] - v[k, j] * v[j, i] + v[k, i] * v[k, j] - v[k, i] * v[i, j]
         dsym = d[i, k, j] - d[i, j, k]
         values = np.stack([sh, dsym], axis=1).reshape(len(labels), -1)  # sh, then dsym, per triple
-    return ResidualReport.build("semi-hamiltonian", entries_by_point(points, labels, values), tolerance)
+    return ResidualReport.of("semi-hamiltonian", tolerance, (points, labels, values))
 
 
 @quiet
@@ -437,8 +442,8 @@ def curvature_natural_residual(
     qqi = np.subtract.reduce(np.concatenate([qqi[None], terms]), axis=0)  # G^i_{mi} G^m_{qq} over m != i, q
     qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
     values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
-    entries = entries_by_point(points, _curvature_labels(n), values.reshape(2 * len(i), -1))
-    return ResidualReport.build(f"curvature[{conn.kind}]", entries, tolerance)
+    block = points, _curvature_labels(n), values.reshape(2 * len(i), -1)
+    return ResidualReport.of(f"curvature[{conn.kind}]", tolerance, block)
 
 
 @quiet
@@ -490,6 +495,5 @@ def identity_parallel_residual(
     terms = np.empty((n + 1, n, n, len(points)))  # the start, then G^i_{jl} X^l in l order
     terms[0] = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
     np.multiply(g.transpose(2, 0, 1, 3), x[:, None, None], out=terms[1:])
-    s = np.add.reduce(terms, axis=0)
-    entries = entries_by_point(points, square_labels(n), s.reshape(n * n, -1))
-    return ResidualReport.build(f"parallel-{field}[{conn.kind}]", entries, tolerance)
+    s = np.add.reduce(terms, axis=0).reshape(n * n, -1)
+    return ResidualReport.of(f"parallel-{field}[{conn.kind}]", tolerance, (points, square_labels(n), s))

@@ -9,8 +9,10 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
 and the readers ``gradient`` and ``hessian`` rescale every first or second
-partial on the way out, and ``partials`` gathers every first partial as a jet
-one order lower, so no other module knows where a derivative lies.
+partial on the way out.  ``partials`` gathers every first partial as a jet one
+order lower, and ``from_partials``, the inverse gather, builds the jet of value
+0 whose first partials are given (a current known by its one-form), both from
+one plan; so no other module knows where a derivative lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -43,7 +45,6 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -283,22 +284,20 @@ def _div_grids(dim: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _derivative_plan(dim: int, order: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source rows and factors of d / d u^{index} of an order-`order` jet."""
-    pos = _positions(dim, order)
-    lower = multi_indices(dim, order - 1)
-    src = [pos[tuple(b + (1 if i == index else 0) for i, b in enumerate(beta))] for beta in lower]
-    return np.array(src, dtype=np.intp), np.array([[beta[index] + 1.0] for beta in lower])
-
-
-@lru_cache(maxsize=None)
-def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every coordinate's _derivative_plan, stacked, for the jets with ncoeff rows."""
+def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first partials of the jets with ncoeff rows, of order m >= 1: row k
+    of d_l f, one order lower, is factor[l, k] times row src[l, k] of f, the
+    row of multi_indices(dim, m - 1)[k] + e_l.  Inverse: row r >= 1 of f is entry
+    (l, k) = back[:, r - 1] of the partials over factor[l, k], at the least l whose src[l] holds r."""
     sizes = [len(multi_indices(dim, k)) for k in range(MAX_ORDER + 1)]
     if ncoeff not in sizes[1:]:
         raise JetError(f"no jet of dim {dim} and order >= 1 has {ncoeff} coefficient rows")
-    plans = [_derivative_plan(dim, sizes.index(ncoeff), l) for l in range(dim)]
-    return np.stack([src for src, _ in plans]), np.stack([factor for _, factor in plans])
+    order = sizes.index(ncoeff)
+    pos, lower, unit = _positions(dim, order), multi_indices(dim, order - 1), np.eye(dim, dtype=int)
+    src = [[pos[tuple(beta + e)] for beta in lower] for e in unit]
+    first = {r: (l, k) for l in reversed(range(dim)) for k, r in enumerate(src[l])}  # the least l is kept
+    factor = np.array([[[beta[l] + 1.0] for beta in lower] for l in range(dim)])
+    return np.array(src, dtype=np.intp), factor, np.array([first[r] for r in range(1, ncoeff)], dtype=np.intp).T
 
 
 class Jet:
@@ -324,7 +323,12 @@ class Jet:
 
     def coefficient(self, alpha: tuple[int, ...]) -> np.ndarray:
         """The Taylor coefficient d^alpha f / alpha! over the points."""
-        return self.coeffs[_position_of(self, alpha)]
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.dim:
+            raise JetError(f"multi-index {alpha} does not match dimension {self.dim}")
+        if sum(alpha) > self.order:
+            raise JetError(f"multi-index {alpha} exceeds jet order {self.order}")
+        return self.coeffs[_positions(self.dim, self.order)[alpha]]
 
     def __neg__(self):
         return _built(self.dim, self.order, -self.coeffs)
@@ -335,15 +339,6 @@ def _built(dim: int, order: int, coeffs: np.ndarray) -> Jet:
     out = object.__new__(Jet)
     out.dim, out.order, out.coeffs = dim, order, coeffs
     return out
-
-
-def _position_of(j: Jet, alpha: Iterable[int]) -> int:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != j.dim:
-        raise JetError(f"multi-index {alpha} does not match dimension {j.dim}")
-    if sum(alpha) > j.order:
-        raise JetError(f"multi-index {alpha} exceeds jet order {j.order}")
-    return _positions(j.dim, j.order)[alpha]
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
@@ -429,13 +424,13 @@ def div(a: Jet, b: Jet) -> Jet:
 
 
 def derivative(a: Jet, index: int) -> Jet:
-    """The jet of d f / d u^{index}, one order lower."""
+    """The jet of d f / d u^{index}, one order lower: entry index of partials(a)."""
     if a.order < 1:
         raise JetError("cannot differentiate an order-0 jet")
     if not 0 <= index < a.dim:
         raise JetError(f"coordinate index {index} out of range for dimension {a.dim}")
-    src, factor = _derivative_plan(a.dim, a.order, index)
-    return Jet(a.dim, a.order - 1, a.coeffs[src] * factor)
+    src, factor, _ = _partials_plan(a.dim, len(a.coeffs))
+    return Jet(a.dim, a.order - 1, a.coeffs[src[index]] * factor[index])
 
 
 def stack(js: Sequence[Jet], npoints: int) -> np.ndarray:
@@ -457,8 +452,16 @@ def partials(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     ncoeff', npoints), of a jet or stacked coefficients as for gradient, in one
     gather: entry [..., l, :, :] is bit for bit derivative(a, l)."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
-    src, factor = _partials_plan(dim, coeffs.shape[-2])
+    src, factor, _ = _partials_plan(dim, coeffs.shape[-2])
     return coeffs[..., src, :] * factor
+
+
+def from_partials(d: np.ndarray, dim: int, order: int) -> Jet:
+    """The order-`order` jet of value 0 whose first partials are d, one array
+    (dim, ncoeff', npoints) as partials gives: the inverse gather.  Row r >= 1,
+    of multi-index alpha, is row alpha - e_l of d[l] over alpha[l], at the first l with alpha[l] > 0."""
+    _, factor, (ls, ks) = _partials_plan(dim, len(multi_indices(dim, order)))
+    return _built(dim, order, np.concatenate([np.zeros((1, d.shape[-1])), d[ls, ks] / factor[ls, ks]]))
 
 
 def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:

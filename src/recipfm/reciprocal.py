@@ -29,7 +29,6 @@ from .geometry import (
     ResidualReport,
     VELOCITY_GAP,
     dual_connection,
-    entries_by_point,
     natural_connection,
     off_pairs,
     pair_labels,
@@ -131,13 +130,13 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
 
 
 @jets.quiet
-def _density_entries(conn: ConnectionTable, A: ScalarField, points: PointSet):
+def _density_block(conn: ConnectionTable, A: ScalarField, points: PointSet):
+    """The density equations' (points, labels, values) block, over unordered pairs i < j."""
     aj = A.jet(points, 2)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
     off = conn.generators(points, 0)[:, :, 0]
     i, j = np.triu_indices(conn.dim, 1)
-    rows = hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
-    return entries_by_point(points, tuple(zip(i.tolist(), j.tolist())), rows)
+    return points, tuple(zip(i.tolist(), j.tolist())), hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
 
 
 def density_residual(
@@ -145,7 +144,7 @@ def density_residual(
 ) -> ResidualReport:
     """d_i d_j A - G^i_{ij} d_i A - G^j_{ji} d_j A over unordered pairs i < j."""
     points = point_set(points)
-    return ResidualReport.build("density", _density_entries(natural_connection(sys), A, points), tolerance)
+    return ResidualReport.of("density", tolerance, _density_block(natural_connection(sys), A, points))
 
 
 @jets.quiet
@@ -163,10 +162,9 @@ def grading_residual(
     aj = A.jet(points, 1)
     a0 = _require_nonzero(aj, points)
     s = sum((points.coords if field == "E" else 1.0) * jets.gradient(aj))  # e(A) or E(A)
-    ratios = (s / a0).tolist()
-    estimate = sum(ratios) / len(ratios)
-    entries = [(p, (field,), r - estimate) for p, r in zip(points, ratios)]
-    return estimate, ResidualReport.build(f"grading-{field}", entries, tolerance)
+    ratios = s / a0
+    estimate = sum(ratios.tolist()) / len(ratios)  # Python's sum, left to right
+    return estimate, ResidualReport.of(f"grading-{field}", tolerance, (points, ((field,),), ratios[None] - estimate))
 
 
 @jets.quiet
@@ -178,7 +176,7 @@ def a_system_residual(
     d_p^2 A = -sum_{l != p} d_l d_p A + d_p A (sum_l d_l A) / A."""
     n = sys.dim
     points = point_set(points)
-    entries = _density_entries(natural_connection(sys), A, points)
+    density = _density_block(natural_connection(sys), A, points)
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
@@ -186,8 +184,7 @@ def a_system_residual(
     rows = hess[q, q] - grad * sum(grad) / a0
     for l in range(n):
         rows = rows + np.where((l != q)[:, None], hess[l], -0.0)  # d_l d_q A
-    entries += entries_by_point(points, tuple(("diag", k) for k in range(n)), rows)
-    return ResidualReport.build("a-system", entries, tolerance)
+    return ResidualReport.of("a-system", tolerance, density, (points, tuple(("diag", k) for k in range(n)), rows))
 
 
 @jets.quiet
@@ -210,8 +207,7 @@ def theta_system_residual(
     for l in range(n):
         diag = diag + np.where((l != d)[:, None], dtheta[:, l] + theta * theta[l], -0.0)
     labels = tuple(("offdiag", b, a) for a, b in pair_labels(n)) + tuple(("diag", k) for k in range(n))
-    entries = entries_by_point(points, labels, np.concatenate([offdiag, diag]))
-    return ResidualReport.build("theta-system", entries, tolerance)
+    return ResidualReport.of("theta-system", tolerance, (points, labels, np.concatenate([offdiag, diag])))
 
 
 @jets.quiet
@@ -239,8 +235,7 @@ def covariant_hessian_residual(
         r = r - g[l] * grad[l]
     d = np.arange(n)
     r[d, d] = r[d, d] - (x_of_a / a0) * (1.0 if product == "circ" else 1.0 / u) * grad
-    entries = entries_by_point(points, square_labels(n), r.reshape(n * n, -1))
-    return ResidualReport.build(f"hessian-{product}", entries, tolerance)
+    return ResidualReport.of(f"hessian-{product}", tolerance, (points, square_labels(n), r.reshape(n * n, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +249,10 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     sum_i v^i d_i A du^i along the straight segment u(t) = base + t (p - base),
     t in [0, 1].  The form is closed, and a Weyl chamber intersected with an
     orthant is convex, so the segment between two of its points never meets
-    u^i = u^j or u^i = 0.  Derivatives of the returned field come straight
-    from the one-form v^i d_i A, built only when a derivative row is asked, so
-    no differentiation of quadrature output ever happens.
+    u^i = u^j or u^i = 0.  Derivative rows, only when asked and after the
+    values, come straight from the one-form: every v^i d_i A as one stacked
+    product of velocity_jets and jets.partials of A, laid out by
+    jets.from_partials, so no differentiation of quadrature output ever happens.
 
     Each value evaluates its nodes as point sets, one velocity_jets array and
     one order-1 jet of A per set (feeding the path guards): the 1-panel and
@@ -329,16 +325,14 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
         return cur
 
     def fn(points: PointSet, jet_order: int) -> Jet:
-        coeffs = np.empty((len(jets.multi_indices(n, jet_order)), len(points)))
-        coeffs[0] = [value_at(p) for p in points]
+        values = [value_at(p) for p in points]
         if jet_order == 0:
-            return Jet(n, 0, coeffs)
-        grads = [(sys.velocities[i] * partial_field(A, i)).jet(points, jet_order - 1) for i in range(n)]
-        for r, alpha in enumerate(jets.multi_indices(n, jet_order)[1:], start=1):
-            i = next(m for m, a in enumerate(alpha) if a > 0)
-            beta = tuple(a - (1 if m == i else 0) for m, a in enumerate(alpha))
-            coeffs[r] = grads[i].coefficient(beta) / alpha[i]
-        return Jet(n, jet_order, coeffs)
+            return Jet(n, 0, [values])
+        v = sys.velocity_jets(points, jet_order - 1)
+        dA = np.broadcast_to(jets.partials(A.jet(points, jet_order)), v.shape)
+        out = jets.from_partials(jets.stacked(jets.mul, n, jet_order - 1, v, dA), n, jet_order)
+        out.coeffs[0] = values  # a jet just built: its value row is the quadrature's
+        return out
 
     return ScalarField(n, fn)
 
@@ -472,7 +466,7 @@ def intrinsic_agreement_report(
     }
     labels = tuple((product, *ijk) for ijk in itertools.product(range(n), repeat=3) for product in diffs)
     values = np.stack(list(diffs.values()), axis=3).reshape(len(labels), -1)[:, : len(kept)]
-    return ResidualReport.build("intrinsic-agreement", entries_by_point(kept, labels, values), tolerance)
+    return ResidualReport.of("intrinsic-agreement", tolerance, (kept, labels, values))
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +534,12 @@ def orbit_compose(
     two = step2.natural.generators(points, 0)[:, :, 0]
     one = direct.natural.generators(points, 0)[:, :, 0]
     i, j = off_pairs(sys.dim)
-    entries = entries_by_point(points, pair_labels(sys.dim), two[i, j] - one[i, j])
+    symbols = points, pair_labels(sys.dim), two[i, j] - one[i, j]
     generators = {"gen0": gen0, "gen1": gen1, "composite": product}
     gradings = {name: grading_residual(g.field, "e", points)[0] for name, g in generators.items()}
-    entries += ((points[0], ("grading",), gradings["gen1"] - (gradings["composite"] - gradings["gen0"])),)
-    return ResidualReport.build("orbit-compose", entries, tolerance), gradings
+    shift = gradings["gen1"] - (gradings["composite"] - gradings["gen0"])
+    grading = point_set(points[0]), (("grading",),), np.array([[shift]])  # one entry, at the first point
+    return ResidualReport.of("orbit-compose", tolerance, symbols, grading), gradings
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +595,7 @@ def darboux_residual(
         labels += [("triple", i, j, k) for k in range(n) if k not in (i, j)] + [("beta-e", i, j), ("beta-E", i, j)]
     for i in range(n):
         labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
-    return ResidualReport.build("darboux", entries_by_point(points, tuple(labels), values), tolerance)
+    return ResidualReport.of("darboux", tolerance, (points, tuple(labels), values))
 
 
 def darboux_transform(
@@ -620,7 +615,7 @@ def darboux_transform(
     points = point_set(points)
     e_grading = grading_residual(A, "e", points, grading_tol)
     big_e_grading = grading_residual(A, "E", points, grading_tol)
-    dens = ResidualReport.build("density", _density_entries(frame_connection(frame), A, points), tolerance)
+    dens = ResidualReport.of("density", tolerance, _density_block(frame_connection(frame), A, points))
     verdict = biflat_verdict(dens, e_grading, big_e_grading, grading_tol)
     if not verdict.passed:
         r = {name: rep.max_abs for name, rep in verdict.reports.items()}

@@ -29,7 +29,7 @@ def entries_by_point(points, rows: dict) -> list:
     """Residual entries (point, label, value), point by point and in label order
     at each point, from a dict label -> its values over the points (or one value
     for all of them).  The tests' reference builder, independent of the
-    one-array geometry.entries_by_point the families use."""
+    one-array layout of ResidualReport.of that the families use."""
     table = np.empty((len(rows), len(points)))
     for dst, row in zip(table, rows.values()):
         dst[...] = row

@@ -62,6 +62,18 @@ def test_unknown_identifier_and_dimension_overflow():
         parse_field("   ", 2)
 
 
+def test_trailing_whitespace_ends_the_tokens():
+    assert parse_field("u1*u2 ", 2).ast == parse_field("u1*u2", 2).ast
+
+
+def test_number_minus_field_and_negation_are_not_supported():
+    f = field("u1", 2)
+    with pytest.raises(TypeError):
+        1.0 - f
+    with pytest.raises(TypeError):
+        -f
+
+
 def test_caret_wants_integer_literal():
     with pytest.raises(ParseError):
         parse_field("u1^u2", 2)

@@ -32,6 +32,15 @@ from recipfm.geometry import (
 P21 = jets.Point((2.0, 1.0))
 
 
+def test_diagonal_system_rejects_one_component_and_foreign_fields():
+    with pytest.raises(GeometryError, match="at least 2 components"):
+        DiagonalSystem((field("u1", 2),))
+    with pytest.raises(GeometryError, match="must all live on 2 coordinates"):
+        DiagonalSystem((field("u1", 3), field("u2", 3)))
+    with pytest.raises(GeometryError, match="must all live on 2 coordinates"):
+        DiagonalSystem((field("u1", 2), field("u2", 3)))
+
+
 def test_christoffel_epsilon_system():
     sys2 = epsilon_system(2, 1.0)
     assert christoffel_primary(sys2, P21, 0)[0, 1, 0] == pytest.approx(1.0)

@@ -130,6 +130,42 @@ def test_derivative_shift():
     assert partial(d, (0, 1)) == pytest.approx(2 * 2.0)
 
 
+def test_structural_misuse_raises():
+    for dim, order in ((0, 1), (2, 4)):
+        with pytest.raises(JetError):
+            jets.multi_indices(dim, order)
+    u = jets.variable(2, 1, 0, 1.0)
+    with pytest.raises(JetError, match="order-0"):
+        jets.derivative(jets.constant(2, 0, 1.0), 0)
+    for index in (-1, 2):
+        with pytest.raises(JetError, match=f"index {index} out of range"):
+            jets.derivative(u, index)
+    with pytest.raises(JetError, match="does not match dimension 2"):
+        u.coefficient((1, 0, 0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_from_partials_is_the_per_row_loop_bit_for_bit(dim, order):
+    """The inverse gather against the loop it replaced in the current: row r, of
+    multi-index alpha, is the coefficient at alpha - e_i of d_i over alpha[i],
+    at the first i with alpha[i] > 0, under a value row of 0.0."""
+    rng = np.random.default_rng(20 * dim + order)
+    npoints = 5
+    d = rng.uniform(-3.0, 3.0, (dim, len(jets.multi_indices(dim, order - 1)), npoints))
+    # d[0] is read whole, and d[l][0] (alpha = e_l) for every l
+    d[0, 0, 0], d[0, -1, 1], d[-1, 0, 2], d[1, 0, 3], d[0, 0, 4] = -0.0, math.nan, math.inf, -math.inf, 0.0
+    want = np.empty((len(jets.multi_indices(dim, order)), npoints))
+    want[0] = 0.0
+    for r, alpha in enumerate(jets.multi_indices(dim, order)[1:], start=1):
+        i = next(m for m, a in enumerate(alpha) if a > 0)
+        beta = tuple(a - (1 if m == i else 0) for m, a in enumerate(alpha))
+        want[r] = Jet(dim, order - 1, d[i]).coefficient(beta) / alpha[i]
+    got = jets.from_partials(d, dim, order)
+    assert (got.dim, got.order) == (dim, order) and same_bits(got.coeffs, want)
+    assert np.isnan(got.coeffs).any() and np.isinf(got.coeffs).sum() == 2 and np.signbit(got.coeffs[1:]).any()
+
+
 def _random_jet(rng: random.Random, dim: int, order: int) -> Jet:
     n = len(jets.multi_indices(dim, order))
     return Jet(dim, order, [[rng.uniform(-2.0, 2.0)] for _ in range(n)])

@@ -190,6 +190,11 @@ def test_hessian_verdict_equivalence(sys2):
         assert verdicts == (expected,) * 3
 
 
+def test_covariant_hessian_rejects_an_unknown_product(sys2, recip_density):
+    with pytest.raises(ReciprocalError, match="product must be 'circ' or 'star', got 'dot'"):
+        covariant_hessian_residual(natural_connection(sys2), "dot", recip_density, _points2(recip_density))
+
+
 # ---------------------------------------------------------------------------
 # currents
 
@@ -314,6 +319,26 @@ def test_current_jets_come_from_the_one_form(sys2, recip_density):
         vi = sys2.velocities[i].value(p)
         dA = partial(a, tuple(1 if m == i else 0 for m in range(2)))
         assert partial(j, tuple(1 if m == i else 0 for m in range(2))) == pytest.approx(vi * dA, abs=1e-12)
+
+
+def test_current_at_its_base_point_is_zero_with_the_one_form_rows(sys2, recip_density):
+    base = jets.Point((-1.25, 1.25))
+    j = current_from_density(sys2, recip_density, base).jet(base, 1)
+    assert j.value.tolist() == [0.0] and not np.signbit(j.value).any()  # no quadrature: exactly +0.0
+    v, a = sys2.velocity_jets(base, 0)[:, 0], recip_density.jet(base, 1)
+    assert jets.gradient(j).tolist() == (v * jets.gradient(a)).tolist()
+
+
+def test_a_current_jet_holds_its_own_memo_owners_only():
+    """The current's rows come from one velocity stack and one jet of A: the
+    set holds the current, A, the stack and the lifts, and no per-index field."""
+    e = entry("dim2-eps1-h1")
+    system, A = epsilon_system(2, 1.0), e.density_field()
+    base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
+    points = banded_points(e.current_bands, 3, seed=1, predicates=e.sample_predicates(A))
+    B = current_from_density(system, A, base)
+    B.jet(points, 1)
+    assert len(points._memo) == 4 and set(points._memo) == {B, A, system.stack, jets.variable}
 
 
 def test_current_path_singularity_is_reported(sys2, recip_density):
