@@ -185,17 +185,18 @@ def _build_system(args) -> DiagonalSystem:
 
 
 def _build_density(args, dim: int):
-    """Returns (field, sample predicates, label), or (None, (), None) without a density."""
+    """Returns (field, predicates, label), predicates(order) being the sample predicates whose density window takes
+    A's jet at that order; without a density, (None, predicates giving (), None)."""
     if args.catalog:
         e = cat.entry(args.catalog)
         if e.dim != dim:
             raise ConfigError(f"catalog entry {e.entry_id} lives in dimension {e.dim}, system has {dim}")
         A = e.density_field()
-        return A, e.sample_predicates(A), e.entry_id
+        return A, functools.partial(e.sample_predicates, A), e.entry_id
     if args.density:
         A = field(args.density, dim, _params(args))
-        return A, (rec.density_window(A),), args.density
-    return None, (), None
+        return A, lambda order: (rec.density_window(A, order),), args.density
+    return None, lambda order: (), None
 
 
 def _report_skeleton(args, points: Sequence[Point]) -> dict:
@@ -328,9 +329,11 @@ def cmd_check(args) -> dict:
             raise ConfigError(f"unknown suite {s!r}; choose from {', '.join(_SUITES)}")
     if "all" in suites:
         suites += [c.gate for c in CHECKS if c.command == "check" and not c.opt_in and (A is not None or not c.density)]
-    if A is None and any(c.density and c.gate in suites for c in CHECKS):
+    reads_density = any(c.density and c.gate in suites for c in CHECKS)
+    if A is None and reads_density:
         raise ConfigError("the selected suites need --density or --catalog")
-    return _run(_density_state(args, system, A, predicates, label), suites)
+    order = rec.DENSITY_ORDER if reads_density else 0  # the sample is the set the checks read A's jet over
+    return _run(_density_state(args, system, A, predicates(order), label), suites)
 
 
 def cmd_transform(args) -> dict:
@@ -338,7 +341,7 @@ def cmd_transform(args) -> dict:
     A, predicates, label = _build_density(args, system.dim)
     if A is None:
         raise ConfigError("transform needs --density or --catalog")
-    s = _density_state(args, system, A, predicates, label)
+    s = _density_state(args, system, A, predicates(rec.DENSITY_ORDER), label)
     s.image = rec.transform(system, rec.ConservationDensity(A), s.points[0], with_dual=args.biflat, check_generator=False)
     with contextlib.suppress(ValueError, ArithmeticError):  # the checks meet their first failure themselves
         for table in filter(None, (s.image.natural, s.image.dual)):  # order 1 first: the checks read order 0 off it
@@ -473,11 +476,19 @@ def _emit(report: dict, args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Runs the command argv names and returns the exit code.  The options after the command are parsed by that
+    command's own parser, and parsed again with the --config object's flags before them; an argv that does not
+    start with a command (none, an unknown word, -h) goes to the top-level parser, which says what is wrong."""
     argv = list(argv) if argv is not None else _sys.argv[1:]
+    commands = build_parser()._recipfm_subparsers
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = build_parser().parse_args(argv)
         if args.config:  # its object is read as flags placed before the command line's own
-            args = build_parser().parse_args([args.command, *_config_flags(args), *argv[1:]])
+            flags = [*_config_flags(args), *argv[1:]]
+            args = commands[args.command].parse_args(flags, argparse.Namespace(command=args.command))
         _validate(args)
         report = _COMMANDS[args.command](args)
         report["pass"] = all(c["pass"] for c in report["checks"].values())

@@ -166,7 +166,8 @@ def sample_points(
 
     def draw(rng: random.Random) -> Point | None:
         coords = tuple(_draw_coord(rng, half) for _ in range(dim))
-        if dim > 1 and min(abs(a - b) for i, a in enumerate(coords) for b in coords[i + 1 :]) < MIN_PAIR_GAP:
+        s = sorted(coords)  # rounding is monotone, so the least pairwise gap is an adjacent one
+        if dim > 1 and min(map(operator.sub, s[1:], s[:-1])) < MIN_PAIR_GAP:
             return None
         return Point(coords)
 
@@ -202,7 +203,10 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
     many candidates as points are missing, or where the rejection budget
     would run out, so it holds no draw that judging one candidate at a time
     would not judge: the points, their order, the rejections and any error
-    are those of the one-at-a-time loop."""
+    are those of the one-at-a-time loop.  A first block of count candidates
+    that all pass is the sample, as the set they were judged as, with what
+    the predicates computed (a density window's jet) in its memo; any other
+    sample is a new set, holding no candidate's jets."""
     rng = random.Random(seed)
     out: list[Point] = []
     rejected = 0
@@ -211,7 +215,11 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
         while missing and len(block) < MAX_REJECTIONS - rejected:
             block.append(draw(rng))
             missing -= block[-1] is not None
-        verdicts = iter(_judge([p for p in block if p is not None], predicates))
+        candidates = [p for p in block if p is not None]
+        judged, verdicts = _judge(candidates, predicates)
+        if not out and len(candidates) == count and all(verdicts):
+            return judged
+        verdicts = iter(verdicts)
         for p in block:
             if p is not None and next(verdicts):
                 out.append(p)
@@ -223,22 +231,25 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
     return point_set(out)
 
 
-def _judge(candidates: list[Point], predicates) -> list[bool]:
-    """Whether each candidate passes every predicate.  Each predicate judges,
-    as one PointSet, the candidates that the ones before it kept, so a later
-    predicate never sees a point an earlier one rejected (the z window keeps
-    hyp2f1 inside its disk).  Judging that raises is done again one candidate
-    at a time, in draw order, so the same error comes from the same candidate."""
+def _judge(candidates: list[Point], predicates) -> tuple[PointSet | None, list[bool]]:
+    """The candidates as one PointSet (None if there are none), and whether
+    each passes every predicate.  Each predicate judges, as one PointSet, the
+    candidates that the ones before it kept: that set itself while they all
+    live, else a set of those kept, so a later predicate never sees a point an
+    earlier one rejected (the z window keeps hyp2f1 inside its disk).  Judging
+    that raises is done again one candidate at a time, in draw order, so the
+    same error comes from the same candidate."""
+    whole = point_set(candidates) if candidates else None
     keep = np.ones(len(candidates), dtype=bool)
     try:
         for pred in predicates:
             live = keep.nonzero()[0]
             if not live.size:
                 break
-            keep[live] = pred(point_set([candidates[k] for k in live]))
+            keep[live] = pred(whole if live.size == len(candidates) else point_set([candidates[k] for k in live]))
     except (ValueError, ArithmeticError):
-        return [all(np.all(pred(point_set(p))) for pred in predicates) for p in candidates]
-    return keep.tolist()
+        return whole, [all(np.all(pred(point_set(p))) for pred in predicates) for p in candidates]
+    return whole, keep.tolist()
 
 
 # ---------------------------------------------------------------------------

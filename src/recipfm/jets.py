@@ -149,6 +149,9 @@ class PointSet(Sequence):
     def __getitem__(self, k):
         return self.points[k]
 
+    def __iter__(self):
+        return iter(self.points)  # the Sequence mixin's would read points once per element
+
     def __repr__(self) -> str:
         return f"PointSet(dim={self.dim}, npoints={len(self)})"
 

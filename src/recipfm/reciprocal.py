@@ -12,6 +12,7 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -38,6 +39,7 @@ from .geometry import (
 from .jets import Jet, Point, PointSet, point_set
 
 DENSITY_FLOOR = 1e-6
+DENSITY_ORDER = 2  # the highest order of A a density check reads: its Hessian, or d ln A in an order-1 image table
 GRADING_TOL = 1e-8
 QUAD_NODES = 32
 QUAD_REFINE_TOL = 1e-10
@@ -102,11 +104,24 @@ class TransformResult:
     current: ScalarField
 
 
-def density_window(A: ScalarField) -> Callable[[PointSet], np.ndarray]:
+def density_window(A: ScalarField, order: int = 0) -> Callable[[PointSet], np.ndarray]:
     """Sampling predicate keeping the points of a set where |A| is at or above
     DENSITY_FLOOR: one bool per point, or one for all of them where A's jet
-    has one column (a constant)."""
-    return lambda points: np.abs(A.jet(points, 0).value) >= DENSITY_FLOOR
+    has one column (a constant).  It takes A's jet at order, which the set's
+    memo then holds for the checks, and judges off its value row if it is all
+    finite (the order-0 value bit for bit, by the memo's prefix rule); else,
+    or if it raises, off the order-0 jet alone, so a density whose higher rows
+    raise or overflow keeps its points, and its error comes from a check."""
+
+    def window(points: PointSet) -> np.ndarray:
+        if order:
+            with contextlib.suppress(ValueError, ArithmeticError):
+                aj = A.jet(points, order)
+                if np.isfinite(aj.coeffs).all():
+                    return np.abs(aj.value) >= DENSITY_FLOOR
+        return np.abs(A.jet(points, 0).value) >= DENSITY_FLOOR
+
+    return window
 
 
 def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclic_recipfm_objects
-from recipfm import catalog, exprlang
+from recipfm import catalog, cli, exprlang
 from recipfm import geometry as geo
 from recipfm import reciprocal as rec
 from recipfm.cli import CHECKS, _write, build_parser, main
@@ -780,6 +780,48 @@ def test_benchmark_check_names_are_the_ones_the_cli_runs(tmp_path, monkeypatch):
     assert code == 0 and set(workloads.TRANSFORM_NATURAL_CHECKS) <= set(report["checks"])
 
 
+class _OrderCountingField(exprlang.ScalarField):
+    """A density field that records the order of every jet asked of it."""
+
+    def __init__(self, A: exprlang.ScalarField, asked: list):
+        super().__init__(A.dim, A._fn)
+        self.asked = asked
+
+    def jet(self, points, order):
+        self.asked.append(order)
+        return super().jet(points, order)
+
+
+DENSITY_ROLE_ARGV = {  # every check of each command, with its densities given as --catalog, --density, --gen0 and --composite
+    "check": [["check", *EPS2, "--suite", "all,grading-E,biflat", "--catalog", "dim2-eps1-h0:c2"],
+              ["check", *EPS2, "--suite", "all,grading-E,biflat", "--density", "u2-u1"]],
+    "transform": [["transform", *EPS2, "--biflat", "--catalog", "dim2-eps1-h0:c2"],
+                  ["transform", *EPS2, "--biflat", "--density", "u2-u1"]],
+    "orbit": [GOLDEN_CASES["orbit-dim2"][1]],
+    "darboux": [GOLDEN_CASES["darboux-eps2"][1]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DENSITY_ROLE_ARGV))
+def test_no_check_reads_a_density_above_the_sampled_order(command, tmp_path, monkeypatch):
+    """check and transform sample with A's jet at DENSITY_ORDER, so that the checks read it off the sample's memo;
+    a check reading a higher order would run A's program on the sample again."""
+    assert set(DENSITY_ROLE_ARGV) == {c.command for c in CHECKS}
+    asked = []
+    density_field = catalog.CatalogEntry.density_field
+    monkeypatch.setattr(catalog.CatalogEntry, "density_field", lambda e: _OrderCountingField(density_field(e), asked))
+    argvs = DENSITY_ROLE_ARGV[command]
+    roles = {argv[k + 1] for argv in argvs for k, a in enumerate(argv) if a in ("--density", "--gen0", "--composite")}
+    real = cli.field
+    monkeypatch.setattr(cli, "field", lambda src, *a: _OrderCountingField(real(src, *a), asked) if src in roles
+                        else real(src, *a))
+    for argv in argvs:
+        asked.clear()
+        code, _ = run(tmp_path, *argv, "--num-points", "3")
+        assert code in (0, 1) and asked, argv
+        assert max(asked) <= rec.DENSITY_ORDER, (argv, sorted(set(asked)))
+
+
 def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
     gradings = _count_calls(monkeypatch, rec, "grading_residual")
     code, report = run(tmp_path, *GOLDEN_CASES["orbit-dim2"][1])
@@ -840,6 +882,28 @@ def test_argparse_errors_exit_two_with_one_line(argv, fragment, tmp_path, capsys
     assert main([str(cfg) if a == "DIM_X" else a for a in argv]) == 2  # returned, not a SystemExit
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--check"], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'check', 'transform', 'orbit', 'darboux')"),
+        (["-x", "check"], "unrecognized arguments: -x"),
+        (["check", "--dimm", "3"], "unrecognized arguments: --dimm 3"),
+        (["check", "--num", "3"], "unrecognized arguments: --num 3"),
+        (["check", "--config", "CFG"], "--config key 'dimm' is not an option of check"),
+        (["transform", "--catalog", "x", "--density", "y"], "argument --density: not allowed with argument --catalog"),
+    ],
+)
+def test_parse_errors_keep_their_text(argv, message, tmp_path, capsys):
+    """A command's options are parsed by its own parser, and an argv without a command by the top-level one; the
+    texts are those of parsing every argv with the top-level parser."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimm": 3}))
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == 2
+    assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
 
 
 def test_help_exits_zero(capsys):

@@ -12,6 +12,7 @@ from recipfm import catalog as cat
 from recipfm import cli
 from recipfm import geometry as geo
 from recipfm import jets
+from recipfm import reciprocal as rec
 from recipfm.catalog import Z_WINDOW, _in_z_window, catalog_entries
 from recipfm.exprlang import EvalError, ScalarField, field
 from recipfm.geometry import MAX_REJECTIONS, SamplingError, banded_points, sample_points
@@ -117,22 +118,19 @@ def test_many_blocks_match_the_pointwise_loop():
 
 
 class CountingField(ScalarField):
-    """A field that records, for every jet asked of it, whether points are
-    being sampled, the set size and the order."""
+    """A field that records, for every run of its program (a jet the memo
+    neither holds nor reads off a higher order), whether points are being
+    sampled, the set size and the order."""
 
     def __init__(self, A: ScalarField, sampling: list, log: list):
-        super().__init__(A.dim, A._fn)
-        self.sampling, self.log = sampling, log
-
-    def jet(self, points, order):
-        self.log.append((self.sampling[0], len(point_set(points)), order))
-        return super().jet(points, order)
+        run = lambda points, order: log.append((sampling[0], len(points), order)) or A._fn(points, order)
+        super().__init__(A.dim, run)
 
 
-def _counted_check(monkeypatch, entry_id):
-    """Runs check --suite all on entry_id at 5 points; returns the (set size,
-    order) of each density jet taken while sampling, and the (shown, kept)
-    counts of each z-window call."""
+def _counted_call(monkeypatch, argv):
+    """Runs cli.main(argv) with the catalog's density fields counted; returns
+    the (sampling, set size, order) of each run of a density's program, and
+    the (shown, kept) counts of each z-window call."""
     sampling, log, windows = [False], [], []
     density_field = cat.CatalogEntry.density_field
     monkeypatch.setattr(cat.CatalogEntry, "density_field", lambda e: CountingField(density_field(e), sampling, log))
@@ -151,16 +149,29 @@ def _counted_check(monkeypatch, entry_id):
 
     monkeypatch.setattr(cat, "_in_z_window", in_z_window)
     monkeypatch.setattr(geo, "sample_points", sample_points)
+    assert cli.main([*argv, "--output", "/dev/null"]) == 0
+    return log, windows
+
+
+def _catalog_argv(command, entry_id, *extra):
     e = cat.entry(entry_id)
-    argv = ["check", "--builtin", "eps-system", "--dim", str(e.dim), "--eps", str(e.eps), "--suite", "all",
-            "--catalog", entry_id, "--num-points", "5", "--output", "/dev/null"]
-    assert cli.main(argv) == 0
-    return [(size, order) for during, size, order in log if during], windows
+    system = ["--builtin", "eps-system", "--dim", str(e.dim), "--eps", str(e.eps), "--catalog", entry_id]
+    return [command, *system, "--num-points", "5", *extra]
 
 
 def test_sampling_judges_the_density_once_per_block(monkeypatch):
-    seen, windows = _counted_check(monkeypatch, "dim3-eps1-h1")
-    assert seen == [(5, 0)] and windows == []
+    # the one block is the sample: A's program runs once, at the order the checks read, and never again
+    runs, windows = _counted_call(monkeypatch, _catalog_argv("check", "dim3-eps1-h1", "--suite", "all"))
+    assert runs == [(True, 5, rec.DENSITY_ORDER)] and windows == []
+
+
+@pytest.mark.parametrize(
+    "command, extra, order",
+    [("check", ["--suite", "flatness,sh"], 0), ("check", ["--suite", "density"], 2), ("transform", ["--biflat"], 2)],
+)
+def test_the_window_takes_the_order_its_command_reads(monkeypatch, command, extra, order):
+    runs, _ = _counted_call(monkeypatch, _catalog_argv(command, "dim2-eps1-h0:c2", *extra))
+    assert runs == [(True, 5, order)]
 
 
 def test_z_window_entry_judges_each_block_once_inside_the_disk(monkeypatch):
@@ -168,11 +179,74 @@ def test_z_window_entry_judges_each_block_once_inside_the_disk(monkeypatch):
     hyp2f1_value = jets.hyp2f1_value
     record = lambda a, b, c, z: z_seen.append(np.abs(z).max()) or hyp2f1_value(a, b, c, z)
     monkeypatch.setattr(jets, "hyp2f1_value", record)
-    seen, windows = _counted_check(monkeypatch, "dim3-eps1-flatcoord")
-    # the density sees, in one set per block, just the candidates the z window kept
-    assert [size for size, _ in seen] == [kept for _, kept in windows if kept]
-    assert {order for _, order in seen} == {0}
+    runs, windows = _counted_call(monkeypatch, _catalog_argv("check", "dim3-eps1-flatcoord", "--suite", "all"))
+    seen = [(size, order) for during, size, order in runs if during]
+    # the density sees, in one set per block, just the candidates the z window kept, at the checks' order
+    assert seen == [(kept, rec.DENSITY_ORDER) for _, kept in windows if kept]
     assert len(seen) < 5 and max(z_seen) <= Z_WINDOW
+    # the z window rejected some first candidate, so the sample is a new set and the checks run A once more on it
+    assert windows[0][1] < windows[0][0] and runs[len(seen):] == [(False, 5, rec.DENSITY_ORDER)]
+
+
+def test_a_first_block_with_a_rejection_gives_a_new_set():
+    A = field("u1*u2", 3)
+    for first in (True, False):
+        predicates = lambda: (EveryOther(), density_window(A, 2))[:: 1 if first else -1]  # a fresh EveryOther per sample
+        sample = lambda: sample_points(3, 5, 0, predicates=predicates())
+        assert isinstance(assert_same_as_pointwise(sample), bytes)
+        assert A not in sample()._memo  # no candidate's jet is left in the sample
+    filled = sample_points(3, 5, 0, predicates=(density_window(A, 2),))
+    assert set(filled._memo[A]) == {2}  # the judged block itself, holding the window's jet
+
+
+def test_a_window_whose_higher_rows_raise_keeps_its_points_and_later_error(monkeypatch, capsys):
+    # ln's order-1 rows overflow at 1e-300 * u1^2, its value does not: the window judges off the value alone
+    A = field("ln(1e-300*u1^2)", 2)
+    with pytest.raises(EvalError, match="ln series overflows"):
+        A.jet(sample_points(2, 1, 42), 2)
+    assert_same_as_pointwise(lambda: sample_points(2, 5, 42, predicates=(density_window(A, 2),)))
+    drawn = []
+    real = geo.sample_points
+    monkeypatch.setattr(geo, "sample_points", lambda *a, **k: drawn.append(real(*a, **k)) or drawn[-1])
+    argv = ["check", "--builtin", "eps-system", "--dim", "2", "--eps", "1", "--density", "ln(1e-300*u1^2)",
+            "--num-points", "5"]
+    assert cli.main(argv) == 2
+    assert tuple(capsys.readouterr()) == ("", "error: ln series overflows at value 8.432388845275894e-301 "
+                                              "in 'ln(1e-300 * u1^2.0)'\n")
+    assert [list(p.coords) for p in drawn[0]] == [  # as drawn with the window judging A's order-0 jet alone
+        [0.9182803953736514, -1.9249677343319993],
+        [1.6765387031145362, -1.7391835021117514],
+        [-0.7342345409441888, -1.9106083416857889],
+        [-1.34408607558919, 0.5160658643100873],
+        [-1.9203920909484091, -1.4034870479400545],
+    ]
+
+
+def _overflowing_rows(src):
+    """The field of src whose jets above order 0 have every derivative row infinite."""
+    base = field(src, 2)
+
+    def fn(points, order):
+        coeffs = base.jet(points, order).coeffs.copy()
+        coeffs[1:] = np.inf
+        return jets.Jet(2, order, coeffs)
+
+    return ScalarField(2, fn)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: field("u1*u2", 2), lambda: field("1/(u2-u1)", 2), lambda: field("u1-u2+0.3", 2),
+             lambda: field("ln(u1+1.5)", 2), lambda: field("ln(1e-300*u1^2)", 2), lambda: _overflowing_rows("u1-u2+0.3")],
+    ids=["product", "pole", "zero-line", "ln-raises", "ln-rows-raise", "rows-overflow"],
+)
+def test_windows_at_every_order_judge_alike(make):
+    for seed in range(5):
+        for count in (1, 5):
+            outcomes = {
+                _outcome(lambda: sample_points(2, count, seed, predicates=(density_window(make(), order),)))
+                for order in range(jets.MAX_ORDER + 1)
+            }
+            assert len(outcomes) == 1, (seed, count, outcomes)
 
 
 def test_in_z_window_matches_the_scalar_rule_without_warnings():
