@@ -288,9 +288,15 @@ def _sh_plan(n: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _curvature_labels(n: int) -> tuple:
-    """curvature_natural_residual's labels: at each i, ("iki", i, q) for every q != i, then ("qqi", i, q)."""
-    return tuple((name, i, q) for i in range(n) for name in ("iki", "qqi") for q in range(n) if q != i)
+def _curvature_plan(n: int) -> tuple[tuple, np.ndarray]:
+    """curvature_natural_residual's labels, at each i ("iki", i, q) for every q != i,
+    then ("qqi", i, q), and the mask (pairs, n, 1) of the m distinct from each
+    off_pairs pair (i, q); shared, so read-only."""
+    labels = tuple((name, i, q) for i in range(n) for name in ("iki", "qqi") for q in range(n) if q != i)
+    m, (i, q) = np.arange(n), off_pairs(n)
+    mask = ((m != i[:, None]) & (m != q[:, None]))[..., None]
+    mask.flags.writeable = False
+    return labels, mask
 
 
 def pair_table(n: int, values: np.ndarray) -> np.ndarray:
@@ -448,12 +454,13 @@ def curvature_natural_residual(
     iki = d1[i, i, i, q] - d1[i, i, q, i]
     giq = v1[i, q, i]
     qqi = d1[i, q, i, q] - d1[i, q, q, i] + giq * (giq - v0[q, i, q])
+    labels, distinct = _curvature_plan(n)
     m, i1, q1 = np.arange(n), i[:, None], q[:, None]
-    terms = np.where(((m != i1) & (m != q1))[..., None], v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1)
+    terms = np.where(distinct, v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1)
     qqi = np.subtract.reduce(np.concatenate([qqi[None], terms]), axis=0)  # G^i_{mi} G^m_{qq} over m != i, q
     qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
     values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
-    block = points, _curvature_labels(n), values.reshape(2 * len(i), -1)
+    block = points, labels, values.reshape(2 * len(i), -1)
     return ResidualReport.of(f"curvature[{conn.kind}]", tolerance, block)
 
 

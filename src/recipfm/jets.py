@@ -51,7 +51,7 @@ import numpy as np
 MAX_ORDER = 3
 HYP2F1_REL_TOL = 1e-16
 HYP2F1_MAX_TERMS = 10000
-HYP2F1_BLOCK = 64  # divides HYP2F1_MAX_TERMS
+HYP2F1_BLOCK = 80  # divides HYP2F1_MAX_TERMS, so no element sums past it
 
 # IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf give inf or
 # NaN without a warning, as Python floats do, and residuals then fail closed.
@@ -120,13 +120,15 @@ class PointSet(Sequence):
 
     def lifts(self, order: int) -> np.ndarray:
         """Every coordinate lift as one array (dim, ncoeff, npoints), [l] bit for bit
-        variable(dim, order, l, coords[l]); memoized, so a lower order is a prefix."""
+        variable(dim, order, l, coords[l]); memoized, so a lower order is a prefix.
+        Order 0 is the read-only view coords[:, None, :], no copy."""
 
         def build():
+            if not order:
+                return self.coords[:, None, :]
             out = np.zeros((self.dim, len(multi_indices(self.dim, order)), len(self)))
             out[:, 0] = self.coords
-            if order:
-                out[np.arange(self.dim), _reader_plan(self.dim)[0]] = 1.0  # the grade-1 rows
+            out[np.arange(self.dim), _reader_plan(self.dim)[0]] = 1.0  # the grade-1 rows
             return out
 
         return memoized(self, variable, order, build)
@@ -233,13 +235,20 @@ def _positions(dim: int, order: int) -> dict[tuple[int, ...], int]:
     return {alpha: pos for pos, alpha in enumerate(multi_indices(dim, order))}
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached plan hands the same ones to every caller."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _reader_plan(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the first partials d_l (dim,) and second partials d_k d_l (dim, dim)
     in a jet of high enough order, and the second's alpha! (2 on the diagonal)."""
     pos, unit = _positions(dim, 2), np.eye(dim, dtype=int)
     second = [[pos[tuple(a + b)] for b in unit] for a in unit]
-    return np.array([pos[tuple(a)] for a in unit]), np.array(second), np.where(unit == 1, 2.0, 1.0)[:, :, None]
+    return _frozen(np.array([pos[tuple(a)] for a in unit]), np.array(second), np.where(unit == 1, 2.0, 1.0)[:, :, None])
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +275,7 @@ def _grid(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     depth = max(map(len, rows))
     pairs = np.array([row + ((0, 0),) * (depth - len(row)) for row in rows], dtype=np.intp)
     pad = np.array([[l >= len(row) for row in rows] for l in range(depth)])
-    return pairs[:, :, 0].T.copy(), pairs[:, :, 1].T.copy(), pad[:, :, None]
+    return _frozen(pairs[:, :, 0].T.copy(), pairs[:, :, 1].T.copy(), pad[:, :, None])
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +292,7 @@ def _div_grids(dim: int, order: int):
         stop = start + math.comb(grade + dim - 1, dim - 1)
         grids.append((slice(start, stop), *_grid([tuple(p for p in row if p[0]) for row in rows[start:stop]])))
         start = stop
-    return grids
+    return tuple(grids)
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +309,8 @@ def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray, np.nd
     src = [[pos[tuple(beta + e)] for beta in lower] for e in unit]
     first = {r: (l, k) for l in reversed(range(dim)) for k, r in enumerate(src[l])}  # the least l is kept
     factor = np.array([[[beta[l] + 1.0] for beta in lower] for l in range(dim)])
-    return np.array(src, dtype=np.intp), factor, np.array([first[r] for r in range(1, ncoeff)], dtype=np.intp).T
+    back = np.array([first[r] for r in range(1, ncoeff)], dtype=np.intp).T
+    return _frozen(np.array(src, dtype=np.intp), factor, back)
 
 
 class Jet:

@@ -13,6 +13,7 @@ frames (off-diagonal rotation coefficients plus Lame fields).
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -47,6 +48,23 @@ QUAD_MAX_PANELS = 64
 
 _GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
 _GL_W = tuple(float(w) for w in _GL_WS)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_nodes(panels: int) -> tuple[np.ndarray, float]:
+    """The composite rule of `panels` equal panels on [0, 1]: its nodes in rule
+    order, panel by panel, and the panels' half width; shared, so read-only."""
+    width = 1.0 / panels
+    mids = np.arange(panels) * width + 0.5 * width
+    half = 0.5 * width
+    ts = (mids[:, None] + half * _GL_XS[None, :]).ravel()
+    ts.flags.writeable = False
+    return ts, half
+
+
+# the first refinement level's nodes: the 1-panel rule, then the 2-panel rule
+_GL_FIRST = np.concatenate([_gl_nodes(1)[0], _gl_nodes(2)[0]])
+_GL_FIRST.flags.writeable = False
 
 
 class ReciprocalError(ValueError):
@@ -144,14 +162,34 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
 # terms and order of a per-component loop.
 
 
+@functools.lru_cache(maxsize=None)
+def _density_plan(n: int) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
+    """_density_block's labels, the pairs (i, j) with i < j, and their index arrays; shared, so read-only."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.flags.writeable = False
+    return tuple(zip(*pairs.tolist())), tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _diag_labels(n: int) -> tuple:
+    """The labels ("diag", k) of the systems' diagonal rows."""
+    return tuple(("diag", k) for k in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_labels(n: int) -> tuple:
+    """theta_system_residual's labels: ("offdiag", j, i) per pair (i, j) of off_pairs, then the diagonal's."""
+    return tuple(("offdiag", b, a) for a, b in pair_labels(n)) + _diag_labels(n)
+
+
 @jets.quiet
 def _density_block(conn: ConnectionTable, A: ScalarField, points: PointSet):
     """The density equations' (points, labels, values) block, over unordered pairs i < j."""
     aj = A.jet(points, 2)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
     off = conn.generators(points, 0)[:, :, 0]
-    i, j = np.triu_indices(conn.dim, 1)
-    return points, tuple(zip(i.tolist(), j.tolist())), hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
+    labels, (i, j) = _density_plan(conn.dim)
+    return points, labels, hess[i, j] - off[i, j] * grad[i] - off[j, i] * grad[j]
 
 
 def density_residual(
@@ -199,7 +237,7 @@ def a_system_residual(
     rows = hess[q, q] - grad * sum(grad) / a0
     for l in range(n):
         rows = rows + np.where((l != q)[:, None], hess[l], -0.0)  # d_l d_q A
-    return ResidualReport.of("a-system", tolerance, density, (points, tuple(("diag", k) for k in range(n)), rows))
+    return ResidualReport.of("a-system", tolerance, density, (points, _diag_labels(n), rows))
 
 
 @jets.quiet
@@ -221,8 +259,7 @@ def theta_system_residual(
     diag = dtheta[d, d] + square - theta * sum(theta)
     for l in range(n):
         diag = diag + np.where((l != d)[:, None], dtheta[:, l] + theta * theta[l], -0.0)
-    labels = tuple(("offdiag", b, a) for a, b in pair_labels(n)) + tuple(("diag", k) for k in range(n))
-    return ResidualReport.of("theta-system", tolerance, (points, labels, np.concatenate([offdiag, diag])))
+    return ResidualReport.of("theta-system", tolerance, (points, _theta_labels(n), np.concatenate([offdiag, diag])))
 
 
 @jets.quiet
@@ -257,6 +294,14 @@ def covariant_hessian_residual(
 # Current reconstruction
 
 
+def _composite(half: float, f: list[float]) -> float:
+    """The composite rule's sum over the integrand values f, panel by panel, each left to right."""
+    total = 0.0
+    for s in range(0, len(f), QUAD_NODES):
+        total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]))
+    return total
+
+
 def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> ScalarField:
     """The current B with d_i B = v^i d_i A and B(base) = 0.
 
@@ -272,13 +317,16 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     Each value evaluates its nodes as point sets, one velocity_jets array and
     one order-1 jet of A per set (feeding the path guards): the 1-panel and
     2-panel rules together, then one set per further refinement level, until
-    two levels agree to QUAD_REFINE_TOL.  A node set that fails a path guard
-    or leaves a field's domain is redone as one-node sets through the same
-    integrand, so the first failing node in rule order raises its own error,
-    velocity check before density check.  Node sets are dropped after use, and
-    with them every memo entry they hold.  Over one set, the returned field's
-    order 0 is read off an order 1 already held there, so asking order 1 and
-    then order 0 runs the quadrature once.
+    two levels agree to QUAD_REFINE_TOL.  The rule is built once per process:
+    _gl_nodes(panels) holds each level's nodes on [0, 1] and half width, and
+    _GL_FIRST the first set's nodes, all read-only, so a value only maps them
+    onto its segment.  A node set that fails a path guard or leaves a field's
+    domain is redone as one-node sets through the same integrand, so the first
+    failing node in rule order raises its own error, velocity check before
+    density check.  Node sets are dropped after use, and with them every memo
+    entry they hold.  Over one set, the returned field's order 0 is read off an
+    order 1 already held there, so asking order 1 and then order 0 runs the
+    quadrature once.
     """
     n = sys.dim
     start = np.array(base.coords)
@@ -301,8 +349,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             if (np.abs(aj.value) < DENSITY_FLOOR).any():
                 raise singular("density vanishes")
             grad = jets.gradient(aj)
-            f = sum(step[i] * (vals[i] * grad[i]) for i in axes)
-            return np.broadcast_to(f, ts.shape).tolist()
+            return sum(step[i] * (vals[i] * grad[i]) for i in axes).tolist()  # vals spreads: one entry per node
 
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
             try:
@@ -311,22 +358,8 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
                 # redo node by node, so the first failing node raises its own error
                 return [y for k in range(len(ts)) for y in guarded(ts[k : k + 1])]
 
-        def nodes(panels: int) -> tuple[np.ndarray, float]:
-            width = 1.0 / panels
-            mids = np.arange(panels) * width + 0.5 * width
-            half = 0.5 * width
-            return (mids[:, None] + half * _GL_XS[None, :]).ravel(), half
-
-        def composite(half: float, f: list[float]) -> float:
-            total = 0.0
-            for s in range(0, len(f), QUAD_NODES):
-                total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]))
-            return total
-
-        ts1, half1 = nodes(1)
-        ts2, half2 = nodes(2)
-        f = integrand_at_nodes(np.concatenate([ts1, ts2]))
-        prev, cur = composite(half1, f[:QUAD_NODES]), composite(half2, f[QUAD_NODES:])
+        f = integrand_at_nodes(_GL_FIRST)
+        prev, cur = _composite(_gl_nodes(1)[1], f[:QUAD_NODES]), _composite(_gl_nodes(2)[1], f[QUAD_NODES:])
         panels = 2
         while not abs(cur - prev) < QUAD_REFINE_TOL:
             panels *= 2
@@ -335,8 +368,8 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
                     f"quadrature on the segment from {base} to {p} did not settle below {QUAD_REFINE_TOL} "
                     f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
                 )
-            ts, half = nodes(panels)
-            prev, cur = cur, composite(half, integrand_at_nodes(ts))
+            ts, half = _gl_nodes(panels)
+            prev, cur = cur, _composite(half, integrand_at_nodes(ts))
         return cur
 
     def fn(points: PointSet, jet_order: int) -> Jet:
@@ -455,6 +488,12 @@ def intrinsic_transformed_gamma(
     return g - cx[:, None, :] * w[None, :, None]
 
 
+@functools.lru_cache(maxsize=None)
+def _agreement_labels(n: int, products: tuple[str, ...]) -> tuple:
+    """intrinsic_agreement_report's labels (product, i, j, k): i, j, k-major, the products inner."""
+    return tuple((product, *ijk) for ijk in itertools.product(range(n), repeat=3) for product in products)
+
+
 @jets.quiet
 def intrinsic_agreement_report(
     sys: DiagonalSystem,
@@ -479,7 +518,7 @@ def intrinsic_agreement_report(
         product: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, product, points)
         for product, image, base in routes
     }
-    labels = tuple((product, *ijk) for ijk in itertools.product(range(n), repeat=3) for product in diffs)
+    labels = _agreement_labels(n, tuple(diffs))
     values = np.stack(list(diffs.values()), axis=3).reshape(len(labels), -1)[:, : len(kept)]
     return ResidualReport.of("intrinsic-agreement", tolerance, (kept, labels, values))
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_partial, same_bits
-from recipfm import geometry, jets
+from recipfm import geometry, jets, reciprocal
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
 from recipfm.jets import point_set
@@ -413,6 +414,57 @@ def test_memoized_tables_are_read_only():
     for table in (natural.christoffels(pts, 1), natural.christoffels(pts, 0), natural.generators(pts, 0)):
         with pytest.raises(ValueError, match="read-only"):
             table[..., 0, 0] = 1.0
+
+
+# Every process-wide plan that hands out arrays, at a few arguments.  A plan
+# hands the same objects to every caller, so none of them may be writable.
+SHARED_PLANS = {
+    "off_pairs": geometry.off_pairs,
+    "_sh_plan": geometry._sh_plan,
+    "_curvature_plan": geometry._curvature_plan,
+    "_reader_plan": jets._reader_plan,
+    "_partials_plan": lambda n: tuple(jets._partials_plan(n, len(jets.multi_indices(n, k))) for k in (1, 2, 3)),
+    "_mul_grid": lambda n: tuple(jets._mul_grid(n, k) for k in range(4)),
+    "_div_grids": lambda n: tuple(jets._div_grids(n, k) for k in range(4)),
+    "_gl_nodes": lambda n: tuple(reciprocal._gl_nodes(2**k) for k in range(n)),
+    "_GL_FIRST": lambda n: reciprocal._GL_FIRST,
+    "_density_plan": reciprocal._density_plan,
+}
+
+
+def _arrays_in(plan):
+    """The arrays a plan hands out; every container on the way must be a tuple."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    assert isinstance(plan, (tuple, slice, int, float, str)), type(plan)
+    return [a for part in plan for a in _arrays_in(part)] if isinstance(plan, tuple) else []
+
+
+@pytest.mark.parametrize("name", SHARED_PLANS)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_shared_plans_hand_out_read_only_arrays(name, n):
+    arrays = _arrays_in(SHARED_PLANS[name](n))
+    assert arrays, name
+    for a in arrays:
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0  # an empty array refuses the write too
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_plans_are_the_per_call_expressions(n):
+    i, j = np.triu_indices(n, 1)
+    labels, (pi, pj) = reciprocal._density_plan(n)
+    assert labels == tuple(zip(i.tolist(), j.tolist())) and pi.tolist() == i.tolist() and pj.tolist() == j.tolist()
+    diag = tuple(("diag", k) for k in range(n))
+    assert reciprocal._diag_labels(n) == diag
+    assert reciprocal._theta_labels(n) == tuple(("offdiag", b, a) for a, b in geometry.pair_labels(n)) + diag
+    for products in (("circ",), ("circ", "star")):
+        want = tuple((p, *ijk) for ijk in itertools.product(range(n), repeat=3) for p in products)
+        assert reciprocal._agreement_labels(n, products) == want
+    m, (i, q) = np.arange(n), geometry.off_pairs(n)
+    mask = geometry._curvature_plan(n)[1]
+    assert mask.shape == (len(i), n, 1) and (mask == ((m != i[:, None]) & (m != q[:, None]))[..., None]).all()
 
 
 def test_sample_points_exhaustion():

@@ -267,6 +267,21 @@ def test_lifts_are_the_coordinate_variables(dim):
             assert pts.lift(l, order).order == order and same_bits(pts.lift(l, order).coeffs, want)
 
 
+def test_order_zero_lifts_are_a_read_only_view_of_the_coordinates():
+    pts = PointSet([[1.0, -0.0, 2.5], [0.5, 3.0, -1.0]])
+    want = np.zeros((2, 1, 3))
+    want[:, 0] = pts.coords  # the zeros-and-copy layout
+    lifts = pts.lifts(0)
+    assert same_bits(lifts, want) and np.shares_memory(lifts, pts.coords) and pts.lifts(0) is lifts
+    with pytest.raises(ValueError, match="read-only"):
+        lifts[0, 0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        pts.lift(1, 0).coeffs[0, 0] = 7.0
+    later = PointSet(pts.coords)
+    later.lifts(1)
+    assert same_bits(later.lifts(0), want)  # read off order 1, as before
+
+
 def test_lifts_are_one_array_per_set_and_order():
     pts = PointSet([[1.0, -2.0], [0.5, 3.0], [-1.5, 2.5]])
     top = pts.lifts(2)
@@ -327,19 +342,33 @@ def test_batch_domain_checks_test_every_element():
         jets.hyp2f1_value(1.0, 1.0, 2.0, np.array([0.5, 0.25, -1.5, 0.1]))
 
 
-def _hyp2f1_term_by_term(a, b, c, z):
+def _hyp2f1_term_by_term(a, b, c, z, max_terms=jets.HYP2F1_MAX_TERMS):
     total = term = 1.0
-    for k in range(jets.HYP2F1_MAX_TERMS):
+    for k in range(max_terms):
         term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
         total += term
         if abs(term) <= jets.HYP2F1_REL_TOL * max(1.0, abs(total)):
             return total
+    raise JetDomainError(f"2F1 series did not converge for z={z}")
 
 
 def test_hyp2f1_batch_stops_where_each_scalar_series_stops():
     z = np.array([0.0, 0.2, -0.5, 0.9, 0.99])
     got = jets.hyp2f1_value(0.5, 1.5, 2.5, z)
     assert got.tolist() == [_hyp2f1_term_by_term(0.5, 1.5, 2.5, x) for x in z.tolist()]
+
+
+def test_hyp2f1_batch_gives_up_where_the_scalar_series_does():
+    """1/(1 - z) at z = 0.996906 settles at term 10024: past HYP2F1_MAX_TERMS, inside
+    the block that a batch of 64 terms would still have summed."""
+    assert jets.HYP2F1_MAX_TERMS % jets.HYP2F1_BLOCK == 0
+    z = 0.996906
+    assert _hyp2f1_term_by_term(1.0, 1.0, 1.0, z, max_terms=10048) == pytest.approx(1.0 / (1.0 - z))
+    for series in (jets.hyp2f1_value, _hyp2f1_term_by_term):
+        with pytest.raises(JetDomainError, match=r"^2F1 series did not converge for z=0\.996906$"):
+            series(1.0, 1.0, 1.0, z)
+    with pytest.raises(JetDomainError, match=r"did not converge for z=0\.996906$"):
+        jets.hyp2f1_value(1.0, 1.0, 1.0, np.array([0.5, z, 0.25]))
 
 
 def test_exp_and_real_pow_overflow_leave_the_domain():

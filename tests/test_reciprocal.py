@@ -24,8 +24,10 @@ from recipfm.geometry import (
     natural_connection,
     sample_points,
 )
+from recipfm import reciprocal
 from recipfm.reciprocal import (
     DENSITY_FLOOR,
+    QUAD_MAX_PANELS,
     QUAD_NODES,
     ConservationDensity,
     InadmissibleGeneratorError,
@@ -286,6 +288,42 @@ def test_current_value_is_one_node_set_and_one_density_jet(monkeypatch):
             # the value's own one-point set, then the 1- and 2-panel rules in one set
             assert sizes == [1, 3 * QUAD_NODES], (entry_id, p)
             assert density_jets == [(3 * QUAD_NODES, 1)], (entry_id, p)
+
+
+def _rule_per_call(panels: int) -> tuple[np.ndarray, float]:
+    """The composite rule as each value built it before the rule was cached."""
+    width = 1.0 / panels
+    mids = np.arange(panels) * width + 0.5 * width
+    half = 0.5 * width
+    return (mids[:, None] + half * reciprocal._GL_XS[None, :]).ravel(), half
+
+
+@pytest.mark.parametrize("panels", range(1, QUAD_MAX_PANELS + 1))
+def test_cached_rule_is_the_per_call_rule_bit_for_bit(panels):
+    ts, half = reciprocal._gl_nodes(panels)
+    want, want_half = _rule_per_call(panels)
+    assert same_bits(ts, want) and half == want_half and reciprocal._gl_nodes(panels)[0] is ts
+    with pytest.raises(ValueError, match="read-only"):
+        ts[0] = 0.5
+
+
+def test_first_refinement_level_is_the_one_and_two_panel_rules():
+    first = reciprocal._GL_FIRST
+    assert same_bits(first, np.concatenate([_rule_per_call(1)[0], _rule_per_call(2)[0]]))
+    assert len(first) == 3 * QUAD_NODES
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+
+
+def test_constant_velocities_and_a_constant_density_give_plus_zero():
+    """The velocity stack spreads one column over the nodes, so even where every
+    velocity and the density are constants the integrand has one value per node."""
+    system = DiagonalSystem((field("1", 2), field("3", 2)))
+    base, p = jets.Point((-1.25, 1.25)), jets.Point((-1.0, 1.5))
+    for density, want in (("2", 0.0), ("u1 + 2", 0.25), ("u2 + 2", 0.75)):  # B = sum_i v^i (A(p) - A(base))_i
+        value = current_from_density(system, field(density, 2), base).value(p)
+        assert value == pytest.approx(want, abs=1e-15), density
+        assert not math.copysign(1.0, value) < 0.0, density
 
 
 def test_current_order_zero_is_read_off_its_order_one_jet(monkeypatch):
