@@ -43,7 +43,7 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
 
     def closed_form(points: PointSet, order: int) -> np.ndarray:
         u = points.lifts(order)  # accumulate adds u1 + ... + un in index order, as the source's + does
-        return u - jets.mul(jets.constant(n, order, eps), Jet(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
+        return u - jets.scale(eps, Jet(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
 
     return DiagonalSystem.from_stack(n, closed_form)
 

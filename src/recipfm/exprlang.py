@@ -385,8 +385,11 @@ def compile_field(fexpr: FieldExpr) -> ScalarField:
     slots; a constant's bit pattern), in the order a recursive walk of the tree
     first meets them, operands first.  One loop fills the slots, so the first
     operation to leave its domain is the tree's, and its EvalError names an
-    equal subtree.  Jet functions are looked up as each instruction runs
-    (``_ARITH[op]``, ``jets.<fn>``), so one swapped in later is called."""
+    equal subtree.  A product with one constant operand is one ``scale``
+    instruction, bit for bit the product with the constant's jet on either
+    side, but for the sign and payload of a NaN, which may depend on how
+    products are grouped.  Jet functions are looked up as each instruction
+    runs (``_ARITH[op]``, ``jets.<fn>``), so one swapped in later is called."""
     dim, code, nodes, known = fexpr.dim, [], [], {}  # nodes: slot -> its first subtree; known: order -> constants
     root = _emit(fexpr.ast, code, nodes, {})
 
@@ -403,8 +406,8 @@ def compile_field(fexpr: FieldExpr) -> ScalarField:
                     slots[k] = points.lift(i, order)
                 elif op == "neg":
                     slots[k] = -slots[i]
-                elif op == "jet_hypergeom_2f1":
-                    slots[k] = jets.jet_hypergeom_2f1(*j, slots[i])
+                elif op in ("scale", "jet_hypergeom_2f1"):  # constants before the operand
+                    slots[k] = getattr(jets, op)(*j, slots[i])
                 else:  # jet_exp, jet_ln, jet_pow
                     slots[k] = getattr(jets, op)(slots[i], *j)
         except JetDomainError as exc:
@@ -430,6 +433,9 @@ def _emit(node, code: list, nodes: list, slots: dict) -> int:
         op, i = "neg", _emit(node.operand, code, nodes, slots)
     elif isinstance(node, Bin) and node.op == "^":
         op, i, j = "jet_pow", _emit(node.lhs, code, nodes, slots), (float(node.rhs.value),)
+    elif isinstance(node, Bin) and node.op == "*" and isinstance(node.lhs, Num) != isinstance(node.rhs, Num):
+        c, operand = (node.lhs, node.rhs) if isinstance(node.lhs, Num) else (node.rhs, node.lhs)
+        op, i, j = "scale", _emit(operand, code, nodes, slots), (float(c.value),)
     elif isinstance(node, Bin):
         op, i, j = node.op, _emit(node.lhs, code, nodes, slots), _emit(node.rhs, code, nodes, slots)
     elif isinstance(node, Call):

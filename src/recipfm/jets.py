@@ -8,11 +8,13 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 ``multi_indices(dim, order)[r]``.  A lone point is a set of one, and a jet with
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
-and the readers ``gradient`` and ``hessian`` rescale every first or second
-partial on the way out.  ``partials`` gathers every first partial as a jet one
-order lower, and ``from_partials``, the inverse gather, builds the jet of value
-0 whose first partials are given (a current known by its one-form), both from
-one plan; so no other module knows where a derivative lies.
+``scale`` multiplies by a constant as one scaled array, bit for bit that
+product with the constant's jet, and the readers ``gradient`` and ``hessian``
+rescale every first or second partial on the way out.  ``partials`` gathers
+every first partial as a jet one order lower, and ``from_partials``, the
+inverse gather, builds the jet of value 0 whose first partials are given (a
+current known by its one-form), both from one plan; so no other module knows
+where a derivative lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -411,6 +413,21 @@ def mul(a: Jet, b: Jet) -> Jet:
     return _built(a.dim, a.order, np.add.reduce(terms, axis=0, initial=0.0))  # layer by layer: rows stay inner
 
 
+def scale(c, a: Jet) -> Jet:
+    """c * a, c a number or one value per point: bit for bit mul(constant(a.dim,
+    a.order, c), a).  The constant's rows past the value are zeros, and their
+    products with a's value row (order 1) or rows (order >= 2) add 0.0 or -0.0
+    to a coefficient summed from 0.0, which changes nothing while those rows
+    are finite: the product is then 0.0 + c * a.coeffs, the 0.0 turning -0.0
+    into 0.0 as the sum does.  Otherwise it is that product, so 0 * inf is NaN."""
+    x = a.coeffs
+    if a.order and not np.isfinite(x[0] if a.order == 1 else x).all():
+        return mul(constant(a.dim, a.order, c), a)
+    out = (c if isinstance(c, float) else np.asarray(c, dtype=float).reshape(-1)) * x
+    out += 0.0
+    return _built(a.dim, a.order, out)
+
+
 def div(a: Jet, b: Jet) -> Jet:
     """Quotient jet; solves the triangular system grade by grade, each
     coefficient subtracting its products left to right, by ascending pa.
@@ -499,25 +516,30 @@ def compose_univariate(g: Jet, series) -> Jet:
 
     ``series[j]`` must be f^(j)(g.value)/j! (a number or one value per point);
     only the first order+1 entries are used.  Evaluated by Horner's scheme in
-    the zero-value jet g - g0.
+    the zero-value jet w = g - g0, which starts with ``scale`` by the top
+    coefficient, bit for bit the product of its constant jet and w.
     """
     series = list(series)[: g.order + 1]
+    if not g.order:
+        return constant(g.dim, 0, series[0])
     w = g.coeffs.copy()
     w[0] = 0.0
     w = _built(g.dim, g.order, w)
-    out = constant(g.dim, g.order, series[-1])
-    for c in reversed(series[:-1]):
+    out = scale(series[-1], w)
+    out.coeffs[0] += series[-2]
+    for c in reversed(series[:-2]):
         out = mul(out, w)
         out.coeffs[0] += c  # the constant's other rows would add 0.0 to a product, never -0.0: nothing
     return out
 
 
-def _each(fn, v: np.ndarray, what: str) -> np.ndarray:
-    """fn at each element of v, stacked; an element at which fn overflows, or
-    divides by an underflowed zero, leaves the domain and is named."""
+def _each(fn, v: np.ndarray, what: str, series: bool = True) -> np.ndarray:
+    """fn at each element of v, stacked: a list of series terms each, or, unless
+    series, a number each, read straight into the array; an element at which
+    fn overflows, or divides by an underflowed zero, leaves the domain and is named."""
     values = v.tolist()
     try:
-        return np.array(list(map(fn, values)))
+        return np.array(list(map(fn, values))) if series else np.fromiter(map(fn, values), float, len(values))
     except (OverflowError, ZeroDivisionError):
         for x in values:
             try:
@@ -528,8 +550,8 @@ def _each(fn, v: np.ndarray, what: str) -> np.ndarray:
 
 
 def jet_exp(a: Jet) -> Jet:
-    e0 = _each(math.exp, a.value, "exp")
-    return compose_univariate(a, [e0 / math.factorial(j) for j in range(a.order + 1)])
+    e0 = _each(math.exp, a.value, "exp", series=False)
+    return compose_univariate(a, [e0, e0, *(e0 / math.factorial(j) for j in range(2, a.order + 1))])
 
 
 def jet_ln(a: Jet) -> Jet:
@@ -561,15 +583,16 @@ def jet_pow(a: Jet, r: float) -> Jet:
 
 
 def _int_pow(a: Jet, n: int) -> Jet:
+    """a**n, n != 0, by square-and-multiply; the first factor is scaled by 1.0,
+    bit for bit its product with the constant jet 1."""
     if n < 0:
         if (a.value == 0.0).any():
             raise JetDomainError("negative power of a jet with zero value")
         return div(constant(a.dim, a.order, 1.0), _int_pow(a, -n))
-    out = constant(a.dim, a.order, 1.0)
-    base = a
+    out, base = None, a
     while n:
         if n & 1:
-            out = mul(out, base)
+            out = scale(1.0, base) if out is None else mul(out, base)
         base = mul(base, base) if n > 1 else base
         n >>= 1
     return out
@@ -616,6 +639,7 @@ def jet_hypergeom_2f1(a: float, b: float, c: float, z: Jet) -> Jet:
     series = []
     prefactor = 1.0
     for j in range(z.order + 1):
-        series.append(prefactor * hyp2f1_value(a + j, b + j, c + j, z.value) / math.factorial(j))
+        value = prefactor * hyp2f1_value(a + j, b + j, c + j, z.value)
+        series.append(value / math.factorial(j) if j > 1 else value)  # x / 1 is x
         prefactor *= (a + j) * (b + j) / (c + j)
     return compose_univariate(z, series)

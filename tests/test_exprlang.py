@@ -365,6 +365,7 @@ def test_programs_match_the_closure_tree_bit_for_bit(e):
         ("hyp2f1(0.5, 1.5, 2.5, u1)", [[0.5, -1.0], [0.0, 0.0]]),
         ("u1*u2 + ln(u2-u1)*exp(u1) - ln(u2-u1)", [[0.5, 1.5], [1.0, 1.5]]),
         ("(u2-u1)^-2 + pow(u2-u1, -2.0) + 1/(u2-u1)", [[0.5, 1.5], [1.0, 1.5]]),
+        ("ln(u1*2) + ln(2*u1)", [[0.5, -1.0], [1.0, 1.0]]),  # one scale instruction; the first subtree is named
     ],
 )
 def test_programs_fail_where_the_closure_tree_fails(src, coords):
@@ -392,20 +393,42 @@ def test_a_repeated_subexpression_is_evaluated_once(monkeypatch):
     assert calls == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]  # the program's one multiply, then the tree's two
 
 
+def test_products_by_a_constant_are_one_scale_each_bit_for_bit(monkeypatch):
+    src = "3*u1 + u1*3 + u2*-0.0 - 0*u1 + 0.5*exp(u1*u2)*2 - u1*(-2)*u2"
+    f, tree = field(src, 2), tree_field(src, 2)
+    scales, real = [], jets.scale
+    monkeypatch.setattr(jets, "scale", lambda c, a: scales.append(c) or real(c, a))
+    points = PointSet([[0.5, -1.5, 0.0, 2.0], [1.5, 0.25, -0.0, -3.0]])
+    for order in range(jets.MAX_ORDER + 1):
+        want = tree.jet(points, order).coeffs
+        scales.clear()
+        got = f.jet(points, order).coeffs
+        # 3*u1 and u1*3 share one instruction; the one array is exp's Horner start
+        assert [c for c in scales if isinstance(c, float)] == [3.0, -0.0, 0.0, 0.5, 2.0, -2.0]
+        assert len(scales) == 6 + (order > 0)
+        assert same_bits(got, want)
+
+
 def test_jet_functions_swapped_after_compilation_are_called(monkeypatch):
     e = entry("dim3-eps-1-h1")
     A, g = e.density_field(), field("u1*u2*(u1+3)*exp(u2)", 2)
     exps, real_exp = [], jets.jet_exp
     monkeypatch.setattr(jets, "jet_exp", lambda a: exps.append(a.order) or real_exp(a))
+    scales, real_scale = [], jets.scale
+    monkeypatch.setattr(jets, "scale", lambda c, a: scales.append(a.order) or real_scale(c, a))
     calls, p = _counting(monkeypatch, "*"), sample_points(3, 1, 5)
     tree = tree_field(e.density_src, e.dim, e.params)
     got = A.jet(p, 2)
-    program = len(calls)
+    program, program_scales = len(calls), len(scales)
     assert same_bits(got.coeffs, tree.jet(PointSet(p.coords), 2).coeffs)
-    assert (program, len(calls) - program) == (18, 23) and exps == [2] * 6  # three exps in each
+    assert (program, len(calls) - program) == (5, 23) and exps == [2] * 6  # three exps in each
+    # the program's 13 products by a constant, and in each of program and tree
+    # one Horner start per exp and one first factor per square
+    assert (program_scales, len(scales) - program_scales) == (13 + 3 + 2, 3 + 2) and scales == [2] * 23
     calls.clear()
+    scales.clear()
     g.jet(Point((0.5, 1.5)), 1)
-    assert calls == [1, 1, 1] and exps[-1] == 1
+    assert calls == [1, 1, 1] and exps[-1] == 1 and scales == [1]
 
 
 def test_a_program_leaves_no_reference_cycle():

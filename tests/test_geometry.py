@@ -327,8 +327,8 @@ def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
     monkeypatch.setattr(jets, "memoized", memoized)
     assert all(rep.passed for rep in flatness_reports(sys6, sample_points(6, 4, seed=5)))
     # the symbols' and the dual assembly's quotients and the dual's product;
-    # the one constant is the shift's eps in the velocities' closed form
-    assert counts == {"stacked": 3, "derivative": 0, "constant": 1}
+    # the shift's eps in the velocities' closed form is a scale, no constant jet
+    assert counts == {"stacked": 3, "derivative": 0, "constant": 0}
     assert builds == [2] and lifts == []
     assert lift_builds == [2]  # the velocities' lifts; the dual assembly reads order 1 off them
 

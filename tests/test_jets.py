@@ -544,3 +544,99 @@ def test_kernel_jets_pass_the_public_validation(dim, order):
     for shape in ((ncoeff + 1, 3), (ncoeff,), (1, ncoeff, 3)):
         with pytest.raises(JetError):
             Jet(dim, order, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
+# products by a constant: scale against the Cauchy product it replaces
+
+
+def horner_compose(g: Jet, series) -> Jet:
+    """Horner's scheme from the constant jet of the top coefficient, every step a Cauchy product."""
+    series = list(series)[: g.order + 1]
+    w = g.coeffs.copy()
+    w[0] = 0.0
+    w = Jet(g.dim, g.order, w)
+    out = jets.constant(g.dim, g.order, series[-1])
+    for c in reversed(series[:-1]):
+        out = jets.mul(out, w)
+        out.coeffs[0] += c
+    return out
+
+
+def square_and_multiply(a: Jet, n: int) -> Jet:
+    """a**n from the constant jet 1, every factor a Cauchy product; the quotient for n < 0."""
+    if n < 0:
+        return jets.div(jets.constant(a.dim, a.order, 1.0), square_and_multiply(a, -n))
+    out, base = jets.constant(a.dim, a.order, 1.0), a
+    while n:
+        if n & 1:
+            out = jets.mul(out, base)
+        base = jets.mul(base, base) if n > 1 else base
+        n >>= 1
+    return out
+
+
+_SCALE_OPERANDS = np.array([0.0, -0.0, -0.0, 1.5, -2.25, 1e-300, -3e300, np.inf, -np.inf, np.nan])
+
+
+def _scale_operands(rng, dim: int, order: int, npoints: int):
+    """Operands with -0.0 entries; then with inf or NaN in the value row only,
+    in the higher rows only, and anywhere."""
+    ncoeff = len(jets.multi_indices(dim, order))
+    finite = rng.choice(_SCALE_OPERANDS[:7], size=(ncoeff, npoints))
+    yield finite
+    for rows in (slice(0, 1), slice(1, None), slice(None))[: 3 if order else 1]:
+        x = finite.copy()
+        x[rows] = rng.choice(_SCALE_OPERANDS, size=x[rows].shape)
+        x[rows][0, 0] = (np.inf, np.nan)[int(rng.integers(2))]  # at least one non-finite entry
+        yield x
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("dim", range(2, 5))
+def test_scale_is_the_product_with_the_constant_jet_bit_for_bit(dim, order):
+    rng = np.random.default_rng(100 * dim + order)
+    special = [0.0, -0.0, 1.0, 1e308, -1e308, -2.5, 5e-324]
+    fallback = 0  # cases where 0.0 + c * a differs from the product: the full product must run
+    with np.errstate(all="ignore"):
+        for npoints in (1, 4, 9):
+            per_point = [np.array(special[:npoints] + [3.0] * (npoints - len(special)))]
+            per_point += [rng.choice(special, npoints), np.array([-0.0])]
+            for x in _scale_operands(rng, dim, order, npoints):
+                for a in (Jet(dim, order, x), Jet(dim, order, x[:, :1])):  # one column spreads against c
+                    for c in special + per_point:
+                        want = jets.mul(jets.constant(dim, order, c), a).coeffs
+                        assert same_bits(jets.scale(c, a).coeffs, want), (c, a.coeffs)
+                        fallback += not same_bits(0.0 + np.reshape(c, -1) * a.coeffs, want)
+                    assert same_bits(jets.scale(2, a).coeffs, jets.scale(2.0, a).coeffs)
+    assert fallback or not order  # at order 0 no zero row multiplies anything
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("dim", range(2, 5))
+def test_horner_and_powers_start_with_scale_bit_for_bit(dim, order):
+    rng = np.random.default_rng(200 * dim + order)
+    with np.errstate(all="ignore"):
+        for npoints in (1, 5):
+            for x in _scale_operands(rng, dim, order, npoints):
+                g = Jet(dim, order, x)
+                for cols in (1, npoints):
+                    series = rng.choice(_SCALE_OPERANDS, size=(order + 1, cols))
+                    assert same_bits(jets.compose_univariate(g, series).coeffs, horner_compose(g, series).coeffs)
+                base = Jet(dim, order, x.copy())
+                value = base.coeffs[0]  # a negative power divides by a power of it: no zero, no underflow
+                base.coeffs[0] = np.where(abs(value) < 1e-3, -1.75, value)
+                for n in range(-3, 5):
+                    want = jets.constant(dim, order, 1.0) if n == 0 else square_and_multiply(base, n)
+                    assert same_bits(jets.jet_pow(base, n).coeffs, want.coeffs), n
+            v = rng.uniform(-3.0, 3.0, (len(jets.multi_indices(dim, order)), npoints))
+            e0 = np.array([math.exp(t) for t in v[0]])
+            exp_series = [e0 / math.factorial(j) for j in range(order + 1)]
+            assert same_bits(jets.jet_exp(Jet(dim, order, v)).coeffs, horner_compose(Jet(dim, order, v), exp_series).coeffs)
+            z = Jet(dim, order, v / 4.0)
+            hyp_series, prefactor = [], 1.0
+            for j in range(order + 1):
+                hyp_series.append(prefactor * jets.hyp2f1_value(0.5 + j, 1.25 + j, 2.5 + j, z.value) / math.factorial(j))
+                prefactor *= (0.5 + j) * (1.25 + j) / (2.5 + j)
+            got = jets.jet_hypergeom_2f1(0.5, 1.25, 2.5, z).coeffs
+            assert same_bits(got, horner_compose(z, hyp_series).coeffs)
