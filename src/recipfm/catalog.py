@@ -93,14 +93,12 @@ class CatalogEntry:
     def _current(self) -> ScalarField | None:
         return None if self.current_src is None else field(self.current_src, self.dim, self.params)
 
-    def sample_predicates(
-        self, A: ScalarField | None = None, order: int = 0
-    ) -> tuple[Callable[[PointSet], np.ndarray], ...]:
+    def sample_predicates(self, order: int = 0) -> tuple[Callable[[PointSet], np.ndarray], ...]:
         """Point-set filters for this entry, each giving one bool per point: the
         hypergeometric argument inside its disk when one is involved (first, so
-        the density is never evaluated outside it), and density_window(A, order).
-        A is this entry's density field if the caller has compiled it."""
-        window = density_window(A if A is not None else self.density_field(), order)
+        the density is never evaluated outside it), and density_window(A, order)
+        of this entry's density field A."""
+        window = density_window(self.density_field(), order)
         return (_in_z_window, window) if self.z_window else (window,)
 
 

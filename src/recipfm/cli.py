@@ -191,8 +191,7 @@ def _build_density(args, dim: int):
         e = cat.entry(args.catalog)
         if e.dim != dim:
             raise ConfigError(f"catalog entry {e.entry_id} lives in dimension {e.dim}, system has {dim}")
-        A = e.density_field()
-        return A, functools.partial(e.sample_predicates, A), e.entry_id
+        return e.density_field(), e.sample_predicates, e.entry_id
     if args.density:
         A = field(args.density, dim, _params(args))
         return A, lambda order: (rec.density_window(A, order),), args.density

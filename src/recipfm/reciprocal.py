@@ -48,6 +48,9 @@ QUAD_MAX_PANELS = 64
 
 _GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
 _GL_W = tuple(float(w) for w in _GL_WS)
+# A 0.0 start for sum: from CPython 3.12, sum compensates (Neumaier) exact floats from an exact float
+# or int start, which moves report bits; a float subclass keeps it adding left to right on every Python.
+_ZERO = type("LeftToRight", (float,), {})()
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,29 +117,26 @@ class RotationFrame:
 
 @dataclass
 class TransformResult:
-    """Everything the transformation generated by A produces."""
+    """The image of the transformation generated by A: the transformed system and its tables."""
 
     system: DiagonalSystem
     natural: ConnectionTable
     dual: ConnectionTable | None
-    current: ScalarField
 
 
 def density_window(A: ScalarField, order: int = 0) -> Callable[[PointSet], np.ndarray]:
     """Sampling predicate keeping the points of a set where |A| is at or above
     DENSITY_FLOOR: one bool per point, or one for all of them where A's jet
-    has one column (a constant).  It takes A's jet at order, which the set's
-    memo then holds for the checks, and judges off its value row if it is all
-    finite (the order-0 value bit for bit, by the memo's prefix rule); else,
-    or if it raises, off the order-0 jet alone, so a density whose higher rows
-    raise or overflow keeps its points, and its error comes from a check."""
+    has one column (a constant).  It asks for A's jet at order, which the
+    set's memo then holds for the checks, and judges off the order-0 jet: the
+    memo reads that off the higher jet when it is all finite, and computes it
+    when the higher jet is not finite or raised.  So a density whose higher
+    rows raise or overflow keeps its points, and its error comes from a check."""
 
     def window(points: PointSet) -> np.ndarray:
         if order:
             with contextlib.suppress(ValueError, ArithmeticError):
-                aj = A.jet(points, order)
-                if np.isfinite(aj.coeffs).all():
-                    return np.abs(aj.value) >= DENSITY_FLOOR
+                A.jet(points, order)
         return np.abs(A.jet(points, 0).value) >= DENSITY_FLOOR
 
     return window
@@ -216,7 +216,7 @@ def grading_residual(
     a0 = _require_nonzero(aj, points)
     s = sum((points.coords if field == "E" else 1.0) * jets.gradient(aj))  # e(A) or E(A)
     ratios = s / a0
-    estimate = sum(ratios.tolist()) / len(ratios)  # Python's sum, left to right
+    estimate = sum(ratios.tolist(), _ZERO) / len(ratios)  # from _ZERO, so left to right on every Python
     return estimate, ResidualReport.of(f"grading-{field}", tolerance, (points, ((field,),), ratios[None] - estimate))
 
 
@@ -298,7 +298,7 @@ def _composite(half: float, f: list[float]) -> float:
     """The composite rule's sum over the integrand values f, panel by panel, each left to right."""
     total = 0.0
     for s in range(0, len(f), QUAD_NODES):
-        total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]))
+        total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]), _ZERO)
     return total
 
 
@@ -453,7 +453,7 @@ def transform(
     off = transformed_off_diagonal(natural_connection(sys), A)
     natural = ConnectionTable(sys.dim, "transformed-natural", off, "natural")
     dual = natural.dual("transformed-dual") if with_dual else None
-    return TransformResult(DiagonalSystem(velocities), natural, dual, current)
+    return TransformResult(DiagonalSystem(velocities), natural, dual)
 
 
 @jets.quiet

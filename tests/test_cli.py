@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib.util
 import itertools
 import json
@@ -304,6 +305,37 @@ def test_report_matches_golden(name, tmp_path):
         out.unlink(missing_ok=True)
         assert main(source + ["--output", str(out)]) == code
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """sum as CPython >= 3.12 computes it when its start is an exact int or
+    float and its items exact floats: with Neumaier's compensation.  Any other
+    call goes to the builtin."""
+    items = list(iterable)
+    if type(start) not in (int, float) or not items or any(type(x) is not float for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, rest = (start, items) if type(start) is float else (start + items[0], items[1:])
+    c = 0.0
+    for x in rest:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_reports_do_not_depend_on_the_pythons_sum(name, tmp_path, monkeypatch):
+    """With the builtin sum compensating as from CPython 3.12 on, every golden
+    report is still the recorded one byte for byte."""
+    assert _neumaier_sum([0.1] * 10) == 1.0  # left to right, it is 0.9999999999999999
+    code, argv = GOLDEN_CASES[name]
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert main(argv + ["--output", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 EPS2 = ["--builtin", "eps-system", "--dim", "2", "--eps", "1"]

@@ -235,7 +235,7 @@ def assert_lower_orders_read_off_higher(f, coords) -> int:
 def test_catalog_fields_read_lower_orders_off_higher_bit_for_bit(e):
     A = e.density_field()
     for seed in (0, 1):
-        coords = sample_points(e.dim, 5, seed, predicates=e.sample_predicates(A)).coords
+        coords = sample_points(e.dim, 5, seed, predicates=e.sample_predicates()).coords
         for f in (A, e.current_field()):
             if f is not None:
                 assert_lower_orders_read_off_higher(f, coords)

@@ -140,6 +140,8 @@ def test_structural_misuse_raises():
     for index in (-1, 2):
         with pytest.raises(JetError, match=f"index {index} out of range"):
             jets.derivative(u, index)
+        with pytest.raises(JetError, match=f"coordinate index {index} out of range for dimension 2"):
+            jets.variable(2, 1, index, 1.0)
     with pytest.raises(JetError, match="does not match dimension 2"):
         u.coefficient((1, 0, 0))
 

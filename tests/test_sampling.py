@@ -128,12 +128,13 @@ class CountingField(ScalarField):
 
 
 def _counted_call(monkeypatch, argv):
-    """Runs cli.main(argv) with the catalog's density fields counted; returns
-    the (sampling, set size, order) of each run of a density's program, and
-    the (shown, kept) counts of each z-window call."""
-    sampling, log, windows = [False], [], []
+    """Runs cli.main(argv) with the catalog's density fields counted, one
+    counting field per entry; returns the (sampling, set size, order) of each
+    run of a density's program, and the (shown, kept) counts of each z-window call."""
+    sampling, log, windows, counted = [False], [], [], {}
     density_field = cat.CatalogEntry.density_field
-    monkeypatch.setattr(cat.CatalogEntry, "density_field", lambda e: CountingField(density_field(e), sampling, log))
+    counting = lambda e: counted.setdefault(e.entry_id, CountingField(density_field(e), sampling, log))
+    monkeypatch.setattr(cat.CatalogEntry, "density_field", counting)
 
     def in_z_window(points, real=cat._in_z_window):
         kept = real(points)
@@ -196,7 +197,7 @@ def test_a_first_block_with_a_rejection_gives_a_new_set():
         assert isinstance(assert_same_as_pointwise(sample), bytes)
         assert A not in sample()._memo  # no candidate's jet is left in the sample
     filled = sample_points(3, 5, 0, predicates=(density_window(A, 2),))
-    assert set(filled._memo[A]) == {2}  # the judged block itself, holding the window's jet
+    assert set(filled._memo[A]) == {0, 2}  # the judged block itself, holding the window's jet and its order-0 view
 
 
 def test_a_window_whose_higher_rows_raise_keeps_its_points_and_later_error(monkeypatch, capsys):
