@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import reciprocal as rec
 from .exprlang import check_bindings, field
 from .geometry import DiagonalSystem, ResidualReport
-from .jets import Point
+from .jets import Point, PointSet
 
 SCHEMA = "recip-fm/1"
 
@@ -198,7 +198,7 @@ def _build_density(args, dim: int):
     return None, lambda order: (), None
 
 
-def _report_skeleton(args, points: Sequence[Point]) -> dict:
+def _report_skeleton(args, points: PointSet) -> dict:
     given = vars(args)  # a command without an option records its default
     return {
         "schema": SCHEMA,

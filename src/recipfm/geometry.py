@@ -80,10 +80,9 @@ class DiagonalSystem:
     def dim(self) -> int:
         return len(self.velocities)
 
-    def velocity_jets(self, points: Point | PointSet, order: int) -> np.ndarray:
+    def velocity_jets(self, points: PointSet, order: int) -> np.ndarray:
         """Every velocity's jet over the points as one read-only array (n, ncoeff, npoints), one
         column spread: the set's memo entry for stack, lower orders read off a finite higher one."""
-        points = point_set(points)
         if points.dim != self.dim:
             raise ValueError(f"field on {self.dim} coordinates evaluated at points with {points.dim}")
         return jets.memoized(points, self.stack, order, lambda: self.stack(points, order))
@@ -307,12 +306,12 @@ def pair_table(n: int, values: np.ndarray) -> np.ndarray:
 
 
 @quiet
-def christoffel_primary(sys: DiagonalSystem, points: Point | PointSet, order: int) -> np.ndarray:
+def christoffel_primary(sys: DiagonalSystem, points: PointSet, order: int) -> np.ndarray:
     """Every G^i_{ij} = d_j v^i / (v^j - v^i) over the points as one array (n, n,
     ncoeff, npoints), zero on the diagonal: the columns of one jet division, whose
     numerators are jets.partials of velocity_jets at order + 1 and whose
     denominators read velocity_jets at order, read off the former if it is all finite."""
-    n, points = sys.dim, point_set(points)
+    n = sys.dim
     i, j = off_pairs(n)
     hi, lo = sys.velocity_jets(points, order + 1), sys.velocity_jets(points, order)
     den = lo[j] - hi[i, : lo.shape[1]]
@@ -333,8 +332,9 @@ class ConnectionTable:
     generators.  Without a rule (a frame's generators) there is no full table,
     and residuals that need one reject it.  The kind is only a label.  The
     table keeps nothing: both arrays are memoized in the point set per order,
-    owned by generate, so all tables over one generator (a table and its
-    ``dual``) build each generator array once between them.  A lower order is
+    the generators owned by generate and the full table by (generate,
+    assembly), so all tables over one generator (a table and its ``dual``)
+    build each generator array once between them.  A lower order is
     read off a higher one held for the set, as its leading coefficient rows
     (bit for bit what evaluating it would give), unless that one holds a
     non-finite entry; so curvature, which asks order 1 first, builds no order 0.
@@ -352,19 +352,18 @@ class ConnectionTable:
         """The dual-assembly table over the same generator, so over the same memo."""
         return ConnectionTable(self.dim, kind, self._generate, "dual")
 
-    def generators(self, points: Point | PointSet, order: int) -> np.ndarray:
+    def generators(self, points: PointSet, order: int) -> np.ndarray:
         """Every generator over the points as one array (n, n, ncoeff, npoints):
         [i, j] holds the coefficients of G^i_{ij}, zero on the diagonal."""
-        points = point_set(points)
         return jets.memoized(points, self._generate, order, lambda: self._generate(points, order))
 
-    def christoffels(self, points: Point | PointSet, order: int) -> np.ndarray:
+    def christoffels(self, points: PointSet, order: int) -> np.ndarray:
         """The full table over the points as one array (n, n, n, ncoeff, npoints):
         [i, j, k] holds the coefficients of G^i_{jk}."""
         if self._assembly is None:
             raise GeometryError(f"the {self.kind!r} table holds generators only; G^i_jj needs an assembly")
-        points = point_set(points)
-        return jets.memoized(points, self._generate, (self._assembly, order), lambda: self._assemble(points, order))
+        owner = self._generate, self._assembly
+        return jets.memoized(points, owner, order, lambda: self._assemble(points, order))
 
     def _assemble(self, points: PointSet, order: int) -> np.ndarray:
         """G^i_{ik} = G^i_{ki} from the generators, zero on distinct triples, and
@@ -417,7 +416,7 @@ def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
 
 
 @quiet
-def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float = TOL_SECOND) -> ResidualReport:
+def sh_residual(sys: DiagonalSystem, points: PointSet, tolerance: float = TOL_SECOND) -> ResidualReport:
     """Integrability of the off-diagonal symbols over all distinct index triples.
 
     Two families: the first-order system
@@ -425,7 +424,6 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
     and the derivative symmetry d_j G^i_{ik} = d_k G^i_{ij}.  Vacuous for n = 2.
     """
     n = sys.dim
-    points = point_set(points)
     labels, (i, j, k) = _sh_plan(n)
     values = np.empty((0, len(points)))
     if n >= 3:
@@ -439,14 +437,13 @@ def sh_residual(sys: DiagonalSystem, points: Sequence[Point], tolerance: float =
 
 @quiet
 def curvature_natural_residual(
-    conn: ConnectionTable, points: Sequence[Point], tolerance: float = TOL_SECOND
+    conn: ConnectionTable, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """The two families of possibly non-vanishing curvature components of a
     natural-form table: R^i_{iki} and R^i_{qqi}."""
     if conn._assembly != "natural":
         raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
     n = conn.dim
-    points = point_set(points)
     g1 = conn.christoffels(points, 1)
     v1, d1 = g1[..., 0, :], jets.gradient(g1, n)  # d1[i, j, k, l] = d_l G^i_{jk}
     v0 = conn.christoffels(points, 0)[..., 0, :]
@@ -465,7 +462,7 @@ def curvature_natural_residual(
 
 
 @quiet
-def curvature_oracle(conn: ConnectionTable, points: Point | PointSet) -> np.ndarray:
+def curvature_oracle(conn: ConnectionTable, points: PointSet) -> np.ndarray:
     """The full curvature tensor R^i_{jkl} over the points, an array
     (n, n, n, n, npoints), from the generic formula
 
@@ -480,11 +477,8 @@ def curvature_oracle(conn: ConnectionTable, points: Point | PointSet) -> np.ndar
     return np.einsum("iljkp->ijklp", der) - np.einsum("ikjlp->ijklp", der) + s - s.swapaxes(2, 3)
 
 
-def curvature_full_residual(
-    conn: ConnectionTable, points: Sequence[Point], tolerance: float = TOL_SECOND
-) -> ResidualReport:
+def curvature_full_residual(conn: ConnectionTable, points: PointSet, tolerance: float = TOL_SECOND) -> ResidualReport:
     """Max-norm of the full curvature tensor at each point (oracle route)."""
-    points = point_set(points)
     flat = curvature_oracle(conn, points).reshape(conn.dim**4, -1)  # the largest |R^i_jkl| at each point
     worst = np.argmax(np.abs(flat), axis=0)
     labels = zip(itertools.repeat("R"), *(k.tolist() for k in np.unravel_index(worst, (conn.dim,) * 4)))
@@ -496,7 +490,7 @@ def curvature_full_residual(
 def identity_parallel_residual(
     conn: ConnectionTable,
     field: str,
-    points: Sequence[Point],
+    points: PointSet,
     tolerance: float = 1e-10,
 ) -> ResidualReport:
     """Parallelism of the unit field e (natural) or the Euler field E (dual):
@@ -507,7 +501,6 @@ def identity_parallel_residual(
     if conn._assembly != assembly:
         raise GeometryError(f"the {name} field pairs with the {assembly} connection")
     n = conn.dim
-    points = point_set(points)
     g = conn.christoffels(points, 0)[..., 0, :]
     x = points.coords if field == "E" else np.ones((n, 1))
     terms = np.empty((n + 1, n, n, len(points)))  # the start, then G^i_{jl} X^l in l order

@@ -38,6 +38,9 @@ field is bit for bit the first ``ncoeff(dim, m)`` rows of its order-k jet.
 ``memoized``, the one memo of field jets, velocity and table arrays and lifts,
 stores every entry read-only in its point set, and reads a missing lower order
 off a higher one of the same owner there, unless that one is non-finite.
+Tables, systems and residual families take the PointSet they evaluate over
+(from ``sample_points``, ``banded_points`` or ``point_set``); only a field
+takes a lone Point.  Hold the set to share work across families.
 """
 
 from __future__ import annotations
@@ -86,12 +89,6 @@ class Point:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
 
     def __repr__(self) -> str:
         return f"Point{self.coords}"
@@ -168,24 +165,25 @@ def point_set(points) -> PointSet:
     return PointSet(np.array([p.coords for p in points]).T, points)
 
 
-def memoized(points: PointSet, owner, key, compute):
-    """points._memo[owner][key], stored read-only: the set keeps it until the set goes.
+def memoized(points: PointSet, owner, order: int, compute):
+    """points._memo[owner][order], stored read-only: the set keeps it until the set goes.
 
-    The owner is the evaluator the entry belongs to, and the key an order, or
-    a (tag, order) pair, of a Jet or of an array (..., ncoeff, npoints) of jet
+    The owner is the evaluator the entry belongs to (a field, a velocity
+    stack, a table's generator, or a (generator, assembly) pair for a full
+    table), and the entry a Jet or an array (..., ncoeff, npoints) of jet
     coefficients over the set.  A missing order is read off the lowest present
-    higher order of the same owner and tag when that entry is all finite, as
-    its leading coefficient rows; otherwise compute() makes it, under quiet.
+    higher order of the same owner when that entry is all finite, as its
+    leading coefficient rows; otherwise compute() makes it, under quiet.
     So only orders asked for are ever computed, and a hit, which does no
     arithmetic, enters no errstate."""
     per = points._memo[owner]
-    got = per.get(key)
+    got = per.get(order)
     if got is None:
-        got = _prefix(per, key, points.dim) if per else None  # an owner's first entry has nothing to read off
+        got = _prefix(per, order, points.dim) if per else None  # an owner's first entry has nothing to read off
         if got is None:
             got = _quietly(compute)
         (got.coeffs if isinstance(got, Jet) else got).setflags(write=False)
-        per[key] = got
+        per[order] = got
     return got
 
 
@@ -195,11 +193,10 @@ def _quietly(compute):
     return compute()
 
 
-def _prefix(per: dict, key, dim: int):
-    """The entry for key read off the lowest higher order in per, if that one is all finite, else None."""
-    tag, order = key if isinstance(key, tuple) else (None, key)
+def _prefix(per: dict, order: int, dim: int):
+    """The entry for order read off the lowest higher order in per, if that one is all finite, else None."""
     for k in range(order + 1, MAX_ORDER + 1):
-        higher = per.get(k if tag is None else (tag, k))
+        higher = per.get(k)
         if higher is not None:
             coeffs = higher.coeffs if isinstance(higher, Jet) else higher
             if not np.isfinite(coeffs).all():

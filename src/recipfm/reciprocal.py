@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -193,16 +193,15 @@ def _density_block(conn: ConnectionTable, A: ScalarField, points: PointSet):
 
 
 def density_residual(
-    sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
+    sys: DiagonalSystem, A: ScalarField, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """d_i d_j A - G^i_{ij} d_i A - G^j_{ji} d_j A over unordered pairs i < j."""
-    points = point_set(points)
     return ResidualReport.of("density", tolerance, _density_block(natural_connection(sys), A, points))
 
 
 @jets.quiet
 def grading_residual(
-    A: ScalarField, field: str, points: Sequence[Point], tolerance: float = GRADING_TOL
+    A: ScalarField, field: str, points: PointSet, tolerance: float = GRADING_TOL
 ) -> tuple[float, ResidualReport]:
     """Constancy test for e(A)/A (field 'e') or E(A)/A (field 'E').
 
@@ -211,7 +210,6 @@ def grading_residual(
     """
     if field not in ("e", "E"):
         raise ReciprocalError(f"field must be 'e' or 'E', got {field!r}")
-    points = point_set(points)
     aj = A.jet(points, 1)
     a0 = _require_nonzero(aj, points)
     s = sum((points.coords if field == "E" else 1.0) * jets.gradient(aj))  # e(A) or E(A)
@@ -222,13 +220,12 @@ def grading_residual(
 
 @jets.quiet
 def a_system_residual(
-    sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
+    sys: DiagonalSystem, A: ScalarField, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """The complete second-derivative system for a flatness-preserving density:
     the pairwise density equations plus
     d_p^2 A = -sum_{l != p} d_l d_p A + d_p A (sum_l d_l A) / A."""
     n = sys.dim
-    points = point_set(points)
     density = _density_block(natural_connection(sys), A, points)
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
@@ -242,11 +239,10 @@ def a_system_residual(
 
 @jets.quiet
 def theta_system_residual(
-    sys: DiagonalSystem, A: ScalarField, points: Sequence[Point], tolerance: float = TOL_SECOND
+    sys: DiagonalSystem, A: ScalarField, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """The same system written for theta_p = d_p ln A (first-order closed form)."""
     n = sys.dim
-    points = point_set(points)
     a1 = A.jet(points, 1)
     _require_nonzero(a1, points)
     theta_jets = _log_partials(A.jet(points, 2), a1, len(points))
@@ -267,7 +263,7 @@ def covariant_hessian_residual(
     conn: ConnectionTable,
     product: str,
     A: ScalarField,
-    points: Sequence[Point],
+    points: PointSet,
     tolerance: float = TOL_SECOND,
 ) -> ResidualReport:
     """Intrinsic form of the same conditions: the covariant Hessian of A must be
@@ -276,7 +272,6 @@ def covariant_hessian_residual(
     if product not in ("circ", "star"):
         raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
     n = conn.dim
-    points = point_set(points)
     u = points.coords
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
@@ -402,13 +397,12 @@ def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
     return jets.stacked(jets.div, a.dim, a.order, num, den)
 
 
-def transformed_off_diagonal(base: ConnectionTable, A: ScalarField) -> Callable[[Point | PointSet, int], np.ndarray]:
+def transformed_off_diagonal(base: ConnectionTable, A: ScalarField) -> Callable[[PointSet, int], np.ndarray]:
     """Generator producer of the image table: G^i_{ij} - d_j A / A for every
     pair at once, zero on the diagonal."""
     n = base.dim
 
-    def generate(points: Point | PointSet, order: int) -> np.ndarray:
-        points = point_set(points)
+    def generate(points: PointSet, order: int) -> np.ndarray:
         g = base.generators(points, order)
         dlog = _log_partials(A.jet(points, order + 1), A.jet(points, order), len(points))
         return g - pair_table(n, dlog[off_pairs(n)[1]])
@@ -422,7 +416,7 @@ def transform(
     base: Point,
     with_dual: bool = False,
     *,
-    points: Sequence[Point] | None = None,
+    points: PointSet | None = None,
     check_generator: bool = True,
 ) -> TransformResult:
     """Apply the transformation generated by gen to the system and its connections.
@@ -457,9 +451,7 @@ def transform(
 
 
 @jets.quiet
-def intrinsic_transformed_gamma(
-    base: ConnectionTable, A: ScalarField, product: str, points: Point | PointSet
-) -> np.ndarray:
+def intrinsic_transformed_gamma(base: ConnectionTable, A: ScalarField, product: str, points: PointSet) -> np.ndarray:
     """The transformed table over the points, one array (n, n, n, npoints)
     whose [i, j, k] holds G~^i_{jk}, via the structure-tensor formula
 
@@ -473,7 +465,6 @@ def intrinsic_transformed_gamma(
     if product not in ("circ", "star"):
         raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
     n = base.dim
-    points = point_set(points)
     a1 = A.jet(points, 1)
     w = jets.gradient(a1) / a1.value
     X = points.coords if product == "star" else np.ones(points.coords.shape)
@@ -499,7 +490,7 @@ def intrinsic_agreement_report(
     sys: DiagonalSystem,
     A: ScalarField,
     result: TransformResult,
-    points: Sequence[Point],
+    points: PointSet,
     tolerance: float = 1e-12,
     *,
     first: int | None = None,
@@ -512,7 +503,6 @@ def intrinsic_agreement_report(
     if result.dual is not None:
         routes.append(("star", result.dual, dual_connection(sys)))
     n = sys.dim
-    points = point_set(points)
     kept = points if first is None else point_set(points[:first])
     diffs = {
         product: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, product, points)
@@ -567,7 +557,7 @@ def orbit_compose(
     sys: DiagonalSystem,
     gen0: ConservationDensity,
     gen1: ConservationDensity,
-    points: Sequence[Point],
+    points: PointSet,
     base: Point,
     tolerance: float = 1e-10,
 ) -> tuple[ResidualReport, dict[str, float]]:
@@ -580,7 +570,6 @@ def orbit_compose(
     grading(gen1) = grading(product) - grading(gen0).  Returns the report and
     the three e-grading estimates, by the names gen0, gen1 and composite.
     """
-    points = point_set(points)
     step1 = transform(sys, gen0, base, points=points)
     step2 = transform(step1.system, gen1, base, points=points)
     product = ConservationDensity(gen0.field * gen1.field)
@@ -600,14 +589,13 @@ def orbit_compose(
 # Rotation frames
 
 
-def darboux_gamma_off(frame: RotationFrame) -> Callable[[Point | PointSet, int], np.ndarray]:
+def darboux_gamma_off(frame: RotationFrame) -> Callable[[PointSet, int], np.ndarray]:
     """Generator producer of a frame: (H_j / H_i) beta_ij for every pair at once,
     one stacked quotient and one stacked product, zero on the diagonal."""
     n = frame.dim
     i, j = off_pairs(n)
 
-    def generate(points: Point | PointSet, order: int) -> np.ndarray:
-        points = point_set(points)
+    def generate(points: PointSet, order: int) -> np.ndarray:
         h = jets.stack([f.jet(points, order) for f in frame.lame], len(points))
         b = jets.stack([frame.beta[pair].jet(points, order) for pair in zip(i.tolist(), j.tolist())], len(points))
         return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
@@ -622,14 +610,11 @@ def frame_connection(frame: RotationFrame) -> ConnectionTable:
 
 
 @jets.quiet
-def darboux_residual(
-    frame: RotationFrame, points: Sequence[Point], tolerance: float = TOL_SECOND
-) -> ResidualReport:
+def darboux_residual(frame: RotationFrame, points: PointSet, tolerance: float = TOL_SECOND) -> ResidualReport:
     """All six equation families of the homogeneity-augmented rotation system:
     d_k beta_ij = beta_ik beta_kj on distinct triples, e(beta) = 0,
     E(beta) = -beta, d_j H_i = beta_ij H_j, e(H) = 0, E(H) = -d H."""
     n, keys = frame.dim, tuple(frame.beta)  # at each key in the frame's order: triple, beta-e, beta-E rows
-    points = point_set(points)
     u, npts = points.coords[:, None], len(points)
     beta = jets.stack([frame.beta[key].jet(points, 1) for key in keys], npts)
     lame = jets.stack([f.jet(points, 1) for f in frame.lame], npts)
@@ -655,7 +640,7 @@ def darboux_residual(
 def darboux_transform(
     frame: RotationFrame,
     gen: ConservationDensity,
-    points: Sequence[Point],
+    points: PointSet,
     *,
     tolerance: float = TOL_SECOND,
     grading_tol: float = GRADING_TOL,
@@ -666,7 +651,6 @@ def darboux_transform(
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
     A = gen.field
-    points = point_set(points)
     e_grading = grading_residual(A, "e", points, grading_tol)
     big_e_grading = grading_residual(A, "E", points, grading_tol)
     dens = ResidualReport.of("density", tolerance, _density_block(frame_connection(frame), A, points))

@@ -276,7 +276,7 @@ def test_c11_oracle_equivalence_and_jet_partials():
         j = compile_field(expr).jet(points, 3)
         for alpha in jets.multi_indices(2, 3):
             for p, got in zip(points, partial(j, alpha).tolist()):
-                fd_worst = max(fd_worst, abs(got - fd_partial(expr, tuple(p), alpha)))
+                fd_worst = max(fd_worst, abs(got - fd_partial(expr, p.coords, alpha)))
     fd_ok = fd_worst <= 1e-5
     ok = oracle_ok and fd_ok
     _line(11, ok, f"specialized vs oracle curvature: {worst:.3e} <= 1e-10; jet partials vs finite differences: {fd_worst:.3e} <= 1e-5")

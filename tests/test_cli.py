@@ -1,6 +1,7 @@
 import ast
 import builtins
 import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -1001,6 +1002,21 @@ def test_every_imported_name_is_used(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= read, sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", [geo, rec], ids=lambda module: module.__name__)
+def test_every_points_parameter_takes_a_point_set(module):
+    """Every public function and public class method with a points parameter
+    evaluates over the caller's PointSet: none accepts a lone Point or a list."""
+    public = lambda ns: [v for k, v in vars(ns).items() if not k.startswith("_") and callable(v)]
+    owned = [v for v in public(module) if getattr(v, "__module__", None) == module.__name__]
+    callables = [f for v in owned for f in ([v] if not inspect.isclass(v) else public(v))]
+    annotations = {
+        f.__qualname__: inspect.signature(f).parameters["points"].annotation
+        for f in callables
+        if "points" in inspect.signature(f).parameters
+    }
+    assert annotations and set(annotations.values()) <= {"PointSet", "PointSet | None"}, annotations
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)

@@ -118,5 +118,5 @@ def test_random_order3_jets_match_finite_differences():
         for p, j in zip(POINTS, found):
             for alpha in jets.multi_indices(2, 3):
                 got = np.asarray(partial(j, alpha)).item()
-                want = fd_partial(expr, tuple(p), alpha, step=FD_STEP)
-                assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want))), (src, tuple(p), alpha)
+                want = fd_partial(expr, p.coords, alpha, step=FD_STEP)
+                assert got == pytest.approx(want, abs=1e-5 * max(1.0, abs(want))), (src, p.coords, alpha)

@@ -163,7 +163,7 @@ def test_compiled_matches_value_interpreter():
         e = parse_field(src, 2)
         f = compile_field(e)
         for p in pts:
-            direct = evaluate_value(e, tuple(p))
+            direct = evaluate_value(e, p.coords)
             assert f.value(p) == pytest.approx(direct, rel=1e-14, abs=1e-14)
 
 

@@ -44,18 +44,18 @@ def test_diagonal_system_rejects_one_component_and_foreign_fields():
 
 def test_christoffel_epsilon_system():
     sys2 = epsilon_system(2, 1.0)
-    assert christoffel_primary(sys2, P21, 0)[0, 1, 0] == pytest.approx(1.0)
+    assert christoffel_primary(sys2, point_set(P21), 0)[0, 1, 0] == pytest.approx(1.0)
 
 
 def test_christoffel_decoupled_system_vanishes():
     sys2 = DiagonalSystem((field("u1", 2), field("u2", 2)))
-    assert christoffel_primary(sys2, P21, 1)[0, 1, 0] == pytest.approx(0.0)
+    assert christoffel_primary(sys2, point_set(P21), 1)[0, 1, 0] == pytest.approx(0.0)
 
 
 def test_christoffel_coincident_velocities():
     sys2 = DiagonalSystem((field("u1", 2), field("u1", 2)))
     with pytest.raises(DegenerateSystemError):
-        christoffel_primary(sys2, P21, 0)
+        christoffel_primary(sys2, point_set(P21), 0)
 
 
 def test_christoffel_against_finite_differences():
@@ -67,15 +67,15 @@ def test_christoffel_against_finite_differences():
         if abs(vals[0] - vals[1]) < 0.05:
             continue
         for i, j in ((0, 1), (1, 0)):
-            dv = fd_partial(exprs[i], tuple(p), (0, 1) if j == 1 else (1, 0))
+            dv = fd_partial(exprs[i], p.coords, (0, 1) if j == 1 else (1, 0))
             want = dv / (vals[j] - vals[i])
-            got = christoffel_primary(sys2, p, 0)[i, j, 0]
+            got = christoffel_primary(sys2, point_set(p), 0)[i, j, 0]
             assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_natural_assembly_identities():
     sys2 = epsilon_system(2, 1.0)
-    g = natural_connection(sys2).christoffels(P21, 0)[..., 0, 0]  # g[i, j, k] = G^i_jk at (2, 1)
+    g = natural_connection(sys2).christoffels(point_set(P21), 0)[..., 0, 0]  # g[i, j, k] = G^i_jk at (2, 1)
     # G^1_12 = 1, hence G^1_22 = -1 and G^1_11 = -1 at (2,1)
     assert g[0, 1, 1] == pytest.approx(-1.0)
     assert g[0, 0, 0] == pytest.approx(-1.0)
@@ -106,7 +106,7 @@ def test_sh_vacuous_for_two_components():
 
 def test_sh_negative_control():
     sys3 = DiagonalSystem((field("u2*u3", 3), field("u1", 3), field("u1+u2", 3)))
-    rep = sh_residual(sys3, [jets.Point((1.0, 2.0, 3.0))])
+    rep = sh_residual(sys3, point_set([jets.Point((1.0, 2.0, 3.0))]))
     assert not rep.passed and rep.max_abs > 1e-3
 
 
@@ -128,7 +128,7 @@ def test_curvature_oracle_antisymmetry_and_agreement():
     nat = natural_connection(sys3)
     pts = sample_points(3, 10, seed=11)
     for p in pts:
-        R = curvature_oracle(nat, p)
+        R = curvature_oracle(nat, point_set(p))
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -137,7 +137,7 @@ def test_curvature_oracle_antisymmetry_and_agreement():
     rep = curvature_natural_residual(nat, pts)
     by_key = {(p, idx): val for p, idx, val in rep.entries}
     for p in pts:
-        R = curvature_oracle(nat, p)
+        R = curvature_oracle(nat, point_set(p))
         for i in range(3):
             for k in range(3):
                 if i != k:
@@ -153,11 +153,11 @@ def test_curvature_natural_rejects_dual_tables():
 
 def test_dual_connection_components():
     dual = dual_connection(epsilon_system(2, 1.0))
-    assert dual.christoffels(P21, 0)[0, 1, 1, 0, 0] == pytest.approx(-2.0)
+    assert dual.christoffels(point_set(P21), 0)[0, 1, 1, 0, 0] == pytest.approx(-2.0)
     # off-diagonal symbols agree with the natural ones
     nat = natural_connection(epsilon_system(2, 1.0))
     for p in sample_points(2, 5, seed=9):
-        assert dual.generators(p, 0)[0, 1] == pytest.approx(nat.generators(p, 0)[0, 1])
+        assert dual.generators(point_set(p), 0)[0, 1] == pytest.approx(nat.generators(point_set(p), 0)[0, 1])
 
 
 def test_dual_flatness_and_euler_parallelism():
@@ -210,8 +210,8 @@ def test_sample_points_constraints_and_determinism():
     b = sample_points(3, 25, seed=123)
     assert list(a) == list(b)
     for p in a:
-        assert all(0.5 <= abs(c) <= 2.0 for c in p)
-        gaps = [abs(x - y) for i, x in enumerate(p) for y in tuple(p)[i + 1 :]]
+        assert all(0.5 <= abs(c) <= 2.0 for c in p.coords)
+        gaps = [abs(x - y) for i, x in enumerate(p.coords) for y in p.coords[i + 1 :]]
         assert min(gaps) >= 0.25
     c = sample_points(3, 25, seed=124)
     assert list(a) != list(c)
@@ -223,8 +223,8 @@ def test_sample_points_for_large_dimensions(n):
     for seed in range(3):
         pts = sample_points(n, 3, seed=seed)
         for p in pts:
-            assert all(0.5 <= abs(c) <= n / 2 for c in p)
-            assert min(abs(x - y) for i, x in enumerate(p) for y in tuple(p)[i + 1 :]) >= 0.25
+            assert all(0.5 <= abs(c) <= n / 2 for c in p.coords)
+            assert min(abs(x - y) for i, x in enumerate(p.coords) for y in p.coords[i + 1 :]) >= 0.25
 
 
 def test_sample_points_below_eight_keep_their_draws():
@@ -476,7 +476,7 @@ def test_banded_points_stay_in_bands():
     bands = ((-1.8, -0.7), (0.7, 1.8))
     pts = banded_points(bands, 10, seed=77)
     for p in pts:
-        for (lo, hi), c in zip(bands, p):
+        for (lo, hi), c in zip(bands, p.coords):
             assert lo <= c <= hi
 
 
@@ -521,4 +521,5 @@ def test_caches_die_with_their_point_sets():
     curvature_natural_residual(natural, pts)
     sh_residual(sys3, pts)
     # the order-0 table is read off the order-1 one, so no order-0 generators are made
-    assert set(pts._memo[sys3._christoffel_primary]) == {1, ("natural", 0), ("natural", 1)}
+    assert set(pts._memo[sys3._christoffel_primary]) == {1}
+    assert set(pts._memo[(sys3._christoffel_primary, "natural")]) == {0, 1}

@@ -363,7 +363,7 @@ def test_current_at_its_base_point_is_zero_with_the_one_form_rows(sys2, recip_de
     base = jets.Point((-1.25, 1.25))
     j = current_from_density(sys2, recip_density, base).jet(base, 1)
     assert j.value.tolist() == [0.0] and not np.signbit(j.value).any()  # no quadrature: exactly +0.0
-    v, a = sys2.velocity_jets(base, 0)[:, 0], recip_density.jet(base, 1)
+    v, a = sys2.velocity_jets(point_set(base), 0)[:, 0], recip_density.jet(base, 1)
     assert jets.gradient(j).tolist() == (v * jets.gradient(a)).tolist()
 
 
@@ -389,7 +389,7 @@ def _first_panel_nodes(base: jets.Point, p: jets.Point) -> list[jets.Point]:
     """The 1-panel Gauss-Legendre nodes of the segment base + t (p - base),
     t in [0, 1], in rule order."""
     ts = [0.5 + 0.5 * float(x) for x in np.polynomial.legendre.leggauss(QUAD_NODES)[0]]
-    return [jets.Point(tuple(b + (q - b) * t for b, q in zip(base, p))) for t in ts]
+    return [jets.Point(tuple(b + (q - b) * t for b, q in zip(base.coords, p.coords))) for t in ts]
 
 
 def test_current_path_across_the_diagonal_message(sys2, recip_density):
@@ -406,7 +406,7 @@ def test_current_guards_report_the_first_failing_node(sys2):
     # density check: exp(-20 u1) drops below the floor part way along the segment
     base, p = jets.Point((-1.25, 1.25)), jets.Point((1.0, 1.5))
     B = current_from_density(sys2, field("exp(-20*u1) + 0*u2", 2), base)
-    node = next(q for q in _first_panel_nodes(base, p) if math.exp(-20 * q[0]) < DENSITY_FLOOR)
+    node = next(q for q in _first_panel_nodes(base, p) if math.exp(-20 * q.coords[0]) < DENSITY_FLOOR)
     with pytest.raises(PathSingularityError) as exc:
         B.value(p)
     assert str(exc.value) == f"density vanishes on the segment from {base} to {p} near {node}"
@@ -423,10 +423,10 @@ def test_current_guards_report_the_first_failing_node(sys2):
     # a domain error part way along the segment surfaces from the first node outside the domain
     base, p = jets.Point((-1.25, 1.25)), jets.Point((-1.6, 1.0))
     B = current_from_density(sys2, field("ln(u1 + 1.5) + 0*u2", 2), base)
-    node = next(q for q in _first_panel_nodes(base, p) if q[0] + 1.5 <= 0.0)
+    node = next(q for q in _first_panel_nodes(base, p) if q.coords[0] + 1.5 <= 0.0)
     with pytest.raises(EvalError) as exc:
         B.value(p)
-    assert str(exc.value) == f"ln of non-positive value {node[0] + 1.5} in 'ln(u1 + 1.5)'"
+    assert str(exc.value) == f"ln of non-positive value {node.coords[0] + 1.5} in 'ln(u1 + 1.5)'"
 
 
 def test_current_quadrature_leaves_the_density_memo_empty(sys2):
@@ -465,8 +465,8 @@ def test_transform_identity_generator(sys2):
     res = transform(sys2, gen, jets.Point((-1.25, 1.25)), points=pts)
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
-            assert res.natural.generators(p, 0)[i, j] == pytest.approx(
-                natural_connection(sys2).generators(p, 0)[i, j], abs=1e-14
+            assert res.natural.generators(point_set(p), 0)[i, j] == pytest.approx(
+                natural_connection(sys2).generators(point_set(p), 0)[i, j], abs=1e-14
             )
         # velocities shift by at most the (zero) current constant
         for i in (0, 1):
@@ -481,7 +481,7 @@ def test_transform_main_two_component_example(sys2, recip_density):
     res = transform(sys2, gen, jets.Point((-1.25, 1.25)), with_dual=True, points=pts)
     # the image off-diagonal symbols vanish identically for this generator
     for p in pts:
-        assert res.natural.generators(p, 0)[0, 1] == pytest.approx(0.0, abs=1e-13)
+        assert res.natural.generators(point_set(p), 0)[0, 1] == pytest.approx(0.0, abs=1e-13)
     # velocities at (2,1) with the closed-form current normalization
     closed_B = field("u2/(u1-u2)", 2)
     res2 = transform(sys2, gen, jets.Point((2.5, 0.6)), points=pts, check_generator=False)
@@ -500,9 +500,9 @@ def test_transform_christoffel_shift_lemma(sys2):
     from recipfm.geometry import christoffel_primary
 
     for p in pts:
-        recomputed = christoffel_primary(res.system, p, 0)
+        recomputed = christoffel_primary(res.system, point_set(p), 0)
         for i, j in ((0, 1), (1, 0)):
-            law = res.natural.generators(p, 0)[i, j, 0]
+            law = res.natural.generators(point_set(p), 0)[i, j, 0]
             assert recomputed[i, j, 0] == pytest.approx(law, abs=1e-12)
 
 
@@ -549,10 +549,10 @@ def test_intrinsic_assembly_agreement(sys2, recip_density):
     assert rep.passed and rep.max_abs <= 1e-12
     # over the whole set, keeping the first points' entries: the report of those points alone
     assert intrinsic_agreement_report(sys2, recip_density, res, pts, first=3) == intrinsic_agreement_report(
-        sys2, recip_density, res, pts[:3]
+        sys2, recip_density, res, point_set(pts[:3])
     )
     with pytest.raises(ReciprocalError):
-        intrinsic_transformed_gamma(natural_connection(sys2), recip_density, "bad", pts[0])
+        intrinsic_transformed_gamma(natural_connection(sys2), recip_density, "bad", pts)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +643,26 @@ def test_frame_residuals_and_christoffels():
     assert frame_connection(frame).generators(pts, 1) is table.generators(pts, 1)
     assert set(pts._memo[frame._gamma_off]) == {1}
     for p in pts:
-        want = christoffel_primary(sys2, p, 0)
+        want = christoffel_primary(sys2, point_set(p), 0)
         for i, j in ((0, 1), (1, 0)):
-            assert off(p, 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
-            assert table.generators(p, 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
+            assert off(point_set(p), 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
+            assert table.generators(point_set(p), 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: grading_residual(field("1/(u2-u1)", 2), "e", p),
+        lambda p: natural_connection(epsilon_system(2, 1.0)).generators(p, 0),
+        lambda p: darboux_gamma_off(epsilon_frame_n2(1.0))(p, 0),
+    ],
+    ids=["grading_residual", "ConnectionTable.generators", "frame generator"],
+)
+def test_a_lone_point_is_no_point_set(evaluate):
+    """A family, table or generator handed a lone Point raises instead of
+    reading it as a sequence of coordinates (one column per coordinate)."""
+    with pytest.raises((TypeError, AttributeError)):
+        evaluate(jets.Point((2.0, 1.0)))
 
 
 def test_no_reference_cycle_among_systems_tables_frames_fields_and_sets():
@@ -753,8 +769,8 @@ def test_darboux_transform_drops_degree():
     new_off = darboux_gamma_off(image)
     for p in pts:
         for i, j in ((0, 1), (1, 0)):
-            expected = old_off(p, 0)[i, j, 0] - log_derivative_field(A, j).value(p)
-            assert new_off(p, 0)[i, j, 0] == pytest.approx(expected, abs=1e-10)
+            expected = old_off(point_set(p), 0)[i, j, 0] - log_derivative_field(A, j).value(p)
+            assert new_off(point_set(p), 0)[i, j, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_darboux_transform_identity_generator():

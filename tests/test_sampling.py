@@ -265,5 +265,5 @@ def test_in_z_window_matches_the_scalar_rule_without_warnings():
         den = p[1] - p[0]
         return den != 0.0 and abs((p[2] - p[0]) / den) <= Z_WINDOW
 
-    assert kept.tolist() == [scalar(p) for p in points]
+    assert kept.tolist() == [scalar(p.coords) for p in points]
     assert 100 < kept.sum() < 900
