@@ -45,7 +45,7 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
         u = points.lifts(order)  # accumulate adds u1 + ... + un in index order, as the source's + does
         return u - jets.scale(eps, Jet(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
 
-    return DiagonalSystem.from_stack(n, closed_form)
+    return DiagonalSystem(n, closed_form)
 
 
 class _ReadOnlyParams(dict):

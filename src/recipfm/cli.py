@@ -175,7 +175,7 @@ def _build_system(args) -> DiagonalSystem:
         if len(args.velocity) != dim:
             raise ConfigError(f"got {len(args.velocity)} velocity fields for dimension {dim}")
         params = _params(args)
-        return DiagonalSystem(tuple(field(src, dim, params) for src in args.velocity))
+        return DiagonalSystem.of_fields(field(src, dim, params) for src in args.velocity)
     builtin = args.builtin or "eps-system"
     if builtin != "eps-system":
         raise ConfigError(f"unknown builtin system {builtin!r}")
@@ -366,7 +366,7 @@ def cmd_orbit(args) -> dict:
     bands = _DEFAULT_BANDS.get(system.dim)
     if bands is None:
         raise ConfigError(f"orbit has built-in sample bands only for dimensions {sorted(_DEFAULT_BANDS)}")
-    preds = (rec.density_window(gen0_field), rec.density_window(composite_field))
+    preds = tuple(rec.density_window(f, rec.DENSITY_ORDER) for f in (gen0_field, composite_field))
     points = geo.banded_points(bands, args.num_points, args.seed, predicates=preds)
     base = Point(tuple((lo + hi) / 2.0 for lo, hi in bands))
     compose = functools.cache(lambda: rec.orbit_compose(
@@ -413,9 +413,8 @@ def cmd_darboux(args) -> dict:
     if not args.density:
         raise ConfigError("darboux needs --density")
     A = field(args.density, frame.dim, _params(args))
-    points = geo.sample_points(
-        frame.dim, args.num_points, args.seed, predicates=(rec.density_window(A),)
-    )
+    window = rec.density_window(A, rec.DENSITY_ORDER)
+    points = geo.sample_points(frame.dim, args.num_points, args.seed, predicates=(window,))
     image = functools.cache(lambda: rec.darboux_transform(
         frame, rec.ConservationDensity(A), points, tolerance=args.tol_second, grading_tol=args.grading_tol))
     report = _run(SimpleNamespace(args=args, frame=frame, A=A, points=points, tol=args.tol_second, image=image,

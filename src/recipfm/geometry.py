@@ -1,7 +1,7 @@
 """Connections of diagonal systems and their curvature / compatibility residuals.
 
-A diagonal system carries characteristic velocity fields v^i, whose jets it
-reads over a point set as one array.  Its off-diagonal Christoffel symbols
+A diagonal system is its velocity stack: the jets of its characteristic
+velocities v^i over a point set as one array.  Its off-diagonal Christoffel symbols
 G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique "natural" connection
 through three structural identities (zero on distinct triples, G^i_{jj} =
 -G^i_{ji}, zero row sums including the diagonal), and a "dual" connection
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .exprlang import ScalarField
-from .jets import Jet, Point, PointSet, point_set, quiet
+from .jets import Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
 TOL_THIRD = 1e-6  # recorded in reports as inputs.tolerances.third; no check reads it
@@ -49,36 +49,26 @@ class SamplingError(GeometryError):
     """The admissible sample region was exhausted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalSystem:
-    """A diagonal quasilinear system given by its characteristic velocity fields.
+    """A diagonal quasilinear system given by its characteristic velocities, as one stack.
 
     stack(points, order) gives every velocity's jet as one array (n, ncoeff,
-    npoints), memoized in the set by velocity_jets: the fields' jets stacked,
-    unless from_stack built the system from a closed form for the whole array."""
+    npoints), memoized in the set by velocity_jets; it must not refer to the
+    system.  Two systems are equal only if they are one object."""
 
-    velocities: tuple[ScalarField, ...]
-    stack: Callable[[PointSet, int], np.ndarray] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.velocities) < 2:
-            raise GeometryError("a diagonal system needs at least 2 components")
-        if {v.dim for v in self.velocities} != {len(self.velocities)}:
-            raise GeometryError(f"velocity fields must all live on {len(self.velocities)} coordinates")
-        if self.stack is None:  # over the fields, not the system
-            fields = self.velocities
-            object.__setattr__(self, "stack", lambda p, order: jets.stack([v.jet(p, order) for v in fields], len(p)))
+    dim: int
+    stack: Callable[[PointSet, int], np.ndarray] = field(repr=False)
 
     @classmethod
-    def from_stack(cls, dim: int, stack: Callable[[PointSet, int], np.ndarray]) -> "DiagonalSystem":
-        """The system whose velocities[i] reads row i of velocity_jets; stack must not refer to the system."""
-        read = lambda p, order: jets.memoized(p, stack, order, lambda: stack(p, order))  # velocity_jets's entry
-        rows = (ScalarField(dim, lambda p, order, i=i: Jet(dim, order, read(p, order)[i])) for i in range(dim))
-        return cls(tuple(rows), stack)
-
-    @property
-    def dim(self) -> int:
-        return len(self.velocities)
+    def of_fields(cls, velocities: Iterable[ScalarField]) -> "DiagonalSystem":
+        """The system whose stack holds the velocity fields' jets, in order."""
+        fields = tuple(velocities)
+        if len(fields) < 2:
+            raise GeometryError("a diagonal system needs at least 2 components")
+        if {v.dim for v in fields} != {len(fields)}:
+            raise GeometryError(f"velocity fields must all live on {len(fields)} coordinates")
+        return cls(len(fields), lambda p, order: jets.stack([v.jet(p, order) for v in fields], len(p)))
 
     def velocity_jets(self, points: PointSet, order: int) -> np.ndarray:
         """Every velocity's jet over the points as one read-only array (n, ncoeff, npoints), one

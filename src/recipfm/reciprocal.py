@@ -117,7 +117,8 @@ class RotationFrame:
 
 @dataclass
 class TransformResult:
-    """The image of the transformation generated by A: the transformed system and its tables."""
+    """The image of the transformation generated by A: the transformed system, whose
+    velocity stack is A v^i - B over the base system's, and its tables."""
 
     system: DiagonalSystem
     natural: ConnectionTable
@@ -422,8 +423,9 @@ def transform(
     """Apply the transformation generated by gen to the system and its connections.
 
     The returned natural (and optional dual) tables are assembled from the
-    shifted off-diagonal symbols; velocities become A v^i - B with B the
-    reconstructed current (evaluated lazily).  With check_generator the
+    shifted off-diagonal symbols; the image system's stack is A v^i - B over
+    the base's velocity stack, one stacked product and one stacked difference,
+    with B the reconstructed current (evaluated lazily).  With check_generator the
     density equations are verified first at points, which must then be given,
     and an InadmissibleGeneratorError is raised on failure; passing False lets
     deliberately broken generators through so the flatness-failure converse
@@ -442,12 +444,17 @@ def transform(
                 f"generator is not a conservation-law density: residual {rep.max_abs:.3e} "
                 f"> {TOL_SECOND:.1e} at {worst[0]}"
             )
-    current = current_from_density(sys, A, base)
-    velocities = tuple(A * sys.velocities[i] - current for i in range(sys.dim))
+    n, current = sys.dim, current_from_density(sys, A, base)
+
+    def stack(points: PointSet, order: int) -> np.ndarray:  # A v^i - B for every i at once
+        a, v = A.jet(points, order).coeffs, sys.velocity_jets(points, order)
+        av = jets.stacked(jets.mul, n, order, np.broadcast_to(a, v.shape), v)
+        return jets.stacked(jets.sub, n, order, av, np.broadcast_to(current.jet(points, order).coeffs, v.shape))
+
     off = transformed_off_diagonal(natural_connection(sys), A)
-    natural = ConnectionTable(sys.dim, "transformed-natural", off, "natural")
+    natural = ConnectionTable(n, "transformed-natural", off, "natural")
     dual = natural.dual("transformed-dual") if with_dual else None
-    return TransformResult(DiagonalSystem(velocities), natural, dual)
+    return TransformResult(DiagonalSystem(n, stack), natural, dual)
 
 
 @jets.quiet

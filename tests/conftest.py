@@ -14,7 +14,7 @@ from recipfm import jets
 from recipfm.catalog import _flat_sources
 from recipfm.exprlang import FieldExpr, evaluate_value, field, parse_field
 from recipfm.geometry import sample_points
-from recipfm.jets import Jet
+from recipfm.jets import Jet, point_set
 
 
 def partial(a: Jet, alpha) -> np.ndarray:
@@ -23,6 +23,11 @@ def partial(a: Jet, alpha) -> np.ndarray:
     behind jets.gradient and jets.hessian."""
     alpha = tuple(int(x) for x in alpha)
     return a.coefficient(alpha) * math.prod(map(math.factorial, alpha))
+
+
+def velocity_values(sys, p) -> list[float]:
+    """Every velocity of a diagonal system at the lone point p, in order."""
+    return sys.velocity_jets(point_set(p), 0)[:, 0, 0].tolist()
 
 
 def entries_by_point(points, rows: dict) -> list:

@@ -855,6 +855,31 @@ def test_no_check_reads_a_density_above_the_sampled_order(command, tmp_path, mon
         assert max(asked) <= rec.DENSITY_ORDER, (argv, sorted(set(asked)))
 
 
+@pytest.mark.parametrize("command", ["orbit", "darboux"])
+def test_each_density_runs_once_on_the_sample(command, tmp_path, monkeypatch):
+    """orbit and darboux sample with each density's jet at DENSITY_ORDER, as check and transform do, so every
+    check reads it off the sample's memo: each density's program runs on the sample once, at that order."""
+    (argv,) = DENSITY_ROLE_ARGV[command]
+    roles = {argv[k + 1] for k, a in enumerate(argv) if a in ("--density", "--gen0", "--composite")}
+    runs, samples, real_field = [], [], cli.field
+
+    def counting_field(src, *args):
+        f = real_field(src, *args)
+        if src in roles:
+            fn = f._fn
+            f._fn = lambda points, order: runs.append((src, points, order)) or fn(points, order)
+        return f
+
+    monkeypatch.setattr(cli, "field", counting_field)
+    for name in ("sample_points", "banded_points"):
+        sampler = getattr(geo, name)
+        monkeypatch.setattr(geo, name, lambda *a, sampler=sampler, **k: samples.append(sampler(*a, **k)) or samples[-1])
+    code, _ = run(tmp_path, *argv)
+    assert code == 0 and len(samples) == 1 and len(roles) == (2 if command == "orbit" else 1)
+    on_sample = sorted((src, order) for src, points, order in runs if points is samples[0])
+    assert on_sample == sorted((src, rec.DENSITY_ORDER) for src in roles)
+
+
 def test_orbit_reports_the_gradings_orbit_compose_built(tmp_path, monkeypatch):
     gradings = _count_calls(monkeypatch, rec, "grading_residual")
     code, report = run(tmp_path, *GOLDEN_CASES["orbit-dim2"][1])
@@ -976,11 +1001,20 @@ def test_huge_config_integers_exit_two(text, message, tmp_path, capsys):
 SRC = pathlib.Path(__file__).parents[1] / "src" / "recipfm"
 
 
-def _python(*argv):
+def _python(*argv, text=True):
     """A fresh interpreter that imports recipfm from this checkout's src."""
     src = str(SRC.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=text)
+
+
+def test_module_entry_point_runs_main(capsys):
+    """python -m recipfm.cli exits with main's code and writes main's report, byte for byte."""
+    code, argv = GOLDEN_CASES["check-grading-e-fails"]
+    assert main(argv) == code
+    report = capsys.readouterr().out.encode()
+    done = _python("-m", "recipfm.cli", *argv, text=False)
+    assert (done.returncode, done.stdout) == (code, report), done.stderr
 
 
 @pytest.mark.parametrize("module", ["jets", "exprlang", "geometry", "reciprocal", "catalog", "cli"])

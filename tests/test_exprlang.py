@@ -30,8 +30,29 @@ from recipfm.exprlang import (
     partial_field,
     to_text,
 )
-from recipfm.geometry import sample_points
+from recipfm.geometry import DiagonalSystem, sample_points
 from recipfm.jets import JetDomainError, Point, PointSet, point_set
+
+
+NOT_A_NODE = exprlang.FieldExpr(Bin("+", Coord(0), "u2"), 2)  # a string where an operand node belongs
+
+
+@pytest.mark.parametrize(
+    "run, want",
+    [
+        (lambda: to_text(NOT_A_NODE), "TypeError: not an AST node: 'u2'"),
+        (lambda: compile_field(NOT_A_NODE), "TypeError: not an AST node: 'u2'"),
+        (lambda: evaluate_value(NOT_A_NODE, (0.5, 1.5)), "TypeError: not an AST node: 'u2'"),
+        (lambda: repr(PointSet(np.zeros((2, 3)))), "PointSet(dim=2, npoints=3)"),
+    ],
+    ids=["to_text", "compile_field", "evaluate_value", "PointSet.__repr__"],
+)
+def test_tree_walkers_refuse_a_non_node_and_a_point_set_shows_its_size(run, want):
+    try:
+        got = run()
+    except TypeError as exc:
+        got = f"TypeError: {exc}"
+    assert got == want
 
 
 def test_parse_parameter_binding_keeps_structure():
@@ -215,18 +236,20 @@ def assert_lower_orders_read_off_higher(f, coords) -> int:
     """For every m < k <= 3, f's order-m jet over a set that holds its order-k
     jet is bit for bit order m evaluated from scratch over a fresh set at the
     same coordinates, and it is a view of the order-k jet exactly when that one
-    is all finite.  Returns the number of non-finite order-k jets met."""
+    is all finite; f is a field, or a diagonal system read through its velocity
+    stack.  Returns the number of non-finite order-k jets met."""
+    evaluate = f.velocity_jets if isinstance(f, DiagonalSystem) else lambda p, order: f.jet(p, order).coeffs
     nonfinite = 0
     for k in range(1, jets.MAX_ORDER + 1):
         for m in range(k):
             held, fresh = PointSet(coords), PointSet(coords)
-            high = f.jet(held, k)
-            got = f.jet(held, m)
+            high = evaluate(held, k)
+            got = evaluate(held, m)
             with every_order_from_scratch():
-                want = f.jet(fresh, m)
-            assert same_bits(got.coeffs, want.coeffs), (f, m, k)
-            finite = bool(np.isfinite(high.coeffs).all())
-            assert np.shares_memory(got.coeffs, high.coeffs) == finite, (f, m, k)
+                want = evaluate(fresh, m)
+            assert same_bits(got, want), (f, m, k)
+            finite = bool(np.isfinite(high).all())
+            assert np.shares_memory(got, high) == finite, (f, m, k)
             nonfinite += not finite
     return nonfinite
 
@@ -245,8 +268,7 @@ def test_catalog_fields_read_lower_orders_off_higher_bit_for_bit(e):
 def test_velocities_read_lower_orders_off_higher_bit_for_bit(n):
     coords = sample_points(n, 4, seed=n).coords
     for eps in (1.0, -1.0, 0.5):
-        for v in epsilon_system(n, eps).velocities:
-            assert_lower_orders_read_off_higher(v, coords)
+        assert_lower_orders_read_off_higher(epsilon_system(n, eps), coords)
 
 
 def test_corpus_fields_read_lower_orders_off_higher_bit_for_bit():

@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_partial, same_bits
-from recipfm import geometry, jets, reciprocal
+from conftest import fd_partial, same_bits, velocity_values
+from recipfm import exprlang, geometry, jets, reciprocal
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
 from recipfm.jets import point_set
@@ -35,11 +35,11 @@ P21 = jets.Point((2.0, 1.0))
 
 def test_diagonal_system_rejects_one_component_and_foreign_fields():
     with pytest.raises(GeometryError, match="at least 2 components"):
-        DiagonalSystem((field("u1", 2),))
+        DiagonalSystem.of_fields((field("u1", 2),))
     with pytest.raises(GeometryError, match="must all live on 2 coordinates"):
-        DiagonalSystem((field("u1", 3), field("u2", 3)))
+        DiagonalSystem.of_fields((field("u1", 3), field("u2", 3)))
     with pytest.raises(GeometryError, match="must all live on 2 coordinates"):
-        DiagonalSystem((field("u1", 2), field("u2", 3)))
+        DiagonalSystem.of_fields((field("u1", 2), field("u2", 3)))
 
 
 def test_christoffel_epsilon_system():
@@ -48,22 +48,22 @@ def test_christoffel_epsilon_system():
 
 
 def test_christoffel_decoupled_system_vanishes():
-    sys2 = DiagonalSystem((field("u1", 2), field("u2", 2)))
+    sys2 = DiagonalSystem.of_fields((field("u1", 2), field("u2", 2)))
     assert christoffel_primary(sys2, point_set(P21), 1)[0, 1, 0] == pytest.approx(0.0)
 
 
 def test_christoffel_coincident_velocities():
-    sys2 = DiagonalSystem((field("u1", 2), field("u1", 2)))
+    sys2 = DiagonalSystem.of_fields((field("u1", 2), field("u1", 2)))
     with pytest.raises(DegenerateSystemError):
         christoffel_primary(sys2, point_set(P21), 0)
 
 
 def test_christoffel_against_finite_differences():
     v_src = ("u1 + 0.3*u1*u2", "u2 - 0.2*u1*u1")
-    sys2 = DiagonalSystem(tuple(field(s, 2) for s in v_src))
+    sys2 = DiagonalSystem.of_fields(field(s, 2) for s in v_src)
     exprs = [parse_field(s, 2) for s in v_src]
     for p in sample_points(2, 8, seed=17):
-        vals = [v.value(p) for v in sys2.velocities]
+        vals = velocity_values(sys2, p)
         if abs(vals[0] - vals[1]) < 0.05:
             continue
         for i, j in ((0, 1), (1, 0)):
@@ -105,7 +105,7 @@ def test_sh_vacuous_for_two_components():
 
 
 def test_sh_negative_control():
-    sys3 = DiagonalSystem((field("u2*u3", 3), field("u1", 3), field("u1+u2", 3)))
+    sys3 = DiagonalSystem.of_fields((field("u2*u3", 3), field("u1", 3), field("u1+u2", 3)))
     rep = sh_residual(sys3, point_set([jets.Point((1.0, 2.0, 3.0))]))
     assert not rep.passed and rep.max_abs > 1e-3
 
@@ -118,7 +118,7 @@ def test_curvature_epsilon_system_flat():
 
 
 def test_curvature_zero_for_constant_velocities():
-    sys2 = DiagonalSystem((field("1 + 0*u1", 2), field("3 + 0*u1", 2)))
+    sys2 = DiagonalSystem.of_fields((field("1 + 0*u1", 2), field("3 + 0*u1", 2)))
     rep = curvature_natural_residual(natural_connection(sys2), sample_points(2, 5, seed=6))
     assert rep.max_abs == 0.0
 
@@ -282,14 +282,14 @@ def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
     """The five flatness families over one set of an n = 4 eps-system build the
     generators once, at order 1, from one velocity stack built once, at order 2:
     every lower order is read off the higher one already computed, and no
-    velocity field is evaluated on its own."""
+    field is evaluated."""
     sys4 = epsilon_system(4, 1.0)
     calls, fields = [], []
     real = geometry.christoffel_primary
     monkeypatch.setattr(geometry, "christoffel_primary", lambda *args: calls.append(args[2]) or real(*args))
     builds = count_stack_builds(monkeypatch, sys4)
-    for v in sys4.velocities:
-        monkeypatch.setattr(v, "_fn", lambda p, order, fn=v._fn: fields.append(order) or fn(p, order))
+    real_jet = exprlang.ScalarField.jet
+    monkeypatch.setattr(exprlang.ScalarField, "jet", lambda v, p, order: fields.append(order) or real_jet(v, p, order))
     assert all(rep.passed for rep in flatness_reports(sys4, sample_points(4, 4, seed=12)))
     assert calls == [1]
     assert builds == [2]
@@ -339,8 +339,8 @@ EPS_VALUES = (1.0, -1.0, 0.5, 0.0, -0.0, 1e-300, -3.7e5, math.inf, -math.inf)
 @pytest.mark.parametrize("n", range(2, 17))
 def test_eps_system_velocity_jets_are_its_fields_and_its_parsed_source_bit_for_bit(n):
     """The eps-system's one array is, at every order and NaN positions included,
-    the stack of its fields' jets and of u<i> - eps*(u1+...+un) compiled from
-    source, each over a fresh set so that nothing is read off another."""
+    the stack of its fields' jets: u<i> - eps*(u1+...+un) compiled from source,
+    each over a fresh set so that nothing is read off another."""
     total = "+".join(f"u{k}" for k in range(1, n + 1))
     for coords in (sample_points(n, 3, seed=n).coords, sample_points(n, 1, seed=n).coords):
         for eps in EPS_VALUES:
@@ -348,30 +348,31 @@ def test_eps_system_velocity_jets_are_its_fields_and_its_parsed_source_bit_for_b
             parsed = [field(f"u{i} - eps*({total})", n, {"eps": eps}) for i in range(1, n + 1)]
             for order in range(4):
                 got = system.velocity_jets(jets.PointSet(coords), order)
-                for fields in (system.velocities, parsed):
-                    pts = jets.PointSet(coords)
-                    want = jets.stack([v.jet(pts, order) for v in fields], len(pts))
-                    assert same_bits(got, want), (eps, order)
+                pts = jets.PointSet(coords)
+                want = jets.stack([v.jet(pts, order) for v in parsed], len(pts))
+                assert same_bits(got, want), (eps, order)
 
 
 def _systems_by_fields():
     """A system given by sources, as --velocity builds it, with a constant
-    velocity (one column), and its image under a transformation."""
-    from recipfm.reciprocal import ConservationDensity, transform
+    velocity (one column), and its image under a transformation, each with
+    its velocity fields: the sources, and the composites A * v - B over them."""
+    from recipfm.reciprocal import ConservationDensity, current_from_density, transform
 
-    given = DiagonalSystem((field("u1*u2 - 3", 3), field("exp(u2/4)", 3), field("2.5", 3)))
-    A = field("1 + u1/7", 3)
-    image = transform(given, ConservationDensity(A), jets.Point((0.6, 0.9, 1.4)), check_generator=False).system
+    fields = (field("u1*u2 - 3", 3), field("exp(u2/4)", 3), field("2.5", 3))
+    given, A, base = DiagonalSystem.of_fields(fields), field("1 + u1/7", 3), jets.Point((0.6, 0.9, 1.4))
+    image = transform(given, ConservationDensity(A), base, check_generator=False).system
+    current = current_from_density(given, A, base)
     coords = banded_points(((0.5, 0.7), (0.8, 1.0), (1.3, 1.5)), 3, seed=3).coords
-    return (given, coords), (image, coords)
+    return (given, fields, coords), (image, tuple(A * v - current for v in fields), coords)
 
 
 def test_field_systems_velocity_jets_are_their_fields_bit_for_bit():
-    for system, coords in _systems_by_fields():
+    for system, fields, coords in _systems_by_fields():
         for order in range(4):
             got = system.velocity_jets(jets.PointSet(coords), order)
             pts = jets.PointSet(coords)
-            assert same_bits(got, jets.stack([v.jet(pts, order) for v in system.velocities], len(pts))), order
+            assert same_bits(got, jets.stack([v.jet(pts, order) for v in fields], len(pts))), order
             assert got.shape == (3, len(jets.multi_indices(3, order)), 3) and not got.flags.writeable
 
 
@@ -379,7 +380,7 @@ def test_velocity_stack_is_built_once_per_set_and_order(monkeypatch):
     """A lower order is read off a finite higher one held for the set, as its
     leading rows; off a non-finite one it is built on its own."""
     cases = [(epsilon_system(3, 0.5), sample_points(3, 4, seed=8).coords)]
-    cases += [(system, coords) for system, coords in _systems_by_fields()]
+    cases += [(system, coords) for system, _, coords in _systems_by_fields()]
     for system, coords in cases:
         builds = count_stack_builds(monkeypatch, system)
         pts = jets.PointSet(coords)
@@ -397,15 +398,10 @@ def test_velocity_stack_is_built_once_per_set_and_order(monkeypatch):
     assert builds == [2, 1, 0]
 
 
-def test_eps_system_velocities_read_rows_of_its_stack():
-    system = epsilon_system(4, -1.0)
-    pts = sample_points(4, 3, seed=9)
-    stack = system.velocity_jets(pts, 2)
-    for i, v in enumerate(system.velocities):
-        row = v.jet(pts, 2).coeffs
-        assert np.shares_memory(row, stack) and same_bits(row, stack[i])
-    with pytest.raises(ValueError, match="field on 4 coordinates evaluated at points with 3"):
-        system.velocity_jets(sample_points(3, 2, seed=9), 0)
+def test_velocity_jets_reject_points_of_another_dimension():
+    for system in (epsilon_system(4, -1.0), DiagonalSystem.of_fields(field(f"u{k}", 4) for k in range(1, 5))):
+        with pytest.raises(ValueError, match="field on 4 coordinates evaluated at points with 3"):
+            system.velocity_jets(sample_points(3, 2, seed=9), 0)
 
 
 def test_memoized_tables_are_read_only():

@@ -7,11 +7,11 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import cyclic_recipfm_objects, flat_coordinates, partial, same_bits
+from conftest import cyclic_recipfm_objects, flat_coordinates, partial, same_bits, velocity_values
 from recipfm import jets
 from recipfm.jets import PointSet, point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
-from recipfm.exprlang import EvalError, field
+from recipfm.exprlang import EvalError, ScalarField, field
 from recipfm.geometry import (
     DiagonalSystem,
     GeometryError,
@@ -318,7 +318,7 @@ def test_first_refinement_level_is_the_one_and_two_panel_rules():
 def test_constant_velocities_and_a_constant_density_give_plus_zero():
     """The velocity stack spreads one column over the nodes, so even where every
     velocity and the density are constants the integrand has one value per node."""
-    system = DiagonalSystem((field("1", 2), field("3", 2)))
+    system = DiagonalSystem.of_fields((field("1", 2), field("3", 2)))
     base, p = jets.Point((-1.25, 1.25)), jets.Point((-1.0, 1.5))
     for density, want in (("2", 0.0), ("u1 + 2", 0.25), ("u2 + 2", 0.75)):  # B = sum_i v^i (A(p) - A(base))_i
         value = current_from_density(system, field(density, 2), base).value(p)
@@ -353,8 +353,7 @@ def test_current_jets_come_from_the_one_form(sys2, recip_density):
     B = current_from_density(sys2, recip_density, base)
     p = jets.Point((-1.0, 1.0))
     j, a = B.jet(p, 1), recip_density.jet(p, 1)
-    for i in (0, 1):
-        vi = sys2.velocities[i].value(p)
+    for i, vi in enumerate(velocity_values(sys2, p)):
         dA = partial(a, tuple(1 if m == i else 0 for m in range(2)))
         assert partial(j, tuple(1 if m == i else 0 for m in range(2))) == pytest.approx(vi * dA, abs=1e-12)
 
@@ -412,7 +411,7 @@ def test_current_guards_report_the_first_failing_node(sys2):
     assert str(exc.value) == f"density vanishes on the segment from {base} to {p} near {node}"
 
     # both checks fail at every node: the velocity check comes first
-    close = DiagonalSystem((field("u1", 2), field("u1 + 1e-10*u2", 2)))
+    close = DiagonalSystem.of_fields((field("u1", 2), field("u1 + 1e-10*u2", 2)))
     base, p = jets.Point((0.5, 1.0)), jets.Point((1.5, 1.25))
     B = current_from_density(close, field("1e-7 + 0*u1", 2), base)
     node = _first_panel_nodes(base, p)[0]
@@ -469,10 +468,7 @@ def test_transform_identity_generator(sys2):
                 natural_connection(sys2).generators(point_set(p), 0)[i, j], abs=1e-14
             )
         # velocities shift by at most the (zero) current constant
-        for i in (0, 1):
-            assert res.system.velocities[i].value(p) == pytest.approx(
-                sys2.velocities[i].value(p), abs=1e-12
-            )
+        assert velocity_values(res.system, p) == pytest.approx(velocity_values(sys2, p), abs=1e-12)
 
 
 def test_transform_main_two_component_example(sys2, recip_density):
@@ -487,8 +483,38 @@ def test_transform_main_two_component_example(sys2, recip_density):
     res2 = transform(sys2, gen, jets.Point((2.5, 0.6)), points=pts, check_generator=False)
     p = jets.Point((2.0, 1.0))
     shift = closed_B.value(jets.Point((2.5, 0.6)))
-    assert res2.system.velocities[0].value(p) - shift == pytest.approx(0.0, abs=1e-9)
-    assert res2.system.velocities[1].value(p) - shift == pytest.approx(1.0, abs=1e-9)
+    v = velocity_values(res2.system, p)
+    assert v[0] - shift == pytest.approx(0.0, abs=1e-9)
+    assert v[1] - shift == pytest.approx(1.0, abs=1e-9)
+
+
+def _image_cases():
+    """(system, density, base, sample coordinates): the eps-system at n = 2 and
+    3 with catalog densities, and a system from sources with a constant velocity."""
+    for n, entry_id in ((2, "dim2-eps1-h1"), (3, "dim3-eps1-flatcoord")):
+        e = entry(entry_id)
+        base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
+        coords = banded_points(e.current_bands, 3, seed=n, predicates=e.sample_predicates()).coords
+        yield pytest.param(epsilon_system(n, e.eps), e.density_field(), base, coords, id=f"eps-n{n}")
+    system = DiagonalSystem.of_fields(field(src, 3) for src in ("u1*u2 - 3", "exp(u2/4)", "2.5"))
+    coords = banded_points(((0.5, 0.7), (0.8, 1.0), (1.3, 1.5)), 3, seed=3).coords
+    yield pytest.param(system, field("1 + u1/7", 3), jets.Point((0.6, 0.9, 1.4)), coords, id="velocity")
+
+
+@pytest.mark.parametrize("system, A, base, coords", _image_cases())
+def test_image_stack_is_the_per_velocity_composites_bit_for_bit(system, A, base, coords):
+    """The image system's stack, A v^i - B as one stacked product and one stacked
+    difference, is at orders 0..2 the stack of the fields A * v_i - B built by
+    field arithmetic over each velocity alone: row i of the base's stack."""
+    n = system.dim
+    image = transform(system, ConservationDensity(A), base, check_generator=False).system
+    rows = [ScalarField(n, lambda p, order, i=i: jets.Jet(n, order, system.velocity_jets(p, order)[i])) for i in range(n)]
+    current = current_from_density(system, A, base)
+    composites = [A * v - current for v in rows]
+    for order in range(3):  # fresh sets, so that no order is read off another
+        got = image.velocity_jets(PointSet(coords), order)
+        pts = PointSet(coords)
+        assert same_bits(got, jets.stack([f.jet(pts, order) for f in composites], len(pts))), order
 
 
 def test_transform_christoffel_shift_lemma(sys2):

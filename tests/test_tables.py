@@ -45,8 +45,8 @@ def pair_generators(n: int, points, order: int, pair) -> np.ndarray:
 
 def system_generators(sys: DiagonalSystem, points, order: int) -> np.ndarray:
     def pair(i, j):
-        vi = sys.velocities[i].jet(points, order + 1)
-        vj = sys.velocities[j].jet(points, order)
+        vi = jets.Jet(sys.dim, order + 1, sys.velocity_jets(points, order + 1)[i])
+        vj = jets.Jet(sys.dim, order, sys.velocity_jets(points, order)[j])
         return jets.div(jets.derivative(vi, j), jets.sub(vj, jets.Jet(sys.dim, order, vi.coeffs[: len(vj.coeffs)])))
 
     return pair_generators(sys.dim, points, order, pair)
@@ -74,7 +74,7 @@ def dual_table(off: np.ndarray, points, order: int) -> np.ndarray:
 
 NONLINEAR = ("u1 + 0.3*u2*u3", "u2 - 0.2*u1^2 + exp(0.1*u3)", "u3 + u1/(3 + u2^2)")
 SYSTEMS = [pytest.param(epsilon_system(n, eps), n, id=f"eps{eps:g}-n{n}") for n in range(2, 7) for eps in (1.0, -1.0)]
-SYSTEMS.append(pytest.param(DiagonalSystem(tuple(field(s, 3) for s in NONLINEAR)), 3, id="velocity-nonlinear"))
+SYSTEMS.append(pytest.param(DiagonalSystem.of_fields(field(s, 3) for s in NONLINEAR), 3, id="velocity-nonlinear"))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -115,12 +115,12 @@ def test_transformed_tables_match_per_pair_loops(order):
 def test_degeneracy_names_the_first_pair_then_its_first_point():
     # v^2 = v^3 at the first point, v^1 = v^3 only at the last: pair (1, 3)
     # comes first in i-major order, so its point is named, not the earlier one
-    sys = DiagonalSystem(tuple(field(f"u{k}", 3) for k in (1, 2, 3)))
+    sys = DiagonalSystem.of_fields(field(f"u{k}", 3) for k in (1, 2, 3))
     points = point_set([Point((1.0, 3.0, 3.0)), Point((0.5, 1.0, 2.0)), Point((2.0, 5.0, 2.0))])
-    first = None
+    first, v = None, sys.velocity_jets(points, 0)[:, 0]
     for i in range(3):  # the per-pair loop's order
         for j in range(3):
-            den = np.abs(sys.velocities[j].jet(points, 0).value - sys.velocities[i].jet(points, 0).value)
+            den = np.abs(v[j] - v[i])
             if i != j and first is None and (den < VELOCITY_GAP).any():
                 first = (i, j, points[int(np.argmax(den < VELOCITY_GAP))])
     assert first == (0, 2, Point((2.0, 5.0, 2.0)))
