@@ -271,4 +271,4 @@ def epsilon_frame_n2(eps: float) -> RotationFrame:
         (1, 0): field("eps/(u2-u1)", 2, {"eps": eps}),
     }
     lame_src = field("pow(u1-u2, me)", 2, {"me": -eps})
-    return RotationFrame(2, beta, (lame_src, lame_src), eps)
+    return RotationFrame.of_fields(2, beta, (lame_src, lame_src), eps)

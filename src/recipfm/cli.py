@@ -22,8 +22,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import catalog as cat
 from . import geometry as geo
+from . import jets
 from . import reciprocal as rec
-from .exprlang import check_bindings, field
+from .exprlang import ScalarField, check_bindings, field
 from .geometry import DiagonalSystem, ResidualReport
 from .jets import Point, PointSet
 
@@ -361,7 +362,8 @@ def cmd_orbit(args) -> dict:
     params = _params(args)
     gen0_field = field(args.gen0, system.dim, params)
     composite_field = field(args.composite, system.dim, params)
-    gen1_field = composite_field / gen0_field
+    quotient = lambda p, order: jets.div(composite_field.jet(p, order), gen0_field.jet(p, order))  # composite's jet first
+    gen1_field = ScalarField(system.dim, quotient)
 
     bands = _DEFAULT_BANDS.get(system.dim)
     if bands is None:
@@ -392,7 +394,7 @@ def _build_frame(args) -> rec.RotationFrame:
         return cat.epsilon_frame_n2(args.eps)
     if not args.beta or not args.lame or args.frame_d is None:
         raise ConfigError("darboux needs --frame-builtin, or --beta/--lame/--frame-d")
-    dim = args.dim if args.dim else len(args.lame)  # RotationFrame checks the counts
+    dim = args.dim if args.dim else len(args.lame)  # RotationFrame.of_fields checks the counts
     params = _params(args)
     beta = {}
     for item in args.beta:
@@ -405,7 +407,7 @@ def _build_frame(args) -> rec.RotationFrame:
             raise ConfigError(f"--beta {i + 1},{j + 1} is given twice")
         beta[(i, j)] = field(src, dim, params)
     lame = tuple(field(src, dim, params) for src in args.lame)
-    return rec.RotationFrame(dim, beta, lame, args.frame_d)
+    return rec.RotationFrame.of_fields(dim, beta, lame, args.frame_d)
 
 
 def cmd_darboux(args) -> dict:

@@ -309,15 +309,12 @@ def to_text(node) -> str:
 class ScalarField:
     """A scalar field on n coordinates, evaluable to a jet over a point set.
 
-    Wraps a pure function (point set, order) -> Jet, a compiled program or a
-    combination of fields, called only by ``jet``, which memoizes every jet in
-    the point set, by field and order; the field keeps nothing that depends
-    on points, so its jets go when the set goes, and a quadrature's node sets
-    leave nothing behind.  A lone Point is evaluated as a set of one.
-    Supports +, -, *, / with fields and numbers, except ``number - field``
-    and ``-field``, which nothing needs; each operator picks its jet function
-    (jets.add, ...) once, when the combined field is built, and evaluates its
-    operands through their ``jet``, so a shared operand reuses its jets.
+    Wraps a pure function (point set, order) -> Jet, a compiled program, a
+    quadrature or a jet operation over other fields' ``jet``, called only by
+    ``jet``, which memoizes every jet in the point set, by field and order; the
+    field keeps nothing that depends on points, so its jets go when the set
+    goes, and a quadrature's node sets leave nothing behind.  A lone Point is
+    evaluated as a set of one.
     """
 
     def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet]):
@@ -334,49 +331,11 @@ class ScalarField:
         """The value at a lone point."""
         return self.jet(p, 0).value.item()
 
-    def _coerce(self, other) -> "ScalarField":
-        if isinstance(other, ScalarField):
-            if other.dim != self.dim:
-                raise ValueError("field dimensions differ")
-            return other
-        return constant_field(self.dim, float(other))
 
-    def _binary(self, other, op: str, flipped: bool = False) -> "ScalarField":
-        other = self._coerce(other)
-        a, b = (other, self) if flipped else (self, other)
-        arith = _ARITH[op]
-        fn = lambda p, order: arith(a.jet(p, order), b.jet(p, order))
-        return ScalarField(self.dim, fn)
-
-    def __add__(self, other):
-        return self._binary(other, "+")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, "-")
-
-    def __mul__(self, other):
-        return self._binary(other, "*")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, "/")
-
-    def __rtruediv__(self, other):
-        return self._binary(other, "/", flipped=True)
-
-
-def constant_field(dim: int, value: float) -> ScalarField:
-    v = float(value)
-    return ScalarField(dim, lambda p, order: jets.constant(dim, order, v))
-
-
-def partial_field(f: ScalarField, index: int) -> ScalarField:
-    """The field d f / d u^{index}; its order-m jet costs an order-(m+1) jet of f."""
-    fn = lambda p, order: jets.derivative(f.jet(p, order + 1), index)
-    return ScalarField(f.dim, fn)
+def stack_of(fields) -> Callable:
+    """The stack function of the fields: (points, order) -> their jets as one array (len(fields), ncoeff, npoints)."""
+    fields = tuple(fields)
+    return lambda p, order: jets.stack([f.jet(p, order) for f in fields], len(p))
 
 
 def compile_field(fexpr: FieldExpr) -> ScalarField:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import jets
-from .exprlang import ScalarField
+from .exprlang import ScalarField, stack_of
 from .jets import Point, PointSet, point_set, quiet
 
 TOL_SECOND = 1e-8  # residuals built from second derivatives of the inputs
@@ -68,7 +68,7 @@ class DiagonalSystem:
             raise GeometryError("a diagonal system needs at least 2 components")
         if {v.dim for v in fields} != {len(fields)}:
             raise GeometryError(f"velocity fields must all live on {len(fields)} coordinates")
-        return cls(len(fields), lambda p, order: jets.stack([v.jet(p, order) for v in fields], len(p)))
+        return cls(len(fields), stack_of(fields))
 
     def velocity_jets(self, points: PointSet, order: int) -> np.ndarray:
         """Every velocity's jet over the points as one read-only array (n, ncoeff, npoints), one

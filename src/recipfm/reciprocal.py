@@ -7,7 +7,9 @@ off-diagonal Christoffel symbol by -d_j A / A.  This module evaluates the
 residual systems governing when that shift preserves flatness of the natural
 and dual connections, reconstructs currents by quadrature of the exact
 one-form, composes transformations, and applies the same action to rotation
-frames (off-diagonal rotation coefficients plus Lame fields).
+frames: a frame is its two stacks, every off-diagonal rotation coefficient's jet
+as one array and every Lame field's as another, and its image is built from
+them by stacked jet operations.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .exprlang import ScalarField, partial_field
+from .exprlang import ScalarField, stack_of
 from .geometry import (
     TOL_SECOND,
     ConnectionTable,
@@ -90,26 +92,44 @@ class ConservationDensity:
     field: ScalarField
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationFrame:
-    """Off-diagonal rotation coefficients beta_ij, keyed by exactly the pairs
-    i != j (0-based; errors count from 1, as --beta does), Lame fields H_i, homogeneity degree d."""
+    """A rotation frame given by its two stacks and its homogeneity degree d.
+
+    beta_stack(points, order) gives every off-diagonal rotation coefficient
+    beta_ij's jet as one array (n(n-1), ncoeff, npoints), in off_pairs order,
+    and lame_stack(points, order) every Lame field H_i's as one array (n,
+    ncoeff, npoints); each is memoized in the set by beta_jets or lame_jets and
+    must not refer to the frame.  Two frames are equal only if they are one object."""
 
     dim: int
-    beta: dict
-    lame: tuple[ScalarField, ...]
+    beta_stack: Callable[[PointSet, int], np.ndarray] = field(repr=False)
+    lame_stack: Callable[[PointSet, int], np.ndarray] = field(repr=False)
     degree: float
 
-    def __post_init__(self) -> None:
-        if len(self.lame) != self.dim:
-            raise ReciprocalError(f"need {self.dim} Lame fields, got {len(self.lame)}")
-        pairs = set(itertools.permutations(range(self.dim), 2))
-        for key in self.beta:
+    @classmethod
+    def of_fields(cls, dim: int, beta_by_pair: dict, lame, degree: float) -> "RotationFrame":
+        """The frame whose stacks hold the fields' jets: beta_by_pair keyed by
+        exactly the pairs i != j (0-based; errors count from 1, as --beta does)."""
+        lame = tuple(lame)
+        if len(lame) != dim:
+            raise ReciprocalError(f"need {dim} Lame fields, got {len(lame)}")
+        pairs = pair_labels(dim)
+        for key in beta_by_pair:
             if key not in pairs:
-                raise ReciprocalError(f"beta[{key[0] + 1},{key[1] + 1}] is not a pair I != J in 1..{self.dim}")
-        missing = sorted(pairs - self.beta.keys())
+                raise ReciprocalError(f"beta[{key[0] + 1},{key[1] + 1}] is not a pair I != J in 1..{dim}")
+        missing = [pair for pair in pairs if pair not in beta_by_pair]
         if missing:
             raise ReciprocalError(f"missing rotation coefficient beta[{missing[0][0] + 1},{missing[0][1] + 1}]")
+        return cls(dim, stack_of([beta_by_pair[pair] for pair in pairs]), stack_of(lame), degree)
+
+    def beta_jets(self, points: PointSet, order: int) -> np.ndarray:
+        """Every beta_ij's jet over the points as one read-only array, the set's memo entry for beta_stack."""
+        return jets.memoized(points, self.beta_stack, order, lambda: self.beta_stack(points, order))
+
+    def lame_jets(self, points: PointSet, order: int) -> np.ndarray:
+        """Every H_i's jet over the points as one read-only array, the set's memo entry for lame_stack."""
+        return jets.memoized(points, self.lame_stack, order, lambda: self.lame_stack(points, order))
 
     def _gamma_off(self, points: PointSet, order: int) -> np.ndarray:  # its bound methods are one memo owner
         return darboux_gamma_off(self)(points, order)
@@ -385,14 +405,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
 # The transformation itself
 
 
-def log_derivative_field(A: ScalarField, j: int) -> ScalarField:
-    """d_j ln A computed as d_j A / A (no logarithm, so sign of A is free)."""
-    return partial_field(A, j) / A
-
-
 def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
-    """Every d_l A / A over the points, bit for bit log_derivative_field(A, l)'s
-    jet, from A's jets a and higher (one order up) in one stacked quotient."""
+    """Every d_l A / A over the points, bit for bit the quotient of derivative(higher, l)
+    by a, from A's jets a and higher (one order up) in one stacked quotient."""
     shape = (a.dim, len(a.coeffs), npoints)
     num, den = (np.broadcast_to(x, shape) for x in (jets.partials(higher), a.coeffs))
     return jets.stacked(jets.div, a.dim, a.order, num, den)
@@ -579,7 +594,8 @@ def orbit_compose(
     """
     step1 = transform(sys, gen0, base, points=points)
     step2 = transform(step1.system, gen1, base, points=points)
-    product = ConservationDensity(gen0.field * gen1.field)
+    times = lambda p, order: jets.mul(gen0.field.jet(p, order), gen1.field.jet(p, order))  # gen0's jet first
+    product = ConservationDensity(ScalarField(sys.dim, times))
     direct = transform(sys, product, base, points=points)
     two = step2.natural.generators(points, 0)[:, :, 0]
     one = direct.natural.generators(points, 0)[:, :, 0]
@@ -603,8 +619,7 @@ def darboux_gamma_off(frame: RotationFrame) -> Callable[[PointSet, int], np.ndar
     i, j = off_pairs(n)
 
     def generate(points: PointSet, order: int) -> np.ndarray:
-        h = jets.stack([f.jet(points, order) for f in frame.lame], len(points))
-        b = jets.stack([frame.beta[pair].jet(points, order) for pair in zip(i.tolist(), j.tolist())], len(points))
+        h, b = frame.lame_jets(points, order), frame.beta_jets(points, order)
         return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
 
     return generate
@@ -621,23 +636,21 @@ def darboux_residual(frame: RotationFrame, points: PointSet, tolerance: float = 
     """All six equation families of the homogeneity-augmented rotation system:
     d_k beta_ij = beta_ik beta_kj on distinct triples, e(beta) = 0,
     E(beta) = -beta, d_j H_i = beta_ij H_j, e(H) = 0, E(H) = -d H."""
-    n, keys = frame.dim, tuple(frame.beta)  # at each key in the frame's order: triple, beta-e, beta-E rows
+    n, pairs = frame.dim, pair_labels(frame.dim)  # at each pair in off_pairs order: triple, beta-e, beta-E rows
     u, npts = points.coords[:, None], len(points)
-    beta = jets.stack([frame.beta[key].jet(points, 1) for key in keys], npts)
-    lame = jets.stack([f.jet(points, 1) for f in frame.lame], npts)
+    beta, lame = frame.beta_jets(points, 1), frame.lame_jets(points, 1)
     db, dh = (jets.gradient(f, n).swapaxes(0, 1) for f in (beta, lame))  # [l, a] = d_l of the a-th field
-    b, h = np.zeros((n, n, npts)), lame[:, 0]
-    b[tuple(np.array(keys).T)] = beta[:, 0]
-    triples = [(t, i, j, k) for t, (i, j) in enumerate(keys) for k in range(n) if k not in (i, j)]
+    b, h = pair_table(n, beta[:, 0]), lame[:, 0]
+    triples = [(t, i, j, k) for t, (i, j) in enumerate(pairs) for k in range(n) if k not in (i, j)]
     t, i, j, k = np.array(triples, dtype=int).reshape(-1, 4).T
-    triple = (db[k, t] - b[i, k] * b[k, j]).reshape(len(keys), n - 2, npts)
+    triple = (db[k, t] - b[i, k] * b[k, j]).reshape(len(pairs), n - 2, npts)
     beta_rows = np.concatenate([triple, sum(db)[:, None], (sum(u * db) + beta[:, 0])[:, None]], axis=1)
     p, q = off_pairs(n)
     lame_rows = (dh[q, p] - b[p, q] * h[q]).reshape(n, n - 1, npts)
     lame_rows = np.concatenate([lame_rows, sum(dh)[:, None], (sum(u * dh) + frame.degree * h)[:, None]], axis=1)
     values = np.concatenate([beta_rows.reshape(-1, npts), lame_rows.reshape(-1, npts)])
     labels = []
-    for i, j in keys:
+    for i, j in pairs:
         labels += [("triple", i, j, k) for k in range(n) if k not in (i, j)] + [("beta-e", i, j), ("beta-E", i, j)]
     for i in range(n):
         labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
@@ -653,7 +666,8 @@ def darboux_transform(
     grading_tol: float = GRADING_TOL,
 ) -> RotationFrame:
     """Image frame: beta~_ij = beta_ij - (H_i / H_j) d_j ln A, H~_i = H_i / A,
-    degree d + k.  biflat_verdict must admit the generator, with the density
+    degree d + k, its stacks stacked jet operations over the frame's and A's
+    partials.  biflat_verdict must admit the generator, with the density
     equations taken for the frame's symbols (frame_connection); otherwise an
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
@@ -669,8 +683,16 @@ def darboux_transform(
             "grading-E": f"generator must satisfy E(A) = kA with constant k; deviation {r['grading-E']:.3e}",
             "density": f"generator is not a density for the frame: residual {r['density']:.3e}",
         }[verdict.failed[0]])
-    beta_t = {}
-    for (i, j), b in frame.beta.items():
-        beta_t[(i, j)] = b - (frame.lame[i] / frame.lame[j]) * log_derivative_field(A, j)
-    lame_t = tuple(hf / A for hf in frame.lame)
-    return RotationFrame(frame.dim, beta_t, lame_t, frame.degree + verdict.k)
+    n, (i, j) = frame.dim, off_pairs(frame.dim)
+
+    def beta_stack(points: PointSet, order: int) -> np.ndarray:  # beta_ij - (H_i / H_j) d_j A / A, every pair at once
+        b, h = frame.beta_jets(points, order), frame.lame_jets(points, order)
+        dlog = _log_partials(A.jet(points, order + 1), A.jet(points, order), len(points))
+        shift = jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[i], h[j]), dlog[j])
+        return jets.stacked(jets.sub, n, order, b, shift)
+
+    def lame_stack(points: PointSet, order: int) -> np.ndarray:  # H_i / A, every i at once
+        h = frame.lame_jets(points, order)
+        return jets.stacked(jets.div, n, order, h, np.broadcast_to(A.jet(points, order).coeffs, h.shape))
+
+    return RotationFrame(n, beta_stack, lame_stack, frame.degree + verdict.k)

@@ -4,6 +4,7 @@ elementary-field corpus it is run against."""
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 from unittest import mock
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from recipfm import jets
 from recipfm.catalog import _flat_sources
-from recipfm.exprlang import FieldExpr, evaluate_value, field, parse_field
+from recipfm.exprlang import FieldExpr, ScalarField, evaluate_value, field, parse_field
 from recipfm.geometry import sample_points
 from recipfm.jets import Jet, point_set
 
@@ -28,6 +29,25 @@ def partial(a: Jet, alpha) -> np.ndarray:
 def velocity_values(sys, p) -> list[float]:
     """Every velocity of a diagonal system at the lone point p, in order."""
     return sys.velocity_jets(point_set(p), 0)[:, 0, 0].tolist()
+
+
+def field_of(op, f: ScalarField, g: ScalarField) -> ScalarField:
+    """The field whose jet is op(f's jet, g's jet), f's evaluated first: a
+    field built from two others by a jet function such as jets.sub or jets.div."""
+    return ScalarField(f.dim, lambda p, order: op(f.jet(p, order), g.jet(p, order)))
+
+
+def eps2_frame_fields(eps: float) -> tuple[dict, tuple]:
+    """The beta fields by pair and the Lame fields of catalog.epsilon_frame_n2(eps), compiled from its sources."""
+    beta = {(0, 1): field("eps/(u1-u2)", 2, {"eps": eps}), (1, 0): field("eps/(u2-u1)", 2, {"eps": eps})}
+    lame = field("pow(u1-u2, me)", 2, {"me": -eps})
+    return beta, (lame, lame)
+
+
+def frame3_fields() -> tuple[dict, tuple]:
+    """A 3-component frame's beta fields by pair, keys in reverse order, and Lame fields, the first constant."""
+    beta = {(i, j): field(f"1/(u{i + 1}-u{j + 1})", 3) for i, j in reversed(list(itertools.permutations(range(3), 2)))}
+    return beta, (field("2 + 0*u1", 3), field("u1*u2", 3), field("exp(u3)", 3))
 
 
 def entries_by_point(points, rows: dict) -> list:

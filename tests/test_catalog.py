@@ -37,8 +37,7 @@ def test_epsilon_system_is_its_parsed_source_bit_for_bit(n):
     coords = sample_points(n, 3, seed=n).coords
     total = "+".join(f"u{k}" for k in range(1, n + 1))
     for eps in (1.0, -1.0, 0.5, 0.0, -0.0, 1e-300, -3.7e5):
-        shift = field(f"eps*({total})", n, {"eps": eps})
-        parsed = [field(f"u{i}", n) - shift for i in range(1, n + 1)]
+        parsed = [field(f"u{i} - eps*({total})", n, {"eps": eps}) for i in range(1, n + 1)]
         built = epsilon_system(n, eps)
         for order in range(4):  # a fresh set per order, so no order is read off another
             pts = jets.PointSet(coords)

@@ -462,6 +462,25 @@ def test_rotation_frame_inputs_exit_two(tmp_path, capsys, betas, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+THREE = ["darboux", "--lame", "2", "--lame", "u1*u2", "--lame", "exp(u3)", "--frame-d", "0.5", "--density", "2"]
+
+
+@pytest.mark.parametrize("frame, betas", [
+    (FRAME, BETAS),
+    (THREE, [x for i, j in itertools.permutations((1, 2, 3), 2) for x in ("--beta", f"{i},{j}:1/(u{i}-u{j})")]),
+], ids=["n2", "n3"])
+def test_beta_order_leaves_the_darboux_report_byte_identical(tmp_path, frame, betas):
+    """A frame is its pairs, whatever order --beta gives them in: the report
+    with the --beta flags reversed is the in-order call's, byte for byte (the
+    3-component frame solves no Darboux system, so its report fails)."""
+    codes, reports = [], []
+    for order in (betas, [x for k in range(len(betas) - 2, -1, -2) for x in betas[k : k + 2]]):
+        out = tmp_path / f"{len(reports)}.json"
+        codes.append(main([*frame, *order, "--seed", "9", "--output", str(out)]))
+        reports.append(out.read_bytes())
+    assert codes == ([0, 0] if frame is FRAME else [1, 1]) and reports[0] == reports[1]
+
+
 def test_unknown_catalog_entry_exit_two(capsys):
     assert main(["check", *EPS2, "--catalog", "nope"]) == 2
     assert capsys.readouterr().err == "error: no catalog entry 'nope'\n"

@@ -27,7 +27,6 @@ from recipfm.exprlang import (
     evaluate_value,
     field,
     parse_field,
-    partial_field,
     to_text,
 )
 from recipfm.geometry import DiagonalSystem, sample_points
@@ -188,24 +187,10 @@ def test_compiled_matches_value_interpreter():
             assert f.value(p) == pytest.approx(direct, rel=1e-14, abs=1e-14)
 
 
-def test_field_algebra_and_partial_field():
-    f = field("u1*u2", 2)
-    g = field("u2-u1", 2)
-    p = jets.Point((2.0, 0.5))
-    combo = (f + g) * 2.0 - f / g
-    expected = (2.0 * 0.5 + (0.5 - 2.0)) * 2.0 - (2.0 * 0.5) / (0.5 - 2.0)
-    assert combo.value(p) == pytest.approx(expected)
-    df = partial_field(f, 0)
-    assert df.value(p) == pytest.approx(0.5)
-    assert jets.gradient(df.jet(p, 1))[:, 0] == pytest.approx((0.0, 1.0))
-
-
 def test_field_dimension_checks():
     f = field("u1+u2", 2)
     with pytest.raises(ValueError):
         f.value(jets.Point((1.0, 2.0, 3.0)))
-    with pytest.raises(ValueError):
-        f + field("u1+u2+u3", 3)
 
 
 def test_constant_power_out_of_range_is_a_parse_error():

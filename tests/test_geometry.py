@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_partial, same_bits, velocity_values
+from conftest import fd_partial, field_of, same_bits, velocity_values
 from recipfm import exprlang, geometry, jets, reciprocal
 from recipfm.catalog import epsilon_system
 from recipfm.exprlang import field, parse_field
@@ -364,7 +364,8 @@ def _systems_by_fields():
     image = transform(given, ConservationDensity(A), base, check_generator=False).system
     current = current_from_density(given, A, base)
     coords = banded_points(((0.5, 0.7), (0.8, 1.0), (1.3, 1.5)), 3, seed=3).coords
-    return (given, fields, coords), (image, tuple(A * v - current for v in fields), coords)
+    composites = tuple(field_of(jets.sub, field_of(jets.mul, A, v), current) for v in fields)
+    return (given, fields, coords), (image, composites, coords)
 
 
 def test_field_systems_velocity_jets_are_their_fields_bit_for_bit():

@@ -7,7 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import cyclic_recipfm_objects, flat_coordinates, partial, same_bits, velocity_values
+from conftest import (
+    cyclic_recipfm_objects,
+    eps2_frame_fields,
+    field_of,
+    flat_coordinates,
+    frame3_fields,
+    partial,
+    same_bits,
+    velocity_values,
+)
 from recipfm import jets
 from recipfm.jets import PointSet, point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
@@ -22,6 +31,7 @@ from recipfm.geometry import (
     dual_connection,
     identity_parallel_residual,
     natural_connection,
+    pair_labels,
     sample_points,
 )
 from recipfm import reciprocal
@@ -47,7 +57,6 @@ from recipfm.reciprocal import (
     grading_residual,
     intrinsic_agreement_report,
     intrinsic_transformed_gamma,
-    log_derivative_field,
     orbit_compose,
     theta_system_residual,
     transform,
@@ -241,7 +250,7 @@ def _closed_form_currents(seed: int):
             A = e.density_field()
             base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
             B = current_from_density(epsilon_system(e.dim, e.eps), A, base)
-            closed = e.current_field() - e.current_field().value(base)
+            closed = field_of(jets.sub, e.current_field(), field(repr(e.current_field().value(base)), e.dim))
             yield e.entry_id, A, B, closed, banded_points(e.current_bands, 20, seed, predicates=e.sample_predicates())
 
 
@@ -448,7 +457,7 @@ def test_current_of_a_transformed_system(sys2, recip_density):
     base = jets.Point((-1.25, 1.25))
     result = transform(sys2, ConservationDensity(recip_density), base, points=_points2(recip_density, 42, 10))
     current = current_from_density(sys2, recip_density, base)
-    inverse = current_from_density(result.system, 1 / recip_density, base)
+    inverse = current_from_density(result.system, field_of(jets.div, field("1", 2), recip_density), base)
     for p in banded_points(DIM2_BANDS, 2, seed=7):
         want = -current.value(p) / recip_density.value(p)
         assert inverse.value(p) == pytest.approx(want, abs=1e-12)
@@ -505,12 +514,12 @@ def _image_cases():
 def test_image_stack_is_the_per_velocity_composites_bit_for_bit(system, A, base, coords):
     """The image system's stack, A v^i - B as one stacked product and one stacked
     difference, is at orders 0..2 the stack of the fields A * v_i - B built by
-    field arithmetic over each velocity alone: row i of the base's stack."""
+    jet operations (field_of) over each velocity alone: row i of the base's stack."""
     n = system.dim
     image = transform(system, ConservationDensity(A), base, check_generator=False).system
     rows = [ScalarField(n, lambda p, order, i=i: jets.Jet(n, order, system.velocity_jets(p, order)[i])) for i in range(n)]
     current = current_from_density(system, A, base)
-    composites = [A * v - current for v in rows]
+    composites = [field_of(jets.sub, field_of(jets.mul, A, v), current) for v in rows]
     for order in range(3):  # fresh sets, so that no order is read off another
         got = image.velocity_jets(PointSet(coords), order)
         pts = PointSet(coords)
@@ -643,7 +652,7 @@ def test_orbit_grading_bookkeeping(sys2):
     # gen0 graded 1, composite graded 3, so the image generator is graded 2
     gen0 = ConservationDensity(field("exp(u1)/(u2-u1)", 2))
     composite = field("exp(3*u1)/(u2-u1)", 2)
-    gen1 = ConservationDensity(composite / gen0.field)
+    gen1 = ConservationDensity(field_of(jets.div, composite, gen0.field))
     pts = banded_points(DIM2_BANDS, 8, seed=21)
     g1, _ = grading_residual(gen1.field, "e", pts)
     assert g1 == pytest.approx(2.0, abs=1e-10)
@@ -735,16 +744,15 @@ def test_frame_table_holds_generators_only():
 def test_trivial_frame_is_exact():
     zero = field("0*u1", 2)
     const = field("1 + 0*u1", 2)
-    frame = RotationFrame(2, {(0, 1): zero, (1, 0): zero}, (const, const), 0.0)
+    frame = RotationFrame.of_fields(2, {(0, 1): zero, (1, 0): zero}, (const, const), 0.0)
     rep = darboux_residual(frame, sample_points(2, 5, seed=23))
     assert rep.max_abs == 0.0
 
 
 def test_perturbed_frame_fails():
     frame = epsilon_frame_n2(1.0)
-    scaled = dict(frame.beta)
-    scaled[(0, 1)] = frame.beta[(0, 1)] * 1.01
-    bad = RotationFrame(2, scaled, frame.lame, frame.degree)
+    scale = np.array([1.01, 1.0])[:, None, None]  # beta_12's every coefficient, so the jet of 1.01 beta_12
+    bad = RotationFrame(2, lambda p, order: frame.beta_jets(p, order) * scale, frame.lame_stack, frame.degree)
     rep = darboux_residual(bad, sample_points(2, 8, seed=24))
     assert not rep.passed and rep.max_abs > 1e-3
 
@@ -755,8 +763,8 @@ def _triple_rows(beta_src):
     beta = {(i, j): field(beta_src.format(i=i + 1, j=j + 1), 3) for i, j in itertools.permutations(range(3), 2)}
     one = field("1 + 0*u1", 3)
     pts = point_set(sample_points(3, 6, seed=31))
-    got = {(p, label): v for p, label, v in darboux_residual(RotationFrame(3, beta, (one,) * 3, 0.0), pts).entries
-           if label[0] == "triple"}
+    frame = RotationFrame.of_fields(3, beta, (one,) * 3, 0.0)
+    got = {(p, label): v for p, label, v in darboux_residual(frame, pts).entries if label[0] == "triple"}
     want = {}
     for i, j, k in itertools.permutations(range(3)):
         bij, bik, bkj = (beta[key].jet(pts, 1) for key in ((i, j), (i, k), (k, j)))
@@ -776,10 +784,15 @@ def test_darboux_triple_rows():
 
 def test_frame_validation():
     zero = field("0*u1", 2)
-    with pytest.raises(ReciprocalError):
-        RotationFrame(2, {(0, 1): zero}, (zero, zero), 0.0)
-    with pytest.raises(ReciprocalError):
-        RotationFrame(2, {(0, 1): zero, (1, 0): zero}, (zero,), 0.0)
+    with pytest.raises(ReciprocalError, match=r"^missing rotation coefficient beta\[2,1\]$"):
+        RotationFrame.of_fields(2, {(0, 1): zero}, (zero, zero), 0.0)
+    with pytest.raises(ReciprocalError, match="^need 2 Lame fields, got 1$"):
+        RotationFrame.of_fields(2, {(0, 1): zero, (1, 0): zero}, (zero,), 0.0)
+    # the Lame count first, then a key that is no pair, then the first missing pair
+    with pytest.raises(ReciprocalError, match="^need 2 Lame fields, got 1$"):
+        RotationFrame.of_fields(2, {(0, 0): zero}, (zero,), 0.0)
+    with pytest.raises(ReciprocalError, match=r"^beta\[1,1\] is not a pair I != J in 1..2$"):
+        RotationFrame.of_fields(2, {(0, 0): zero}, (zero, zero), 0.0)
 
 
 def test_darboux_transform_drops_degree():
@@ -794,8 +807,10 @@ def test_darboux_transform_drops_degree():
     old_off = darboux_gamma_off(frame)
     new_off = darboux_gamma_off(image)
     for p in pts:
+        a = A.jet(p, 1)
         for i, j in ((0, 1), (1, 0)):
-            expected = old_off(point_set(p), 0)[i, j, 0] - log_derivative_field(A, j).value(p)
+            dlog = partial(a, [int(m == j) for m in range(2)]) / a.value  # d_j A / A
+            expected = old_off(point_set(p), 0)[i, j, 0] - dlog.item()
             assert new_off(point_set(p), 0)[i, j, 0] == pytest.approx(expected, abs=1e-10)
 
 
@@ -804,8 +819,42 @@ def test_darboux_transform_identity_generator():
     pts = sample_points(2, 8, seed=26)
     image = darboux_transform(frame, ConservationDensity(field("1 + 0*u1", 2)), pts)
     assert image.degree == pytest.approx(frame.degree, abs=1e-12)
-    for p in pts:
-        assert image.lame[0].value(p) == pytest.approx(frame.lame[0].value(p))
+    assert image.lame_jets(pts, 0)[:, 0] == pytest.approx(frame.lame_jets(pts, 0)[:, 0])
+
+
+def _frame_cases():
+    """(source beta fields by pair and Lame fields, degree, density) of five frames with an
+    admissible density: eps2 at eps = 1 and -1; a 3-component frame, keys in reverse order and one
+    constant Lame field, under a constant density; a constant frame (one-column jets) under a
+    constant density and under a non-constant one."""
+    for eps, density in ((1.0, "1/(u2-u1)"), (-1.0, "(u1-u2)^3")):
+        yield pytest.param(*eps2_frame_fields(eps), eps, field(density, 2), id=f"eps2[{eps:+g}]")
+    yield pytest.param(*frame3_fields(), 0.5, field("2", 3), id="frame3")
+    beta = {(0, 1): field("0.25", 2), (1, 0): field("1", 2)}  # (H_2 / H_1) beta_12 = (H_1 / H_2) beta_21
+    for density in ("2", "u1 - u2"):
+        yield pytest.param(beta, (field("2", 2), field("4", 2)), 0.0, field(density, 2), id=f"constant[{density}]")
+
+
+@pytest.mark.parametrize("beta, lame, degree, A", _frame_cases())
+def test_image_frame_stacks_are_the_composites_bit_for_bit(beta, lame, degree, A):
+    """The image frame's stacks at orders 0..2 are those of the fields
+    beta_ij - (H_i / H_j) (d_j A / A) and H_i / A, composed here by jet operations
+    over the source fields, pair by pair in pair_labels order."""
+    n = len(lame)
+    pts = sample_points(n, 5, seed=n, predicates=(density_window(A),))
+    image = darboux_transform(RotationFrame.of_fields(n, beta, lame, degree), ConservationDensity(A), pts)
+    for order in range(3):  # fresh sets, so that no order is read off another
+        got = image.beta_jets(PointSet(pts.coords), order), image.lame_jets(PointSet(pts.coords), order)
+        p = PointSet(pts.coords)
+        a = A.jet(p, order)
+        shift = lambda i, j: jets.mul(
+            jets.div(lame[i].jet(p, order), lame[j].jet(p, order)),
+            jets.div(jets.derivative(A.jet(p, order + 1), j), a),
+        )
+        want_beta = [jets.sub(beta[i, j].jet(p, order), shift(i, j)) for i, j in pair_labels(n)]
+        want_lame = [jets.div(h.jet(p, order), a) for h in lame]
+        assert same_bits(got[0], jets.stack(want_beta, len(p))), order
+        assert same_bits(got[1], jets.stack(want_lame, len(p))), order
 
 
 def test_darboux_transform_hypothesis_violations():
@@ -865,14 +914,3 @@ def test_darboux_transform_reports_the_first_unmet_condition():
     # all three conditions fail: e(A) = 0 is named
     with pytest.raises(InadmissibleGeneratorError, match="e\\(A\\) = 0"):
         darboux_transform(frame, ConservationDensity(field("exp(u1)*u1*u2", 2)), pts)
-
-
-def test_log_derivative_fields_share_one_density_evaluation():
-    A = field("exp(u1)/(u2-u1) + u3", 3)
-    orders = []
-    compiled = A._fn
-    A._fn = lambda p, order: orders.append(order) or compiled(p, order)
-    p = point_set(jets.Point((0.5, 1.5, -1.0)))
-    for j in range(3):
-        log_derivative_field(A, j).jet(p, 1)
-    assert sorted(orders) == [2]  # d_j A needs order 2, and the quotient's order 1 is read off it

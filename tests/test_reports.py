@@ -154,13 +154,14 @@ def test_non_finite_entries_keep_their_bits():
     assert any(math.isnan(v) for v in values)
 
 
-def darboux_rows(frame, points) -> dict:
-    """darboux_residual's rows, key by key in the frame's order."""
-    n, u = frame.dim, points.coords
-    beta1 = {key: f.jet(points, 1) for key, f in frame.beta.items()}
-    lame1 = [f.jet(points, 1) for f in frame.lame]
+def darboux_rows(beta: dict, lame: tuple, degree: float, points) -> dict:
+    """darboux_residual's rows of the frame of these beta and Lame fields, pair by pair in pair_labels order."""
+    n, u = len(lame), points.coords
+    beta1 = {key: f.jet(points, 1) for key, f in beta.items()}
+    lame1 = [f.jet(points, 1) for f in lame]
     rows = {}
-    for (i, j), bj in beta1.items():
+    for i, j in itertools.permutations(range(n), 2):
+        bj = beta1[(i, j)]
         grad = [d(np.broadcast_to(bj.coeffs, (n + 1, len(points))), l) for l in range(n)]
         for k in range(n):
             if k != i and k != j:
@@ -173,22 +174,24 @@ def darboux_rows(frame, points) -> dict:
             if j != i:
                 rows[("lame", i, j)] = grad[j] - beta1[(i, j)].value * lame1[j].value
         rows[("lame-e", i)] = sum(grad)
-        rows[("lame-E", i)] = sum(u[l] * grad[l] for l in range(n)) + frame.degree * lame1[i].value
+        rows[("lame-E", i)] = sum(u[l] * grad[l] for l in range(n)) + degree * lame1[i].value
     return rows
 
 
-def frame3() -> RotationFrame:
-    """A 3-component frame, keys in reverse order and one constant Lame field (one-column jets)."""
-    pairs = reversed(list(itertools.permutations(range(3), 2)))
-    beta = {(i, j): field(f"1/(u{i + 1}-u{j + 1})", 3) for i, j in pairs}
-    return RotationFrame(3, beta, (field("2 + 0*u1", 3), field("u1*u2", 3), field("exp(u3)", 3)), 0.5)
+def _frames():
+    """(frame, its beta fields, its Lame fields): epsilon_frame_n2 at eps = 1 and -1, beside the fields
+    of its sources, and a 3-component frame, keys in reverse order and one constant Lame field."""
+    for eps in (1.0, -1.0):
+        yield pytest.param(epsilon_frame_n2(eps), *conftest.eps2_frame_fields(eps), id=f"eps2[{eps:+g}]")
+    beta, lame = conftest.frame3_fields()
+    yield pytest.param(RotationFrame.of_fields(3, beta, lame, 0.5), beta, lame, id="frame3")
 
 
-@pytest.mark.parametrize("make", [lambda: epsilon_frame_n2(1.0), lambda: epsilon_frame_n2(-1.0), frame3])
-def test_darboux_rows_match_per_label_reference(make):
-    frame = make()
+@pytest.mark.parametrize("frame, beta, lame", _frames())
+def test_darboux_rows_match_per_label_reference(frame, beta, lame):
     points = sample_points(frame.dim, 5, seed=23)
-    assert_same_entries(darboux_residual(frame, points).entries, entries_by_point(points, darboux_rows(frame, points)))
+    want = entries_by_point(points, darboux_rows(beta, lame, frame.degree, points))
+    assert_same_entries(darboux_residual(frame, points).entries, want)
 
 
 def test_orbit_entries_match_per_label_reference():
@@ -197,7 +200,7 @@ def test_orbit_entries_match_per_label_reference():
     points = banded_points(((-1.8, -0.7), (0.7, 1.8)), 6, seed=20)
     rep, gradings = orbit_compose(sys2, gen0, gen1, points, base)
     step2 = transform(transform(sys2, gen0, base, points=points).system, gen1, base, points=points)
-    direct = transform(sys2, ConservationDensity(gen0.field * gen1.field), base, points=points)
+    direct = transform(sys2, ConservationDensity(conftest.field_of(jets.mul, gen0.field, gen1.field)), base, points=points)
     two, one = (t.natural.generators(points, 0)[:, :, 0] for t in (step2, direct))
     want = entries_by_point(points, {(i, j): two[i, j] - one[i, j] for i, j in itertools.permutations(range(2), 2)})
     want.append((points[0], ("grading",), gradings["gen1"] - (gradings["composite"] - gradings["gen0"])))
