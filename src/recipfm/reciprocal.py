@@ -50,6 +50,8 @@ QUAD_MAX_PANELS = 64
 
 _GL_XS, _GL_WS = np.polynomial.legendre.leggauss(QUAD_NODES)
 _GL_W = tuple(float(w) for w in _GL_WS)
+_GL_CHECK_XS, _GL_CHECK_WS = np.polynomial.legendre.leggauss(QUAD_NODES // 2)  # the first level's check rule
+_GL_CHECK_W = tuple(float(w) for w in _GL_CHECK_WS)
 # A 0.0 start for sum: from CPython 3.12, sum compensates (Neumaier) exact floats from an exact float
 # or int start, which moves report bits; a float subclass keeps it adding left to right on every Python.
 _ZERO = type("LeftToRight", (float,), {})()
@@ -67,8 +69,9 @@ def _gl_nodes(panels: int) -> tuple[np.ndarray, float]:
     return ts, half
 
 
-# the first refinement level's nodes: the 1-panel rule, then the 2-panel rule
-_GL_FIRST = np.concatenate([_gl_nodes(1)[0], _gl_nodes(2)[0]])
+# the first refinement level's 48 nodes on [0, 1]: the QUAD_NODES-point rule first, so its nodes lead
+# in rule order for the path guards, then the QUAD_NODES // 2-point rule that checks its sum
+_GL_FIRST = np.concatenate([_gl_nodes(1)[0], 0.5 + 0.5 * _GL_CHECK_XS])
 _GL_FIRST.flags.writeable = False
 
 
@@ -310,11 +313,12 @@ def covariant_hessian_residual(
 # Current reconstruction
 
 
-def _composite(half: float, f: list[float]) -> float:
-    """The composite rule's sum over the integrand values f, panel by panel, each left to right."""
-    total = 0.0
-    for s in range(0, len(f), QUAD_NODES):
-        total += half * sum(map(operator.mul, _GL_W, f[s : s + QUAD_NODES]), _ZERO)
+def _composite(weights: tuple[float, ...], half: float, f: list[float]) -> float:
+    """The composite sum of the rule with these weights over the integrand values f, panel by panel,
+    each left to right."""
+    total, m = 0.0, len(weights)
+    for s in range(0, len(f), m):
+        total += half * sum(map(operator.mul, weights, f[s : s + m]), _ZERO)
     return total
 
 
@@ -331,9 +335,12 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     jets.from_partials, so no differentiation of quadrature output ever happens.
 
     Each value evaluates its nodes as point sets, one velocity_jets array and
-    one order-1 jet of A per set (feeding the path guards): the 1-panel and
-    2-panel rules together, then one set per further refinement level, until
-    two levels agree to QUAD_REFINE_TOL.  The rule is built once per process:
+    one order-1 jet of A per set (feeding the path guards).  The first set is
+    the QUAD_NODES-point rule on [0, 1] and then the QUAD_NODES // 2-point rule,
+    48 nodes: the value is the 32-point sum when the 16-point sum agrees with it
+    to QUAD_REFINE_TOL.  Otherwise the panels double from one, one set per
+    level of the 32-point rule on 2, 4, ... QUAD_MAX_PANELS panels, until a
+    level agrees with the one before.  The rule is built once per process:
     _gl_nodes(panels) holds each level's nodes on [0, 1] and half width, and
     _GL_FIRST the first set's nodes, all read-only, so a value only maps them
     onto its segment.  A node set that fails a path guard or leaves a field's
@@ -375,8 +382,9 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
                 return [y for k in range(len(ts)) for y in guarded(ts[k : k + 1])]
 
         f = integrand_at_nodes(_GL_FIRST)
-        prev, cur = _composite(_gl_nodes(1)[1], f[:QUAD_NODES]), _composite(_gl_nodes(2)[1], f[QUAD_NODES:])
-        panels = 2
+        # 0.5 is [0, 1]'s half width; the 32-point sum is the value, the 16-point sum its check
+        cur, prev = _composite(_GL_W, 0.5, f[:QUAD_NODES]), _composite(_GL_CHECK_W, 0.5, f[QUAD_NODES:])
+        panels = 1
         while not abs(cur - prev) < QUAD_REFINE_TOL:
             panels *= 2
             if panels > QUAD_MAX_PANELS:
@@ -385,7 +393,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
                     f"({QUAD_MAX_PANELS} panels); the segment likely approaches a singular locus"
                 )
             ts, half = _gl_nodes(panels)
-            prev, cur = cur, _composite(half, integrand_at_nodes(ts))
+            prev, cur = cur, _composite(_GL_W, half, integrand_at_nodes(ts))
         return cur
 
     def fn(points: PointSet, jet_order: int) -> Jet:
@@ -631,30 +639,40 @@ def frame_connection(frame: RotationFrame) -> ConnectionTable:
     return ConnectionTable(frame.dim, "frame", frame._gamma_off, None)
 
 
+@functools.lru_cache(maxsize=None)
+def _darboux_plan(n: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """darboux_residual's labels, at each pair in off_pairs order its triple, beta-e and beta-E rows, then
+    each H_i's, and its triples' index arrays (t, i, j, k), t the pair's position; shared, so read-only."""
+    labels, triples = [], []
+    for t, (i, j) in enumerate(pair_labels(n)):
+        third = [k for k in range(n) if k not in (i, j)]
+        labels += [("triple", i, j, k) for k in third] + [("beta-e", i, j), ("beta-E", i, j)]
+        triples += [(t, i, j, k) for k in third]
+    for i in range(n):
+        labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
+    index = np.array(triples, dtype=int).reshape(-1, 4).T
+    index.flags.writeable = False
+    return tuple(labels), tuple(index)
+
+
 @jets.quiet
 def darboux_residual(frame: RotationFrame, points: PointSet, tolerance: float = TOL_SECOND) -> ResidualReport:
     """All six equation families of the homogeneity-augmented rotation system:
     d_k beta_ij = beta_ik beta_kj on distinct triples, e(beta) = 0,
     E(beta) = -beta, d_j H_i = beta_ij H_j, e(H) = 0, E(H) = -d H."""
-    n, pairs = frame.dim, pair_labels(frame.dim)  # at each pair in off_pairs order: triple, beta-e, beta-E rows
+    n = frame.dim
     u, npts = points.coords[:, None], len(points)
     beta, lame = frame.beta_jets(points, 1), frame.lame_jets(points, 1)
     db, dh = (jets.gradient(f, n).swapaxes(0, 1) for f in (beta, lame))  # [l, a] = d_l of the a-th field
     b, h = pair_table(n, beta[:, 0]), lame[:, 0]
-    triples = [(t, i, j, k) for t, (i, j) in enumerate(pairs) for k in range(n) if k not in (i, j)]
-    t, i, j, k = np.array(triples, dtype=int).reshape(-1, 4).T
-    triple = (db[k, t] - b[i, k] * b[k, j]).reshape(len(pairs), n - 2, npts)
+    labels, (t, i, j, k) = _darboux_plan(n)
+    triple = (db[k, t] - b[i, k] * b[k, j]).reshape(n * (n - 1), n - 2, npts)
     beta_rows = np.concatenate([triple, sum(db)[:, None], (sum(u * db) + beta[:, 0])[:, None]], axis=1)
     p, q = off_pairs(n)
     lame_rows = (dh[q, p] - b[p, q] * h[q]).reshape(n, n - 1, npts)
     lame_rows = np.concatenate([lame_rows, sum(dh)[:, None], (sum(u * dh) + frame.degree * h)[:, None]], axis=1)
     values = np.concatenate([beta_rows.reshape(-1, npts), lame_rows.reshape(-1, npts)])
-    labels = []
-    for i, j in pairs:
-        labels += [("triple", i, j, k) for k in range(n) if k not in (i, j)] + [("beta-e", i, j), ("beta-E", i, j)]
-    for i in range(n):
-        labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
-    return ResidualReport.of("darboux", tolerance, (points, tuple(labels), values))
+    return ResidualReport.of("darboux", tolerance, (points, labels, values))
 
 
 def darboux_transform(

@@ -426,6 +426,7 @@ SHARED_PLANS = {
     "_gl_nodes": lambda n: tuple(reciprocal._gl_nodes(2**k) for k in range(n)),
     "_GL_FIRST": lambda n: reciprocal._GL_FIRST,
     "_density_plan": reciprocal._density_plan,
+    "_darboux_plan": reciprocal._darboux_plan,
 }
 
 
@@ -462,6 +463,20 @@ def test_family_plans_are_the_per_call_expressions(n):
     m, (i, q) = np.arange(n), geometry.off_pairs(n)
     mask = geometry._curvature_plan(n)[1]
     assert mask.shape == (len(i), n, 1) and (mask == ((m != i[:, None]) & (m != q[:, None]))[..., None]).all()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_darboux_plan_is_the_per_call_expressions(n):
+    pairs = geometry.pair_labels(n)
+    labels = []
+    for i, j in pairs:
+        labels += [("triple", i, j, k) for k in range(n) if k not in (i, j)] + [("beta-e", i, j), ("beta-E", i, j)]
+    for i in range(n):
+        labels += [("lame", i, j) for j in range(n) if j != i] + [("lame-e", i), ("lame-E", i)]
+    triples = [(t, i, j, k) for t, (i, j) in enumerate(pairs) for k in range(n) if k not in (i, j)]
+    got_labels, index = reciprocal._darboux_plan(n)
+    assert got_labels == tuple(labels) and reciprocal._darboux_plan(n)[1] is index
+    assert [a.tolist() for a in index] == np.array(triples, dtype=int).reshape(-1, 4).T.tolist()
 
 
 def test_sample_points_exhaustion():

@@ -242,16 +242,23 @@ def test_current_path_independence(sys2):
         B.value(jets.Point((1.2, 0.9)))  # the other side of u1 = u2
 
 
+def _current_segments(seed: int):
+    """(entry, system, density, base point, banded points) for every catalog
+    entry with a closed-form current, the base at the middle of its bands."""
+    for e in catalog_entries():
+        if e.current_src is not None:
+            base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
+            pts = banded_points(e.current_bands, 20, seed, predicates=e.sample_predicates())
+            yield e, epsilon_system(e.dim, e.eps), e.density_field(), base, pts
+
+
 def _closed_form_currents(seed: int):
     """(entry id, density, quadrature current, closed form minus its base value,
     banded points) for every catalog entry with a closed-form current."""
-    for e in catalog_entries():
-        if e.current_src is not None:
-            A = e.density_field()
-            base = jets.Point(tuple((lo + hi) / 2.0 for lo, hi in e.current_bands))
-            B = current_from_density(epsilon_system(e.dim, e.eps), A, base)
-            closed = field_of(jets.sub, e.current_field(), field(repr(e.current_field().value(base)), e.dim))
-            yield e.entry_id, A, B, closed, banded_points(e.current_bands, 20, seed, predicates=e.sample_predicates())
+    for e, system, A, base, pts in _current_segments(seed):
+        B = current_from_density(system, A, base)
+        closed = field_of(jets.sub, e.current_field(), field(repr(e.current_field().value(base)), e.dim))
+        yield e.entry_id, A, B, closed, pts
 
 
 def test_current_order_one_jets_are_pinned_bit_for_bit():
@@ -262,7 +269,7 @@ def test_current_order_one_jets_are_pinned_bit_for_bit():
     for seed in (1, 2, 3):
         for _, _, B, _, pts in _closed_form_currents(seed):
             digest.update(",".join(map(float.hex, B.jet(point_set(pts[:3]), 1).coeffs.ravel().tolist())).encode())
-    assert digest.hexdigest() == "e5b9a1a0efe8e7692c9bc73102a0339b26b5286e8b0277da71006bde1f427bdd"
+    assert digest.hexdigest() == "debfbcf35508123a675cf64f43b458ca9609a84f8b35bbf5fb4626c33e19cebb"
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -294,9 +301,9 @@ def test_current_value_is_one_node_set_and_one_density_jet(monkeypatch):
             sizes.clear()
             density_jets.clear()
             B.value(p)
-            # the value's own one-point set, then the 1- and 2-panel rules in one set
-            assert sizes == [1, 3 * QUAD_NODES], (entry_id, p)
-            assert density_jets == [(3 * QUAD_NODES, 1)], (entry_id, p)
+            # the value's own one-point set, then the 32-point rule and its 16-point check in one set
+            assert sizes == [1, QUAD_NODES + QUAD_NODES // 2], (entry_id, p)
+            assert density_jets == [(QUAD_NODES + QUAD_NODES // 2, 1)], (entry_id, p)
 
 
 def _rule_per_call(panels: int) -> tuple[np.ndarray, float]:
@@ -316,12 +323,73 @@ def test_cached_rule_is_the_per_call_rule_bit_for_bit(panels):
         ts[0] = 0.5
 
 
-def test_first_refinement_level_is_the_one_and_two_panel_rules():
+def test_first_refinement_level_is_the_32_then_16_point_rules_on_the_unit_interval():
     first = reciprocal._GL_FIRST
-    assert same_bits(first, np.concatenate([_rule_per_call(1)[0], _rule_per_call(2)[0]]))
-    assert len(first) == 3 * QUAD_NODES
+    (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(m) for m in (32, 16))
+    assert QUAD_NODES == 32 and same_bits(first, np.concatenate([0.5 + 0.5 * x32, 0.5 + 0.5 * x16]))
+    assert reciprocal._GL_W == tuple(w32.tolist()) and reciprocal._GL_CHECK_W == tuple(w16.tolist())
+    assert len(first) == 48
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 0.5
+
+
+def _reference_composite(system, A, base: jets.Point, p: jets.Point, m: int, panels: int) -> float:
+    """The m-point Gauss-Legendre rule on `panels` equal panels of [0, 1] applied
+    to the one-form along base + t (p - base), each panel summed left to right."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    width = 1.0 / panels
+    half = 0.5 * width
+    ts = ((np.arange(panels) * width + 0.5 * width)[:, None] + half * x[None, :]).ravel()
+    start, step = np.array(base.coords), np.array(p.coords) - np.array(base.coords)
+    nodes = PointSet(start[:, None] + step[:, None] * ts)
+    v, grad = system.velocity_jets(nodes, 0)[:, 0], jets.gradient(A.jet(nodes, 1))
+    f = sum(step[i] * (v[i] * grad[i]) for i in range(system.dim) if step[i] != 0.0).tolist()
+    total = 0.0
+    for k in range(panels):
+        s = 0.0
+        for wj, y in zip(w.tolist(), f[k * m : (k + 1) * m]):
+            s += wj * y
+        total += half * s
+    return total
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_current_agrees_with_the_two_panel_rule(seed):
+    for e, system, A, base, pts in _current_segments(seed):
+        B = current_from_density(system, A, base)
+        for p in pts:
+            got = B.value(p)
+            want = _reference_composite(system, A, base, p, QUAD_NODES, 2)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(got)), (e.entry_id, p)
+
+
+@pytest.mark.parametrize("end, settled", [((-0.6, -0.4), 2), ((-0.52, -0.48), 8)])
+def test_a_refined_current_is_the_composite_where_it_settles(monkeypatch, sys2, recip_density, end, settled):
+    """Near the pole of 1/(u2 - u1) the 16-point rule rejects the one-panel
+    32-point sum, so the value doubles the panels from one, each level against
+    the one before, and returns the sum of the level where two agree."""
+    base, p = jets.Point((-1.25, 1.25)), jets.Point(end)
+    prev = _reference_composite(sys2, recip_density, base, p, QUAD_NODES, 1)
+    check = _reference_composite(sys2, recip_density, base, p, QUAD_NODES // 2, 1)
+    assert abs(prev - check) >= reciprocal.QUAD_REFINE_TOL
+    panels, levels = 2, [QUAD_NODES + QUAD_NODES // 2]
+    while True:
+        cur = _reference_composite(sys2, recip_density, base, p, QUAD_NODES, panels)
+        levels.append(panels * QUAD_NODES)
+        if abs(cur - prev) < reciprocal.QUAD_REFINE_TOL:
+            break
+        prev, panels = cur, panels * 2
+    assert panels == settled
+    sizes = []
+    init = jets.PointSet.__init__
+
+    def counted_init(self, coords, points=None):
+        init(self, coords, points)
+        sizes.append(len(self))
+
+    monkeypatch.setattr(jets.PointSet, "__init__", counted_init)
+    value = current_from_density(sys2, recip_density, base).value(p)
+    assert value.hex() == cur.hex() and sizes == [1, *levels]
 
 
 def test_constant_velocities_and_a_constant_density_give_plus_zero():
@@ -351,7 +419,7 @@ def test_current_order_zero_is_read_off_its_order_one_jet(monkeypatch):
         built = list(sizes)
         j0 = B.jet(first, 0)
         # the order-1 jet ran one quadrature node set per point; order 0 ran none
-        assert built.count(3 * QUAD_NODES) == len(first) and sizes == built, entry_id
+        assert built.count(QUAD_NODES + QUAD_NODES // 2) == len(first) and sizes == built, entry_id
         assert same_bits(j0.coeffs, j1.coeffs[:1]), entry_id
         again = point_set(pts[:3])
         assert same_bits(B.jet(again, 0).coeffs, j0.coeffs), entry_id
