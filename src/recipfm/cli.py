@@ -238,8 +238,8 @@ def _biflat(s: SimpleNamespace) -> rec.BiflatVerdict:
 
 def _christoffel_shift(s: SimpleNamespace) -> ResidualReport:
     """The image frame's symbols against the shift rule applied to the frame's."""
-    expected = rec.transformed_off_diagonal(rec.frame_connection(s.frame), s.A)(s.points, 0)[:, :, 0]
-    image = rec.frame_connection(s.image()).generators(s.points, 0)[:, :, 0]
+    expected = rec.transformed_off_diagonal(s.frame, s.A)(s.points, 0)[:, :, 0]
+    image = s.image().generators(s.points, 0)[:, :, 0]
     i, j = geo.off_pairs(s.frame.dim)
     block = s.points, geo.pair_labels(s.frame.dim), image[i, j] - expected[i, j]
     return ResidualReport.of("christoffel-shift", 1e-10, block)

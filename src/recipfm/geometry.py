@@ -5,7 +5,9 @@ velocities v^i over a point set as one array.  Its off-diagonal Christoffel symb
 G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique "natural" connection
 through three structural identities (zero on distinct triples, G^i_{jj} =
 -G^i_{ji}, zero row sums including the diagonal), and a "dual" connection
-through their u-weighted variants.  A table takes all n(n-1) symbols at once,
+through their u-weighted variants.  Every table is one of the two, and its
+assembly names its product structure (PRODUCTS): the natural connection pairs
+with (circ, e), the dual with (star, E).  A table takes all n(n-1) symbols at once,
 as the columns of one jet quotient over that array's partials, and assembles
 the dual entries with one stacked quotient and one product over the set's
 lifts.  A sum over a component index reduces its terms, stacked in index
@@ -35,6 +37,7 @@ TOL_THIRD = 1e-6  # recorded in reports as inputs.tolerances.third; no check rea
 MIN_PAIR_GAP = 0.25
 VELOCITY_GAP = 1e-9
 MAX_REJECTIONS = 1000
+PRODUCTS = {"natural": "circ", "dual": "star"}  # each assembly's product; circ pairs with e, star with E
 
 
 class GeometryError(ValueError):
@@ -314,29 +317,29 @@ def christoffel_primary(sys: DiagonalSystem, points: PointSet, order: int) -> np
 
 
 class ConnectionTable:
-    """Evaluator of the Christoffel table G^i_{jk} over point sets.
+    """Evaluator of the Christoffel table G^i_{jk} of a natural or a dual connection over point sets.
 
     Built from generate(points, order), which returns the ``generators`` array
-    G^i_{ij} whole, and an assembly rule, 'natural' or 'dual', for the entries
-    G^i_{jj} (any j); the others vanish or read G^i_{ik} = G^i_{ki} off the
-    generators.  Without a rule (a frame's generators) there is no full table,
-    and residuals that need one reject it.  The kind is only a label.  The
-    table keeps nothing: both arrays are memoized in the point set per order,
-    the generators owned by generate and the full table by (generate,
-    assembly), so all tables over one generator (a table and its ``dual``)
-    build each generator array once between them.  A lower order is
-    read off a higher one held for the set, as its leading coefficient rows
-    (bit for bit what evaluating it would give), unless that one holds a
-    non-finite entry; so curvature, which asks order 1 first, builds no order 0.
+    G^i_{ij} whole, and its assembly, 'natural' or 'dual', which gives the
+    entries G^i_{jj} (any j) and names the table's product, PRODUCTS[assembly];
+    the other entries vanish or read G^i_{ik} = G^i_{ki} off the generators.
+    The kind is only a label.  The table keeps nothing: both arrays are
+    memoized in the point set per order, the generators owned by generate and
+    the full table by (generate, assembly), so all tables over one generator
+    (a table and its ``dual``) build each generator array once between them.
+    A lower order is read off a higher one held for the set, as its leading
+    coefficient rows (bit for bit what evaluating it would give), unless that
+    one holds a non-finite entry; so curvature, which asks order 1 first,
+    builds no order 0.
     """
 
-    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray], assembly: str | None):
-        if assembly not in ("natural", "dual", None):
-            raise GeometryError(f"unknown assembly rule {assembly!r}; use 'natural', 'dual' or None")
+    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray], assembly: str):
+        if assembly not in PRODUCTS:
+            raise GeometryError(f"unknown assembly rule {assembly!r}; use 'natural' or 'dual'")
         self.dim = dim
         self.kind = kind
         self._generate = generate
-        self._assembly = assembly
+        self.assembly = assembly
 
     def dual(self, kind: str) -> "ConnectionTable":
         """The dual-assembly table over the same generator, so over the same memo."""
@@ -350,9 +353,7 @@ class ConnectionTable:
     def christoffels(self, points: PointSet, order: int) -> np.ndarray:
         """The full table over the points as one array (n, n, n, ncoeff, npoints):
         [i, j, k] holds the coefficients of G^i_{jk}."""
-        if self._assembly is None:
-            raise GeometryError(f"the {self.kind!r} table holds generators only; G^i_jj needs an assembly")
-        owner = self._generate, self._assembly
+        owner = self._generate, self.assembly
         return jets.memoized(points, owner, order, lambda: self._assemble(points, order))
 
     def _assemble(self, points: PointSet, order: int) -> np.ndarray:
@@ -367,7 +368,7 @@ class ConnectionTable:
         table[diag, diag] = off
         table[diag, :, diag] = off
         i, j = off_pairs(n)
-        if self._assembly == "natural":
+        if self.assembly == "natural":
             jj, weighted, total = off[i, j], off, np.zeros(off.shape[1:])
         else:  # the ratios u^i/u^j and 1/u^l in one quotient, both products in one product
             m, u = len(i), points.lifts(order)
@@ -431,7 +432,7 @@ def curvature_natural_residual(
 ) -> ResidualReport:
     """The two families of possibly non-vanishing curvature components of a
     natural-form table: R^i_{iki} and R^i_{qqi}."""
-    if conn._assembly != "natural":
+    if conn.assembly != "natural":
         raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
     n = conn.dim
     g1 = conn.christoffels(points, 1)
@@ -488,7 +489,7 @@ def identity_parallel_residual(
     if field not in ("e", "E"):
         raise GeometryError(f"field must be 'e' or 'E', got {field!r}")
     name, assembly = {"e": ("unit", "natural"), "E": ("Euler", "dual")}[field]
-    if conn._assembly != assembly:
+    if conn.assembly != assembly:
         raise GeometryError(f"the {name} field pairs with the {assembly} connection")
     n = conn.dim
     g = conn.christoffels(points, 0)[..., 0, :]

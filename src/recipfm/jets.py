@@ -169,8 +169,8 @@ def memoized(points: PointSet, owner, order: int, compute):
     """points._memo[owner][order], stored read-only: the set keeps it until the set goes.
 
     The owner is the evaluator the entry belongs to (a field, a velocity
-    stack, a table's generator, or a (generator, assembly) pair for a full
-    table), and the entry a Jet or an array (..., ncoeff, npoints) of jet
+    stack, a table's or a frame's generators, or a (generator, assembly) pair
+    for a full table), and the entry a Jet or an array (..., ncoeff, npoints) of jet
     coefficients over the set.  A missing order is read off the lowest present
     higher order of the same owner when that entry is all finite, as its
     leading coefficient rows; otherwise compute() makes it, under quiet.

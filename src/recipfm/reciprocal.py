@@ -9,7 +9,8 @@ and dual connections, reconstructs currents by quadrature of the exact
 one-form, composes transformations, and applies the same action to rotation
 frames: a frame is its two stacks, every off-diagonal rotation coefficient's jet
 as one array and every Lame field's as another, and its image is built from
-them by stacked jet operations.
+them by stacked jet operations.  A frame reads its own symbols, as a table reads
+its generators, so the density equations and the shift rule take either.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import jets
 from .exprlang import ScalarField, stack_of
 from .geometry import (
+    PRODUCTS,
     TOL_SECOND,
     ConnectionTable,
     DiagonalSystem,
@@ -103,7 +105,8 @@ class RotationFrame:
     beta_ij's jet as one array (n(n-1), ncoeff, npoints), in off_pairs order,
     and lame_stack(points, order) every Lame field H_i's as one array (n,
     ncoeff, npoints); each is memoized in the set by beta_jets or lame_jets and
-    must not refer to the frame.  Two frames are equal only if they are one object."""
+    must not refer to the frame.  The frame's symbols come from generators, as
+    a table's do.  Two frames are equal only if they are one object."""
 
     dim: int
     beta_stack: Callable[[PointSet, int], np.ndarray] = field(repr=False)
@@ -134,8 +137,16 @@ class RotationFrame:
         """Every H_i's jet over the points as one read-only array, the set's memo entry for lame_stack."""
         return jets.memoized(points, self.lame_stack, order, lambda: self.lame_stack(points, order))
 
-    def _gamma_off(self, points: PointSet, order: int) -> np.ndarray:  # its bound methods are one memo owner
-        return darboux_gamma_off(self)(points, order)
+    def generators(self, points: PointSet, order: int) -> np.ndarray:
+        """Every symbol (H_j / H_i) beta_ij over the points as one read-only array (n, n, ncoeff, npoints), zero
+        on the diagonal: one stacked quotient and one stacked product, the set's memo entry for generators."""
+
+        def compute() -> np.ndarray:
+            n, (i, j) = self.dim, off_pairs(self.dim)
+            h, b = self.lame_jets(points, order), self.beta_jets(points, order)
+            return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
+
+        return jets.memoized(points, self.generators, order, compute)
 
 
 @dataclass
@@ -207,8 +218,9 @@ def _theta_labels(n: int) -> tuple:
 
 
 @jets.quiet
-def _density_block(conn: ConnectionTable, A: ScalarField, points: PointSet):
-    """The density equations' (points, labels, values) block, over unordered pairs i < j."""
+def _density_block(conn: ConnectionTable | RotationFrame, A: ScalarField, points: PointSet):
+    """The density equations' (points, labels, values) block, over unordered pairs i < j, for a table's or a
+    frame's symbols."""
     aj = A.jet(points, 2)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
     off = conn.generators(points, 0)[:, :, 0]
@@ -284,18 +296,12 @@ def theta_system_residual(
 
 @jets.quiet
 def covariant_hessian_residual(
-    conn: ConnectionTable,
-    product: str,
-    A: ScalarField,
-    points: PointSet,
-    tolerance: float = TOL_SECOND,
+    conn: ConnectionTable, A: ScalarField, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """Intrinsic form of the same conditions: the covariant Hessian of A must be
-    X(ln A) c^l_{pq} d_l A with (c, X) the product tensor and its preferred
-    field ('circ' pairs with e, 'star' with E)."""
-    if product not in ("circ", "star"):
-        raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
-    n = conn.dim
+    X(ln A) c^l_{pq} d_l A with (c, X) the table's product tensor and its
+    preferred field (PRODUCTS: 'circ' pairs with e, 'star' with E)."""
+    n, product = conn.dim, PRODUCTS[conn.assembly]
     u = points.coords
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
@@ -421,9 +427,11 @@ def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
     return jets.stacked(jets.div, a.dim, a.order, num, den)
 
 
-def transformed_off_diagonal(base: ConnectionTable, A: ScalarField) -> Callable[[PointSet, int], np.ndarray]:
+def transformed_off_diagonal(
+    base: ConnectionTable | RotationFrame, A: ScalarField
+) -> Callable[[PointSet, int], np.ndarray]:
     """Generator producer of the image table: G^i_{ij} - d_j A / A for every
-    pair at once, zero on the diagonal."""
+    pair at once, zero on the diagonal, over a table's or a frame's symbols."""
     n = base.dim
 
     def generate(points: PointSet, order: int) -> np.ndarray:
@@ -481,20 +489,19 @@ def transform(
 
 
 @jets.quiet
-def intrinsic_transformed_gamma(base: ConnectionTable, A: ScalarField, product: str, points: PointSet) -> np.ndarray:
+def intrinsic_transformed_gamma(base: ConnectionTable, A: ScalarField, points: PointSet) -> np.ndarray:
     """The transformed table over the points, one array (n, n, n, npoints)
     whose [i, j, k] holds G~^i_{jk}, via the structure-tensor formula
 
         G~^i_{jk} = G^i_{jk} + c^i_{jk} X^l w_l - c^i_{lj} w_k X^l
                     + c^l_{jk} w_l X^i - c^i_{lk} w_j X^l,   w_l = d_l ln A,
 
-    with (c, X) the product tensor and preferred field for 'circ' (c^i_{jk} =
-    delta, X = e) or 'star' (c*^i_{jk} = delta / u^i, X = E).  Independent of
-    the structural assembly used by the tables; for cross-checking only.
+    with (c, X) the product tensor and preferred field of the base's product,
+    PRODUCTS[base.assembly]: 'circ' (c^i_{jk} = delta, X = e) or 'star'
+    (c*^i_{jk} = delta / u^i, X = E).  It reads only the assembly's name, not
+    the structural assembly of the image tables; for cross-checking only.
     """
-    if product not in ("circ", "star"):
-        raise ReciprocalError(f"product must be 'circ' or 'star', got {product!r}")
-    n = base.dim
+    n, product = base.dim, PRODUCTS[base.assembly]
     a1 = A.jet(points, 1)
     w = jets.gradient(a1) / a1.value
     X = points.coords if product == "star" else np.ones(points.coords.shape)
@@ -529,14 +536,14 @@ def intrinsic_agreement_report(
     with the structure-tensor route of intrinsic_transformed_gamma.  Both are
     evaluated over the whole set, so tables already cached for it are reused;
     with first, the report keeps the entries of the first points only."""
-    routes = [("circ", result.natural, natural_connection(sys))]
+    routes = [(result.natural, natural_connection(sys))]
     if result.dual is not None:
-        routes.append(("star", result.dual, dual_connection(sys)))
+        routes.append((result.dual, dual_connection(sys)))
     n = sys.dim
     kept = points if first is None else point_set(points[:first])
-    diffs = {
-        product: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, product, points)
-        for product, image, base in routes
+    diffs = {  # by the base's product: circ, then star
+        PRODUCTS[base.assembly]: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, points)
+        for image, base in routes
     }
     labels = _agreement_labels(n, tuple(diffs))
     values = np.stack(list(diffs.values()), axis=3).reshape(len(labels), -1)[:, : len(kept)]
@@ -620,25 +627,6 @@ def orbit_compose(
 # Rotation frames
 
 
-def darboux_gamma_off(frame: RotationFrame) -> Callable[[PointSet, int], np.ndarray]:
-    """Generator producer of a frame: (H_j / H_i) beta_ij for every pair at once,
-    one stacked quotient and one stacked product, zero on the diagonal."""
-    n = frame.dim
-    i, j = off_pairs(n)
-
-    def generate(points: PointSet, order: int) -> np.ndarray:
-        h, b = frame.lame_jets(points, order), frame.beta_jets(points, order)
-        return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
-
-    return generate
-
-
-def frame_connection(frame: RotationFrame) -> ConnectionTable:
-    """The generators-only table of a frame's symbols (darboux_gamma_off), a new
-    table per call over the frame's one generator; residuals that need an assembly reject it."""
-    return ConnectionTable(frame.dim, "frame", frame._gamma_off, None)
-
-
 @functools.lru_cache(maxsize=None)
 def _darboux_plan(n: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
     """darboux_residual's labels, at each pair in off_pairs order its triple, beta-e and beta-E rows, then
@@ -686,13 +674,13 @@ def darboux_transform(
     """Image frame: beta~_ij = beta_ij - (H_i / H_j) d_j ln A, H~_i = H_i / A,
     degree d + k, its stacks stacked jet operations over the frame's and A's
     partials.  biflat_verdict must admit the generator, with the density
-    equations taken for the frame's symbols (frame_connection); otherwise an
+    equations taken for the frame's own symbols (generators); otherwise an
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
     A = gen.field
     e_grading = grading_residual(A, "e", points, grading_tol)
     big_e_grading = grading_residual(A, "E", points, grading_tol)
-    dens = ResidualReport.of("density", tolerance, _density_block(frame_connection(frame), A, points))
+    dens = ResidualReport.of("density", tolerance, _density_block(frame, A, points))
     verdict = biflat_verdict(dens, e_grading, big_e_grading, grading_tol)
     if not verdict.passed:
         r = {name: rep.max_abs for name, rep in verdict.reports.items()}

@@ -27,7 +27,6 @@ from recipfm.reciprocal import (
     a_system_residual,
     biflat_verdict,
     current_from_density,
-    darboux_gamma_off,
     darboux_residual,
     darboux_transform,
     density_residual,
@@ -221,10 +220,8 @@ def test_c10_rotation_frame_action():
     image = darboux_transform(frame, ConservationDensity(A), pts)
     after = darboux_residual(image, pts, 1e-10)
     degree_ok = abs(image.degree - (frame.degree - 1.0)) <= 1e-10
-    old_off = darboux_gamma_off(frame)
-    new_off = darboux_gamma_off(image)
     shift = 0.0
-    old_g, new_g = old_off(pts, 0)[:, :, 0], new_off(pts, 0)[:, :, 0]
+    old_g, new_g = frame.generators(pts, 0)[:, :, 0], image.generators(pts, 0)[:, :, 0]
     for i, j in ((0, 1), (1, 0)):
         expected = old_g[i, j] - jets.div(jets.derivative(A.jet(pts, 1), j), A.jet(pts, 0)).value  # d_j A / A
         shift = max(shift, float(np.abs(new_g[i, j] - expected).max()))
@@ -253,7 +250,7 @@ def test_c11_oracle_equivalence_and_jet_partials():
     frame_table_pts = sample_points(2, 10, seed=43)
     from recipfm.geometry import ConnectionTable
 
-    frame_table = ConnectionTable(2, "natural", generate=darboux_gamma_off(epsilon_frame_n2(1.0)), assembly="natural")
+    frame_table = ConnectionTable(2, "natural", generate=epsilon_frame_n2(1.0).generators, assembly="natural")
     tables.append((frame_table, frame_table_pts))
 
     worst = 0.0

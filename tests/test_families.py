@@ -140,9 +140,10 @@ def test_array_families_match_per_component_loops(n, eps, density):
     )
     assert_entries_bitwise(a_system_residual(sys, A, points).entries, a_system_entries(sys, A, points))
     assert_entries_bitwise(theta_system_residual(sys, A, points).entries, theta_entries(sys, A, points))
-    for product, conn in (("circ", nat), ("star", dual)):
-        got = covariant_hessian_residual(conn, product, A, points).entries
-        assert_entries_bitwise(got, hessian_entries(conn, product, A, points))
+    for product, conn in (("circ", nat), ("star", dual)):  # each table names its product
+        got = covariant_hessian_residual(conn, A, points)
+        assert got.label == f"hessian-{product}"
+        assert_entries_bitwise(got.entries, hessian_entries(conn, product, A, points))
 
 
 def test_overflowing_density_fails_closed_in_every_array_family(tmp_path):
@@ -158,5 +159,6 @@ def test_overflowing_density_fails_closed_in_every_array_family(tmp_path):
         sys, A = epsilon_system(2, 1.0), field("(1e200*u1)^2", 2)
         points = sample_points(2, 3, seed=42, predicates=(density_window(A),))
         for product, conn in (("circ", natural_connection(sys)), ("star", dual_connection(sys))):
-            rep = covariant_hessian_residual(conn, product, A, points)
+            rep = covariant_hessian_residual(conn, A, points)
+            assert rep.label == f"hessian-{product}"
             assert math.isnan(rep.max_abs) and not rep.passed

@@ -201,8 +201,10 @@ def test_pairing_follows_the_assembly_not_the_kind():
 
 
 def test_connection_table_needs_assembly_or_components():
-    with pytest.raises(GeometryError, match="unknown assembly rule 'custom'"):
-        ConnectionTable(2, "natural", lambda points, order: None, "custom")
+    # a table is natural or dual
+    for assembly in ("custom", None):
+        with pytest.raises(GeometryError, match=f"unknown assembly rule {assembly!r}; use 'natural' or 'dual'$"):
+            ConnectionTable(2, "natural", lambda points, order: None, assembly)
 
 
 def test_sample_points_constraints_and_determinism():

@@ -23,7 +23,6 @@ from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_sy
 from recipfm.exprlang import EvalError, ScalarField, field
 from recipfm.geometry import (
     DiagonalSystem,
-    GeometryError,
     ResidualReport,
     banded_points,
     curvature_full_residual,
@@ -48,15 +47,12 @@ from recipfm.reciprocal import (
     biflat_verdict,
     covariant_hessian_residual,
     current_from_density,
-    darboux_gamma_off,
     darboux_residual,
     darboux_transform,
     density_residual,
     density_window,
-    frame_connection,
     grading_residual,
     intrinsic_agreement_report,
-    intrinsic_transformed_gamma,
     orbit_compose,
     theta_system_residual,
     transform,
@@ -169,9 +165,9 @@ def test_theta_form_matches_a_system_verdict(sys2, recip_density):
 def test_covariant_hessian_circ(sys2, recip_density):
     pts = _points2(recip_density)
     nat = natural_connection(sys2)
-    rep = covariant_hessian_residual(nat, "circ", recip_density, pts)
+    rep = covariant_hessian_residual(nat, recip_density, pts)
     assert rep.passed and rep.max_abs <= 1e-9
-    const = covariant_hessian_residual(nat, "circ", field("3 + 0*u1", 2), pts)
+    const = covariant_hessian_residual(nat, field("3 + 0*u1", 2), pts)
     assert const.max_abs == 0.0
 
 
@@ -182,7 +178,7 @@ def test_covariant_hessian_star_flat_coordinate():
     sys3 = epsilon_system(3, 1.0)
     e = entry("dim3-eps1-flatcoord")
     pts = sample_points(3, 10, seed=13, predicates=e.sample_predicates())
-    rep = covariant_hessian_residual(dual_connection(sys3), "star", A1, pts)
+    rep = covariant_hessian_residual(dual_connection(sys3), A1, pts)
     assert rep.passed and rep.max_abs <= 1e-8
 
 
@@ -196,14 +192,9 @@ def test_hessian_verdict_equivalence(sys2):
         verdicts = (
             a_system_residual(sys2, A, pts).passed,
             theta_system_residual(sys2, A, pts).passed,
-            covariant_hessian_residual(nat, "circ", A, pts).passed,
+            covariant_hessian_residual(nat, A, pts).passed,
         )
         assert verdicts == (expected,) * 3
-
-
-def test_covariant_hessian_rejects_an_unknown_product(sys2, recip_density):
-    with pytest.raises(ReciprocalError, match="product must be 'circ' or 'star', got 'dot'"):
-        covariant_hessian_residual(natural_connection(sys2), "dot", recip_density, _points2(recip_density))
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +496,22 @@ def test_current_guards_report_the_first_failing_node(sys2):
     assert str(exc.value) == f"ln of non-positive value {node.coords[0] + 1.5} in 'ln(u1 + 1.5)'"
 
 
-def test_current_quadrature_leaves_the_density_memo_empty(sys2):
+def test_current_quadrature_leaves_the_density_memo_empty(sys2, monkeypatch):
     A = field("exp(u1)/(u2-u1)", 2)
     B = current_from_density(sys2, A, jets.Point((-1.25, 1.25)))
-    pts = point_set([*banded_points(DIM2_BANDS, 5, seed=6), jets.Point((-0.2, 0.3))])
+    pts = point_set([*banded_points(DIM2_BANDS, 5, seed=6), jets.Point((-0.52, -0.48))])
+    sizes, real = [], reciprocal.PointSet  # the node count of every node set the quadrature builds
+    monkeypatch.setattr(reciprocal, "PointSet", lambda coords: sizes.append(coords.shape[1]) or real(coords))
     gc.disable()  # no node set may wait for a cycle
     try:
         held = sum(isinstance(o, PointSet) for o in gc.get_objects())
-        B.jet(pts, 0)  # the last point's long leg near the diagonal refines to more panels
+        B.jet(pts, 0)
         assert sum(isinstance(o, PointSet) for o in gc.get_objects()) == held
     finally:
         gc.enable()
+    # the last point ends near the diagonal, so its value refines past the first level's 48 nodes:
+    # the refined node sets went too
+    assert max(sizes) > 48
     # the density was evaluated over node sets only, which went with their memos
     assert list(pts._memo) == [B] and list(pts._memo[B]) == [0]
 
@@ -654,8 +650,8 @@ def test_intrinsic_assembly_agreement(sys2, recip_density):
     assert intrinsic_agreement_report(sys2, recip_density, res, pts, first=3) == intrinsic_agreement_report(
         sys2, recip_density, res, point_set(pts[:3])
     )
-    with pytest.raises(ReciprocalError):
-        intrinsic_transformed_gamma(natural_connection(sys2), recip_density, "bad", pts)
+    # each route is named by its base table's product
+    assert [label[0] for _, label, _ in rep.entries[:2]] == ["circ", "star"]
 
 
 # ---------------------------------------------------------------------------
@@ -738,18 +734,15 @@ def test_frame_residuals_and_christoffels():
     rep = darboux_residual(frame, pts)
     assert rep.passed and rep.max_abs <= 1e-10
     sys2 = epsilon_system(2, 1.0)
-    off = darboux_gamma_off(frame)
     from recipfm.geometry import christoffel_primary
 
-    table = frame_connection(frame)
-    # every table of one frame shares the memo a set holds for the frame's generator
-    assert frame_connection(frame).generators(pts, 1) is table.generators(pts, 1)
-    assert set(pts._memo[frame._gamma_off]) == {1}
+    # the frame's symbols are the set's memo entry for its generators, held at the order asked only
+    assert frame.generators(pts, 1) is frame.generators(pts, 1)
+    assert set(pts._memo[frame.generators]) == {1}
     for p in pts:
         want = christoffel_primary(sys2, point_set(p), 0)
         for i, j in ((0, 1), (1, 0)):
-            assert off(point_set(p), 0)[i, j, 0] == pytest.approx(want[i, j, 0], abs=1e-12)
-            assert table.generators(point_set(p), 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
+            assert frame.generators(point_set(p), 0)[i, j] == pytest.approx(want[i, j], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -757,7 +750,7 @@ def test_frame_residuals_and_christoffels():
     [
         lambda p: grading_residual(field("1/(u2-u1)", 2), "e", p),
         lambda p: natural_connection(epsilon_system(2, 1.0)).generators(p, 0),
-        lambda p: darboux_gamma_off(epsilon_frame_n2(1.0))(p, 0),
+        lambda p: epsilon_frame_n2(1.0).generators(p, 0),
     ],
     ids=["grading_residual", "ConnectionTable.generators", "frame generator"],
 )
@@ -787,26 +780,12 @@ def test_no_reference_cycle_among_systems_tables_frames_fields_and_sets():
             identity_parallel_residual(dual, "E", pts)
         assert density_residual(sys3, A, pts).passed
         frame, pts2 = epsilon_frame_n2(1.0), sample_points(2, 4, seed=41)
-        assert frame_connection(frame).generators(pts2, 1).shape == (2, 2, 3, 4)
+        assert frame.generators(pts2, 1).shape == (2, 2, 3, 4)
         assert darboux_residual(frame, pts2).passed
         alive.extend(weakref.ref(x) for x in (pts, pts2, sys3, image.system, frame, A))
 
     assert cyclic_recipfm_objects(evaluate) == []
     assert [ref() for ref in alive] == [None] * 6
-
-
-def test_frame_table_holds_generators_only():
-    table = frame_connection(epsilon_frame_n2(1.0))
-    pts = sample_points(2, 2, seed=22)
-    assert table.generators(pts, 0).shape == (2, 2, 1, 2)
-    with pytest.raises(GeometryError):
-        table.christoffels(pts, 0)  # G^i_jj needs an assembly
-    with pytest.raises(GeometryError):
-        curvature_natural_residual(table, pts)
-    with pytest.raises(GeometryError):
-        identity_parallel_residual(table, "e", pts)
-    with pytest.raises(GeometryError):
-        curvature_full_residual(table, pts)
 
 
 def test_trivial_frame_is_exact():
@@ -872,8 +851,7 @@ def test_darboux_transform_drops_degree():
     rep = darboux_residual(image, pts)
     assert rep.passed and rep.max_abs <= 1e-9
     # reconstructed symbols follow the shift law
-    old_off = darboux_gamma_off(frame)
-    new_off = darboux_gamma_off(image)
+    old_off, new_off = frame.generators, image.generators
     for p in pts:
         a = A.jet(p, 1)
         for i, j in ((0, 1), (1, 0)):
@@ -947,7 +925,7 @@ def test_residual_families_read_the_density_value_off_its_jet(sys2):
     density_residual(sys2, A, pts)
     a_system_residual(sys2, A, pts)
     theta_system_residual(sys2, A, pts)
-    covariant_hessian_residual(natural_connection(sys2), "circ", A, pts)
+    covariant_hessian_residual(natural_connection(sys2), A, pts)
     _biflat(sys2, A, pts)
     # the floor check still guards every family that divides by A
     zero = field("u1 - u1", 2)
@@ -955,7 +933,7 @@ def test_residual_families_read_the_density_value_off_its_jet(sys2):
         lambda: grading_residual(zero, "E", pts),
         lambda: a_system_residual(sys2, zero, pts),
         lambda: theta_system_residual(sys2, zero, pts),
-        lambda: covariant_hessian_residual(natural_connection(sys2), "star", zero, pts),
+        lambda: covariant_hessian_residual(dual_connection(sys2), zero, pts),
     ):
         with pytest.raises(ReciprocalError, match=f"density magnitude 0.00e\\+00 below {DENSITY_FLOOR}"):
             family()

@@ -42,7 +42,6 @@ from recipfm.reciprocal import (
     darboux_residual,
     darboux_transform,
     density_window,
-    frame_connection,
     orbit_compose,
     transform,
     transformed_off_diagonal,
@@ -228,8 +227,8 @@ def test_christoffel_shift_rows_match_per_label_reference(monkeypatch, tmp_path)
     (got,) = [rep for rep in reports if rep.label == "christoffel-shift"]
     frame, A = epsilon_frame_n2(1.0), field("1/(u2-u1)", 2)
     points = sample_points(2, 6, 9, predicates=(density_window(A),))
-    image = frame_connection(darboux_transform(frame, ConservationDensity(A), points)).generators(points, 0)[:, :, 0]
-    expected = transformed_off_diagonal(frame_connection(frame), A)(points, 0)[:, :, 0]
+    image = darboux_transform(frame, ConservationDensity(A), points).generators(points, 0)[:, :, 0]
+    expected = transformed_off_diagonal(frame, A)(points, 0)[:, :, 0]
     rows = {(i, j): image[i, j] - expected[i, j] for i, j in itertools.permutations(range(2), 2)}
     assert_same_entries(got.entries, entries_by_point(points, rows))
 

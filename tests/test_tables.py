@@ -23,7 +23,7 @@ from recipfm.geometry import (
     sample_points,
 )
 from recipfm.jets import Point, PointSet, point_set
-from recipfm.reciprocal import ConservationDensity, frame_connection, transform
+from recipfm.reciprocal import ConservationDensity, transform
 
 ORDERS = (0, 1, 2)
 
@@ -96,7 +96,7 @@ def test_frame_generators_match_per_pair_loop(order):
         hi, hj = (lame[k].jet(points, order) for k in (i, j))
         return jets.mul(jets.div(hj, hi), beta[(i, j)].jet(points, order))
 
-    got = frame_connection(epsilon_frame_n2(1.0)).generators(points, order)
+    got = epsilon_frame_n2(1.0).generators(points, order)
     assert_bitwise(got, pair_generators(2, points, order, pair))
 
 
