@@ -311,10 +311,10 @@ class ScalarField:
 
     Wraps a pure function (point set, order) -> Jet, a compiled program, a
     quadrature or a jet operation over other fields' ``jet``, called only by
-    ``jet``, which memoizes every jet in the point set, by field and order; the
-    field keeps nothing that depends on points, so its jets go when the set
-    goes, and a quadrature's node sets leave nothing behind.  A lone Point is
-    evaluated as a set of one.
+    ``jet``, which memoizes each jet's coefficient array in the point set, by
+    field and order, and returns a Jet view of it; the field keeps nothing that
+    depends on points, so its jets go when the set goes, and a quadrature's
+    node sets leave nothing behind.  A lone Point is evaluated as a set of one.
     """
 
     def __init__(self, dim: int, fn: Callable[[PointSet, int], Jet]):
@@ -325,7 +325,7 @@ class ScalarField:
         points = point_set(points)
         if points.dim != self.dim:
             raise ValueError(f"field on {self.dim} coordinates evaluated at points with {points.dim}")
-        return jets.memoized(points, self, order, lambda: self._fn(points, order))
+        return jets._built(self.dim, order, jets.memoized(points, self, order, lambda: self._fn(points, order).coeffs))
 
     def value(self, p: Point) -> float:
         """The value at a lone point."""

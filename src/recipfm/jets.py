@@ -9,12 +9,12 @@ float64 array of shape ``(ncoeff, npoints)`` whose row ``r`` belongs to
 one column is the same at every point and broadcasts against any set.  With
 the scaled normalization multiplication is a plain truncated Cauchy product,
 ``scale`` multiplies by a constant as one scaled array, bit for bit that
-product with the constant's jet, and the readers ``gradient`` and ``hessian``
-rescale every first or second partial on the way out.  ``partials`` gathers
-every first partial as a jet one order lower, and ``from_partials``, the
-inverse gather, builds the jet of value 0 whose first partials are given (a
-current known by its one-form), both from one plan; so no other module knows
-where a derivative lies.
+product with the constant's jet.  One plan, ``_partials_plan``, locates every
+derivative: ``partials`` gathers each first partial as a jet one order lower,
+``gradient`` reads each e_l's row, cached once per dim, ``hessian`` is the
+gradient of the partials, the lifts set the same rows to 1, and ``from_partials``,
+the inverse gather, builds the jet of value 0 whose first partials are given
+(a current known by its one-form); so no other module knows where a derivative lies.
 
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
@@ -36,8 +36,8 @@ order at every order, and grade-major storage makes ``multi_indices(dim, m)``
 a prefix of ``multi_indices(dim, k)`` for m <= k.  So the order-m jet of a
 field is bit for bit the first ``ncoeff(dim, m)`` rows of its order-k jet.
 ``memoized``, the one memo of field jets, velocity and table arrays and lifts,
-stores every entry read-only in its point set, and reads a missing lower order
-off a higher one of the same owner there, unless that one is non-finite.
+stores every entry as a read-only array in its point set, and reads a missing
+lower order off a higher one of the same owner there, unless that one is non-finite.
 Tables, systems and residual families take the PointSet they evaluate over
 (from ``sample_points``, ``banded_points`` or ``point_set``); only a field
 takes a lone Point.  Hold the set to share work across families.
@@ -127,7 +127,7 @@ class PointSet(Sequence):
                 return self.coords[:, None, :]
             out = np.zeros((self.dim, len(multi_indices(self.dim, order)), len(self)))
             out[:, 0] = self.coords
-            out[np.arange(self.dim), _reader_plan(self.dim)[0]] = 1.0  # the grade-1 rows
+            out[np.arange(self.dim), _unit_rows(self.dim)] = 1.0
             return out
 
         return memoized(self, variable, order, build)
@@ -170,7 +170,7 @@ def memoized(points: PointSet, owner, order: int, compute):
 
     The owner is the evaluator the entry belongs to (a field, a velocity
     stack, a table's or a frame's generators, or a (generator, assembly) pair
-    for a full table), and the entry a Jet or an array (..., ncoeff, npoints) of jet
+    for a full table), and the entry an array (..., ncoeff, npoints) of jet
     coefficients over the set.  A missing order is read off the lowest present
     higher order of the same owner when that entry is all finite, as its
     leading coefficient rows; otherwise compute() makes it, under quiet.
@@ -182,7 +182,7 @@ def memoized(points: PointSet, owner, order: int, compute):
         got = _prefix(per, order, points.dim) if per else None  # an owner's first entry has nothing to read off
         if got is None:
             got = _quietly(compute)
-        (got.coeffs if isinstance(got, Jet) else got).setflags(write=False)
+        got.setflags(write=False)
         per[order] = got
     return got
 
@@ -198,11 +198,9 @@ def _prefix(per: dict, order: int, dim: int):
     for k in range(order + 1, MAX_ORDER + 1):
         higher = per.get(k)
         if higher is not None:
-            coeffs = higher.coeffs if isinstance(higher, Jet) else higher
-            if not np.isfinite(coeffs).all():
+            if not np.isfinite(higher).all():
                 return None
-            rows = coeffs[..., : len(multi_indices(dim, order)), :]
-            return Jet(dim, order, rows) if isinstance(higher, Jet) else rows
+            return higher[..., : len(multi_indices(dim, order)), :]
     return None
 
 
@@ -239,15 +237,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for x in arrays:
         x.flags.writeable = False
     return arrays
-
-
-@lru_cache(maxsize=None)
-def _reader_plan(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the first partials d_l (dim,) and second partials d_k d_l (dim, dim)
-    in a jet of high enough order, and the second's alpha! (2 on the diagonal)."""
-    pos, unit = _positions(dim, 2), np.eye(dim, dtype=int)
-    second = [[pos[tuple(a + b)] for b in unit] for a in unit]
-    return _frozen(np.array([pos[tuple(a)] for a in unit]), np.array(second), np.where(unit == 1, 2.0, 1.0)[:, :, None])
 
 
 @lru_cache(maxsize=None)
@@ -310,6 +299,12 @@ def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray, np.nd
     factor = np.array([[[beta[l] + 1.0] for beta in lower] for l in range(dim)])
     back = np.array([first[r] for r in range(1, ncoeff)], dtype=np.intp).T
     return _frozen(np.array(src, dtype=np.intp), factor, back)
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(dim: int) -> np.ndarray:
+    """The row of each e_l in a jet of any order >= 1: the value row of its partial, of factor 1."""
+    return _partials_plan(dim, dim + 1)[0][:, 0]  # a view of a read-only array, read-only itself
 
 
 class Jet:
@@ -378,7 +373,7 @@ def variable(dim: int, order: int, index: int, value) -> Jet:
         raise JetError(f"coordinate index {index} out of range for dimension {dim}")
     out = constant(dim, order, value)
     if order >= 1:
-        out.coeffs[_reader_plan(dim)[0][index]] = 1.0
+        out.coeffs[_unit_rows(dim)[index]] = 1.0
     return out
 
 
@@ -450,16 +445,6 @@ def div(a: Jet, b: Jet) -> Jet:
     return _built(a.dim, a.order, q)
 
 
-def derivative(a: Jet, index: int) -> Jet:
-    """The jet of d f / d u^{index}, one order lower: entry index of partials(a)."""
-    if a.order < 1:
-        raise JetError("cannot differentiate an order-0 jet")
-    if not 0 <= index < a.dim:
-        raise JetError(f"coordinate index {index} out of range for dimension {a.dim}")
-    src, factor, _ = _partials_plan(a.dim, len(a.coeffs))
-    return Jet(a.dim, a.order - 1, a.coeffs[src[index]] * factor[index])
-
-
 def stack(js: Sequence[Jet], npoints: int) -> np.ndarray:
     """The jets' coefficients as one array (len(js), ncoeff, npoints); one column spreads."""
     return np.array([j.coeffs if j.coeffs.shape[1] == npoints else np.repeat(j.coeffs, npoints, axis=1) for j in js])
@@ -477,7 +462,8 @@ def stacked(op, dim: int, order: int, *operands: np.ndarray) -> np.ndarray:
 def partials(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     """Every first partial d_l f as jets one order lower, one array (..., dim,
     ncoeff', npoints), of a jet or stacked coefficients as for gradient, in one
-    gather: entry [..., l, :, :] is bit for bit derivative(a, l)."""
+    gather: row k of entry [..., l, :, :], of multi-index beta, is the row of
+    beta + e_l times beta[l] + 1."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
     src, factor, _ = _partials_plan(dim, coeffs.shape[-2])
     return coeffs[..., src, :] * factor
@@ -494,18 +480,18 @@ def from_partials(d: np.ndarray, dim: int, order: int) -> Jet:
 def gradient(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     """Every first partial d_l f as one array (..., dim, npoints), of a jet of
     order >= 1 or of stacked coefficients (..., ncoeff, npoints) of such
-    dim-variable jets.  Entry [..., l, :] is d_l f: its row, since alpha! is 1."""
+    dim-variable jets.  Entry [..., l, :] is d_l f: the row of e_l, whose factor is 1."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
-    return coeffs[..., _reader_plan(dim)[0], :]
+    return coeffs[..., _unit_rows(dim), :]
 
 
 def hessian(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     """Every second partial d_k d_l f as one array (..., dim, dim, npoints), of a
-    jet of order >= 2 or of stacked coefficients as for gradient.  Entry
-    [..., k, l, :] is d_k d_l f: its row times alpha!."""
+    jet of order >= 2 or of stacked coefficients as for gradient: the gradient
+    of the partials.  Entry [..., k, l, :] is d_l d_k f, the row of e_k + e_l
+    times e_l[k] + 1, which is alpha!."""
     coeffs, dim = (a.coeffs, a.dim) if isinstance(a, Jet) else (a, dim)
-    _, rows, factorial = _reader_plan(dim)
-    return coeffs[..., rows, :] * factorial
+    return gradient(partials(coeffs, dim), dim)
 
 
 def compose_univariate(g: Jet, series) -> Jet:

@@ -420,7 +420,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
 
 
 def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
-    """Every d_l A / A over the points, bit for bit the quotient of derivative(higher, l)
+    """Every d_l A / A over the points, bit for bit the quotient of entry l of partials(higher)
     by a, from A's jets a and higher (one order up) in one stacked quotient."""
     shape = (a.dim, len(a.coeffs), npoints)
     num, den = (np.broadcast_to(x, shape) for x in (jets.partials(higher), a.coeffs))

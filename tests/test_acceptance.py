@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from conftest import corpus_exprs, corpus_points, fd_partial, field_of, flat_coordinates, partial
+from conftest import corpus_exprs, corpus_points, derivative, fd_partial, field_of, flat_coordinates, partial
 from recipfm import jets
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
 from recipfm.cli import main as cli_main
@@ -223,7 +223,7 @@ def test_c10_rotation_frame_action():
     shift = 0.0
     old_g, new_g = frame.generators(pts, 0)[:, :, 0], image.generators(pts, 0)[:, :, 0]
     for i, j in ((0, 1), (1, 0)):
-        expected = old_g[i, j] - jets.div(jets.derivative(A.jet(pts, 1), j), A.jet(pts, 0)).value  # d_j A / A
+        expected = old_g[i, j] - jets.div(derivative(A.jet(pts, 1), j), A.jet(pts, 0)).value  # d_j A / A
         shift = max(shift, float(np.abs(new_g[i, j] - expected).max()))
     ok = before.passed and after.passed and degree_ok and shift <= 1e-10
     _line(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,24 @@ def test_every_entry_is_an_admissible_density(e):
     if e.k is not None:
         k_est, k_rep = grading_residual(A, "E", pts)
         assert k_rep.passed and k_est == pytest.approx(e.k, abs=1e-8)
+
+
+@pytest.mark.parametrize("e", [e for e in catalog_entries() if e.dim == 3], ids=lambda e: e.entry_id)
+def test_relabelled_density_is_the_density_at_relabelled_points(e):
+    """The eps-system is symmetric under every permutation sigma of u1..u3.
+    With u_i renamed u_sigma(i), sigma = (2, 3, 1), the density read at the
+    points whose coordinate sigma(i) is their old coordinate i runs the same
+    operations on the same numbers as A at the old points, and is a density too."""
+    sys, A = epsilon_system(3, e.eps), e.density_field()
+    src = re.sub(r"\bu([123])\b", lambda m: f"u{int(m[1]) % 3 + 1}", e.density_src)
+    assert src != e.density_src
+    renamed = field(src, 3, e.params)
+    pts = sample_points(3, 8, seed=7, predicates=e.sample_predicates(2))
+    moved = jets.PointSet(pts.coords[[2, 0, 1]])  # moved.coords[sigma(i)] = pts.coords[i], 0-based
+    assert same_bits(renamed.jet(moved, 0).value, A.jet(pts, 0).value)
+    before, after = density_residual(sys, A, pts), density_residual(sys, renamed, moved)
+    assert before.passed and after.passed
+    assert abs(before.max_abs - after.max_abs) <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def a_system_entries(sys, A, points):
 
 def theta_entries(sys, A, points):
     n, a1, a2 = sys.dim, A.jet(points, 1), A.jet(points, 2)
-    theta_jets = [jets.div(jets.derivative(a2, l), a1) for l in range(n)]
+    theta_jets = [jets.div(conftest.derivative(a2, l), a1) for l in range(n)]
     theta = [t.value for t in theta_jets]
     off = natural_connection(sys).generators(points, 0)[:, :, 0]
     rows = {}

@@ -300,10 +300,10 @@ def test_flatness_verdict_evaluates_each_symbol_and_velocity_once(monkeypatch):
 
 def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
     """One n = 6 flatness verdict, the five families over one set, reads every
-    partial of the velocities at once off one stack built once, and every
-    coordinate lift off one array: the tables make no per-coordinate
-    derivative, constant or lift."""
-    counts = dict.fromkeys(("stacked", "derivative", "constant"), 0)
+    partial of the velocities in one gather off one stack built once, and
+    every coordinate lift off one array: the tables make no per-coordinate
+    constant or lift."""
+    counts = dict.fromkeys(("stacked", "partials", "constant"), 0)
 
     def counting(name, real):
         def call(*args):
@@ -330,7 +330,7 @@ def test_flatness_verdict_makes_no_per_coordinate_jet_call(monkeypatch):
     assert all(rep.passed for rep in flatness_reports(sys6, sample_points(6, 4, seed=5)))
     # the symbols' and the dual assembly's quotients and the dual's product;
     # the shift's eps in the velocities' closed form is a scale, no constant jet
-    assert counts == {"stacked": 3, "derivative": 0, "constant": 0}
+    assert counts == {"stacked": 3, "partials": 1, "constant": 0}
     assert builds == [2] and lifts == []
     assert lift_builds == [2]  # the velocities' lifts; the dual assembly reads order 1 off them
 
@@ -421,7 +421,7 @@ SHARED_PLANS = {
     "off_pairs": geometry.off_pairs,
     "_sh_plan": geometry._sh_plan,
     "_curvature_plan": geometry._curvature_plan,
-    "_reader_plan": jets._reader_plan,
+    "_unit_rows": jets._unit_rows,
     "_partials_plan": lambda n: tuple(jets._partials_plan(n, len(jets.multi_indices(n, k))) for k in (1, 2, 3)),
     "_mul_grid": lambda n: tuple(jets._mul_grid(n, k) for k in range(4)),
     "_div_grids": lambda n: tuple(jets._div_grids(n, k) for k in range(4)),

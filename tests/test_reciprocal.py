@@ -9,7 +9,9 @@ import pytest
 
 from conftest import (
     cyclic_recipfm_objects,
+    derivative,
     eps2_frame_fields,
+    every_order_from_scratch,
     field_of,
     flat_coordinates,
     frame3_fields,
@@ -32,6 +34,7 @@ from recipfm.geometry import (
     natural_connection,
     pair_labels,
     sample_points,
+    sh_residual,
 )
 from recipfm import reciprocal
 from recipfm.reciprocal import (
@@ -895,7 +898,7 @@ def test_image_frame_stacks_are_the_composites_bit_for_bit(beta, lame, degree, A
         a = A.jet(p, order)
         shift = lambda i, j: jets.mul(
             jets.div(lame[i].jet(p, order), lame[j].jet(p, order)),
-            jets.div(jets.derivative(A.jet(p, order + 1), j), a),
+            jets.div(derivative(A.jet(p, order + 1), j), a),
         )
         want_beta = [jets.sub(beta[i, j].jet(p, order), shift(i, j)) for i, j in pair_labels(n)]
         want_lame = [jets.div(h.jet(p, order), a) for h in lame]
@@ -937,6 +940,41 @@ def test_residual_families_read_the_density_value_off_its_jet(sys2):
     ):
         with pytest.raises(ReciprocalError, match=f"density magnitude 0.00e\\+00 below {DENSITY_FLOOR}"):
             family()
+
+
+def test_every_memo_entry_is_a_read_only_array():
+    """Every evaluator, a field too, keeps its entries in the set as read-only
+    coefficient arrays: a field's jets are views of its entries, and an order
+    read off a higher one is bit for bit the one computed on its own."""
+    e = entry("dim3-eps1-h1:c0")
+    sys, A = epsilon_system(3, e.eps), e.density_field()
+    pts = sample_points(3, 5, seed=7, predicates=e.sample_predicates(2))
+    natural = natural_connection(sys)
+    density_residual(sys, A, pts)
+    a_system_residual(sys, A, pts)
+    theta_system_residual(sys, A, pts)
+    grading_residual(A, "e", pts)
+    grading_residual(A, "E", pts)
+    curvature_natural_residual(natural, pts)
+    curvature_full_residual(natural, pts)
+    sh_residual(sys, pts)
+    image = transform(sys, ConservationDensity(A), pts[0], with_dual=True, points=pts)
+    for table in (image.natural, image.dual):
+        curvature_full_residual(table, pts)
+    entries = [got for per in pts._memo.values() for got in per.values()]
+    assert len(pts._memo) >= 6 and A in pts._memo
+    assert all(type(got) is np.ndarray and not got.flags.writeable for got in entries)
+    for order, got in pts._memo[A].items():
+        assert np.shares_memory(A.jet(pts, order).coeffs, got)
+    fresh = PointSet(pts.coords)
+    top = A.jet(fresh, 2).coeffs
+    got = A.jet(fresh, 0).coeffs
+    with every_order_from_scratch():
+        scratch = PointSet(pts.coords)
+        A.jet(scratch, 2)
+        want = A.jet(scratch, 0).coeffs
+    assert np.shares_memory(got, top) and not np.shares_memory(want, scratch._memo[A][2])
+    assert same_bits(got, want)
 
 
 def test_biflat_verdict_rule():

@@ -9,7 +9,7 @@ loops."""
 import numpy as np
 import pytest
 
-from conftest import eps2_frame_fields, every_order_from_scratch, same_bits
+from conftest import derivative, eps2_frame_fields, every_order_from_scratch, same_bits
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import field
@@ -47,7 +47,7 @@ def system_generators(sys: DiagonalSystem, points, order: int) -> np.ndarray:
     def pair(i, j):
         vi = jets.Jet(sys.dim, order + 1, sys.velocity_jets(points, order + 1)[i])
         vj = jets.Jet(sys.dim, order, sys.velocity_jets(points, order)[j])
-        return jets.div(jets.derivative(vi, j), jets.sub(vj, jets.Jet(sys.dim, order, vi.coeffs[: len(vj.coeffs)])))
+        return jets.div(derivative(vi, j), jets.sub(vj, jets.Jet(sys.dim, order, vi.coeffs[: len(vj.coeffs)])))
 
     return pair_generators(sys.dim, points, order, pair)
 
@@ -107,7 +107,7 @@ def test_transformed_tables_match_per_pair_loops(order):
     points = sample_points(3, 4, seed=5, predicates=e.sample_predicates())
     result = transform(sys, ConservationDensity(A), points[0], with_dual=True, points=points)
     base = system_generators(sys, points, order)
-    dlog = lambda j: jets.div(jets.derivative(A.jet(points, order + 1), j), A.jet(points, order))  # d_j A / A
+    dlog = lambda j: jets.div(derivative(A.jet(points, order + 1), j), A.jet(points, order))  # d_j A / A
     shift = lambda i, j: jets.sub(jets.Jet(3, order, base[i, j]), dlog(j))
     want = pair_generators(3, points, order, shift)
     assert_bitwise(result.natural.generators(points, order), want)
