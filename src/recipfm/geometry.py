@@ -268,27 +268,56 @@ def square_labels(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.product(range(n), repeat=2))
 
 
+def _gather(*patterns) -> tuple[np.ndarray, ...]:
+    """The fancy index reading each pattern, index arrays and ints over one shape, in turn, flattened; read-only."""
+    axes = zip(*(np.broadcast_arrays(*p) for p in patterns))
+    return jets._frozen(*(np.concatenate([a.ravel() for a in axis]) for axis in axes))
+
+
 @functools.lru_cache(maxsize=None)
 def _sh_plan(n: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
     """sh_residual's labels, ("sh", i, j, k) then ("dsym", i, j, k) for each
-    distinct triple in permutation order, and the triples' index arrays."""
+    distinct triple in permutation order, and the gather off the generators of
+    d_i G^k_{kj}, G^k_{kj}, G^j_{ji}, G^k_{ki}, G^i_{ij}, d_j G^i_{ik}, d_k G^i_{ij}, each over the triples."""
     triples = tuple(itertools.permutations(range(n), 3))
     labels = tuple(label for t in triples for label in (("sh", *t), ("dsym", *t)))
-    index = np.array(triples, dtype=int).reshape(-1, 3)
-    index.flags.writeable = False
-    return labels, tuple(index.T)
+    (i, j, k), d = np.array(triples, dtype=int).reshape(-1, 3).T, jets._unit_rows(n)
+    return labels, _gather((k, j, d[i]), (k, j, 0), (j, i, 0), (k, i, 0), (i, j, 0), (i, k, d[j]), (i, j, d[k]))
 
 
 @functools.lru_cache(maxsize=None)
-def _curvature_plan(n: int) -> tuple[tuple, np.ndarray]:
+def _curvature_plan(n: int) -> tuple[tuple, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """curvature_natural_residual's labels, at each i ("iki", i, q) for every q != i,
-    then ("qqi", i, q), and the mask (pairs, n, 1) of the m distinct from each
-    off_pairs pair (i, q); shared, so read-only."""
+    then ("qqi", i, q); the mask (pairs, n, 1) of the m distinct from each
+    off_pairs pair (i, q); the gather off the order-1 table of d_q G^i_{ii},
+    d_i G^i_{iq}, d_q G^i_{qi}, d_i G^i_{qq}, G^i_{qi}, G^i_{ii}, G^i_{qq}, each
+    over the pairs; and the one off the order-0 table of G^q_{iq}, G^i_{mi} for
+    each m, G^q_{qq}, G^m_{qq} for each m; shared, so read-only."""
     labels = tuple((name, i, q) for i in range(n) for name in ("iki", "qqi") for q in range(n) if q != i)
-    m, (i, q) = np.arange(n), off_pairs(n)
-    mask = ((m != i[:, None]) & (m != q[:, None]))[..., None]
-    mask.flags.writeable = False
-    return labels, mask
+    m, (i, q), d = np.arange(n)[:, None], off_pairs(n), jets._unit_rows(n)
+    (mask,) = jets._frozen(((m != i) & (m != q)).T[..., None])
+    one = (i, i, i, d[q]), (i, i, q, d[i]), (i, q, i, d[q]), (i, q, q, d[i]), (i, q, i, 0), (i, i, i, 0), (i, q, q, 0)
+    return labels, mask, _gather(*one), _gather((q, i, q, 0), (i, m, i, 0), (q, q, q, 0), (m, q, q, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The dual assembly's gathers over the off_pairs pairs (i, j): the lifts u^j,
+    then every u^l, over which its quotient divides u^i, then one; the quotient
+    rows u^i/u^j, then u^j/u^i, the row of the swapped pair, and the entries
+    G^i_{ij} twice, which its product multiplies; the slots (1 + j, i) of the
+    weighted row sum's terms; shared, so read-only."""
+    i, j = off_pairs(n)
+    swap = j * (n - 1) + i - (i > j)  # the position of (j, i) in off_pairs
+    den, ratio = np.concatenate([j, np.arange(n)]), np.concatenate([np.arange(len(i)), swap])
+    return (*jets._frozen(den, ratio), _gather((i, j), (i, j)), _gather((1 + j, i)))
+
+
+@functools.lru_cache(maxsize=None)
+def _parallel_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """identity_parallel_residual's start blocks (n, n, 1), zero for e and the
+    identity for E, and e's components (n, 1); shared, so read-only."""
+    return jets._frozen(np.zeros((n, n, 1)), np.eye(n)[:, :, None], np.ones((n, 1)))
 
 
 def pair_table(n: int, values: np.ndarray) -> np.ndarray:
@@ -368,18 +397,19 @@ class ConnectionTable:
         table[diag, diag] = off
         table[diag, :, diag] = off
         i, j = off_pairs(n)
+        terms = np.zeros((n + 1,) + off.shape[1:])  # the start, -1/u^i or 0, then the weighted row in l order
         if self.assembly == "natural":
-            jj, weighted, total = off[i, j], off, np.zeros(off.shape[1:])
+            jj, terms[1:] = off[i, j], off.swapaxes(0, 1)
         else:  # the ratios u^i/u^j and 1/u^l in one quotient, both products in one product
+            den, ratio, gen, slots = _dual_plan(n)
             m, u = len(i), points.lifts(order)
             num = np.zeros((m + n,) + u.shape[1:])
             num[:m], num[m:, 0] = u[i], 1.0  # u^i, then the constant one
-            q = jets.stacked(jets.div, n, order, num, np.concatenate([u[j], u]))
-            ratio, g = pair_table(n, q[:m]), off[i, j]
-            prod = jets.stacked(jets.mul, n, order, np.concatenate([ratio[i, j], ratio[j, i]]), np.concatenate([g, g]))
-            jj, weighted, total = prod[:m], pair_table(n, prod[m:]), -q[m:]
+            q = jets.stacked(jets.div, n, order, num, u[den])
+            prod = jets.stacked(jets.mul, n, order, q[ratio], off[gen])
+            jj, terms[slots] = prod[:m], prod[m:]  # slot (1 + i, i) stays 0.0, and x - 0.0 is x
+            np.negative(q[m:], out=terms[0])
         table[i, j, j] = -jj
-        terms = np.concatenate([total[None], weighted.swapaxes(0, 1)])  # weighted[i, i] is 0, and x - 0.0 is x
         table[diag, diag, diag] = np.subtract.reduce(terms, axis=0)
         return table
 
@@ -415,13 +445,13 @@ def sh_residual(sys: DiagonalSystem, points: PointSet, tolerance: float = TOL_SE
     and the derivative symmetry d_j G^i_{ik} = d_k G^i_{ij}.  Vacuous for n = 2.
     """
     n = sys.dim
-    labels, (i, j, k) = _sh_plan(n)
+    labels, entries = _sh_plan(n)
     values = np.empty((0, len(points)))
     if n >= 3:
         g = natural_connection(sys).generators(points, 1)
-        v, d = g[:, :, 0], jets.gradient(g, n)  # d[a, b, l] = d_l G^a_{ab}
-        sh = d[k, j, i] - v[k, j] * v[j, i] + v[k, i] * v[k, j] - v[k, i] * v[i, j]
-        dsym = d[i, k, j] - d[i, j, k]
+        d_kji, v_kj, v_ji, v_ki, v_ij, d_ikj, d_ijk = g[entries].reshape(7, len(labels) // 2, -1)
+        sh = d_kji - v_kj * v_ji + v_ki * v_kj - v_ki * v_ij
+        dsym = d_ikj - d_ijk
         values = np.stack([sh, dsym], axis=1).reshape(len(labels), -1)  # sh, then dsym, per triple
     return ResidualReport.of("semi-hamiltonian", tolerance, (points, labels, values))
 
@@ -435,20 +465,16 @@ def curvature_natural_residual(
     if conn.assembly != "natural":
         raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
     n = conn.dim
-    g1 = conn.christoffels(points, 1)
-    v1, d1 = g1[..., 0, :], jets.gradient(g1, n)  # d1[i, j, k, l] = d_l G^i_{jk}
-    v0 = conn.christoffels(points, 0)[..., 0, :]
-    i, q = off_pairs(n)  # (i, q) with q != i, i-major
-    iki = d1[i, i, i, q] - d1[i, i, q, i]
-    giq = v1[i, q, i]
-    qqi = d1[i, q, i, q] - d1[i, q, q, i] + giq * (giq - v0[q, i, q])
-    labels, distinct = _curvature_plan(n)
-    m, i1, q1 = np.arange(n), i[:, None], q[:, None]
-    terms = np.where(distinct, v0[i1, m, i1] * v0[m, q1, q1], 0.0).swapaxes(0, 1)
-    qqi = np.subtract.reduce(np.concatenate([qqi[None], terms]), axis=0)  # G^i_{mi} G^m_{qq} over m != i, q
-    qqi = qqi - v1[i, i, i] * v1[i, q, q] - giq * v0[q, q, q]
+    labels, distinct, one, zero = _curvature_plan(n)
+    d_iii, d_iiq, d_iqi, d_iqq, giq, gii, gqq = conn.christoffels(points, 1)[one].reshape(7, len(labels) // 2, -1)
+    left, right = conn.christoffels(points, 0)[zero].reshape(2, n + 1, len(labels) // 2, -1)
+    iki = d_iii - d_iiq
+    qqi = d_iqi - d_iqq + giq * (giq - left[0])
+    terms = np.where(distinct.swapaxes(0, 1), left[1:] * right[1:], 0.0)  # G^i_{mi} G^m_{qq}, m-major
+    qqi = np.subtract.reduce(np.concatenate([qqi[None], terms]), axis=0)  # over m != i, q
+    qqi = qqi - gii * gqq - giq * right[0]
     values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
-    block = points, labels, values.reshape(2 * len(i), -1)
+    block = points, labels, values.reshape(len(labels), -1)
     return ResidualReport.of(f"curvature[{conn.kind}]", tolerance, block)
 
 
@@ -493,9 +519,10 @@ def identity_parallel_residual(
         raise GeometryError(f"the {name} field pairs with the {assembly} connection")
     n = conn.dim
     g = conn.christoffels(points, 0)[..., 0, :]
-    x = points.coords if field == "E" else np.ones((n, 1))
+    zero, eye, ones = _parallel_plan(n)
+    start, x = (eye, points.coords) if field == "E" else (zero, ones)
     terms = np.empty((n + 1, n, n, len(points)))  # the start, then G^i_{jl} X^l in l order
-    terms[0] = (np.eye(n) if field == "E" else np.zeros((n, n)))[:, :, None]
+    terms[0] = start
     np.multiply(g.transpose(2, 0, 1, 3), x[:, None, None], out=terms[1:])
     s = np.add.reduce(terms, axis=0).reshape(n * n, -1)
     return ResidualReport.of(f"parallel-{field}[{conn.kind}]", tolerance, (points, square_labels(n), s))

@@ -421,6 +421,8 @@ SHARED_PLANS = {
     "off_pairs": geometry.off_pairs,
     "_sh_plan": geometry._sh_plan,
     "_curvature_plan": geometry._curvature_plan,
+    "_dual_plan": geometry._dual_plan,
+    "_parallel_plan": geometry._parallel_plan,
     "_unit_rows": jets._unit_rows,
     "_partials_plan": lambda n: tuple(jets._partials_plan(n, len(jets.multi_indices(n, k))) for k in (1, 2, 3)),
     "_mul_grid": lambda n: tuple(jets._mul_grid(n, k) for k in range(4)),
@@ -463,8 +465,39 @@ def test_family_plans_are_the_per_call_expressions(n):
         want = tuple((p, *ijk) for ijk in itertools.product(range(n), repeat=3) for p in products)
         assert reciprocal._agreement_labels(n, products) == want
     m, (i, q) = np.arange(n), geometry.off_pairs(n)
-    mask = geometry._curvature_plan(n)[1]
+    _, mask, one, zero = geometry._curvature_plan(n)
     assert mask.shape == (len(i), n, 1) and (mask == ((m != i[:, None]) & (m != q[:, None]))[..., None]).all()
+    # every gather reads the entries that the per-call expression it replaces reads, off distinct values
+    g1, g0 = distinct_values(n, n, n, n + 1, 3), distinct_values(n, n, n, 1, 3)
+    d1, v1, v0 = jets.gradient(g1, n), g1[..., 0, :], g0[..., 0, :]
+    want = [d1[i, i, i, q], d1[i, i, q, i], d1[i, q, i, q], d1[i, q, q, i], v1[i, q, i], v1[i, i, i], v1[i, q, q]]
+    assert (g1[one] == np.concatenate(want)).all()
+    left, right = g0[zero].reshape(2, n + 1, len(i), -1)
+    i1, q1 = i[:, None], q[:, None]
+    assert (left[0] == v0[q, i, q]).all() and (left[1:] == v0[i1, m, i1].swapaxes(0, 1)).all()
+    assert (right[0] == v0[q, q, q]).all() and (right[1:] == v0[m, q1, q1].swapaxes(0, 1)).all()
+    g = distinct_values(n, n, n + 1, 3)
+    d, v = jets.gradient(g, n), g[:, :, 0]
+    ti, tj, tk = np.array(list(itertools.permutations(range(n), 3)), dtype=int).reshape(-1, 3).T
+    want = [d[tk, tj, ti], v[tk, tj], v[tj, ti], v[tk, ti], v[ti, tj], d[ti, tk, tj], d[ti, tj, tk]]
+    assert (g[geometry._sh_plan(n)[1]] == np.concatenate(want)).all()
+    den, ratio, gen, slots = geometry._dual_plan(n)
+    u, quotient, off = distinct_values(n, 4, 3), distinct_values(len(i) + n, 4, 3), distinct_values(n, n, 4, 3)
+    assert (u[den] == np.concatenate([u[q], u])).all()
+    table = geometry.pair_table(n, quotient[: len(i)])
+    assert (quotient[ratio] == np.concatenate([table[i, q], table[q, i]])).all()
+    assert (off[gen] == np.concatenate([off[i, q], off[i, q]])).all()
+    terms = np.zeros((n + 1, n, 4, 3))
+    terms[slots] = quotient[: len(i)]
+    assert same_bits(terms, np.concatenate([np.zeros((1, n, 4, 3)), table.swapaxes(0, 1)]))
+    zero, eye, ones = geometry._parallel_plan(n)
+    assert same_bits(zero, np.zeros((n, n, 1))) and same_bits(eye, np.eye(n)[:, :, None])
+    assert same_bits(ones, np.ones((n, 1)))
+
+
+def distinct_values(*shape: int) -> np.ndarray:
+    """An array of the shape whose entries are 1, 2, ..., all distinct and none zero."""
+    return np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

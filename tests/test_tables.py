@@ -1,10 +1,10 @@
 """Stacked connection tables against per-pair references.
 
-The tables build every generator G^i_{ij} with one jet quotient over all pairs
-and the dual entries with one stacked quotient and one stacked product.  Jet
-operations work column by column, so each entry must be bit for bit what a
-jet call on that pair alone gives: the references below are such per-pair
-loops."""
+The tables build every generator G^i_{ij} with one jet quotient over all pairs,
+the natural entries by one ordered reduction, and the dual entries with one
+stacked quotient and one stacked product.  Jet operations work column by
+column, so each entry must be bit for bit what a jet call on that pair alone
+gives: the references below are such per-pair loops."""
 
 import numpy as np
 import pytest
@@ -52,6 +52,21 @@ def system_generators(sys: DiagonalSystem, points, order: int) -> np.ndarray:
     return pair_generators(sys.dim, points, order, pair)
 
 
+def natural_table(off: np.ndarray) -> np.ndarray:
+    """The natural assembly as a loop over pairs, one subtraction per entry."""
+    n = off.shape[0]
+    table = np.zeros((n,) + off.shape)
+    for i in range(n):
+        total = np.zeros(off.shape[2:])
+        for j in range(n):
+            if j != i:
+                table[i, i, j] = table[i, j, i] = off[i, j]
+                table[i, j, j] = -off[i, j]
+                total = total - off[i, j]
+        table[i, i, i] = total
+    return table
+
+
 def dual_table(off: np.ndarray, points, order: int) -> np.ndarray:
     """The dual assembly as a loop over pairs, one jet call per entry."""
     n = off.shape[0]
@@ -84,6 +99,7 @@ def test_system_tables_match_per_pair_loops(sys, n, order):
     want = system_generators(sys, points, order)
     assert_bitwise(christoffel_primary(sys, points, order), want)
     assert_bitwise(natural_connection(sys).generators(points, order), want)
+    assert_bitwise(natural_connection(sys).christoffels(points, order), natural_table(want))
     assert_bitwise(dual_connection(sys).christoffels(points, order), dual_table(want, points, order))
 
 
@@ -111,6 +127,7 @@ def test_transformed_tables_match_per_pair_loops(order):
     shift = lambda i, j: jets.sub(jets.Jet(3, order, base[i, j]), dlog(j))
     want = pair_generators(3, points, order, shift)
     assert_bitwise(result.natural.generators(points, order), want)
+    assert_bitwise(result.natural.christoffels(points, order), natural_table(want))
     assert_bitwise(result.dual.christoffels(points, order), dual_table(want, points, order))
 
 
