@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jets
 from .exprlang import MAX_DIM, ScalarField, field
-from .geometry import DiagonalSystem
+from .geometry import DiagonalSystem, coordinate_predicate
 from .jets import Jet, PointSet
 from .reciprocal import RotationFrame, density_window
 
@@ -95,15 +95,17 @@ class CatalogEntry:
 
     def sample_predicates(self, order: int = 0) -> tuple[Callable[[PointSet], np.ndarray], ...]:
         """Point-set filters for this entry, each giving one bool per point: the
-        hypergeometric argument inside its disk when one is involved (first, so
-        the density is never evaluated outside it), and density_window(A, order)
-        of this entry's density field A."""
+        hypergeometric argument inside its disk when one is involved (first, a
+        coordinate window judging each draw, so the density is never evaluated
+        outside it), and density_window(A, order) of this entry's density field A."""
         window = density_window(self.density_field(), order)
         return (_in_z_window, window) if self.z_window else (window,)
 
 
+@coordinate_predicate
 def _in_z_window(points: PointSet) -> np.ndarray:
-    """Keeps the points with u1 != u2 and |(u3 - u1) / (u2 - u1)| <= Z_WINDOW."""
+    """Keeps the points with u1 != u2 and |(u3 - u1) / (u2 - u1)| <= Z_WINDOW: a coordinate window, which
+    judges each draw before the density window sees it."""
     u1, u2, u3 = points.coords[:3]
     den = u2 - u1
     apart = den != 0.0

@@ -434,31 +434,41 @@ _SPELLED = {None: "null", True: "true", False: "false", math.inf: '"Infinity"', 
 def _write(x, out: list, indent: str) -> list:
     """Append to out, and return it, the text of json.dumps(x, sort_keys=True, indent=2) with every non-finite
     float spelled "NaN", "Infinity" or "-Infinity", in one pass; indent is a newline and the spaces of x's level.
-    Types are tried in json's order; one json cannot write, or a key that is not a str, raises TypeError."""
-    if isinstance(x, str):
-        out.append(_encode_str(x))
-    elif x is None or x is True or x is False:
-        out.append(_SPELLED[x])
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, float):
-        out.append(float.__repr__(x) if math.isfinite(x) else _SPELLED.get(x, '"NaN"'))
-    elif isinstance(x, dict):
-        inner, sep = indent + "  ", "{"
-        for key, value in sorted(x.items()):
-            out += (sep, inner, _encode_str(key), ": ")
-            _write(value, out, inner)
-            sep = ","
-        out += (indent, "}") if x else ("{}",)
+    A call writes one container, each leaf inline where the loop over its entries meets it; a lone leaf is
+    written as the one entry of no container.  A bool is told from an int, and the leaves from the containers,
+    as json tells them; one json cannot write, or a key that is not a str, raises TypeError."""
+    inner, keyed = indent + "  ", isinstance(x, dict)
+    if keyed:
+        entries, brackets = sorted(x.items()), "{}"
     elif isinstance(x, (list, tuple)):
-        inner, sep = indent + "  ", "["
-        for value in x:
-            out += (sep, inner)
-            _write(value, out, inner)
-            sep = ","
-        out += (indent, "]") if x else ("[]",)
+        entries, brackets = x, "[]"
     else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        entries, brackets, inner = (x,), "", ""
+    if not entries:
+        out.append(brackets)
+        return out
+    sep = brackets[:1]
+    for value in entries:
+        if keyed:
+            key, value = value
+            out += (sep, inner, _encode_str(key), ": ")
+        else:
+            out += (sep, inner)
+        if isinstance(value, float):  # the most common leaf first: no object is two of float, int and str
+            out.append(float.__repr__(value) if math.isfinite(value) else _SPELLED.get(value, '"NaN"'))
+        elif isinstance(value, str):
+            out.append(_encode_str(value))
+        elif value is None or value is True or value is False:
+            out.append(_SPELLED[value])
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            _write(value, out, inner)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        sep = ","
+    if brackets:
+        out += (indent, brackets[1])
     return out
 
 

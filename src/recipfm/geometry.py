@@ -186,6 +186,14 @@ def banded_points(
     return _seeded_points(draw, count, seed, predicates, why)
 
 
+def coordinate_predicate(pred: Callable[[PointSet], np.ndarray]) -> Callable[[PointSet], np.ndarray]:
+    """pred, marked as reading nothing of a set but its coordinates, so that
+    sampling judges each draw by it before the draw joins a block (see
+    _seeded_points), without evaluating anything over the draws."""
+    pred.coordinate_only = True
+    return pred
+
+
 def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSet:
     """The set of count points from draw(rng) that pass every predicate; draw
     returns None to reject a draw, and a SamplingError says why after
@@ -195,20 +203,40 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
     many candidates as points are missing, or where the rejection budget
     would run out, so it holds no draw that judging one candidate at a time
     would not judge: the points, their order, the rejections and any error
-    are those of the one-at-a-time loop.  A first block of count candidates
+    are those of the one-at-a-time loop.  The leading coordinate predicates
+    (coordinate_predicate) judge each draw before it joins a block: draws
+    come in runs of as many as candidates are still missing, each run judged
+    on its coordinates at once, and a draw they reject is a rejected draw, as
+    None is; should judging a run raise, its draws join the block unjudged and
+    the block is judged by every predicate.  A first block of count candidates
     that all pass is the sample, as the set they were judged as, with what
     the predicates computed (a density window's jet) in its memo; any other
     sample is a new set, holding no candidate's jets."""
+    lead = 0
+    while lead < len(predicates) and getattr(predicates[lead], "coordinate_only", False):
+        lead += 1
     rng = random.Random(seed)
     out: list[Point] = []
     rejected = 0
     while len(out) < count:
-        block, missing = [], count - len(out)
+        block, missing, judges = [], count - len(out), predicates[lead:]
         while missing and len(block) < MAX_REJECTIONS - rejected:
-            block.append(draw(rng))
-            missing -= block[-1] is not None
+            run = len(block)
+            while missing and len(block) < MAX_REJECTIONS - rejected:
+                block.append(draw(rng))
+                missing -= block[-1] is not None
+            if lead:
+                drawn = [k for k in range(run, len(block)) if block[k] is not None]
+                try:
+                    kept = _judge([block[k] for k in drawn], predicates[:lead])[1]
+                except (ValueError, ArithmeticError):
+                    judges = predicates
+                    break
+                for k, ok in zip(drawn, kept):
+                    if not ok:
+                        block[k], missing = None, missing + 1
         candidates = [p for p in block if p is not None]
-        judged, verdicts = _judge(candidates, predicates)
+        judged, verdicts = _judge(candidates, judges)
         if not out and len(candidates) == count and all(verdicts):
             return judged
         verdicts = iter(verdicts)

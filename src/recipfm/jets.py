@@ -23,7 +23,10 @@ that point alone.  ``mul`` and ``div`` gather their products once per call
 into a (layers, rows, points) grid and reduce it over the layers, with rows
 and points inner, so each coefficient still sums its products left to right,
 by ascending first index, as one product at a time would; only the sign and
-payload of a NaN may depend on how the products are grouped.  Under ``quiet``
+payload of a NaN may depend on how the products are grouped.  ``hyp2f1_value``
+sums the Gauss series at every element of its broadcast arguments at once, each
+element stopping where its own term-by-term sum would, so ``jet_hypergeom_2f1``
+sums the order + 1 parameter shifts of a jet as one series.  Under ``quiet``
 non-finite values propagate without warnings, as in Python float arithmetic.
 Domain checks test every element: an operation fails for the whole set if
 any element leaves its domain, and the error names the first such element.
@@ -581,26 +584,37 @@ def _int_pow(a: Jet, n: int) -> Jet:
     return out
 
 
+def _spread(x, shape: tuple[int, ...]) -> np.ndarray:
+    """x broadcast to shape, as a new flat array."""
+    out = np.empty(shape)
+    out[...] = x
+    return out.reshape(-1)
+
+
 @quiet
-def hyp2f1_value(a: float, b: float, c: float, z) -> np.ndarray:
+def hyp2f1_value(a, b, c, z) -> np.ndarray:
     """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation
-    at each element of z.  Terms come HYP2F1_BLOCK at a time, as running
-    products and running sums (``accumulate`` works left to right), and each
-    element stops at its first term below HYP2F1_REL_TOL relative to its
-    partial sum, so it sums exactly what a term-by-term loop would."""
-    if c <= 0.0 and float(c).is_integer():
-        raise JetDomainError(f"2F1 parameter c={c} is a non-positive integer")
-    z = np.asarray(z, dtype=float)
-    bad = _first_violation(z, abs(z) >= 1.0)
+    at each element of a, b, c and z broadcast together, so one call sums
+    several parameter sets at once.  Terms come HYP2F1_BLOCK at a time, as
+    running products and running sums (``accumulate`` works left to right),
+    and each element stops at its first term below HYP2F1_REL_TOL relative to
+    its partial sum, so it sums exactly what a term-by-term loop would.  The
+    error names the first element, in the broadcast's order, whose c is a
+    non-positive integer, else whose |z| >= 1, else that does not converge."""
+    shape = np.broadcast(a, b, c, z).shape
+    pa, pb, pc, flat = (_spread(x, shape) for x in (a, b, c, z))
+    bad = _first_violation(pc, np.isfinite(pc) & (pc <= 0.0) & (pc == np.floor(pc)))
+    if bad is not None:
+        raise JetDomainError(f"2F1 parameter c={c if np.ndim(c) == 0 else bad} is a non-positive integer")
+    bad = _first_violation(flat, abs(flat) >= 1.0)
     if bad is not None:
         raise JetDomainError(f"2F1 series requires |z| < 1, got z={bad}")
-    flat = z.reshape(-1)
     out = np.empty(flat.shape)
     live = np.arange(flat.size)
     term = total = np.ones((1, flat.size))
     for k0 in range(0, HYP2F1_MAX_TERMS, HYP2F1_BLOCK):
         k = np.arange(k0, k0 + HYP2F1_BLOCK, dtype=float)[:, None]
-        ratio = (a + k) * (b + k) * flat[live] / ((c + k) * (k + 1.0))
+        ratio = (pa[live] + k) * (pb[live] + k) * flat[live] / ((pc[live] + k) * (k + 1.0))
         terms = np.multiply.accumulate(np.concatenate([term, ratio]))[1:]
         sums = np.add.accumulate(np.concatenate([total, terms]))[1:]
         size = abs(sums)
@@ -609,7 +623,7 @@ def hyp2f1_value(a: float, b: float, c: float, z) -> np.ndarray:
         out[live[hit]] = sums[stop[hit], hit.nonzero()[0]]
         term, total, live = terms[-1:, ~hit], sums[-1:, ~hit], live[~hit]
         if not live.size:
-            return out.reshape(z.shape)
+            return out.reshape(shape)
     raise JetDomainError(f"2F1 series did not converge for z={flat[live[0]]}")
 
 
@@ -617,12 +631,17 @@ def jet_hypergeom_2f1(a: float, b: float, c: float, z: Jet) -> Jet:
     """2F1(a,b;c;z) for a jet argument.
 
     Derivatives come from the parameter-shift recurrence
-    d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z).
+    d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z): the order + 1 shifts
+    (a+j, b+j, c+j) are summed as one series, one row per shift, each element
+    bit for bit its own call of hyp2f1_value, and the first error is the one
+    the shifts would raise in turn.
     """
+    shifts = np.arange(z.order + 1.0)[:, None]
+    values = hyp2f1_value(a + shifts, b + shifts, c + shifts, z.value)
     series = []
     prefactor = 1.0
-    for j in range(z.order + 1):
-        value = prefactor * hyp2f1_value(a + j, b + j, c + j, z.value)
+    for j, value in enumerate(values):
+        value = prefactor * value
         series.append(value / math.factorial(j) if j > 1 else value)  # x / 1 is x
         prefactor *= (a + j) * (b + j) / (c + j)
     return compose_univariate(z, series)

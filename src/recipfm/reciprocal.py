@@ -180,7 +180,7 @@ def density_window(A: ScalarField, order: int = 0) -> Callable[[PointSet], np.nd
 def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
     """A's values over the points, or a ReciprocalError at the first point
     where |A| is below DENSITY_FLOOR."""
-    a0 = np.broadcast_to(aj.value, (len(points),))
+    a0 = aj.value if len(aj.value) == len(points) else np.broadcast_to(aj.value, (len(points),))
     low = np.abs(a0) < DENSITY_FLOOR
     if low.any():
         k = int(np.argmax(low))
@@ -193,8 +193,17 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
 #
 # Each family takes its jets once per point set and works on arrays over the
 # points (see geometry), reading derivatives with jets.gradient and jets.hessian.
-# A sum over l != q adds -0.0 at l = q (x + -0.0 is x), so every entry keeps the
-# terms and order of a per-component loop.
+# A sum over a component index stacks its terms in index order on axis 0 and
+# adds them one after another (_sum, _diag_rows), from where the loop it
+# replaces starts; a sum over l != q adds -0.0 at l = q (x + -0.0 is x), so
+# every entry keeps the terms and order of a per-component loop.
+
+
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """sum(terms), Python's sum over axis 0, bit for bit at any shape: 0 + terms[0] + terms[1] + ...
+    accumulate adds one term after another, where a reduce to one value per column may pair them, and
+    the closing + 0.0 turns the -0.0 that only a column of -0.0 gives into the 0.0 that sum's 0 start gives."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,6 +218,22 @@ def _density_plan(n: int) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
 def _diag_labels(n: int) -> tuple:
     """The labels ("diag", k) of the systems' diagonal rows."""
     return tuple(("diag", k) for k in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _diag_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal's indices d and each row's slot of l = d in _diag_rows' terms, 1 + d; shared, so read-only."""
+    return jets._frozen(np.arange(n), np.arange(1, n + 1))
+
+
+def _diag_rows(first: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The rows first[p] + sum over l != p of cross[l, p], in l order: the terms stacked on axis 0 with -0.0 in
+    the slot of l = p, added one after another from first, bit for bit the loop over l."""
+    d, slot = _diag_plan(len(first))
+    terms = np.empty((len(first) + 1, *first.shape))
+    terms[0], terms[1:] = first, cross
+    terms[slot, d] = -0.0
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,8 +273,8 @@ def grading_residual(
         raise ReciprocalError(f"field must be 'e' or 'E', got {field!r}")
     aj = A.jet(points, 1)
     a0 = _require_nonzero(aj, points)
-    s = sum((points.coords if field == "E" else 1.0) * jets.gradient(aj))  # e(A) or E(A)
-    ratios = s / a0
+    grad = jets.gradient(aj)
+    ratios = _sum(points.coords * grad if field == "E" else grad) / a0  # e(A) or E(A), over A
     estimate = sum(ratios.tolist(), _ZERO) / len(ratios)  # from _ZERO, so left to right on every Python
     return estimate, ResidualReport.of(f"grading-{field}", tolerance, (points, ((field,),), ratios[None] - estimate))
 
@@ -266,10 +291,8 @@ def a_system_residual(
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
-    q = np.arange(n)
-    rows = hess[q, q] - grad * sum(grad) / a0
-    for l in range(n):
-        rows = rows + np.where((l != q)[:, None], hess[l], -0.0)  # d_l d_q A
+    d, _ = _diag_plan(n)
+    rows = _diag_rows(hess[d, d] - grad * _sum(grad) / a0, hess)  # cross[l, q] = d_l d_q A
     return ResidualReport.of("a-system", tolerance, density, (points, _diag_labels(n), rows))
 
 
@@ -284,13 +307,12 @@ def theta_system_residual(
     theta_jets = _log_partials(A.jet(points, 2), a1, len(points))
     theta, dtheta = theta_jets[:, 0], jets.gradient(theta_jets, n)  # dtheta[p, l] = d_l theta_p
     off = natural_connection(sys).generators(points, 0)[:, :, 0]
+    outer = theta[:, None] * theta  # [p, l] = theta_p theta_l
     q, p = off_pairs(n)  # q-major
-    offdiag = dtheta[p, q] - theta[p] * off[p, q] - theta[q] * off[q, p] + theta[p] * theta[q]
+    offdiag = dtheta[p, q] - theta[p] * off[p, q] - theta[q] * off[q, p] + outer[p, q]
     square = np.reshape([t**2 for t in theta.ravel().tolist()], theta.shape)  # the float power, not numpy's
-    d = np.arange(n)
-    diag = dtheta[d, d] + square - theta * sum(theta)
-    for l in range(n):
-        diag = diag + np.where((l != d)[:, None], dtheta[:, l] + theta * theta[l], -0.0)
+    d, _ = _diag_plan(n)
+    diag = _diag_rows(dtheta[d, d] + square - theta * _sum(theta), (dtheta + outer).swapaxes(0, 1))
     return ResidualReport.of("theta-system", tolerance, (points, _theta_labels(n), np.concatenate([offdiag, diag])))
 
 
@@ -422,8 +444,10 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
 def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
     """Every d_l A / A over the points, bit for bit the quotient of entry l of partials(higher)
     by a, from A's jets a and higher (one order up) in one stacked quotient."""
-    shape = (a.dim, len(a.coeffs), npoints)
-    num, den = (np.broadcast_to(x, shape) for x in (jets.partials(higher), a.coeffs))
+    num, den = jets.partials(higher), np.empty((a.dim, len(a.coeffs), npoints))
+    den[:] = a.coeffs
+    if num.shape != den.shape:  # one column: A is a constant
+        num = np.broadcast_to(num, den.shape)
     return jets.stacked(jets.div, a.dim, a.order, num, den)
 
 
@@ -506,10 +530,11 @@ def intrinsic_transformed_gamma(base: ConnectionTable, A: ScalarField, points: P
     w = jets.gradient(a1) / a1.value
     X = points.coords if product == "star" else np.ones(points.coords.shape)
     c = np.zeros((n, n, n, len(points)))
-    c[np.arange(n), np.arange(n), np.arange(n)] = 1.0 / X
-    xw = sum(X[l] * w[l] for l in range(n))  # X^l w_l
-    cx = sum(c[:, l] * X[l] for l in range(n))  # [a, b] = c^a_{lb} X^l
-    cw = sum(c[l] * w[l] for l in range(n))  # [j, k] = c^l_{jk} w_l
+    d, _ = _diag_plan(n)
+    c[d, d, d] = 1.0 / X
+    xw = _sum(X * w)  # X^l w_l
+    cx = _sum(c.swapaxes(0, 1) * X[:, None, None])  # [a, b] = c^a_{lb} X^l
+    cw = _sum(c * w[:, None, None])  # [j, k] = c^l_{jk} w_l
     g = base.christoffels(points, 0)[..., 0, :] + c * xw
     g = g - cx[:, :, None] * w[None, None, :]
     g = g + cw[None] * X[:, None, None]

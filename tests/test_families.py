@@ -1,4 +1,4 @@
-"""Density, a-system, theta and covariant-Hessian families against per-pair references.
+"""Density, a-system, theta, grading, covariant-Hessian and intrinsic-table families against per-component references.
 
 The families read every derivative at once with jets.gradient and
 jets.hessian and build each family of entries as one array expression.  Each
@@ -6,6 +6,7 @@ entry must be bit for bit what a loop over its components gives, reading
 each derivative with conftest's partial and adding the same terms in the same
 order: the references below are such loops."""
 
+import itertools
 import json
 import math
 import warnings
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import entries_by_point
+from conftest import entries_by_point, same_bits
 from recipfm import jets
 from recipfm.catalog import entry, epsilon_system
 from recipfm.cli import main
@@ -25,6 +26,8 @@ from recipfm.reciprocal import (
     covariant_hessian_residual,
     density_residual,
     density_window,
+    grading_residual,
+    intrinsic_transformed_gamma,
     theta_system_residual,
 )
 
@@ -103,6 +106,42 @@ def hessian_entries(conn, product, A, points):
     return entries_by_point(points, rows)
 
 
+def grading_entries(A, field_name, points):
+    """The grading estimate and entries, e(A) or E(A) summed from 0 over l and the mean from 0.0 over the points."""
+    aj = A.jet(points, 1)
+    a0 = np.broadcast_to(aj.value, (len(points),))
+    s = 0
+    for l in range(aj.dim):
+        s = s + (points.coords[l] * partial(aj, l) if field_name == "E" else partial(aj, l))
+    ratios = s / a0
+    estimate = 0.0
+    for r in ratios.tolist():
+        estimate = estimate + r
+    estimate = estimate / len(ratios)
+    return estimate, entries_by_point(points, {(field_name,): ratios - estimate})
+
+
+def intrinsic_gamma(conn, product, A, points):
+    """G~^i_{jk} entry by entry, each structure-tensor sum over l from 0."""
+    n, P, a1 = conn.dim, len(points), A.jet(points, 1)
+    w = [partial(a1, l) / a1.value for l in range(n)]
+    X = [points.coords[l] if product == "star" else np.ones(P) for l in range(n)]
+    c = lambda a, b, d: 1.0 / X[a] if a == b == d else np.zeros(P)
+    xw, cx, cw = 0, {}, {}
+    for l in range(n):
+        xw = xw + X[l] * w[l]
+    for a, b in itertools.product(range(n), repeat=2):
+        cx[a, b] = cw[a, b] = 0
+        for l in range(n):
+            cx[a, b] = cx[a, b] + c(a, l, b) * X[l]
+            cw[a, b] = cw[a, b] + c(l, a, b) * w[l]
+    g = conn.christoffels(points, 0)[..., 0, :]
+    out = np.empty((n, n, n, P))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[i, j, k] = g[i, j, k] + c(i, j, k) * xw - cx[i, j] * w[k] + cw[j, k] * X[i] - cx[i, k] * w[j]
+    return out
+
+
 def assert_entries_bitwise(got, want) -> None:
     assert [(p, label) for p, label, _ in got] == [(p, label) for p, label, _ in want]
     assert np.array([v for *_, v in got]).tobytes() == np.array([v for *_, v in want]).tobytes()
@@ -140,10 +179,16 @@ def test_array_families_match_per_component_loops(n, eps, density):
     )
     assert_entries_bitwise(a_system_residual(sys, A, points).entries, a_system_entries(sys, A, points))
     assert_entries_bitwise(theta_system_residual(sys, A, points).entries, theta_entries(sys, A, points))
+    for field_name in ("e", "E"):
+        estimate, got = grading_residual(A, field_name, points)
+        want_estimate, want = grading_entries(A, field_name, points)
+        assert same_bits(np.float64(estimate), np.float64(want_estimate))
+        assert_entries_bitwise(got.entries, want)
     for product, conn in (("circ", nat), ("star", dual)):  # each table names its product
         got = covariant_hessian_residual(conn, A, points)
         assert got.label == f"hessian-{product}"
         assert_entries_bitwise(got.entries, hessian_entries(conn, product, A, points))
+        assert same_bits(intrinsic_transformed_gamma(conn, A, points), intrinsic_gamma(conn, product, A, points))
 
 
 def test_overflowing_density_fails_closed_in_every_array_family(tmp_path):

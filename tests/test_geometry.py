@@ -430,6 +430,7 @@ SHARED_PLANS = {
     "_gl_nodes": lambda n: tuple(reciprocal._gl_nodes(2**k) for k in range(n)),
     "_GL_FIRST": lambda n: reciprocal._GL_FIRST,
     "_density_plan": reciprocal._density_plan,
+    "_diag_plan": reciprocal._diag_plan,
     "_darboux_plan": reciprocal._darboux_plan,
 }
 

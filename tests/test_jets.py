@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -644,3 +645,70 @@ def test_horner_and_powers_start_with_scale_bit_for_bit(dim, order):
                 prefactor *= (0.5 + j) * (1.25 + j) / (2.5 + j)
             got = jets.jet_hypergeom_2f1(0.5, 1.25, 2.5, z).coeffs
             assert same_bits(got, horner_compose(z, hyp_series).coeffs)
+
+
+def _per_shift_2f1(a, b, c, z):
+    """The jet of 2F1(a,b;c;z) with one hyp2f1_value call per parameter shift, in shift order."""
+    series, prefactor = [], 1.0
+    for j in range(z.order + 1):
+        value = prefactor * jets.hyp2f1_value(a + j, b + j, c + j, z.value)
+        series.append(value / math.factorial(j) if j > 1 else value)
+        prefactor *= (a + j) * (b + j) / (c + j)
+    return jets.compose_univariate(z, series)
+
+
+def _outcome(make):
+    """The coefficients' bytes, or the error's type and text."""
+    try:
+        return make().coeffs.tobytes()
+    except JetError as exc:
+        return type(exc), str(exc)
+
+
+# the catalog's flat coordinates at eps = 1 and eps = -1 (a = -1: the series terminates), then generic ones
+_CATALOG_2F1 = [(1.0, 2.0, 2.0), (-1.0, 2.0, 4.0), (0.5, 1.25, 2.5), (1 / 3, -0.5, 2 / 3), (-2.0, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("abc", _CATALOG_2F1, ids=lambda abc: "a{:g}-b{:g}-c{:g}".format(*abc))
+def test_one_2f1_series_per_jet_matches_per_shift_calls(order, abc, monkeypatch):
+    rng = np.random.default_rng(37 + order)
+    calls = []
+    series = jets.hyp2f1_value
+    monkeypatch.setattr(jets, "hyp2f1_value", lambda *args: calls.append(args) or series(*args))
+    for dim in (1, 3):
+        for npoints in (1, 6):
+            coeffs = rng.uniform(-1.0, 1.0, (len(jets.multi_indices(dim, order)), npoints))
+            coeffs[0] *= rng.uniform(0.0, 0.99, npoints)  # |z| < 1 at every point
+            z = Jet(dim, order, coeffs)
+            calls.clear()
+            got = jets.jet_hypergeom_2f1(*abc, z).coeffs
+            assert len(calls) == 1  # every shift in one series
+            assert same_bits(got, _per_shift_2f1(*abc, z).coeffs)
+            # each element of a broadcast call is its own scalar call
+            a, b, c = (np.arange(order + 1.0)[:, None] + p for p in abc)
+            many = series(a, b, c, z.value)
+            for k, row in enumerate(many):
+                assert [series(a[k, 0], b[k, 0], c[k, 0], x).item() for x in z.value.tolist()] == row.tolist()
+
+
+@pytest.mark.parametrize(
+    "abc, value, lowest, message",
+    [
+        ((1.0, 1.0, 2.0), [0.5, -1.5, 1.0], 0, r"2F1 series requires \|z\| < 1, got z=-1\.5"),
+        ((1.0, 1.0, -2.0), [0.5], 0, r"2F1 parameter c=-2\.0 is a non-positive integer"),
+        ((1.0, 1.0, -0.0), [0.5, 2.0], 0, r"2F1 parameter c=0\.0 is a non-positive integer"),  # -0.0 + 0 is 0.0
+        ((1.0, 1.0, 1.0), [0.5, 0.996906], 0, r"2F1 series did not converge for z=0\.996906"),
+        # 1/(1 - z) settles at z = 0.9966, its first shift 1/(1 - z)^2 does not: from order 1 on the jet fails
+        ((1.0, 1.0, 1.0), [0.25, 0.9966, 0.5], 1, r"2F1 series did not converge for z=0\.9966"),
+    ],
+)
+def test_one_2f1_series_raises_the_first_error_of_the_shifts(abc, value, lowest, message):
+    for order in range(4):
+        z = Jet(2, order, np.vstack([value, np.full((len(jets.multi_indices(2, order)) - 1, len(value)), 0.5)]))
+        got, want = _outcome(lambda: jets.jet_hypergeom_2f1(*abc, z)), _outcome(lambda: _per_shift_2f1(*abc, z))
+        assert got == want
+        if order >= lowest:
+            assert got[0] is JetDomainError and re.fullmatch(message, got[1]), (order, got)
+        else:
+            assert isinstance(got, bytes)

@@ -136,6 +136,7 @@ def _counted_call(monkeypatch, argv):
     counting = lambda e: counted.setdefault(e.entry_id, CountingField(density_field(e), sampling, log))
     monkeypatch.setattr(cat.CatalogEntry, "density_field", counting)
 
+    @geo.coordinate_predicate
     def in_z_window(points, real=cat._in_z_window):
         kept = real(points)
         windows.append((len(points), int(kept.sum())))
@@ -176,17 +177,64 @@ def test_the_window_takes_the_order_its_command_reads(monkeypatch, command, extr
 
 
 def test_z_window_entry_judges_each_block_once_inside_the_disk(monkeypatch):
-    z_seen = []
-    hyp2f1_value = jets.hyp2f1_value
-    record = lambda a, b, c, z: z_seen.append(np.abs(z).max()) or hyp2f1_value(a, b, c, z)
-    monkeypatch.setattr(jets, "hyp2f1_value", record)
-    runs, windows = _counted_call(monkeypatch, _catalog_argv("check", "dim3-eps1-flatcoord", "--suite", "all"))
-    seen = [(size, order) for during, size, order in runs if during]
-    # the density sees, in one set per block, just the candidates the z window kept, at the checks' order
-    assert seen == [(kept, rec.DENSITY_ORDER) for _, kept in windows if kept]
-    assert len(seen) < 5 and max(z_seen) <= Z_WINDOW
-    # the z window rejected some first candidate, so the sample is a new set and the checks run A once more on it
-    assert windows[0][1] < windows[0][0] and runs[len(seen):] == [(False, 5, rec.DENSITY_ORDER)]
+    for entry_id in ("dim3-eps1-flatcoord", "dim3-eps-1-flatcoord"):
+        for command, extra in (("check", ["--suite", "all"]), ("transform", ["--biflat"])):
+            with monkeypatch.context() as patched:
+                z_seen = []
+                hyp2f1_value = jets.hyp2f1_value
+                record = lambda a, b, c, z: z_seen.append(np.abs(z).max()) or hyp2f1_value(a, b, c, z)
+                patched.setattr(jets, "hyp2f1_value", record)
+                runs, windows = _counted_call(patched, _catalog_argv(command, entry_id, *extra))
+            # the z window judged every draw on its coordinates, rejecting some, before the density saw any:
+            # the first block filled the sample and is the sample, so A's program ran once, at the checks'
+            # order, and its one 2F1 node summed one series for all its parameter shifts
+            assert sum(shown for shown, _ in windows) > 5 and sum(kept for _, kept in windows) == 5, entry_id
+            assert runs == [(True, 5, rec.DENSITY_ORDER)], (entry_id, command)
+            assert len(z_seen) == 1 and max(z_seen) <= Z_WINDOW, (entry_id, command)
+
+
+@geo.coordinate_predicate
+def _raising_window(points: PointSet) -> np.ndarray:
+    """A coordinate window that keeps u1 < u2 and raises where u1 > 1.9."""
+    u1, u2 = points.coords[:2]
+    if (u1 > 1.9).any():
+        raise ValueError(f"u1 = {u1[np.argmax(u1 > 1.9)]} is out of range")
+    return u1 < u2
+
+
+@pytest.mark.parametrize("second", ["window", "ln"])
+def test_a_raising_coordinate_window_matches_the_pointwise_loop(second):
+    # the error of the first raising candidate in draw order: the coordinate window's or, before it, ln's
+    A = field("u1*u2", 2) if second == "window" else field("ln(u2 + 1.5)", 2)
+    outcomes = {
+        assert_same_as_pointwise(lambda: sample_points(2, count, seed, predicates=(_raising_window, density_window(A))))
+        for seed in range(40)
+        for count in (1, 5, 20)
+    }
+    kinds = {o if isinstance(o, bytes) else o[1].split(" ")[0] for o in outcomes}
+    assert "u1" in kinds and any(isinstance(k, bytes) for k in kinds)
+    assert ("ln" in kinds) == (second == "ln")
+
+
+def test_coordinate_windows_judge_each_draw_once_and_only_in_the_lead():
+    shown, real = [], cat._in_z_window
+    counted = geo.coordinate_predicate(lambda points: shown.append(len(points)) or real(points))
+    window = density_window(field("u1*u2", 3))
+    seen = []
+    density = lambda points: seen.append(len(points)) or window(points)
+    for seed in range(10):
+        predicates = (counted, density)
+        assert isinstance(assert_same_as_pointwise(lambda: sample_points(3, 20, seed, predicates=predicates)), bytes)
+        del shown[:], seen[:]
+        with mock.patch.object(geo, "_seeded_points", _pointwise):
+            sample_points(3, 20, seed, predicates=predicates)
+        draws = sum(shown)  # the pointwise loop shows the window each admissible draw once
+        del shown[:], seen[:]
+        sample_points(3, 20, seed, predicates=predicates)
+        assert seen == [20] and sum(shown) == draws > 20  # each draw judged once on its coordinates, the density once
+        del shown[:], seen[:]
+        sample_points(3, 20, seed, predicates=(density, counted))  # behind the density: judged with the blocks
+        assert shown == seen and len(seen) > 1  # density u1*u2 keeps every point, so both see each block
 
 
 def test_a_first_block_with_a_rejection_gives_a_new_set():
