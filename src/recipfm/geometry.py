@@ -5,8 +5,8 @@ velocities v^i over a point set as one array.  Its off-diagonal Christoffel symb
 G^i_{ij} = d_j v^i / (v^j - v^i) determine a unique "natural" connection
 through three structural identities (zero on distinct triples, G^i_{jj} =
 -G^i_{ji}, zero row sums including the diagonal), and a "dual" connection
-through their u-weighted variants.  Every table is one of the two, and its
-assembly names its product structure (PRODUCTS): the natural connection pairs
+through their u-weighted variants.  Every table is one of the two, and
+PRODUCTS names its assembly's product and field: the natural connection pairs
 with (circ, e), the dual with (star, E).  A table takes all n(n-1) symbols at once,
 as the columns of one jet quotient over that array's partials, and assembles
 the dual entries with one stacked quotient and one product over the set's
@@ -37,7 +37,7 @@ TOL_THIRD = 1e-6  # recorded in reports as inputs.tolerances.third; no check rea
 MIN_PAIR_GAP = 0.25
 VELOCITY_GAP = 1e-9
 MAX_REJECTIONS = 1000
-PRODUCTS = {"natural": "circ", "dual": "star"}  # each assembly's product; circ pairs with e, star with E
+PRODUCTS = {"natural": ("circ", "e"), "dual": ("star", "E")}  # each assembly's product and field
 
 
 class GeometryError(ValueError):
@@ -341,13 +341,6 @@ def _dual_plan(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], 
     return (*jets._frozen(den, ratio), _gather((i, j), (i, j)), _gather((1 + j, i)))
 
 
-@functools.lru_cache(maxsize=None)
-def _parallel_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """identity_parallel_residual's start blocks (n, n, 1), zero for e and the
-    identity for E, and e's components (n, 1); shared, so read-only."""
-    return jets._frozen(np.zeros((n, n, 1)), np.eye(n)[:, :, None], np.ones((n, 1)))
-
-
 def pair_table(n: int, values: np.ndarray) -> np.ndarray:
     """The array (n, n, ...) with values[k] at the k-th off-diagonal pair, zero on the diagonal."""
     out = np.zeros((n, n) + values.shape[1:])
@@ -378,29 +371,28 @@ class ConnectionTable:
 
     Built from generate(points, order), which returns the ``generators`` array
     G^i_{ij} whole, and its assembly, 'natural' or 'dual', which gives the
-    entries G^i_{jj} (any j) and names the table's product, PRODUCTS[assembly];
-    the other entries vanish or read G^i_{ik} = G^i_{ki} off the generators.
-    The kind is only a label.  The table keeps nothing: both arrays are
-    memoized in the point set per order, the generators owned by generate and
-    the full table by (generate, assembly), so all tables over one generator
-    (a table and its ``dual``) build each generator array once between them.
+    entries G^i_{jj} (any j) and names the table in reports; PRODUCTS[assembly]
+    is the table's product and field.  The other entries vanish or read
+    G^i_{ik} = G^i_{ki} off the generators.  The table keeps nothing: both
+    arrays are memoized in the point set per order, the generators owned by
+    generate and the full table by (generate, assembly), so all tables over one
+    generator (a table and its ``dual``) build each generator array once between them.
     A lower order is read off a higher one held for the set, as its leading
     coefficient rows (bit for bit what evaluating it would give), unless that
     one holds a non-finite entry; so curvature, which asks order 1 first,
     builds no order 0.
     """
 
-    def __init__(self, dim: int, kind: str, generate: Callable[[PointSet, int], np.ndarray], assembly: str):
+    def __init__(self, dim: int, generate: Callable[[PointSet, int], np.ndarray], assembly: str):
         if assembly not in PRODUCTS:
             raise GeometryError(f"unknown assembly rule {assembly!r}; use 'natural' or 'dual'")
         self.dim = dim
-        self.kind = kind
         self._generate = generate
         self.assembly = assembly
 
-    def dual(self, kind: str) -> "ConnectionTable":
+    def dual(self) -> "ConnectionTable":
         """The dual-assembly table over the same generator, so over the same memo."""
-        return ConnectionTable(self.dim, kind, self._generate, "dual")
+        return ConnectionTable(self.dim, self._generate, "dual")
 
     def generators(self, points: PointSet, order: int) -> np.ndarray:
         """Every generator over the points as one array (n, n, ncoeff, npoints):
@@ -445,13 +437,13 @@ class ConnectionTable:
 def natural_connection(sys: DiagonalSystem) -> ConnectionTable:
     """The natural connection of a diagonal system, a new table per call over the
     system's one generator, the only caller of christoffel_primary."""
-    return ConnectionTable(sys.dim, "natural", sys._christoffel_primary, "natural")
+    return ConnectionTable(sys.dim, sys._christoffel_primary, "natural")
 
 
 def dual_connection(sys: DiagonalSystem) -> ConnectionTable:
     """The second connection: the dual assembly over the natural table's
     generator, so it evaluates no symbol the natural table has."""
-    return natural_connection(sys).dual("dual")
+    return natural_connection(sys).dual()
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,7 @@ def curvature_natural_residual(
     """The two families of possibly non-vanishing curvature components of a
     natural-form table: R^i_{iki} and R^i_{qqi}."""
     if conn.assembly != "natural":
-        raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.kind!r}")
+        raise GeometryError(f"curvature_natural_residual needs a natural-assembly table, got {conn.assembly!r}")
     n = conn.dim
     labels, distinct, one, zero = _curvature_plan(n)
     d_iii, d_iiq, d_iqi, d_iqq, giq, gii, gqq = conn.christoffels(points, 1)[one].reshape(7, len(labels) // 2, -1)
@@ -503,7 +495,7 @@ def curvature_natural_residual(
     qqi = qqi - gii * gqq - giq * right[0]
     values = np.stack([iki.reshape(n, n - 1, -1), qqi.reshape(n, n - 1, -1)], axis=1)  # at each i: iki, then qqi
     block = points, labels, values.reshape(len(labels), -1)
-    return ResidualReport.of(f"curvature[{conn.kind}]", tolerance, block)
+    return ResidualReport.of(f"curvature[{conn.assembly}]", tolerance, block)
 
 
 @quiet
@@ -528,7 +520,7 @@ def curvature_full_residual(conn: ConnectionTable, points: PointSet, tolerance: 
     worst = np.argmax(np.abs(flat), axis=0)
     labels = zip(itertools.repeat("R"), *(k.tolist() for k in np.unravel_index(worst, (conn.dim,) * 4)))
     entries = zip(points, labels, flat[worst, np.arange(len(points))].tolist())
-    return ResidualReport.build(f"curvature-full[{conn.kind}]", entries, tolerance)
+    return ResidualReport.build(f"curvature-full[{conn.assembly}]", entries, tolerance)
 
 
 @quiet
@@ -538,19 +530,19 @@ def identity_parallel_residual(
     points: PointSet,
     tolerance: float = 1e-10,
 ) -> ResidualReport:
-    """Parallelism of the unit field e (natural) or the Euler field E (dual):
-    residual d_j X^i + G^i_{jl} X^l."""
-    if field not in ("e", "E"):
-        raise GeometryError(f"field must be 'e' or 'E', got {field!r}")
-    name, assembly = {"e": ("unit", "natural"), "E": ("Euler", "dual")}[field]
-    if conn.assembly != assembly:
-        raise GeometryError(f"the {name} field pairs with the {assembly} connection")
+    """Parallelism of the table's field, the unit field e (natural) or the Euler
+    field E (dual): residual d_j X^i + G^i_{jl} X^l."""
+    paired = PRODUCTS[conn.assembly][1]
+    if field != paired:
+        raise GeometryError(f"the {conn.assembly} connection pairs with the field {paired!r}, got {field!r}")
     n = conn.dim
     g = conn.christoffels(points, 0)[..., 0, :]
-    zero, eye, ones = _parallel_plan(n)
-    start, x = (eye, points.coords) if field == "E" else (zero, ones)
-    terms = np.empty((n + 1, n, n, len(points)))  # the start, then G^i_{jl} X^l in l order
-    terms[0] = start
-    np.multiply(g.transpose(2, 0, 1, 3), x[:, None, None], out=terms[1:])
+    terms = np.empty((n + 1, n, n, len(points)))  # d_j X^i, then G^i_{jl} X^l in l order
+    if field == "E":
+        terms[0] = np.eye(n)[:, :, None]
+        np.multiply(g.transpose(2, 0, 1, 3), points.coords[:, None, None], out=terms[1:])
+    else:  # d_j 1 = 0, and G^i_{jl} 1.0 is G^i_{jl}
+        terms[0] = 0.0
+        terms[1:] = g.transpose(2, 0, 1, 3)
     s = np.add.reduce(terms, axis=0).reshape(n * n, -1)
-    return ResidualReport.of(f"parallel-{field}[{conn.kind}]", tolerance, (points, square_labels(n), s))
+    return ResidualReport.of(f"parallel-{field}[{conn.assembly}]", tolerance, (points, square_labels(n), s))

@@ -199,6 +199,11 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
 # every entry keeps the terms and order of a per-component loop.
 
 
+def _field_components(field: str, points: PointSet) -> np.ndarray:
+    """The components X^l, (n, npoints), of the unit field e (each 1.0) or the Euler field E (u^l) over the points."""
+    return points.coords if field == "E" else np.ones(points.coords.shape)
+
+
 def _sum(terms: np.ndarray) -> np.ndarray:
     """sum(terms), Python's sum over axis 0, bit for bit at any shape: 0 + terms[0] + terms[1] + ...
     accumulate adds one term after another, where a reduce to one value per column may pair them, and
@@ -220,19 +225,13 @@ def _diag_labels(n: int) -> tuple:
     return tuple(("diag", k) for k in range(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _diag_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal's indices d and each row's slot of l = d in _diag_rows' terms, 1 + d; shared, so read-only."""
-    return jets._frozen(np.arange(n), np.arange(1, n + 1))
-
-
 def _diag_rows(first: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """The rows first[p] + sum over l != p of cross[l, p], in l order: the terms stacked on axis 0 with -0.0 in
     the slot of l = p, added one after another from first, bit for bit the loop over l."""
-    d, slot = _diag_plan(len(first))
+    d = np.arange(len(first))
     terms = np.empty((len(first) + 1, *first.shape))
     terms[0], terms[1:] = first, cross
-    terms[slot, d] = -0.0
+    terms[1:][d, d] = -0.0
     return np.add.accumulate(terms, axis=0)[-1]
 
 
@@ -274,7 +273,7 @@ def grading_residual(
     aj = A.jet(points, 1)
     a0 = _require_nonzero(aj, points)
     grad = jets.gradient(aj)
-    ratios = _sum(points.coords * grad if field == "E" else grad) / a0  # e(A) or E(A), over A
+    ratios = _sum(_field_components(field, points) * grad) / a0  # e(A) or E(A), over A
     estimate = sum(ratios.tolist(), _ZERO) / len(ratios)  # from _ZERO, so left to right on every Python
     return estimate, ResidualReport.of(f"grading-{field}", tolerance, (points, ((field,),), ratios[None] - estimate))
 
@@ -291,7 +290,7 @@ def a_system_residual(
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
     grad, hess = jets.gradient(aj), jets.hessian(aj)
-    d, _ = _diag_plan(n)
+    d = np.arange(n)
     rows = _diag_rows(hess[d, d] - grad * _sum(grad) / a0, hess)  # cross[l, q] = d_l d_q A
     return ResidualReport.of("a-system", tolerance, density, (points, _diag_labels(n), rows))
 
@@ -311,7 +310,7 @@ def theta_system_residual(
     q, p = off_pairs(n)  # q-major
     offdiag = dtheta[p, q] - theta[p] * off[p, q] - theta[q] * off[q, p] + outer[p, q]
     square = np.reshape([t**2 for t in theta.ravel().tolist()], theta.shape)  # the float power, not numpy's
-    d, _ = _diag_plan(n)
+    d = np.arange(n)
     diag = _diag_rows(dtheta[d, d] + square - theta * _sum(theta), (dtheta + outer).swapaxes(0, 1))
     return ResidualReport.of("theta-system", tolerance, (points, _theta_labels(n), np.concatenate([offdiag, diag])))
 
@@ -321,19 +320,19 @@ def covariant_hessian_residual(
     conn: ConnectionTable, A: ScalarField, points: PointSet, tolerance: float = TOL_SECOND
 ) -> ResidualReport:
     """Intrinsic form of the same conditions: the covariant Hessian of A must be
-    X(ln A) c^l_{pq} d_l A with (c, X) the table's product tensor and its
-    preferred field (PRODUCTS: 'circ' pairs with e, 'star' with E)."""
-    n, product = conn.dim, PRODUCTS[conn.assembly]
-    u = points.coords
+    X(ln A) c^l_{pq} d_l A with (c, X) the table's product tensor and field,
+    PRODUCTS[conn.assembly]: circ (c^l_{pq} = delta) with e, star (delta / u^l) with E."""
+    n, (product, x) = conn.dim, PRODUCTS[conn.assembly]
+    X = _field_components(x, points)
     aj = A.jet(points, 2)
     a0 = _require_nonzero(aj, points)
     grad, r = jets.gradient(aj), jets.hessian(aj)
-    x_of_a = sum(grad) if product == "circ" else sum(u * grad)
+    x_of_a = _sum(X * grad)
     g = conn.christoffels(points, 0)[..., 0, :]
     for l in range(n):
         r = r - g[l] * grad[l]
     d = np.arange(n)
-    r[d, d] = r[d, d] - (x_of_a / a0) * (1.0 if product == "circ" else 1.0 / u) * grad
+    r[d, d] = r[d, d] - (x_of_a / a0) * (1.0 / X) * grad
     return ResidualReport.of(f"hessian-{product}", tolerance, (points, square_labels(n), r.reshape(n * n, -1)))
 
 
@@ -479,7 +478,7 @@ def transform(
 
     The returned natural (and optional dual) tables are assembled from the
     shifted off-diagonal symbols; the image system's stack is A v^i - B over
-    the base's velocity stack, one stacked product and one stacked difference,
+    the base's velocity stack, one stacked product and one array difference,
     with B the reconstructed current (evaluated lazily).  With check_generator the
     density equations are verified first at points, which must then be given,
     and an InadmissibleGeneratorError is raised on failure; passing False lets
@@ -503,12 +502,10 @@ def transform(
 
     def stack(points: PointSet, order: int) -> np.ndarray:  # A v^i - B for every i at once
         a, v = A.jet(points, order).coeffs, sys.velocity_jets(points, order)
-        av = jets.stacked(jets.mul, n, order, np.broadcast_to(a, v.shape), v)
-        return jets.stacked(jets.sub, n, order, av, np.broadcast_to(current.jet(points, order).coeffs, v.shape))
+        return jets.stacked(jets.mul, n, order, np.broadcast_to(a, v.shape), v) - current.jet(points, order).coeffs
 
-    off = transformed_off_diagonal(natural_connection(sys), A)
-    natural = ConnectionTable(n, "transformed-natural", off, "natural")
-    dual = natural.dual("transformed-dual") if with_dual else None
+    natural = ConnectionTable(n, transformed_off_diagonal(natural_connection(sys), A), "natural")
+    dual = natural.dual() if with_dual else None
     return TransformResult(DiagonalSystem(n, stack), natural, dual)
 
 
@@ -520,17 +517,17 @@ def intrinsic_transformed_gamma(base: ConnectionTable, A: ScalarField, points: P
         G~^i_{jk} = G^i_{jk} + c^i_{jk} X^l w_l - c^i_{lj} w_k X^l
                     + c^l_{jk} w_l X^i - c^i_{lk} w_j X^l,   w_l = d_l ln A,
 
-    with (c, X) the product tensor and preferred field of the base's product,
-    PRODUCTS[base.assembly]: 'circ' (c^i_{jk} = delta, X = e) or 'star'
-    (c*^i_{jk} = delta / u^i, X = E).  It reads only the assembly's name, not
-    the structural assembly of the image tables; for cross-checking only.
+    with (c, X) the base's product tensor and field, PRODUCTS[base.assembly]:
+    circ (c^i_{jk} = delta) with e or star (c*^i_{jk} = delta / u^i) with E.
+    It reads only the assembly's name, not the structural assembly of the
+    image tables; for cross-checking only.
     """
-    n, product = base.dim, PRODUCTS[base.assembly]
+    n = base.dim
     a1 = A.jet(points, 1)
     w = jets.gradient(a1) / a1.value
-    X = points.coords if product == "star" else np.ones(points.coords.shape)
+    X = _field_components(PRODUCTS[base.assembly][1], points)
     c = np.zeros((n, n, n, len(points)))
-    d, _ = _diag_plan(n)
+    d = np.arange(n)
     c[d, d, d] = 1.0 / X
     xw = _sum(X * w)  # X^l w_l
     cx = _sum(c.swapaxes(0, 1) * X[:, None, None])  # [a, b] = c^a_{lb} X^l
@@ -567,7 +564,7 @@ def intrinsic_agreement_report(
     n = sys.dim
     kept = points if first is None else point_set(points[:first])
     diffs = {  # by the base's product: circ, then star
-        PRODUCTS[base.assembly]: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, points)
+        PRODUCTS[base.assembly][0]: image.christoffels(points, 0)[..., 0, :] - intrinsic_transformed_gamma(base, A, points)
         for image, base in routes
     }
     labels = _agreement_labels(n, tuple(diffs))
@@ -680,10 +677,10 @@ def darboux_residual(frame: RotationFrame, points: PointSet, tolerance: float = 
     b, h = pair_table(n, beta[:, 0]), lame[:, 0]
     labels, (t, i, j, k) = _darboux_plan(n)
     triple = (db[k, t] - b[i, k] * b[k, j]).reshape(n * (n - 1), n - 2, npts)
-    beta_rows = np.concatenate([triple, sum(db)[:, None], (sum(u * db) + beta[:, 0])[:, None]], axis=1)
+    beta_rows = np.concatenate([triple, _sum(db)[:, None], (_sum(u * db) + beta[:, 0])[:, None]], axis=1)
     p, q = off_pairs(n)
     lame_rows = (dh[q, p] - b[p, q] * h[q]).reshape(n, n - 1, npts)
-    lame_rows = np.concatenate([lame_rows, sum(dh)[:, None], (sum(u * dh) + frame.degree * h)[:, None]], axis=1)
+    lame_rows = np.concatenate([lame_rows, _sum(dh)[:, None], (_sum(u * dh) + frame.degree * h)[:, None]], axis=1)
     values = np.concatenate([beta_rows.reshape(-1, npts), lame_rows.reshape(-1, npts)])
     return ResidualReport.of("darboux", tolerance, (points, labels, values))
 
@@ -719,8 +716,7 @@ def darboux_transform(
     def beta_stack(points: PointSet, order: int) -> np.ndarray:  # beta_ij - (H_i / H_j) d_j A / A, every pair at once
         b, h = frame.beta_jets(points, order), frame.lame_jets(points, order)
         dlog = _log_partials(A.jet(points, order + 1), A.jet(points, order), len(points))
-        shift = jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[i], h[j]), dlog[j])
-        return jets.stacked(jets.sub, n, order, b, shift)
+        return b - jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[i], h[j]), dlog[j])
 
     def lame_stack(points: PointSet, order: int) -> np.ndarray:  # H_i / A, every i at once
         h = frame.lame_jets(points, order)

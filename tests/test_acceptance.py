@@ -250,7 +250,7 @@ def test_c11_oracle_equivalence_and_jet_partials():
     frame_table_pts = sample_points(2, 10, seed=43)
     from recipfm.geometry import ConnectionTable
 
-    frame_table = ConnectionTable(2, "natural", generate=epsilon_frame_n2(1.0).generators, assembly="natural")
+    frame_table = ConnectionTable(2, generate=epsilon_frame_n2(1.0).generators, assembly="natural")
     tables.append((frame_table, frame_table_pts))
 
     worst = 0.0

@@ -188,15 +188,22 @@ def test_identity_parallel_pairing_rejected():
 
 
 def test_pairing_follows_the_assembly_not_the_kind():
+    # a table has no name but its assembly: it fixes the table's field, product and report labels
     sys2 = epsilon_system(2, 1.0)
     pts = sample_points(2, 2, seed=2)
     generate = lambda p, order: christoffel_primary(sys2, p, order)
-    natural = ConnectionTable(2, "some-label", generate=generate, assembly="natural")
-    assert curvature_natural_residual(natural, pts).passed
-    assert identity_parallel_residual(natural, "e", pts).passed
-    dual = ConnectionTable(2, "natural", generate=generate, assembly="dual")
-    assert identity_parallel_residual(dual, "E", pts).passed
-    with pytest.raises(GeometryError):
+    natural = ConnectionTable(2, generate=generate, assembly="natural")
+    dual = natural.dual()
+    assert dual.assembly == "dual" and not hasattr(dual, "kind")
+    for rep, label in ((curvature_natural_residual(natural, pts), "curvature[natural]"),
+                       (identity_parallel_residual(natural, "e", pts), "parallel-e[natural]"),
+                       (identity_parallel_residual(dual, "E", pts), "parallel-E[dual]")):
+        assert rep.passed and rep.label == label
+    assert reciprocal.covariant_hessian_residual(dual, field("1/(u2-u1)", 2), pts).label == "hessian-star"
+    assert geometry.PRODUCTS == {"natural": ("circ", "e"), "dual": ("star", "E")}
+    with pytest.raises(GeometryError, match="^the dual connection pairs with the field 'E', got 'e'$"):
+        identity_parallel_residual(dual, "e", pts)
+    with pytest.raises(GeometryError, match="needs a natural-assembly table, got 'dual'$"):
         curvature_natural_residual(dual, pts)
 
 
@@ -204,7 +211,7 @@ def test_connection_table_needs_assembly_or_components():
     # a table is natural or dual
     for assembly in ("custom", None):
         with pytest.raises(GeometryError, match=f"unknown assembly rule {assembly!r}; use 'natural' or 'dual'$"):
-            ConnectionTable(2, "natural", lambda points, order: None, assembly)
+            ConnectionTable(2, lambda points, order: None, assembly)
 
 
 def test_sample_points_constraints_and_determinism():
@@ -422,7 +429,6 @@ SHARED_PLANS = {
     "_sh_plan": geometry._sh_plan,
     "_curvature_plan": geometry._curvature_plan,
     "_dual_plan": geometry._dual_plan,
-    "_parallel_plan": geometry._parallel_plan,
     "_unit_rows": jets._unit_rows,
     "_partials_plan": lambda n: tuple(jets._partials_plan(n, len(jets.multi_indices(n, k))) for k in (1, 2, 3)),
     "_mul_grid": lambda n: tuple(jets._mul_grid(n, k) for k in range(4)),
@@ -430,7 +436,6 @@ SHARED_PLANS = {
     "_gl_nodes": lambda n: tuple(reciprocal._gl_nodes(2**k) for k in range(n)),
     "_GL_FIRST": lambda n: reciprocal._GL_FIRST,
     "_density_plan": reciprocal._density_plan,
-    "_diag_plan": reciprocal._diag_plan,
     "_darboux_plan": reciprocal._darboux_plan,
 }
 
@@ -491,9 +496,6 @@ def test_family_plans_are_the_per_call_expressions(n):
     terms = np.zeros((n + 1, n, 4, 3))
     terms[slots] = quotient[: len(i)]
     assert same_bits(terms, np.concatenate([np.zeros((1, n, 4, 3)), table.swapaxes(0, 1)]))
-    zero, eye, ones = geometry._parallel_plan(n)
-    assert same_bits(zero, np.zeros((n, n, 1))) and same_bits(eye, np.eye(n)[:, :, None])
-    assert same_bits(ones, np.ones((n, 1)))
 
 
 def distinct_values(*shape: int) -> np.ndarray:

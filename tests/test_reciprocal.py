@@ -24,6 +24,7 @@ from recipfm.jets import PointSet, point_set
 from recipfm.catalog import catalog_entries, entry, epsilon_frame_n2, epsilon_system
 from recipfm.exprlang import EvalError, ScalarField, field
 from recipfm.geometry import (
+    ConnectionTable,
     DiagonalSystem,
     ResidualReport,
     banded_points,
@@ -655,6 +656,78 @@ def test_intrinsic_assembly_agreement(sys2, recip_density):
     )
     # each route is named by its base table's product
     assert [label[0] for _, label, _ in rep.entries[:2]] == ["circ", "star"]
+
+
+# ---------------------------------------------------------------------------
+# The transformation group as an oracle: identities of the image table over
+# catalog densities, value-free (no current, no quadrature)
+
+GROUP_ENTRIES = ("dim2-eps1-h1", "dim3-eps1-h1", "dim3-eps-1-h1", "dim3-eps-1-h0", "dim3-eps1-flatcoord")
+GROUP_SEEDS = (7, 42, 1029)
+
+
+def _group_points(e, seed: int) -> PointSet:
+    return sample_points(e.dim, 20, seed, predicates=e.sample_predicates(2))
+
+
+def _image_table(base: ConnectionTable, A: ScalarField) -> ConnectionTable:
+    """The natural table of the image of the transformation generated by A, shifted from base's generators."""
+    return ConnectionTable(base.dim, reciprocal.transformed_off_diagonal(base, A), "natural")
+
+
+@pytest.mark.parametrize("seed", GROUP_SEEDS)
+@pytest.mark.parametrize("entry_id", GROUP_ENTRIES)
+def test_a_power_of_two_times_the_generator_gives_the_same_image_table(entry_id, seed):
+    """A -> 2^k A scales A and every partial of it by one power of two, so
+    every d_j A / A, and with it every image generator, keeps its bits."""
+    e = entry(entry_id)
+    A, sys = e.density_field(), epsilon_system(e.dim, e.eps)
+    points = _group_points(e, seed)
+    want = _image_table(natural_connection(sys), A).generators(points, 1)
+    for k in (-300, -20, 20):
+        scaled = ScalarField(e.dim, lambda p, order, c=2.0**k: jets.Jet(e.dim, order, c * A.jet(p, order).coeffs))
+        fresh = PointSet(points.coords)  # no memo entry of the unscaled run
+        assert same_bits(_image_table(natural_connection(sys), scaled).generators(fresh, 1), want), k
+
+
+SMALL_A = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the round trip loses 1.8e-8 relative where |A| is small (ROADMAP's scale-aware verdicts item)",
+)
+
+
+@pytest.mark.parametrize("entry_id, seed", [
+    pytest.param(entry_id, seed, marks=SMALL_A) if (entry_id, seed) == ("dim3-eps-1-h0", 1029) else (entry_id, seed)
+    for entry_id in GROUP_ENTRIES for seed in GROUP_SEEDS
+])
+def test_the_inverse_generator_returns_the_base_table(entry_id, seed):
+    """Shifting the image table again, by the generator 1/A, adds back every
+    d_j A / A: the order-1 base generators return, to rounding relative to the largest of them."""
+    e = entry(entry_id)
+    A, base = e.density_field(), natural_connection(epsilon_system(e.dim, e.eps))
+    points = _group_points(e, seed)
+    inverse = field_of(jets.div, ScalarField(e.dim, lambda p, order: jets.constant(e.dim, order, 1.0)), A)
+    back = _image_table(_image_table(base, A), inverse).generators(points, 1)
+    want = base.generators(points, 1)
+    assert np.abs(back - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", GROUP_SEEDS)
+@pytest.mark.parametrize("entry_id", GROUP_ENTRIES[:3])
+def test_a_density_over_the_generator_is_a_density_of_the_image(entry_id, seed):
+    """If h is a density of the system, h/A is one of the image (the rule for a
+    conservation law under a reciprocal change of variables): it meets the image
+    table's density equations, while the controls h and h A miss them by far."""
+    e = entry(entry_id)
+    A, sys = e.density_field(), epsilon_system(e.dim, e.eps)
+    points = _group_points(e, seed)
+    image = _image_table(natural_connection(sys), A)
+    worst = lambda f: np.abs(reciprocal._density_block(image, f, points)[2]).max()
+    for sibling in (entry_id.replace("-h1", "-hm05"), entry_id.replace("-h1", "-h0")):
+        h = entry(sibling).density_field()
+        assert density_residual(sys, h, points).passed, sibling
+        assert worst(field_of(jets.div, h, A)) <= 1e-11, sibling
+        assert worst(h) > 10.0 and worst(field_of(jets.mul, h, A)) > 100.0, sibling
 
 
 # ---------------------------------------------------------------------------

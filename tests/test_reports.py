@@ -345,8 +345,8 @@ def test_signed_zero_tables_keep_their_bits(n):
         signs = rng.choice([0.0, -0.0], size=(n, n, len(jets.multi_indices(n, order)), len(points)))
         return signs * (1 - np.eye(n))[:, :, None, None]
 
-    natural = ConnectionTable(n, "signed-zeros", generate, "natural")
-    assert_flatness_families(natural, natural.dual("signed-zeros-dual"), sample_points(n, 12, seed=4))
+    natural = ConnectionTable(n, generate, "natural")
+    assert_flatness_families(natural, natural.dual(), sample_points(n, 12, seed=4))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -354,7 +354,7 @@ def test_signed_zero_tables_keep_their_bits(n):
 def test_non_finite_tables_keep_their_nan_positions(n):
     # NaN comes from the table and from inf - inf; its sign and payload depend on how terms group
     natural = random_table(n, 20 + n, [1.5, -0.25, 3.0, math.nan, math.inf, -math.inf])
-    values = assert_flatness_families(natural, natural.dual("non-finite-dual"), sample_points(n, 12, seed=4),
+    values = assert_flatness_families(natural, natural.dual(), sample_points(n, 12, seed=4),
                                       nan_payload_free=True)
     assert any(math.isnan(v) for v in values) and any(math.isinf(v) for v in values)
 
@@ -367,7 +367,7 @@ def test_parallel_rows_are_self_checks_of_the_assembly(n):
     points = sample_points(n, 6, seed=8)
     assert not curvature_natural_residual(natural, points).passed
     for rep in (identity_parallel_residual(natural, "e", points),
-                identity_parallel_residual(natural.dual("random-dual"), "E", points)):
+                identity_parallel_residual(natural.dual(), "E", points)):
         assert rep.passed and rep.max_abs <= 1e-13
 
 
@@ -393,7 +393,7 @@ def random_table(n: int, seed: int, values) -> ConnectionTable:
         drawn = rng.choice(values, size=(n, n, len(jets.multi_indices(n, order)), len(points)))
         return np.where(np.eye(n, dtype=bool)[:, :, None, None], 0.0, drawn)
 
-    return ConnectionTable(n, "random", generate, "natural")
+    return ConnectionTable(n, generate, "natural")
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -404,7 +404,7 @@ def test_curvature_oracle_matches_the_generic_formula_term_by_term(n):
     signed_zeros = random_table(n, n, [0.0, -0.0])
     non_finite = random_table(n, 10 + n, [1.5, -0.25, 3.0, math.nan, math.inf, -math.inf])
     tables = [natural_connection(sys), dual_connection(sys), image.natural, image.dual,
-              signed_zeros, signed_zeros.dual("signed-zeros-dual"), non_finite, non_finite.dual("non-finite-dual")]
+              signed_zeros, signed_zeros.dual(), non_finite, non_finite.dual()]
     for conn in tables:
         got, want = curvature_oracle(conn, points), oracle_reference(conn, points)
         nan = np.isnan(want)
