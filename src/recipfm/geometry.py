@@ -9,9 +9,9 @@ through their u-weighted variants.  Every table is one of the two, and
 PRODUCTS names its assembly's product and field: the natural connection pairs
 with (circ, e), the dual with (star, E).  A table takes all n(n-1) symbols at once,
 as the columns of one jet quotient over that array's partials, and assembles
-the dual entries with one stacked quotient and one product over the set's
-lifts.  A sum over a component index reduces its terms, stacked in index
-order on axis 0, one after another: bit for bit a loop over the index.
+the dual entries with one quotient and one product over the set's lifts, each
+one jet kernel call.  A sum over a component index reduces its terms, stacked
+in index order on axis 0, one after another: bit for bit a loop over the index.
 Every flatness and compatibility check here is a pointwise residual evaluated
 through third-order jets over a set of seeded sample points at once.
 """
@@ -363,7 +363,7 @@ def christoffel_primary(sys: DiagonalSystem, points: PointSet, order: int) -> np
         k = int(np.argmax(close.any(axis=1)))  # the first pair, then its first point
         where = points[int(np.argmax(close[k]))]
         raise DegenerateSystemError(f"coincident characteristic velocities v^{i[k] + 1} and v^{j[k] + 1} at {where}")
-    return pair_table(n, jets.stacked(jets.div, n, order, jets.partials(hi, n)[i, j], den))
+    return pair_table(n, jets.div(jets.partials(hi, n)[i, j], den, n))
 
 
 class ConnectionTable:
@@ -425,8 +425,8 @@ class ConnectionTable:
             m, u = len(i), points.lifts(order)
             num = np.zeros((m + n,) + u.shape[1:])
             num[:m], num[m:, 0] = u[i], 1.0  # u^i, then the constant one
-            q = jets.stacked(jets.div, n, order, num, u[den])
-            prod = jets.stacked(jets.mul, n, order, q[ratio], off[gen])
+            q = jets.div(num, u[den], n)
+            prod = jets.mul(q[ratio], off[gen], n)
             jj, terms[slots] = prod[:m], prod[m:]  # slot (1 + i, i) stays 0.0, and x - 0.0 is x
             np.negative(q[m:], out=terms[0])
         table[i, j, j] = -jj

@@ -19,19 +19,21 @@ the inverse gather, builds the jet of value 0 whose first partials are given
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
 each element, so a column is bit for bit what the same operations give at
-that point alone.  ``mul`` and ``div`` gather their products once per call
-into a (layers, rows, points) grid and reduce it over the layers, with rows
-and points inner, so each coefficient still sums its products left to right,
-by ascending first index, as one product at a time would; only the sign and
-payload of a NaN may depend on how the products are grouped.  ``hyp2f1_value``
-sums the Gauss series at every element of its broadcast arguments at once, each
-element stopping where its own term-by-term sum would, so ``jet_hypergeom_2f1``
-sums the order + 1 parameter shifts of a jet as one series.  Under ``quiet``
-non-finite values propagate without warnings, as in Python float arithmetic.
-Domain checks test every element: an operation fails for the whole set if
-any element leaves its domain, and the error names the first such element.
-Jets are immutable values: no operation writes into an array once its jet is
-returned, so arrays may be shared.
+that point alone.  ``mul`` and ``div`` also take the coefficient arrays (...,
+ncoeff, npoints) of jets stacked on leading axes, which broadcast as the points
+do, so a whole table is one call.  They gather their products once per call
+into a (..., layers, rows, points) grid and reduce it over the layers, with
+rows and points inner, so each coefficient still sums its products left to
+right, by ascending first index, as one product at a time would; only the
+sign and payload of a NaN may depend on how the products are grouped.
+``hyp2f1_value`` sums the Gauss series at every element of its broadcast
+arguments at once, each element stopping where its own term-by-term sum
+would, so ``jet_hypergeom_2f1`` sums the order + 1 parameter shifts of a jet
+as one series.  Under ``quiet`` non-finite values propagate without warnings,
+as in Python float arithmetic.  Domain checks test every element: an
+operation fails for the whole set if any element leaves its domain, and the
+error names the first such element.  Jets are immutable values: no operation
+writes into an array once its jet is returned, so arrays may be shared.
 
 Truncation commutes with every operation here: the coefficients of grade g of
 a result read only coefficients of grade <= g of its operands, in the same
@@ -60,6 +62,7 @@ MAX_ORDER = 3
 HYP2F1_REL_TOL = 1e-16
 HYP2F1_MAX_TERMS = 10000
 HYP2F1_BLOCK = 80  # divides HYP2F1_MAX_TERMS, so no element sums past it
+_VALUE_ROW, _HIGHER_ROWS = (..., slice(1), slice(None)), (..., slice(1, None), slice(None))  # prebuilt for small jets
 
 # IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf give inf or
 # NaN without a warning, as Python floats do, and residuals then fail closed.
@@ -287,15 +290,23 @@ def _div_grids(dim: int, order: int):
 
 
 @lru_cache(maxsize=None)
+def _order(dim: int, ncoeff: int) -> int:
+    """The order of the dim-variable jets with ncoeff coefficient rows."""
+    sizes = [len(multi_indices(dim, k)) for k in range(MAX_ORDER + 1)]
+    if ncoeff not in sizes:
+        raise JetError(f"no jet of dim {dim} has {ncoeff} coefficient rows")
+    return sizes.index(ncoeff)
+
+
+@lru_cache(maxsize=None)
 def _partials_plan(dim: int, ncoeff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first partials of the jets with ncoeff rows, of order m >= 1: row k
     of d_l f, one order lower, is factor[l, k] times row src[l, k] of f, the
     row of multi_indices(dim, m - 1)[k] + e_l.  Inverse: row r >= 1 of f is entry
     (l, k) = back[:, r - 1] of the partials over factor[l, k], at the least l whose src[l] holds r."""
-    sizes = [len(multi_indices(dim, k)) for k in range(MAX_ORDER + 1)]
-    if ncoeff not in sizes[1:]:
+    order = _order(dim, ncoeff)
+    if not order:
         raise JetError(f"no jet of dim {dim} and order >= 1 has {ncoeff} coefficient rows")
-    order = sizes.index(ncoeff)
     pos, lower, unit = _positions(dim, order), multi_indices(dim, order - 1), np.eye(dim, dtype=int)
     src = [[pos[tuple(beta + e)] for beta in lower] for e in unit]
     first = {r: (l, k) for l in reversed(range(dim)) for k, r in enumerate(src[l])}  # the least l is kept
@@ -351,9 +362,14 @@ def _built(dim: int, order: int, coeffs: np.ndarray) -> Jet:
     return out
 
 
-def _check_compatible(a: Jet, b: Jet) -> None:
+def _operands(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None):
+    """(x, y, dim, order) of two jets of one dim and order, or of two coefficient arrays (..., ncoeff, npoints)
+    of dim-variable jets as for gradient, whose rows the caller vouches for."""
+    if not isinstance(a, Jet):
+        return a, b, dim, _order(dim, a.shape[-2])
     if a.dim != b.dim or a.order != b.order:
         raise JetError(f"incompatible jets: (dim {a.dim}, order {a.order}) vs (dim {b.dim}, order {b.order})")
+    return a.coeffs, b.coeffs, a.dim, a.order
 
 
 def _first_violation(value: np.ndarray, bad: np.ndarray) -> float | None:
@@ -381,31 +397,31 @@ def variable(dim: int, order: int, index: int, value) -> Jet:
 
 
 def add(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    return _built(a.dim, a.order, a.coeffs + b.coeffs)
+    x, y, dim, order = _operands(a, b)
+    return _built(dim, order, x + y)
 
 
 def sub(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    return _built(a.dim, a.order, a.coeffs - b.coeffs)
+    x, y, dim, order = _operands(a, b)
+    return _built(dim, order, x - y)
 
 
-def mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product; each coefficient adds its products left to right from
-    0.0, by ascending pa.  Orders 0 and 1 slice; higher orders gather each
-    operand once over the padded grid of every row's pairs, whose padding
-    contributes -0.0, which adds exactly nothing."""
-    _check_compatible(a, b)
-    x, y = a.coeffs, b.coeffs
-    if a.order < 2:
-        out = 0.0 + x[0] * y  # every row's first pair, (0, r)
-        if a.order:
-            out[1:] += x[1:] * y[0]  # a grade-1 row's second, (r, 0)
-        return _built(a.dim, a.order, out)
-    pa, pb, pad = _mul_grid(a.dim, a.order)
-    terms = x[pa] * y[pb]
-    np.copyto(terms, -0.0, where=pad)
-    return _built(a.dim, a.order, np.add.reduce(terms, axis=0, initial=0.0))  # layer by layer: rows stay inner
+def mul(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None) -> Jet | np.ndarray:
+    """Cauchy product of two jets or two coefficient arrays; each coefficient adds
+    its products left to right from 0.0, by ascending pa.  Orders 0 and 1 slice;
+    higher orders gather each operand once over the padded grid of every row's
+    pairs, whose padding contributes -0.0, which adds exactly nothing."""
+    x, y, dim, order = _operands(a, b, dim)
+    if order < 2:
+        out = 0.0 + x[_VALUE_ROW] * y  # every row's first pair, (0, r)
+        if order:
+            out[_HIGHER_ROWS] += x[_HIGHER_ROWS] * y[_VALUE_ROW]  # a grade-1 row's second, (r, 0)
+    else:
+        pa, pb, pad = _mul_grid(dim, order)
+        terms = x.take(pa, axis=-2) * y.take(pb, axis=-2)
+        np.copyto(terms, -0.0, where=pad)
+        out = np.add.reduce(terms, axis=-3, initial=0.0)  # layer by layer: rows and points stay inner
+    return _built(dim, order, out) if isinstance(a, Jet) else out
 
 
 def scale(c, a: Jet) -> Jet:
@@ -423,43 +439,31 @@ def scale(c, a: Jet) -> Jet:
     return _built(a.dim, a.order, out)
 
 
-def div(a: Jet, b: Jet) -> Jet:
-    """Quotient jet; solves the triangular system grade by grade, each
-    coefficient subtracting its products left to right, by ascending pa.
-    Grades 0 and 1 slice; each higher grade gathers once over the padded grid
-    of its rows' pairs, whose padding subtracts 0.0."""
-    _check_compatible(a, b)
-    x, y = a.coeffs, b.coeffs
-    b0 = y[0]
+def div(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None) -> Jet | np.ndarray:
+    """Quotient of two jets or two coefficient arrays; solves the triangular system
+    grade by grade, each coefficient subtracting its products left to right, by
+    ascending pa.  Grades 0 and 1 slice; each higher grade gathers once over the
+    padded grid of its rows' pairs, whose padding subtracts 0.0, and appends its rows."""
+    x, y, dim, order = _operands(a, b, dim)
+    b0 = y[_VALUE_ROW]
     if np.count_nonzero(b0 == 0.0):
         raise JetDomainError("division by a jet with zero value")
     inv = 1.0 / b0
-    q = np.empty((len(x), max(x.shape[1], y.shape[1])))
-    q[0] = x[0] * inv
-    if a.order:
-        k = a.dim + 1
-        q[1:k] = (x[1:k] - y[1:k] * q[0]) * inv
-        for rows, pa, pb, pad in _div_grids(a.dim, a.order):
-            terms = np.empty((len(pa) + 1, *q[rows].shape))
-            terms[0] = x[rows]
-            np.multiply(y[pa], q[pb], out=terms[1:])
-            np.copyto(terms[1:], 0.0, where=pad)
-            q[rows] = np.subtract.reduce(terms, axis=0) * inv
-    return _built(a.dim, a.order, q)
+    q = x[_VALUE_ROW] * inv
+    if order:
+        q = np.concatenate((q, (x[..., 1 : dim + 1, :] - y[..., 1 : dim + 1, :] * q) * inv), axis=-2)
+        for rows, pa, pb, pad in _div_grids(dim, order):
+            terms = np.empty((*q.shape[:-2], len(pa) + 1, pa.shape[1], q.shape[-1]))
+            terms[..., 0, :, :] = x[..., rows, :]
+            np.multiply(y.take(pa, axis=-2), q.take(pb, axis=-2), out=terms[..., 1:, :, :])
+            np.copyto(terms[..., 1:, :, :], 0.0, where=pad)
+            q = np.concatenate((q, np.subtract.reduce(terms, axis=-3) * inv), axis=-2)
+    return _built(dim, order, q) if isinstance(a, Jet) else q
 
 
 def stack(js: Sequence[Jet], npoints: int) -> np.ndarray:
     """The jets' coefficients as one array (len(js), ncoeff, npoints); one column spreads."""
     return np.array([j.coeffs if j.coeffs.shape[1] == npoints else np.repeat(j.coeffs, npoints, axis=1) for j in js])
-
-
-def stacked(op, dim: int, order: int, *operands: np.ndarray) -> np.ndarray:
-    """op on m jets at once, each operand an array (m, ncoeff, npoints) of their
-    coefficients: one call on the m * npoints columns.  Columns are independent,
-    so slice k of the result (m, ncoeff', npoints) is bit for bit op on the k-th jets."""
-    m, _, npoints = operands[0].shape
-    out = op(*(Jet(dim, order, x.transpose(1, 0, 2).reshape(-1, m * npoints)) for x in operands)).coeffs
-    return out.reshape(-1, m, npoints).transpose(1, 0, 2)
 
 
 def partials(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -9,7 +9,7 @@ and dual connections, reconstructs currents by quadrature of the exact
 one-form, composes transformations, and applies the same action to rotation
 frames: a frame is its two stacks, every off-diagonal rotation coefficient's jet
 as one array and every Lame field's as another, and its image is built from
-them by stacked jet operations.  A frame reads its own symbols, as a table reads
+them by jet kernels on those arrays.  A frame reads its own symbols, as a table reads
 its generators, so the density equations and the shift rule take either.
 """
 
@@ -139,12 +139,12 @@ class RotationFrame:
 
     def generators(self, points: PointSet, order: int) -> np.ndarray:
         """Every symbol (H_j / H_i) beta_ij over the points as one read-only array (n, n, ncoeff, npoints), zero
-        on the diagonal: one stacked quotient and one stacked product, the set's memo entry for generators."""
+        on the diagonal: one quotient and one product on the stacks, the set's memo entry for generators."""
 
         def compute() -> np.ndarray:
             n, (i, j) = self.dim, off_pairs(self.dim)
             h, b = self.lame_jets(points, order), self.beta_jets(points, order)
-            return pair_table(n, jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[j], h[i]), b))
+            return pair_table(n, jets.mul(jets.div(h[j], h[i], n), b, n))
 
         return jets.memoized(points, self.generators, order, compute)
 
@@ -357,8 +357,8 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     t in [0, 1].  The form is closed, and a Weyl chamber intersected with an
     orthant is convex, so the segment between two of its points never meets
     u^i = u^j or u^i = 0.  Derivative rows, only when asked and after the
-    values, come straight from the one-form: every v^i d_i A as one stacked
-    product of velocity_jets and jets.partials of A, laid out by
+    values, come straight from the one-form: every v^i d_i A as one product
+    of velocity_jets and jets.partials of A, laid out by
     jets.from_partials, so no differentiation of quadrature output ever happens.
 
     Each value evaluates its nodes as point sets, one velocity_jets array and
@@ -428,8 +428,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
         if jet_order == 0:
             return Jet(n, 0, [values])
         v = sys.velocity_jets(points, jet_order - 1)
-        dA = np.broadcast_to(jets.partials(A.jet(points, jet_order)), v.shape)
-        out = jets.from_partials(jets.stacked(jets.mul, n, jet_order - 1, v, dA), n, jet_order)
+        out = jets.from_partials(jets.mul(v, jets.partials(A.jet(points, jet_order)), n), n, jet_order)
         out.coeffs[0] = values  # a jet just built: its value row is the quadrature's
         return out
 
@@ -441,13 +440,10 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
 
 
 def _log_partials(higher: Jet, a: Jet, npoints: int) -> np.ndarray:
-    """Every d_l A / A over the points, bit for bit the quotient of entry l of partials(higher)
-    by a, from A's jets a and higher (one order up) in one stacked quotient."""
-    num, den = jets.partials(higher), np.empty((a.dim, len(a.coeffs), npoints))
-    den[:] = a.coeffs
-    if num.shape != den.shape:  # one column: A is a constant
-        num = np.broadcast_to(num, den.shape)
-    return jets.stacked(jets.div, a.dim, a.order, num, den)
+    """Every d_l A / A over the points as one array (n, ncoeff, npoints), a constant A's one column spread: bit
+    for bit the quotient of entry l of partials(higher) by a, from A's jets a and higher (one order up)."""
+    q = jets.div(jets.partials(higher), a.coeffs, a.dim)
+    return np.broadcast_to(q, (*q.shape[:-1], npoints))
 
 
 def transformed_off_diagonal(
@@ -477,8 +473,8 @@ def transform(
     """Apply the transformation generated by gen to the system and its connections.
 
     The returned natural (and optional dual) tables are assembled from the
-    shifted off-diagonal symbols; the image system's stack is A v^i - B over
-    the base's velocity stack, one stacked product and one array difference,
+    shifted off-diagonal symbols; the image system's stack is A v^i - B, one
+    product of A's jet with the base's velocity stack and one difference,
     with B the reconstructed current (evaluated lazily).  With check_generator the
     density equations are verified first at points, which must then be given,
     and an InadmissibleGeneratorError is raised on failure; passing False lets
@@ -502,7 +498,7 @@ def transform(
 
     def stack(points: PointSet, order: int) -> np.ndarray:  # A v^i - B for every i at once
         a, v = A.jet(points, order).coeffs, sys.velocity_jets(points, order)
-        return jets.stacked(jets.mul, n, order, np.broadcast_to(a, v.shape), v) - current.jet(points, order).coeffs
+        return jets.mul(a, v, n) - current.jet(points, order).coeffs
 
     natural = ConnectionTable(n, transformed_off_diagonal(natural_connection(sys), A), "natural")
     dual = natural.dual() if with_dual else None
@@ -694,8 +690,8 @@ def darboux_transform(
     grading_tol: float = GRADING_TOL,
 ) -> RotationFrame:
     """Image frame: beta~_ij = beta_ij - (H_i / H_j) d_j ln A, H~_i = H_i / A,
-    degree d + k, its stacks stacked jet operations over the frame's and A's
-    partials.  biflat_verdict must admit the generator, with the density
+    degree d + k, its stacks jet kernels on the frame's stacks, A's jet and
+    its partials.  biflat_verdict must admit the generator, with the density
     equations taken for the frame's own symbols (generators); otherwise an
     InadmissibleGeneratorError names the first of e(A) = 0, E(A) = k A and
     the density equations that fails."""
@@ -716,10 +712,9 @@ def darboux_transform(
     def beta_stack(points: PointSet, order: int) -> np.ndarray:  # beta_ij - (H_i / H_j) d_j A / A, every pair at once
         b, h = frame.beta_jets(points, order), frame.lame_jets(points, order)
         dlog = _log_partials(A.jet(points, order + 1), A.jet(points, order), len(points))
-        return b - jets.stacked(jets.mul, n, order, jets.stacked(jets.div, n, order, h[i], h[j]), dlog[j])
+        return b - jets.mul(jets.div(h[i], h[j], n), dlog[j], n)
 
     def lame_stack(points: PointSet, order: int) -> np.ndarray:  # H_i / A, every i at once
-        h = frame.lame_jets(points, order)
-        return jets.stacked(jets.div, n, order, h, np.broadcast_to(A.jet(points, order).coeffs, h.shape))
+        return jets.div(frame.lame_jets(points, order), A.jet(points, order).coeffs, n)
 
     return RotationFrame(n, beta_stack, lame_stack, frame.degree + verdict.k)

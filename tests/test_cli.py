@@ -699,6 +699,64 @@ def test_small_density_reproduction_passes(tmp_path, command, check):
     assert report["checks"][check]["pass"], f"{check} max_abs {report['checks'][check]['max_abs']:.3e}"
 
 
+def _no_draw_is_the_floor(code, report, capsys):
+    """An exit without a report fails by assertion only as the density floor's: no admissible draw."""
+    if report is None:
+        err = capsys.readouterr().err
+        if "no admissible point found after 1000 rejections" not in err:
+            pytest.fail(f"exit {code}: {err}")
+    assert report is not None, "no admissible point found"
+
+
+SCALE_FLOOR = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason="the density floor is absolute: 2^-30 A is below it at every draw")
+SCALE_TOLERANCE = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                    reason="the floor and tolerances are absolute: 2^k A moves the draw or the verdict")
+
+
+@pytest.mark.parametrize("seed, k", [
+    (7, -20), (7, 20),
+    pytest.param(7, -30, marks=SCALE_FLOOR), pytest.param(1029, -30, marks=SCALE_FLOOR),
+    pytest.param(1029, -20, marks=SCALE_TOLERANCE), pytest.param(1029, 20, marks=SCALE_TOLERANCE),
+])
+def test_scaled_density_transforms_as_the_catalog_entry(tmp_path, capsys, seed, k):
+    """ROADMAP's library identities item, scale: 2^k A, given as --density text with
+    the entry's constants bound, is a density wherever A is, so transform must draw
+    the catalog entry's points and pass every check (ROADMAP's scale-aware verdicts
+    item turns the four marked cases)."""
+    e = catalog.entry("dim3-eps-1-h0")
+    params = [arg for name, value in e.params.items() for arg in ("--param", f"{name}={value!r}")]
+    argv = ("transform", "--builtin", "eps-system", "--dim", "3", "--eps", "-1",
+            "--num-points", "5", "--seed", str(seed))
+    (tmp_path / "entry").mkdir()
+    (tmp_path / "scaled").mkdir()
+    _, want = run(tmp_path / "entry", *argv, "--catalog", e.entry_id)
+    code, report = run(tmp_path / "scaled", *argv, "--density", f"({e.density_src})*2^({k})", *params)
+    _no_draw_is_the_floor(code, report, capsys)
+    assert report["points"] == want["points"]
+    assert code == 0, sorted(name for name, c in report["checks"].items() if not c["pass"])
+
+
+def _residue_density(n: int) -> str:
+    """A_1 = 1/prod_{j >= 2} (u1 - u_j), the eps = 1, h = 0 residue density, as --density text."""
+    return "1/(" + "*".join(f"(u1-u{j})" for j in range(2, n + 1)) + ")"
+
+
+@pytest.mark.parametrize("n, suite", [
+    (8, "all,grading-E,biflat"), (14, "all"),
+    pytest.param(16, "all", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="no admissible point found after 1000 rejections at n = 16")),
+])
+def test_residue_density_passes_at_high_dimension(tmp_path, capsys, n, suite):
+    """ROADMAP's large-n item, tier-1 slice: the residue density passes every check
+    of the suite at n = 8 and 14; at n = 16 the draw exits 2 first."""
+    code, report = run(tmp_path, "check", "--builtin", "eps-system", "--dim", str(n), "--eps", "1",
+                       "--density", _residue_density(n), "--suite", suite, "--seed", "42", "--num-points", "5")
+    _no_draw_is_the_floor(code, report, capsys)
+    assert code == 0 and report["pass"]
+    assert max(c["max_abs"] for c in report["checks"].values()) < 1e-12
+
+
 def test_catalog_density_is_compiled_once(tmp_path, monkeypatch):
     parses = _count_calls(monkeypatch, exprlang, "parse_field")
     code, _ = run(tmp_path, "check", *FLATCOORD, "--num-points", "3")

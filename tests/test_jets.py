@@ -518,6 +518,70 @@ def test_a_zero_divisor_raises_as_before(zero):
             assert str(got.value) == str(want.value) == "division by a jet with zero value"
 
 
+# ---------------------------------------------------------------------------
+# the kernels on stacked coefficient arrays against a Jet call per jet
+
+
+def _per_jet(op, x: np.ndarray, y: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """op on each pair of jets of x and y, (..., ncoeff, ncols) whose leading axes broadcast, stacked back."""
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    x, y = (np.broadcast_to(z, lead + z.shape[-2:]) for z in (x, y))  # each jet keeps its own columns
+    out = np.array([op(Jet(dim, order, x[k]), Jet(dim, order, y[k])).coeffs for k in np.ndindex(lead)])
+    return out.reshape(lead + out.shape[1:])
+
+
+# (x's shape, y's shape) with m = 3 jets of ncoeff rows at 5 points: one-column operands, an operand
+# without the leading axis and two leading axes broadcast
+_ARRAY_SHAPES = [((3, 5), (3, 5)), ((3, 1), (3, 5)), ((3, 5), (3, 1)), ((5,), (3, 5)), ((3, 5), (1,)),
+                 ((1, 5), (3, 1)), ((2, 1, 5), (3, 5)), ((3, 1), (2, 1, 1))]
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("dim", range(2, 5))
+def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
+    """mul and div on coefficient arrays (..., ncoeff, npoints) are mul and div on
+    each jet, bit for bit, signed zeros, infinities and NaN positions included."""
+    rng = np.random.default_rng(30 * dim + order)
+    ncoeff, met = len(jets.multi_indices(dim, order)), 0
+
+    def operand(shape, special):  # (..., ncoeff, ncols) for shape (..., ncols), not C-contiguous
+        return np.moveaxis(_operand(rng, ncoeff, math.prod(shape), special).reshape(ncoeff, *shape), 0, -2)
+
+    with np.errstate(all="ignore"):
+        for xs, ys in _ARRAY_SHAPES:
+            for special in (False, True, True):
+                x, y = operand(xs, special), operand(ys, special)
+                assert same_non_nan_bits(jets.mul(x, y, dim), _per_jet(jets.mul, x, y, dim, order))
+                y[..., 0, :] = np.where(y[..., 0, :] == 0.0, 0.75, y[..., 0, :])  # a zero divisor is below
+                want = _per_jet(jets.div, x, y, dim, order)
+                assert same_non_nan_bits(jets.div(x, y, dim), want)
+                met += bool(np.isnan(want).any())
+    assert met  # the special values reach NaN, so the NaN positions are compared too
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_value_anywhere_in_a_stacked_divisor_raises_as_a_jet_call(zero):
+    for order in range(jets.MAX_ORDER + 1):
+        ncoeff = len(jets.multi_indices(3, order))
+        x = np.full((4, ncoeff, 5), 2.0)
+        for k, p in ((0, 0), (2, 3), (3, 4)):
+            y = np.full((4, ncoeff, 5), 1.5)
+            y[k, 0, p] = zero
+            with pytest.raises(JetDomainError) as want:
+                jets.div(Jet(3, order, x[k]), Jet(3, order, y[k]))
+            with pytest.raises(JetDomainError) as got:
+                jets.div(x, y, 3)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(JetDomainError):  # one column, without the leading axis: it spreads
+                jets.div(x, y[k, :, p:p + 1], 3)
+
+
+def test_array_kernels_refuse_rows_of_no_jet():
+    for op in (jets.mul, jets.div):
+        with pytest.raises(JetError, match="no jet of dim 3 has 5 coefficient rows"):
+            op(np.ones((2, 5, 3)), np.ones((5, 3)), 3)
+
+
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
 
 

@@ -166,6 +166,14 @@ def test_theta_form_matches_a_system_verdict(sys2, recip_density):
     assert not theta_system_residual(sys2, bad, pts_bad).passed
 
 
+def test_theta_form_of_a_constant_density_spreads_its_one_column(sys2, recip_density):
+    """A constant density's jets have one column; its d_l A / A spreads over the
+    points, so the theta rows line up with the symbols' and every row is 0."""
+    pts = _points2(recip_density, count=4)
+    rep = theta_system_residual(sys2, field("2", 2), pts)
+    assert rep.passed and rep.max_abs == 0.0 and len(rep.entries) == 4 * len(reciprocal._theta_labels(2))
+
+
 def test_covariant_hessian_circ(sys2, recip_density):
     pts = _points2(recip_density)
     nat = natural_connection(sys2)
