@@ -20,7 +20,7 @@ import numpy as np
 from . import jets
 from .exprlang import MAX_DIM, ScalarField, field
 from .geometry import DiagonalSystem, coordinate_predicate
-from .jets import Jet, PointSet
+from .jets import PointSet
 from .reciprocal import RotationFrame, density_window
 
 GENERIC_CONSTANTS = {"c0": 1.0, "c1": 2.0, "c2": -1.0, "c3": 0.5}
@@ -43,7 +43,7 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
 
     def closed_form(points: PointSet, order: int) -> np.ndarray:
         u = points.lifts(order)  # accumulate adds u1 + ... + un in index order, as the source's + does
-        return u - jets.scale(eps, Jet(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
+        return u - jets.scale(eps, jets._built(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
 
     return DiagonalSystem(n, closed_form)
 

@@ -27,13 +27,16 @@ rows and points inner, so each coefficient still sums its products left to
 right, by ascending first index, as one product at a time would; only the
 sign and payload of a NaN may depend on how the products are grouped.
 ``hyp2f1_value`` sums the Gauss series at every element of its broadcast
-arguments at once, each element stopping where its own term-by-term sum
-would, so ``jet_hypergeom_2f1`` sums the order + 1 parameter shifts of a jet
-as one series.  Under ``quiet`` non-finite values propagate without warnings,
-as in Python float arithmetic.  Domain checks test every element: an
-operation fails for the whole set if any element leaves its domain, and the
-error names the first such element.  Jets are immutable values: no operation
-writes into an array once its jet is returned, so arrays may be shared.
+arguments at once, in blocks of terms whose first is sized from the largest
+|z|, each element stopping where its own term-by-term sum would, so
+``jet_hypergeom_2f1`` sums the order + 1 parameter shifts of a jet as one
+series.  ``compose_univariate`` writes an order-1 composition's rows directly,
+bit for bit its Horner start through ``scale``.  Under ``quiet`` non-finite
+values propagate without warnings, as in Python float arithmetic.  Domain
+checks test every element: an operation fails for the whole set if any
+element leaves its domain, and the error names the first such element.  Jets
+are immutable values: no operation writes into an array once its jet is
+returned, so arrays may be shared.
 
 Truncation commutes with every operation here: the coefficients of grade g of
 a result read only coefficients of grade <= g of its operands, in the same
@@ -61,7 +64,9 @@ import numpy as np
 MAX_ORDER = 3
 HYP2F1_REL_TOL = 1e-16
 HYP2F1_MAX_TERMS = 10000
-HYP2F1_BLOCK = 80  # divides HYP2F1_MAX_TERMS, so no element sums past it
+HYP2F1_BLOCK = 80  # terms per block after the first, which _first_block sizes from max |z|
+HYP2F1_SLACK = 8  # a first block's terms past those z^k needs to settle
+HYP2F1_FIRST_WORK = 16 * HYP2F1_BLOCK  # a first block longer than HYP2F1_BLOCK sums at most this many terms in all
 _VALUE_ROW, _HIGHER_ROWS = (..., slice(1), slice(None)), (..., slice(1, None), slice(None))  # prebuilt for small jets
 
 # IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf give inf or
@@ -114,7 +119,7 @@ class PointSet(Sequence):
         """The set with coordinates coords (dim, npoints); its Points, unless
         given, are built when first read."""
         coords = np.array(coords, dtype=float, order="C")
-        if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] < 1 or not np.isfinite(coords).all():
+        if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] < 1 or not _finite(coords):
             raise ValueError(f"a point set needs finite coordinates, shape (dim >= 2, npoints >= 1): {coords.shape}")
         coords.flags.writeable = False
         self.coords, self._points, self._memo = coords, points, defaultdict(dict)  # owner -> {key: entry}
@@ -204,10 +209,15 @@ def _prefix(per: dict, order: int, dim: int):
     for k in range(order + 1, MAX_ORDER + 1):
         higher = per.get(k)
         if higher is not None:
-            if not np.isfinite(higher).all():
+            if not _finite(higher):
                 return None
             return higher[..., : len(multi_indices(dim, order)), :]
     return None
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite: one reduce, without ndarray.all's wrapper."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 @lru_cache(maxsize=None)
@@ -432,7 +442,7 @@ def scale(c, a: Jet) -> Jet:
     are finite: the product is then 0.0 + c * a.coeffs, the 0.0 turning -0.0
     into 0.0 as the sum does.  Otherwise it is that product, so 0 * inf is NaN."""
     x = a.coeffs
-    if a.order and not np.isfinite(x[0] if a.order == 1 else x).all():
+    if a.order and not _finite(x[0] if a.order == 1 else x):
         return mul(constant(a.dim, a.order, c), a)
     out = (c if isinstance(c, float) else np.asarray(c, dtype=float).reshape(-1)) * x
     out += 0.0
@@ -507,11 +517,22 @@ def compose_univariate(g: Jet, series) -> Jet:
     ``series[j]`` must be f^(j)(g.value)/j! (a number or one value per point);
     only the first order+1 entries are used.  Evaluated by Horner's scheme in
     the zero-value jet w = g - g0, which starts with ``scale`` by the top
-    coefficient, bit for bit the product of its constant jet and w.
+    coefficient, bit for bit the product of its constant jet and w.  At order 1
+    that is all, and its rows are written directly: s1 * g_r + 0.0 for r >= 1,
+    and the value row (s1 * 0.0 + 0.0) + s0, so g's value row is never
+    multiplied and cannot overflow or warn.
     """
     series = list(series)[: g.order + 1]
     if not g.order:
         return constant(g.dim, 0, series[0])
+    if g.order == 1:
+        (s0, s1), x = series, g.coeffs
+        out = np.empty((len(x), max(x.shape[1], getattr(s1, "size", 1))))  # one column spreads, as in a product
+        np.multiply(s1, x[1:], out=out[1:])
+        np.multiply(s1, 0.0, out=out[0])
+        out += 0.0
+        out[0] += s0
+        return _built(g.dim, 1, out)
     w = g.coeffs.copy()
     w[0] = 0.0
     w = _built(g.dim, g.order, w)
@@ -599,11 +620,13 @@ def _spread(x, shape: tuple[int, ...]) -> np.ndarray:
 def hyp2f1_value(a, b, c, z) -> np.ndarray:
     """Gauss hypergeometric series 2F1(a,b;c;z), |z| < 1, by direct summation
     at each element of a, b, c and z broadcast together, so one call sums
-    several parameter sets at once.  Terms come HYP2F1_BLOCK at a time, as
-    running products and running sums (``accumulate`` works left to right),
-    and each element stops at its first term below HYP2F1_REL_TOL relative to
-    its partial sum, so it sums exactly what a term-by-term loop would.  The
-    error names the first element, in the broadcast's order, whose c is a
+    several parameter sets at once.  Terms come in blocks, as running products
+    and running sums (``accumulate`` works left to right), and each element
+    stops at its first term below HYP2F1_REL_TOL relative to its partial sum,
+    so it sums exactly what a term-by-term loop would, however the blocks fall.
+    The first block is sized from the largest |z| (``_first_block``); each
+    later one is HYP2F1_BLOCK terms, the last cut at HYP2F1_MAX_TERMS.  The error
+    names the first element, in the broadcast's order, whose c is a
     non-positive integer, else whose |z| >= 1, else that does not converge."""
     shape = np.broadcast(a, b, c, z).shape
     pa, pb, pc, flat = (_spread(x, shape) for x in (a, b, c, z))
@@ -616,19 +639,30 @@ def hyp2f1_value(a, b, c, z) -> np.ndarray:
     out = np.empty(flat.shape)
     live = np.arange(flat.size)
     term = total = np.ones((1, flat.size))
-    for k0 in range(0, HYP2F1_MAX_TERMS, HYP2F1_BLOCK):
-        k = np.arange(k0, k0 + HYP2F1_BLOCK, dtype=float)[:, None]
+    k0, k1 = 0, _first_block(np.fmax.reduce(abs(flat), initial=0.0), flat.size)  # a NaN z, never settling, counts 0
+    while k0 < HYP2F1_MAX_TERMS:
+        k = np.arange(k0, k1, dtype=float)[:, None]
         ratio = (pa[live] + k) * (pb[live] + k) * flat[live] / ((pc[live] + k) * (k + 1.0))
         terms = np.multiply.accumulate(np.concatenate([term, ratio]))[1:]
         sums = np.add.accumulate(np.concatenate([total, terms]))[1:]
-        size = abs(sums)
-        done = abs(terms) <= HYP2F1_REL_TOL * np.where(size > 1.0, size, 1.0)
+        done = abs(terms) <= HYP2F1_REL_TOL * np.fmax(abs(sums), 1.0)  # fmax takes a NaN sum as 1
         stop, hit = done.argmax(axis=0), done.any(axis=0)
         out[live[hit]] = sums[stop[hit], hit.nonzero()[0]]
         term, total, live = terms[-1:, ~hit], sums[-1:, ~hit], live[~hit]
         if not live.size:
             return out.reshape(shape)
+        k0, k1 = k1, min(k1 + HYP2F1_BLOCK, HYP2F1_MAX_TERMS)
     raise JetDomainError(f"2F1 series did not converge for z={flat[live[0]]}")
+
+
+def _first_block(zmax: float, size: int) -> int:
+    """The terms of hyp2f1_value's first block over size elements of largest |z| zmax < 1: the
+    log(HYP2F1_REL_TOL) / log(zmax) terms z^k takes to settle, and HYP2F1_SLACK more for the
+    parameters' growth.  It runs past HYP2F1_BLOCK only while the block holds at most
+    HYP2F1_FIRST_WORK terms in all: a long block saves its later blocks' fixed costs, which rule
+    a few elements, but sums every element as far as the slowest, which costs more over many."""
+    settle = HYP2F1_SLACK + (int(math.log(HYP2F1_REL_TOL) / math.log(zmax)) if zmax > 0.0 else 0)
+    return min(settle, max(HYP2F1_BLOCK, HYP2F1_FIRST_WORK // max(size, 1)), HYP2F1_MAX_TERMS)
 
 
 def jet_hypergeom_2f1(a: float, b: float, c: float, z: Jet) -> Jet:

@@ -379,27 +379,31 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     quadrature once.
     """
     n = sys.dim
-    start = np.array(base.coords)
+    start = np.array(base.coords)[:, None]
+    lo, hi = _density_plan(n)[1]  # the pairs i < j: |v^i - v^j| is |v^j - v^i| bit for bit
 
     def value_at(p: Point) -> float:
-        step = np.array(p.coords) - start
-        axes = [i for i in range(n) if step[i] != 0.0]
-        if not axes:
+        step = np.array(p.coords)[:, None] - start
+        axes = step[:, 0].nonzero()[0]  # a zero step adds no term, not even 0 * inf
+        if not axes.size:
             return 0.0
+        if axes.size == n:
+            axes = slice(None)
+        weights = step[axes]
 
         def guarded(ts: np.ndarray) -> list[float]:
-            node_set = PointSet(start[:, None] + step[:, None] * ts)
+            node_set = PointSet(start + step * ts)
             # the message is read only from a one-node set
             singular = lambda what: PathSingularityError(f"{what} on the segment from {base} to {p} near {node_set[0]}")
             vals = sys.velocity_jets(node_set, 0)[:, 0]
-            a, b = off_pairs(n)  # the least gap at each node, NaN if any gap is NaN
-            if (np.minimum.reduce(abs(vals[a] - vals[b])) < VELOCITY_GAP).any():
+            # the least gap at each node, NaN if any gap is NaN
+            if (np.minimum.reduce(abs(vals[lo] - vals[hi])) < VELOCITY_GAP).any():
                 raise singular("characteristic velocities coincide")
             aj = A.jet(node_set, 1)
             if (np.abs(aj.value) < DENSITY_FLOOR).any():
                 raise singular("density vanishes")
             grad = jets.gradient(aj)
-            return sum(step[i] * (vals[i] * grad[i]) for i in axes).tolist()  # vals spreads: one entry per node
+            return _sum(weights * (vals[axes] * grad[axes])).tolist()  # vals spreads: one entry per node
 
         def integrand_at_nodes(ts: np.ndarray) -> list[float]:
             try:
@@ -426,7 +430,7 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
     def fn(points: PointSet, jet_order: int) -> Jet:
         values = [value_at(p) for p in points]
         if jet_order == 0:
-            return Jet(n, 0, [values])
+            return jets._built(n, 0, np.array([values]))
         v = sys.velocity_jets(points, jet_order - 1)
         out = jets.from_partials(jets.mul(v, jets.partials(A.jet(points, jet_order)), n), n, jet_order)
         out.coeffs[0] = values  # a jet just built: its value row is the quadrature's

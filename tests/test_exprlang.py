@@ -410,9 +410,9 @@ def test_products_by_a_constant_are_one_scale_each_bit_for_bit(monkeypatch):
         want = tree.jet(points, order).coeffs
         scales.clear()
         got = f.jet(points, order).coeffs
-        # 3*u1 and u1*3 share one instruction; the one array is exp's Horner start
+        # 3*u1 and u1*3 share one instruction; the one array is exp's Horner start, which order 1 writes directly
         assert [c for c in scales if isinstance(c, float)] == [3.0, -0.0, 0.0, 0.5, 2.0, -2.0]
-        assert len(scales) == 6 + (order > 0)
+        assert len(scales) == 6 + (order > 1)
         assert same_bits(got, want)
 
 
@@ -435,7 +435,7 @@ def test_jet_functions_swapped_after_compilation_are_called(monkeypatch):
     calls.clear()
     scales.clear()
     g.jet(Point((0.5, 1.5)), 1)
-    assert calls == [1, 1, 1] and exps[-1] == 1 and scales == [1]
+    assert calls == [1, 1, 1] and exps[-1] == 1 and scales == []  # an order-1 exp writes its rows directly
 
 
 def test_a_program_leaves_no_reference_cycle():

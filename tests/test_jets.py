@@ -376,6 +376,39 @@ def test_hyp2f1_batch_gives_up_where_the_scalar_series_does():
         jets.hyp2f1_value(1.0, 1.0, 1.0, np.array([0.5, z, 0.25]))
 
 
+def _series_outcome(*args):
+    """hyp2f1_value's bytes, shape and dtype, or its error's type and text."""
+    try:
+        got = jets.hyp2f1_value(*args)
+    except JetError as exc:
+        return type(exc), str(exc)
+    return got.tobytes(), got.shape, got.dtype
+
+
+_SCHEDULE_Z = (0.0, 1e-300, -1e-300, 0.34, -0.34, 0.9, -0.9, 0.999, -0.999, 0.996906)  # the last settles at 10024
+
+
+@pytest.mark.parametrize("abc", [(1.0, 2.0, 2.0), (-1.0, 2.0, 4.0)], ids=["a1-b2-c2", "a-1-b2-c4"])
+def test_hyp2f1_block_schedule_changes_no_bit(monkeypatch, abc):
+    """The first block sized from max |z|, and fixed blocks of 1, 7, 33 and 80
+    terms, give every bit and every error alike: a scalar z, the catalog's
+    (order + 1, 1) shifts against (npoints,) values, and empty arrays.  At 0.999
+    the series of a = 1 gives up at HYP2F1_MAX_TERMS under every schedule, and
+    so it does at 0.996906, which 33-term blocks not cut there would reach."""
+    shifts = np.arange(4.0)[:, None]
+    a, b, c = abc
+    settled = np.array([z for z in _SCHEDULE_Z if abs(z) < 0.99])
+    calls = [(a, b, c, z) for z in _SCHEDULE_Z]
+    for z in (settled, np.array(_SCHEDULE_Z), np.empty(0)):
+        calls += [(a, b, c, z), (a + shifts, b + shifts, c + shifts, z)]
+    sized = [_series_outcome(*args) for args in calls]
+    assert sized[-1] == (b"", (4, 0), np.float64) and (a != 1.0 or {sized[7][0], sized[9][0]} == {JetDomainError})
+    for block in (1, 7, 33, 80):
+        monkeypatch.setattr(jets, "HYP2F1_BLOCK", block)
+        monkeypatch.setattr(jets, "_first_block", lambda zmax, size: block)
+        assert [_series_outcome(*args) for args in calls] == sized, block
+
+
 def test_exp_and_real_pow_overflow_leave_the_domain():
     for value in (1000.0, np.array([1.0, 1000.0])):
         with pytest.raises(JetDomainError, match="exp overflows at value 1000.0"):
@@ -709,6 +742,76 @@ def test_horner_and_powers_start_with_scale_bit_for_bit(dim, order):
                 prefactor *= (0.5 + j) * (1.25 + j) / (2.5 + j)
             got = jets.jet_hypergeom_2f1(0.5, 1.25, 2.5, z).coeffs
             assert same_bits(got, horner_compose(z, hyp_series).coeffs)
+
+
+def horner_through_scale(g: Jet, series) -> Jet:
+    """The reference route: Horner's scheme in w = g - g0 started by scale at
+    every order >= 1, which compose_univariate must equal bit for bit."""
+    series = list(series)[: g.order + 1]
+    if not g.order:
+        return jets.constant(g.dim, 0, series[0])
+    w = g.coeffs.copy()
+    w[0] = 0.0
+    w = Jet(g.dim, g.order, w)
+    out = jets.scale(series[-1], w)
+    out.coeffs[0] += series[-2]
+    for c in reversed(series[:-2]):
+        out = jets.mul(out, w)
+        out.coeffs[0] += c
+    return out
+
+
+# each jet function with value rows in its domain
+_JET_FUNCTIONS = {
+    "exp": (jets.jet_exp, [0.0, -0.0, 1.5, -700.0, 700.0, np.inf, -np.inf, np.nan]),
+    "ln": (jets.jet_ln, [1.0, 1e-100, 0.25, 1e100, np.inf, np.nan]),
+    "pow0.5": (lambda a: jets.jet_pow(a, 0.5), [1.0, 1e-100, 0.25, 1e300, np.inf]),
+    "pow-1.5": (lambda a: jets.jet_pow(a, -1.5), [1.0, 1e-50, 0.25, 1e300, np.inf]),
+    "pow3": (lambda a: jets.jet_pow(a, 3), [1.0, -0.0, -2.5, 1e300, np.inf]),
+    "pow-2": (lambda a: jets.jet_pow(a, -2), [1.0, -2.5, 1e-100, 1e300, np.inf]),
+    "2f1": (lambda a: jets.jet_hypergeom_2f1(1.0, 2.0, 2.0, a), [0.0, -0.0, 0.34, -0.9, 1e-300]),
+    "2f1-terminating": (lambda a: jets.jet_hypergeom_2f1(-1.0, 2.0, 4.0, a), [0.0, -0.0, 0.34, -0.9]),
+}
+_GRADIENT_ROWS = np.array([0.0, -0.0, -0.0, 1.5, -2.25, 1e-300, -3e300, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("name", sorted(_JET_FUNCTIONS))
+def test_jet_functions_compose_as_horner_through_scale_bit_for_bit(monkeypatch, name, order):
+    """Each jet function equals the route through scale bit for bit, at value rows
+    at the edge of its domain (exp's -inf and inf make a top coefficient of 0 and
+    inf) and gradient rows of signed zeros, +-inf and NaN; only orders >= 2 start
+    Horner with a scale, and order 1 calls none."""
+    fn, values = _JET_FUNCTIONS[name]
+    rng = np.random.default_rng(order)
+    real_compose, real_scale, scales = jets.compose_univariate, jets.scale, []
+    for dim in (1, 3):
+        for npoints in (1, len(values)):
+            coeffs = rng.choice(_GRADIENT_ROWS, size=(len(jets.multi_indices(dim, order)), npoints))
+            coeffs[0] = values[:npoints]
+            g = Jet(dim, order, coeffs)
+            with np.errstate(all="ignore"):
+                monkeypatch.setattr(jets, "compose_univariate", horner_through_scale)
+                want = fn(g).coeffs
+                monkeypatch.setattr(jets, "compose_univariate", real_compose)
+                monkeypatch.setattr(jets, "scale", lambda c, a: scales.append(a.order) or real_scale(c, a))
+                scales.clear()
+                got = fn(g).coeffs
+                monkeypatch.setattr(jets, "scale", real_scale)
+            assert same_bits(got, want), (dim, npoints)
+            if name not in ("pow3", "pow-2"):  # integer powers multiply, from a scale by 1.0
+                assert scales == [order] * (order > 1)
+
+
+@pytest.mark.parametrize("g0", [1e300, -1e300, np.inf, -np.inf, np.nan])
+def test_order_one_composition_never_multiplies_the_value_row(g0):
+    """Outside quiet a finite series raises no floating-point error, however large
+    or non-finite g's value is: only its gradient rows are multiplied."""
+    g = Jet(2, 1, [[g0, 0.5], [1.0, -0.0], [2.0, 3.0]])
+    for series in ([np.array([1.0, 2.0]), np.array([1e10, 0.0])], [-0.0, 0.0]):
+        with np.errstate(all="raise"):
+            got = jets.compose_univariate(g, series).coeffs
+        assert same_bits(got, horner_through_scale(g, series).coeffs)
 
 
 def _per_shift_2f1(a, b, c, z):

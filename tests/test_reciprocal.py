@@ -275,6 +275,47 @@ def test_current_order_one_jets_are_pinned_bit_for_bit():
     assert digest.hexdigest() == "debfbcf35508123a675cf64f43b458ca9609a84f8b35bbf5fb4626c33e19cebb"
 
 
+PINNED_CURRENT_VALUES = {  # B.value(p) as float.hex at banded_points(bands, 2, 2024), base mid-band
+    "dim2-eps1-h1:c1": ("-0x1.981f3c5e109c4p-8", "0x1.4933b25daf8c6p-6"),
+    "dim2-eps1-h1:c2": ("0x1.4a0a324994489p-2", "0x1.7f191947157e1p-1"),
+    "dim2-eps1-h1": ("-0x1.56cb2c2c84cd8p-2", "-0x1.6a85de213a854p-1"),
+    "dim2-eps-1-h1:c1": ("0x1.d9d7ee9d0642fp-6", "0x1.594210ca78a5ap-4"),
+    "dim2-eps-1-h1:c2": ("0x1.0fc579256eca6p-4", "0x1.bcabb1018bbc9p-5"),
+    "dim2-eps-1-h1": ("-0x1.16cc0eb75d46cp-7", "0x1.d42e49142b6cfp-4"),
+    "dim2-eps1-hm05:c1": ("-0x1.704dedc09dd5bp-4", "-0x1.68983a22ba329p-3"),
+    "dim2-eps1-hm05:c2": ("-0x1.9a3a303eee0eep-5", "-0x1.0d920d1deb7f5p-4"),
+    "dim2-eps1-hm05": ("-0x1.09bf61b0e2520p-3", "-0x1.2533b6db3f52ap-2"),
+    "dim2-eps-1-hm05:c1": ("-0x1.3ca512e6f73c4p-5", "-0x1.21bf85a6810ecp-4"),
+    "dim2-eps-1-hm05:c2": ("0x1.06b9736e9ee14p-5", "0x1.0b96896b0a0f2p-4"),
+    "dim2-eps-1-hm05": ("-0x1.c001cc9e46acbp-4", "-0x1.a78aca5c06165p-3"),
+    "dim2-eps1-h0:c1": ("0x0.0p+0", "0x0.0p+0"),
+    "dim2-eps1-h0:c2": ("-0x1.410458220a3d4p-5", "-0x1.11f8d7d1d4647p-5"),
+    "dim2-eps1-h0": ("0x1.410458220a3d4p-5", "0x1.11f8d7d1d4647p-5"),
+    "dim2-eps-1-h0:c1": ("0x0.0p+0", "0x0.0p+0"),
+    "dim2-eps-1-h0:c2": ("0x1.c3f89171e4ea8p+2", "0x1.38dd99f19dd90p+3"),
+    "dim2-eps-1-h0": ("-0x1.c3f89171e4ea8p+2", "-0x1.38dd99f19dd90p+3"),
+    "dim3-eps1-flatcoord": ("-0x1.9c7c95c5cfe80p-4", "0x1.8405fd41f1ea1p-5"),
+}
+
+
+def test_current_values_are_pinned_bit_for_bit():
+    """B.value(p) of every closed-form catalog current at two banded points, as
+    float.hex, signed zeros included: the whole quadrature, node sets, path
+    guards, the one-form's ordered sum and the rule's weights, bit for bit."""
+    got = {}
+    for e, system, A, base, _ in _current_segments(42):
+        B = current_from_density(system, A, base)
+        pts = banded_points(e.current_bands, 2, 2024, predicates=e.sample_predicates())
+        got[e.entry_id] = tuple(B.value(p).hex() for p in pts)
+    assert got == PINNED_CURRENT_VALUES
+
+
+@pytest.mark.parametrize("end, want", [((-0.6, -0.4), "0x1.4000000000005p+1"), ((-0.52, -0.48), "0x1.900000000000cp+3")])
+def test_refined_current_values_are_pinned_bit_for_bit(sys2, recip_density, end, want):
+    """Segments whose quadrature needs 2 and 8 panels, as float.hex."""
+    assert current_from_density(sys2, recip_density, jets.Point((-1.25, 1.25))).value(jets.Point(end)).hex() == want
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_current_matches_every_closed_form(seed):
     for entry_id, _, B, closed, pts in _closed_form_currents(seed):
@@ -469,6 +510,19 @@ def _first_panel_nodes(base: jets.Point, p: jets.Point) -> list[jets.Point]:
     t in [0, 1], in rule order."""
     ts = [0.5 + 0.5 * float(x) for x in np.polynomial.legendre.leggauss(QUAD_NODES)[0]]
     return [jets.Point(tuple(b + (q - b) * t for b, q in zip(base.coords, p.coords))) for t in ts]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_current_velocity_guard_watches_every_pair(pair):
+    """Whichever two of three velocities coincide, the first node reports it."""
+    sources = ["u1", "u2 + 3", "u3 + 6"]
+    sources[pair[1]] = sources[pair[0]] + " + 1e-10*u2"
+    system = DiagonalSystem.of_fields(tuple(field(s, 3) for s in sources))
+    base, p = jets.Point((0.5, 1.0, 1.5)), jets.Point((0.75, 1.5, 2.0))
+    with pytest.raises(PathSingularityError) as exc:
+        current_from_density(system, field("1 + 0*u1", 3), base).value(p)
+    node = _first_panel_nodes(base, p)[0]
+    assert str(exc.value) == f"characteristic velocities coincide on the segment from {base} to {p} near {node}"
 
 
 def test_current_path_across_the_diagonal_message(sys2, recip_density):
