@@ -43,7 +43,7 @@ def epsilon_system(n: int, eps: float) -> DiagonalSystem:
 
     def closed_form(points: PointSet, order: int) -> np.ndarray:
         u = points.lifts(order)  # accumulate adds u1 + ... + un in index order, as the source's + does
-        return u - jets.scale(eps, jets._built(n, order, np.add.accumulate(u, axis=0)[-1])).coeffs
+        return u - jets.scale(eps, np.add.accumulate(u, axis=0)[-1], n)
 
     return DiagonalSystem(n, closed_form)
 

@@ -9,6 +9,12 @@ A parsed expression compiles to a straight-line program, the AD "tape" of
 Griewank and Walther (*Evaluating Derivatives*, 2nd ed., 2008, ch. 6): one
 instruction per distinct subexpression, run by one loop, so a repeated
 subtree costs one jet per evaluation and evaluation does not recurse.
+Sibling instructions, of equal depth and operation, whose operands lie in
+rows of one stack, run as one stacked kernel call, a pack (superword-level
+parallelism, Larsen and Amarasinghe, PLDI 2000): the two terms of
+``c1*exp(h*u1)/(u2-u1) + c2*exp(h*u2)/(u2-u1)`` take four kernel calls, not
+eight.  The plan is made once, at compilation; a run that leaves a domain is
+replayed one instruction at a time, so its error is the program's.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 from . import jets
 from .jets import Jet, JetDomainError, Point, PointSet, point_set
@@ -342,38 +350,170 @@ def compile_field(fexpr: FieldExpr) -> ScalarField:
     """Compile a parsed expression into a straight-line program: one
     instruction per distinct subexpression (its operator and its operands'
     slots; a constant's bit pattern), in the order a recursive walk of the tree
-    first meets them, operands first.  One loop fills the slots, so the first
-    operation to leave its domain is the tree's, and its EvalError names an
-    equal subtree.  A product with one constant operand is one ``scale``
-    instruction, bit for bit the product with the constant's jet on either
-    side, but for the sign and payload of a NaN, which may depend on how
-    products are grouped.  Jet functions are looked up as each instruction
-    runs (``_ARITH[op]``, ``jets.<fn>``), so one swapped in later is called."""
+    first meets them, operands first.  A product with one constant operand is
+    one ``scale`` instruction, bit for bit the product with the constant's jet
+    on either side, but for the sign and payload of a NaN, which may depend on
+    how products are grouped.
+
+    ``_pack`` then plans, once, which sibling instructions run as one
+    stacked kernel call (a pack) and where each operand lies: ``run`` executes
+    each pack as one call, bit for bit its members' calls (but for a NaN's
+    sign and payload), and every other instruction as it is.  On a ValueError
+    or ArithmeticError the same program is replayed one instruction at a time,
+    in program order, through the same executor, so the first operation to
+    leave its domain is the tree's, and its EvalError names an equal subtree.
+    Jet functions are looked up as each step runs (``_ARITH[op]``,
+    ``jets.<fn>``), so one swapped in later is called."""
     dim, code, nodes, known = fexpr.dim, [], [], {}  # nodes: slot -> its first subtree; known: order -> constants
     root = _emit(fexpr.ast, code, nodes, {})
+    steps, extra = _pack(code, root, len(nodes), dim)
 
     def run(points: PointSet, order: int) -> Jet:
         slots = known.get(order)
         if slots is None:  # jets are immutable, so one constant jet per order serves every point set
             slots = known[order] = [jets.constant(dim, order, n.value) if isinstance(n, Num) else None for n in nodes]
-        slots = slots.copy()
+            slots += [None] * extra  # the stacks and their views
         try:
-            for k, op, i, j in code:
-                if op in _ARITH:
-                    slots[k] = _ARITH[op](slots[i], slots[j])
-                elif op == "u":
-                    slots[k] = points.lift(i, order)
-                elif op == "neg":
-                    slots[k] = -slots[i]
-                elif op in ("scale", "jet_hypergeom_2f1"):  # constants before the operand
-                    slots[k] = getattr(jets, op)(*j, slots[i])
-                else:  # jet_exp, jet_ln, jet_pow
-                    slots[k] = getattr(jets, op)(slots[i], *j)
-        except JetDomainError as exc:
-            raise EvalError(f"{exc} in {to_text(nodes[k])!r}") from exc
+            return _run(steps, slots.copy(), points, order)[root]
+        except (ValueError, ArithmeticError):
+            pass
+        slots = slots.copy()
+        for ins in code:
+            try:
+                _run((ins,), slots, points, order)
+            except JetDomainError as exc:
+                raise EvalError(f"{exc} in {to_text(nodes[ins[0]])!r}") from exc
         return slots[root]
 
     return ScalarField(dim, run)
+
+
+def _run(steps, slots: list, points: PointSet, order: int) -> list:
+    """The slots after the steps, each (slot, op, operand slot, second operand
+    slot or constant arguments): an instruction, or a pack, whose operands and
+    result are stacks of jets, each one Jet; a view, its operand's
+    coefficients at index j (a row, or a slice of rows); or the lifts."""
+    dim, built = points.dim, jets._built
+    for k, op, i, j in steps:
+        if op in _ARITH:
+            slots[k] = _ARITH[op](slots[i], slots[j])
+        elif op == "view":
+            slots[k] = built(dim, order, slots[i].coeffs[j])
+        elif op == "neg":
+            slots[k] = -slots[i]
+        elif op in ("scale", "jet_hypergeom_2f1"):  # constants before the operand
+            slots[k] = getattr(jets, op)(*j, slots[i])
+        elif op == "u":
+            slots[k] = points.lift(i, order)
+        elif op == "lifts":
+            slots[k] = built(dim, order, points.lifts(order))
+        else:  # jet_exp, jet_ln, jet_pow
+            slots[k] = getattr(jets, op)(slots[i], *j)
+    return slots
+
+
+_PACKED = frozenset(("scale", "jet_exp", "*", "/", "+", "-", "neg"))
+
+
+def _pack(code: list, root: int, nslots: int, dim: int) -> tuple[list, int]:
+    """The steps that run the program, and how many slots they add past its
+    own: the lifts (every coordinate's jet as one stack), the packs' stacks
+    and the views of them.
+
+    Instructions of equal depth and equal packable operation join one pack,
+    in program order, while each operand position reads, for every member,
+    one shared slot (broadcast against the others' leading axis), or rows of
+    one stack, an earlier pack's or the lifts', one apart in either direction:
+    so every operand is a slot, a whole stack or a view by one basic index,
+    and no run searches or gathers.  A group member that does not fit starts
+    the next pack, and a pack of one runs as its instruction.  The steps run
+    depth by depth, each stack followed by a view of each of its rows that
+    the root, an instruction or a pack reads as one jet.  One pass over the
+    program, one over its groups and one over the rows read alone."""
+    lifts, depth, levels = nslots, {}, []
+    where, size = {}, {lifts: dim}  # where: slot -> (its stack's slot, row); size: stack slot -> rows
+    for ins in code:
+        k, op, i, j = ins
+        if op == "u":
+            where[k] = (lifts, i)
+            continue
+        d = max(depth.get(i, 0), depth.get(j, 0)) if op in _ARITH else depth.get(i, 0)
+        depth[k] = d + 1
+        if d == len(levels):  # one deeper than any before
+            levels.append({})
+        levels[d].setdefault(op if op in _PACKED else k, []).append(ins)
+    blocks = {lifts: [(lifts, "lifts", None, None)]} if where else {}  # stack slot -> its steps
+    sequence, wanted, views = list(blocks.values()), {root}, {}  # views: (stack, first row, step, rows) -> slot
+
+    def strides(members: list, strided, ins, positions) -> list | None:
+        """Per operand position, the step from the last member's row to ins's in
+        one stack (0: the same slot), if every step is the members' one of 0, 1 or -1."""
+        out = []
+        for n, pos in enumerate(positions):
+            s, t = members[-1][pos], ins[pos]
+            w, v = where.get(s), where.get(t)
+            step = 0 if s == t else v[1] - w[1] if w and v and v[0] == w[0] else None
+            if step not in (0, 1, -1) or strided is not None and step != strided[n]:
+                return None
+            out.append(step)
+        return out
+
+    def operand(members: list, pos: int, step: int, block: list) -> int:
+        """The slot of the members' operands at pos: the shared slot, or their rows' stack or a view of it."""
+        first = members[0][pos]
+        if not step:
+            wanted.add(first)
+            return first
+        s, r = where[first]
+        if step == 1 and not r and len(members) == size[s]:
+            return s
+        key = (s, r, step, len(members))
+        if key not in views:
+            stop = r + step * len(members)
+            views[key] = nslots + len(size) + len(views)
+            block.append((views[key], "view", s, slice(r, stop if stop >= 0 else None, step)))
+        return views[key]
+
+    def close(members: list, strided) -> None:
+        """The step of the members: their instruction alone, or their pack."""
+        if len(members) == 1:
+            ins = members[0]
+            wanted.update((ins[2], ins[3]) if ins[1] in _ARITH else (ins[2],))
+            sequence.append([ins])
+            return
+        block, op = [], members[0][1]
+        p = nslots + len(size) + len(views)
+        size[p] = len(members)
+        i = operand(members, 2, strided[0], block)
+        if op in _ARITH:
+            j = operand(members, 3, strided[1], block)
+        elif op == "scale":  # one constant per member, on the leading axis
+            j = (np.array([m[3] for m in members]).reshape(-1, 1, 1),)
+            j[0].flags.writeable = False
+        else:
+            j = members[0][3]
+        block.append((p, op, i, j))
+        blocks[p] = block
+        sequence.append(block)
+        where.update((m[0], (p, row)) for row, m in enumerate(members))
+
+    for level in levels:
+        for op, group in level.items():
+            positions = (2, 3) if op in _ARITH else (2,)
+            members, strided = group[:1], None
+            for ins in group[1:]:
+                joined = strides(members, strided, ins, positions) if op in _PACKED else None
+                if joined is None:
+                    close(members, strided)
+                    members = [ins]
+                else:
+                    members.append(ins)
+                strided = joined
+            close(members, strided)
+    for s in wanted & where.keys():
+        stack, row = where[s]
+        blocks[stack].append((s, "view", stack, row))
+    return [step for block in sequence for step in block], len(size) + len(views)
 
 
 _CALLS = {"exp": "jet_exp", "ln": "jet_ln", "pow": "jet_pow", "hyp2f1": "jet_hypergeom_2f1"}

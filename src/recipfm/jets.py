@@ -19,13 +19,18 @@ the inverse gather, builds the jet of value 0 whose first partials are given
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
 each element, so a column is bit for bit what the same operations give at
-that point alone.  ``mul`` and ``div`` also take the coefficient arrays (...,
-ncoeff, npoints) of jets stacked on leading axes, which broadcast as the points
-do, so a whole table is one call.  They gather their products once per call
-into a (..., layers, rows, points) grid and reduce it over the layers, with
-rows and points inner, so each coefficient still sums its products left to
-right, by ascending first index, as one product at a time would; only the
-sign and payload of a NaN may depend on how the products are grouped.
+that point alone.  ``mul``, ``div``, ``scale`` (with one constant per jet) and
+``compose_univariate`` also take the coefficient arrays (..., ncoeff, npoints)
+of jets stacked on leading axes, which broadcast as the points do, so a whole
+table is one call.  A Jet a kernel builds may hold such a stack too: ``add``,
+``sub``, ``mul``, ``div``, negation, ``scale``, ``compose_univariate`` and
+``jet_exp`` treat each of its jets as a call of its own would, and so a
+compiled program's pack of sibling instructions is one call.  ``mul`` and
+``div`` gather their products once per call into a (..., layers, rows,
+points) grid and reduce it over the layers, with rows and points inner, so
+each coefficient still sums its products left to right, by ascending first
+index, as one product at a time would; only the sign and payload of a NaN
+may depend on how the products are grouped.
 ``hyp2f1_value`` sums the Gauss series at every element of its broadcast
 arguments at once, in blocks of terms whose first is sized from the largest
 |z|, each element stopping where its own term-by-term sum would, so
@@ -366,7 +371,8 @@ class Jet:
 
 
 def _built(dim: int, order: int, coeffs: np.ndarray) -> Jet:
-    """Jet(dim, order, coeffs) unchecked: only for a float64 (ncoeff, npoints) array a kernel has just built."""
+    """Jet(dim, order, coeffs) unchecked: only for a float64 (ncoeff, npoints) array a kernel has just built,
+    or a stack (..., ncoeff, npoints) of them that goes to the kernels that take one."""
     out = object.__new__(Jet)
     out.dim, out.order, out.coeffs = dim, order, coeffs
     return out
@@ -434,19 +440,26 @@ def mul(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None) -> Jet
     return _built(dim, order, out) if isinstance(a, Jet) else out
 
 
-def scale(c, a: Jet) -> Jet:
-    """c * a, c a number or one value per point: bit for bit mul(constant(a.dim,
-    a.order, c), a).  The constant's rows past the value are zeros, and their
-    products with a's value row (order 1) or rows (order >= 2) add 0.0 or -0.0
-    to a coefficient summed from 0.0, which changes nothing while those rows
-    are finite: the product is then 0.0 + c * a.coeffs, the 0.0 turning -0.0
-    into 0.0 as the sum does.  Otherwise it is that product, so 0 * inf is NaN."""
-    x = a.coeffs
-    if a.order and not _finite(x[0] if a.order == 1 else x):
-        return mul(constant(a.dim, a.order, c), a)
-    out = (c if isinstance(c, float) else np.asarray(c, dtype=float).reshape(-1)) * x
+def scale(c, a: Jet | np.ndarray, dim: int | None = None) -> Jet | np.ndarray:
+    """c * a, of a jet or of coefficient arrays as for mul; c is a number, one
+    value per point, or, for a stack, one per jet (and point), shaped (..., 1, 1)
+    or (..., 1, npoints): bit for bit mul of c's constant jets and a.  The
+    constant's rows past the value are zeros, and their products with a's
+    value row (order 1) or rows (order >= 2) add 0.0 or -0.0 to a coefficient
+    summed from 0.0, which changes nothing while those rows are finite: the
+    product is then 0.0 + c * a, the 0.0 turning -0.0 into 0.0 as the sum
+    does.  Otherwise, jet by jet, it is that product, so 0 * inf is NaN."""
+    x, _, dim, order = _operands(a, a, dim)
+    out = c * x
     out += 0.0
-    return _built(a.dim, a.order, out)
+    if order and not _finite(v := x[_VALUE_ROW] if order == 1 else x):
+        c = np.array(c, dtype=float, ndmin=2)  # the constant jets' value rows, (..., 1, ncols)
+        const = np.zeros((*c.shape[:-2], x.shape[-2], c.shape[-1]))
+        const[_VALUE_ROW] = c
+        product = mul(const, x, dim)
+        finite = np.logical_and.reduce(np.isfinite(v), axis=(-2, -1))[..., None, None]  # one per jet of x
+        out = product if x.ndim == 2 else np.where(finite, out, product)
+    return _built(dim, order, out) if isinstance(a, Jet) else out
 
 
 def div(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None) -> Jet | np.ndarray:
@@ -511,37 +524,41 @@ def hessian(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     return gradient(partials(coeffs, dim), dim)
 
 
-def compose_univariate(g: Jet, series) -> Jet:
-    """(f o g) for f given by Taylor coefficients of f at g.value.
+def compose_univariate(g: Jet | np.ndarray, series, dim: int | None = None) -> Jet | np.ndarray:
+    """(f o g) for f given by Taylor coefficients of f at g's value, of a jet or of
+    coefficient arrays as for mul.
 
-    ``series[j]`` must be f^(j)(g.value)/j! (a number or one value per point);
-    only the first order+1 entries are used.  Evaluated by Horner's scheme in
-    the zero-value jet w = g - g0, which starts with ``scale`` by the top
+    ``series[j]`` must be f^(j)(g.value)/j! (a number, one value per point, or,
+    for a stack, an array (..., 1, npoints) of one value row per jet); only the
+    first order+1 entries are used.  Evaluated by Horner's scheme in the
+    zero-value jet w = g - g0, which starts with ``scale`` by the top
     coefficient, bit for bit the product of its constant jet and w.  At order 1
     that is all, and its rows are written directly: s1 * g_r + 0.0 for r >= 1,
     and the value row (s1 * 0.0 + 0.0) + s0, so g's value row is never
     multiplied and cannot overflow or warn.
     """
-    series = list(series)[: g.order + 1]
-    if not g.order:
-        return constant(g.dim, 0, series[0])
-    if g.order == 1:
-        (s0, s1), x = series, g.coeffs
-        out = np.empty((len(x), max(x.shape[1], getattr(s1, "size", 1))))  # one column spreads, as in a product
-        np.multiply(s1, x[1:], out=out[1:])
-        np.multiply(s1, 0.0, out=out[0])
+    x, _, dim, order = _operands(g, g, dim)
+    series = list(series)[: order + 1]
+    if not order:
+        out = np.array(series[0], dtype=float, ndmin=2)  # the constant jet of value s0
+    elif order == 1:
+        s0, s1 = series
+        out = np.empty(np.broadcast(x, s1).shape)  # one column spreads, as in a product
+        np.multiply(s1, x[_HIGHER_ROWS], out=out[_HIGHER_ROWS])
+        np.multiply(s1, 0.0, out=out[_VALUE_ROW])
         out += 0.0
-        out[0] += s0
-        return _built(g.dim, 1, out)
-    w = g.coeffs.copy()
-    w[0] = 0.0
-    w = _built(g.dim, g.order, w)
-    out = scale(series[-1], w)
-    out.coeffs[0] += series[-2]
-    for c in reversed(series[:-2]):
-        out = mul(out, w)
-        out.coeffs[0] += c  # the constant's other rows would add 0.0 to a product, never -0.0: nothing
-    return out
+        out[_VALUE_ROW] += s0
+    else:
+        w = x.copy()
+        w[_VALUE_ROW] = 0.0
+        w = _built(dim, order, w)
+        acc = scale(series[-1], w)
+        acc.coeffs[_VALUE_ROW] += series[-2]
+        for c in reversed(series[:-2]):
+            acc = mul(acc, w)
+            acc.coeffs[_VALUE_ROW] += c  # the constant's other rows would add 0.0 to a product, never -0.0: nothing
+        out = acc.coeffs
+    return _built(dim, order, out) if isinstance(g, Jet) else out
 
 
 def _each(fn, v: np.ndarray, what: str, series: bool = True) -> np.ndarray:
@@ -561,7 +578,9 @@ def _each(fn, v: np.ndarray, what: str, series: bool = True) -> np.ndarray:
 
 
 def jet_exp(a: Jet) -> Jet:
-    e0 = _each(math.exp, a.value, "exp", series=False)
+    """exp of a jet, or of a stack of jets as one Jet, whose series terms are then (..., 1, npoints)."""
+    v = a.coeffs[_VALUE_ROW] if a.coeffs.ndim > 2 else a.value
+    e0 = _each(math.exp, v.ravel(), "exp", series=False).reshape(v.shape)
     return compose_univariate(a, [e0, e0, *(e0 / math.factorial(j) for j in range(2, a.order + 1))])
 
 

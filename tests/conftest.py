@@ -107,6 +107,12 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and bool((got.view(np.int64) == want.view(np.int64)).all())
 
 
+def same_non_nan_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shape and NaN positions, and equal bit patterns everywhere else."""
+    nan = np.isnan(want)
+    return got.shape == want.shape and (np.isnan(got) == nan).all() and same_bits(got[~nan], want[~nan])
+
+
 def _mp_pow(base, exponent):
     e = float(exponent)
     if e.is_integer():

@@ -11,6 +11,7 @@ from conftest import (
     every_order_from_scratch,
     partial,
     same_bits,
+    same_non_nan_bits,
 )
 from recipfm import exprlang, jets
 from recipfm.catalog import catalog_entries, entry, epsilon_system
@@ -410,9 +411,12 @@ def test_products_by_a_constant_are_one_scale_each_bit_for_bit(monkeypatch):
         want = tree.jet(points, order).coeffs
         scales.clear()
         got = f.jet(points, order).coeffs
-        # 3*u1 and u1*3 share one instruction; the one array is exp's Horner start, which order 1 writes directly
-        assert [c for c in scales if isinstance(c, float)] == [3.0, -0.0, 0.0, 0.5, 2.0, -2.0]
-        assert len(scales) == 6 + (order > 1)
+        # 3*u1 and u1*3 share one instruction; 3*u1 and u2*-0.0 read consecutive lifts, 0*u1 and u1*(-2) one
+        # lift, so each pair is one scale with a constant per row; the one other array is exp's Horner start,
+        # which order 1 writes directly
+        assert [c.ravel().tolist() if np.ndim(c) == 3 else c for c in scales if np.ndim(c) != 1] == [
+            [3.0, -0.0], [0.0, -2.0], 0.5, 2.0]
+        assert len(scales) == 4 + (order > 1)
         assert same_bits(got, want)
 
 
@@ -428,10 +432,11 @@ def test_jet_functions_swapped_after_compilation_are_called(monkeypatch):
     got = A.jet(p, 2)
     program, program_scales = len(calls), len(scales)
     assert same_bits(got.coeffs, tree.jet(PointSet(p.coords), 2).coeffs)
-    assert (program, len(calls) - program) == (5, 23) and exps == [2] * 6  # three exps in each
-    # the program's 13 products by a constant, and in each of program and tree
-    # one Horner start per exp and one first factor per square
-    assert (program_scales, len(scales) - program_scales) == (13 + 3 + 2, 3 + 2) and scales == [2] * 23
+    # the program's five products in four calls, two of them one pack; three exps in each
+    assert (program, len(calls) - program) == (4, 23) and exps == [2] * 6
+    # the program's 13 products by a constant in 10 calls, three of them packs of two, and in each of
+    # program and tree one Horner start per exp and one first factor per square
+    assert (program_scales, len(scales) - program_scales) == (10 + 3 + 2, 3 + 2) and scales == [2] * 20
     calls.clear()
     scales.clear()
     g.jet(Point((0.5, 1.5)), 1)
@@ -446,3 +451,114 @@ def test_a_program_leaves_no_reference_cycle():
             f.jet(Point((1.5, 0.5)), 1)
 
     assert cyclic_recipfm_objects(compile_and_evaluate) == []
+
+
+# ---------------------------------------------------------------------------
+# Packs: sibling instructions as one stacked kernel call
+
+
+def one_at_a_time(monkeypatch, src: str, dim: int, params=None) -> ScalarField:
+    """The field compiled without packs: its run executes the program one
+    instruction at a time, in program order, as the replay after an error does."""
+    with monkeypatch.context() as m:
+        m.setattr(exprlang, "_pack", lambda code, root, nslots, dim: (code, 0))
+        return field(src, dim, params)
+
+
+def _outcome(f: ScalarField, points: PointSet, order: int):
+    try:
+        return f.jet(points, order).coeffs
+    except EvalError as exc:
+        return str(exc)
+
+
+def _packs(src: str, dim: int, params=None) -> list[str]:
+    """The operation of each pack of the field's program, in the order they run."""
+    fexpr, code, nodes = parse_field(src, dim, params), [], []
+    root = exprlang._emit(fexpr.ast, code, nodes, {})
+    steps, _ = exprlang._pack(code, root, len(nodes), dim)
+    for k, op, i, j in steps:  # every operand of a pack is a slot, a stack or a view by one basic index
+        assert op != "view" or isinstance(j, (int, slice)), (k, op, j)
+    return [op for k, op, i, j in steps if k > len(nodes) and op not in ("view", "lifts")]
+
+
+# fields whose packs have one-column operands (constants, and instructions of constants), read
+# descending rows, negate, and one whose siblings fail at different points
+_PACKED_SOURCES = [
+    ("exp(u1)/3 + exp(u2)/3", 2),
+    ("u1*exp(2) + u2*exp(2) - exp(2)/u1 - exp(2)/u2", 2),
+    ("(u1 + 1)*(u2 + 1) + -u1*-u2", 2),
+    ("(u3 - u2)*(u2 - u1) + 2*(u3 - u2) + 5*(u2 - u1)", 3),
+    ("exp(800*u1)/(u2-u1) + exp(800*u2)/(u2-u1)", 2),
+]
+_NON_FINITE = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -5e-324])
+
+
+def _point_sets(dim: int, order: int, seed: int):
+    """Sampled points with signed zeros, and the same with lifts holding +-inf, NaN and signed zeros."""
+    coords = sample_points(dim, 6, seed).coords.copy()
+    coords[0, :2] = (0.0, -0.0)
+    yield PointSet(coords)
+    rng = np.random.default_rng(seed)
+    points = PointSet(coords)
+    lifts = points.lifts(order).copy()
+    hit = rng.random(lifts.shape) < 0.2
+    lifts[hit] = rng.choice(_NON_FINITE, hit.sum())
+    lifts.flags.writeable = False
+    points._memo[jets.variable][order] = lifts  # what every lift of this set and order reads
+    yield points
+
+
+def _sources():
+    for e in catalog_entries():
+        yield pytest.param(e.density_src, e.dim, e.params, id=e.entry_id)
+        if e.current_src is not None:
+            yield pytest.param(e.current_src, e.dim, e.params, id=f"{e.entry_id}-current")
+    for src, dim in _PACKED_SOURCES:
+        yield pytest.param(src, dim, None, id=src)
+
+
+@pytest.mark.parametrize("src, dim, params", _sources())
+def test_packed_runs_match_the_one_at_a_time_replay_bit_for_bit(monkeypatch, src, dim, params):
+    """Every catalog density and current, and fields with one-column pack operands, at orders 0-3:
+    the packed run gives the one-at-a-time run's bits, NaN positions compared, or its error text."""
+    for order in range(jets.MAX_ORDER + 1):
+        for seed in (3, 7):
+            for packed, single in zip(_point_sets(dim, order, seed), _point_sets(dim, order, seed)):
+                want = _outcome(one_at_a_time(monkeypatch, src, dim, params), single, order)
+                got = _outcome(field(src, dim, params), packed, order)
+                assert got == want if isinstance(want, str) else same_non_nan_bits(got, want), (order, seed)
+
+
+def test_the_siblings_of_the_catalog_densities_pack():
+    e = entry("dim2-eps1-h1")
+    assert _packs(e.density_src, e.dim, e.params) == ["scale", "jet_exp", "scale", "/"]
+    e = entry("dim2-eps-1-h1")
+    assert _packs(e.density_src, e.dim, e.params) == ["scale", "jet_exp", "scale"]
+    assert _packs(*_PACKED_SOURCES[0]) == ["jet_exp", "/"]
+    assert _packs(*_PACKED_SOURCES[2]) == ["+", "neg"]
+    assert _packs(*_PACKED_SOURCES[3]) == ["-", "scale"]
+
+
+def test_a_failing_pack_raises_the_one_at_a_time_error(monkeypatch):
+    """Two packed exps that overflow, over seeds where only the second does and where both
+    do at different first points; and an exp whose depth runs it after an ln it precedes
+    in the program: each error is the one a run one instruction at a time raises."""
+    src = _PACKED_SOURCES[-1][0]
+    packed, single, met = field(src, 2), one_at_a_time(monkeypatch, src, 2), set()
+    assert _packs(src, 2) == ["scale", "jet_exp", "/"]
+    for seed in range(40):
+        points = sample_points(2, 5, seed)
+        over = 800.0 * points.coords > 709.78  # exp overflows
+        first = [int(np.argmax(row)) if row.any() else None for row in over]
+        met.add("second only" if first[0] is None and first[1] is not None else
+                "both, at different points" if None not in first and first[0] != first[1] else "other")
+        for order in range(jets.MAX_ORDER + 1):
+            want = _outcome(single, points, order)
+            assert _outcome(packed, points, order) == want
+            assert isinstance(want, str) == any(f is not None for f in first)
+    assert met == {"second only", "both, at different points", "other"}
+    src = "exp(800*u1) + ln(u2)"
+    points = PointSet([[1.0], [-1.0]])
+    with pytest.raises(EvalError, match=r"^exp overflows at value 800.0 in 'exp\(800.0 \* u1\)'$"):
+        field(src, 2).jet(points, 1)

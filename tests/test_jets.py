@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from conftest import ELEMENTARY_CORPUS, corpus_exprs, corpus_points, derivative, fd_partial, partial, same_bits
+from conftest import (
+    ELEMENTARY_CORPUS,
+    corpus_exprs,
+    corpus_points,
+    derivative,
+    fd_partial,
+    partial,
+    same_bits,
+    same_non_nan_bits,
+)
 from recipfm import jets
 from recipfm.exprlang import EvalError, compile_field, field
 from recipfm.jets import Jet, JetDomainError, JetError, Point, PointSet
@@ -514,12 +523,6 @@ def _operand(rng, ncoeff: int, ncols: int, special: bool) -> np.ndarray:
     return x
 
 
-def same_non_nan_bits(got: np.ndarray, want: np.ndarray) -> bool:
-    """Equal shape and NaN positions, and equal bit patterns everywhere else."""
-    nan = np.isnan(want)
-    return got.shape == want.shape and (np.isnan(got) == nan).all() and same_bits(got[~nan], want[~nan])
-
-
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_gathered_kernels_match_the_layered_ones(dim, order):
@@ -569,13 +572,32 @@ _ARRAY_SHAPES = [((3, 5), (3, 5)), ((3, 1), (3, 5)), ((3, 5), (3, 1)), ((5,), (3
                  ((1, 5), (3, 1)), ((2, 1, 5), (3, 5)), ((3, 1), (2, 1, 1))]
 
 
+def _jet_by_jet(fn, *arrays) -> np.ndarray:
+    """fn on the entries [k] of arrays (..., rows, ncols) whose leading axes broadcast, for each k, stacked back."""
+    lead = np.broadcast_shapes(*(z.shape[:-2] for z in arrays))
+    arrays = [np.broadcast_to(z, lead + z.shape[-2:]) for z in arrays]
+    out = np.array([fn(*(z[k] for z in arrays)) for k in np.ndindex(lead)])
+    return out.reshape(lead + out.shape[1:])
+
+
+def _outcomes(make):
+    """make()'s array, or its error's type and text."""
+    try:
+        return make()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("dim", range(2, 5))
 def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
-    """mul and div on coefficient arrays (..., ncoeff, npoints) are mul and div on
-    each jet, bit for bit, signed zeros, infinities and NaN positions included."""
+    """mul, div, scale (one constant per jet) and compose_univariate on coefficient
+    arrays (..., ncoeff, npoints), and jet_exp on such a stack as one Jet, are each
+    kernel on each jet, bit for bit, signed zeros, infinities and NaN positions
+    included; a jet of a stack with a non-finite row is scaled as its own call
+    scales it, through the product with the constant's jet."""
     rng = np.random.default_rng(30 * dim + order)
-    ncoeff, met = len(jets.multi_indices(dim, order)), 0
+    ncoeff, met, non_finite = len(jets.multi_indices(dim, order)), 0, 0
 
     def operand(shape, special):  # (..., ncoeff, ncols) for shape (..., ncols), not C-contiguous
         return np.moveaxis(_operand(rng, ncoeff, math.prod(shape), special).reshape(ncoeff, *shape), 0, -2)
@@ -589,7 +611,31 @@ def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
                 want = _per_jet(jets.div, x, y, dim, order)
                 assert same_non_nan_bits(jets.div(x, y, dim), want)
                 met += bool(np.isnan(want).any())
+                lead = ys[:-1]
+                c = _operand(rng, 1, math.prod(lead), special).reshape(*lead, 1, 1)
+                got = jets.scale(c, y, dim)
+                want = _jet_by_jet(lambda ck, yk: jets.scale(float(ck[0, 0]), Jet(dim, order, yk)).coeffs, c, y)
+                assert same_non_nan_bits(got, want)
+                product = _jet_by_jet(lambda ck, yk: jets.mul(jets.constant(dim, order, ck), Jet(dim, order, yk)).coeffs,
+                                      c, y)  # the route of a jet with a non-finite row
+                finite = np.isfinite(y[..., :1, :] if order == 1 else y).all(axis=(-2, -1))
+                assert not order or same_non_nan_bits(got[~finite], product[~finite])
+                non_finite += bool(order and finite.any() and not finite.all())  # both routes in one call
+                series = [operand(lead + (xs[-1],), special)[..., :1, :] for _ in range(order + 1)]
+                want = _jet_by_jet(lambda yk, *sk: jets.compose_univariate(Jet(dim, order, yk), [s[0] for s in sk]).coeffs,
+                                   y, *series)
+                assert same_non_nan_bits(jets.compose_univariate(y, series, dim), want)
+                g = y.copy()  # exp's values: +-inf, NaN and finite ones clipped to +-700, but for one overflow
+                v = g[..., 0, :]
+                g[..., 0, :] = np.where(np.isfinite(v), np.clip(v, -700.0, 700.0), v)
+                for overflow in (False, True):
+                    g[(-1,) * len(lead) + (0, -1)] = 800.0 if overflow else 1.5  # the last jet's last value
+                    want = _outcomes(lambda: _jet_by_jet(lambda gk: jets.jet_exp(Jet(dim, order, gk)).coeffs, g))
+                    got = _outcomes(lambda: jets.jet_exp(jets._built(dim, order, g)).coeffs)
+                    assert isinstance(want, str) == overflow
+                    assert got == want if overflow else same_non_nan_bits(got, want)
     assert met  # the special values reach NaN, so the NaN positions are compared too
+    assert non_finite or not order  # a stack held finite and non-finite jets
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
