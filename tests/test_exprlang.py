@@ -535,9 +535,8 @@ def test_the_siblings_of_the_catalog_densities_pack():
     assert _packs(e.density_src, e.dim, e.params) == ["scale", "jet_exp", "scale", "/"]
     e = entry("dim2-eps-1-h1")
     assert _packs(e.density_src, e.dim, e.params) == ["scale", "jet_exp", "scale"]
-    assert _packs(*_PACKED_SOURCES[0]) == ["jet_exp", "/"]
-    assert _packs(*_PACKED_SOURCES[2]) == ["+", "neg"]
-    assert _packs(*_PACKED_SOURCES[3]) == ["-", "scale"]
+    assert [_packs(*source) for source in _PACKED_SOURCES[:4]] == [
+        ["jet_exp", "/"], ["*", "/"], ["+", "neg"], ["-", "scale"]]
 
 
 def test_a_failing_pack_raises_the_one_at_a_time_error(monkeypatch):

@@ -580,14 +580,6 @@ def _jet_by_jet(fn, *arrays) -> np.ndarray:
     return out.reshape(lead + out.shape[1:])
 
 
-def _outcomes(make):
-    """make()'s array, or its error's type and text."""
-    try:
-        return make()
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("dim", range(2, 5))
 def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
@@ -628,12 +620,12 @@ def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
                 g = y.copy()  # exp's values: +-inf, NaN and finite ones clipped to +-700, but for one overflow
                 v = g[..., 0, :]
                 g[..., 0, :] = np.where(np.isfinite(v), np.clip(v, -700.0, 700.0), v)
-                for overflow in (False, True):
-                    g[(-1,) * len(lead) + (0, -1)] = 800.0 if overflow else 1.5  # the last jet's last value
-                    want = _outcomes(lambda: _jet_by_jet(lambda gk: jets.jet_exp(Jet(dim, order, gk)).coeffs, g))
-                    got = _outcomes(lambda: jets.jet_exp(jets._built(dim, order, g)).coeffs)
-                    assert isinstance(want, str) == overflow
-                    assert got == want if overflow else same_non_nan_bits(got, want)
+                each = lambda: jets._built(dim, order, _jet_by_jet(lambda gk: jets.jet_exp(Jet(dim, order, gk)).coeffs, g))
+                stacked = lambda: jets.jet_exp(jets._built(dim, order, g))
+                g[(-1,) * len(lead) + (0, -1)] = 1.5
+                assert same_non_nan_bits(stacked().coeffs, each().coeffs)
+                g[(-1,) * len(lead) + (0, -1)] = 800.0  # the last jet's last value overflows
+                assert _outcome(stacked) == _outcome(each) and isinstance(_outcome(each), tuple)
     assert met  # the special values reach NaN, so the NaN positions are compared too
     assert non_finite or not order  # a stack held finite and non-finite jets
 
