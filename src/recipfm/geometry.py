@@ -359,7 +359,7 @@ def christoffel_primary(sys: DiagonalSystem, points: PointSet, order: int) -> np
     hi, lo = sys.velocity_jets(points, order + 1), sys.velocity_jets(points, order)
     den = lo[j] - hi[i, : lo.shape[1]]
     close = np.abs(den[:, 0]) < VELOCITY_GAP
-    if close.any():
+    if np.count_nonzero(close):
         k = int(np.argmax(close.any(axis=1)))  # the first pair, then its first point
         where = points[int(np.argmax(close[k]))]
         raise DegenerateSystemError(f"coincident characteristic velocities v^{i[k] + 1} and v^{j[k] + 1} at {where}")

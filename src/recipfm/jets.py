@@ -19,13 +19,13 @@ the inverse gather, builds the jet of value 0 whose first partials are given
 Every operation works column by column, adds in a fixed order and evaluates
 ``exp``, ``ln`` and real powers with ``math.exp``, ``math.log`` and ``**`` on
 each element, so a column is bit for bit what the same operations give at
-that point alone.  ``mul``, ``div``, ``scale`` (with one constant per jet) and
-``compose_univariate`` also take the coefficient arrays (..., ncoeff, npoints)
-of jets stacked on leading axes, which broadcast as the points do, so a whole
-table is one call.  A Jet a kernel builds may hold such a stack too: ``add``,
-``sub``, ``mul``, ``div``, negation, ``scale``, ``compose_univariate`` and
-``jet_exp`` treat each of its jets as a call of its own would, and so a
-compiled program's pack of sibling instructions is one call.  ``mul`` and
+that point alone.  ``mul``, ``div`` and ``scale`` (with one constant per jet)
+also take the coefficient arrays (..., ncoeff, npoints) of jets stacked on
+leading axes, which broadcast as the points do, so a whole table is one call.
+A Jet a kernel builds may hold such a stack too: ``add``, ``sub``, ``mul``,
+``div``, negation, ``scale``, ``compose_univariate`` and ``jet_exp`` treat
+each of its jets as a call of its own would, and so a compiled program's
+pack of sibling instructions is one call.  ``mul`` and
 ``div`` gather their products once per call into a (..., layers, rows,
 points) grid and reduce it over the layers, with rows and points inner, so
 each coefficient still sums its products left to right, by ascending first
@@ -37,7 +37,10 @@ arguments at once, in blocks of terms whose first is sized from the largest
 ``jet_hypergeom_2f1`` sums the order + 1 parameter shifts of a jet as one
 series.  ``compose_univariate`` writes an order-1 composition's rows directly,
 bit for bit its Horner start through ``scale``.  Under ``quiet`` non-finite
-values propagate without warnings, as in Python float arithmetic.  Domain
+values propagate without warnings, as in Python float arithmetic; only the
+outermost quiet call of a context enters numpy's errstate, and a nested one
+trusts a context-local flag, not numpy's state, since no recipfm code changes
+the errstate inside a quiet call.  Domain
 checks test every element: an operation fails for the whole set if any
 element leaves its domain, and the error names the first such element.  Jets
 are immutable values: no operation writes into an array once its jet is
@@ -58,11 +61,12 @@ takes a lone Point.  Hold the set to share work across families.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -74,10 +78,32 @@ HYP2F1_SLACK = 8  # a first block's terms past those z^k needs to settle
 HYP2F1_FIRST_WORK = 16 * HYP2F1_BLOCK  # a first block longer than HYP2F1_BLOCK sums at most this many terms in all
 _VALUE_ROW, _HIGHER_ROWS = (..., slice(1), slice(None)), (..., slice(1, None), slice(None))  # prebuilt for small jets
 
-# IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf give inf or
-# NaN without a warning, as Python floats do, and residuals then fail closed.
-# Fields, connection tables and residual families evaluate under it.
-quiet = np.errstate(all="ignore")
+_QUIET = contextvars.ContextVar("recipfm_quiet", default=False)  # whether a quiet call is running in this context
+
+
+def quiet(fn):
+    """fn with IEEE semantics for array arithmetic: overflow, 0/0 and inf - inf
+    give inf or NaN without a warning, as Python floats do, and residuals then
+    fail closed.  Fields, connection tables and residual families evaluate under it.
+
+    Only the outermost quiet call of a context enters ``np.errstate(all="ignore")``;
+    a nested one trusts the flag _QUIET, not numpy's state, and runs fn
+    directly.  That holds because no recipfm code changes the errstate inside
+    a quiet call.  The flag is a ContextVar, as numpy's errstate is, so the two
+    travel together: a new thread starts with neither and enters its own."""
+    ignoring = np.errstate(all="ignore")(fn)
+
+    @wraps(fn)
+    def quietly(*args, **kwargs):
+        if _QUIET.get():
+            return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            return ignoring(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return quietly
 
 
 class JetError(ValueError):
@@ -205,7 +231,7 @@ def memoized(points: PointSet, owner, order: int, compute):
 
 @quiet
 def _quietly(compute):
-    """compute() under quiet; the decorator form nests, where ``with quiet`` may be entered once."""
+    """compute() under quiet: a miss inside a quiet call runs it directly."""
     return compute()
 
 
@@ -524,9 +550,9 @@ def hessian(a: Jet | np.ndarray, dim: int | None = None) -> np.ndarray:
     return gradient(partials(coeffs, dim), dim)
 
 
-def compose_univariate(g: Jet | np.ndarray, series, dim: int | None = None) -> Jet | np.ndarray:
-    """(f o g) for f given by Taylor coefficients of f at g's value, of a jet or of
-    coefficient arrays as for mul.
+def compose_univariate(g: Jet, series) -> Jet:
+    """(f o g) for f given by Taylor coefficients of f at g's value, of a jet or
+    of a stack of jets held in one Jet, as jet_exp passes it.
 
     ``series[j]`` must be f^(j)(g.value)/j! (a number, one value per point, or,
     for a stack, an array (..., 1, npoints) of one value row per jet); only the
@@ -537,7 +563,7 @@ def compose_univariate(g: Jet | np.ndarray, series, dim: int | None = None) -> J
     and the value row (s1 * 0.0 + 0.0) + s0, so g's value row is never
     multiplied and cannot overflow or warn.
     """
-    x, _, dim, order = _operands(g, g, dim)
+    x, dim, order = g.coeffs, g.dim, g.order
     series = list(series)[: order + 1]
     if not order:
         out = np.array(series[0], dtype=float, ndmin=2)  # the constant jet of value s0
@@ -558,7 +584,7 @@ def compose_univariate(g: Jet | np.ndarray, series, dim: int | None = None) -> J
             acc = mul(acc, w)
             acc.coeffs[_VALUE_ROW] += c  # the constant's other rows would add 0.0 to a product, never -0.0: nothing
         out = acc.coeffs
-    return _built(dim, order, out) if isinstance(g, Jet) else out
+    return _built(dim, order, out)
 
 
 def _each(fn, v: np.ndarray, what: str, series: bool = True) -> np.ndarray:

@@ -182,7 +182,7 @@ def _require_nonzero(aj: Jet, points: PointSet) -> np.ndarray:
     where |A| is below DENSITY_FLOOR."""
     a0 = aj.value if len(aj.value) == len(points) else np.broadcast_to(aj.value, (len(points),))
     low = np.abs(a0) < DENSITY_FLOOR
-    if low.any():
+    if np.count_nonzero(low):
         k = int(np.argmax(low))
         raise ReciprocalError(f"density magnitude {abs(a0[k]):.2e} below {DENSITY_FLOOR} at {points[k]}")
     return a0
@@ -397,10 +397,10 @@ def current_from_density(sys: DiagonalSystem, A: ScalarField, base: Point) -> Sc
             singular = lambda what: PathSingularityError(f"{what} on the segment from {base} to {p} near {node_set[0]}")
             vals = sys.velocity_jets(node_set, 0)[:, 0]
             # the least gap at each node, NaN if any gap is NaN
-            if (np.minimum.reduce(abs(vals[lo] - vals[hi])) < VELOCITY_GAP).any():
+            if np.count_nonzero(np.minimum.reduce(abs(vals[lo] - vals[hi])) < VELOCITY_GAP):
                 raise singular("characteristic velocities coincide")
             aj = A.jet(node_set, 1)
-            if (np.abs(aj.value) < DENSITY_FLOOR).any():
+            if np.count_nonzero(np.abs(aj.value) < DENSITY_FLOOR):
                 raise singular("density vanishes")
             grad = jets.gradient(aj)
             return _sum(weights * (vals[axes] * grad[axes])).tolist()  # vals spreads: one entry per node

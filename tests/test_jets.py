@@ -1,6 +1,9 @@
 import math
 import random
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -583,10 +586,10 @@ def _jet_by_jet(fn, *arrays) -> np.ndarray:
 @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
 @pytest.mark.parametrize("dim", range(2, 5))
 def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
-    """mul, div, scale (one constant per jet) and compose_univariate on coefficient
-    arrays (..., ncoeff, npoints), and jet_exp on such a stack as one Jet, are each
-    kernel on each jet, bit for bit, signed zeros, infinities and NaN positions
-    included; a jet of a stack with a non-finite row is scaled as its own call
+    """mul, div and scale (one constant per jet) on coefficient arrays (...,
+    ncoeff, npoints), and compose_univariate and jet_exp on such a stack as one
+    Jet, are each kernel on each jet, bit for bit, signed zeros, infinities and
+    NaN positions included; a jet of a stack with a non-finite row is scaled as its own call
     scales it, through the product with the constant's jet."""
     rng = np.random.default_rng(30 * dim + order)
     ncoeff, met, non_finite = len(jets.multi_indices(dim, order)), 0, 0
@@ -616,7 +619,7 @@ def test_array_kernels_are_a_jet_call_per_jet_bit_for_bit(dim, order):
                 series = [operand(lead + (xs[-1],), special)[..., :1, :] for _ in range(order + 1)]
                 want = _jet_by_jet(lambda yk, *sk: jets.compose_univariate(Jet(dim, order, yk), [s[0] for s in sk]).coeffs,
                                    y, *series)
-                assert same_non_nan_bits(jets.compose_univariate(y, series, dim), want)
+                assert same_non_nan_bits(jets.compose_univariate(jets._built(dim, order, y), series).coeffs, want)
                 g = y.copy()  # exp's values: +-inf, NaN and finite ones clipped to +-700, but for one overflow
                 v = g[..., 0, :]
                 g[..., 0, :] = np.where(np.isfinite(v), np.clip(v, -700.0, 700.0), v)
@@ -917,3 +920,78 @@ def test_one_2f1_series_raises_the_first_error_of_the_shifts(abc, value, lowest,
             assert got[0] is JetDomainError and re.fullmatch(message, got[1]), (order, got)
         else:
             assert isinstance(got, bytes)
+
+
+def _errstate_entries(call):
+    """call()'s result and how many times it entered numpy's errstate: every
+    entry, decorator or ``with``, builds its state through numpy's _make_extobj."""
+    entries = []
+
+    def profile(frame, event, arg):
+        name = arg.__name__ if event == "c_call" else frame.f_code.co_name if event == "call" else None
+        if name == "_make_extobj":
+            entries.append(event)
+
+    sys.setprofile(profile)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(None)
+    return out, len(entries)
+
+
+def test_a_quadrature_current_value_enters_the_errstate_once():
+    """Its memo misses (the value, the node set's velocities and lifts at orders
+    0 and 1, the density's order-1 jet) are quiet calls nested in the first."""
+    from recipfm.catalog import entry, epsilon_system
+    from recipfm.reciprocal import current_from_density
+
+    e = entry("dim2-eps1-h0")
+    at = lambda t: Point(tuple(lo + t * (hi - lo) for lo, hi in e.current_bands))
+    B = current_from_density(epsilon_system(e.dim, e.eps), e.density_field(), at(0.5))
+    B.value(at(0.25))  # compiles the density once
+    value, entries = _errstate_entries(lambda: B.value(at(0.75)))
+    assert math.isfinite(value) and entries == 1
+
+
+def test_a_quiet_call_inside_a_raising_errstate_stays_quiet():
+    with np.errstate(all="raise"):
+        assert math.isinf(field("(1e200*u1)^2", 2).value(Point((1.0, 2.0))))
+        assert math.isnan(field("(1e200*u1)^2 - (1e200*u2)^2", 2).value(Point((1.0, 2.0))))  # inf - inf
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+
+
+def test_a_raising_quiet_call_restores_the_errstate_of_its_caller():
+    caller = {"divide": "ignore", "over": "raise", "under": "ignore", "invalid": "warn"}
+    with np.errstate(**caller):
+        for _ in range(2):
+            with pytest.raises(JetDomainError, match=r"requires \|z\| < 1"):
+                jets.hyp2f1_value(1.0, 1.0, 2.0, np.array([0.5, 1.5]))
+            assert np.geterr() == caller
+            value, entries = _errstate_entries(lambda: jets.hyp2f1_value(1.0, 1.0, 2.0, 0.5))
+            assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+            assert entries == 1  # the next outermost call enters it again
+
+
+def test_a_thread_started_inside_a_quiet_call_enters_its_own_errstate():
+    """The guard is context-local: a worker starts outside any quiet call, so
+    its first one enters the errstate, and an overflow there warns nothing."""
+    got = []
+
+    def worker():
+        try:
+            got.append(field("(1e200*u1)^2", 2).value(Point((1.0, 2.0))))
+        except Exception as exc:  # reported to the main thread
+            got.append(exc)
+
+    @jets.quiet
+    def start_worker():
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        start_worker()
+    assert got == [math.inf]
