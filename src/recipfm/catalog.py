@@ -93,23 +93,21 @@ class CatalogEntry:
     def _current(self) -> ScalarField | None:
         return None if self.current_src is None else field(self.current_src, self.dim, self.params)
 
-    def sample_predicates(self, order: int = 0) -> tuple[Callable[[PointSet], np.ndarray], ...]:
-        """Point-set filters for this entry, each giving one bool per point: the
-        hypergeometric argument inside its disk when one is involved (first, a
-        coordinate window judging each draw, so the density is never evaluated
-        outside it), and density_window(A, order) of this entry's density field A."""
+    def sample_predicates(self, order: int = 0) -> tuple[Callable, ...]:
+        """Sample filters for this entry: the hypergeometric argument inside its
+        disk when one is involved (a coordinate window judging each draw, so the
+        density is never evaluated outside it), and density_window(A, order) of
+        this entry's density field A, giving one bool per point of a set."""
         window = density_window(self.density_field(), order)
         return (_in_z_window, window) if self.z_window else (window,)
 
 
 @coordinate_predicate
-def _in_z_window(points: PointSet) -> np.ndarray:
-    """Keeps the points with u1 != u2 and |(u3 - u1) / (u2 - u1)| <= Z_WINDOW: a coordinate window, which
+def _in_z_window(coords: tuple[float, ...]) -> bool:
+    """Whether u1 != u2 and |(u3 - u1) / (u2 - u1)| <= Z_WINDOW: a coordinate window, which
     judges each draw before the density window sees it."""
-    u1, u2, u3 = points.coords[:3]
-    den = u2 - u1
-    apart = den != 0.0
-    return apart & (np.abs((u3 - u1) / np.where(apart, den, 1.0)) <= Z_WINDOW)
+    u1, u2, u3 = coords[:3]
+    return u2 != u1 and abs((u3 - u1) / (u2 - u1)) <= Z_WINDOW
 
 
 _DIM2_WIDE = ((-1.8, -0.7), (0.7, 1.8))

@@ -19,7 +19,6 @@ replayed one instruction at a time, so its error is the program's.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -556,56 +555,3 @@ def _emit(node, code: list, nodes: list, slots: dict) -> int:
 def field(src: str, dim: int, params: Mapping[str, float] | None = None) -> ScalarField:
     """Parse + compile in one step."""
     return compile_field(parse_field(src, dim, params))
-
-
-# ---------------------------------------------------------------------------
-# Order-0 reference interpreter (used as an independent oracle in tests)
-
-_FLOAT_FUNCS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "pow": lambda b, r: b**r,
-    "hyp2f1": lambda a, b, c, z: jets.hyp2f1_value(a, b, c, z).item(),
-}
-
-
-def evaluate_value(fexpr, coords, funcs: Mapping[str, Callable] | None = None):
-    """Tree-walking value interpreter; `funcs` swaps the math backend (e.g. mpmath).
-
-    Works on any numeric type that supports arithmetic operators, so it can run
-    in extended precision for finite-difference oracles.
-    """
-    fns = dict(_FLOAT_FUNCS)
-    if funcs:
-        fns.update(funcs)
-    ast = fexpr.ast if isinstance(fexpr, FieldExpr) else fexpr
-
-    def walk(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Coord):
-            return coords[node.index]
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Bin):
-            a = walk(node.lhs)
-            if node.op == "^":
-                return fns["pow"](a, int(node.rhs.value))
-            b = walk(node.rhs)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        if isinstance(node, Call):
-            if node.fn == "pow":
-                return fns["pow"](walk(node.args[0]), node.args[1].value)
-            if node.fn == "hyp2f1":
-                a, b, c = (x.value for x in node.args[:3])
-                return fns["hyp2f1"](a, b, c, walk(node.args[3]))
-            return fns[node.fn](walk(node.args[0]))
-        raise TypeError(f"not an AST node: {node!r}")
-
-    return walk(ast)

@@ -148,7 +148,8 @@ def sample_points(
     half-width is 2, or n/2 for n >= 8 so that n coordinates fit at the gap.
 
     A predicate takes a PointSet and returns one bool per point, or one bool
-    for them all; see _seeded_points for how candidates are judged.
+    for them all; a coordinate_predicate takes one draw's coordinate tuple and
+    returns a bool.  See _seeded_points for how candidates are judged.
 
     The points come as one PointSet, which every residual family evaluates at
     once.  The set owns every memo over it: what families compute over it,
@@ -186,10 +187,10 @@ def banded_points(
     return _seeded_points(draw, count, seed, predicates, why)
 
 
-def coordinate_predicate(pred: Callable[[PointSet], np.ndarray]) -> Callable[[PointSet], np.ndarray]:
-    """pred, marked as reading nothing of a set but its coordinates, so that
-    sampling judges each draw by it before the draw joins a block (see
-    _seeded_points), without evaluating anything over the draws."""
+def coordinate_predicate(pred: Callable[[tuple[float, ...]], bool]) -> Callable[[tuple[float, ...]], bool]:
+    """pred, a test of one draw's coordinate tuple, marked so that sampling
+    applies it to each draw as the draw is made (see _seeded_points), without
+    evaluating anything over the draws."""
     pred.coordinate_only = True
     return pred
 
@@ -199,44 +200,30 @@ def _seeded_points(draw, count: int, seed: int, predicates, why: str) -> PointSe
     returns None to reject a draw, and a SamplingError says why after
     MAX_REJECTIONS rejections in a row.
 
-    Candidates come in blocks, in draw order.  A block ends once it holds as
-    many candidates as points are missing, or where the rejection budget
-    would run out, so it holds no draw that judging one candidate at a time
-    would not judge: the points, their order, the rejections and any error
-    are those of the one-at-a-time loop.  The leading coordinate predicates
-    (coordinate_predicate) judge each draw before it joins a block: draws
-    come in runs of as many as candidates are still missing, each run judged
-    on its coordinates at once, and a draw they reject is a rejected draw, as
-    None is; should judging a run raise, its draws join the block unjudged and
-    the block is judged by every predicate.  A first block of count candidates
-    that all pass is the sample, as the set they were judged as, with what
-    the predicates computed (a density window's jet) in its memo; any other
-    sample is a new set, holding no candidate's jets."""
-    lead = 0
-    while lead < len(predicates) and getattr(predicates[lead], "coordinate_only", False):
-        lead += 1
+    A coordinate predicate (coordinate_predicate) judges each draw as it is
+    made, wherever it stands, and a draw it rejects is a rejected draw, as
+    None is.  The other predicates judge candidates in blocks, in draw order.
+    A block ends once it holds as many candidates as points are missing, or
+    where the rejection budget would run out, so it holds no draw that
+    judging one candidate at a time would not judge: the points, their order,
+    the rejections and any error are those of the one-at-a-time loop.  A
+    first block of count candidates that all pass is the sample, as the set
+    they were judged as, with what the predicates computed (a density
+    window's jet) in its memo; any other sample is a new set, holding no
+    candidate's jets."""
+    coordinate = [pred for pred in predicates if getattr(pred, "coordinate_only", False)]
+    others = [pred for pred in predicates if not getattr(pred, "coordinate_only", False)]
     rng = random.Random(seed)
     out: list[Point] = []
     rejected = 0
     while len(out) < count:
-        block, missing, judges = [], count - len(out), predicates[lead:]
+        block, missing = [], count - len(out)
         while missing and len(block) < MAX_REJECTIONS - rejected:
-            run = len(block)
-            while missing and len(block) < MAX_REJECTIONS - rejected:
-                block.append(draw(rng))
-                missing -= block[-1] is not None
-            if lead:
-                drawn = [k for k in range(run, len(block)) if block[k] is not None]
-                try:
-                    kept = _judge([block[k] for k in drawn], predicates[:lead])[1]
-                except (ValueError, ArithmeticError):
-                    judges = predicates
-                    break
-                for k, ok in zip(drawn, kept):
-                    if not ok:
-                        block[k], missing = None, missing + 1
+            p = draw(rng)
+            block.append(p if p is None or all(pred(p.coords) for pred in coordinate) else None)
+            missing -= block[-1] is not None
         candidates = [p for p in block if p is not None]
-        judged, verdicts = _judge(candidates, judges)
+        judged, verdicts = _judge(candidates, others)
         if not out and len(candidates) == count and all(verdicts):
             return judged
         verdicts = iter(verdicts)
@@ -256,9 +243,9 @@ def _judge(candidates: list[Point], predicates) -> tuple[PointSet | None, list[b
     each passes every predicate.  Each predicate judges, as one PointSet, the
     candidates that the ones before it kept: that set itself while they all
     live, else a set of those kept, so a later predicate never sees a point an
-    earlier one rejected (the z window keeps hyp2f1 inside its disk).  Judging
-    that raises is done again one candidate at a time, in draw order, so the
-    same error comes from the same candidate."""
+    earlier one rejected (orbit's composite density window judges only where
+    the generator's holds).  Judging that raises is done again one candidate
+    at a time, in draw order, so the same error comes from the same candidate."""
     whole = point_set(candidates) if candidates else None
     keep = np.ones(len(candidates), dtype=bool)
     try:

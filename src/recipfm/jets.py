@@ -417,7 +417,7 @@ def _operands(a: Jet | np.ndarray, b: Jet | np.ndarray, dim: int | None = None):
 def _first_violation(value: np.ndarray, bad: np.ndarray) -> float | None:
     """None where the domain condition ``bad`` holds nowhere, else the first
     offending value."""
-    return float(np.ravel(value)[np.argmax(bad)]) if bad.any() else None
+    return float(np.ravel(value)[np.argmax(bad)]) if np.count_nonzero(bad) else None
 
 
 def constant(dim: int, order: int, value) -> Jet:
@@ -642,7 +642,7 @@ def _int_pow(a: Jet, n: int) -> Jet:
     """a**n, n != 0, by square-and-multiply; the first factor is scaled by 1.0,
     bit for bit its product with the constant jet 1."""
     if n < 0:
-        if (a.value == 0.0).any():
+        if np.count_nonzero(a.value == 0.0):
             raise JetDomainError("negative power of a jet with zero value")
         return div(constant(a.dim, a.order, 1.0), _int_pow(a, -n))
     out, base = None, a

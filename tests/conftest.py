@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+from typing import Callable, Mapping
 from unittest import mock
 
 import mpmath as mp
@@ -13,7 +14,7 @@ import numpy as np
 
 from recipfm import jets
 from recipfm.catalog import _flat_sources
-from recipfm.exprlang import FieldExpr, ScalarField, evaluate_value, field, parse_field
+from recipfm.exprlang import Bin, Call, Coord, FieldExpr, Neg, Num, ScalarField, field, parse_field
 from recipfm.geometry import sample_points
 from recipfm.jets import Jet, point_set
 
@@ -111,6 +112,58 @@ def same_non_nan_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal shape and NaN positions, and equal bit patterns everywhere else."""
     nan = np.isnan(want)
     return got.shape == want.shape and (np.isnan(got) == nan).all() and same_bits(got[~nan], want[~nan])
+
+
+# Order-0 reference interpreter, an oracle independent of the compiled path
+
+_FLOAT_FUNCS = {
+    "exp": math.exp,
+    "ln": math.log,
+    "pow": lambda b, r: b**r,
+    "hyp2f1": lambda a, b, c, z: jets.hyp2f1_value(a, b, c, z).item(),
+}
+
+
+def evaluate_value(fexpr, coords, funcs: Mapping[str, Callable] | None = None):
+    """Tree-walking value interpreter; `funcs` swaps the math backend (e.g. mpmath).
+
+    Works on any numeric type that supports arithmetic operators, so it can run
+    in extended precision for finite-difference oracles.
+    """
+    fns = dict(_FLOAT_FUNCS)
+    if funcs:
+        fns.update(funcs)
+    ast = fexpr.ast if isinstance(fexpr, FieldExpr) else fexpr
+
+    def walk(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Coord):
+            return coords[node.index]
+        if isinstance(node, Neg):
+            return -walk(node.operand)
+        if isinstance(node, Bin):
+            a = walk(node.lhs)
+            if node.op == "^":
+                return fns["pow"](a, int(node.rhs.value))
+            b = walk(node.rhs)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            return a / b
+        if isinstance(node, Call):
+            if node.fn == "pow":
+                return fns["pow"](walk(node.args[0]), node.args[1].value)
+            if node.fn == "hyp2f1":
+                a, b, c = (x.value for x in node.args[:3])
+                return fns["hyp2f1"](a, b, c, walk(node.args[3]))
+            return fns[node.fn](walk(node.args[0]))
+        raise TypeError(f"not an AST node: {node!r}")
+
+    return walk(ast)
 
 
 def _mp_pow(base, exponent):

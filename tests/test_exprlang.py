@@ -9,6 +9,7 @@ from conftest import (
     corpus_points,
     cyclic_recipfm_objects,
     every_order_from_scratch,
+    evaluate_value,
     partial,
     same_bits,
     same_non_nan_bits,
@@ -25,7 +26,6 @@ from recipfm.exprlang import (
     ParseError,
     ScalarField,
     compile_field,
-    evaluate_value,
     field,
     parse_field,
     to_text,

@@ -115,7 +115,8 @@ def main(argv=None) -> int:
             metrics[name]["pairs_won"] = sum(sign * (c - b) > 0.0 for b, c in zip(per["base"], per["change"]))
     argv = list(argv if argv is not None else sys.argv[1:])
     if args.scratch is not None:  # where the trees went changes no result
-        del argv[argv.index("--scratch"): argv.index("--scratch") + 2]
+        at = next(k for k, arg in enumerate(argv) if arg.partition("=")[0] == "--scratch")
+        del argv[at: at + 1 + (argv[at] == "--scratch")]  # --scratch PATH or --scratch=PATH
     record = {
         "tag": tag,
         "argv": ["tools/ab.py", *argv],
